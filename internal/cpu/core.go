@@ -100,20 +100,35 @@ type Core struct {
 	faultv mem.Fault
 
 	// The decoded-fetch cache: a direct-mapped map from PC to the decoded
-	// instruction, tagged with the address space, its translation
-	// generation, and the machine's code generation. A hit skips both the
-	// page-table walk and the codeKey map lookup in fetch. Exec
-	// permission was verified at fill time and cannot have changed while
-	// the generation tags match; PKRU is never consulted for fetches.
+	// instruction, tagged with the address space, its exec generation, and
+	// the machine's code generation. A hit skips both the page-table walk
+	// and the codeKey map lookup in fetch. Exec permission was verified at
+	// fill time and cannot have changed while the generation tags match.
+	// The exec generation ignores SetPKey: PKRU is never consulted for
+	// fetches, so a protection-key re-tag (a virtual-key eviction or
+	// refill) cannot change a fetch verdict and leaves the cache warm. The
+	// TLB, which does cache keys, still flushes on the translation
+	// generation.
 	icache    [icacheSize]icacheEntry
 	icAS      *mem.AddressSpace
-	icASGen   uint64
+	icExecGen uint64
 	icCodeGen uint64
 }
 
 // icacheSize is the number of direct-mapped decoded-fetch entries, indexed
-// by instruction slot (PC / InstrSize). Power of two.
+// by codeIndex. Power of two.
 const icacheSize = 256
+
+// codeIndex is the direct-mapped slot of pc in the icache and the
+// superblock store (before masking to the store's size): the instruction
+// slot XORed with a multiplicative mix of the page number. Every
+// uProcess's text starts page-aligned, so indexing by the slot alone would
+// put identical programs in different uProcesses on the same entries and
+// make every switch between them miss. Within a page the mix is a
+// constant, so straight-line code still fills consecutive entries.
+func codeIndex(pc mem.Addr) uint64 {
+	return uint64(pc)/InstrSize ^ pc.PageOf()*0x9E3779B1
+}
 
 // icacheEntry tags the decoded instruction with PC+1 so the zero value
 // never hits.
@@ -154,17 +169,18 @@ func (c *Core) write(addr mem.Addr, size int, v Word) *mem.Fault {
 }
 
 // syncCaches invalidates the decoded-fetch cache and the superblock
-// store together when their shared (AS, AS generation, InstallCode
+// store together when their shared (AS, AS exec generation, InstallCode
 // generation) tags go stale — one generation triple-check covers both,
-// so translation mutations and code installs invalidate fused blocks
-// exactly when they invalidate single decodes.
+// so mapping changes and code installs invalidate fused blocks exactly
+// when they invalidate single decodes, and key re-tags invalidate
+// neither.
 func (c *Core) syncCaches() {
-	if c.icAS != c.AS || c.icASGen != c.AS.Generation() || c.icCodeGen != c.machine.codeGen {
+	if c.icAS != c.AS || c.icExecGen != c.AS.ExecGeneration() || c.icCodeGen != c.machine.codeGen {
 		c.icache = [icacheSize]icacheEntry{}
 		if c.sb != nil {
 			c.sb.clear()
 		}
-		c.icAS, c.icASGen, c.icCodeGen = c.AS, c.AS.Generation(), c.machine.codeGen
+		c.icAS, c.icExecGen, c.icCodeGen = c.AS, c.AS.ExecGeneration(), c.machine.codeGen
 	}
 }
 
@@ -175,7 +191,7 @@ func (c *Core) fetchFast() (Instr, *mem.Fault) {
 		return c.machine.fetch(c.AS, c.PC, c.PKRU)
 	}
 	c.syncCaches()
-	e := &c.icache[(uint64(c.PC)/InstrSize)&(icacheSize-1)]
+	e := &c.icache[codeIndex(c.PC)&(icacheSize-1)]
 	if e.tag == c.PC+1 {
 		return e.instr, nil
 	}

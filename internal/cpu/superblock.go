@@ -29,15 +29,18 @@ var DisableSuperblocks bool
 // cycle-accounting update from the prefix table.
 //
 // Coherence rides the existing generation counters for free: superblock
-// entries live behind the same (AS, AS generation, InstallCode
+// entries live behind the same (AS, AS exec generation, InstallCode
 // generation) tags as the decoded-fetch cache and are cleared together
-// by syncCaches, so Map/Unmap/Protect/SetPKey/ShareRange and
-// InstallCode invalidate fused blocks exactly when they invalidate
-// single decodes. Exec permission for every page a block spans was
-// verified at fill time and cannot have changed while the tags match;
-// PKRU is never consulted for fetches (mpk.PKRU.Check passes AccessExec
-// unconditionally), so blocks stay warm across WRPKRU — which is a
-// terminator anyway.
+// by syncCaches, so Map/Unmap/Protect/ShareRange and InstallCode
+// invalidate fused blocks exactly when they invalidate single decodes.
+// Exec permission for every page a block spans was verified at fill time
+// and cannot have changed while the tags match. PKRU is never consulted
+// for fetches (mpk.PKRU.Check passes AccessExec unconditionally), so
+// blocks stay warm across WRPKRU — which is a terminator anyway — and
+// across SetPKey, which bumps only the translation generation: a block
+// caches decoded code, never a data page's key. Its loads and stores
+// still go through the TLB, which does flush on a re-tag, so a µop
+// touching a re-tagged page sees the new key and faults precisely.
 //
 // Delivered behavior is byte-identical to the per-instruction loop by
 // construction:
@@ -59,7 +62,7 @@ var DisableSuperblocks bool
 //     same accounting as n per-instruction Steps.
 const (
 	// sbCacheSize is the number of direct-mapped superblock entries,
-	// indexed by starting instruction slot. Power of two.
+	// indexed by codeIndex of the starting PC. Power of two.
 	sbCacheSize = 64
 	// sbMaxLen caps fused-run length — long enough to swallow hot inner
 	// loops whole, short enough to bound entry size and quantum-split
@@ -252,7 +255,7 @@ func (c *Core) stepBlock(budget int) (int, bool) {
 	if c.sb == nil {
 		c.sb = new(sbCache)
 	}
-	e := &c.sb.ents[(uint64(c.PC)/InstrSize)&(sbCacheSize-1)]
+	e := &c.sb.ents[codeIndex(c.PC)&(sbCacheSize-1)]
 	if e.tag != c.PC+1 {
 		if !c.fillSuperblock(e) {
 			// First fetch faults: the precise path raises it with

@@ -165,7 +165,9 @@ func TestSuperblockInvalidatedByMap(t *testing.T) {
 
 // TestSuperblockInvalidatedBySetPKey retags the data page under a warm
 // superblock with a key the PKRU denies: the store µop must bail out with
-// a precise PKU fault even though the block and TLB were hot.
+// a precise PKU fault even though the block and TLB were hot. The re-tag
+// invalidates the TLB (translation generation), not the block (exec
+// generation) — see TestPKeyRetagKeepsSuperblocks.
 func TestSuperblockInvalidatedBySetPKey(t *testing.T) {
 	_, c, as := sbLoopEnv(t)
 	if err := as.SetPKey(0x10000, mem.PageSize, 3); err != nil {
@@ -269,5 +271,138 @@ func TestSuperblockUintrBoundary(t *testing.T) {
 	}
 	if sRegs[RDX] != 5 {
 		t.Fatalf("handler tally = %d, want 5", sRegs[RDX])
+	}
+}
+
+// TestPKeyRetagKeepsSuperblocks re-tags the data page a warm superblock
+// loads from, between Runs, as virtual-key eviction and refill do. A
+// re-tag bumps only the translation generation, so the block must stay
+// warm (no refill) while its loads and stores still see the new key
+// through the TLB: denying the key faults at exactly the PC and cycle
+// count of the per-instruction loop. Dropping exec from the text page
+// bumps the exec generation and must still invalidate the block.
+func TestPKeyRetagKeepsSuperblocks(t *testing.T) {
+	type at struct {
+		f      mem.Fault
+		pc     mem.Addr
+		cycles int64
+	}
+	probe := func() (at, *Core, *mem.AddressSpace) {
+		_, c, as := sbLoopEnv(t)
+		c.PKRU = mpk.AllowAllValue.WithAccess(4, false, false)
+		var got at
+		c.Hooks.OnFault = func(c *Core, f *mem.Fault) bool {
+			got = at{*f, c.PC, c.Cycles}
+			return false
+		}
+		fills, _, _ := c.SuperblockStats()
+		if err := as.SetPKey(0x10000, mem.PageSize, 3); err != nil { // still granted
+			t.Fatal(err)
+		}
+		c.Run(18) // three whole loop trips: every Run starts at a warm block
+		if c.Fault != nil {
+			t.Fatalf("re-tag to a granted key faulted: %v", c.Fault)
+		}
+		if err := as.SetPKey(0x10000, mem.PageSize, 4); err != nil { // denied
+			t.Fatal(err)
+		}
+		c.Run(18)
+		if c.Fault == nil || c.Fault.Kind != mem.FaultPKU || c.Fault.Addr != 0x10000 {
+			t.Fatalf("fault = %v, want PKU fault at the re-tagged page", c.Fault)
+		}
+		if after, _, _ := c.SuperblockStats(); after != fills {
+			t.Fatalf("re-tags refilled superblocks: fills %d -> %d", fills, after)
+		}
+		return got, c, as
+	}
+	fused, c, as := probe()
+	DisableSuperblocks = true
+	precise, _, _ := probe()
+	DisableSuperblocks = false
+	if fused != precise {
+		t.Fatalf("fault-time state diverged:\nfused:   %+v\nprecise: %+v", fused, precise)
+	}
+
+	// Exec removal on the text page still invalidates the warm block.
+	fills, _, _ := c.SuperblockStats()
+	if err := as.SetPKey(0x10000, mem.PageSize, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Protect(0x1000, mem.PageSize, mem.PermRead); err != nil {
+		t.Fatal(err)
+	}
+	c.Halted, c.Fault, c.PC = false, nil, 0x1000+2*InstrSize
+	c.Run(10)
+	if c.Fault == nil || c.Fault.Kind != mem.FaultPerm || c.Fault.Op != mpk.AccessExec {
+		t.Fatalf("fault = %v, want exec perm fault after Protect", c.Fault)
+	}
+	if after, _, _ := c.SuperblockStats(); after != fills {
+		t.Fatalf("unfetchable text built a block: fills %d -> %d", fills, after)
+	}
+}
+
+// TestCodeIndexSpreadsPageAlignedText runs identical programs, each at its
+// own page-aligned text base as SMAS installs uProcess text, round-robin
+// on one core with a register and stack switch per turn. The page number
+// is mixed into the superblock index, so after one warm round every
+// program's block stays resident: later rounds refill nothing.
+func TestCodeIndexSpreadsPageAlignedText(t *testing.T) {
+	const (
+		progs    = 12
+		textBase = mem.Addr(0x10_0000)
+		stacks   = mem.Addr(0x20_0000)
+		quantum  = 8 // two trips around the four-instruction loop
+	)
+	m := NewMachine(1, Default())
+	as := mem.NewAddressSpace(m.Phys)
+	a := NewAssembler()
+	a.Label("loop")
+	a.Emit(AddImm{RBX, 1})
+	a.Emit(Push{RBX})
+	a.Emit(Pop{RDX})
+	a.JmpTo("loop")
+	type ctx struct {
+		regs [NumRegs]Word
+		pc   mem.Addr
+	}
+	saved := make([]ctx, progs)
+	for i := range saved {
+		base := textBase + mem.Addr(i)*mem.PageSize
+		stack := stacks + mem.Addr(i)*mem.PageSize
+		if err := as.MapRange(base, mem.PageSize, mem.PermXOnly, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.MapRange(stack, mem.PageSize, mem.PermRW, 0); err != nil {
+			t.Fatal(err)
+		}
+		prog, err := a.Assemble(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		install(t, m, as, base, prog)
+		saved[i].pc = base
+		saved[i].regs[RSP] = Word(stack + mem.PageSize)
+	}
+	c := m.Core(0)
+	c.AS, c.PKRU = as, mpk.AllowAllValue
+	round := func() {
+		for i := range saved {
+			c.Regs, c.PC = saved[i].regs, saved[i].pc
+			if ran := c.Run(quantum); ran != quantum || c.Fault != nil {
+				t.Fatalf("program %d retired %d of %d (fault %v)", i, ran, quantum, c.Fault)
+			}
+			saved[i].regs, saved[i].pc = c.Regs, c.PC
+		}
+	}
+	round()
+	warm, _, _ := c.SuperblockStats()
+	if warm != progs {
+		t.Fatalf("warm round filled %d blocks, want one per program (%d)", warm, progs)
+	}
+	for r := 0; r < 4; r++ {
+		round()
+	}
+	if fills, _, _ := c.SuperblockStats(); fills != warm {
+		t.Fatalf("identical page-aligned programs collide: %d fills after the warm round", fills-warm)
 	}
 }

@@ -166,6 +166,11 @@ type AddressSpace struct {
 	// checked after translation, exactly as MPK leaves the hardware TLB
 	// valid across protection switches.
 	gen uint64
+	// execGen counts the subset of those mutations that can change an
+	// instruction fetch's result: all but SetPKey, since PKRU never
+	// mediates a fetch (mpk.PKRU.Check passes AccessExec). Decoded-fetch
+	// caches tag on it, so virtual-key re-tags leave them warm.
+	execGen uint64
 }
 
 // NewAddressSpace returns an empty address space over the given physical
@@ -184,12 +189,19 @@ func (as *AddressSpace) Map(vaddr Addr, frame *Frame, perm Perm, key mpk.PKey) e
 	}
 	as.pages[vaddr.PageOf()] = PTE{Frame: frame, Perm: perm, PKey: key}
 	as.gen++
+	as.execGen++
 	return nil
 }
 
 // Generation returns the address space's translation generation. It changes
 // on every mutation that can invalidate a cached translation; see TLB.
 func (as *AddressSpace) Generation() uint64 { return as.gen }
+
+// ExecGeneration returns the address space's exec generation. It changes
+// on every mutation that can change an instruction fetch's outcome — Map,
+// Unmap, Protect, ShareRange — but not on SetPKey, since protection keys
+// never mediate fetches.
+func (as *AddressSpace) ExecGeneration() uint64 { return as.execGen }
 
 // MapRange allocates fresh frames and maps length bytes starting at vaddr.
 func (as *AddressSpace) MapRange(vaddr Addr, length uint64, perm Perm, key mpk.PKey) error {
@@ -212,6 +224,7 @@ func (as *AddressSpace) ShareRange(src *AddressSpace, vaddr Addr, length uint64)
 	// Bumped up front: a mid-range failure leaves earlier pages remapped,
 	// and those must still invalidate cached translations.
 	as.gen++
+	as.execGen++
 	n := int((length + PageSize - 1) / PageSize)
 	for i := 0; i < n; i++ {
 		a := vaddr + Addr(i*PageSize)
@@ -231,12 +244,14 @@ func (as *AddressSpace) Unmap(vaddr Addr, length uint64) {
 		delete(as.pages, (vaddr + Addr(i*PageSize)).PageOf())
 	}
 	as.gen++
+	as.execGen++
 }
 
 // Protect changes the permission bits of the pages covering
 // [vaddr, vaddr+length), mirroring mprotect().
 func (as *AddressSpace) Protect(vaddr Addr, length uint64, perm Perm) error {
 	as.gen++ // up front: a mid-range failure still mutated earlier pages
+	as.execGen++
 	n := int((length + PageSize - 1) / PageSize)
 	for i := 0; i < n; i++ {
 		a := vaddr + Addr(i*PageSize)
@@ -251,7 +266,9 @@ func (as *AddressSpace) Protect(vaddr Addr, length uint64, perm Perm) error {
 }
 
 // SetPKey tags the pages covering [vaddr, vaddr+length) with a protection
-// key, mirroring pkey_mprotect()'s key assignment.
+// key, mirroring pkey_mprotect()'s key assignment. It bumps the translation
+// generation (TLBs cache the key) but not the exec generation: no fetch
+// consults the key, so decoded code stays valid across a re-tag.
 func (as *AddressSpace) SetPKey(vaddr Addr, length uint64, key mpk.PKey) error {
 	as.gen++ // up front: a mid-range failure still mutated earlier pages
 	n := int((length + PageSize - 1) / PageSize)

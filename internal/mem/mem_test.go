@@ -285,3 +285,40 @@ func TestIsolationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExecGenerationSkipsSetPKey checks the generation split: every
+// mapping mutation bumps both generations, while SetPKey bumps only the
+// translation generation — a key never mediates a fetch, so decoded-code
+// caches tagged on the exec generation survive a re-tag.
+func TestExecGenerationSkipsSetPKey(t *testing.T) {
+	phys := NewPhysical()
+	as := NewAddressSpace(phys)
+	src := NewAddressSpace(phys)
+	if err := src.MapRange(0x3000, PageSize, PermRW, 0); err != nil {
+		t.Fatal(err)
+	}
+	mutators := []struct {
+		name string
+		do   func() error
+		exec bool
+	}{
+		{"Map", func() error { return as.Map(0x1000, phys.AllocFrame(), PermRX, 0) }, true},
+		{"MapRange", func() error { return as.MapRange(0x2000, PageSize, PermRW, 0) }, true},
+		{"SetPKey", func() error { return as.SetPKey(0x2000, PageSize, 5) }, false},
+		{"Protect", func() error { return as.Protect(0x2000, PageSize, PermRead) }, true},
+		{"ShareRange", func() error { return as.ShareRange(src, 0x3000, PageSize) }, true},
+		{"Unmap", func() error { as.Unmap(0x2000, PageSize); return nil }, true},
+	}
+	for _, m := range mutators {
+		gen, execGen := as.Generation(), as.ExecGeneration()
+		if err := m.do(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if as.Generation() == gen {
+			t.Errorf("%s did not bump the translation generation", m.name)
+		}
+		if bumped := as.ExecGeneration() != execGen; bumped != m.exec {
+			t.Errorf("%s bumped the exec generation = %v, want %v", m.name, bumped, m.exec)
+		}
+	}
+}

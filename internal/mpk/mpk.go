@@ -14,7 +14,10 @@
 //     performance opportunity and the attack surface the call gate closes.
 package mpk
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // PKey is a 4-bit protection key (0–15).
 type PKey uint8
@@ -127,6 +130,12 @@ func (p PKRU) Check(k PKey, kind AccessKind) bool {
 	return p>>(2*uint(k))&mask == 0
 }
 
+// ErrNoKeys is Allocator.Alloc's error when every allocatable key is in
+// use — the pkey_alloc() ENOSPC case. It is a fixed sentinel, so callers
+// that fall back on exhaustion (virtual-key eviction hits it on every
+// refill once the slots are full) pay no allocation for the failure.
+var ErrNoKeys = errors.New("mpk: no free protection keys")
+
 // Allocator hands out protection keys the way the kernel's pkey_alloc()
 // does. Key 0 is reserved (the paper reserves it so unmanaged kProcess
 // memory outside SMAS keeps working, §4.1 footnote 2).
@@ -149,8 +158,8 @@ func NewAllocator() *Allocator {
 // Alloc returns the lowest free key, mirroring pkey_alloc(). Of the
 // NumKeys (16) hardware keys, key 0 is reserved at construction, so
 // exactly keys 1..15 are allocatable; Alloc fails when all 15 are in
-// use. (Callers with further reservations — SMAS holds back the runtime
-// and pipe keys — see correspondingly fewer.)
+// use, returning ErrNoKeys. (Callers with further reservations — SMAS
+// holds back the runtime and pipe keys — see correspondingly fewer.)
 func (a *Allocator) Alloc() (PKey, error) {
 	for k := PKey(1); k < NumKeys; k++ {
 		if !a.used[k] {
@@ -161,7 +170,7 @@ func (a *Allocator) Alloc() (PKey, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("mpk: no free protection keys")
+	return 0, ErrNoKeys
 }
 
 // Free releases a key, mirroring pkey_free(). Freeing key 0 or an

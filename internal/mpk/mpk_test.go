@@ -1,6 +1,7 @@
 package mpk
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +103,24 @@ func TestAllocator(t *testing.T) {
 	a2 := NewAllocator()
 	if err := a2.Free(3); err == nil {
 		t.Fatal("freeing unallocated key must fail")
+	}
+}
+
+// TestAllocExhaustedIsSentinel checks that a full allocator reports the
+// ErrNoKeys sentinel and that the failing path allocates nothing — the
+// virtual-key table probes the allocator before every eviction.
+func TestAllocExhaustedIsSentinel(t *testing.T) {
+	a := NewAllocator()
+	for i := 0; i < NumKeys-1; i++ {
+		if _, err := a.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Alloc(); !errors.Is(err, ErrNoKeys) {
+		t.Fatalf("exhausted Alloc error = %v, want ErrNoKeys", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Alloc() }); n != 0 {
+		t.Fatalf("exhausted Alloc allocates %v times per call, want 0", n)
 	}
 }
 

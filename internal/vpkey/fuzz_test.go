@@ -10,8 +10,8 @@ import (
 // FuzzVPkeyOps drives random alloc/free/touch/unpin/thrash interleavings
 // against a model map and checks the virtualization invariants after
 // every operation: slot uniqueness, fence-tagging of evicted pages,
-// slot-tagging of resident pages, allocator/table agreement, and
-// attribution balance. The ops are decoded two bytes at a time
+// slot-tagging of resident pages, allocator/table agreement, pin-count
+// agreement with the per-core pins, and attribution balance. The ops are decoded two bytes at a time
 // (op selector, operand), so the corpus stays dense.
 func FuzzVPkeyOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0})
@@ -57,6 +57,19 @@ func FuzzVPkeyOps(f *testing.F) {
 
 		check := func() {
 			t.Helper()
+			// Pin counts: every live key's count is the number of cores
+			// pinning it, so victim() and Free can test it in O(1).
+			pinners := make(map[VKey]int)
+			for c := 0; c < cores; c++ {
+				if vk := tab.Pinned(c); vk != 0 {
+					pinners[vk]++
+				}
+			}
+			for vk := range model {
+				if got := tab.entries[vk].pins; got != pinners[vk] {
+					t.Fatalf("key %d pin count %d, but %d cores pin it", vk, got, pinners[vk])
+				}
+			}
 			// Slot uniqueness + allocator agreement: every resident slot
 			// is in use and in the app range; resident count matches.
 			seen := make(map[mpk.PKey]bool)
@@ -132,7 +145,13 @@ func FuzzVPkeyOps(f *testing.F) {
 				if !ok {
 					continue
 				}
-				if err := tab.Free(vk); err == nil {
+				pins := tab.entries[vk].pins
+				err := tab.Free(vk)
+				if (err != nil) != (pins > 0) {
+					t.Fatalf("Free(%d) = %v with pin count %d: must be refused exactly when pinned",
+						vk, err, pins)
+				}
+				if err == nil {
 					as.Unmap(model[vk], mem.PageSize)
 					delete(model, vk)
 					removeLive(vk)

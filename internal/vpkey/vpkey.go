@@ -17,8 +17,12 @@
 //     data loses (and regains) accessibility. This also bounds re-tag work
 //     to the data region.
 //   - Re-tagging goes through mem.AddressSpace.SetPKey, which bumps the
-//     translation generation — per-core software TLBs and decoded-fetch
-//     caches self-invalidate, so the fast path stays coherent for free.
+//     translation generation — per-core software TLBs self-invalidate, so
+//     the fast path stays coherent for free. It leaves the exec generation
+//     alone: fetches never consult the key, so decoded-fetch caches and
+//     fused superblocks stay warm across evictions and refills, and a
+//     virtual-key switch costs the re-tag it models, not a code-cache
+//     flush on every core.
 //   - A virtual key pinned by a core (its current uProcess) is never
 //     evicted: recycling a hardware slot under a live PKRU would let the
 //     running compartment reach the new tenant's pages — the stale-key
@@ -26,7 +30,9 @@
 //
 // Everything is deterministic: recency is a monotonic touch counter, never
 // wall clock, and eviction victims are chosen by (oldest touch, lowest
-// virtual key), independent of map iteration order.
+// virtual key), independent of map iteration order. Victim selection is a
+// scan of the 16-entry slot array with an O(1) pinned test (a per-entry
+// pin count), so an eviction allocates nothing.
 package vpkey
 
 import (
@@ -77,6 +83,9 @@ type entry struct {
 	ranges    []Range
 	pages     int
 	lastTouch uint64
+	// pins counts the cores whose current pin is this key; the key is
+	// evictable and freeable exactly when it is zero.
+	pins int
 }
 
 type warmLine struct {
@@ -96,12 +105,14 @@ type Table struct {
 	limit mpk.PKey
 
 	entries map[VKey]*entry
-	slots   map[mpk.PKey]VKey
-	pins    map[int]VKey
-	warm    map[int]*[warmWays]warmLine
-	clock   uint64
-	gen     uint64
-	next    VKey
+	// slots[k] is the entry resident on hardware key k, nil when k is not
+	// a slot the table holds.
+	slots [mpk.NumKeys]*entry
+	pins  map[int]VKey
+	warm  map[int]*[warmWays]warmLine
+	clock uint64
+	gen   uint64
+	next  VKey
 
 	// Counters, all monotonic and deterministic.
 	Allocs        uint64
@@ -132,7 +143,6 @@ func New(as *mem.AddressSpace, keys *mpk.Allocator, fence, limit mpk.PKey) *Tabl
 		fence:   fence,
 		limit:   limit,
 		entries: make(map[VKey]*entry),
-		slots:   make(map[mpk.PKey]VKey),
 		pins:    make(map[int]VKey),
 		warm:    make(map[int]*[warmWays]warmLine),
 		next:    1,
@@ -148,19 +158,42 @@ func (t *Table) Generation() uint64 { return t.gen }
 func (t *Table) Live() int { return len(t.entries) }
 
 // Resident returns how many live virtual keys currently hold a slot.
-func (t *Table) Resident() int { return len(t.slots) }
+func (t *Table) Resident() int {
+	n := 0
+	for _, e := range t.slots {
+		if e != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Holds reports whether hardware key k is a slot currently owned by the
 // table — the self-healing reconciler must not "heal" these as leaks.
 func (t *Table) Holds(k mpk.PKey) bool {
-	_, ok := t.slots[k]
-	return ok
+	return k < mpk.NumKeys && t.slots[k] != nil
 }
 
 // Owner returns the virtual key holding hardware slot k.
 func (t *Table) Owner(k mpk.PKey) (VKey, bool) {
-	vk, ok := t.slots[k]
-	return vk, ok
+	if !t.Holds(k) {
+		return 0, false
+	}
+	return t.slots[k].vk, true
+}
+
+// setSlot records e as resident on slot k.
+func (t *Table) setSlot(k mpk.PKey, e *entry) {
+	e.slot = k
+	t.slots[k] = e
+}
+
+// clearSlot drops e's residency, returning the slot it held.
+func (t *Table) clearSlot(e *entry) mpk.PKey {
+	k := e.slot
+	e.slot = 0
+	t.slots[k] = nil
+	return k
 }
 
 // SlotOf returns vk's current slot; ok is false while vk is evicted or
@@ -187,8 +220,9 @@ func (t *Table) Alloc() (VKey, mpk.PKey, error) {
 	vk := t.next
 	t.next++
 	t.clock++
-	t.entries[vk] = &entry{vk: vk, slot: slot, lastTouch: t.clock}
-	t.slots[slot] = vk
+	e := &entry{vk: vk, lastTouch: t.clock}
+	t.entries[vk] = e
+	t.setSlot(slot, e)
 	t.Allocs++
 	return vk, slot, nil
 }
@@ -215,15 +249,13 @@ func (t *Table) Free(vk VKey) error {
 	if !ok {
 		return fmt.Errorf("vpkey: Free of unknown key %d", vk)
 	}
-	for core, p := range t.pins {
-		if p == vk {
-			return fmt.Errorf("vpkey: key %d is pinned by core %d", vk, core)
-		}
+	if e.pins > 0 {
+		return fmt.Errorf("vpkey: key %d is pinned by %d core(s)", vk, e.pins)
 	}
 	if e.slot != 0 {
-		delete(t.slots, e.slot)
-		if err := t.keys.Free(e.slot); err != nil {
-			return fmt.Errorf("vpkey: releasing slot %d: %w", e.slot, err)
+		slot := t.clearSlot(e)
+		if err := t.keys.Free(slot); err != nil {
+			return fmt.Errorf("vpkey: releasing slot %d: %w", slot, err)
 		}
 	}
 	delete(t.entries, vk)
@@ -236,34 +268,33 @@ func (t *Table) Free(vk VKey) error {
 // cost the caller charges to the core. The per-core warm cache makes the
 // no-eviction crossing path a handful of comparisons.
 func (t *Table) Touch(vk VKey, core int) (mpk.PKey, int, error) {
+	e, ok := t.entries[vk]
+	if !ok {
+		return 0, 0, fmt.Errorf("vpkey: Touch of unknown key %d", vk)
+	}
 	if w := t.warm[core]; w != nil {
 		l := &w[int(vk)%warmWays]
 		if l.vk == vk && l.gen == t.gen {
 			t.WarmHits++
 			t.clock++
-			t.entries[vk].lastTouch = t.clock
-			t.pins[core] = vk
+			e.lastTouch = t.clock
+			t.pin(core, e)
 			return l.slot, 0, nil
 		}
-	}
-	e, ok := t.entries[vk]
-	if !ok {
-		return 0, 0, fmt.Errorf("vpkey: Touch of unknown key %d", vk)
 	}
 	t.clock++
 	e.lastTouch = t.clock
 	// Pin before any eviction decision: the key being activated must not
 	// be the victim of its own refill.
-	t.pins[core] = vk
+	t.pin(core, e)
 	retagged := 0
 	if e.slot == 0 {
 		slot, err := t.acquireSlot(core)
 		if err != nil {
-			delete(t.pins, core)
+			t.Unpin(core)
 			return 0, 0, err
 		}
-		e.slot = slot
-		t.slots[slot] = vk
+		t.setSlot(slot, e)
 		retagged = t.retag(e, slot, "refill", core)
 		t.Refills++
 		if t.OnRefill != nil {
@@ -279,9 +310,27 @@ func (t *Table) Touch(vk VKey, core int) (mpk.PKey, int, error) {
 	return e.slot, retagged, nil
 }
 
+// pin makes e the key core pins, moving the core's pin count off the key
+// it pinned before.
+func (t *Table) pin(core int, e *entry) {
+	if old, ok := t.pins[core]; ok {
+		if old == e.vk {
+			return
+		}
+		t.entries[old].pins--
+	}
+	t.pins[core] = e.vk
+	e.pins++
+}
+
 // Unpin releases a core's pin, making its last virtual key evictable
 // again. Call it when the core idles or is fenced.
-func (t *Table) Unpin(core int) { delete(t.pins, core) }
+func (t *Table) Unpin(core int) {
+	if old, ok := t.pins[core]; ok {
+		t.entries[old].pins--
+		delete(t.pins, core)
+	}
+}
 
 // Pinned returns the virtual key core currently pins, or 0.
 func (t *Table) Pinned(core int) VKey { return t.pins[core] }
@@ -301,12 +350,10 @@ func (t *Table) acquireSlot(core int) (mpk.PKey, error) {
 	}
 	victim := t.victim()
 	if victim == nil {
-		return 0, fmt.Errorf("vpkey: all %d resident keys are pinned; no slot can be evicted", len(t.slots))
+		return 0, fmt.Errorf("vpkey: all %d resident keys are pinned; no slot can be evicted", t.Resident())
 	}
-	slot := victim.slot
 	pages := t.retag(victim, t.fence, "evict", core)
-	victim.slot = 0
-	delete(t.slots, slot)
+	slot := t.clearSlot(victim)
 	t.Evictions++
 	t.gen++ // every warm (vk → slot) binding is now suspect
 	if t.OnEvict != nil {
@@ -318,14 +365,9 @@ func (t *Table) acquireSlot(core int) (mpk.PKey, error) {
 // victim picks the eviction victim: resident, unpinned, oldest touch,
 // ties broken by lowest virtual key — a pure function of table state.
 func (t *Table) victim() *entry {
-	pinned := make(map[VKey]bool, len(t.pins))
-	for _, vk := range t.pins {
-		pinned[vk] = true
-	}
 	var best *entry
-	for _, vk := range t.slots {
-		e := t.entries[vk]
-		if pinned[e.vk] {
+	for _, e := range t.slots {
+		if e == nil || e.pins > 0 {
 			continue
 		}
 		if best == nil || e.lastTouch < best.lastTouch ||
@@ -337,8 +379,9 @@ func (t *Table) victim() *entry {
 }
 
 // retag moves every page of e's ranges to key, records the attribution,
-// and returns the page count. SetPKey bumps the address-space generation,
-// which is what keeps TLBs and decoded-fetch caches coherent.
+// and returns the page count. SetPKey bumps the address-space translation
+// generation, which is what keeps TLBs coherent; decoded-fetch caches and
+// superblocks key on the exec generation, which a re-tag leaves alone.
 func (t *Table) retag(e *entry, key mpk.PKey, reason string, core int) int {
 	pages := 0
 	for _, r := range e.ranges {
@@ -367,10 +410,8 @@ func (t *Table) Thrash() (evicted, pages int) {
 		if v == nil {
 			return evicted, pages
 		}
-		slot := v.slot
 		pages += t.retag(v, t.fence, "evict", -1)
-		v.slot = 0
-		delete(t.slots, slot)
+		slot := t.clearSlot(v)
 		// The freed slot goes back to the allocator: a thrash leaves free
 		// hardware slots behind, exactly like a burst of pkey_free calls.
 		if err := t.keys.Free(slot); err != nil {
@@ -396,10 +437,6 @@ type Info struct {
 
 // LiveInfo snapshots every live virtual key in ascending key order.
 func (t *Table) LiveInfo() []Info {
-	pinned := make(map[VKey]bool, len(t.pins))
-	for _, vk := range t.pins {
-		pinned[vk] = true
-	}
 	out := make([]Info, 0, len(t.entries))
 	for vk := VKey(1); vk < t.next; vk++ {
 		e, ok := t.entries[vk]
@@ -411,7 +448,7 @@ func (t *Table) LiveInfo() []Info {
 			Slot:   e.slot,
 			Pages:  e.pages,
 			Ranges: append([]Range(nil), e.ranges...),
-			Pinned: pinned[e.vk],
+			Pinned: e.pins > 0,
 		})
 	}
 	return out

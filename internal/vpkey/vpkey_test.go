@@ -305,3 +305,34 @@ func TestVictimChoiceIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictingTouchAllocatesNothing cycles more keys than there are slots
+// through one core, so every Touch evicts and refills: once the
+// attribution log is full, the eviction path — allocator probe, victim
+// scan, re-tag — must not allocate.
+func TestEvictingTouchAllocatesNothing(t *testing.T) {
+	tab, as, _ := newTable(t)
+	base := mem.Addr(0x1000_0000)
+	var vks []VKey
+	for i := 0; i < 20; i++ {
+		vk, _ := mapRegion(t, tab, as, base+mem.Addr(i)*0x10000)
+		vks = append(vks, vk)
+	}
+	i := 0
+	touch := func() {
+		if _, _, err := tab.Touch(vks[i%len(vks)], 0); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for len(tab.RetagLog) < retagLogCap {
+		touch()
+	}
+	evictions := tab.Evictions
+	if n := testing.AllocsPerRun(200, touch); n != 0 {
+		t.Fatalf("evicting Touch allocates %v times per call, want 0", n)
+	}
+	if tab.Evictions == evictions {
+		t.Fatal("the measured Touches evicted nothing")
+	}
+}
