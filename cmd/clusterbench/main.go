@@ -106,6 +106,37 @@ func drainAndSteady(s *vessel.ScheduledCluster) error {
 	return s.Run(*rounds - *rounds/2)
 }
 
+// swapMidRun runs half the rounds, hot-swaps fairshare → uslatency, turns
+// the last (light) domain heavy so the swapped-in policy must commit fresh
+// grants, and runs the rest.
+func swapMidRun(s *vessel.ScheduledCluster) error {
+	if err := s.Run(*rounds / 2); err != nil {
+		return err
+	}
+	if err := s.SwapPolicy("uslatency", "operator upgrade"); err != nil {
+		return err
+	}
+	for i := 0; i < *heavy; i++ {
+		name := fmt.Sprintf("postswap-%d", i)
+		if _, err := s.Launch(s.Domains()-1, name, parkLoop); err != nil {
+			return fmt.Errorf("launch %s: %w", name, err)
+		}
+	}
+	return s.Run(*rounds / 2)
+}
+
+// crashAt is when crashPlan's injected panic fires inside the active
+// cluster policy.
+const crashAt = vessel.Time(2 * vessel.Microsecond)
+
+// crashPlan is the policy-crash chaos plan: one cluster-policy panic.
+func crashPlan() *vessel.FaultPlan {
+	return &vessel.FaultPlan{
+		Seed:   7,
+		Faults: []vessel.InjectedFault{{Kind: vessel.FaultClusterPolicyPanic, At: crashAt}},
+	}
+}
+
 type policyCell struct {
 	Policy         string `json:"policy"`
 	Grants         int    `json:"grants"`
@@ -199,23 +230,7 @@ func main() {
 
 	// Hot swap: fairshare → uslatency mid-run; exactly one swap, and the
 	// swapped-in policy keeps committing moves.
-	swapped, err := auction("fairshare", nil, func(s *vessel.ScheduledCluster) error {
-		if err := s.Run(*rounds / 2); err != nil {
-			return err
-		}
-		if err := s.SwapPolicy("uslatency", "operator upgrade"); err != nil {
-			return err
-		}
-		// Shift demand after the swap: the last (light) domain turns
-		// heavy, so the swapped-in policy must commit fresh grants.
-		for i := 0; i < *heavy; i++ {
-			name := fmt.Sprintf("postswap-%d", i)
-			if _, err := s.Launch(s.Domains()-1, name, parkLoop); err != nil {
-				return fmt.Errorf("launch %s: %w", name, err)
-			}
-		}
-		return s.Run(*rounds / 2)
-	})
+	swapped, err := auction("fairshare", nil, swapMidRun)
 	if err != nil {
 		cliflags.Fail("clusterbench", fmt.Errorf("hot swap: %w", err))
 	}
@@ -239,11 +254,7 @@ func main() {
 
 	// Policy-crash chaos: an injected panic inside the active policy must
 	// fail over to the static failsafe within the MTTR budget.
-	faultAt := vessel.Time(2 * vessel.Microsecond)
-	crashed, err := auction("fairshare", &vessel.FaultPlan{
-		Seed:   7,
-		Faults: []vessel.InjectedFault{{Kind: vessel.FaultClusterPolicyPanic, At: faultAt}},
-	}, steady)
+	crashed, err := auction("fairshare", crashPlan(), steady)
 	if err != nil {
 		cliflags.Fail("clusterbench", fmt.Errorf("policy crash: %w", err))
 	}
@@ -252,7 +263,7 @@ func main() {
 		len(crashRep.Swaps) >= 1 &&
 		len(conformance.CheckClusterSched("clusterbench/failsafe", crashRep)) == 0
 	if bench.FailsafeOK {
-		bench.FailsafeMTTRNs = int64(crashRep.Swaps[0].At) - int64(faultAt)
+		bench.FailsafeMTTRNs = int64(crashRep.Swaps[0].At) - int64(crashAt)
 		if bench.FailsafeMTTRNs > *mttrBudget {
 			fmt.Printf("\nfailsafe: MTTR %dns exceeds budget %dns\n", bench.FailsafeMTTRNs, *mttrBudget)
 			bench.FailsafeOK = false

@@ -3,6 +3,8 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vessel/internal/faultinject"
@@ -119,5 +121,29 @@ func TestVPkeyEvictionStormDeterministic(t *testing.T) {
 	}
 	if rep1.MTTR.Count == 0 {
 		t.Fatal("regression baseline has no MTTR samples")
+	}
+}
+
+// TestVPkeyEvictionStormGolden pins the storm scenario's canonical report
+// against a committed file, so a change that shifts every run the same
+// way — which the double-run check cannot see — still shows up as a
+// diff. Run with -update to rebless after an intentional change.
+func TestVPkeyEvictionStormGolden(t *testing.T) {
+	_, rep := runThrashStorm(t)
+	path := filepath.Join("testdata", "vpkey_thrash_storm.golden")
+	got := rep.Canonical()
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s missing (run with -update to create): %v", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s differs from golden (%d vs %d bytes); run with -update after intentional changes\n--- got ---\n%s",
+			path, len(got), len(want), got)
 	}
 }
