@@ -8,6 +8,7 @@ import (
 	"vessel/internal/cpu"
 	"vessel/internal/faultinject"
 	"vessel/internal/harness"
+	"vessel/internal/multidomain"
 	"vessel/internal/obs"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sched"
@@ -301,9 +302,9 @@ type (
 	// violation.
 	FailsafePolicy = selfheal.Failsafe
 	// FailureDetector is the phi-accrual failure detector in virtual time.
-	FailureDetector = selfheal.Detector
+	FailureDetector = multidomain.Detector
 	// FailureDetectorConfig tunes the detector's threshold and gap floor.
-	FailureDetectorConfig = selfheal.DetectorConfig
+	FailureDetectorConfig = multidomain.DetectorConfig
 	// SelfHealConfig parameterises a self-healing cluster.
 	SelfHealConfig = selfheal.Config
 	// SelfHealCluster supervises domains end to end: failure detection,
@@ -317,7 +318,7 @@ type (
 
 // NewFailureDetector builds a phi-accrual failure detector.
 func NewFailureDetector(cfg FailureDetectorConfig) *FailureDetector {
-	return selfheal.NewDetector(cfg)
+	return multidomain.NewDetector(cfg)
 }
 
 // NewFailsafePolicy wraps primary (nil selects round-robin) with panic

@@ -2,6 +2,9 @@ package vessel
 
 import (
 	"fmt"
+
+	"vessel/internal/multidomain"
+	ivessel "vessel/internal/vessel"
 )
 
 // Cluster manages multiple scheduling domains, following §4.1: one domain
@@ -11,9 +14,8 @@ import (
 // domain owns its own SMAS and cores; the cluster places new uProcesses
 // into the first domain with a free key.
 type Cluster struct {
-	managers []*Manager
-	// placement remembers which domain hosts each name.
-	placement map[string]int
+	managers  []*Manager
+	placement multidomain.Placement
 	perDomain []int
 	// maxPerDomain is the cluster-side per-domain launch budget:
 	// MaxUProcsPerDomain for hardware-keyed domains, higher (or
@@ -30,7 +32,7 @@ func NewCluster(domains, coresPerDomain int, costs *CostModel) (*Cluster, error)
 		return nil, fmt.Errorf("vessel: cluster needs at least one domain")
 	}
 	c := &Cluster{
-		placement:    make(map[string]int),
+		placement:    multidomain.Placement{},
 		perDomain:    make([]int, domains),
 		maxPerDomain: MaxUProcsPerDomain,
 	}
@@ -57,7 +59,7 @@ func NewDenseCluster(domains, coresPerDomain int, costs *CostModel, maxPerDomain
 		maxPerDomain = int(^uint(0) >> 1) // effectively uncapped
 	}
 	c := &Cluster{
-		placement:    make(map[string]int),
+		placement:    multidomain.Placement{},
 		perDomain:    make([]int, domains),
 		maxPerDomain: maxPerDomain,
 	}
@@ -112,8 +114,8 @@ func (c *Cluster) DomainOf(name string) (int, bool) {
 // build function receives that domain's manager, because programs are
 // assembled against a specific domain's call gates.
 func (c *Cluster) Launch(name string, build func(*Manager) (*Program, error), core int) (*UProc, error) {
-	if _, dup := c.placement[name]; dup {
-		return nil, fmt.Errorf("vessel: uProcess %q already exists in the cluster", name)
+	if err := c.placement.Claim(name); err != nil {
+		return nil, err
 	}
 	var lastErr error
 	for i, m := range c.managers {
@@ -132,7 +134,7 @@ func (c *Cluster) Launch(name string, build func(*Manager) (*Program, error), co
 			// fail the launch with no bookkeeping recorded anywhere.
 			return nil, err
 		}
-		u, err := m.Launch(name, prog, core)
+		u, err := c.placement.Launch(name, i, m.inner, prog, core)
 		if err != nil {
 			// The domain refused — e.g. its keys were consumed by
 			// uProcesses launched directly on its manager, or the name
@@ -142,7 +144,6 @@ func (c *Cluster) Launch(name string, build func(*Manager) (*Program, error), co
 			continue
 		}
 		c.perDomain[i]++
-		c.placement[name] = i
 		return u, nil
 	}
 	if lastErr != nil {
@@ -153,38 +154,16 @@ func (c *Cluster) Launch(name string, build func(*Manager) (*Program, error), co
 }
 
 // Destroy removes a uProcess and frees its key slot. Termination is lazy
-// (§5.1), so the domain is stepped briefly to let its cores process the
-// kill command before the region and key are reclaimed.
+// (§5.1), so the domain is drained until the kill lands before the region
+// and key are reclaimed. Capacity stays honest even if the reap fails,
+// because domainFree clamps on the SMAS's actual free keys, which an
+// unreaped zombie still holds.
 func (c *Cluster) Destroy(name string) error {
-	i, ok := c.placement[name]
-	if !ok {
-		return fmt.Errorf("vessel: no uProcess %q in the cluster", name)
+	i, err := c.placement.Destroy(name, func(i int) *ivessel.Manager { return c.managers[i].inner })
+	if i >= 0 {
+		c.perDomain[i]--
 	}
-	m := c.managers[i]
-	if err := m.Destroy(name); err != nil {
-		return err
-	}
-	// The kill command is in flight: from here the uProcess is gone from
-	// the cluster's point of view, so release the slot before reaping —
-	// a reap error must not leave the name permanently stuck in
-	// placement (the manager no longer knows it, so a retry could never
-	// succeed). Capacity stays honest either way because domainFree
-	// clamps on the SMAS's actual free keys, which an unreaped zombie
-	// still holds.
-	delete(c.placement, name)
-	c.perDomain[i]--
-	// Drain to event quiescence instead of a fixed per-core step budget:
-	// the old hardcoded Step(core, 2000) sweep under-ran long-gated
-	// programs (the kill had not landed, Reap reclaimed nothing) and
-	// over-ran idle ones. DrainZombies stops exactly when the termination
-	// has landed — or when nothing runs and no events are pending.
-	if _, err := m.DrainZombies(0); err != nil {
-		return err
-	}
-	if _, err := m.Reap(); err != nil {
-		return err
-	}
-	return nil
+	return err
 }
 
 // Start begins execution on one core of every occupied domain. Occupancy

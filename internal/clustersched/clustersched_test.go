@@ -327,36 +327,6 @@ func TestHotSwapRecorded(t *testing.T) {
 	}
 }
 
-func TestFailsafePanicSwap(t *testing.T) {
-	fs := NewFailsafe(panicPolicy{}, 0)
-	swapped := ""
-	fs.OnSwap = func(r string) { swapped = r }
-	txn := fs.Decide(View{Domains: []DomainView{{ID: 0}}})
-	if txn.Moves != nil {
-		t.Fatal("fallback should decide nothing with no demand")
-	}
-	if ok, reason := fs.Swapped(); !ok || reason != "panic" {
-		t.Fatalf("swapped=%v reason=%q", ok, reason)
-	}
-	if swapped != "panic" || fs.Panics != 1 {
-		t.Fatalf("OnSwap=%q panics=%d", swapped, fs.Panics)
-	}
-}
-
-func TestFailsafeBudgetSwap(t *testing.T) {
-	fs := NewFailsafe(FairShare{}, 1000)
-	fs.InjectBurn(10_000)
-	v := View{Cores: 2, MinPerDomain: 1, FreeCores: []int{0, 1},
-		Owned: [][]int{nil}, Domains: []DomainView{{ID: 0, Share: 1, Want: 1}}}
-	txn := fs.Decide(v)
-	if ok, _ := fs.Swapped(); !ok || fs.Overruns != 1 {
-		t.Fatalf("budget overrun not swapped: overruns=%d", fs.Overruns)
-	}
-	if txn.CostCycles < 10_000 {
-		t.Fatalf("burned cycles not charged: %d", txn.CostCycles)
-	}
-}
-
 func TestFailsafeInjectPanicViaSchedule(t *testing.T) {
 	fs := NewFailsafe(FairShare{}, 0)
 	s := newSched(t, 4, 2, fs)
@@ -383,11 +353,6 @@ func TestFailsafeInjectPanicViaSchedule(t *testing.T) {
 		t.Fatalf("swap re-recorded: %d entries", got)
 	}
 }
-
-type panicPolicy struct{}
-
-func (panicPolicy) Name() string    { return "panic" }
-func (panicPolicy) Decide(View) Txn { panic("boom") }
 
 func TestPolicyRegistry(t *testing.T) {
 	for _, name := range Names() {

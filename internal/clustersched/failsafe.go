@@ -1,133 +1,21 @@
 package clustersched
 
-// Failsafe is the cluster-scope twin of selfheal.Failsafe: the policy
-// fault-isolation boundary of the ghOSt model. A cluster policy that
-// panics or blows its per-decision cycle budget is killed and replaced
-// — one-way — by the minimal Static fallback, so no policy bug can stop
-// core scheduling. It implements faultinject.PolicyTarget, which is how
-// the chaos harness's ClusterPolicyPanic faults reach it.
+import "vessel/internal/failsafe"
 
-import (
-	"fmt"
-	"sync"
-)
+// Failsafe is the policy fault-isolation boundary of the ghOSt model
+// (package failsafe): a cluster policy that panics or blows its
+// per-decision cycle budget is replaced — one-way — by the minimal Static
+// fallback, so no policy bug can stop core scheduling. It implements
+// faultinject.PolicyTarget, which is how the chaos harness's
+// ClusterPolicyPanic faults reach it.
+type Failsafe = failsafe.Wrap[View, Txn]
 
-// Failsafe wraps a cluster policy with panic recovery and a
-// per-decision cycle budget, swapping one-way to Static on the first
-// violation. All methods are safe for concurrent use.
-type Failsafe struct {
-	mu       sync.Mutex
-	primary  Policy
-	fallback Policy
-	// budget is the per-decision cycle ceiling; 0 disables the check.
-	budget  int64
-	swapped bool
-	reason  string
-	// armPanic / armBurn are the fault injector's pending attacks on the
-	// next decision.
-	armPanic bool
-	armBurn  int64
-	// Panics counts recovered policy panics; Overruns counts decisions
-	// that blew the cycle budget. At most one ever reaches 1 — the swap
-	// happens on the first violation.
-	Panics   uint64
-	Overruns uint64
-	// OnSwap, when non-nil, observes the takeover. Invoked with the lock
-	// held, exactly once; it must not call back into the Failsafe.
-	OnSwap func(reason string)
-}
-
-// NewFailsafe wraps primary with the Static fallback and the given
-// per-decision cycle budget (0 disables the budget check).
+// NewFailsafe wraps primary (nil selects Static) with the Static fallback
+// and the given per-decision cycle budget (0 disables the budget check).
 func NewFailsafe(primary Policy, budgetCycles int64) *Failsafe {
 	if primary == nil {
 		primary = Static{}
 	}
-	return &Failsafe{primary: primary, fallback: Static{}, budget: budgetCycles}
-}
-
-// Name implements Policy.
-func (f *Failsafe) Name() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.swapped {
-		return fmt.Sprintf("failsafe[%s]", f.fallback.Name())
-	}
-	return fmt.Sprintf("failsafe(%s)", f.primary.Name())
-}
-
-// Decide implements Policy. A primary that panics or decides past the
-// budget is swapped for the fallback, whose transaction is returned; a
-// budget-blowing decision's cycles are still charged (the damage was
-// done once), the swap guarantees it never recurs.
-func (f *Failsafe) Decide(v View) Txn {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.swapped {
-		return f.fallback.Decide(v)
-	}
-	txn, ok := f.tryPrimary(v)
-	if !ok {
-		f.Panics++
-		f.swapLocked("panic")
-		return f.fallback.Decide(v)
-	}
-	if f.armBurn > 0 {
-		txn.CostCycles += f.armBurn
-		f.armBurn = 0
-	}
-	if f.budget > 0 && txn.CostCycles > f.budget {
-		f.Overruns++
-		f.swapLocked(fmt.Sprintf("budget cost=%d limit=%d", txn.CostCycles, f.budget))
-		fb := f.fallback.Decide(v)
-		fb.CostCycles += txn.CostCycles
-		return fb
-	}
-	return txn
-}
-
-// tryPrimary runs the primary's decision under panic recovery.
-func (f *Failsafe) tryPrimary(v View) (txn Txn, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	if f.armPanic {
-		f.armPanic = false
-		panic("clustersched: injected policy panic")
-	}
-	return f.primary.Decide(v), true
-}
-
-// swapLocked performs the one-way takeover. Callers hold f.mu.
-func (f *Failsafe) swapLocked(reason string) {
-	f.swapped = true
-	f.reason = reason
-	if f.OnSwap != nil {
-		f.OnSwap(reason)
-	}
-}
-
-// Swapped reports whether the fallback has taken over, and why.
-func (f *Failsafe) Swapped() (bool, string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.swapped, f.reason
-}
-
-// InjectPanic implements faultinject.PolicyTarget: the next decision
-// panics inside the primary.
-func (f *Failsafe) InjectPanic() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.armPanic = true
-}
-
-// InjectBurn implements faultinject.PolicyTarget: the next decision is
-// charged the given extra cycles, blowing the budget if one is set.
-func (f *Failsafe) InjectBurn(cycles int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.armBurn += cycles
+	return failsafe.New[View, Txn](primary, Static{}, budgetCycles,
+		func(t *Txn) *int64 { return &t.CostCycles })
 }

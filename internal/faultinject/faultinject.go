@@ -292,6 +292,22 @@ func (inj *Injector) AttachPolicy(p PolicyTarget) { inj.policy = p }
 // counted as such).
 func (inj *Injector) AttachClusterPolicy(p PolicyTarget) { inj.clusterPolicy = p }
 
+// attackPolicy arms target's next decision: a panic for zero delay, a
+// cycle burn of delay cycles otherwise. kind prefixes the event names;
+// what names the target in the skip note when none is attached.
+func (inj *Injector) attackPolicy(target PolicyTarget, kind, what string, delay sim.Duration) {
+	switch {
+	case target == nil:
+		inj.note("inject.skip", kind+"panic: no "+what+" attached")
+	case delay > 0:
+		target.InjectBurn(int64(delay))
+		inj.note("inject."+kind+"burn", fmt.Sprintf("cycles=%d", int64(delay)))
+	default:
+		target.InjectPanic()
+		inj.note("inject."+kind+"panic", "")
+	}
+}
+
 // Pending returns the number of armed faults still waiting for their
 // target (plus schedule entries not yet due).
 func (inj *Injector) Pending() int { return len(inj.pending) + (len(inj.schedule) - inj.next) }
@@ -433,30 +449,10 @@ func (inj *Injector) fire(f Fault, now sim.Time) bool {
 		inj.note("inject.domaincrash", fmt.Sprintf("cores=%d", inj.d.Machine.NumCores()))
 		return true
 	case PolicyPanic:
-		if inj.policy == nil {
-			inj.note("inject.skip", "policypanic: no policy attached")
-			return true
-		}
-		if f.Delay > 0 {
-			inj.policy.InjectBurn(int64(f.Delay))
-			inj.note("inject.policyburn", fmt.Sprintf("cycles=%d", int64(f.Delay)))
-		} else {
-			inj.policy.InjectPanic()
-			inj.note("inject.policypanic", "")
-		}
+		inj.attackPolicy(inj.policy, "policy", "policy", f.Delay)
 		return true
 	case ClusterPolicyPanic:
-		if inj.clusterPolicy == nil {
-			inj.note("inject.skip", "clusterpolicypanic: no cluster policy attached")
-			return true
-		}
-		if f.Delay > 0 {
-			inj.clusterPolicy.InjectBurn(int64(f.Delay))
-			inj.note("inject.clusterpolicyburn", fmt.Sprintf("cycles=%d", int64(f.Delay)))
-		} else {
-			inj.clusterPolicy.InjectPanic()
-			inj.note("inject.clusterpolicypanic", "")
-		}
+		inj.attackPolicy(inj.clusterPolicy, "clusterpolicy", "cluster policy", f.Delay)
 		return true
 	case UintrStorm:
 		dl := f.Delay

@@ -1,10 +1,4 @@
-// Package selfheal is the cluster-level self-healing layer: deterministic
-// failure detection over simulated cycles, core fencing, supervised domain
-// recovery with full state reconciliation, and a failsafe scheduler-policy
-// wrapper. Everything runs in virtual time — same seed, same plan, same
-// byte-identical recovery history — so the chaos soak can gate on MTTR and
-// post-recovery invariants without wall-clock flakiness.
-package selfheal
+package multidomain
 
 import (
 	"math"

@@ -1,3 +1,10 @@
+// Package selfheal is the cluster-level self-healing layer: the
+// supervision part of the multi-domain driver (package multidomain) —
+// failure detection over simulated cycles, core fencing, supervised
+// domain recovery with full state reconciliation, and a failsafe
+// scheduler-policy wrapper. Everything runs in virtual time — same seed,
+// same plan, same byte-identical recovery history — so the chaos soak can
+// gate on MTTR and post-recovery invariants without wall-clock flakiness.
 package selfheal
 
 import (
@@ -7,6 +14,7 @@ import (
 	"vessel/internal/cpu"
 	"vessel/internal/faultinject"
 	"vessel/internal/mpk"
+	"vessel/internal/multidomain"
 	"vessel/internal/obs"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
@@ -25,7 +33,7 @@ type Config struct {
 	CoresPerDomain int
 	Costs          *cpu.CostModel
 	// Detector tunes the phi-accrual failure detector.
-	Detector DetectorConfig
+	Detector multidomain.DetectorConfig
 	// DetectBudget is the declared ceiling on detection MTTR (silence →
 	// fence); RestartBudget is the additional ceiling on a full domain
 	// restart. Exceeding either is a reported violation. Defaults:
@@ -99,10 +107,10 @@ type workerSpec struct {
 	policy vessel.RestartPolicy
 }
 
-// domainState is one domain plus its recovery bookkeeping.
+// domainState is one domain's recovery bookkeeping; its current manager
+// incarnation lives in the core.
 type domainState struct {
 	id       int
-	mg       *vessel.Manager
 	failsafe *Failsafe
 	injector *faultinject.Injector
 	workers  []workerSpec
@@ -114,6 +122,12 @@ type domainState struct {
 	swapLogged bool
 }
 
+// beat is one heartbeat observed in the current round.
+type beat struct {
+	d    *domainState
+	core int
+}
+
 // Cluster supervises a set of scheduling domains on one shared virtual
 // timeline: it drives their cores, feeds the failure detector with
 // progress heartbeats, fences cores that stall or fail-stop, restarts
@@ -123,12 +137,13 @@ type domainState struct {
 // byte-identical Report.Canonical output.
 type Cluster struct {
 	cfg     Config
-	eng     *sim.Engine
-	events  *trace.EventLog
-	det     *Detector
+	core    *multidomain.Core
 	obs     *obs.Observer
-	journey *journey.Tracer
 	domains []*domainState
+	// beats collects the current round's heartbeats, applied once the
+	// round's clock has settled; quantum is the current Run's.
+	beats   []beat
+	quantum int
 	mttr    *stats.Histogram
 	// Counters tallies recovery actions in deterministic order.
 	Counters   *stats.Counters
@@ -137,27 +152,20 @@ type Cluster struct {
 	started    bool
 }
 
-// New builds the cluster: one shared engine, one shared (ring) event log,
-// and per domain a manager, a failsafe-wrapped policy, and optionally a
-// watchdog.
+// New builds the cluster on the shared multi-domain core — one engine,
+// one (ring) event log, one detector — with per domain a manager, a
+// failsafe-wrapped policy, and optionally a watchdog.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:      cfg,
-		eng:      sim.NewEngine(),
-		events:   trace.NewRingEventLog(cfg.EventCap),
-		det:      NewDetector(cfg.Detector),
+		core:     multidomain.New(cfg.Domains, cfg.CoresPerDomain, cfg.Costs, cfg.VirtualKeys, trace.NewRingEventLog(cfg.EventCap), cfg.Detector),
 		mttr:     stats.NewHistogram(),
 		Counters: stats.NewCounters(),
 	}
 	for i := 0; i < cfg.Domains; i++ {
-		mg, err := c.newManager()
-		if err != nil {
+		if _, err := c.core.NewManager(i, c.armWatchdog); err != nil {
 			return nil, err
-		}
-		mg.UseEvents(c.events)
-		if cfg.WatchdogSoft > 0 || cfg.WatchdogHard > 0 {
-			mg.EnableWatchdog(cfg.WatchdogSoft, cfg.WatchdogHard)
 		}
 		var primary vessel.Policy
 		if cfg.Primary != nil {
@@ -165,27 +173,26 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.domains = append(c.domains, &domainState{
 			id:       i,
-			mg:       mg,
 			failsafe: NewFailsafe(primary, cfg.PolicyBudgetCycles),
 		})
 	}
 	return c, nil
 }
 
-// newManager builds one domain incarnation on the shared engine, in the
-// key mode the configuration asks for.
-func (c *Cluster) newManager() (*vessel.Manager, error) {
-	if c.cfg.VirtualKeys {
-		return vessel.NewVirtualManagerOn(c.eng, c.cfg.CoresPerDomain, c.cfg.Costs)
+// armWatchdog arms a fresh incarnation's cycle-budget watchdog when the
+// configuration asks for one.
+func (c *Cluster) armWatchdog(mg *vessel.Manager) error {
+	if c.cfg.WatchdogSoft > 0 || c.cfg.WatchdogHard > 0 {
+		mg.EnableWatchdog(c.cfg.WatchdogSoft, c.cfg.WatchdogHard)
 	}
-	return vessel.NewManagerOn(c.eng, c.cfg.CoresPerDomain, c.cfg.Costs)
+	return nil
 }
 
 // Engine exposes the shared engine (for tests and harness wiring).
-func (c *Cluster) Engine() *sim.Engine { return c.eng }
+func (c *Cluster) Engine() *sim.Engine { return c.core.Eng }
 
 // Manager returns a domain's current manager incarnation.
-func (c *Cluster) Manager(domain int) *vessel.Manager { return c.domains[domain].mg }
+func (c *Cluster) Manager(domain int) *vessel.Manager { return c.core.Manager(domain) }
 
 // Failsafe returns a domain's failsafe policy wrapper.
 func (c *Cluster) Failsafe(domain int) *Failsafe { return c.domains[domain].failsafe }
@@ -195,20 +202,19 @@ func (c *Cluster) Failsafe(domain int) *Failsafe { return c.domains[domain].fail
 // globally: domain*CoresPerDomain+core.
 func (c *Cluster) AttachObs(o *obs.Observer) { c.obs = o }
 
-// AttachJourney installs request-journey tracing on every domain (and
+// AttachJourney installs one request-journey tracer on every domain (and
 // every restart incarnation): seam events land in the shared flight
 // recorder, and recovery actions — watchdog kills, failsafe swaps,
 // domain restarts — snapshot it into black-box dumps carried by the
 // report. Nil is a no-op.
 func (c *Cluster) AttachJourney(t *journey.Tracer) {
-	if t == nil {
-		return
-	}
-	c.journey = t
-	for _, d := range c.domains {
-		d.mg.AttachJourney(t)
+	for d := range c.domains {
+		c.core.AttachJourney(d, t)
 	}
 }
+
+// tracer returns the shared journey tracer (nil if none).
+func (c *Cluster) tracer() *journey.Tracer { return c.core.Tracer(0) }
 
 // AddWorker supervises a workload on a domain: build constructs its
 // program against whichever manager incarnation is current, so the worker
@@ -217,7 +223,7 @@ func (c *Cluster) AttachJourney(t *journey.Tracer) {
 func (c *Cluster) AddWorker(domain int, name string, build func(mg *vessel.Manager) *smas.Program, core int, policy vessel.RestartPolicy) error {
 	d := c.domains[domain]
 	d.workers = append(d.workers, workerSpec{name: name, build: build, core: core, policy: policy})
-	_, err := d.mg.Supervise(name, func() *smas.Program { return build(d.mg) }, core, policy)
+	_, err := c.core.Manager(domain).Supervise(name, func() *smas.Program { return build(c.core.Manager(domain)) }, core, policy)
 	return err
 }
 
@@ -227,14 +233,9 @@ func (c *Cluster) AddWorker(domain int, name string, build func(mg *vessel.Manag
 // discarded (and counted).
 func (c *Cluster) InjectFaults(domain int, plan faultinject.Plan) *faultinject.Injector {
 	d := c.domains[domain]
-	d.injector = d.mg.InjectFaults(plan)
+	d.injector = c.core.Manager(domain).InjectFaults(plan)
 	d.injector.AttachPolicy(d.failsafe)
 	return d.injector
-}
-
-// coreID names a domain core for the detector.
-func (c *Cluster) coreID(d *domainState, core int) string {
-	return fmt.Sprintf("d%d.c%d", d.id, core)
 }
 
 // globalCore flattens (domain, core) for observer spans.
@@ -243,7 +244,7 @@ func (c *Cluster) globalCore(d *domainState, core int) int {
 }
 
 func (c *Cluster) event(now sim.Time, name, detail string) {
-	c.events.Record(now, name, detail)
+	c.core.Events.Record(now, name, detail)
 }
 
 func (c *Cluster) violate(now sim.Time, format string, args ...any) {
@@ -255,14 +256,15 @@ func (c *Cluster) violate(now sim.Time, format string, args ...any) {
 
 // start boots every domain core and registers it with the detector.
 func (c *Cluster) start() error {
+	now := c.core.Eng.Now()
 	for _, d := range c.domains {
 		for core := 0; core < c.cfg.CoresPerDomain; core++ {
-			if err := d.mg.Start(core); err != nil {
+			if err := c.core.Manager(d.id).Start(core); err != nil {
 				return err
 			}
-			c.det.Track(c.coreID(d, core), c.eng.Now())
+			c.core.Det.Track(c.core.ID(d.id, core), now)
 		}
-		d.lastAlive = c.eng.Now()
+		d.lastAlive = now
 	}
 	c.started = true
 	return nil
@@ -292,85 +294,25 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 		roundNs = sim.Microsecond
 	}
 	rounds := (steps + quantum - 1) / quantum
-	type beatRec struct {
-		id string
-		d  *domainState
-	}
+	c.quantum = quantum
+	eng := c.core.Eng
 	for round := 0; round < rounds; round++ {
 		c.rounds++
-		progressed := false
-		var beats []beatRec
-		for _, d := range c.domains {
-			if d.dead {
-				continue
-			}
-			m := d.mg.Machine()
-			for core := 0; core < m.NumCores(); core++ {
-				if d.mg.CoreFenced(core) {
-					continue
-				}
-				if d.mg.Domain.Offline(core) {
-					// The cluster scheduler revoked this core: it is no
-					// longer this domain's responsibility, so the detector
-					// must stop expecting beats from it — silence here is
-					// churn, not failure.
-					if id := c.coreID(d, core); c.forgetChurned(id) {
-						c.Counters.Inc("selfheal.churn.forget")
-					}
-					continue
-				}
-				if id := c.coreID(d, core); c.trackChurned(id) {
-					// Granted (back) to the domain mid-run: monitor it.
-					c.Counters.Inc("selfheal.churn.track")
-				}
-				cc := m.Core(core)
-				if cc.Fault != nil || cc.Stalled {
-					continue // silent: the detector sees the missing beat
-				}
-				if cc.Halted {
-					ok, err := d.mg.Domain.Wake(core)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						// Healthy idle: nothing runnable is not a failure.
-						beats = append(beats, beatRec{c.coreID(d, core), d})
-						continue
-					}
-				}
-				ran := cc.Run(quantum)
-				if ran > 0 {
-					progressed = true
-				}
-				if cc.Fault != nil || cc.Stalled {
-					continue // died or wedged mid-quantum: no beat
-				}
-				beats = append(beats, beatRec{c.coreID(d, core), d})
-				dec := d.failsafe.Decide(vessel.PolicyView{
-					Core:     core,
-					RanFull:  ran == quantum,
-					QueueLen: len(d.mg.Domain.Runqueue(core)),
-					Idle:     ran == 0,
-				})
-				cc.Cycles += dec.CostCycles
-				if dec.Preempt {
-					if err := d.mg.Domain.Preempt(core, uproc.SchedCommand{}); err != nil {
-						return nil, err
-					}
-				}
-			}
+		c.beats = c.beats[:0]
+		progressed, _, err := c.core.Round((*supervisor)(c), quantum)
+		if err != nil {
+			return nil, err
 		}
-		c.syncClock()
 		if !progressed {
-			if c.eng.Pending() > 0 {
-				c.eng.Step()
+			if eng.Pending() > 0 {
+				eng.Step()
 			} else {
-				c.eng.Run(c.eng.Now().Add(roundNs))
+				eng.Run(eng.Now().Add(roundNs))
 			}
 		}
-		now := c.eng.Now()
-		for _, b := range beats {
-			c.det.Beat(b.id, now)
+		now := eng.Now()
+		for _, b := range c.beats {
+			c.core.Det.Beat(c.core.ID(b.d.id, b.core), now)
 			b.d.lastAlive = now
 		}
 		for _, d := range c.domains {
@@ -380,7 +322,7 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 			if d.injector != nil {
 				d.injector.Step(now)
 			}
-			if err := d.mg.PollSupervised(); err != nil {
+			if err := c.core.Manager(d.id).PollSupervised(); err != nil {
 				return nil, err
 			}
 		}
@@ -395,47 +337,41 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 	return c.report(), nil
 }
 
-// forgetChurned drops a detector entity if it is still tracked,
-// reporting whether anything was dropped — the revoke side of
-// granted-core churn.
-func (c *Cluster) forgetChurned(id string) bool {
-	if _, tracked := c.det.LastBeat(id); !tracked {
-		return false
-	}
-	c.det.Forget(id)
-	return true
+// supervisor is the Cluster as the core loop's Part, kept off the
+// Cluster's method set. It skips dead domains and fenced cores, beats
+// every healthy core — idle ones included, since nothing runnable is not
+// a failure — and takes the domain policy's per-core decision after a
+// run. Granted-core churn is the ledger's business (its upcall client
+// tracks and forgets detector ids); supervised domains own all their
+// cores.
+type supervisor Cluster
+
+func (s *supervisor) Live(d int) bool        { return !s.domains[d].dead }
+func (s *supervisor) Admit(d, core int) bool { return !s.core.Manager(d).CoreFenced(core) }
+
+func (s *supervisor) Idle(d, core int) bool {
+	s.beats = append(s.beats, beat{s.domains[d], core})
+	return false
 }
 
-// trackChurned registers a detector entity if it is not tracked yet,
-// reporting whether it was new — the grant side of granted-core churn.
-// The silence clock starts now, so a freshly granted core is not
-// suspected for the time it spent in another domain.
-func (c *Cluster) trackChurned(id string) bool {
-	if _, tracked := c.det.LastBeat(id); tracked {
-		return false
+func (s *supervisor) AfterRun(d, core int, cc *cpu.Core, ran int) error {
+	if cc.Fault != nil || cc.Stalled {
+		return nil // died or wedged mid-quantum: no beat
 	}
-	c.det.Track(id, c.eng.Now())
-	return true
-}
-
-// syncClock advances the shared engine to the farthest core's cycle time
-// across every live domain.
-func (c *Cluster) syncClock() {
-	var maxNs float64
-	for _, d := range c.domains {
-		if d.dead {
-			continue
-		}
-		m := d.mg.Machine()
-		for i := 0; i < m.NumCores(); i++ {
-			if ns := m.NsFor(m.Core(i).Cycles); ns > maxNs {
-				maxNs = ns
-			}
-		}
+	dom := s.domains[d]
+	s.beats = append(s.beats, beat{dom, core})
+	mg := s.core.Manager(d)
+	dec := dom.failsafe.Decide(vessel.PolicyView{
+		Core:     core,
+		RanFull:  ran == s.quantum,
+		QueueLen: len(mg.Domain.Runqueue(core)),
+		Idle:     ran == 0,
+	})
+	cc.Cycles += dec.CostCycles
+	if dec.Preempt {
+		return mg.Domain.Preempt(core, uproc.SchedCommand{})
 	}
-	if t := sim.Time(maxNs); t > c.eng.Now() {
-		c.eng.Run(t)
-	}
+	return nil
 }
 
 // react is the recovery state machine, run once per round:
@@ -451,27 +387,28 @@ func (c *Cluster) react(now sim.Time) error {
 		if d.dead {
 			continue
 		}
-		m := d.mg.Machine()
+		mg := c.core.Manager(d.id)
+		m := mg.Machine()
 		for core := 0; core < m.NumCores(); core++ {
-			if d.mg.CoreFenced(core) || d.mg.Domain.Offline(core) {
+			if mg.CoreFenced(core) {
 				continue
 			}
-			id := c.coreID(d, core)
+			id := c.core.ID(d.id, core)
 			cc := m.Core(core)
 			fatal := cc.Fault != nil
-			if !fatal && !c.det.Suspect(id, now) {
+			if !fatal && !c.core.Det.Suspect(id, now) {
 				continue
 			}
 			cause := "suspect"
 			if fatal {
 				cause = "fatal"
 			}
-			last, _ := c.det.LastBeat(id)
+			last, _ := c.core.Det.LastBeat(id)
 			mttr := now.Sub(last)
-			if err := d.mg.FenceCore(core); err != nil {
+			if err := mg.FenceCore(core); err != nil {
 				return err
 			}
-			c.det.Forget(id)
+			c.core.Det.Forget(id)
 			c.mttr.Record(int64(mttr))
 			c.Counters.Inc("selfheal.fence")
 			c.event(now, "heal.fence", fmt.Sprintf("domain=%d core=%d cause=%s mttr=%v", d.id, core, cause, mttr))
@@ -483,21 +420,7 @@ func (c *Cluster) react(now sim.Time) error {
 				c.violate(now, "domain %d core %d: detection MTTR %v exceeds budget %v", d.id, core, mttr, c.cfg.DetectBudget)
 			}
 		}
-		live, offline := 0, 0
-		for core := 0; core < m.NumCores(); core++ {
-			switch {
-			case d.mg.CoreFenced(core):
-			case d.mg.Domain.Offline(core):
-				offline++
-			default:
-				live++
-			}
-		}
-		// A domain whose cores are merely revoked (offline, not fenced) is
-		// healthy-but-coreless: the cluster scheduler decides when it runs
-		// again, so a restart here would fight the upper level. Restart
-		// only when fencing has consumed every core the domain owned.
-		if live == 0 && offline == 0 {
+		if mg.FencedCores() == m.NumCores() {
 			if err := c.restartDomain(d, now); err != nil {
 				return err
 			}
@@ -511,9 +434,9 @@ func (c *Cluster) react(now sim.Time) error {
 			if c.obs != nil {
 				c.obs.Span(c.globalCore(d, 0), now, now, obs.CatFailsafe, reason)
 			}
-			if c.journey != nil {
-				c.journey.Event(now, "heal.failsafe", fmt.Sprintf("domain=%d reason=%s", d.id, reason))
-				c.journey.Dump(now, fmt.Sprintf("heal.failsafe.domain%d", d.id))
+			if tr := c.tracer(); tr != nil {
+				tr.Event(now, "heal.failsafe", fmt.Sprintf("domain=%d reason=%s", d.id, reason))
+				tr.Dump(now, fmt.Sprintf("heal.failsafe.domain%d", d.id))
 			}
 		}
 	}
@@ -527,7 +450,7 @@ func (c *Cluster) react(now sim.Time) error {
 // static region index could record); anything else in the app range is a
 // leak.
 func (c *Cluster) reconcileKeys(d *domainState, now sim.Time) {
-	s := d.mg.Domain.S
+	s := c.core.Manager(d.id).Domain.S
 	for k := mpk.PKey(1); k < smas.RuntimeKey; k++ {
 		if !s.Keys.InUse(k) || s.KeyOwned(k) {
 			continue
@@ -554,7 +477,7 @@ func (c *Cluster) restartDomain(d *domainState, now sim.Time) error {
 		c.event(now, "heal.giveup", fmt.Sprintf("domain=%d restarts=%d", d.id, d.restarts-1))
 		return nil
 	}
-	cancelled := d.mg.CancelPending()
+	cancelled := c.core.Manager(d.id).CancelPending()
 	discarded := 0
 	if d.injector != nil {
 		discarded = d.injector.Pending()
@@ -562,22 +485,14 @@ func (c *Cluster) restartDomain(d *domainState, now sim.Time) error {
 	}
 	c.Counters.Add("selfheal.events.cancelled", uint64(cancelled))
 	c.Counters.Add("selfheal.injections.discarded", uint64(discarded))
-	fresh, err := c.newManager()
+	fresh, err := c.core.NewManager(d.id, c.armWatchdog)
 	if err != nil {
 		return err
 	}
-	fresh.UseEvents(c.events)
-	if c.cfg.WatchdogSoft > 0 || c.cfg.WatchdogHard > 0 {
-		fresh.EnableWatchdog(c.cfg.WatchdogSoft, c.cfg.WatchdogHard)
-	}
-	if c.journey != nil {
-		fresh.AttachJourney(c.journey)
-	}
-	d.mg = fresh
 	baseKeys := fresh.Domain.S.Keys.Available()
 	for i := range d.workers {
 		spec := d.workers[i]
-		if _, err := fresh.Supervise(spec.name, func() *smas.Program { return spec.build(d.mg) }, spec.core, spec.policy); err != nil {
+		if _, err := fresh.Supervise(spec.name, func() *smas.Program { return spec.build(c.core.Manager(d.id)) }, spec.core, spec.policy); err != nil {
 			return fmt.Errorf("selfheal: relaunching %s in domain %d: %w", spec.name, d.id, err)
 		}
 	}
@@ -585,7 +500,7 @@ func (c *Cluster) restartDomain(d *domainState, now sim.Time) error {
 		if err := fresh.Start(core); err != nil {
 			return err
 		}
-		c.det.Track(c.coreID(d, core), now)
+		c.core.Det.Track(c.core.ID(d.id, core), now)
 	}
 	d.lastAlive = now
 
@@ -622,9 +537,9 @@ func (c *Cluster) restartDomain(d *domainState, now sim.Time) error {
 	c.mttr.Record(int64(mttr))
 	c.Counters.Inc("selfheal.domain.restart")
 	c.event(now, "heal.restart", fmt.Sprintf("domain=%d n=%d cancelled=%d discarded=%d mttr=%v", d.id, d.restarts, cancelled, discarded, mttr))
-	if c.journey != nil {
-		c.journey.Event(now, "heal.restart", fmt.Sprintf("domain=%d n=%d mttr=%v", d.id, d.restarts, mttr))
-		c.journey.Dump(now, fmt.Sprintf("heal.restart.domain%d", d.id))
+	if tr := c.tracer(); tr != nil {
+		tr.Event(now, "heal.restart", fmt.Sprintf("domain=%d n=%d mttr=%v", d.id, d.restarts, mttr))
+		tr.Dump(now, fmt.Sprintf("heal.restart.domain%d", d.id))
 	}
 	if c.obs != nil {
 		c.obs.Span(c.globalCore(d, 0), downAt, now, obs.CatRecover, fmt.Sprintf("domain=%d", d.id))
@@ -640,13 +555,13 @@ func (c *Cluster) restartDomain(d *domainState, now sim.Time) error {
 // drain settles in-flight recovery work (supervised relaunch backoffs) so
 // the final oracles judge a quiescent cluster, not one mid-restart.
 func (c *Cluster) drain() error {
-	for i := 0; i < 8 && c.eng.Pending() > 0; i++ {
-		c.eng.RunAll(1 << 20)
+	for i := 0; i < 8 && c.core.Eng.Pending() > 0; i++ {
+		c.core.Eng.RunAll(1 << 20)
 		for _, d := range c.domains {
 			if d.dead {
 				continue
 			}
-			if err := d.mg.PollSupervised(); err != nil {
+			if err := c.core.Manager(d.id).PollSupervised(); err != nil {
 				return err
 			}
 		}
@@ -658,15 +573,16 @@ func (c *Cluster) drain() error {
 // worker of a live domain is either running or has explicitly given up,
 // and no live domain holds unaccounted protection keys.
 func (c *Cluster) finalChecks() {
-	now := c.eng.Now()
+	now := c.core.Eng.Now()
 	for _, d := range c.domains {
 		if d.dead {
 			continue
 		}
 		c.reconcileKeys(d, now)
+		mg := c.core.Manager(d.id)
 		for _, spec := range d.workers {
-			_, ok := d.mg.Lookup(spec.name)
-			_, gaveUp := d.mg.Supervised(spec.name)
+			_, ok := mg.Lookup(spec.name)
+			_, gaveUp := mg.Supervised(spec.name)
 			if !ok && !gaveUp {
 				c.violate(now, "domain %d worker %s lost: not running, not given up", d.id, spec.name)
 			}
@@ -675,8 +591,8 @@ func (c *Cluster) finalChecks() {
 	// SLO health: the journey tracer's windowed violation fraction is a
 	// first-class recovery signal — too many tail-violating requests is a
 	// breach even when every core kept beating.
-	if c.journey != nil && c.cfg.SLOMaxViolationFrac > 0 {
-		if frac := c.journey.ViolationFrac(); frac > c.cfg.SLOMaxViolationFrac {
+	if tr := c.tracer(); tr != nil && c.cfg.SLOMaxViolationFrac > 0 {
+		if frac := tr.ViolationFrac(); frac > c.cfg.SLOMaxViolationFrac {
 			c.violate(now, "SLO violation fraction %.4f exceeds budget %.4f", frac, c.cfg.SLOMaxViolationFrac)
 		}
 	}
@@ -716,7 +632,7 @@ func (c *Cluster) report() *Report {
 			dead++
 		}
 	}
-	good, bad := c.journey.SLOCounts()
+	good, bad := c.tracer().SLOCounts()
 	return &Report{
 		Rounds:              c.rounds,
 		Fences:              int(c.Counters.Get("selfheal.fence")),
@@ -729,8 +645,8 @@ func (c *Cluster) report() *Report {
 		MTTR:                c.mttr.Summarize(),
 		Violations:          append([]string(nil), c.violations...),
 		Counters:            c.Counters,
-		Events:              c.events,
-		FlightDumps:         c.journey.Dumps(),
+		Events:              c.core.Events,
+		FlightDumps:         c.tracer().Dumps(),
 		SLOGood:             good,
 		SLOBad:              bad,
 	}

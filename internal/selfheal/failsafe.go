@@ -1,136 +1,24 @@
 package selfheal
 
 import (
-	"fmt"
-	"sync"
-
+	"vessel/internal/failsafe"
 	"vessel/internal/vessel"
 )
 
-// Failsafe wraps a scheduler policy so that no policy bug can take the
-// cluster down: every decision runs under panic recovery and a
-// per-decision cycle budget, and the first violation atomically replaces
-// the primary with the minimal round-robin fallback for the rest of the
-// run. The swap is one-way — a policy that panicked once has forfeited the
-// benefit of the doubt.
-//
-// Failsafe implements vessel.Policy (plug it into ChaosConfig.Policy or
-// CoreScheduler.Policy) and faultinject.PolicyTarget (attach it with
-// Injector.AttachPolicy so PolicyPanic faults have something to attack).
-// All methods are safe for concurrent use.
-type Failsafe struct {
-	mu       sync.Mutex
-	primary  vessel.Policy
-	fallback vessel.Policy
-	// budget is the per-decision cycle ceiling; 0 disables the check.
-	budget  int64
-	swapped bool
-	reason  string
-	// armPanic / armBurn are the fault injector's pending attacks on the
-	// next decision.
-	armPanic bool
-	armBurn  int64
-	// Panics counts recovered policy panics; Overruns counts decisions
-	// that blew the cycle budget. At most one of them ever reaches 1 —
-	// the swap happens on the first violation.
-	Panics   uint64
-	Overruns uint64
-	// OnSwap, when non-nil, observes the takeover. It is invoked with the
-	// lock held, exactly once; it must not call back into the Failsafe.
-	OnSwap func(reason string)
-}
+// Failsafe wraps a domain's scheduler policy so that no policy bug can
+// take the cluster down (package failsafe). It implements vessel.Policy
+// (plug it into ChaosConfig.Policy or CoreScheduler.Policy) and
+// faultinject.PolicyTarget (attach it with Injector.AttachPolicy so
+// PolicyPanic faults have something to attack).
+type Failsafe = failsafe.Wrap[vessel.PolicyView, vessel.PolicyDecision]
 
-// NewFailsafe wraps primary with a round-robin fallback and the given
-// per-decision cycle budget (0 disables the budget check).
+// NewFailsafe wraps primary (nil selects round-robin) with a round-robin
+// fallback and the given per-decision cycle budget (0 disables the
+// budget check).
 func NewFailsafe(primary vessel.Policy, budgetCycles int64) *Failsafe {
 	if primary == nil {
 		primary = vessel.RoundRobinPolicy{}
 	}
-	return &Failsafe{primary: primary, fallback: vessel.RoundRobinPolicy{}, budget: budgetCycles}
-}
-
-// Name implements vessel.Policy.
-func (f *Failsafe) Name() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.swapped {
-		return fmt.Sprintf("failsafe[%s]", f.fallback.Name())
-	}
-	return fmt.Sprintf("failsafe(%s)", f.primary.Name())
-}
-
-// Decide implements vessel.Policy. A primary that panics or decides past
-// the budget is swapped for the fallback, whose decision is returned; the
-// cycles a budget-blowing decision burned are still charged (the damage
-// was done once), the swap guarantees it never recurs.
-func (f *Failsafe) Decide(v vessel.PolicyView) vessel.PolicyDecision {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.swapped {
-		return f.fallback.Decide(v)
-	}
-	dec, ok := f.tryPrimary(v)
-	if !ok {
-		f.Panics++
-		f.swapLocked("panic")
-		return f.fallback.Decide(v)
-	}
-	if f.armBurn > 0 {
-		dec.CostCycles += f.armBurn
-		f.armBurn = 0
-	}
-	if f.budget > 0 && dec.CostCycles > f.budget {
-		f.Overruns++
-		f.swapLocked(fmt.Sprintf("budget cost=%d limit=%d", dec.CostCycles, f.budget))
-		fb := f.fallback.Decide(v)
-		fb.CostCycles += dec.CostCycles
-		return fb
-	}
-	return dec
-}
-
-// tryPrimary runs the primary's decision under panic recovery.
-func (f *Failsafe) tryPrimary(v vessel.PolicyView) (dec vessel.PolicyDecision, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	if f.armPanic {
-		f.armPanic = false
-		panic("selfheal: injected policy panic")
-	}
-	return f.primary.Decide(v), true
-}
-
-// swapLocked performs the one-way takeover. Callers hold f.mu.
-func (f *Failsafe) swapLocked(reason string) {
-	f.swapped = true
-	f.reason = reason
-	if f.OnSwap != nil {
-		f.OnSwap(reason)
-	}
-}
-
-// Swapped reports whether the fallback has taken over, and why.
-func (f *Failsafe) Swapped() (bool, string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.swapped, f.reason
-}
-
-// InjectPanic implements faultinject.PolicyTarget: the next decision
-// panics inside the primary.
-func (f *Failsafe) InjectPanic() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.armPanic = true
-}
-
-// InjectBurn implements faultinject.PolicyTarget: the next decision is
-// charged the given extra cycles, blowing the budget if one is set.
-func (f *Failsafe) InjectBurn(cycles int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.armBurn += cycles
+	return failsafe.New[vessel.PolicyView, vessel.PolicyDecision](primary, vessel.RoundRobinPolicy{}, budgetCycles,
+		func(d *vessel.PolicyDecision) *int64 { return &d.CostCycles })
 }

@@ -3,12 +3,12 @@ package selfheal
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"vessel/internal/cpu"
 	"vessel/internal/faultinject"
 	"vessel/internal/mem"
+	"vessel/internal/multidomain"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
 	"vessel/internal/smas"
@@ -27,7 +27,7 @@ func parkLoop(mg *vessel.Manager, name string) *smas.Program {
 // --- Detector ---
 
 func TestDetectorLearnsGapAndSuspects(t *testing.T) {
-	d := NewDetector(DetectorConfig{PhiThreshold: 8, MinGap: sim.Microsecond})
+	d := multidomain.NewDetector(multidomain.DetectorConfig{PhiThreshold: 8, MinGap: sim.Microsecond})
 	now := sim.Time(0)
 	d.Track("c0", now)
 	// Regular 2µs heartbeats: never suspect while beating.
@@ -66,7 +66,7 @@ func TestDetectorLearnsGapAndSuspects(t *testing.T) {
 }
 
 func TestDetectorMinGapFloorsParanoia(t *testing.T) {
-	d := NewDetector(DetectorConfig{PhiThreshold: 8, MinGap: sim.Microsecond})
+	d := multidomain.NewDetector(multidomain.DetectorConfig{PhiThreshold: 8, MinGap: sim.Microsecond})
 	now := sim.Time(0)
 	d.Track("c0", now)
 	// Beats every nanosecond must not shrink the mean below MinGap.
@@ -85,7 +85,7 @@ func TestDetectorMinGapFloorsParanoia(t *testing.T) {
 }
 
 func TestDetectorForgetAndRetrack(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := multidomain.NewDetector(multidomain.DetectorConfig{})
 	d.Track("c0", 0)
 	d.Track("c1", 0)
 	if got := d.Suspects(sim.Time(sim.Second)); len(got) != 2 {
@@ -102,97 +102,9 @@ func TestDetectorForgetAndRetrack(t *testing.T) {
 	}
 }
 
-// --- Failsafe ---
-
-// panicPolicy panics on the Nth decision; burnPolicy charges fixed cycles.
-type panicPolicy struct{ decideAt, n int }
-
-func (p *panicPolicy) Name() string { return "panicky" }
-func (p *panicPolicy) Decide(v vessel.PolicyView) vessel.PolicyDecision {
-	p.n++
-	if p.n == p.decideAt {
-		panic("scheduled policy bug")
-	}
-	return vessel.PolicyDecision{Preempt: v.RanFull}
-}
-
-type burnPolicy struct{ cost int64 }
-
-func (p burnPolicy) Name() string { return "burny" }
-func (p burnPolicy) Decide(v vessel.PolicyView) vessel.PolicyDecision {
-	return vessel.PolicyDecision{Preempt: v.RanFull, CostCycles: p.cost}
-}
-
-func TestFailsafeSwapsOnPanic(t *testing.T) {
-	swaps := 0
-	f := NewFailsafe(&panicPolicy{decideAt: 3}, 0)
-	f.OnSwap = func(string) { swaps++ }
-	v := vessel.PolicyView{RanFull: true}
-	for i := 0; i < 10; i++ {
-		dec := f.Decide(v)
-		if !dec.Preempt {
-			t.Fatalf("decision %d: round-robin semantics lost across the swap", i)
-		}
-	}
-	sw, reason := f.Swapped()
-	if !sw || reason != "panic" {
-		t.Fatalf("swapped = (%v, %q), want (true, panic)", sw, reason)
-	}
-	if f.Panics != 1 || swaps != 1 {
-		t.Fatalf("panics=%d swaps=%d, want 1/1 (swap is one-way)", f.Panics, swaps)
-	}
-	if name := f.Name(); !strings.Contains(name, "roundrobin") {
-		t.Fatalf("post-swap name %q does not expose the fallback", name)
-	}
-}
-
-func TestFailsafeSwapsOnBudget(t *testing.T) {
-	f := NewFailsafe(burnPolicy{cost: 50}, 100)
-	dec := f.Decide(vessel.PolicyView{RanFull: true})
-	if sw, _ := f.Swapped(); sw || dec.CostCycles != 50 {
-		t.Fatalf("within-budget decision triggered a swap (cost=%d)", dec.CostCycles)
-	}
-	// An injected burn blows the budget: the burned cycles are still
-	// charged once, and the fallback takes over.
-	f.InjectBurn(500)
-	dec = f.Decide(vessel.PolicyView{RanFull: true})
-	if dec.CostCycles != 550 {
-		t.Fatalf("burned cycles not charged: cost=%d, want 550", dec.CostCycles)
-	}
-	sw, reason := f.Swapped()
-	if !sw || !strings.Contains(reason, "budget") {
-		t.Fatalf("swapped = (%v, %q), want budget swap", sw, reason)
-	}
-	if dec = f.Decide(vessel.PolicyView{RanFull: true}); dec.CostCycles != 0 {
-		t.Fatalf("fallback still paying the primary's cost: %d", dec.CostCycles)
-	}
-	if f.Overruns != 1 {
-		t.Fatalf("overruns = %d", f.Overruns)
-	}
-}
-
-// TestFailsafeConcurrentDecide exercises the lock under -race: decisions,
-// injections, and swap reads race freely.
-func TestFailsafeConcurrentDecide(t *testing.T) {
-	f := NewFailsafe(&panicPolicy{decideAt: 64}, 1000)
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < 200; i++ {
-			f.InjectBurn(1)
-			f.Swapped()
-			_ = f.Name()
-		}
-		close(done)
-	}()
-	for i := 0; i < 200; i++ {
-		f.Decide(vessel.PolicyView{RanFull: i%2 == 0, QueueLen: i % 3})
-	}
-	<-done
-}
-
 // TestDetectorConcurrent exercises the detector lock under -race.
 func TestDetectorConcurrent(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := multidomain.NewDetector(multidomain.DetectorConfig{})
 	for i := 0; i < 8; i++ {
 		d.Track(fmt.Sprintf("c%d", i), 0)
 	}

@@ -13,10 +13,11 @@ import (
 	"fmt"
 
 	"vessel/internal/clustersched"
+	"vessel/internal/cpu"
 	"vessel/internal/faultinject"
+	"vessel/internal/multidomain"
 	"vessel/internal/obs"
 	"vessel/internal/obs/journey"
-	"vessel/internal/selfheal"
 	"vessel/internal/sim"
 	"vessel/internal/smas"
 	"vessel/internal/trace"
@@ -40,8 +41,8 @@ type SchedClusterConfig struct {
 	// (defaults: 1 / uncapped).
 	MinPerDomain int
 	MaxPerDomain int
-	// PolicyBudgetCycles is the failsafe's per-decision budget (0 picks
-	// the selfheal default).
+	// PolicyBudgetCycles is the failsafe's per-decision cycle budget; 0
+	// disables the budget check (panic isolation stays on).
 	PolicyBudgetCycles int64
 	// Quantum is instructions per online core per round (default 2000).
 	Quantum int
@@ -64,21 +65,20 @@ type SchedClusterConfig struct {
 }
 
 // ScheduledCluster runs scheduling domains under the two-level cluster
-// scheduler: a shared engine, one ledger, per-domain upcall actuation,
+// scheduler: the ledger part of the multi-domain driver — the shared core
+// (internal/multidomain) plus one ledger, per-domain upcall actuation,
 // and a policy deciding every few rounds.
 type ScheduledCluster struct {
 	cfg      SchedClusterConfig
-	eng      *sim.Engine
+	core     *multidomain.Core
 	sched    *clustersched.Sched
 	failsafe *clustersched.Failsafe
+	// managers wraps the core's managers in the public surface.
 	managers []*Manager
 	clients  []clustersched.Client
-	tracers  []*journey.Tracer
-	events   *trace.EventLog
-	det      *selfheal.Detector
 	injector *faultinject.Injector
 
-	placement map[string]int
+	placement multidomain.Placement
 	rounds    int
 	// idleRounds counts consecutive no-backlog rounds per domain; a
 	// domain yields an idle core only after a full schedule interval of
@@ -135,10 +135,8 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 	}
 	s := &ScheduledCluster{
 		cfg:        cfg,
-		eng:        sim.NewEngine(),
-		events:     trace.NewEventLog(1 << 14),
-		det:        selfheal.NewDetector(selfheal.DetectorConfig{}),
-		placement:  make(map[string]int),
+		core:       multidomain.New(cfg.Domains, cfg.Cores, cfg.Costs, true, trace.NewEventLog(1<<14), multidomain.DetectorConfig{}),
+		placement:  multidomain.Placement{},
 		idleRounds: make([]int, cfg.Domains),
 		transfer:   make(map[int]coreTransfer),
 	}
@@ -148,37 +146,32 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 		Domains:      cfg.Domains,
 		MinPerDomain: cfg.MinPerDomain,
 		MaxPerDomain: cfg.MaxPerDomain,
-		Events:       s.events,
+		Events:       s.core.Events,
 	}, s.failsafe)
 	if err != nil {
 		return nil, err
 	}
 	for d := 0; d < cfg.Domains; d++ {
-		mg, err := ivessel.NewVirtualManagerOn(s.eng, cfg.Cores, cfg.Costs)
+		mg, err := s.core.NewManager(d, func(mg *ivessel.Manager) error {
+			return mg.SetClusterManaged(cfg.CoresPerNode)
+		})
 		if err != nil {
 			return nil, err
 		}
-		mg.UseEvents(s.events)
-		if err := mg.SetClusterManaged(cfg.CoresPerNode); err != nil {
-			return nil, err
-		}
-		var tr *journey.Tracer
 		if cfg.SLOTarget > 0 || cfg.JourneySampleEvery > 1 {
-			tr = journey.NewTracer(journey.Config{
+			s.core.AttachJourney(d, journey.NewTracer(journey.Config{
 				SLOTarget:   cfg.SLOTarget,
 				SampleEvery: cfg.JourneySampleEvery,
-			})
-			mg.AttachJourney(tr)
+			}))
 		}
 		s.managers = append(s.managers, &Manager{inner: mg})
-		s.tracers = append(s.tracers, tr)
 		s.clients = append(s.clients, &domainClient{c: s, domain: d})
 	}
 	if cfg.Faults != nil {
 		s.injector = faultinject.New(s.managers[0].inner.Domain, *cfg.Faults)
 		s.injector.AttachClusterPolicy(s.failsafe)
 	}
-	if _, err := s.sched.Bootstrap(0, s.eng.Now()); err != nil {
+	if _, err := s.sched.Bootstrap(0, s.core.Eng.Now()); err != nil {
 		return nil, err
 	}
 	if err := s.deliverAll(); err != nil {
@@ -197,14 +190,12 @@ type domainClient struct {
 	domain int
 }
 
-func coreID(domain, core int) string { return fmt.Sprintf("d%d.c%d", domain, core) }
-
 func (dc *domainClient) CoreGranted(core int, at sim.Time) error {
 	s := dc.c
 	if err := s.managers[dc.domain].GrantCore(core); err != nil {
 		return err
 	}
-	s.det.Track(coreID(dc.domain, core), at)
+	s.core.Det.Track(s.core.ID(dc.domain, core), at)
 	if tf, ok := s.transfer[core]; ok {
 		delete(s.transfer, core)
 		s.cfg.Obs.Span(core, tf.at, at, obs.CatGrant,
@@ -219,7 +210,7 @@ func (dc *domainClient) CoreRevoked(core int, at sim.Time) (int, error) {
 	if err != nil {
 		return moved, err
 	}
-	s.det.Forget(coreID(dc.domain, core))
+	s.core.Det.Forget(s.core.ID(dc.domain, core))
 	s.transfer[core] = coreTransfer{at: at, from: dc.domain}
 	return moved, nil
 }
@@ -228,7 +219,7 @@ func (dc *domainClient) CoreRevoked(core int, at sim.Time) (int, error) {
 // boundary, then emits the CatUpcall actuation spans (commit→delivery)
 // for ops that just landed.
 func (s *ScheduledCluster) deliverAll() error {
-	now := s.eng.Now()
+	now := s.core.Eng.Now()
 	for d := range s.managers {
 		if _, err := s.sched.Deliver(d, now, s.clients[d]); err != nil {
 			return err
@@ -259,8 +250,8 @@ func (s *ScheduledCluster) Launch(domain int, name string, build func(*Manager) 
 	if domain < 0 || domain >= len(s.managers) {
 		return nil, fmt.Errorf("vessel: domain %d out of range", domain)
 	}
-	if _, dup := s.placement[name]; dup {
-		return nil, fmt.Errorf("vessel: uProcess %q already exists in the cluster", name)
+	if err := s.placement.Claim(name); err != nil {
+		return nil, err
 	}
 	m := s.managers[domain]
 	core, best := -1, 0
@@ -276,30 +267,13 @@ func (s *ScheduledCluster) Launch(domain int, name string, build func(*Manager) 
 	if err != nil {
 		return nil, err
 	}
-	u, err := m.Launch(name, prog, core)
-	if err != nil {
-		return nil, err
-	}
-	s.placement[name] = domain
-	return u, nil
+	return s.placement.Launch(name, domain, m.inner, prog, core)
 }
 
 // Destroy removes a uProcess, drains its lazy termination to quiescence,
 // and reclaims its region and key.
 func (s *ScheduledCluster) Destroy(name string) error {
-	d, ok := s.placement[name]
-	if !ok {
-		return fmt.Errorf("vessel: no uProcess %q in the cluster", name)
-	}
-	m := s.managers[d]
-	if err := m.Destroy(name); err != nil {
-		return err
-	}
-	delete(s.placement, name)
-	if _, err := m.DrainZombies(0); err != nil {
-		return err
-	}
-	_, err := m.Reap()
+	_, err := s.placement.Destroy(name, s.core.Manager)
 	return err
 }
 
@@ -309,33 +283,26 @@ func (s *ScheduledCluster) Destroy(name string) error {
 // shared clock, refresh the per-domain demand signals, fire due fault
 // injections, and every ScheduleEvery rounds let the policy decide.
 func (s *ScheduledCluster) Run(rounds int) error {
+	eng := s.core.Eng
 	for r := 0; r < rounds; r++ {
 		if err := s.deliverAll(); err != nil {
 			return err
 		}
-		for d, m := range s.managers {
-			for _, core := range m.inner.OnlineCores() {
-				c := m.inner.Machine().Core(core)
-				if c.Fault != nil || c.Stalled {
-					continue
-				}
-				if c.Halted {
-					if _, err := m.inner.Domain.Wake(core); err != nil {
-						return err
-					}
-				}
-				if c.Run(s.cfg.Quantum) > 0 {
-					s.det.Beat(coreID(d, core), s.eng.Now())
-				}
-			}
+		_, advanced, err := s.core.Round((*ledger)(s), s.cfg.Quantum)
+		if err != nil {
+			return err
 		}
-		s.syncClock()
-		now := s.eng.Now()
+		if !advanced {
+			// No core ran past the clock: tick one quantum's worth so
+			// virtual time still advances while idle.
+			eng.Run(eng.Now().Add(sim.Duration(s.cfg.Quantum) * sim.Nanosecond))
+		}
+		now := eng.Now()
 		for d, m := range s.managers {
 			backlog := m.Backlog()
 			viol := 0.0
-			if s.tracers[d] != nil {
-				viol = s.tracers[d].ViolationFrac()
+			if tr := s.core.Tracer(d); tr != nil {
+				viol = tr.ViolationFrac()
 			}
 			s.sched.SetSignals(d, backlog, viol)
 			s.autoRequest(d, backlog, now)
@@ -350,6 +317,23 @@ func (s *ScheduledCluster) Run(rounds int) error {
 		}
 	}
 	return s.deliverAll()
+}
+
+// ledger is the ScheduledCluster as the core loop's Part, kept off its
+// method set: it steps the cores the ledger grants, runs a halted core's
+// quantum even when its wake found nothing, and beats a core only when it
+// retired instructions.
+type ledger ScheduledCluster
+
+func (l *ledger) Live(int) bool          { return true }
+func (l *ledger) Admit(d, core int) bool { return l.managers[d].inner.CoreOnline(core) }
+func (l *ledger) Idle(int, int) bool     { return true }
+
+func (l *ledger) AfterRun(d, core int, _ *cpu.Core, ran int) error {
+	if ran > 0 {
+		l.core.Det.Beat(l.core.ID(d, core), l.core.Eng.Now())
+	}
+	return nil
 }
 
 // autoRequest converts a domain's backlog into RequestCores/YieldCore
@@ -397,14 +381,13 @@ func (s *ScheduledCluster) surfaceSwaps() {
 	for ; s.swapsSeen < len(swaps); s.swapsSeen++ {
 		sw := swaps[s.swapsSeen]
 		detail := fmt.Sprintf("%s->%s: %s", sw.From, sw.To, sw.Reason)
-		for _, tr := range s.tracers {
-			if tr == nil {
-				continue
+		for d := range s.managers {
+			if tr := s.core.Tracer(d); tr != nil {
+				tr.Event(sw.At, "cluster.policy.swap", detail)
 			}
-			tr.Event(sw.At, "cluster.policy.swap", detail)
 		}
-		for _, tr := range s.tracers {
-			if tr != nil {
+		for d := range s.managers {
+			if tr := s.core.Tracer(d); tr != nil {
 				// One dump per swap is the record; every tracer carries the
 				// event itself.
 				s.SwapDumps = append(s.SwapDumps, tr.Dump(sw.At, "cluster policy swap: "+detail))
@@ -413,26 +396,6 @@ func (s *ScheduledCluster) surfaceSwaps() {
 		}
 		s.cfg.Obs.Mark(0, sw.At, obs.CatFailsafe, "cluster "+detail)
 	}
-}
-
-// syncClock advances the shared engine to the farthest core's local time
-// (firing due events on the way); if nothing ran, it ticks the clock by
-// one quantum's worth so virtual time still advances while idle.
-func (s *ScheduledCluster) syncClock() {
-	var maxNs float64
-	for _, m := range s.managers {
-		mach := m.inner.Machine()
-		for i := 0; i < mach.NumCores(); i++ {
-			if ns := mach.NsFor(mach.Core(i).Cycles); ns > maxNs {
-				maxNs = ns
-			}
-		}
-	}
-	if t := sim.Time(maxNs); t > s.eng.Now() {
-		s.eng.Run(t)
-		return
-	}
-	s.eng.Run(s.eng.Now().Add(sim.Duration(s.cfg.Quantum) * sim.Nanosecond))
 }
 
 // SwapPolicy hot-swaps the cluster policy mid-run. The new policy runs
@@ -444,7 +407,7 @@ func (s *ScheduledCluster) SwapPolicy(name, reason string) error {
 		return err
 	}
 	s.failsafe = clustersched.NewFailsafe(p, s.cfg.PolicyBudgetCycles)
-	s.sched.SetPolicy(s.failsafe, s.eng.Now(), reason)
+	s.sched.SetPolicy(s.failsafe, s.core.Eng.Now(), reason)
 	if s.injector != nil {
 		s.injector.AttachClusterPolicy(s.failsafe)
 	}
@@ -461,18 +424,18 @@ func (s *ScheduledCluster) Manager(d int) *Manager { return s.managers[d] }
 
 // Tracer returns domain d's journey tracer (nil unless SLOTarget or
 // sampling was configured).
-func (s *ScheduledCluster) Tracer(d int) *JourneyTracer { return s.tracers[d] }
+func (s *ScheduledCluster) Tracer(d int) *JourneyTracer { return s.core.Tracer(d) }
 
 // Now returns the shared virtual clock.
-func (s *ScheduledCluster) Now() Time { return s.eng.Now() }
+func (s *ScheduledCluster) Now() Time { return s.core.Eng.Now() }
 
 // Events returns the cluster-wide event log: grants, revokes, swaps,
 // containment, and injections interleave on one timeline.
-func (s *ScheduledCluster) Events() *EventLog { return s.events }
+func (s *ScheduledCluster) Events() *EventLog { return s.core.Events }
 
 // Detector returns the phi-accrual failure detector tracking granted
 // cores (ids "d<domain>.c<core>").
-func (s *ScheduledCluster) Detector() *FailureDetector { return s.det }
+func (s *ScheduledCluster) Detector() *FailureDetector { return s.core.Det }
 
 // GrantedCount returns how many cores the ledger currently grants d.
 func (s *ScheduledCluster) GrantedCount(d int) int { return s.sched.GrantedCount(d) }

@@ -247,6 +247,42 @@ func TestScheduledClusterPolicyPanicFailsafe(t *testing.T) {
 	}
 }
 
+// TestScheduledClusterZeroBudgetNeverSwapsOnBurn pins the meaning of
+// PolicyBudgetCycles 0: the budget check is off, so an injected cycle burn
+// is charged but never swaps the policy, while a positive budget swaps on
+// the same burn.
+func TestScheduledClusterZeroBudgetNeverSwapsOnBurn(t *testing.T) {
+	for _, tc := range []struct {
+		budget int64
+		want   string
+	}{{0, "failsafe(fairshare)"}, {100_000, "failsafe[static]"}} {
+		s, err := NewScheduledCluster(SchedClusterConfig{
+			Domains:            2,
+			Cores:              8,
+			Policy:             "fairshare",
+			Quantum:            1000,
+			PolicyBudgetCycles: tc.budget,
+			Faults: &FaultPlan{
+				Seed:   7,
+				Faults: []InjectedFault{{Kind: FaultClusterPolicyPanic, At: Time(2 * Microsecond), Delay: 1 << 30}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		launchWave(t, s, 0, 4, "app")
+		if err := s.Run(24); err != nil {
+			t.Fatal(err)
+		}
+		if s.Events().CountByName("inject.clusterpolicyburn") != 1 {
+			t.Fatalf("budget %d: burn not injected", tc.budget)
+		}
+		if got := s.PolicyName(); got != tc.want {
+			t.Fatalf("budget %d: policy after burn = %q, want %q", tc.budget, got, tc.want)
+		}
+	}
+}
+
 // TestScheduledClusterDeterminism runs the same auction twice and
 // byte-compares the canonical reports — the determinism witness.
 func TestScheduledClusterDeterminism(t *testing.T) {
