@@ -44,8 +44,21 @@ func TestClusterCanonicalGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, filepath.Join("testdata", sc.name+".golden"), render(s))
+			checkGolden(t, filepath.Join("testdata", sc.name+".beats.golden"), renderBeats(s))
 		})
 	}
+}
+
+// renderBeats pins each tracked core's last heartbeat: the driver beats a
+// granted core only in a round where it retired instructions, so an idle
+// core's last beat stays behind the clock.
+func renderBeats(s *vessel.ScheduledCluster) []byte {
+	var b bytes.Buffer
+	for _, id := range s.Detector().Tracked() {
+		at, _ := s.Detector().LastBeat(id)
+		fmt.Fprintf(&b, "%s %d\n", id, int64(at))
+	}
+	return b.Bytes()
 }
 
 // render is the byte witness of one scenario.

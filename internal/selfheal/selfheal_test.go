@@ -153,6 +153,24 @@ func addParkWorkers(t *testing.T, c *Cluster, domain, cores, perCore int) {
 	}
 }
 
+// TestClusterIdleCoreIsHealthy pins the supervision part's beat rule: a
+// core with nothing runnable still beats, so an idle core is never
+// suspected and fenced.
+func TestClusterIdleCoreIsHealthy(t *testing.T) {
+	c := newCluster(t, 1, 2)
+	addParkWorkers(t, c, 0, 1, 1) // core 1 stays idle
+	rep, err := c.Run(400_000, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fences != 0 || len(rep.Violations) != 0 {
+		t.Fatalf("idle core treated as failed: fences=%d violations=%v", rep.Fences, rep.Violations)
+	}
+	if got := c.Engine().Now(); got < sim.Time(100*sim.Microsecond) {
+		t.Fatalf("run covered only %v of virtual time", got)
+	}
+}
+
 func TestClusterHealsCoreStall(t *testing.T) {
 	c := newCluster(t, 1, 2)
 	addParkWorkers(t, c, 0, 2, 1)
