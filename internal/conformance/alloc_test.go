@@ -1,0 +1,64 @@
+package conformance
+
+import (
+	"testing"
+
+	"vessel/internal/harness"
+	"vessel/internal/sched"
+	"vessel/internal/sched/caladan"
+	"vessel/internal/sim"
+)
+
+// maxAllocsPerRequest bounds heap allocations per offered request over a
+// whole short run (set-up included) of every layer-2 model. Each request
+// allocates its own workload.Request; event dispatch, the control planes
+// and the app queues must add next to nothing. Measured on the run below
+// (16 cores, memcached at load 0.8 plus linpack, 2.5 ms, seed 1), the
+// same under -race:
+//
+//	                 with closures per event   callbacks bound once
+//	VESSEL                  4.60                      1.05
+//	Caladan                 4.75                      1.02
+//	Arachne                 2.24                      1.08
+//	Linux                   2.02                      1.02
+//	Caladan-DR-L            4.42                      1.01
+const maxAllocsPerRequest = 1.5
+
+func TestSchedulerAllocsPerRequest(t *testing.T) {
+	for _, s := range append(Systems(), caladan.Simulator{Variant: caladan.DRLow}) {
+		spec := harness.RunSpec{
+			Scheduler:  s.Name(),
+			Seed:       1,
+			Cores:      16,
+			DurationNs: int64(2 * sim.Millisecond),
+			WarmupNs:   int64(500 * sim.Microsecond),
+			Apps: []harness.AppSpec{
+				{Name: "memcached", Kind: "L", Dist: "memcached", LoadFrac: 0.8},
+				{Name: "linpack", Kind: "B", BWDemand: 0.5, MemFrac: 0.05},
+			},
+		}
+		// AllocsPerRun makes one unmeasured call first; each call needs
+		// fresh apps, built outside the measurement.
+		cfgs := []sched.Config{spec.Config(), spec.Config()}
+		var offered uint64
+		allocs := testing.AllocsPerRun(1, func() {
+			cfg := cfgs[0]
+			cfgs = cfgs[1:]
+			res, err := sched.Run(s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offered = 0
+			for _, a := range res.Apps {
+				offered += a.Offered
+			}
+		})
+		if offered == 0 {
+			t.Fatalf("%s: no requests offered", s.Name())
+		}
+		if per := allocs / float64(offered); per > maxAllocsPerRequest {
+			t.Errorf("%s: %.2f allocations per offered request (%.0f for %d), ceiling %.1f",
+				s.Name(), per, allocs, offered, maxAllocsPerRequest)
+		}
+	}
+}

@@ -48,6 +48,11 @@ type lState struct {
 	workers      int // granted worker cores (dispatcher core excluded)
 	busyNs       sim.Duration
 	windowStart  sim.Time
+	// dispatching is the request the dispatcher is creating a thread
+	// for; dispatched, bound once, hands it on. dispatchBusy keeps at
+	// most one pending.
+	dispatching *workload.Request
+	dispatched  func()
 }
 
 type core struct {
@@ -58,6 +63,12 @@ type core struct {
 	act   sched.Activity
 	lastT sim.Time
 	bFrom sim.Time
+	// req is the request being served since reqFrom for reqL; served,
+	// bound once, completes it. busy keeps at most one pending.
+	req     *workload.Request
+	reqFrom sim.Time
+	reqL    *lState
+	served  func()
 }
 
 type run struct {
@@ -95,11 +106,15 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
 	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Trace: cfg.Trace, Obs: cfg.Obs, Journey: cfg.Journey}
 	for i := 0; i < cfg.Cores; i++ {
-		r.cores = append(r.cores, &core{id: i, act: sched.ActIdle})
+		c := &core{id: i, act: sched.ActIdle}
+		c.served = func() { r.served(c) }
+		r.cores = append(r.cores, c)
 	}
 	for _, a := range cfg.Apps {
 		if a.Kind == workload.LatencyCritical {
-			r.ls = append(r.ls, &lState{app: a, workers: 1})
+			l := &lState{app: a, workers: 1}
+			l.dispatched = func() { r.dispatched(l) }
+			r.ls = append(r.ls, l)
 		} else {
 			r.bApps = append(r.bApps, a)
 		}
@@ -148,15 +163,22 @@ func (r *run) pumpDispatcher(l *lState) {
 	req := l.app.Dequeue()
 	// The serial dispatcher's user-thread creation gates the request.
 	req.J.To(journey.SegGate, r.eng.Now())
-	r.eng.After(dispatchCost, func() {
-		l.dispatchBusy = false
-		// Dispatched: the request now waits in the ready queue for a
-		// granted worker core.
-		req.J.To(journey.SegQueue, r.eng.Now())
-		l.readyQ = append(l.readyQ, req)
-		r.feedWorkers(l)
-		r.pumpDispatcher(l)
-	})
+	l.dispatching = req
+	r.eng.After(dispatchCost, l.dispatched)
+}
+
+// dispatched hands the dispatcher's request to the ready queue and starts
+// on the next one.
+func (r *run) dispatched(l *lState) {
+	req := l.dispatching
+	l.dispatching = nil
+	l.dispatchBusy = false
+	// Dispatched: the request now waits in the ready queue for a
+	// granted worker core.
+	req.J.To(journey.SegQueue, r.eng.Now())
+	l.readyQ = append(l.readyQ, req)
+	r.feedWorkers(l)
+	r.pumpDispatcher(l)
 }
 
 // feedWorkers hands ready requests to idle granted worker cores.
@@ -182,39 +204,47 @@ func (r *run) serve(c *core, l *lState, req *workload.Request) {
 	r.setAct(c, sched.ActApp)
 	dur := workerPickup + sim.Duration(float64(req.Service)*r.bw.Inflation())
 	l.busyNs += dur
-	r.eng.After(dur, func() {
-		req.Done = r.eng.Now()
-		req.J.Finish(req.Done)
-		l.app.Complete(req, sim.Time(r.cfg.Warmup))
-		r.lWork[l.app] += r.acct.Clip(now, r.eng.Now())
-		c.busy = false
-		if r.eng.Now() >= r.endAt {
-			return
+	c.req, c.reqFrom, c.reqL = req, now, l
+	r.eng.After(dur, c.served)
+}
+
+// served completes the core's request, then follows the core's current
+// assignment: the next ready request, spinning, or a new owner.
+func (r *run) served(c *core) {
+	req, l := c.req, c.reqL
+	c.req, c.reqL = nil, nil
+	now := r.eng.Now()
+	req.Done = now
+	req.J.Finish(now)
+	l.app.Complete(req, sim.Time(r.cfg.Warmup))
+	r.lWork[l.app] += r.acct.Clip(c.reqFrom, now)
+	c.busy = false
+	if now >= r.endAt {
+		return
+	}
+	if c.l != l {
+		// The arbiter moved this core mid-request; follow its new
+		// assignment.
+		switch {
+		case c.l != nil:
+			r.setAct(c, sched.ActRuntime)
+			r.feedWorkers(c.l)
+		case c.owner != nil:
+			r.startB(c)
+		default:
+			r.setAct(c, sched.ActIdle)
 		}
-		if c.l != l {
-			// The arbiter moved this core mid-request; follow its new
-			// assignment.
-			switch {
-			case c.l != nil:
-				r.setAct(c, sched.ActRuntime)
-				r.feedWorkers(c.l)
-			case c.owner != nil:
-				r.startB(c)
-			default:
-				r.setAct(c, sched.ActIdle)
-			}
-			return
-		}
-		if len(l.readyQ) > 0 {
-			next := l.readyQ[0]
-			l.readyQ = l.readyQ[1:]
-			r.serve(c, l, next)
-			return
-		}
-		// Granted cores spin while idle — Arachne does not return them
-		// until the arbiter revokes.
-		r.setAct(c, sched.ActRuntime)
-	})
+		return
+	}
+	if len(l.readyQ) > 0 {
+		next := l.readyQ[0]
+		l.readyQ = l.readyQ[1:]
+		r.serve(c, l, next)
+		return
+	}
+	// Granted cores spin while idle — Arachne does not return them
+	// until the arbiter revokes.
+	r.setAct(c, sched.ActRuntime)
 }
 
 // rebalance is the arbiter: size each L-app's worker pool to its observed

@@ -89,6 +89,16 @@ type core struct {
 	// this core over, so the first request served afterwards can
 	// attribute that crossing to its journey's gate segment.
 	grantD sim.Duration
+	// req is the request being served since reqFrom (modeServeL).
+	req     *workload.Request
+	reqFrom sim.Time
+
+	// The core's serving callbacks, bound once. finish is pending only
+	// in modeServeL and parkNow only in modePollL, and a core leaves
+	// either mode only when its event fires or is cancelled, so at most
+	// one of them is ever pending and req belongs to it alone.
+	finish  func()
+	parkNow func()
 }
 
 type run struct {
@@ -144,39 +154,36 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		}
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		r.cores = append(r.cores, &core{id: i, mode: modeFree, act: sched.ActIdle})
+		c := &core{id: i, mode: modeFree, act: sched.ActIdle}
+		c.finish = func() { r.finish(c) }
+		c.parkNow = func() {
+			c.pollEnd = sim.Event{}
+			r.parkCore(c)
+		}
+		r.cores = append(r.cores, c)
 	}
 	// Every packet traverses the IOKernel before it reaches an
 	// application queue — the single-server control plane whose
 	// saturation caps Caladan at ~34 cores (Figure 12).
-	ctrl := cfg.Costs.CaladanCtrlFor(cfg.Cores)
-	var ctrlFree sim.Time
+	var cp *sched.CtrlPlane
+	if ctrl := cfg.Costs.CaladanCtrlFor(cfg.Cores); ctrl > 0 {
+		cp = sched.NewCtrlPlane(r.eng, ctrl, func(req *workload.Request) {
+			req.J.To(journey.SegQueue, r.eng.Now())
+			r.onArrival(req.App)
+		})
+	}
 	for _, a := range r.lApps {
 		app := a
 		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+13), r.endAt, func(req *workload.Request) {
 			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
-			if ctrl <= 0 {
+			if cp == nil {
 				r.onArrival(app)
 				return
 			}
-			stolen := app.StealNewest()
-			now := r.eng.Now()
 			// The packet is inside the IOKernel until the control-plane
 			// server forwards it: dataplane time on the journey.
-			req.J.To(journey.SegData, now)
-			start := now
-			if ctrlFree > start {
-				start = ctrlFree
-			}
-			done := start.Add(ctrl)
-			ctrlFree = done
-			r.eng.At(done, func() {
-				if stolen != nil {
-					app.Requeue(stolen)
-				}
-				req.J.To(journey.SegQueue, r.eng.Now())
-				r.onArrival(app)
-			})
+			req.J.To(journey.SegData, r.eng.Now())
+			cp.Submit(req)
 		}); err != nil {
 			return sched.Result{}, err
 		}
@@ -239,18 +246,26 @@ func (r *run) serveL(c *core, app *workload.App) {
 	}
 	req.J.To(journey.SegRun, now)
 	c.mode = modeServeL
+	c.req = req
+	c.reqFrom = now
 	r.setAct(c, sched.ActApp)
 	dur := sim.Duration(float64(req.Service)*r.bw.Inflation()) + r.bw.StallNoise(r.rng)
-	r.eng.After(dur, func() {
-		req.Done = r.eng.Now()
-		req.J.Finish(req.Done)
-		app.Complete(req, sim.Time(r.cfg.Warmup))
-		r.lWork[app] += r.acct.Clip(now, r.eng.Now())
-		if r.eng.Now() >= r.endAt {
-			return
-		}
-		r.serveL(c, app)
-	})
+	r.eng.After(dur, c.finish)
+}
+
+// finish completes the core's request and serves the app's next one.
+func (r *run) finish(c *core) {
+	req := c.req
+	c.req = nil
+	now := r.eng.Now()
+	req.Done = now
+	req.J.Finish(now)
+	req.App.Complete(req, sim.Time(r.cfg.Warmup))
+	r.lWork[req.App] += r.acct.Clip(c.reqFrom, now)
+	if now >= r.endAt {
+		return
+	}
+	r.serveL(c, req.App)
 }
 
 // startPolling begins the 2 µs steal window: the core spins inside its app
@@ -258,10 +273,7 @@ func (r *run) serveL(c *core, app *workload.App) {
 func (r *run) startPolling(c *core, app *workload.App) {
 	c.mode = modePollL
 	r.setAct(c, sched.ActRuntime)
-	c.pollEnd = r.eng.After(r.cfg.Costs.CaladanStealWin, func() {
-		c.pollEnd = sim.Event{}
-		r.parkCore(c)
-	})
+	c.pollEnd = r.eng.After(r.cfg.Costs.CaladanStealWin, c.parkNow)
 }
 
 // parkCore executes the voluntary yield: a kernel crossing, after which the

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -159,7 +158,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	if len(e.queue) > e.hwPending {
 		e.hwPending = len(e.queue)
 	}
@@ -192,7 +191,7 @@ func (e *Engine) Cancel(h Event) {
 		return
 	}
 	ev.cancel = true
-	heap.Remove(&e.queue, ev.index)
+	e.queue.remove(ev.index)
 	ev.index = -1
 	ev.fn = nil
 	e.free = append(e.free, ev)
@@ -204,7 +203,7 @@ func (e *Engine) Step() bool {
 	if e.stopped || len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.queue.pop()
 	ev.index = -1
 	if ev.at < e.now {
 		panic("sim: event heap out of order")
@@ -222,8 +221,9 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue is empty, Stop is called, or the next
-// event would fire after `until`. The clock is left at the time of the last
-// executed event (or advanced to `until` if it ran dry earlier).
+// event would fire after `until`. Unless Stop ended the run, the clock is
+// then advanced to `until` (whether the queue ran dry or its next event
+// lies later); a stopped run leaves it at the last executed event.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= until {
@@ -252,31 +252,91 @@ func (e *Engine) Stop() { e.stopped = true }
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)
 
-// eventHeap is a min-heap on (at, seq).
+// eventHeap is a binary min-heap on (at, seq), sifted in place: each
+// operation carries the moving event through a hole and writes it once,
+// keeping every event's index current, with no interface calls. seq is
+// unique, so the order is total and the pop sequence depends only on the
+// events scheduled, never on how the heap happens to be laid out.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, then by scheduling order.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
+
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	*h = q[:n]
+	if n > 0 {
+		h.down(0, last)
+	}
+	return top
+}
+
+// remove deletes the event at index i.
+func (h *eventHeap) remove(i int) {
+	q := *h
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	*h = q[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(q[(i-1)/2]) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
+	}
+}
+
+// up fills the hole at i with ev, moving earlier-ordered parents down.
+func (h eventHeap) up(i int, ev *event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		pe := h[p]
+		if !ev.before(pe) {
+			break
+		}
+		h[i] = pe
+		pe.index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down fills the hole at i with ev, moving earlier-ordered children up.
+func (h eventHeap) down(i int, ev *event) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		ce := h[c]
+		if !ce.before(ev) {
+			break
+		}
+		h[i] = ce
+		ce.index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
 }

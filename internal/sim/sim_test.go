@@ -138,6 +138,30 @@ func TestEngineEventReuseNoAlloc(t *testing.T) {
 	}
 }
 
+func TestEngineBoundCallbackNoAlloc(t *testing.T) {
+	// The layer-2 models bind each callback once and reschedule it; in
+	// steady state At+Step (and At+Cancel) must then allocate nothing,
+	// with other events queued around it so every sift moves.
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 63; i++ {
+		e.At(Time(1_000_000+i), fn)
+	}
+	e.At(0, fn)
+	e.Step() // warm the free list
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.At(e.Now()+10, fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("bound callback At+Step allocated %.2f times per event", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.Cancel(e.At(e.Now()+500, fn))
+	}); allocs != 0 {
+		t.Fatalf("At+Cancel allocated %.2f times per event", allocs)
+	}
+}
+
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	count := 0

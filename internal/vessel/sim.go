@@ -46,6 +46,18 @@ type coreState struct {
 	reqEv     sim.Event
 	reqFrom   sim.Time
 	reqInflat float64
+	// next is what the pending switch starts: a request (nextReq), else
+	// a BE thread (nextB).
+	nextReq *workload.Request
+	nextB   *workload.App
+
+	// The core's event callbacks, bound once. busy is set whenever one is
+	// scheduled and cleared when it fires (a cancelled finish is replaced
+	// by a resume), so at most one is ever pending and the state above
+	// belongs to it alone.
+	resume func() // a switch or wake-up ended: dispatch from the queues
+	begin  func() // a switch ended: start next
+	finish func() // curReq completed
 
 	act   sched.Activity
 	lastT sim.Time
@@ -65,15 +77,23 @@ type vesselRun struct {
 	cores    []*coreState
 	lApps    []*workload.App
 	bApps    []*workload.App
-	reacting map[*workload.App]bool // single-flight preemption chains
-	beQ      []*workload.App        // global BE queue (entries = schedulable B threads)
-	bwCap    float64                // B-app bandwidth budget in GB/s (0 = unlimited)
+	reacting map[*workload.App]*reaction // single-flight preemption chains
+	beQ      []*workload.App             // global BE queue (entries = schedulable B threads)
+	bwCap    float64                     // B-app bandwidth budget in GB/s (0 = unlimited)
 	endAt    sim.Time
 	funnel   map[*workload.App]sim.Duration // per-B useful ns (contention-deflated)
 	bWall    map[*workload.App]sim.Duration // per-B wall ns on cores
 	lWork    map[*workload.App]sim.Duration // per-L-app core time on requests
 
 	switches, preempts, reallocs uint64
+}
+
+// reaction is one L-app's preemption chain: at most one look at its queue
+// is pending, and look is its callback, bound once.
+type reaction struct {
+	app   *workload.App
+	armed bool
+	look  func() // r.react(rc), bound once
 }
 
 // Run executes the configured workload under VESSEL's scheduler.
@@ -89,7 +109,7 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		funnel:   make(map[*workload.App]sim.Duration),
 		bWall:    make(map[*workload.App]sim.Duration),
 		lWork:    make(map[*workload.App]sim.Duration),
-		reacting: make(map[*workload.App]bool),
+		reacting: make(map[*workload.App]*reaction),
 	}
 	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
 	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Trace: cfg.Trace, Obs: cfg.Obs, Journey: cfg.Journey}
@@ -107,7 +127,18 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		c := &coreState{id: i, act: sched.ActIdle}
 		// Every L-app has a worker thread resident on every core.
 		c.fifo = append(c.fifo, r.lApps...)
+		c.resume = func() {
+			c.busy = false
+			r.serveNext(c)
+		}
+		c.begin = func() { r.begin(c) }
+		c.finish = func() { r.finish(c) }
 		r.cores = append(r.cores, c)
+	}
+	for _, a := range r.lApps {
+		rc := &reaction{app: a}
+		rc.look = func() { r.react(rc) }
+		r.reacting[a] = rc
 	}
 	// One BE thread per core per B-app in the global queue.
 	for i := 0; i < cfg.Cores; i++ {
@@ -118,33 +149,22 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	// Arrival processes. Every request's dispatch signal crosses the
 	// domain scheduler — a single FIFO control-plane server whose
 	// saturation caps core scalability (Figure 12).
-	ctrl := cfg.Costs.VesselCtrlFor(cfg.Cores)
-	var ctrlFree sim.Time
+	var cp *sched.CtrlPlane
+	if ctrl := cfg.Costs.VesselCtrlFor(cfg.Cores); ctrl > 0 {
+		cp = sched.NewCtrlPlane(r.eng, ctrl, func(req *workload.Request) { r.onArrival(req.App) })
+	}
 	for _, a := range r.lApps {
 		app := a
 		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+7), r.endAt, func(req *workload.Request) {
 			// Mint the request's journey at arrival; the control-plane
-			// dispatch delay below counts as queueing (the request is
-			// waiting for the scheduler to learn about it).
+			// dispatch delay counts as queueing (the request is waiting
+			// for the scheduler to learn about it).
 			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
-			if ctrl <= 0 {
+			if cp == nil {
 				r.onArrival(app)
 				return
 			}
-			stolen := app.StealNewest()
-			now := r.eng.Now()
-			start := now
-			if ctrlFree > start {
-				start = ctrlFree
-			}
-			done := start.Add(ctrl)
-			ctrlFree = done
-			r.eng.At(done, func() {
-				if stolen != nil {
-					app.Requeue(stolen)
-				}
-				r.onArrival(app)
-			})
+			cp.Submit(req)
 		}); err != nil {
 			return sched.Result{}, err
 		}
@@ -207,56 +227,63 @@ func (r *vesselRun) onArrival(app *workload.App) {
 			return
 		}
 	}
-	if !r.reacting[app] {
-		r.reacting[app] = true
-		r.armReaction(app)
+	if rc := r.reacting[app]; !rc.armed {
+		rc.armed = true
+		r.armReaction(rc)
 	}
 }
 
-// armReaction schedules the scheduler's next look at app's queue: one scan
-// interval plus the Uintr delivery it would take to act.
-func (r *vesselRun) armReaction(app *workload.App) {
+// armReaction schedules the scheduler's next look at an app's queue: one
+// scan interval plus the Uintr delivery it would take to act.
+func (r *vesselRun) armReaction(rc *reaction) {
 	cm := r.cfg.Costs
-	r.eng.After(cm.VesselSchedScan+cm.UintrDeliver, func() {
-		now := r.eng.Now()
-		if len(app.Queue) == 0 || now >= r.endAt {
-			r.reacting[app] = false
-			return
+	r.eng.After(cm.VesselSchedScan+cm.UintrDeliver, rc.look)
+}
+
+// react is the scheduler's look at app's queue: preempt a core for it once
+// its queueing delay crosses the threshold, and keep looking until it
+// drains.
+func (r *vesselRun) react(rc *reaction) {
+	app := rc.app
+	cm := r.cfg.Costs
+	now := r.eng.Now()
+	if len(app.Queue) == 0 || now >= r.endAt {
+		rc.armed = false
+		return
+	}
+	if app.QueueDelay(now) >= preemptDelayThreshold {
+		preempted := false
+		for _, c := range r.cores {
+			if c.runningB != nil && !c.preempted {
+				r.preemptB(c)
+				preempted = true
+				break
+			}
 		}
-		if app.QueueDelay(now) >= preemptDelayThreshold {
-			preempted := false
+		// No best-effort core to take: preempt a core serving a
+		// strictly lower-priority L-app mid-request (§4.4).
+		if !preempted {
 			for _, c := range r.cores {
-				if c.runningB != nil && !c.preempted {
-					r.preemptB(c)
-					preempted = true
+				if c.curReq != nil && c.runningL != nil &&
+					c.runningL.Priority < app.Priority {
+					r.preemptL(c)
 					break
 				}
 			}
-			// No best-effort core to take: preempt a core serving a
-			// strictly lower-priority L-app mid-request (§4.4).
-			if !preempted {
-				for _, c := range r.cores {
-					if c.curReq != nil && c.runningL != nil &&
-						c.runningL.Priority < app.Priority {
-						r.preemptL(c)
-						break
-					}
-				}
-			}
-			if preempted && len(app.Queue) > 0 {
-				// The head request's dispatch was gated on the user
-				// interrupt that just landed: split the last UintrDeliver
-				// of its wait retroactively into a uintr segment (the
-				// clamp keeps conservation exact if it arrived mid-flight).
-				j := app.Queue[0].J
-				j.To(journey.SegUintr, now.Add(-cm.UintrDeliver))
-				j.To(journey.SegQueue, now)
-			}
 		}
-		// Keep watching until the queue drains: more BE cores may need
-		// preempting, or a natural completion may clear it.
-		r.armReaction(app)
-	})
+		if preempted && len(app.Queue) > 0 {
+			// The head request's dispatch was gated on the user
+			// interrupt that just landed: split the last UintrDeliver
+			// of its wait retroactively into a uintr segment (the
+			// clamp keeps conservation exact if it arrived mid-flight).
+			j := app.Queue[0].J
+			j.To(journey.SegUintr, now.Add(-cm.UintrDeliver))
+			j.To(journey.SegQueue, now)
+		}
+	}
+	// Keep watching until the queue drains: more BE cores may need
+	// preempting, or a natural completion may clear it.
+	r.armReaction(rc)
 }
 
 // wakeIdle dispatches an idle core to serve app.
@@ -265,10 +292,7 @@ func (r *vesselRun) wakeIdle(c *coreState, app *workload.App) {
 	c.busy = true
 	r.setAct(c, sched.ActSwitch)
 	r.switches++
-	r.eng.After(cm.UmwaitWake+cm.VesselParkSwitch, func() {
-		c.busy = false
-		r.serveNext(c)
-	})
+	r.eng.After(cm.UmwaitWake+cm.VesselParkSwitch, c.resume)
 }
 
 // preemptB stops the BE thread on c (Uintr handler → gate → switch) and
@@ -303,10 +327,7 @@ func (r *vesselRun) preemptB(c *coreState) {
 	c.busy = true
 	r.setAct(c, sched.ActSwitch)
 	r.switches++
-	r.eng.After(cm.VesselPreemptSwitch, func() {
-		c.busy = false
-		r.serveNext(c)
-	})
+	r.eng.After(cm.VesselPreemptSwitch, c.resume)
 }
 
 // serveNext is the core's dispatch loop: first L work from the per-core
@@ -347,14 +368,11 @@ func (r *vesselRun) serveNext(c *coreState) {
 				req := app.Dequeue()
 				// Switching threads costs one park-path gate trip.
 				req.J.To(journey.SegGate, now)
-				cm := r.cfg.Costs
 				c.busy = true
+				c.nextReq = req
 				r.setAct(c, sched.ActSwitch)
 				r.switches++
-				r.eng.After(cm.VesselParkSwitch, func() {
-					c.busy = false
-					r.startRequest(c, app, req)
-				})
+				r.eng.After(r.cfg.Costs.VesselParkSwitch, c.begin)
 				return
 			}
 		}
@@ -391,17 +409,22 @@ func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.
 	req.J.To(journey.SegRun, now)
 	r.setAct(c, sched.ActApp)
 	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.bw.StallNoise(r.rng)
-	c.reqEv = r.eng.After(dur, func() {
-		c.reqEv = sim.Event{}
-		c.curReq = nil
-		req.Remaining = 0
-		req.Done = r.eng.Now()
-		req.J.Finish(req.Done)
-		app.Complete(req, sim.Time(r.cfg.Warmup))
-		r.lWork[app] += r.acct.Clip(now, r.eng.Now())
-		c.busy = false
-		r.serveNext(c)
-	})
+	c.reqEv = r.eng.After(dur, c.finish)
+}
+
+// finish completes the core's in-flight request and dispatches again.
+func (r *vesselRun) finish(c *coreState) {
+	req := c.curReq
+	now := r.eng.Now()
+	c.reqEv = sim.Event{}
+	c.curReq = nil
+	req.Remaining = 0
+	req.Done = now
+	req.J.Finish(now)
+	req.App.Complete(req, sim.Time(r.cfg.Warmup))
+	r.lWork[req.App] += r.acct.Clip(c.reqFrom, now)
+	c.busy = false
+	r.serveNext(c)
 }
 
 // preemptL interrupts a core serving a lower-priority L request (§4.4:
@@ -429,26 +452,35 @@ func (r *vesselRun) preemptL(c *coreState) {
 	c.busy = true
 	r.setAct(c, sched.ActSwitch)
 	r.switches++
-	r.eng.After(r.cfg.Costs.VesselPreemptSwitch, func() {
-		c.busy = false
-		r.serveNext(c)
-	})
+	r.eng.After(r.cfg.Costs.VesselPreemptSwitch, c.resume)
 }
 
 // startB puts a BE thread on the core; it runs until preempted.
 func (r *vesselRun) startB(c *coreState, b *workload.App) {
-	cm := r.cfg.Costs
 	c.busy = true
+	c.nextB = b
 	r.setAct(c, sched.ActSwitch)
 	r.switches++
 	r.reallocs++
-	r.eng.After(cm.VesselParkSwitch, func() {
-		c.busy = false
-		c.runningB = b
-		c.bStart = r.eng.Now()
-		r.bw.Add(r.eng.Now(), b.AvgBW())
-		r.setAct(c, sched.ActApp)
-	})
+	r.eng.After(r.cfg.Costs.VesselParkSwitch, c.begin)
+}
+
+// begin ends a switch by starting what it switched to: the dequeued
+// request, else the BE thread, which runs until preempted.
+func (r *vesselRun) begin(c *coreState) {
+	c.busy = false
+	if req := c.nextReq; req != nil {
+		c.nextReq = nil
+		r.startRequest(c, req.App, req)
+		return
+	}
+	b := c.nextB
+	c.nextB = nil
+	now := r.eng.Now()
+	c.runningB = b
+	c.bStart = now
+	r.bw.Add(now, b.AvgBW())
+	r.setAct(c, sched.ActApp)
 }
 
 // regulateBW enforces the B-app bandwidth budget at scan granularity:
