@@ -10,19 +10,27 @@ import (
 )
 
 // maxAllocsPerRequest bounds heap allocations per offered request over a
-// whole short run (set-up included) of every layer-2 model. Each request
-// allocates its own workload.Request; event dispatch, the control planes
-// and the app queues must add next to nothing. Measured on the run below
-// (16 cores, memcached at load 0.8 plus linpack, 2.5 ms, seed 1), the
-// same under -race:
+// whole short run (set-up included) of every layer-2 model. Event
+// dispatch, the control planes and the app queues allocate next to
+// nothing, and a completed workload.Request is reused by a later arrival
+// of its app. Arachne and Linux fall behind in this run and hold most of
+// their requests live in backlogs, so nearly each arrival still allocates
+// its Request. Measured on the run below (16 cores, memcached at load 0.8
+// plus linpack, 2.5 ms, seed 1), the same under -race:
 //
-//	                 with closures per event   callbacks bound once
-//	VESSEL                  4.60                      1.05
-//	Caladan                 4.75                      1.02
-//	Arachne                 2.24                      1.08
-//	Linux                   2.02                      1.02
-//	Caladan-DR-L            4.42                      1.01
-const maxAllocsPerRequest = 1.5
+//	                 closures per event   callbacks bound once   requests reused
+//	VESSEL                  4.60                 1.05                 0.048
+//	Caladan                 4.75                 1.02                 0.050
+//	Arachne                 2.24                 1.08                 1.004
+//	Linux                   2.02                 1.02                 1.016
+//	Caladan-DR-L            4.42                 1.01                 0.042
+var maxAllocsPerRequest = map[string]float64{
+	"VESSEL":       0.1,
+	"Caladan":      0.1,
+	"Caladan-DR-L": 0.1,
+	"Arachne":      1.5,
+	"Linux":        1.5,
+}
 
 func TestSchedulerAllocsPerRequest(t *testing.T) {
 	for _, s := range append(Systems(), caladan.Simulator{Variant: caladan.DRLow}) {
@@ -56,9 +64,13 @@ func TestSchedulerAllocsPerRequest(t *testing.T) {
 		if offered == 0 {
 			t.Fatalf("%s: no requests offered", s.Name())
 		}
-		if per := allocs / float64(offered); per > maxAllocsPerRequest {
-			t.Errorf("%s: %.2f allocations per offered request (%.0f for %d), ceiling %.1f",
-				s.Name(), per, allocs, offered, maxAllocsPerRequest)
+		ceiling, ok := maxAllocsPerRequest[s.Name()]
+		if !ok {
+			t.Fatalf("%s: no allocation ceiling", s.Name())
+		}
+		if per := allocs / float64(offered); per > ceiling {
+			t.Errorf("%s: %.3f allocations per offered request (%.0f for %d), ceiling %.1f",
+				s.Name(), per, allocs, offered, ceiling)
 		}
 	}
 }

@@ -128,8 +128,18 @@ type run struct {
 
 // Run executes the workload under Caladan's policy.
 func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
-	if err := cfg.Validate(); err != nil {
+	r, err := s.start(cfg)
+	if err != nil {
 		return sched.Result{}, err
+	}
+	r.eng.Run(r.endAt)
+	return r.collect()
+}
+
+// start builds the run for cfg and schedules its first events.
+func (s Simulator) start(cfg sched.Config) (*run, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	r := &run{
 		cfg:    cfg,
@@ -185,7 +195,7 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 			req.J.To(journey.SegData, r.eng.Now())
 			cp.Submit(req)
 		}); err != nil {
-			return sched.Result{}, err
+			return nil, err
 		}
 	}
 	// IOKernel decision loop.
@@ -198,8 +208,7 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	}
 	r.eng.At(0, tick)
 	r.eng.At(sim.Time(cfg.Warmup), func() { r.bw.ResetAvg(r.eng.Now()) })
-	r.eng.Run(r.endAt)
-	return r.collect()
+	return r, nil
 }
 
 func (r *run) setAct(c *core, act sched.Activity) {
@@ -255,17 +264,17 @@ func (r *run) serveL(c *core, app *workload.App) {
 
 // finish completes the core's request and serves the app's next one.
 func (r *run) finish(c *core) {
-	req := c.req
+	req, app := c.req, c.req.App
 	c.req = nil
 	now := r.eng.Now()
 	req.Done = now
 	req.J.Finish(now)
-	req.App.Complete(req, sim.Time(r.cfg.Warmup))
-	r.lWork[req.App] += r.acct.Clip(c.reqFrom, now)
+	app.Complete(req, sim.Time(r.cfg.Warmup))
+	r.lWork[app] += r.acct.Clip(c.reqFrom, now)
 	if now >= r.endAt {
 		return
 	}
-	r.serveL(c, req.App)
+	r.serveL(c, app)
 }
 
 // startPolling begins the 2 µs steal window: the core spins inside its app

@@ -212,3 +212,32 @@ func TestValidation(t *testing.T) {
 		t.Fatal("empty config accepted")
 	}
 }
+
+// TestSaturatedEventHeapStaysShallow: at fig12's saturation probe (44
+// cores, memcached at load 0.9 beside linpack, 2 ms warm-up plus 8 ms,
+// seed 1, as bench's saturate-44c runs it) the IOKernel falls tens of
+// thousands of requests behind, but the engine holds one forward for the
+// whole backlog, so the event heap stays within a few events per core.
+// With one event per accepted request it peaked at 96,041.
+func TestSaturatedEventHeapStaysShallow(t *testing.T) {
+	const cores = 44
+	mc := workload.NewLApp("memcached", workload.Memcached(), 0.9*sched.IdealLCapacity(cores, workload.Memcached()))
+	cfg := sched.Config{
+		Seed:     1,
+		Cores:    cores,
+		Duration: 8 * sim.Millisecond,
+		Warmup:   2 * sim.Millisecond,
+		Apps:     []*workload.App{mc, workload.Linpack()},
+	}
+	r, err := Simulator{Variant: DRLow}.start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run(r.endAt)
+	if backlog := mc.Offered - mc.Completed; backlog < 10_000 {
+		t.Fatalf("only %d requests left unserved: the probe no longer saturates the control plane", backlog)
+	}
+	if hw := r.eng.HighWaterPending(); hw > 4*cores {
+		t.Fatalf("event heap peaked at %d events on %d cores, want at most %d", hw, cores, 4*cores)
+	}
+}

@@ -10,17 +10,16 @@ import (
 // scheduler and Caladan's IOKernel, whose saturation caps core scalability
 // (Figure 12). The server forwards one request per cost, in arrival order.
 //
-// Forwarding times strictly increase (each starts no earlier than the
-// previous one finished and takes a positive cost), so the forwarding
-// events fire in the order they were scheduled. One callback, bound once,
-// therefore serves them all by popping a FIFO; each request still gets its
-// own engine event, so ties with other events at the same instant break
-// exactly as they would with one closure per request.
+// Only the head request's forward is in the engine. Submit reserves each
+// request's engine key (sim.Engine.Reserve) when it arrives, and each
+// forward schedules the next request's under that key, so ties with
+// other events at the same instant break exactly as if every forward had
+// been scheduled on arrival, while the engine holds one event per control
+// plane however deep the backlog grows.
 type CtrlPlane struct {
 	eng     *sim.Engine
 	cost    sim.Duration
-	free    sim.Time      // when the server finishes its accepted work
-	q       workload.FIFO // accepted, not yet forwarded
+	q       workload.FIFO // accepted, not yet forwarded; the head's forward is pending
 	deliver func(*workload.Request)
 	fire    func() // p.forward, bound once
 }
@@ -37,17 +36,25 @@ func NewCtrlPlane(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Req
 // Enqueue put it, and holds it until the server has forwarded it.
 func (p *CtrlPlane) Submit(req *workload.Request) {
 	req.App.StealNewest()
-	start := p.eng.Now()
-	if p.free > start {
-		start = p.free
-	}
-	p.free = start.Add(p.cost)
+	req.CtrlSeq = p.eng.Reserve()
 	p.q.Requeue(req)
-	p.eng.At(p.free, p.fire)
+	if len(p.q.Queue) == 1 {
+		p.schedule(req)
+	}
+}
+
+// schedule puts the forward of req, the new head, in the engine. The
+// server turns to req now: it is idle as req is submitted, or the request
+// before req is just leaving.
+func (p *CtrlPlane) schedule(req *workload.Request) {
+	p.eng.AtSeq(p.eng.Now().Add(p.cost), req.CtrlSeq, p.fire)
 }
 
 func (p *CtrlPlane) forward() {
 	req := p.q.Dequeue()
+	if len(p.q.Queue) > 0 {
+		p.schedule(p.q.Queue[0])
+	}
 	req.App.Requeue(req)
 	p.deliver(req)
 }

@@ -1,0 +1,151 @@
+package sched
+
+import (
+	"fmt"
+	"testing"
+
+	"vessel/internal/sim"
+	"vessel/internal/workload"
+)
+
+// refCtrlPlane is the reference CtrlPlane is checked against: the same
+// single FIFO server, with one engine event scheduled per accepted request
+// at Submit.
+type refCtrlPlane struct {
+	eng     *sim.Engine
+	cost    sim.Duration
+	free    sim.Time // when the server finishes its accepted work
+	q       workload.FIFO
+	deliver func(*workload.Request)
+}
+
+func (p *refCtrlPlane) Submit(req *workload.Request) {
+	req.App.StealNewest()
+	start := max(p.eng.Now(), p.free)
+	p.free = start.Add(p.cost)
+	p.q.Requeue(req)
+	p.eng.At(p.free, func() {
+		req := p.q.Dequeue()
+		req.App.Requeue(req)
+		p.deliver(req)
+	})
+}
+
+type submitter interface{ Submit(*workload.Request) }
+
+// newCtrl builds a control plane on an engine.
+type newCtrl func(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) submitter
+
+// ctrlTrace runs a seeded arrival stream through a control plane built by
+// mk and returns every delivery and every probe event, in firing order,
+// with its time. Arrivals and probes fall on a grid of the control-plane
+// cost, so they tie with forwards and with each other often; the load
+// swings between idle and several times the server's capacity, so the
+// backlog both builds and drains.
+func ctrlTrace(t *testing.T, seed uint64, mk newCtrl) []string {
+	t.Helper()
+	rng := sim.NewRNG(seed)
+	eng := sim.NewEngine()
+	cost := sim.Duration(1 + rng.IntN(8))
+	var log []string
+	apps := make([]*workload.App, 1+rng.IntN(3))
+	for i := range apps {
+		apps[i] = workload.NewLApp(fmt.Sprint("app", i), workload.Memcached(), 0)
+	}
+	cp := mk(eng, cost, func(req *workload.Request) {
+		app := req.App
+		log = append(log, fmt.Sprintf("%v deliver %s service=%v", eng.Now(), app.Name, req.Service))
+		// The app serves the request at once, and it is released for
+		// reuse by a later arrival.
+		if got := app.Dequeue(); got != req {
+			t.Fatalf("delivered request is not the head of its app's queue")
+		}
+		app.Complete(req, 0)
+	})
+	var id sim.Duration
+	for _, app := range apps {
+		var pts []workload.TracePoint
+		at := sim.Time(0)
+		for i := 0; i < 300; i++ {
+			// Bursts of same-instant arrivals, then gaps.
+			if rng.IntN(4) == 0 {
+				at = at.Add(sim.Duration(rng.IntN(12)) * cost)
+			}
+			id++
+			pts = append(pts, workload.TracePoint{At: at, Service: id})
+		}
+		if err := app.ReplayArrivals(eng, pts, func(req *workload.Request) {
+			cp.Submit(req)
+			// Probes one and two costs out tie with this request's forward
+			// if the server is idle, and with others' if it is not.
+			now, svc := eng.Now(), req.Service
+			for k := sim.Duration(1); k <= 2; k++ {
+				eng.At(now.Add(k*cost), func() { log = append(log, fmt.Sprintf("%v probe %v+%d", eng.Now(), svc, k)) })
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tick func()
+	tick = func() {
+		log = append(log, fmt.Sprintf("%v tick", eng.Now()))
+		if len(log) < 5000 {
+			eng.After(cost, tick)
+		}
+	}
+	eng.At(0, tick)
+	eng.RunAll(1 << 20)
+	return log
+}
+
+// TestCtrlPlaneMatchesPerRequestEvents: keeping only the head's forward in
+// the engine, under keys reserved at Submit, delivers the same requests at
+// the same times, in the same order relative to every other event at the
+// same instants, as scheduling one event per request.
+func TestCtrlPlaneMatchesPerRequestEvents(t *testing.T) {
+	for seed := uint64(1); seed <= 30; seed++ {
+		want := ctrlTrace(t, seed, func(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) submitter {
+			return &refCtrlPlane{eng: eng, cost: cost, deliver: deliver}
+		})
+		got := ctrlTrace(t, seed, func(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) submitter {
+			return NewCtrlPlane(eng, cost, deliver)
+		})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events, reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d is %q, reference %q", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCtrlPlaneHeapStaysShallow: a 10k-deep backlog holds one engine
+// event, where one event per accepted request held 10k, and is still
+// forwarded one request per cost, in order.
+func TestCtrlPlaneHeapStaysShallow(t *testing.T) {
+	const n, cost = 10_000, 3
+	eng := sim.NewEngine()
+	app := workload.NewLApp("mc", workload.Memcached(), 0)
+	next := sim.Duration(0)
+	cp := NewCtrlPlane(eng, cost, func(req *workload.Request) {
+		if next++; req.Service != next || eng.Now() != sim.Time(next*cost) {
+			t.Fatalf("request %v forwarded at %v, want request %v at %v",
+				req.Service, eng.Now(), next, sim.Time(next*cost))
+		}
+		app.Complete(app.Dequeue(), 0)
+	})
+	for i := 1; i <= n; i++ {
+		req := &workload.Request{App: app, Service: sim.Duration(i)}
+		app.Enqueue(req)
+		cp.Submit(req)
+	}
+	if p := eng.Pending(); p != 1 {
+		t.Fatalf("a %d-deep backlog holds %d engine events, want 1", n, p)
+	}
+	eng.RunAll(n)
+	if next != n || eng.HighWaterPending() != 1 {
+		t.Fatalf("forwarded %d of %d requests, event heap peaked at %d", next, n, eng.HighWaterPending())
+	}
+}

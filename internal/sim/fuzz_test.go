@@ -2,11 +2,13 @@ package sim
 
 import "testing"
 
-// FuzzEngineOrder drives the engine with At, Cancel and Step, and with At
-// calls made inside firing callbacks, at times that collide often. A
-// reference model fires the pending event with the least (at, seq) by
-// linear scan; the engine must fire the same sequence, and after every
-// operation every handle, Pending and HighWaterPending must agree with it.
+// FuzzEngineOrder drives the engine with At, Reserve, AtSeq, Cancel and
+// Step, and with At and AtSeq calls made inside firing callbacks, at times
+// that collide often. A reference model fires the pending event with the
+// least (at, seq) by linear scan; the engine must fire the same sequence,
+// and after every operation every handle, Pending and HighWaterPending
+// must agree with it. An AtSeq whose key does not order after the last
+// fired event must panic and schedule nothing.
 //
 // Handles may expire once their event is history (the engine reuses its
 // storage); an expired handle must read as the zero handle, never as
@@ -20,16 +22,30 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte("000000010010010000000000202C"))
 	// A Cancel of an event a pop just moved down the heap.
 	f.Add([]byte("001070010000722"))
+	// Reserved keys: a backlog reserved up front and scheduled one by one
+	// from callbacks (the control-plane pattern), beside At events at the
+	// same instants, and keys that order before the event firing.
+	f.Add([]byte{0x80, 0x80, 0x80, 0x81, 0, 0, 1, 0x80, 0, 0, 2, 0x80, 0x84,
+		3, 0x81, 1, 1, 0, 3, 3, 0x81, 0, 0, 0, 3, 3, 3})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0, 0, 2, 0x80, 0x81, 0x81, 0, 1,
+		0x80, 0x80, 0x82, 3, 3, 0x81, 2, 0, 0, 3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		// Every operation rechecks every handle; keep inputs short enough
 		// for that to stay cheap.
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
+		// A kid is an event a callback schedules when it fires, d after
+		// the firing time: by At when key < 0, else by AtSeq with the
+		// reserved seq at index key (mod the pool's size then).
+		type kid struct {
+			d   Duration
+			key int
+		}
 		type ref struct {
 			at        Time
 			seq       uint64
-			kids      []Duration // scheduled by the callback when it fires
+			kids      []kid
 			pending   bool
 			cancelled bool // Cancel called before the storage was reused
 			expired   bool
@@ -42,35 +58,84 @@ func FuzzEngineOrder(f *testing.F) {
 			ops = ops[1:]
 			return b
 		}
+		// A byte below 0x80 encodes the same kid (and, in the loop below,
+		// the same operation) it did before Reserve and AtSeq existed, so
+		// older seeds still reach the cases they were added for.
+		kidsOf := func() []kid {
+			var kids []kid
+			for n := next() % 3; n > 0; n-- {
+				b := next()
+				k := kid{d: Duration(b % 4), key: -1}
+				if b >= 0x80 {
+					k.key = int(b>>2) & 0x1f
+				}
+				kids = append(kids, k)
+			}
+			return kids
+		}
 		e := NewEngine()
 		var (
 			hs            []Event
 			refs          []*ref
 			fired         []int
 			seq           uint64
+			reserved      []uint64 // reserved and not yet scheduled
+			floor         uint64   // one past the last fired seq
 			pending, high int
-			schedule      func(at Time, kids []Duration)
+			schedule      func(at Time, key int, kids []kid)
 		)
-		schedule = func(at Time, kids []Duration) {
+		// schedule adds an event at `at` to the engine and the model: by At
+		// when key < 0, else by AtSeq with reserved[key % len]. An AtSeq
+		// key that does not order after the last fired event must panic
+		// and leave both untouched.
+		schedule = func(at Time, key int, kids []kid) {
 			id := len(refs)
-			refs = append(refs, &ref{at: at, seq: seq, kids: kids, pending: true})
-			seq++
-			if pending++; pending > high {
-				high = pending
-			}
-			hs = append(hs, e.At(at, func() {
+			r := &ref{at: at, kids: kids, pending: true}
+			fn := func() {
 				// The engine dequeues an event before running it.
 				fired = append(fired, id)
 				refs[id].pending = false
 				pending--
+				floor = refs[id].seq + 1
 				if h := hs[id]; h.Pending() || h.Cancelled() || h.At() != refs[id].at {
 					t.Fatalf("event %d inside its callback: pending=%v cancelled=%v at=%v",
 						id, h.Pending(), h.Cancelled(), h.At())
 				}
-				for _, d := range refs[id].kids {
-					schedule(e.Now().Add(d), nil)
+				for _, k := range refs[id].kids {
+					schedule(e.Now().Add(k.d), k.key, nil)
 				}
-			}))
+			}
+			var h Event
+			switch {
+			case key < 0:
+				r.seq = seq
+				seq++
+				h = e.At(at, fn)
+			case len(reserved) == 0:
+				return
+			default:
+				i := key % len(reserved)
+				r.seq = reserved[i]
+				if at == e.Now() && r.seq < floor {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("AtSeq(%v, %d) did not panic after seq %d fired at %v",
+									at, r.seq, floor-1, e.Now())
+							}
+						}()
+						e.AtSeq(at, r.seq, fn)
+					}()
+					return
+				}
+				reserved = append(reserved[:i], reserved[i+1:]...)
+				h = e.AtSeq(at, r.seq, fn)
+			}
+			refs = append(refs, r)
+			hs = append(hs, h)
+			if pending++; pending > high {
+				high = pending
+			}
 		}
 		// earliest is the model's next event: the pending one with the
 		// least (at, seq), or -1.
@@ -105,14 +170,27 @@ func FuzzEngineOrder(f *testing.F) {
 			}
 		}
 		for step := 0; len(ops) > 0; step++ {
-			switch op := next() % 4; op {
+			b := next()
+			if b >= 0x80 {
+				// Reserve, or AtSeq with a reserved seq.
+				if b&1 == 0 {
+					reserved = append(reserved, e.Reserve())
+					if reserved[len(reserved)-1] != seq {
+						t.Fatalf("op %d: Reserve = %d, model %d", step, reserved[len(reserved)-1], seq)
+					}
+					seq++
+				} else {
+					key := int(next())
+					at := e.Now().Add(Duration(next() % 4))
+					schedule(at, key, kidsOf())
+				}
+				check(step)
+				continue
+			}
+			switch op := b % 4; op {
 			case 0, 1:
 				at := e.Now().Add(Duration(next() % 4))
-				var kids []Duration
-				for n := next() % 3; n > 0; n-- {
-					kids = append(kids, Duration(next()%4))
-				}
-				schedule(at, kids)
+				schedule(at, -1, kidsOf())
 			case 2:
 				if len(hs) == 0 {
 					break

@@ -4,8 +4,9 @@
 // Every component of the VESSEL reproduction — the simulated CPU cores, the
 // simulated Linux kernel, the schedulers, and the workload generators — is
 // driven by a single Engine. Events are executed in strictly non-decreasing
-// time order; ties are broken by scheduling order, so a run is a pure
-// function of its inputs and seed.
+// time order; ties are broken by scheduling order (for an event scheduled
+// under a reserved key, by the order of its reservation), so a run is a
+// pure function of its inputs and seed.
 package sim
 
 import (
@@ -114,12 +115,16 @@ type Engine struct {
 	queue   eventHeap
 	stopped bool
 	fired   uint64
+	// floor is the least seq AtSeq may use at time now: one past the
+	// seq of the event fired at now, or 0 once the clock has moved past
+	// every fired event.
+	floor uint64
 	// free holds fired/cancelled events awaiting reuse, so steady-state
 	// scheduling allocates nothing. Reuse bumps the event's gen, expiring
 	// any handles still pointing at it.
 	free []*event
-	// hwPending is the deepest the event queue has ever been — a cheap
-	// health signal the observability layer surfaces per run.
+	// hwPending is the deepest the event queue has ever been, a depth
+	// gauge for tests that bound how much a model keeps scheduled.
 	hwPending int
 }
 
@@ -144,6 +149,35 @@ func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	e.seq++
+	return e.push(t, e.seq-1, fn)
+}
+
+// Reserve takes the next scheduling sequence number and schedules
+// nothing. An event later scheduled with it by AtSeq orders among equal
+// times exactly as if At had scheduled it at the moment Reserve was
+// called, so a model may defer pushing an event it has already decided
+// on without moving ties.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq - 1
+}
+
+// AtSeq schedules fn to run at time t under seq, a number Reserve
+// returned. The key (t, seq) must order after the event now firing (or
+// last fired): an earlier key would fire out of order, so AtSeq panics
+// on it, as on a seq Reserve never returned. Each reserved seq is meant
+// to be used once.
+func (e *Engine) AtSeq(t Time, seq uint64, fn func()) Event {
+	if t < e.now || t == e.now && seq < e.floor || seq >= e.seq {
+		panic(fmt.Sprintf("sim: key (%v, %d) is unreserved or does not order after now %v, seq floor %d",
+			t, seq, e.now, e.floor))
+	}
+	return e.push(t, seq, fn)
+}
+
+// push queues fn under the key (t, seq).
+func (e *Engine) push(t Time, seq uint64, fn func()) Event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -155,9 +189,8 @@ func (e *Engine) At(t Time, fn func()) Event {
 		ev = &event{}
 	}
 	ev.at = t
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
-	e.seq++
 	e.queue.push(ev)
 	if len(e.queue) > e.hwPending {
 		e.hwPending = len(e.queue)
@@ -209,6 +242,7 @@ func (e *Engine) Step() bool {
 		panic("sim: event heap out of order")
 	}
 	e.now = ev.at
+	e.floor = ev.seq + 1
 	e.fired++
 	fn := ev.fn
 	fn()
@@ -231,6 +265,7 @@ func (e *Engine) Run(until Time) {
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
+		e.floor = 0
 	}
 }
 

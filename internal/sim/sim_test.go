@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -211,6 +212,48 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		}
 	}()
 	e.At(50, func() {})
+}
+
+// TestEngineAtSeq: a reserved key orders among equal times as if it had
+// been scheduled when reserved, and AtSeq panics for a key at or before
+// the event now firing, and for a seq Reserve never returned.
+func TestEngineAtSeq(t *testing.T) {
+	e := NewEngine()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	var got []string
+	early := e.Reserve()
+	e.At(10, func() {
+		got = append(got, "at")
+		now := e.Now()
+		mustPanic("AtSeq before the firing event's seq", func() { e.AtSeq(now, early, func() {}) })
+		mustPanic("AtSeq with the firing event's key", func() { e.AtSeq(now, early+1, func() {}) })
+		mustPanic("AtSeq in the past", func() { e.AtSeq(now-1, e.Reserve(), func() {}) })
+		mustPanic("AtSeq with an unreserved seq", func() { e.AtSeq(now+1, early+100, func() {}) })
+		late := e.Reserve()
+		e.At(20, func() { got = append(got, "after-reserve") })
+		e.AtSeq(20, late, func() { got = append(got, "reserved") })
+		e.AtSeq(now, e.Reserve(), func() { got = append(got, "same-instant") })
+		e.AtSeq(20, early, func() { got = append(got, "early") })
+	})
+	e.RunAll(10)
+	want := "at same-instant early reserved after-reserve"
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("fired %q, want %q", s, want)
+	}
+	// Once the clock has moved past every fired event, any reserved key
+	// at the new instant orders after it.
+	seq := e.Reserve()
+	e.At(30, func() {})
+	e.Run(40)
+	e.AtSeq(40, seq, func() {})
 }
 
 func TestEngineStop(t *testing.T) {

@@ -414,15 +414,14 @@ func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.
 
 // finish completes the core's in-flight request and dispatches again.
 func (r *vesselRun) finish(c *coreState) {
-	req := c.curReq
+	req, app := c.curReq, c.curReq.App
 	now := r.eng.Now()
 	c.reqEv = sim.Event{}
 	c.curReq = nil
-	req.Remaining = 0
 	req.Done = now
 	req.J.Finish(now)
-	req.App.Complete(req, sim.Time(r.cfg.Warmup))
-	r.lWork[req.App] += r.acct.Clip(c.reqFrom, now)
+	app.Complete(req, sim.Time(r.cfg.Warmup))
+	r.lWork[app] += r.acct.Clip(c.reqFrom, now)
 	c.busy = false
 	r.serveNext(c)
 }

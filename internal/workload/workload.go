@@ -126,6 +126,9 @@ type Request struct {
 	// tracing is off; every journey method is nil-safe, so schedulers
 	// propagate it without guarding).
 	J *journey.Journey
+	// CtrlSeq is the engine key a control plane reserved for forwarding
+	// the request (sched.CtrlPlane).
+	CtrlSeq uint64
 }
 
 // Sojourn returns the request's total latency.
@@ -155,6 +158,9 @@ type App struct {
 
 	// FIFO holds the pending requests the scheduler serves, as Queue.
 	FIFO
+
+	// spare holds completed requests for later arrivals to reuse.
+	spare []*Request
 
 	// Accounting.
 	Offered    uint64
@@ -289,12 +295,30 @@ func (a *App) QueueDelay(now sim.Time) sim.Duration {
 	return now.Sub(a.Queue[0].Arrive)
 }
 
-// Complete records a finished request (if after the measurement start).
+// Complete records a finished request (if after the measurement start)
+// and releases it: r is zeroed and kept for a later arrival to reuse, so
+// read anything else needed from it before calling Complete.
 func (a *App) Complete(r *Request, measureFrom sim.Time) {
 	a.Completed++
 	if r.Arrive >= measureFrom {
 		a.Lat.Record(int64(r.Sojourn()))
 	}
+	*r = Request{}
+	a.spare = append(a.spare, r)
+}
+
+// newRequest returns a request for a just-arrived unit of work, reusing a
+// released one when there is one.
+func (a *App) newRequest(now sim.Time, svc sim.Duration) *Request {
+	var r *Request
+	if n := len(a.spare); n > 0 {
+		r = a.spare[n-1]
+		a.spare = a.spare[:n-1]
+	} else {
+		r = new(Request)
+	}
+	*r = Request{App: a, Arrive: now, Service: svc, Remaining: svc}
+	return r
 }
 
 // GenerateArrivals schedules the app's Poisson (optionally burst-modulated)
@@ -339,7 +363,8 @@ func (a *App) GenerateArrivals(eng *sim.Engine, rng *sim.RNG, until sim.Time, on
 }
 
 // arrivalGen is one app's arrival process. Its callback is bound once and
-// reschedules itself, so an arrival allocates only its Request.
+// reschedules itself, so an arrival allocates at most its Request, and
+// nothing once the app has completed requests to reuse.
 type arrivalGen struct {
 	app       *App
 	eng       *sim.Engine
@@ -386,8 +411,7 @@ func (g *arrivalGen) arrive() {
 	for a.Burst != nil && now >= g.phaseEnd {
 		g.nextPhase(g.phaseEnd)
 	}
-	svc := a.Dist.Sample(g.services)
-	r := &Request{App: a, Arrive: now, Service: svc, Remaining: svc}
+	r := a.newRequest(now, a.Dist.Sample(g.services))
 	a.Enqueue(r)
 	if g.onArrival != nil {
 		g.onArrival(r)
@@ -427,7 +451,7 @@ func (a *App) ReplayArrivals(eng *sim.Engine, pts []TracePoint, onArrival func(*
 	for _, p := range pts {
 		p := p
 		eng.At(p.At, func() {
-			r := &Request{App: a, Arrive: p.At, Service: p.Service, Remaining: p.Service}
+			r := a.newRequest(p.At, p.Service)
 			a.Enqueue(r)
 			if onArrival != nil {
 				onArrival(r)

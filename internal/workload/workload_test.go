@@ -165,6 +165,10 @@ func TestQueueOperations(t *testing.T) {
 	}
 	r1.Start = 50
 	r1.Done = 150
+	// Complete releases the request; read it first.
+	if r1.Sojourn() != 140 {
+		t.Fatalf("sojourn = %v", r1.Sojourn())
+	}
 	app.Complete(r1, 0)
 	if app.Completed != 1 || app.Lat.Count() != 1 {
 		t.Fatal("completion accounting")
@@ -175,9 +179,6 @@ func TestQueueOperations(t *testing.T) {
 	app.Complete(r2, 100)
 	if app.Lat.Count() != 1 {
 		t.Fatal("warmup request counted")
-	}
-	if r1.Sojourn() != 140 {
-		t.Fatalf("sojourn = %v", r1.Sojourn())
 	}
 }
 
@@ -383,30 +384,70 @@ func TestDeepQueueStopsGrowing(t *testing.T) {
 }
 
 // TestArrivalsAllocateOnlyRequests: the arrival process's callback is
-// bound once, so each arrival allocates its Request and nothing else (the
-// parent allocated a closure per arrival as well).
+// bound once, so each arrival allocates at most its Request, and nothing
+// once completed requests come back for reuse.
 func TestArrivalsAllocateOnlyRequests(t *testing.T) {
 	for _, burst := range []*Burst{nil, {OnMean: 50 * sim.Microsecond, OffMean: 50 * sim.Microsecond, Factor: 4}} {
-		eng := sim.NewEngine()
-		app := NewLApp("mc", Memcached(), 1_000_000)
-		app.Burst = burst
-		until := sim.Time(100 * sim.Millisecond)
-		if err := app.GenerateArrivals(eng, sim.NewRNG(1), until, func(*Request) { app.Dequeue() }); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run(sim.Time(sim.Millisecond)) // warm the free list and the queue
-		// AllocsPerRun makes one unmeasured call first; count arrivals
-		// from the second call on.
-		calls, from := 0, uint64(0)
-		allocs := testing.AllocsPerRun(10, func() {
-			if calls++; calls == 2 {
-				from = app.Offered
+		for _, complete := range []bool{false, true} {
+			eng := sim.NewEngine()
+			app := NewLApp("mc", Memcached(), 1_000_000)
+			app.Burst = burst
+			until := sim.Time(100 * sim.Millisecond)
+			if err := app.GenerateArrivals(eng, sim.NewRNG(1), until, func(*Request) {
+				r := app.Dequeue()
+				if complete {
+					r.Done = eng.Now()
+					app.Complete(r, 0)
+				}
+			}); err != nil {
+				t.Fatal(err)
 			}
-			eng.Run(eng.Now().Add(sim.Millisecond))
-		})
-		perArrival := allocs * 10 / float64(app.Offered-from)
-		if perArrival > 1.01 {
-			t.Fatalf("burst=%v: %.3f allocations per arrival, want 1 (the Request)", burst != nil, perArrival)
+			eng.Run(sim.Time(sim.Millisecond)) // warm the free list and the queue
+			// AllocsPerRun makes one unmeasured call first; count arrivals
+			// from the second call on.
+			calls, from := 0, uint64(0)
+			allocs := testing.AllocsPerRun(10, func() {
+				if calls++; calls == 2 {
+					from = app.Offered
+				}
+				eng.Run(eng.Now().Add(sim.Millisecond))
+			})
+			perArrival := allocs * 10 / float64(app.Offered-from)
+			if complete && perArrival != 0 {
+				t.Fatalf("burst=%v: %.3f allocations per arrival, want 0 with requests reused", burst != nil, perArrival)
+			}
+			if perArrival > 1.01 {
+				t.Fatalf("burst=%v: %.3f allocations per arrival, want 1 (the Request)", burst != nil, perArrival)
+			}
 		}
+	}
+}
+
+// TestCompleteReleasesRequest: Complete zeroes the request, so a stale
+// read of it fails loudly (App is nil), and the app's next arrival reuses
+// it with every field set afresh.
+func TestCompleteReleasesRequest(t *testing.T) {
+	eng := sim.NewEngine()
+	app := NewLApp("mc", Memcached(), 0)
+	var got []*Request
+	err := app.ReplayArrivals(eng, []TracePoint{{At: 10, Service: 5}, {At: 20, Service: 7}}, func(r *Request) {
+		got = append(got, app.Dequeue())
+		if len(got) == 1 {
+			r.Start, r.Done, r.CtrlSeq = 12, 15, 3
+			app.Complete(r, 0)
+			if *r != (Request{}) {
+				t.Fatalf("released request still reads %+v", *r)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunAll(10)
+	if len(got) != 2 || got[0] != got[1] {
+		t.Fatal("the second arrival did not reuse the completed request")
+	}
+	if want := (Request{App: app, Arrive: 20, Service: 7, Remaining: 7}); *got[1] != want {
+		t.Fatalf("reused request reads %+v, want %+v", *got[1], want)
 	}
 }
