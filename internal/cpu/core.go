@@ -102,7 +102,7 @@ type Core struct {
 	// The decoded-fetch cache: a direct-mapped map from PC to the decoded
 	// instruction, tagged with the address space, its exec generation, and
 	// the machine's code generation. A hit skips both the page-table walk
-	// and the codeKey map lookup in fetch. Exec permission was verified at
+	// and the code-store lookup in fetch. Exec permission was verified at
 	// fill time and cannot have changed while the generation tags match.
 	// The exec generation ignores SetPKey: PKRU is never consulted for
 	// fetches, so a protection-key re-tag (a virtual-key eviction or
@@ -340,23 +340,21 @@ func (c *Core) Run(maxSteps int) int {
 	return n
 }
 
-// Machine groups physical memory, the cost model, and the global code map
-// keyed by physical location (so that text shared between address spaces is
-// the same code everywhere, as SMAS requires).
+// Machine groups physical memory, the cost model, and the global code store
+// indexed by physical location (so that text shared between address spaces
+// is the same code everywhere, as SMAS requires).
 type Machine struct {
 	Phys  *mem.Physical
 	Costs *CostModel
 	cores []*Core
-	code  map[codeKey]Instr
+	// code[frame ID][offset/InstrSize] is the instruction installed at
+	// that physical location, nil where none is. Frame IDs are dense, and
+	// each frame's slice grows only as far as its installed code.
+	code [][]Instr
 	// codeGen counts InstallCode calls; every core's decoded-fetch cache
 	// is tagged with it, so newly installed code invalidates stale
 	// decodes machine-wide on the next fetch.
 	codeGen uint64
-}
-
-type codeKey struct {
-	frame int
-	off   uint64
 }
 
 // NewMachine creates a machine with the given number of cores, all sharing
@@ -368,7 +366,6 @@ func NewMachine(cores int, costs *CostModel) *Machine {
 	m := &Machine{
 		Phys:  mem.NewPhysical(),
 		Costs: costs,
-		code:  make(map[codeKey]Instr),
 	}
 	for i := 0; i < cores; i++ {
 		m.cores = append(m.cores, &Core{
@@ -402,7 +399,29 @@ func (m *Machine) InstallCode(as *mem.AddressSpace, base mem.Addr, prog []Instr)
 		if !ok {
 			return fmt.Errorf("cpu: code page %#x not mapped", uint64(a))
 		}
-		m.code[codeKey{pte.Frame.ID, a.Offset()}] = ins
+		m.setCode(pte.Frame.ID, a.Offset()/InstrSize, ins)
+	}
+	return nil
+}
+
+// setCode installs ins at instruction slot i of frame id.
+func (m *Machine) setCode(id int, i uint64, ins Instr) {
+	if id >= len(m.code) {
+		m.code = append(m.code, make([][]Instr, id+1-len(m.code))...)
+	}
+	if c := m.code[id]; i >= uint64(len(c)) {
+		m.code[id] = append(c, make([]Instr, i+1-uint64(len(c)))...)
+	}
+	m.code[id][i] = ins
+}
+
+// codeAt returns the instruction installed at offset off of frame, or nil.
+func (m *Machine) codeAt(frame *mem.Frame, off uint64) Instr {
+	if off%InstrSize != 0 || frame.ID >= len(m.code) {
+		return nil
+	}
+	if c := m.code[frame.ID]; off/InstrSize < uint64(len(c)) {
+		return c[off/InstrSize]
 	}
 	return nil
 }
@@ -415,8 +434,8 @@ func (m *Machine) FetchAt(as *mem.AddressSpace, addr mem.Addr) (Instr, bool) {
 	if !ok {
 		return nil, false
 	}
-	ins, ok := m.code[codeKey{pte.Frame.ID, addr.Offset()}]
-	return ins, ok
+	ins := m.codeAt(pte.Frame, addr.Offset())
+	return ins, ins != nil
 }
 
 // fetch resolves PC to an instruction, enforcing the execute permission on
@@ -427,8 +446,8 @@ func (m *Machine) fetch(as *mem.AddressSpace, pc mem.Addr, pkru mpk.PKRU) (Instr
 	if fault != nil {
 		return nil, fault
 	}
-	ins, ok := m.code[codeKey{frame.ID, pc.Offset()}]
-	if !ok {
+	ins := m.codeAt(frame, pc.Offset())
+	if ins == nil {
 		return nil, &mem.Fault{Addr: pc, Kind: mem.FaultPerm, Op: mpk.AccessExec}
 	}
 	return ins, nil

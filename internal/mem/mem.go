@@ -3,15 +3,18 @@
 // protection key per entry, and the dual PTE∧PKRU access check that Intel
 // MPK performs (§2.3, §4.1).
 //
-// Virtual address spaces are sparse page maps. Several address spaces can
-// map the same physical frames — this is how the manager's SMAS is shared
-// by every kProcess in a scheduling domain (§5.1).
+// Virtual address spaces are two-level page tables of 64-entry leaves.
+// Several address spaces can map the same physical frames — this is how
+// the manager's SMAS is shared by every kProcess in a scheduling domain
+// (§5.1).
 package mem
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"vessel/internal/mpk"
 )
@@ -152,11 +155,22 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s fault (%s) at %#x", f.Op, f.Kind, uint64(f.Addr))
 }
 
-// AddressSpace is a sparse virtual→physical mapping with per-page
-// permissions and protection keys.
+// AddressSpace is a virtual→physical mapping with per-page permissions
+// and protection keys, held in a two-level page table: a directory from
+// leaf index to leaf, and leaves of leafSize PTEs each. A small leaf
+// cache sits in front of the directory, so a walk that stays within
+// recently used leaves does not search it.
 type AddressSpace struct {
-	pages map[uint64]PTE
-	phys  *Physical
+	// dir holds every leaf, sorted by key. Leaves are few (a uProcess
+	// region is contiguous), so a cache miss bisects a short slice, and
+	// only creating or dropping a leaf moves entries.
+	dir []leafRef
+	// lc caches directory entries, two ways per set; lcSet picks the set.
+	// Way 0 holds the most recently filled entry.
+	lc [leafCacheSets][2]leafRef
+	// n counts mapped pages.
+	n    int
+	phys *Physical
 	// gen counts translation-affecting mutations (Map, Unmap, Protect,
 	// SetPKey, ShareRange). Software TLBs tag their entries with the
 	// generation they were filled under, so any stale translation
@@ -173,10 +187,123 @@ type AddressSpace struct {
 	execGen uint64
 }
 
+// leafBits is log2 of leafSize, the PTEs per page-table leaf: 64 PTEs of
+// 16 bytes make a 1 KiB leaf, small enough that a sparse address space
+// wastes little on partly filled leaves.
+const (
+	leafBits = 6
+	leafSize = 1 << leafBits
+)
+
+// The leaf cache has 2^leafCacheBits sets of two ways: 16 entries.
+const (
+	leafCacheBits = 3
+	leafCacheSets = 1 << leafCacheBits
+)
+
+// lcSet is the leaf-cache set of leaf index idx: the top bits of a
+// Fibonacci hash. The low bits of the index would not do: every SMAS
+// region base (text, pipe, runtime, uProcess data) is a multiple of 16
+// leaves, so all of them would share one set and evict each other on
+// every walk. Two ways per set absorb the collisions any fixed hash
+// leaves.
+func lcSet(idx uint64) uint64 { return idx * 0x9E3779B97F4A7C15 >> (64 - leafCacheBits) }
+
+// leafRef names one leaf. key is the leaf index + 1, so a zero leafRef
+// (an empty cache slot) never matches.
+type leafRef struct {
+	key uint64
+	l   *leaf
+}
+
+// leaf is one page-table leaf. A PTE with a nil Frame is absent.
+type leaf [leafSize]PTE
+
 // NewAddressSpace returns an empty address space over the given physical
 // memory.
 func NewAddressSpace(phys *Physical) *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]PTE), phys: phys}
+	return &AddressSpace{phys: phys}
+}
+
+// leafOf returns the leaf holding leaf index idx, or nil if none exists.
+func (as *AddressSpace) leafOf(idx uint64) *leaf {
+	set := &as.lc[lcSet(idx)]
+	switch idx + 1 {
+	case set[0].key:
+		return set[0].l
+	case set[1].key:
+		return set[1].l
+	}
+	return as.leafMiss(idx)
+}
+
+// leafMiss is leafOf past the cache: it searches the directory and, on a
+// hit, fills the cache.
+func (as *AddressSpace) leafMiss(idx uint64) *leaf {
+	i, ok := as.find(idx)
+	if !ok {
+		return nil
+	}
+	as.cache(as.dir[i])
+	return as.dir[i].l
+}
+
+// cache fills r into way 0 of its set, moving the entry there to way 1.
+func (as *AddressSpace) cache(r leafRef) {
+	set := &as.lc[lcSet(r.key-1)]
+	set[1], set[0] = set[0], r
+}
+
+// find returns the position of leaf index idx in the directory, or where
+// it would be inserted, and whether it is there.
+func (as *AddressSpace) find(idx uint64) (int, bool) {
+	return slices.BinarySearchFunc(as.dir, idx+1, func(r leafRef, key uint64) int { return cmp.Compare(r.key, key) })
+}
+
+// leafFor is leafOf that creates the leaf when it is missing.
+func (as *AddressSpace) leafFor(idx uint64) *leaf {
+	if l := as.leafOf(idx); l != nil {
+		return l
+	}
+	r := leafRef{idx + 1, new(leaf)}
+	i, _ := as.find(idx)
+	as.dir = slices.Insert(as.dir, i, r)
+	as.cache(r)
+	return r.l
+}
+
+// pte returns the PTE for page, or nil when the page is not mapped. It
+// repeats leafOf's cache probe so that a hit costs one call, not two.
+func (as *AddressSpace) pte(page uint64) *PTE {
+	idx := page >> leafBits
+	set := &as.lc[lcSet(idx)]
+	var l *leaf
+	switch idx + 1 {
+	case set[0].key:
+		l = set[0].l
+	case set[1].key:
+		l = set[1].l
+	default:
+		if l = as.leafMiss(idx); l == nil {
+			return nil
+		}
+	}
+	if e := &l[page%leafSize]; e.Frame != nil {
+		return e
+	}
+	return nil
+}
+
+// pagesIn is the number of pages an operation over length bytes covers.
+func pagesIn(length uint64) int { return int((length + PageSize - 1) / PageSize) }
+
+// span returns the run of the n pages starting at vaddr that lies within
+// vaddr's leaf: the leaf index, the slot of vaddr's page in it, and the
+// run's length. Range operations walk one span at a time.
+func span(vaddr Addr, n int) (idx uint64, slot, run int) {
+	page := vaddr.PageOf()
+	slot = int(page % leafSize)
+	return page >> leafBits, slot, min(n, leafSize-slot)
 }
 
 // Map installs a mapping for one page. vaddr must be page aligned.
@@ -187,7 +314,12 @@ func (as *AddressSpace) Map(vaddr Addr, frame *Frame, perm Perm, key mpk.PKey) e
 	if frame == nil {
 		return fmt.Errorf("mem: Map with nil frame")
 	}
-	as.pages[vaddr.PageOf()] = PTE{Frame: frame, Perm: perm, PKey: key}
+	page := vaddr.PageOf()
+	e := &as.leafFor(page >> leafBits)[page%leafSize]
+	if e.Frame == nil {
+		as.n++
+	}
+	*e = PTE{Frame: frame, Perm: perm, PKey: key}
 	as.gen++
 	as.execGen++
 	return nil
@@ -208,7 +340,7 @@ func (as *AddressSpace) MapRange(vaddr Addr, length uint64, perm Perm, key mpk.P
 	if !vaddr.PageAligned() {
 		return fmt.Errorf("mem: MapRange at unaligned address %#x", uint64(vaddr))
 	}
-	n := int((length + PageSize - 1) / PageSize)
+	n := pagesIn(length)
 	for i := 0; i < n; i++ {
 		if err := as.Map(vaddr+Addr(i*PageSize), as.phys.AllocFrame(), perm, key); err != nil {
 			return err
@@ -219,32 +351,72 @@ func (as *AddressSpace) MapRange(vaddr Addr, length uint64, perm Perm, key mpk.P
 
 // ShareRange maps the pages backing [vaddr, vaddr+length) in src into this
 // address space at the same virtual addresses — the mechanism by which every
-// kProcess in a scheduling domain attaches SMAS (§5.1).
+// kProcess in a scheduling domain attaches SMAS (§5.1). PTEs are copied by
+// value: a later SetPKey or Protect on one address space leaves the other's
+// tags alone.
 func (as *AddressSpace) ShareRange(src *AddressSpace, vaddr Addr, length uint64) error {
 	// Bumped up front: a mid-range failure leaves earlier pages remapped,
 	// and those must still invalidate cached translations.
 	as.gen++
 	as.execGen++
-	n := int((length + PageSize - 1) / PageSize)
-	for i := 0; i < n; i++ {
+	n := pagesIn(length)
+	for i := 0; i < n; {
 		a := vaddr + Addr(i*PageSize)
-		pte, ok := src.pages[a.PageOf()]
-		if !ok {
-			return fmt.Errorf("mem: ShareRange: source page %#x not mapped", uint64(a))
+		idx, slot, run := span(a, n-i)
+		from := src.leafOf(idx)
+		var to *leaf
+		for j := 0; j < run; j++ {
+			if from == nil || from[slot+j].Frame == nil {
+				return fmt.Errorf("mem: ShareRange: source page %#x not mapped", uint64(a+Addr(j*PageSize)))
+			}
+			if to == nil {
+				to = as.leafFor(idx)
+			}
+			if to[slot+j].Frame == nil {
+				as.n++
+			}
+			to[slot+j] = from[slot+j]
 		}
-		as.pages[a.PageOf()] = pte
+		i += run
 	}
 	return nil
 }
 
-// Unmap removes mappings for [vaddr, vaddr+length).
+// Unmap removes mappings for [vaddr, vaddr+length). A leaf left empty is
+// dropped from the table.
 func (as *AddressSpace) Unmap(vaddr Addr, length uint64) {
-	n := int((length + PageSize - 1) / PageSize)
-	for i := 0; i < n; i++ {
-		delete(as.pages, (vaddr + Addr(i*PageSize)).PageOf())
+	n := pagesIn(length)
+	for i := 0; i < n; {
+		idx, slot, run := span(vaddr+Addr(i*PageSize), n-i)
+		i += run
+		l := as.leafOf(idx)
+		if l == nil {
+			continue
+		}
+		for j := slot; j < slot+run; j++ {
+			if l[j].Frame != nil {
+				l[j] = PTE{}
+				as.n--
+			}
+		}
+		if *l == (leaf{}) {
+			as.dropLeaf(idx)
+		}
 	}
 	as.gen++
 	as.execGen++
+}
+
+// dropLeaf removes leaf index idx from the directory and the cache.
+func (as *AddressSpace) dropLeaf(idx uint64) {
+	i, _ := as.find(idx)
+	as.dir = slices.Delete(as.dir, i, i+1)
+	set := &as.lc[lcSet(idx)]
+	for w := range set {
+		if set[w].key == idx+1 {
+			set[w] = leafRef{}
+		}
+	}
 }
 
 // Protect changes the permission bits of the pages covering
@@ -252,17 +424,7 @@ func (as *AddressSpace) Unmap(vaddr Addr, length uint64) {
 func (as *AddressSpace) Protect(vaddr Addr, length uint64, perm Perm) error {
 	as.gen++ // up front: a mid-range failure still mutated earlier pages
 	as.execGen++
-	n := int((length + PageSize - 1) / PageSize)
-	for i := 0; i < n; i++ {
-		a := vaddr + Addr(i*PageSize)
-		pte, ok := as.pages[a.PageOf()]
-		if !ok {
-			return fmt.Errorf("mem: Protect: page %#x not mapped", uint64(a))
-		}
-		pte.Perm = perm
-		as.pages[a.PageOf()] = pte
-	}
-	return nil
+	return as.update("Protect", vaddr, length, func(e *PTE) { e.Perm = perm })
 }
 
 // SetPKey tags the pages covering [vaddr, vaddr+length) with a protection
@@ -271,30 +433,39 @@ func (as *AddressSpace) Protect(vaddr Addr, length uint64, perm Perm) error {
 // consults the key, so decoded code stays valid across a re-tag.
 func (as *AddressSpace) SetPKey(vaddr Addr, length uint64, key mpk.PKey) error {
 	as.gen++ // up front: a mid-range failure still mutated earlier pages
-	n := int((length + PageSize - 1) / PageSize)
-	for i := 0; i < n; i++ {
+	return as.update("SetPKey", vaddr, length, func(e *PTE) { e.PKey = key })
+}
+
+// update applies fn to the PTE of each page covering [vaddr, vaddr+length)
+// in order, one leaf at a time. The first unmapped page stops it with an
+// error naming op; the pages before it stay changed.
+func (as *AddressSpace) update(op string, vaddr Addr, length uint64, fn func(*PTE)) error {
+	n := pagesIn(length)
+	for i := 0; i < n; {
 		a := vaddr + Addr(i*PageSize)
-		pte, ok := as.pages[a.PageOf()]
-		if !ok {
-			return fmt.Errorf("mem: SetPKey: page %#x not mapped", uint64(a))
+		idx, slot, run := span(a, n-i)
+		l := as.leafOf(idx)
+		for j := 0; j < run; j++ {
+			if l == nil || l[slot+j].Frame == nil {
+				return fmt.Errorf("mem: %s: page %#x not mapped", op, uint64(a+Addr(j*PageSize)))
+			}
+			fn(&l[slot+j])
 		}
-		pte.PKey = key
-		as.pages[a.PageOf()] = pte
+		i += run
 	}
 	return nil
 }
 
 // Lookup returns the PTE covering vaddr.
 func (as *AddressSpace) Lookup(vaddr Addr) (PTE, bool) {
-	pte, ok := as.pages[vaddr.PageOf()]
-	return pte, ok
+	if e := as.pte(vaddr.PageOf()); e != nil {
+		return *e, true
+	}
+	return PTE{}, false
 }
 
 // Mapped reports whether vaddr is mapped.
-func (as *AddressSpace) Mapped(vaddr Addr) bool {
-	_, ok := as.pages[vaddr.PageOf()]
-	return ok
-}
+func (as *AddressSpace) Mapped(vaddr Addr) bool { return as.pte(vaddr.PageOf()) != nil }
 
 // Check performs the full architectural access check — PTE permission bits
 // AND the PKRU register — and returns the frame on success. This mirrors
@@ -302,8 +473,8 @@ func (as *AddressSpace) Mapped(vaddr Addr) bool {
 // existing page permission bits and both permissions will be checked during
 // memory access" (§4.1).
 func (as *AddressSpace) Check(vaddr Addr, kind mpk.AccessKind, pkru mpk.PKRU) (*Frame, *Fault) {
-	pte, ok := as.pages[vaddr.PageOf()]
-	if !ok {
+	pte := as.pte(vaddr.PageOf())
+	if pte == nil {
 		return nil, &Fault{Addr: vaddr, Kind: FaultNotMapped, Op: kind}
 	}
 	if !pte.Perm.Allows(kind) {
@@ -445,4 +616,4 @@ func (as *AddressSpace) ReadCString(vaddr Addr, max int, pkru mpk.PKRU) (string,
 }
 
 // NumPages returns the number of mapped pages.
-func (as *AddressSpace) NumPages() int { return len(as.pages) }
+func (as *AddressSpace) NumPages() int { return as.n }

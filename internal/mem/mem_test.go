@@ -151,6 +151,17 @@ func TestShareRange(t *testing.T) {
 	if v, _ := manager.Read(0x10010, 8, mpk.AllowAllValue); v != 99 {
 		t.Fatalf("write not shared: %d", v)
 	}
+	// PTEs are copied by value: re-keying or unmapping the source leaves
+	// the shared mapping's tags alone.
+	if err := manager.SetPKey(0x10000, 2*PageSize, 5); err != nil {
+		t.Fatal(err)
+	}
+	manager.Unmap(0x10000, PageSize)
+	for _, a := range []Addr{0x10000, 0x11000} {
+		if pte, ok := kproc.Lookup(a); !ok || pte.PKey != 4 {
+			t.Fatalf("shared page %#x: %+v, %v; want key 4", uint64(a), pte, ok)
+		}
+	}
 	if err := kproc.ShareRange(manager, 0x50000, PageSize); err == nil {
 		t.Fatal("sharing unmapped source must fail")
 	}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"vessel/internal/mpk"
 )
@@ -41,15 +42,26 @@ type TLB struct {
 	as   *AddressSpace
 	gen  uint64
 	ents [TLBSize]tlbEntry
+	// filled has bit i set when ents[i] was filled since the last flush,
+	// so a flush clears only those: between two re-tags a core fills a
+	// handful of the 64 entries.
+	filled uint64
 
 	// Hits, Misses, and Flushes count lookups for benchmarks and tests.
 	// They are host-side observability, never part of simulated results.
 	Hits, Misses, Flushes uint64
 }
 
+// TLB.filled holds one bit per entry: this fails to compile if TLBSize
+// exceeds 64.
+const _ = uint64(1) << (64 - TLBSize)
+
 // Flush discards every cached translation.
 func (t *TLB) Flush() {
-	t.ents = [TLBSize]tlbEntry{}
+	for m := t.filled; m != 0; m &= m - 1 {
+		t.ents[bits.TrailingZeros64(m)].tag = 0
+	}
+	t.filled = 0
 	t.Flushes++
 }
 
@@ -72,12 +84,13 @@ func (as *AddressSpace) CheckVia(t *TLB, vaddr Addr, kind mpk.AccessKind, pkru m
 	e := &t.ents[page&(TLBSize-1)]
 	if e.tag != page+1 {
 		t.Misses++
-		pte, ok := as.pages[page]
-		if !ok {
+		pte := as.pte(page)
+		if pte == nil {
 			*f = Fault{Addr: vaddr, Kind: FaultNotMapped, Op: kind}
 			return nil
 		}
 		e.tag, e.frame, e.perm, e.pkey = page+1, pte.Frame, pte.Perm, pte.PKey
+		t.filled |= 1 << (page & (TLBSize - 1))
 	} else {
 		t.Hits++
 	}
@@ -125,13 +138,14 @@ func (as *AddressSpace) WriteVia(t *TLB, vaddr Addr, size int, value uint64, pkr
 // width-specialized accessors below.
 func (t *TLB) fill(as *AddressSpace, page uint64, vaddr Addr, kind mpk.AccessKind, f *Fault) bool {
 	t.Misses++
-	pte, ok := as.pages[page]
-	if !ok {
+	pte := as.pte(page)
+	if pte == nil {
 		*f = Fault{Addr: vaddr, Kind: FaultNotMapped, Op: kind}
 		return false
 	}
 	e := &t.ents[page&(TLBSize-1)]
 	e.tag, e.frame, e.perm, e.pkey = page+1, pte.Frame, pte.Perm, pte.PKey
+	t.filled |= 1 << (page & (TLBSize - 1))
 	return true
 }
 

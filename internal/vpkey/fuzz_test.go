@@ -12,12 +12,15 @@ import (
 // every operation: slot uniqueness, fence-tagging of evicted pages,
 // slot-tagging of resident pages, allocator/table agreement, pin-count
 // agreement with the per-core pins, and attribution balance. The ops are decoded two bytes at a time
-// (op selector, operand), so the corpus stays dense.
+// (op selector, operand), so the corpus stays dense. A touch or unpin
+// operand below 0x80 names one of four low cores; from 0x80 up it is the
+// core number itself, so the per-core tables grow to high cores.
 func FuzzVPkeyOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 4, 0, 1, 0, 2, 1, 3, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 2, 5})
+	f.Add([]byte{0, 0, 0, 0, 2, 0x81, 2, 0xc0, 1, 0x81, 3, 0x81, 2, 0xff, 1, 0xff, 4, 0, 3, 0xff, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		as := mem.NewAddressSpace(mem.NewPhysical())
 		keys := mpk.NewAllocator()
@@ -33,7 +36,13 @@ func FuzzVPkeyOps(f *testing.F) {
 		}
 		tab := New(as, keys, testFence, testLimit)
 
-		const cores = 4
+		const maxCore = 0xff
+		coreOf := func(arg byte) int {
+			if arg < 0x80 {
+				return int(arg) % 4
+			}
+			return int(arg)
+		}
 		base := mem.Addr(0x1000_0000)
 		// model: every live virtual key and its single bound page.
 		model := make(map[VKey]mem.Addr)
@@ -60,7 +69,7 @@ func FuzzVPkeyOps(f *testing.F) {
 			// Pin counts: every live key's count is the number of cores
 			// pinning it, so victim() and Free can test it in O(1).
 			pinners := make(map[VKey]int)
-			for c := 0; c < cores; c++ {
+			for c := 0; c <= maxCore; c++ {
 				if vk := tab.Pinned(c); vk != 0 {
 					pinners[vk]++
 				}
@@ -161,7 +170,7 @@ func FuzzVPkeyOps(f *testing.F) {
 				if !ok {
 					continue
 				}
-				slot, _, err := tab.Touch(vk, int(arg)%cores)
+				slot, _, err := tab.Touch(vk, coreOf(arg))
 				if err != nil {
 					continue // every slot pinned elsewhere — legal
 				}
@@ -169,7 +178,7 @@ func FuzzVPkeyOps(f *testing.F) {
 					t.Fatalf("Touch returned slot %d but SlotOf says (%d, %v)", slot, got, ok2)
 				}
 			case 3: // unpin a core
-				tab.Unpin(int(arg) % cores)
+				tab.Unpin(coreOf(arg))
 			case 4: // eviction storm
 				tab.Thrash()
 			}

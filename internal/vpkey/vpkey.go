@@ -104,15 +104,20 @@ type Table struct {
 	// owning SMAS (fixed-role keys are never slots).
 	limit mpk.PKey
 
-	entries map[VKey]*entry
+	// entries[vk] is vk's entry, nil once freed. Keys are issued densely
+	// from 1, so entries[0] is always nil and the next key to issue is
+	// len(entries).
+	entries []*entry
+	live    int
 	// slots[k] is the entry resident on hardware key k, nil when k is not
 	// a slot the table holds.
 	slots [mpk.NumKeys]*entry
-	pins  map[int]VKey
-	warm  map[int]*[warmWays]warmLine
+	// pins[core] is the key core pins, 0 for none; warm[core] is core's
+	// warm cache. Both grow to the highest core that has touched a key.
+	pins  []VKey
+	warm  [][warmWays]warmLine
 	clock uint64
 	gen   uint64
-	next  VKey
 
 	// Counters, all monotonic and deterministic.
 	Allocs        uint64
@@ -142,10 +147,7 @@ func New(as *mem.AddressSpace, keys *mpk.Allocator, fence, limit mpk.PKey) *Tabl
 		keys:    keys,
 		fence:   fence,
 		limit:   limit,
-		entries: make(map[VKey]*entry),
-		pins:    make(map[int]VKey),
-		warm:    make(map[int]*[warmWays]warmLine),
-		next:    1,
+		entries: []*entry{nil},
 	}
 }
 
@@ -155,7 +157,15 @@ func New(as *mem.AddressSpace, keys *mpk.Allocator, fence, limit mpk.PKey) *Tabl
 func (t *Table) Generation() uint64 { return t.gen }
 
 // Live returns the number of live virtual keys.
-func (t *Table) Live() int { return len(t.entries) }
+func (t *Table) Live() int { return t.live }
+
+// entry returns vk's entry, or nil when vk is not live.
+func (t *Table) entry(vk VKey) *entry {
+	if vk <= 0 || int(vk) >= len(t.entries) {
+		return nil
+	}
+	return t.entries[vk]
+}
 
 // Resident returns how many live virtual keys currently hold a slot.
 func (t *Table) Resident() int {
@@ -199,15 +209,15 @@ func (t *Table) clearSlot(e *entry) mpk.PKey {
 // SlotOf returns vk's current slot; ok is false while vk is evicted or
 // unknown.
 func (t *Table) SlotOf(vk VKey) (mpk.PKey, bool) {
-	e, ok := t.entries[vk]
-	if !ok || e.slot == 0 {
+	e := t.entry(vk)
+	if e == nil || e.slot == 0 {
 		return 0, false
 	}
 	return e.slot, true
 }
 
 // MaxIssued returns the highest virtual key handed out so far.
-func (t *Table) MaxIssued() VKey { return t.next - 1 }
+func (t *Table) MaxIssued() VKey { return VKey(len(t.entries) - 1) }
 
 // Alloc issues a fresh virtual key and makes it resident, evicting the
 // least-recently-used unpinned key if no hardware slot is free. The
@@ -217,11 +227,11 @@ func (t *Table) Alloc() (VKey, mpk.PKey, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	vk := t.next
-	t.next++
+	vk := VKey(len(t.entries))
 	t.clock++
 	e := &entry{vk: vk, lastTouch: t.clock}
-	t.entries[vk] = e
+	t.entries = append(t.entries, e)
+	t.live++
 	t.setSlot(slot, e)
 	t.Allocs++
 	return vk, slot, nil
@@ -231,8 +241,8 @@ func (t *Table) Alloc() (VKey, mpk.PKey, error) {
 // current slot (the caller maps them with the slot Alloc returned); from
 // here on evict/refill re-tags them.
 func (t *Table) Bind(vk VKey, base mem.Addr, size uint64) error {
-	e, ok := t.entries[vk]
-	if !ok {
+	e := t.entry(vk)
+	if e == nil {
 		return fmt.Errorf("vpkey: Bind of unknown key %d", vk)
 	}
 	pages := int((size + mem.PageSize - 1) / mem.PageSize)
@@ -245,8 +255,8 @@ func (t *Table) Bind(vk VKey, base mem.Addr, size uint64) error {
 // allocator; an evicted key owns no slot. The caller unmaps the pages.
 // Freeing a pinned key is refused — some core's PKRU still grants it.
 func (t *Table) Free(vk VKey) error {
-	e, ok := t.entries[vk]
-	if !ok {
+	e := t.entry(vk)
+	if e == nil {
 		return fmt.Errorf("vpkey: Free of unknown key %d", vk)
 	}
 	if e.pins > 0 {
@@ -258,29 +268,35 @@ func (t *Table) Free(vk VKey) error {
 			return fmt.Errorf("vpkey: releasing slot %d: %w", slot, err)
 		}
 	}
-	delete(t.entries, vk)
+	t.entries[vk] = nil
+	t.live--
 	t.Frees++
 	return nil
 }
 
 // Touch makes vk resident (refilling after an eviction if needed), pins it
-// to core, and returns its slot plus the number of pages re-tagged — the
-// cost the caller charges to the core. The per-core warm cache makes the
-// no-eviction crossing path a handful of comparisons.
+// to core (an index; a negative core is refused), and returns its slot
+// plus the number of pages re-tagged — the cost the caller charges to the
+// core. The per-core warm cache makes the no-eviction crossing path a
+// handful of comparisons.
 func (t *Table) Touch(vk VKey, core int) (mpk.PKey, int, error) {
-	e, ok := t.entries[vk]
-	if !ok {
+	e := t.entry(vk)
+	if e == nil {
 		return 0, 0, fmt.Errorf("vpkey: Touch of unknown key %d", vk)
 	}
-	if w := t.warm[core]; w != nil {
-		l := &w[int(vk)%warmWays]
-		if l.vk == vk && l.gen == t.gen {
-			t.WarmHits++
-			t.clock++
-			e.lastTouch = t.clock
-			t.pin(core, e)
-			return l.slot, 0, nil
-		}
+	if core < 0 {
+		return 0, 0, fmt.Errorf("vpkey: Touch of key %d on invalid core %d", vk, core)
+	}
+	if core >= len(t.pins) {
+		t.pins = append(t.pins, make([]VKey, core+1-len(t.pins))...)
+		t.warm = append(t.warm, make([][warmWays]warmLine, core+1-len(t.warm))...)
+	}
+	if l := &t.warm[core][int(vk)%warmWays]; l.vk == vk && l.gen == t.gen {
+		t.WarmHits++
+		t.clock++
+		e.lastTouch = t.clock
+		t.pin(core, e)
+		return l.slot, 0, nil
 	}
 	t.clock++
 	e.lastTouch = t.clock
@@ -301,22 +317,18 @@ func (t *Table) Touch(vk VKey, core int) (mpk.PKey, int, error) {
 			t.OnRefill(core, vk, slot, retagged)
 		}
 	}
-	w := t.warm[core]
-	if w == nil {
-		w = new([warmWays]warmLine)
-		t.warm[core] = w
-	}
-	w[int(vk)%warmWays] = warmLine{vk: vk, slot: e.slot, gen: t.gen}
+	t.warm[core][int(vk)%warmWays] = warmLine{vk: vk, slot: e.slot, gen: t.gen}
 	return e.slot, retagged, nil
 }
 
 // pin makes e the key core pins, moving the core's pin count off the key
-// it pinned before.
+// it pinned before. core indexes pins: Touch has grown it.
 func (t *Table) pin(core int, e *entry) {
-	if old, ok := t.pins[core]; ok {
-		if old == e.vk {
-			return
-		}
+	old := t.pins[core]
+	if old == e.vk {
+		return
+	}
+	if old != 0 {
 		t.entries[old].pins--
 	}
 	t.pins[core] = e.vk
@@ -326,14 +338,19 @@ func (t *Table) pin(core int, e *entry) {
 // Unpin releases a core's pin, making its last virtual key evictable
 // again. Call it when the core idles or is fenced.
 func (t *Table) Unpin(core int) {
-	if old, ok := t.pins[core]; ok {
+	if old := t.Pinned(core); old != 0 {
 		t.entries[old].pins--
-		delete(t.pins, core)
+		t.pins[core] = 0
 	}
 }
 
 // Pinned returns the virtual key core currently pins, or 0.
-func (t *Table) Pinned(core int) VKey { return t.pins[core] }
+func (t *Table) Pinned(core int) VKey {
+	if core < 0 || core >= len(t.pins) {
+		return 0
+	}
+	return t.pins[core]
+}
 
 // acquireSlot finds a free hardware slot: from the allocator if one is
 // free in the app range, otherwise by evicting the LRU unpinned resident
@@ -437,10 +454,9 @@ type Info struct {
 
 // LiveInfo snapshots every live virtual key in ascending key order.
 func (t *Table) LiveInfo() []Info {
-	out := make([]Info, 0, len(t.entries))
-	for vk := VKey(1); vk < t.next; vk++ {
-		e, ok := t.entries[vk]
-		if !ok {
+	out := make([]Info, 0, t.live)
+	for _, e := range t.entries {
+		if e == nil {
 			continue
 		}
 		out = append(out, Info{
