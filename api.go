@@ -350,7 +350,8 @@ type (
 	// takeover).
 	ClusterPolicySwap = clustersched.PolicySwap
 	// ClusterSchedReport summarises a scheduled-cluster run; its
-	// Canonical() bytes are the determinism witness clusterbench gates on.
+	// Canonical() bytes are the determinism witness the cluster golden
+	// test gates on.
 	ClusterSchedReport = clustersched.Report
 	// ClusterOp is one committed grant/revoke ledger operation — the
 	// record the conformance oracle replays.

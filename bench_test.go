@@ -14,7 +14,7 @@ import (
 
 	"vessel/internal/cpu"
 	"vessel/internal/experiments"
-	"vessel/internal/mmubench"
+	"vessel/internal/hostbench"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
 	ivessel "vessel/internal/vessel"
@@ -163,20 +163,37 @@ func BenchmarkFigure13b(b *testing.B) {
 	}
 }
 
-// ---- simulated-MMU fast path --------------------------------------------------
+// ---- host-time gates -----------------------------------------------------------
 //
-// Bodies live in internal/mmubench so cmd/mmubench can run the identical
-// code and emit BENCH_mmu.json; the Slow variants measure the same work
-// with the fast path off, giving an in-process speedup ratio.
+// Bodies live in internal/hostbench so cmd/bench runs the identical code
+// and gates it into BENCH_host.json; the Slow variants measure the same
+// work with the fast path off, giving an in-process speedup ratio.
 
-func BenchmarkCoreStep(b *testing.B)       { mmubench.BenchCoreStep(b) }
-func BenchmarkCoreStepNoSB(b *testing.B)   { mmubench.BenchCoreStepNoSB(b) }
-func BenchmarkCoreStepSlow(b *testing.B)   { mmubench.BenchCoreStepSlow(b) }
-func BenchmarkASCheckHit(b *testing.B)     { mmubench.BenchASCheckHit(b) }
-func BenchmarkASCheckHitSlow(b *testing.B) { mmubench.BenchASCheckHitSlow(b) }
-func BenchmarkReadBytes4K(b *testing.B)    { mmubench.BenchReadBytes4K(b) }
-func BenchmarkReadBytes4KSlow(b *testing.B) {
-	mmubench.BenchReadBytes4KSlow(b)
+func BenchmarkCoreStep(b *testing.B)        { hostbench.BenchCoreStep(b) }
+func BenchmarkCoreStepNoSB(b *testing.B)    { hostbench.BenchCoreStepNoSB(b) }
+func BenchmarkCoreStepSlow(b *testing.B)    { hostbench.BenchCoreStepSlow(b) }
+func BenchmarkASCheckHit(b *testing.B)      { hostbench.BenchASCheckHit(b) }
+func BenchmarkASCheckHitSlow(b *testing.B)  { hostbench.BenchASCheckHitSlow(b) }
+func BenchmarkReadBytes4K(b *testing.B)     { hostbench.BenchReadBytes4K(b) }
+func BenchmarkReadBytes4KSlow(b *testing.B) { hostbench.BenchReadBytes4KSlow(b) }
+
+// BenchmarkJourneyOverheadPaired reports the journey-on overhead of b.N
+// paired obs-only / obs+journey colocation runs (DESIGN.md §15).
+func BenchmarkJourneyOverheadPaired(b *testing.B) { benchJourneyPaired(b, 0) }
+
+// BenchmarkJourneyOverheadSampledPaired is the same pairing with 1-in-16
+// request sampling.
+func BenchmarkJourneyOverheadSampledPaired(b *testing.B) { benchJourneyPaired(b, 16) }
+
+func benchJourneyPaired(b *testing.B, sampleEvery int) {
+	pct, obsMs, journeyMs, err := hostbench.JourneyOverheadPaired(b.N, sampleEvery)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(pct, "overhead-pct")
+	b.ReportMetric(obsMs, "obs-ms")
+	b.ReportMetric(journeyMs, "journey-ms")
+	b.ReportMetric(0, "ns/op") // wall time is split across variants; ns/op is not meaningful here
 }
 
 // ---- ablations ---------------------------------------------------------------

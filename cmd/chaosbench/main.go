@@ -41,8 +41,6 @@ var (
 	random   = flag.Int("random", 8, "extra random Uintr drop/delay faults")
 	events   = flag.Int("events", 12, "containment-trace tail lines to print")
 	traceOut = flag.String("trace", "", "write the chaos run's observability span timeline to this file")
-	soak     = flag.Bool("soak", false, "run the cluster self-healing soak (five fault classes, MTTR and determinism gates) instead of the containment benchmark")
-	benchOut = flag.String("out", "BENCH_chaos.json", "soak mode: write the benchmark summary JSON here (empty disables)")
 )
 
 func parkLoop(mg *vessel.Manager, name string) *smas.Program {
@@ -155,10 +153,6 @@ func main() {
 	flag.Parse()
 	if *seeds < 1 {
 		os.Exit(cliflags.UsageErr("chaosbench", fmt.Errorf("-seeds must be ≥ 1 (got %d)", *seeds)))
-	}
-	if *soak {
-		soakMain()
-		return
 	}
 	fmt.Printf("chaosbench: survivor latency with a crash-looping neighbour (seed=%d, seeds=%d, %d steps @ quantum %d)\n\n",
 		*seed, *seeds, *steps, *quantum)

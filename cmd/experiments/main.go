@@ -8,9 +8,8 @@
 //
 // Independent simulation runs execute on a worker pool (-parallel, which
 // never changes output bytes, only wall-clock time) and can be memoized
-// in a content-addressed cache (-cache). The -benchharness mode times a
-// quick fig9 sweep sequentially and in parallel, checks the outputs are
-// byte-identical, and writes the comparison to a JSON file.
+// in a content-addressed cache (-cache). cmd/bench times a quick fig9
+// sweep sequentially and in parallel and gates on identical bytes.
 package main
 
 import (
@@ -19,12 +18,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"vessel/internal/experiments"
-	"vessel/internal/harness"
 	"vessel/internal/harness/cliflags"
 	"vessel/internal/obs"
 )
@@ -39,12 +35,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	traceOut := flag.String("trace", "", "write the observability span timeline to this file (convert with traceconv)")
 	obsOut := flag.String("obs", "", "write the observability bench report (profile + metrics) to this JSON file")
-	benchHarness := flag.String("benchharness", "", "time fig9mc -quick at -parallel 1 vs -parallel N, verify byte equality, write the comparison to this JSON file, and exit")
 	flag.Parse()
-
-	if *benchHarness != "" {
-		os.Exit(runBenchHarness(*seed, *parallel, *benchHarness))
-	}
 
 	exec, err := cliflags.Exec(*parallel, *cacheDir)
 	if err != nil {
@@ -201,68 +192,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "experiments: observability report written to %s\n", *obsOut)
 	}
-}
-
-// harnessBench is the BENCH_harness.json record: the same quick fig9
-// sweep timed sequentially and on the worker pool, with the byte-equality
-// verdict the harness's determinism contract promises.
-type harnessBench struct {
-	Bench        string  `json:"bench"`
-	Experiment   string  `json:"experiment"`
-	Seed         uint64  `json:"seed"`
-	Cores        int     `json:"cores"`
-	Parallel     int     `json:"parallel"`
-	SequentialNs int64   `json:"sequential_ns"`
-	ParallelNs   int64   `json:"parallel_ns"`
-	Speedup      float64 `json:"speedup"`
-	Identical    bool    `json:"outputs_identical"`
-}
-
-func runBenchHarness(seed uint64, parallel int, outPath string) int {
-	o := experiments.Options{Seed: seed, Quick: true}
-	render := func(width int) (string, time.Duration, error) {
-		opts := o
-		opts.Exec = &harness.Executor{Parallel: width}
-		start := time.Now()
-		f, err := experiments.Figure9(opts, "memcached")
-		if err != nil {
-			return "", 0, err
-		}
-		return f.String(), time.Since(start), nil
-	}
-	seqOut, seqDur, err := render(1)
-	if err != nil {
-		cliflags.Fail("experiments: benchharness", err)
-	}
-	parOut, parDur, err := render(parallel)
-	if err != nil {
-		cliflags.Fail("experiments: benchharness", err)
-	}
-	b := harnessBench{
-		Bench:        "harness-parallel",
-		Experiment:   "fig9mc-quick",
-		Seed:         seed,
-		Cores:        runtime.NumCPU(),
-		Parallel:     parallel,
-		SequentialNs: seqDur.Nanoseconds(),
-		ParallelNs:   parDur.Nanoseconds(),
-		Speedup:      float64(seqDur) / float64(parDur),
-		Identical:    seqOut == parOut,
-	}
-	if err := writeTo(outPath, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(b)
-	}); err != nil {
-		cliflags.Fail("experiments: benchharness", err)
-	}
-	fmt.Printf("benchharness: fig9mc -quick sequential %v, -parallel %d %v (%.2fx); outputs identical: %v\n",
-		seqDur.Round(time.Millisecond), parallel, parDur.Round(time.Millisecond), b.Speedup, b.Identical)
-	if !b.Identical {
-		fmt.Fprintln(os.Stderr, "experiments: benchharness: parallel output diverged from sequential output")
-		return cliflags.ExitFailure
-	}
-	return cliflags.ExitOK
 }
 
 func writeTo(path string, write func(w io.Writer) error) error {

@@ -3,8 +3,8 @@ package clustersched
 // Report is the scheduler's determinism witness: the full transaction
 // and ledger-operation history with a canonical byte rendering.
 // Identical runs produce byte-identical Canonical output at any test
-// parallelism — the property the conformance sweep and clusterbench
-// double-run gates hold.
+// parallelism — the property the double-run gates of the conformance
+// sweep and the cluster golden test hold.
 
 import (
 	"bytes"
@@ -118,7 +118,7 @@ func (r *Report) Canonical() []byte {
 }
 
 // ActuationOK reports whether every delivered op actuated within the
-// given virtual-time bound — the clusterbench latency gate.
+// given virtual-time bound — the cluster golden test's latency gate.
 func (r *Report) ActuationOK(bound sim.Duration) bool {
 	return r.Actuation.Count == 0 || sim.Duration(r.Actuation.Max) <= bound
 }

@@ -2,8 +2,6 @@ package conformance
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -11,8 +9,6 @@ import (
 	"vessel/internal/obs"
 	"vessel/internal/vessel"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite obs golden files")
 
 // goldenRun executes the fixed-seed VESSEL scenario with the observer
 // attached and renders the two export formats whose bytes we pin.
@@ -43,23 +39,7 @@ func TestObsGoldenOutput(t *testing.T) {
 		{filepath.Join("testdata", "obs_golden_collapsed.txt"), collapsed},
 	}
 	for _, g := range goldens {
-		if *updateGolden {
-			if err := os.MkdirAll(filepath.Dir(g.path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(g.path, g.got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(g.path)
-		if err != nil {
-			t.Fatalf("%s missing (run with -update to create): %v", g.path, err)
-		}
-		if !bytes.Equal(g.got, want) {
-			t.Errorf("%s differs from golden (%d vs %d bytes); run with -update after intentional changes",
-				g.path, len(g.got), len(want))
-		}
+		checkGolden(t, g.path, g.got)
 	}
 	if err := obs.ValidateChromeTrace(bytes.NewReader(chrome)); err != nil {
 		t.Fatalf("golden chrome trace fails validation: %v", err)

@@ -3,7 +3,6 @@ package conformance
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -130,20 +129,5 @@ func TestVPkeyEvictionStormDeterministic(t *testing.T) {
 // diff. Run with -update to rebless after an intentional change.
 func TestVPkeyEvictionStormGolden(t *testing.T) {
 	_, rep := runThrashStorm(t)
-	path := filepath.Join("testdata", "vpkey_thrash_storm.golden")
-	got := rep.Canonical()
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%s missing (run with -update to create): %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s differs from golden (%d vs %d bytes); run with -update after intentional changes\n--- got ---\n%s",
-			path, len(got), len(want), got)
-	}
+	checkGolden(t, filepath.Join("testdata", "vpkey_thrash_storm.golden"), rep.Canonical())
 }

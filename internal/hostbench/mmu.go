@@ -1,12 +1,13 @@
-// Package mmubench holds the simulated-MMU fast-path benchmark bodies.
+// Package hostbench holds the host-time benchmark bodies that cmd/bench
+// gates and the `go test -bench` wrappers in the repository root share.
 //
-// Each body takes a *testing.B so the same code serves two masters: the
-// ordinary `go test -bench` wrappers in the repository root, and
-// cmd/mmubench, which runs them through testing.Benchmark to produce the
-// BENCH_mmu.json artifact CI archives. The Slow variants measure the same
-// operation with the fast path off (per-byte walks, direct page-table
-// Check), so a single process yields a machine-independent speedup ratio.
-package mmubench
+// The MMU bodies take a *testing.B; cmd/bench runs them through
+// testing.Benchmark. Their Slow variants measure the same operation with
+// the fast path off (per-byte walks, direct page-table Check), so a
+// single process yields a machine-independent speedup ratio. The journey
+// body runs a fixed number of paired iterations, which testing.Benchmark
+// cannot do, so it is a plain function.
+package hostbench
 
 import (
 	"testing"
@@ -71,8 +72,8 @@ func stepProgram(b *testing.B, m *cpu.Machine, as *mem.AddressSpace) {
 
 // BenchCoreStep measures ns per simulated instruction on the default
 // path: superblock fusion over the software TLB + decoded-fetch cache.
-// The non-faulting run must not allocate: CI fails if allocs/op is
-// nonzero.
+// The non-faulting run must not allocate: cmd/bench fails if allocs/op
+// is nonzero.
 func BenchCoreStep(b *testing.B) {
 	m, c, as := env(b)
 	stepProgram(b, m, as)
@@ -134,8 +135,8 @@ func BenchASCheckHitSlow(b *testing.B) {
 
 // BenchReadBytes4K measures a page-sized bulk copy out of uProcess memory
 // (the syscall-layer buffer path): one permission check per page touched,
-// into a reused buffer — the non-faulting path must not allocate, and CI
-// gates allocs/op at zero.
+// into a reused buffer — the non-faulting path must not allocate, and
+// cmd/bench gates allocs/op at zero.
 func BenchReadBytes4K(b *testing.B) {
 	_, _, as := env(b)
 	buf := make([]byte, mem.PageSize)
@@ -167,8 +168,8 @@ func BenchReadBytes4KSlow(b *testing.B) {
 	}
 }
 
-// MachineCores sizes the whole-machine IPS benchmark; cmd/mmubench uses
-// it to turn ns/op into instructions per wall-second.
+// MachineCores sizes the whole-machine IPS benchmark; cmd/bench uses it
+// to turn ns/op into instructions per wall-second.
 const MachineCores = 8
 
 // BenchMachineIPS measures whole-machine simulated instruction
@@ -177,7 +178,7 @@ const MachineCores = 8
 // standard inner-loop mix, so one op is one instruction on every core.
 // Whole-machine IPS is MachineCores × 1e9 / (ns/op) — the figure of
 // merit for "how much simulated machine one wall-second buys", tracked
-// as a soft regression gate in BENCH_mmu.json.
+// as a soft regression gate in BENCH_host.json.
 func BenchMachineIPS(b *testing.B) {
 	m := cpu.NewMachine(MachineCores, cpu.Default())
 	as := mem.NewAddressSpace(m.Phys)

@@ -166,7 +166,9 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 // schema subset every consumer requires: a traceEvents array whose entries
 // all carry ph (string), ts (number), pid (number), tid (number), and name
 // (string). An empty trace fails — a run that recorded nothing is a
-// configuration error, not a valid export. This is the CI schema gate.
+// configuration error, not a valid export. Flow events must pair up: every
+// "s" (flow start) id needs an "f" (flow end) with the same id, and the
+// reverse, or a viewer draws arrows to nowhere. This is the CI schema gate.
 func ValidateChromeTrace(r io.Reader) error {
 	var doc struct {
 		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`
@@ -178,6 +180,7 @@ func ValidateChromeTrace(r io.Reader) error {
 	if len(doc.TraceEvents) == 0 {
 		return fmt.Errorf("obs: trace has no events")
 	}
+	flows := map[string]int{} // flow id → starts minus ends
 	for i, ev := range doc.TraceEvents {
 		for _, key := range []string{"ph", "name"} {
 			var s string
@@ -192,6 +195,19 @@ func ValidateChromeTrace(r io.Reader) error {
 			if !ok || json.Unmarshal(raw, &n) != nil {
 				return fmt.Errorf("obs: event %d: missing or non-numeric %q", i, key)
 			}
+		}
+		var ph string
+		json.Unmarshal(ev["ph"], &ph) // checked above
+		switch ph {
+		case "s":
+			flows[string(ev["id"])]++
+		case "f":
+			flows[string(ev["id"])]--
+		}
+	}
+	for id, n := range flows {
+		if n != 0 {
+			return fmt.Errorf("obs: flow id %s is unpaired (starts minus ends = %d)", id, n)
 		}
 	}
 	return nil

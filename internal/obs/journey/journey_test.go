@@ -2,6 +2,7 @@ package journey
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -190,8 +191,8 @@ func TestSLOWindows(t *testing.T) {
 		j := tr.Mint("req", arrive)
 		j.Finish(done)
 	}
-	finish(us(1), us(2))  // 1µs: good, window 0
-	finish(us(3), us(8))  // 5µs: bad, window 0
+	finish(us(1), us(2))   // 1µs: good, window 0
+	finish(us(3), us(8))   // 5µs: bad, window 0
 	finish(us(11), us(12)) // good, window 1
 	if g, b := tr.SLOCounts(); g != 2 || b != 1 {
 		t.Fatalf("SLO counts good=%d bad=%d", g, b)
@@ -267,6 +268,26 @@ func TestChromeTraceValidates(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("chrome trace missing %s:\n%s", want, s)
 		}
+	}
+	// Mutant: drop one flow end, and the orphaned start must fail.
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range doc.TraceEvents {
+		if ev["ph"] == "f" {
+			doc.TraceEvents = append(doc.TraceEvents[:i], doc.TraceEvents[i+1:]...)
+			break
+		}
+	}
+	mutant, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obs.ValidateChromeTrace(bytes.NewReader(mutant)) == nil {
+		t.Fatal("validator accepted a flow start with no end")
 	}
 }
 

@@ -258,6 +258,8 @@ func TestChromeTraceValidates(t *testing.T) {
 		`{"traceEvents":[{"name":"x","ts":1,"pid":0,"tid":0}]}`,            // no ph
 		`{"traceEvents":[{"name":"x","ph":"X","ts":"q","pid":0,"tid":0}]}`, // ts not a number
 		`not json`,
+		`{"traceEvents":[{"name":"a","ph":"s","id":"j1","ts":1,"pid":0,"tid":0}]}`, // flow start, no end
+		`{"traceEvents":[{"name":"a","ph":"f","id":"j1","ts":1,"pid":0,"tid":0}]}`, // flow end, no start
 	} {
 		if err := ValidateChromeTrace(strings.NewReader(bad)); err == nil {
 			t.Fatalf("validator accepted %s", bad)

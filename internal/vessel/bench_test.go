@@ -1,10 +1,7 @@
 package vessel
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
-	"time"
 
 	"vessel/internal/cpu"
 	"vessel/internal/obs"
@@ -64,79 +61,11 @@ func BenchmarkSimulatorThroughputObs(b *testing.B) {
 // BenchmarkSimulatorThroughputJourney adds request-journey tracing on top
 // of the observability layer: every request mints a span tree and the
 // flight recorder runs at its default capacity. Compare against
-// BenchmarkSimulatorThroughputObs for the absolute cost; the CI journey
-// job gates the paired ratio below (see DESIGN.md §15).
+// BenchmarkSimulatorThroughputObs for the absolute cost; cmd/bench gates
+// the paired ratio (see DESIGN.md §15).
 func BenchmarkSimulatorThroughputJourney(b *testing.B) {
 	benchRun(b, func(cfg *sched.Config) {
 		cfg.Obs = obs.New(0)
 		cfg.Journey = journey.New()
 	})
-}
-
-// BenchmarkJourneyOverheadPaired measures the journey-on cost as a ratio,
-// not a pair of absolute numbers: every iteration runs the same seeded
-// colocation twice — obs-only and obs+journey, alternating which goes
-// first — and accumulates wall time per variant. Because both runs in a
-// pair see near-identical machine state (frequency scaling, cache
-// residency, co-tenant load), the reported overhead-pct is stable where
-// comparing two separately-run benchmarks is not. The CI journey job
-// takes the minimum across repetitions as a regression tripwire — see
-// DESIGN.md §15 for the measured numbers and the gate's rationale.
-func BenchmarkJourneyOverheadPaired(b *testing.B) {
-	benchJourneyPaired(b, journey.New)
-}
-
-// BenchmarkJourneyOverheadSampledPaired is the same paired measurement
-// with 1-in-16 request sampling — the production-style configuration the
-// CI soft gate tracks. Sampling skips span-tree construction for 15 of 16
-// requests, so its overhead should sit well below the trace-everything
-// variant's.
-func BenchmarkJourneyOverheadSampledPaired(b *testing.B) {
-	benchJourneyPaired(b, func() *journey.Tracer {
-		return journey.NewTracer(journey.Config{SampleEvery: 16})
-	})
-}
-
-func benchJourneyPaired(b *testing.B, mkTracer func() *journey.Tracer) {
-	// GC pacing is pinned for the duration: each timed region runs with
-	// the collector off and the previous run's garbage is collected at
-	// the untimed barrier below. Allocation cost stays in the measurement;
-	// collector scheduling noise (which swamps a 5% signal) does not.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var tObs, tJourney time.Duration
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < 2; k++ {
-			mc := workload.NewLApp("memcached", workload.Memcached(), 4e6)
-			cfg := sched.Config{
-				Seed:     uint64(i + 1),
-				Cores:    8,
-				Duration: 10 * sim.Millisecond,
-				Warmup:   2 * sim.Millisecond,
-				Apps:     []*workload.App{mc, workload.Linpack()},
-				Costs:    cpu.Default(),
-				Obs:      obs.New(0),
-			}
-			withJourney := (i+k)%2 == 1
-			if withJourney {
-				cfg.Journey = mkTracer()
-			}
-			// Each timed run starts from a freshly-collected heap so one
-			// variant's garbage cannot tax the other's timed region.
-			runtime.GC()
-			start := time.Now()
-			if _, err := (Simulator{}).Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-			d := time.Since(start)
-			if withJourney {
-				tJourney += d
-			} else {
-				tObs += d
-			}
-		}
-	}
-	b.ReportMetric((tJourney.Seconds()/tObs.Seconds()-1)*100, "overhead-pct")
-	b.ReportMetric(tObs.Seconds()*1000/float64(b.N), "obs-ms")
-	b.ReportMetric(tJourney.Seconds()*1000/float64(b.N), "journey-ms")
-	b.ReportMetric(0, "ns/op") // wall time is split across variants; ns/op is not meaningful here
 }
