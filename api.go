@@ -50,9 +50,6 @@ type (
 	Time = sim.Time
 	// LatencySummary is the Avg/P50/P90/P99/P999 report.
 	LatencySummary = sched.AppResult
-	// TraceRecorder captures per-core execution segments; set Config.Trace
-	// to one and call Render for Figure 7-style timelines.
-	TraceRecorder = trace.Recorder
 	// Observer is the deterministic observability layer (span timelines,
 	// cycle attribution, metrics registry); set Config.Obs to one built
 	// with NewObserver, or attach it to a Manager with AttachObs.
@@ -91,10 +88,6 @@ const (
 // DefaultCosts returns the calibrated cost model (DESIGN.md §4). Clone it
 // to sweep individual constants.
 func DefaultCosts() *CostModel { return cpu.Default() }
-
-// NewTraceRecorder returns a bounded timeline recorder keeping at most max
-// segments (max ≤ 0 selects a generous default).
-func NewTraceRecorder(max int) *TraceRecorder { return trace.NewRecorder(max) }
 
 // VESSEL returns the paper's scheduler: one-level global scheduling with
 // sub-microsecond userspace context switches.

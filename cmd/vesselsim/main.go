@@ -19,6 +19,10 @@ import (
 	"vessel/internal/harness/cliflags"
 )
 
+// timelineSpans is the span budget of a -timeline run, split evenly over
+// the cores' rings (2^17 each at the default 16 cores, ~100 MB in all).
+const timelineSpans = 1 << 21
+
 func main() {
 	schedName := flag.String("sched", "vessel", "scheduler to run")
 	cores := flag.Int("cores", 16, "worker cores in the domain")
@@ -30,7 +34,6 @@ func main() {
 	seed := cliflags.Seed(1)
 	outPath := cliflags.Out()
 	timeline := flag.Bool("timeline", false, "render Figure 7-style core timelines of a 100µs window")
-	chromeOut := flag.String("chrometrace", "", "write a chrome://tracing JSON of the run to this file")
 	traceOut := flag.String("trace", "", "write the observability span timeline to this file (convert with traceconv)")
 	journeyOut := flag.String("journey", "", "write the request-journey export to this file (convert with traceconv) and print the critical-path breakdown")
 	journeySample := flag.Int("journeysample", 1, "with -journey: trace 1 in N requests (1 traces all; sampling bounds overhead at high load)")
@@ -72,16 +75,14 @@ func main() {
 		Costs:        vessel.DefaultCosts(),
 		BWTargetFrac: *bwTarget,
 	}
-	var rec *vessel.TraceRecorder
-	if *timeline || *chromeOut != "" {
-		rec = vessel.NewTraceRecorder(1 << 20)
-		cfg.Trace = rec
-	}
 	var o *vessel.Observer
-	if *traceOut != "" || *profile {
+	switch {
+	case *timeline:
+		o = vessel.NewObserver(timelineSpans / max(*cores, 1))
+	case *traceOut != "" || *profile:
 		o = vessel.NewObserver(0)
-		cfg.Obs = o
 	}
+	cfg.Obs = o
 	var tr *vessel.JourneyTracer
 	if *journeyOut != "" {
 		tr = vessel.NewJourneyTracerWith(vessel.JourneyConfig{SampleEvery: *journeySample})
@@ -121,13 +122,9 @@ func main() {
 		from := vessel.Time(cfg.Warmup)
 		to := from + vessel.Time(100*vessel.Microsecond)
 		fmt.Fprintln(w)
-		fmt.Fprint(w, rec.Render(cfg.Cores, from, to, 100))
-	}
-	if *chromeOut != "" {
-		if err := writeTo(*chromeOut, rec.WriteChromeJSON); err != nil {
+		if err := o.WriteTimelines(w, cfg.Cores, from, to, 100); err != nil {
 			cliflags.Fail("vesselsim", err)
 		}
-		fmt.Fprintf(w, "\nchrome trace written to %s (open in chrome://tracing or Perfetto)\n", *chromeOut)
 	}
 	if *profile {
 		fmt.Fprintln(w)

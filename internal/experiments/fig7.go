@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
+	"vessel/internal/obs"
 	"vessel/internal/sched"
 	"vessel/internal/sched/caladan"
 	"vessel/internal/sim"
-	"vessel/internal/trace"
 	"vessel/internal/vessel"
 	"vessel/internal/workload"
 )
@@ -25,10 +26,16 @@ type Fig7 struct {
 	AppFrac map[string]float64
 }
 
-// Figure7 runs both schedulers on the same workload with tracing and
-// renders a 100 µs window. Tracing needs a live per-run trace.Recorder, so
-// the two runs go directly through sched.Run — the executor contributes
-// only its worker pool (one run per system, uncached).
+// fig7PerCore sizes each Figure 7 run's span rings: VESSEL's busiest core
+// records ~7.9k spans over the run, so the default capacity would leave no
+// headroom.
+const fig7PerCore = 1 << 14
+
+// Figure7 runs both schedulers on the same workload and renders a 100 µs
+// window of their observability spans. Each run records into its own
+// observer, so the two runs go directly through sched.Run — the executor
+// contributes only its worker pool (one run per system, uncached). An
+// observer in Options absorbs both runs afterwards, in plan order.
 func Figure7(o Options) (Fig7, error) {
 	out := Fig7{AppFrac: make(map[string]float64)}
 	window := 100 * sim.Microsecond
@@ -37,11 +44,11 @@ func Figure7(o Options) (Fig7, error) {
 		name  string
 		strip string
 		frac  float64
+		obs   *obs.Observer
 	}
 	outs := make([]fig7Out, len(systems))
 	err := o.exec().Map(len(systems), func(i int) error {
 		s := systems[i]
-		rec := trace.NewRecorder(1 << 20)
 		const cores = 4
 		mc := workload.NewLApp("memcached", workload.Memcached(),
 			0.5*sched.IdealLCapacity(cores, workload.Memcached()))
@@ -49,42 +56,39 @@ func Figure7(o Options) (Fig7, error) {
 		cfg.Cores = cores
 		cfg.Duration = 5 * sim.Millisecond
 		cfg.Warmup = 1 * sim.Millisecond
-		cfg.Trace = rec
+		cfg.Obs = obs.New(fig7PerCore)
 		if _, err := sched.Run(s, cfg); err != nil {
 			return err
 		}
 		from := sim.Time(cfg.Warmup)
 		to := from.Add(window)
-		strip := rec.Render(cfg.Cores, from, to, 100)
+		var strip strings.Builder
+		if err := cfg.Obs.WriteTimelines(&strip, cfg.Cores, from, to, 100); err != nil {
+			return fmt.Errorf("%s: %w", s.Name(), err)
+		}
 		var app, total sim.Duration
-		for _, seg := range rec.Segments() {
-			lo, hi := seg.Start, seg.End
-			if lo < from {
-				lo = from
-			}
-			if hi > to {
-				hi = to
-			}
-			if hi <= lo {
+		for _, sp := range cfg.Obs.Spans() {
+			lo, hi := max(sp.Start, from), min(sp.End, to)
+			if !sp.Cat.Activity() || hi <= lo {
 				continue
 			}
-			d := hi.Sub(lo)
-			total += d
-			if seg.Kind == trace.App {
-				app += d
+			total += hi.Sub(lo)
+			if sp.Cat == obs.CatApp {
+				app += hi.Sub(lo)
 			}
 		}
 		frac := 0.0
 		if total > 0 {
 			frac = float64(app) / float64(total)
 		}
-		outs[i] = fig7Out{name: s.Name(), strip: strip, frac: frac}
+		outs[i] = fig7Out{name: s.Name(), strip: strip.String(), frac: frac, obs: cfg.Obs}
 		return nil
 	})
 	if err != nil {
 		return Fig7{}, err
 	}
 	for _, r := range outs {
+		o.Obs.Absorb(r.obs)
 		out.AppFrac[r.name] = r.frac
 		if r.name == "VESSEL" {
 			out.VesselStrip = r.strip

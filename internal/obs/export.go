@@ -102,10 +102,11 @@ func ReadTextMeta(r io.Reader) ([]Span, uint64, error) {
 	return spans, overwritten, nil
 }
 
-// chromeEvent is one Chrome trace-event. All events are "complete" ("X")
-// phases; instant markers carry dur 0. Field order is fixed by the struct,
-// so the encoding is byte-deterministic.
-type chromeEvent struct {
+// ChromeEvent is one Chrome trace-event. Spans are "X" complete events;
+// instant markers carry dur 0. The journey export adds "s"/"f" flow events,
+// which carry a flow id and a binding point. Field order is fixed by the
+// struct, so the encoding is byte-deterministic.
+type ChromeEvent struct {
 	Name string  `json:"name"`
 	Cat  string  `json:"cat"`
 	Ph   string  `json:"ph"`
@@ -113,6 +114,15 @@ type chromeEvent struct {
 	Dur  float64 `json:"dur"` // microseconds
 	PID  int     `json:"pid"`
 	TID  int     `json:"tid"`
+	ID   string  `json:"id,omitempty"`
+	BP   string  `json:"bp,omitempty"`
+}
+
+// WriteChromeEvents encodes events as a Chrome trace-event JSON document.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents []ChromeEvent `json:"traceEvents"`
+	}{TraceEvents: events})
 }
 
 // Track (pid) assignment: activity spans tile pid 0 (one tid per core);
@@ -125,9 +135,9 @@ const (
 
 // WriteChromeTrace encodes spans in the Chrome trace-event JSON format,
 // loadable in Perfetto and chrome://tracing. Idle spans are omitted — the
-// gaps read as idle, exactly like trace.Recorder's exporter.
+// gaps read as idle.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
-	events := make([]chromeEvent, 0, len(spans))
+	events := make([]ChromeEvent, 0, len(spans))
 	for _, s := range spans {
 		if s.Cat == CatIdle {
 			continue
@@ -140,7 +150,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		if !s.Cat.Activity() {
 			pid = overlayPID
 		}
-		events = append(events, chromeEvent{
+		events = append(events, ChromeEvent{
 			Name: name,
 			Cat:  s.Cat.String(),
 			Ph:   "X",
@@ -150,10 +160,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 			TID:  s.Core,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: events})
+	return WriteChromeEvents(w, events)
 }
 
 // WriteChromeTrace is the observer-level convenience over the recorded
@@ -213,8 +220,8 @@ func ValidateChromeTrace(r io.Reader) error {
 	return nil
 }
 
-// ganttGlyphs maps categories to timeline characters (matching the trace
-// package's Figure 7 legend, extended with overlay glyphs).
+// ganttGlyph maps categories to timeline characters: the Figure 7 legend
+// for activities, extended with overlay glyphs.
 func ganttGlyph(c Category) byte {
 	switch c {
 	case CatApp:
@@ -240,6 +247,64 @@ func ganttGlyph(c Category) byte {
 	}
 }
 
+// occupancy is how long each category covers one strip bucket.
+type occupancy [NumCategories]float64
+
+// dominant returns the category in [lo, hi] covering the bucket longest
+// (the lowest on a tie) and its weight; 0 weight means none covers it.
+func (b *occupancy) dominant(lo, hi Category) (Category, float64) {
+	best, bestV := lo, 0.0
+	for k := lo; k <= hi; k++ {
+		if b[k] > bestV {
+			best, bestV = k, b[k]
+		}
+	}
+	return best, bestV
+}
+
+// occupancies splits [from, to) into width buckets and sums, per core
+// below cores, how long each category covers each bucket. Spans are
+// clipped to the window; an instant marker weighs 1 in its bucket.
+func occupancies(spans []Span, cores int, from, to sim.Time, width int) [][]occupancy {
+	bucketNs := float64(to-from) / float64(width)
+	grid := make([][]occupancy, cores)
+	for c := range grid {
+		grid[c] = make([]occupancy, width)
+	}
+	for _, s := range spans {
+		if s.Core < 0 || s.Core >= cores || s.End <= from || s.Start >= to {
+			continue
+		}
+		lo, hi := max(s.Start, from), min(s.End, to)
+		b0 := min(int(float64(lo-from)/bucketNs), width-1)
+		b1 := b0
+		if hi > lo {
+			b1 = min(int(float64(hi-from-1)/bucketNs), width-1)
+		}
+		for b := b0; b <= b1; b++ {
+			bs := from.Add(sim.Duration(float64(b) * bucketNs))
+			be := from.Add(sim.Duration(float64(b+1) * bucketNs))
+			weight := float64(min(hi, be) - max(lo, bs))
+			if weight <= 0 {
+				weight = 1 // instant markers still claim their bucket
+			}
+			grid[s.Core][b][s.Cat] += weight
+		}
+	}
+	return grid
+}
+
+// activityStrip renders one core's buckets as the dominant activity of
+// each: '#' app, 'r' runtime, 'K' kernel, 's' switch, '.' idle.
+func activityStrip(buckets []occupancy) []byte {
+	strip := make([]byte, len(buckets))
+	for b := range buckets {
+		best, _ := buckets[b].dominant(CatIdle, CatSwitch)
+		strip[b] = ganttGlyph(best)
+	}
+	return strip
+}
+
 // WriteGantt renders a per-core ASCII gantt summary of [from, to): one
 // width-character activity strip per core (dominant activity category per
 // bucket) and, when overlay spans exist in the window, a second strip per
@@ -252,12 +317,7 @@ func WriteGantt(w io.Writer, spans []Span, from, to sim.Time, width int) error {
 		// Default to the spans' full range.
 		from, to = spans[0].Start, spans[0].End
 		for _, s := range spans {
-			if s.Start < from {
-				from = s.Start
-			}
-			if s.End > to {
-				to = s.End
-			}
+			from, to = min(from, s.Start), max(to, s.End)
 		}
 	}
 	if to <= from {
@@ -265,60 +325,13 @@ func WriteGantt(w io.Writer, spans []Span, from, to sim.Time, width int) error {
 	}
 	cores := 0
 	for _, s := range spans {
-		if s.Core+1 > cores {
-			cores = s.Core + 1
-		}
+		cores = max(cores, s.Core+1)
 	}
-	bucketNs := float64(to-from) / float64(width)
-	type occ struct {
-		act     [NumCategories]float64
-		overlay [NumCategories]float64
-	}
-	grid := make([][]occ, cores)
-	for c := range grid {
-		grid[c] = make([]occ, width)
-	}
+	grid := occupancies(spans, cores, from, to, width)
 	haveOverlay := false
-	for _, s := range spans {
-		if s.Core < 0 || s.End <= from || s.Start >= to {
-			continue
-		}
-		lo, hi := s.Start, s.End
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
-		b0 := int(float64(lo-from) / bucketNs)
-		b1 := int(float64(hi-from) / bucketNs)
-		if hi > lo {
-			b1 = int(float64(hi-from-1) / bucketNs)
-		}
-		if b0 >= width {
-			b0 = width - 1
-		}
-		if b1 >= width {
-			b1 = width - 1
-		}
-		for b := b0; b <= b1; b++ {
-			bs := from.Add(sim.Duration(float64(b) * bucketNs))
-			be := from.Add(sim.Duration(float64(b+1) * bucketNs))
-			l, h := lo, hi
-			if l < bs {
-				l = bs
-			}
-			if h > be {
-				h = be
-			}
-			weight := float64(h - l)
-			if weight <= 0 {
-				weight = 1 // instant markers still claim their bucket
-			}
-			if s.Cat.Activity() {
-				grid[s.Core][b].act[s.Cat] += weight
-			} else {
-				grid[s.Core][b].overlay[s.Cat] += weight
+	for _, buckets := range grid {
+		for b := range buckets {
+			if _, v := buckets[b].dominant(CatGate, NumCategories-1); v > 0 {
 				haveOverlay = true
 			}
 		}
@@ -326,34 +339,57 @@ func WriteGantt(w io.Writer, spans []Span, from, to sim.Time, width int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "core gantt %v → %v  (#=app r=runtime K=kernel s=switch .=idle | g=gate w=wrpkru u=uintr !=watchdog R=restart)\n",
 		from, to)
-	for c := 0; c < cores; c++ {
-		var strip, over []byte
-		for b := 0; b < width; b++ {
-			best, bestV := CatIdle, 0.0
-			for k := Category(0); k <= CatSwitch; k++ {
-				if grid[c][b].act[k] > bestV {
-					bestV = grid[c][b].act[k]
-					best = k
-				}
-			}
-			strip = append(strip, ganttGlyph(best))
-			oBest, oBestV := Category(0), 0.0
-			for k := CatGate; k < NumCategories; k++ {
-				if grid[c][b].overlay[k] > oBestV {
-					oBestV = grid[c][b].overlay[k]
-					oBest = k
-				}
-			}
-			if oBestV > 0 {
-				over = append(over, ganttGlyph(oBest))
-			} else {
-				over = append(over, ' ')
+	for c, buckets := range grid {
+		fmt.Fprintf(bw, "core %2d |%s|\n", c, activityStrip(buckets))
+		if !haveOverlay {
+			continue
+		}
+		over := make([]byte, width)
+		for b := range buckets {
+			over[b] = ' '
+			if k, v := buckets[b].dominant(CatGate, NumCategories-1); v > 0 {
+				over[b] = ganttGlyph(k)
 			}
 		}
-		fmt.Fprintf(bw, "core %2d |%s|\n", c, strip)
-		if haveOverlay {
-			fmt.Fprintf(bw, "        |%s|\n", over)
+		fmt.Fprintf(bw, "        |%s|\n", over)
+	}
+	return bw.Flush()
+}
+
+// WriteTimelines renders the Figure 7 exhibit of [from, to): a legend,
+// then one width-character activity strip for each core below cores. A
+// core with no spans renders as idle. It refuses, naming the core, when a
+// ring has overwritten a span that ends after from, because that window
+// would render as idle instead of what the core did.
+func (o *Observer) WriteTimelines(w io.Writer, cores int, from, to sim.Time, width int) error {
+	if cores < 0 || width <= 0 || to <= from {
+		return fmt.Errorf("obs: timeline needs cores ≥ 0, width > 0 and from < to")
+	}
+	var spans []Span
+	if o != nil {
+		for c, r := range o.rings[:min(cores, len(o.rings))] {
+			if r == nil {
+				continue
+			}
+			if r.lostEnd > from {
+				return fmt.Errorf("obs: core %d overwrote %d spans, the latest ending at %v, after the timeline start %v; give its ring more capacity",
+					c, r.overwritten, r.lostEnd, from)
+			}
+			live := r.spans[:r.next]
+			if r.full {
+				live = r.spans
+			}
+			for _, s := range live { // bucket sums do not depend on order
+				if s.End > from && s.Start < to {
+					spans = append(spans, s)
+				}
+			}
 		}
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "core timelines %v → %v  (#=app r=runtime K=kernel s=switch .=idle)\n", from, to)
+	for c, buckets := range occupancies(spans, cores, from, to, width) {
+		fmt.Fprintf(bw, "core %2d |%s|\n", c, activityStrip(buckets))
 	}
 	return bw.Flush()
 }

@@ -2,12 +2,12 @@ package journey
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
+	"vessel/internal/obs"
 	"vessel/internal/sim"
 )
 
@@ -202,22 +202,6 @@ func ReadText(r io.Reader) ([]Record, uint64, error) {
 	return recs, overwritten, nil
 }
 
-// chromeEvent is one Chrome trace-event. Journeys use "X" complete
-// events for spans plus "s"/"f" flow events for the follows-from edges
-// between consecutive critical-path segments. Field order is fixed by
-// the struct, so the encoding is byte-deterministic.
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	TS   float64 `json:"ts"`  // microseconds of virtual time
-	Dur  float64 `json:"dur"` // microseconds
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
-	ID   string  `json:"id,omitempty"`
-	BP   string  `json:"bp,omitempty"`
-}
-
 // journeyPID groups journey tracks apart from the obs timeline's
 // activity (pid 0) and overlay (pid 1) track groups.
 const journeyPID = 2
@@ -228,11 +212,11 @@ const journeyPID = 2
 // of each segment, "f" at the start of its successor) per follows-from
 // edge. Unfinished journeys contribute their closed segments only.
 func WriteChromeTrace(w io.Writer, recs []Record) error {
-	var events []chromeEvent
+	var events []obs.ChromeEvent
 	for _, r := range recs {
 		tid := int(r.ID)
 		if r.Finished {
-			events = append(events, chromeEvent{
+			events = append(events, obs.ChromeEvent{
 				Name: displayName(r.Name), Cat: "journey", Ph: "X",
 				TS: float64(r.Arrive) / 1000, Dur: float64(r.Done.Sub(r.Arrive)) / 1000,
 				PID: journeyPID, TID: tid,
@@ -242,7 +226,7 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 			if n.ID == 0 {
 				continue // root emitted above
 			}
-			events = append(events, chromeEvent{
+			events = append(events, obs.ChromeEvent{
 				Name: displayName(n.Name), Cat: "journey." + n.Seg.String(), Ph: "X",
 				TS: float64(n.Start) / 1000, Dur: float64(n.End.Sub(n.Start)) / 1000,
 				PID: journeyPID, TID: tid,
@@ -250,21 +234,18 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 			if n.Follows >= 0 && n.Follows < len(r.Nodes) {
 				prev := r.Nodes[n.Follows]
 				flowID := fmt.Sprintf("j%d.%d", r.ID, n.ID)
-				events = append(events, chromeEvent{
+				events = append(events, obs.ChromeEvent{
 					Name: "follows", Cat: "journey.flow", Ph: "s",
 					TS: float64(prev.End) / 1000, PID: journeyPID, TID: tid, ID: flowID,
 				})
-				events = append(events, chromeEvent{
+				events = append(events, obs.ChromeEvent{
 					Name: "follows", Cat: "journey.flow", Ph: "f", BP: "e",
 					TS: float64(n.Start) / 1000, PID: journeyPID, TID: tid, ID: flowID,
 				})
 			}
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: events})
+	return obs.WriteChromeEvents(w, events)
 }
 
 // WriteChromeTrace is the tracer-level convenience over Records.

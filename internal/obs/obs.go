@@ -27,7 +27,7 @@ import (
 )
 
 // Category classifies a span (and a profiler bucket). The first five
-// categories mirror sched.Activity and partition core time — the
+// categories are sched.Activity's values and partition core time — the
 // conservation oracle in internal/conformance checks that exactly these sum
 // to the run's total simulated cycles. The remaining categories are overlay
 // spans (gate crossings, WRPKRU writes, Uintr flight, watchdog kills,
@@ -145,11 +145,17 @@ type ring struct {
 	uintrSince    sim.Time
 	overwritten   uint64
 	openOverflows uint64
+	// lostEnd is the latest End of any overwritten span: the ring still
+	// holds every span of a window that starts at or after it.
+	lostEnd sim.Time
 }
 
 func (r *ring) add(s Span) {
 	if r.full {
 		r.overwritten++ // the slot about to be reused still holds a span
+		if end := r.spans[r.next].End; end > r.lostEnd {
+			r.lostEnd = end
+		}
 	}
 	r.spans[r.next] = s
 	r.next++
@@ -337,6 +343,34 @@ func (o *Observer) UintrFlush(core int, at sim.Time) {
 		at = r.uintrSince
 	}
 	r.add(Span{Core: core, Start: r.uintrSince, End: at, Cat: CatUintr, Name: "uintr.deferred"})
+}
+
+// Absorb folds other's retained spans, overwrite counts, profile and
+// metrics into o. Spans are replayed core by core in other's recording
+// order, so when other overwrote nothing the result is byte-identical to
+// having recorded other's run on o directly. Open Begin intervals and
+// pending Uintr windows are not carried over.
+func (o *Observer) Absorb(other *Observer) {
+	if o == nil || other == nil {
+		return
+	}
+	for c, r := range other.rings {
+		if r == nil {
+			continue
+		}
+		dst := o.coreRing(c)
+		for _, s := range r.snapshot(nil) {
+			dst.add(s)
+		}
+		dst.overwritten += r.overwritten
+		if r.lostEnd > dst.lostEnd {
+			dst.lostEnd = r.lostEnd
+		}
+	}
+	for k, d := range other.prof.buckets {
+		o.prof.charge(k.Core, k.Name, k.Cat, d)
+	}
+	o.reg.merge(other.reg)
 }
 
 // Spans returns every retained span, sorted by (Start, Core, End, Cat,

@@ -80,6 +80,22 @@ func (r *Registry) Observe(name string, v int64) {
 	h.Record(v)
 }
 
+// merge adds other's counters and histograms into r, registering names r
+// has not seen in other's insertion order.
+func (r *Registry) merge(other *Registry) {
+	r.counters.Merge(other.counters)
+	other.mu.Lock()
+	names := append([]string(nil), other.histName...)
+	hists := make([]*stats.Histogram, len(names))
+	for i, n := range names {
+		hists[i] = other.hists[n]
+	}
+	other.mu.Unlock()
+	for i, n := range names {
+		r.Hist(n).Merge(hists[i])
+	}
+}
+
 // HistSnapshot is one histogram's summarized state.
 type HistSnapshot struct {
 	Name    string        `json:"name"`

@@ -4,57 +4,23 @@ import (
 	"vessel/internal/obs"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
-	"vessel/internal/trace"
 )
 
-// Activity classifies what a core is doing, for the cycle breakdown.
-type Activity uint8
+// Activity classifies what a core is doing, for the cycle breakdown: the
+// five obs categories that partition core time.
+type Activity = obs.Category
 
 const (
-	ActIdle Activity = iota
-	ActApp
-	ActRuntime
-	ActKernel
-	ActSwitch
-)
-
-// kindOf maps an Activity to its trace segment kind.
-func kindOf(act Activity) trace.Kind {
-	switch act {
-	case ActApp:
-		return trace.App
-	case ActRuntime:
-		return trace.Runtime
-	case ActKernel:
-		return trace.Kernel
-	case ActSwitch:
-		return trace.Switch
-	default:
-		return trace.Idle
-	}
-}
-
-// CatOf maps an Activity to its obs category. The two enums share ordering
-// by construction — obs.CatIdle..obs.CatSwitch mirror ActIdle..ActSwitch —
-// so the conversion is a cast, asserted here rather than assumed.
-func CatOf(act Activity) obs.Category {
-	return obs.Category(act)
-}
-
-// Compile-time alignment assertions: the array index must be the constant 0,
-// so any drift between the enums breaks the build.
-var (
-	_ = [1]struct{}{}[uint8(obs.CatIdle)-uint8(ActIdle)]
-	_ = [1]struct{}{}[uint8(obs.CatApp)-uint8(ActApp)]
-	_ = [1]struct{}{}[uint8(obs.CatRuntime)-uint8(ActRuntime)]
-	_ = [1]struct{}{}[uint8(obs.CatKernel)-uint8(ActKernel)]
-	_ = [1]struct{}{}[uint8(obs.CatSwitch)-uint8(ActSwitch)]
+	ActIdle    = obs.CatIdle
+	ActApp     = obs.CatApp
+	ActRuntime = obs.CatRuntime
+	ActKernel  = obs.CatKernel
+	ActSwitch  = obs.CatSwitch
 )
 
 // Accountant accrues per-activity core time clipped to the measurement
-// window [From, To]. When Trace is set, every accrued span is also
-// recorded as a timeline segment; when Obs is set, it is also recorded as
-// an observability span (unclipped, for the timeline) and charged to the
+// window [From, To]. When Obs is set, every accrued span is also recorded
+// as an observability span (unclipped, for the timeline) and charged to the
 // cycle-attribution profiler (clipped, so the profile's activity buckets
 // exactly partition the measured interval — the conservation oracle in
 // internal/conformance depends on every breakdown accrual passing through
@@ -62,7 +28,6 @@ var (
 type Accountant struct {
 	From, To  sim.Time
 	Breakdown CycleBreakdown
-	Trace     *trace.Recorder
 	Obs       *obs.Observer
 	// Journey, when set, receives every switch accrual as a flight-
 	// recorder event — the scheduler wakeup→run edges of the causal
@@ -76,13 +41,9 @@ func (a *Accountant) AccrueCore(core int, act Activity, t0, t1 sim.Time, label s
 	if t1 <= t0 {
 		return
 	}
-	if a.Trace != nil {
-		a.Trace.Add(core, t0, t1, kindOf(act), label)
-	}
 	if a.Obs != nil {
-		cat := CatOf(act)
-		a.Obs.Span(core, t0, t1, cat, label)
-		a.Obs.Charge(core, label, cat, a.Clip(t0, t1))
+		a.Obs.Span(core, t0, t1, act, label)
+		a.Obs.Charge(core, label, act, a.Clip(t0, t1))
 	}
 	if a.Journey != nil && act == ActSwitch {
 		a.Journey.Event(t0, "sched.switch", label)

@@ -104,7 +104,7 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		lWork:  make(map[*workload.App]sim.Duration),
 	}
 	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Trace: cfg.Trace, Obs: cfg.Obs, Journey: cfg.Journey}
+	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
 	for i := 0; i < cfg.Cores; i++ {
 		c := &core{id: i, act: sched.ActIdle}
 		c.served = func() { r.served(c) }

@@ -129,7 +129,7 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	}
 	r.k = kernel.New(r.eng, cfg.Costs)
 	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Trace: cfg.Trace, Obs: cfg.Obs, Journey: cfg.Journey}
+	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
 	for i := 0; i < cfg.Cores; i++ {
 		c := &core{id: i, rq: kernel.NewRunqueue(), act: sched.ActIdle}
 		c.flush = func() { r.flushRx(c) }

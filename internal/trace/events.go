@@ -1,3 +1,10 @@
+// Package trace holds EventLog, the bounded, deterministic stream of named
+// events in virtual time (injections, contained faults, watchdog kills,
+// restarts, grants) that the uProcess runtime, the self-healing and
+// cluster drivers and the fault injector record, and that journey
+// flight-recorder dumps render to. An EventLog either keeps its prefix and
+// drops new events once full, or keeps the most recent events in a ring;
+// both count what they lose. Per-core span timelines live in internal/obs.
 package trace
 
 import (
@@ -37,11 +44,11 @@ func (e Event) String() string {
 // fingerprints should only be taken from single-threaded
 // (simulation-driven) logs.
 type EventLog struct {
-	mu      sync.Mutex
-	max     int
-	ring    bool
-	start   int // ring mode: index of the logically first event
-	events  []Event
+	mu          sync.Mutex
+	max         int
+	ring        bool
+	start       int // ring mode: index of the logically first event
+	events      []Event
 	dropped     uint64
 	overwritten uint64
 }
