@@ -60,7 +60,11 @@ type (
 	// it to a Manager with AttachJourney.
 	JourneyTracer = journey.Tracer
 	// JourneyConfig configures a tracer built with NewJourneyTracerWith:
-	// SLO target, 1-in-N request sampling, flight-recorder capacity.
+	// SLO target, 1-in-N request sampling, flight-recorder capacity, and
+	// Retain, which keeps every finished journey for the per-journey
+	// exports (WriteText, WriteChromeTrace, WriteCollapsed). Without
+	// Retain the tracer checks and folds each journey when it finishes
+	// and reuses its storage, so its memory does not grow with the run.
 	JourneyConfig = journey.Config
 )
 
@@ -69,7 +73,8 @@ type (
 func NewObserver(perCore int) *Observer { return obs.New(perCore) }
 
 // NewJourneyTracer returns an enabled request-journey tracer with
-// default configuration (flight recorder on, SLO monitor off).
+// default configuration (flight recorder on, SLO monitor off, bounded
+// storage: the per-journey exports need JourneyConfig.Retain).
 func NewJourneyTracer() *JourneyTracer { return journey.New() }
 
 // NewJourneyTracerWith returns an enabled request-journey tracer with

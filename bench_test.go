@@ -186,7 +186,7 @@ func BenchmarkJourneyOverheadPaired(b *testing.B) { benchJourneyPaired(b, 0) }
 func BenchmarkJourneyOverheadSampledPaired(b *testing.B) { benchJourneyPaired(b, 16) }
 
 func benchJourneyPaired(b *testing.B, sampleEvery int) {
-	pct, obsMs, journeyMs, err := hostbench.JourneyOverheadPaired(b.N, sampleEvery)
+	pct, obsMs, journeyMs, err := hostbench.JourneyOverheadPaired(b.N, sampleEvery, false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,6 +27,7 @@ func TestGateEdges(t *testing.T) {
 		{"sampled at 5.0%", pair(105, 100, 0), overhead(5, true), false, false},
 		{"sampled at 5.01%", pair(105.01, 100, 0), overhead(5, true), false, true},
 		{"sampled at 50%", pair(150, 100, 0), overhead(5, true), false, true},
+		{"journey with GC at 500%", pair(600, 100, 0), reportOnly, false, false},
 		{"ips at floor", row{NsPerOp: 8e3}, minIPS(1e6, 8), false, false},
 		{"ips below floor", row{NsPerOp: 8.01e3}, minIPS(1e6, 8), false, true},
 		{"harness bytes identical", row{}, identical(true), false, false},

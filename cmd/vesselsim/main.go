@@ -85,7 +85,7 @@ func main() {
 	cfg.Obs = o
 	var tr *vessel.JourneyTracer
 	if *journeyOut != "" {
-		tr = vessel.NewJourneyTracerWith(vessel.JourneyConfig{SampleEvery: *journeySample})
+		tr = vessel.NewJourneyTracerWith(vessel.JourneyConfig{SampleEvery: *journeySample, Retain: true})
 		cfg.Journey = tr
 	}
 	res, err := s.Run(cfg)
@@ -144,7 +144,7 @@ func main() {
 		fmt.Fprintln(w)
 		fmt.Fprint(w, tr.Analyze())
 		fmt.Fprintf(w, "journey export written to %s (%d journeys, flight-overwritten %d; convert with traceconv)\n",
-			*journeyOut, len(tr.Records()), tr.Flight().Overwritten())
+			*journeyOut, tr.Minted(), tr.Flight().Overwritten())
 		if *journeySample > 1 {
 			seen, minted := tr.Sampled()
 			fmt.Fprintf(w, "journey sampling: 1 in %d — traced %d of %d requests\n",

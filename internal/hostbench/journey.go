@@ -23,14 +23,21 @@ import (
 // where two separately run benchmarks are not. sampleEvery > 1 traces
 // one request in sampleEvery; values ≤ 1 trace every request.
 //
+// With gc false the collector is off inside the timed regions; with gc
+// true it runs as usual, so the timing also carries the cost of the
+// heap the tracer keeps alive.
+//
 // It returns the journey-on overhead in percent and the mean wall time
 // per run of each variant in milliseconds.
-func JourneyOverheadPaired(iters, sampleEvery int) (pct, obsMs, journeyMs float64, err error) {
-	// GC pacing is pinned for the duration: each timed region runs with
-	// the collector off and the previous run's garbage is collected at
-	// the untimed barrier below. Allocation cost stays in the measurement;
-	// collector scheduling noise (which swamps a 5% signal) does not.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+func JourneyOverheadPaired(iters, sampleEvery int, gc bool) (pct, obsMs, journeyMs float64, err error) {
+	// Without gc, GC pacing is pinned for the duration: each timed region
+	// runs with the collector off and the previous run's garbage is
+	// collected at the untimed barrier below. Allocation cost stays in
+	// the measurement; collector scheduling noise (which swamps a 5%
+	// signal) does not.
+	if !gc {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	}
 	var tObs, tJourney time.Duration
 	for i := 0; i < iters; i++ {
 		for k := 0; k < 2; k++ {

@@ -27,19 +27,32 @@ type Record struct {
 	Nodes    []Node
 }
 
-// Records returns the tracer's journeys as records, in mint order.
+// Records returns the journeys the tracer holds (see Journeys) as
+// records, in mint order.
 func (t *Tracer) Records() []Record {
 	if t == nil {
 		return nil
 	}
-	out := make([]Record, 0, t.minted)
-	t.each(func(j *Journey) {
+	js := t.Journeys()
+	out := make([]Record, 0, len(js))
+	for _, j := range js {
 		out = append(out, Record{
 			ID: j.ID, Name: j.Name, Arrive: j.Arrive, Done: j.Done,
 			Finished: j.finished, Segs: j.Segs, Nodes: j.Tree(),
 		})
-	})
+	}
 	return out
+}
+
+// retained returns the records of a tracer that keeps every journey, or
+// an error naming the Config field that would: a bounded tracer's
+// records are only the journeys in flight, and exporting them as the
+// run's journeys would silently truncate the export.
+func (t *Tracer) retained() ([]Record, error) {
+	if t != nil && !t.cfg.Retain {
+		return nil, fmt.Errorf("journey: export needs a tracer built with Config.Retain; this one recycled %d finished journeys", t.finished)
+	}
+	return t.Records(), nil
 }
 
 func displayName(name string) string {
@@ -88,9 +101,14 @@ func WriteText(w io.Writer, recs []Record, flightOverwritten uint64) error {
 	return bw.Flush()
 }
 
-// WriteText is the tracer-level convenience over Records.
+// WriteText is the tracer-level convenience over Records; it needs
+// Config.Retain.
 func (t *Tracer) WriteText(w io.Writer) error {
-	return WriteText(w, t.Records(), t.Flight().Overwritten())
+	recs, err := t.retained()
+	if err != nil {
+		return err
+	}
+	return WriteText(w, recs, t.Flight().Overwritten())
 }
 
 // ReadText decodes a journey export produced by WriteText, returning
@@ -248,9 +266,14 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 	return obs.WriteChromeEvents(w, events)
 }
 
-// WriteChromeTrace is the tracer-level convenience over Records.
+// WriteChromeTrace is the tracer-level convenience over Records; it
+// needs Config.Retain.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, t.Records())
+	recs, err := t.retained()
+	if err != nil {
+		return err
+	}
+	return WriteChromeTrace(w, recs)
 }
 
 // WriteCollapsed emits per-request collapsed stacks in the
@@ -292,7 +315,12 @@ func WriteCollapsed(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// WriteCollapsed is the tracer-level convenience over Records.
+// WriteCollapsed is the tracer-level convenience over Records; it needs
+// Config.Retain.
 func (t *Tracer) WriteCollapsed(w io.Writer) error {
-	return WriteCollapsed(w, t.Records())
+	recs, err := t.retained()
+	if err != nil {
+		return err
+	}
+	return WriteCollapsed(w, recs)
 }

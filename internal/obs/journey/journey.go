@@ -20,9 +20,12 @@
 //     sites call through without guarding. Canonical run bytes are
 //     identical with journey tracing on or off — tracing observes, it
 //     never perturbs.
-//   - Bounded views where it matters. The always-on flight recorder is
-//     a bounded window over the tracer's event arena: the last N journey
-//     events survive for a black-box postmortem, scroll-outs are
+//   - Bounded memory. Each journey is checked and folded into the
+//     tracer's summaries the moment it finishes, and its storage is then
+//     reused, so a tracer holds O(flight capacity + journeys in flight)
+//     however long the run (Config.Retain keeps finished journeys for
+//     the exports). The always-on flight recorder is a fixed ring of the
+//     last N journey events for a black-box postmortem; scroll-outs are
 //     counted, and a Dump snapshot costs nothing until a
 //     kill/restart/failsafe actually fires.
 package journey
@@ -101,6 +104,10 @@ type Node struct {
 // Journey is one request's trace context: the live segment state
 // machine plus the compactly-logged span tree. All methods are safe on
 // a nil *Journey, so instrumentation sites never guard.
+//
+// Journeys live in tracer-owned slots. A tracer without Config.Retain
+// reuses a journey's slot once it finishes, so a caller must not touch a
+// finished journey after the tracer's next Mint.
 type Journey struct {
 	ID     uint64
 	Name   string
@@ -115,49 +122,26 @@ type Journey struct {
 	cur      Segment
 	since    sim.Time
 	finished bool
-	// folded marks that this journey's decomposition has been recorded
-	// into the tracer's histograms. Folding is deferred off the finish
-	// path (see Tracer.fold): histogram content is a pure function of the
-	// set of finished journeys, so recording lazily — right before any
-	// read — is observably identical and keeps Finish to one arena store.
-	folded bool
+	// name is Name's index in the tracer's intern table.
+	name int32
 	// The span tree is logged compactly on the hot path — one 16-byte
-	// entry per segment transition or annotation, appended to the
-	// tracer's shared pointer-free chain arena — and materialized on
-	// demand by Tree(). lhead is the index of this journey's most recent
-	// entry (-1 when none); entries chain backwards via prev, so
-	// concurrent journeys interleave freely in the arena without any
-	// per-journey buffer or allocation.
-	lhead int32
+	// entry per segment transition or annotation in the tracer's
+	// pointer-free chain store — and replayed on demand by Tree.
+	// lhead/ltail index this journey's oldest and newest entries (-1 when
+	// none); entries link forward, so replay runs oldest-first and a
+	// finished chain goes back to the free list in one splice.
+	lhead, ltail int32
 }
 
-// logEntry is one compact event in the tracer's arena — the single
-// store every journey event costs on the hot path. The arena doubles as
-// the span log and the flight recorder's event stream: entries append
-// in simulation order, and the FlightLog renders the tail on demand.
-//
-// note encodes the kind:
-//
-//	note ≥ 0             instant annotation; note indexes the intern table
-//	-NumSegments ≤ note  segment transition into Segment(-1-note)
-//	noteMint/noteFinish  journey lifecycle (jid identifies the journey)
-//	noteEvent            tracer-level seam event; prev holds the interned
-//	                     name and jid the interned detail (no journey)
-//
-// prev chains a journey's transition/annotation entries backwards (-1 at
-// the head) so Tree can replay them; lifecycle entries are unchained.
-type logEntry struct {
+// chainEntry is one span-log entry of one journey. note ≥ 0 is an
+// instant annotation (an intern-table index); -NumSegments ≤ note < 0 is
+// a transition into Segment(-1-note). next links to the journey's next
+// entry (-1 ends the chain; on the free list it links free entries).
+type chainEntry struct {
 	at   sim.Time
-	jid  uint32
 	note int32
-	prev int32
+	next int32
 }
-
-const (
-	noteMint   int32 = -16
-	noteFinish int32 = -17
-	noteEvent  int32 = -18
-)
 
 // closeSeg closes the current segment at the given instant (clamped
 // monotonically: a retroactive timestamp before the segment opened
@@ -187,7 +171,7 @@ func (j *Journey) To(seg Segment, at sim.Time) {
 	// replaying it yields the same tree as replaying the raw timestamp,
 	// and the flight recorder renders the transition where it took
 	// effect.
-	j.lhead = j.t.addLog(logEntry{at: j.since, jid: uint32(j.ID), note: -1 - int32(seg), prev: j.lhead})
+	j.t.record(j, j.since, -1-int32(seg))
 }
 
 // Annotate records an instant marker (a seam crossing: a SENDUIPI
@@ -200,17 +184,21 @@ func (j *Journey) Annotate(name string, at sim.Time) {
 	if at < j.since {
 		at = j.since
 	}
-	idx := j.t.intern(name)
-	j.lhead = j.t.addLog(logEntry{at: at, jid: uint32(j.ID), note: idx, prev: j.lhead})
+	j.t.record(j, at, j.t.intern(name))
 }
 
 // Finish completes the journey: the current segment closes at the given
-// instant, the root span gets its end time, and the tracer folds the
-// decomposition into its critical-path histograms, SLO monitor, and
-// flight recorder. Further To/Annotate/Finish calls are no-ops.
+// instant and the root span gets its end time. The tracer then checks
+// the journey against the conservation oracle, folds its decomposition
+// into the critical-path histograms, path mix, SLO monitor and flight
+// recorder, and (without Config.Retain) recycles its storage. Further
+// To/Annotate/Finish calls are no-ops until the slot is reused.
 func (j *Journey) Finish(at sim.Time) {
 	if j == nil || j.finished {
 		return
+	}
+	if j.t.mutate != nil {
+		j.t.mutate(j, at)
 	}
 	j.closeSeg(at)
 	j.finished = true
@@ -228,9 +216,7 @@ func (j *Journey) Tree() []Node {
 	if j == nil {
 		return nil
 	}
-	log := j.t.chain(j.lhead)
-	nodes := make([]Node, 1, len(log)+2)
-	nodes[0] = Node{ID: 0, Parent: -1, Follows: -1, Start: j.Arrive, Name: j.Name}
+	nodes := []Node{{ID: 0, Parent: -1, Follows: -1, Start: j.Arrive, Name: j.Name}}
 	cur, since, last := SegQueue, j.Arrive, -1
 	closeSeg := func(at sim.Time) {
 		if at < since {
@@ -246,7 +232,8 @@ func (j *Journey) Tree() []Node {
 		}
 		since = at
 	}
-	for _, e := range log {
+	for i := j.lhead; i >= 0; {
+		e := &j.t.chain[i]
 		if e.note >= 0 {
 			at := e.at
 			if at < since {
@@ -256,10 +243,11 @@ func (j *Journey) Tree() []Node {
 				ID: len(nodes), Parent: 0, Follows: -1,
 				Seg: cur, Start: at, End: at, Name: j.t.noteStr(e.note),
 			})
-			continue
+		} else {
+			closeSeg(e.at)
+			cur = Segment(-1 - e.note)
 		}
-		closeSeg(e.at)
-		cur = Segment(-1 - e.note)
+		i = e.next
 	}
 	if j.finished {
 		closeSeg(j.Done)

@@ -215,7 +215,7 @@ func TestSLOWindows(t *testing.T) {
 // TestExportRoundTrip: WriteText → ReadText → WriteText is
 // byte-identical, including unfinished journeys.
 func TestExportRoundTrip(t *testing.T) {
-	tr := New()
+	tr := NewTracer(Config{Retain: true})
 	j := tr.Mint("req a", us(1))
 	j.To(SegRun, us(2))
 	j.Finish(us(3))
@@ -248,10 +248,30 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBoundedExportsRefuse: a tracer without Retain has recycled its
+// finished journeys, so each per-journey export fails naming the field
+// instead of writing a truncated file.
+func TestBoundedExportsRefuse(t *testing.T) {
+	tr := New()
+	tr.Mint("req", us(1)).Finish(us(2))
+	tr.Mint("hang", us(3))
+	for name, write := range map[string]func(*bytes.Buffer) error{
+		"text":      func(b *bytes.Buffer) error { return tr.WriteText(b) },
+		"chrome":    func(b *bytes.Buffer) error { return tr.WriteChromeTrace(b) },
+		"collapsed": func(b *bytes.Buffer) error { return tr.WriteCollapsed(b) },
+	} {
+		var buf bytes.Buffer
+		err := write(&buf)
+		if err == nil || !strings.Contains(err.Error(), "Config.Retain") || buf.Len() != 0 {
+			t.Errorf("%s export on a bounded tracer: err %v, %d bytes written", name, err, buf.Len())
+		}
+	}
+}
+
 // TestChromeTraceValidates: the journey Chrome export (including flow
 // events) passes the repo's own Chrome trace validator.
 func TestChromeTraceValidates(t *testing.T) {
-	tr := New()
+	tr := NewTracer(Config{Retain: true})
 	j := tr.Mint("req", us(1))
 	j.To(SegRun, us(3))
 	j.To(SegData, us(5))
@@ -294,7 +314,7 @@ func TestChromeTraceValidates(t *testing.T) {
 // TestCollapsed: finished journeys aggregate into name;segment weights
 // in first-touch order.
 func TestCollapsed(t *testing.T) {
-	tr := New()
+	tr := NewTracer(Config{Retain: true})
 	for i := 0; i < 2; i++ {
 		j := tr.Mint("req", us(int64(10*i)))
 		j.To(SegRun, us(int64(10*i)+2))
@@ -319,7 +339,7 @@ func TestTraceNVMe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := New()
+	tr := NewTracer(Config{Retain: true})
 	TraceNVMe(tr, d, "disk")
 	if err := d.Submit(dataplane.Cmd{Op: dataplane.OpRead, LBA: 7, Tag: 1}); err != nil {
 		t.Fatal(err)

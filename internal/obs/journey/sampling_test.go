@@ -70,8 +70,8 @@ func TestSamplingOffByDefault(t *testing.T) {
 }
 
 func TestSamplingKeepsIDsDense(t *testing.T) {
-	// journeyByID indexes the arena by ID, so IDs must stay dense under
-	// sampling: skipped requests consume no ID.
+	// The oracle's dense-ID audit needs IDs 1..minted under sampling too:
+	// skipped requests consume no ID.
 	tr := NewTracer(Config{SampleEvery: 3})
 	var got []uint64
 	for i := 0; i < 9; i++ {

@@ -1,7 +1,9 @@
 package journey
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"vessel/internal/obs"
@@ -15,7 +17,8 @@ import (
 const DefaultFlightCap = 1 << 10
 
 // Config parameterises a Tracer. The zero value is usable: default
-// flight-recorder capacity, no SLO target, an owned metrics registry.
+// flight-recorder capacity, no SLO target, an owned metrics registry,
+// bounded storage.
 type Config struct {
 	// FlightCap bounds the flight recorder (≤0 selects DefaultFlightCap).
 	FlightCap int
@@ -38,6 +41,13 @@ type Config struct {
 	// coverage for mint/record overhead; SLO tallies and histograms then
 	// describe the sampled population.
 	SampleEvery int
+	// Retain keeps every finished journey and its span chain for the
+	// per-journey exports (Records, WriteText, WriteChromeTrace,
+	// WriteCollapsed), so the tracer grows with the number of requests.
+	// Without it a finished journey's storage is reused and those
+	// exports return an error. Either way each journey is checked and
+	// folded at Finish, so every summary, verdict and dump is the same.
+	Retain bool
 }
 
 // WindowStat is one closed SLO window's health signal.
@@ -47,48 +57,87 @@ type WindowStat struct {
 	Bad   uint64 // finishes above the SLO target
 }
 
-// FlightLog is the always-on flight recorder: a bounded view over the
-// tail of the tracer's event arena. The arena already records every
-// journey event in simulation order for the span trees, so the black
-// box costs nothing extra on the hot path — the last FlightCap events
-// are simply the arena's tail, rendered to trace.Events only when a
-// dump or export actually reads them. Events that scroll out of the
-// window are counted as overwritten, never lost silently.
+// flightEntry is one self-describing flight-recorder event: it renders
+// without the journey it names, which may be long recycled.
+type flightEntry struct {
+	at sim.Time
+	// id is the journey ID; for flightEvent, the interned detail.
+	id uint64
+	// arg is the interned app name for flightMint, the sojourn for
+	// flightFinish, and the interned event name for flightEvent.
+	arg int64
+	// note is a chainEntry note (transition or annotation) or one of the
+	// flight* kinds below.
+	note int32
+}
+
+const (
+	flightMint   int32 = -16
+	flightFinish int32 = -17
+	flightEvent  int32 = -18
+)
+
+// FlightLog is the always-on flight recorder: a fixed ring of the last
+// FlightCap journey events in simulation order, rendered to trace.Events
+// only when a dump reads them. The ring is allocated on the first event,
+// so an idle tracer costs nothing. Events that scroll out are counted as
+// overwritten, never lost silently.
 type FlightLog struct {
-	t   *Tracer
-	max int
+	t     *Tracer // resolves interned names
+	ring  []flightEntry
+	max   int
+	next  int    // ring slot the next event goes to
+	total uint64 // events ever recorded
+}
+
+func (l *FlightLog) add(e flightEntry) {
+	if l.ring == nil {
+		l.ring = make([]flightEntry, l.max)
+	}
+	l.ring[l.next] = e
+	if l.next++; l.next == l.max {
+		l.next = 0
+	}
+	l.total++
 }
 
 // Overwritten returns how many events have scrolled out of the window.
 func (l *FlightLog) Overwritten() uint64 {
-	if l == nil {
+	if l == nil || l.total <= uint64(l.max) {
 		return 0
 	}
-	if total := l.t.logTotal(); total > l.max {
-		return uint64(total - l.max)
-	}
-	return 0
+	return l.total - uint64(l.max)
 }
 
 // Events returns the retained events oldest-first, rendered in the
 // canonical trace.Event form.
 func (l *FlightLog) Events() []trace.Event {
-	if l == nil {
+	if l == nil || l.total == 0 {
 		return nil
 	}
-	total := l.t.logTotal()
-	n := total
-	if n > l.max {
-		n = l.max
-	}
-	if n == 0 {
-		return nil
-	}
+	n := int(l.total - l.Overwritten())
 	out := make([]trace.Event, 0, n)
-	for i := total - n; i < total; i++ {
-		out = append(out, l.t.renderEvent(l.t.logAt(i)))
+	for i := l.next - n; i < l.next; i++ {
+		out = append(out, l.render(l.ring[(i+l.max)%l.max]))
 	}
 	return out
+}
+
+// render renders one ring entry in the canonical trace.Event form.
+func (l *FlightLog) render(e flightEntry) trace.Event {
+	t := l.t
+	switch {
+	case e.note >= 0:
+		return trace.Event{T: e.at, Name: "journey.note", Detail: fmt.Sprintf("j=%d %s", e.id, t.noteStr(e.note))}
+	case e.note >= -int32(NumSegments):
+		return trace.Event{T: e.at, Name: "journey.seg", Detail: fmt.Sprintf("j=%d seg=%s", e.id, Segment(-1-e.note))}
+	case e.note == flightMint:
+		return trace.Event{T: e.at, Name: "journey.mint", Detail: fmt.Sprintf("j=%d app=%s", e.id, t.noteStr(int32(e.arg)))}
+	case e.note == flightFinish:
+		return trace.Event{T: e.at, Name: "journey.finish", Detail: fmt.Sprintf("j=%d sojourn=%d", e.id, e.arg)}
+	default: // flightEvent
+		return trace.Event{T: e.at, Name: t.noteStr(int32(e.arg)), Detail: t.noteStr(int32(e.id))}
+	}
 }
 
 // Dump is one flight-recorder snapshot: the black-box postmortem taken
@@ -115,10 +164,11 @@ func (d Dump) Text() string {
 }
 
 // Tracer is the per-run journey hub: it mints journeys in deterministic
-// order, owns the critical-path histograms and the SLO monitor, and
-// runs the always-on bounded flight recorder. The nil *Tracer is the
-// disabled state — every method returns immediately, and journeys
-// minted from it are nil (themselves no-ops).
+// order, checks each against the conservation oracle when it finishes,
+// owns the critical-path histograms and the SLO monitor, and runs the
+// always-on bounded flight recorder. The nil *Tracer is the disabled
+// state — every method returns immediately, and journeys minted from it
+// are nil (themselves no-ops).
 type Tracer struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -129,27 +179,37 @@ type Tracer struct {
 	seg     [NumSegments]*stats.Histogram
 	sojourn *stats.Histogram
 	flight  *FlightLog
-	// Journeys are carved out of fixed-size arena blocks (pointers stay
-	// valid — blocks are never moved, only replaced when full), cutting
-	// per-request allocations and GC pointer churn on the mint path.
-	// Mint order is blocks then arenaBlk[:arenaN]; there is no separate
-	// pointer index.
-	blocks   [][]Journey
-	arenaBlk []Journey
-	arenaN   int
-	// The event arena: fixed 4096-entry pointer-free blocks shared by
-	// all journeys, holding every journey event in simulation order. An
-	// entry's global index is block<<logShift | offset; journeys chain
-	// their span entries backwards through it (see Journey.lhead), and
-	// the flight recorder is a bounded view of its tail — so recording
-	// any event is one 24-byte store with no allocation and nothing for
-	// the GC to scan.
-	lblocks [][]logEntry
-	lN      int
-	// The intern table backing annotation and seam-event names: a small
-	// fixed vocabulary, referenced from entries by index.
+	// Journeys are carved out of fixed-size slot blocks (pointers stay
+	// valid: blocks are never moved). slotN counts the slots handed out
+	// of the last block; without Retain, finished slots wait in free for
+	// the next Mint.
+	blocks [][]Journey
+	slotN  int
+	free   []*Journey
+	// The chain store: pointer-free span-log entries shared by all
+	// journeys. Without Retain a finished journey's chain is spliced onto
+	// freeChain, so the store is as large as the chains of the journeys
+	// in flight.
+	chain     []chainEntry
+	freeChain int32
+	// The intern table backing journey, annotation and seam-event names:
+	// a small fixed vocabulary, referenced from entries by index. hot
+	// caches the index each hot call site interned last (see internHot).
 	strs []string
 	sidx map[string]int32
+	hot  [numHotSites]int32
+
+	// Folded at Finish: the finished count and the sum of finished IDs
+	// (the dense-ID audit), and per interned name (mix parallels strs)
+	// the summed segment time PathMix reads.
+	finished uint64
+	idSum    uint64
+	mix      [][NumSegments]int64
+	// found holds the oracle's findings on finished journeys.
+	found verdicts
+	// mutate, when set, edits each journey at the start of Finish. Only
+	// tests set it, to prove the oracle catches a broken journey.
+	mutate func(j *Journey, at sim.Time)
 
 	good, bad       uint64
 	curWindow       int64
@@ -168,7 +228,7 @@ func NewTracer(cfg Config) *Tracer {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	t := &Tracer{cfg: cfg, reg: reg, sidx: make(map[string]int32)}
+	t := &Tracer{cfg: cfg, reg: reg, sidx: make(map[string]int32), freeChain: -1, hot: [numHotSites]int32{-1, -1, -1}}
 	t.flight = &FlightLog{t: t, max: cfg.FlightCap}
 	// The critical-path histograms ARE the registry's: resolved once
 	// here, recorded by handle on the finish path (no per-sample name
@@ -186,14 +246,11 @@ func New() *Tracer { return NewTracer(Config{}) }
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Reg returns the tracer's metrics registry (nil when disabled). Any
-// pending journey decompositions are folded into the registry-backed
-// histograms first, so a snapshot taken through here is complete.
+// Reg returns the tracer's metrics registry (nil when disabled).
 func (t *Tracer) Reg() *obs.Registry {
 	if t == nil {
 		return nil
 	}
-	t.fold()
 	return t.reg
 }
 
@@ -212,109 +269,52 @@ func (t *Tracer) Mint(name string, at sim.Time) *Journey {
 		return nil
 	}
 	t.minted++
-	if t.arenaN == len(t.arenaBlk) {
-		if t.arenaBlk != nil {
-			t.blocks = append(t.blocks, t.arenaBlk)
+	var j *Journey
+	if n := len(t.free); n > 0 {
+		j = t.free[n-1]
+		t.free = t.free[:n-1]
+		*j = Journey{}
+	} else {
+		if len(t.blocks) == 0 || t.slotN == 1<<slotShift {
+			t.blocks = append(t.blocks, make([]Journey, 1<<slotShift))
+			t.slotN = 0
 		}
-		t.arenaBlk = make([]Journey, 1<<arenaShift)
-		t.arenaN = 0
+		j = &t.blocks[len(t.blocks)-1][t.slotN]
+		t.slotN++
 	}
-	j := &t.arenaBlk[t.arenaN]
-	t.arenaN++
-	// Field assignment, not a struct literal: the arena slot is used
-	// exactly once and comes back zeroed from the allocator, so writing
-	// only the live fields skips re-clearing the inline node buffer.
 	j.ID = t.minted
 	j.Name = name
+	j.name = t.internHot(hotMint, name)
 	j.Arrive = at
 	j.t = t
 	j.since = at
-	j.lhead = -1
-	t.addLog(logEntry{at: at, jid: uint32(j.ID), note: noteMint, prev: -1})
+	j.lhead, j.ltail = -1, -1
+	t.flight.add(flightEntry{at: at, id: j.ID, arg: int64(j.name), note: flightMint})
 	return j
 }
 
-// logShift sizes the event-arena blocks (1<<logShift entries, 96 KiB of
-// pointer-free log per block); arenaShift sizes the journey arena blocks.
-const (
-	logShift   = 12
-	arenaShift = 9
-)
+// slotShift sizes the journey slot blocks.
+const slotShift = 9
 
-// addLog appends one entry to the event arena and returns its global
-// index. Only reachable through a live tracer (journey methods no-op on
-// nil journeys before getting here), so t is never nil.
-func (t *Tracer) addLog(e logEntry) int32 {
-	if len(t.lblocks) == 0 || t.lN == 1<<logShift {
-		t.lblocks = append(t.lblocks, make([]logEntry, 1<<logShift))
-		t.lN = 0
+// record appends one span-log entry to j's chain and the flight
+// recorder. Only reachable through a live journey, so t is never nil.
+func (t *Tracer) record(j *Journey, at sim.Time, note int32) {
+	e := chainEntry{at: at, note: note, next: -1}
+	i := t.freeChain
+	if i >= 0 {
+		t.freeChain = t.chain[i].next
+		t.chain[i] = e
+	} else {
+		i = int32(len(t.chain))
+		t.chain = append(t.chain, e)
 	}
-	blk := t.lblocks[len(t.lblocks)-1]
-	blk[t.lN] = e
-	idx := int32((len(t.lblocks)-1)<<logShift | t.lN)
-	t.lN++
-	return idx
-}
-
-// chain materializes one journey's span-log entries oldest-first by
-// walking its backwards chain from head (-1 yields nil).
-func (t *Tracer) chain(head int32) []logEntry {
-	if t == nil || head < 0 {
-		return nil
+	if j.ltail >= 0 {
+		t.chain[j.ltail].next = i
+	} else {
+		j.lhead = i
 	}
-	n := 0
-	for i := head; i >= 0; n++ {
-		i = t.lblocks[i>>logShift][i&(1<<logShift-1)].prev
-	}
-	out := make([]logEntry, n)
-	for i := head; i >= 0; {
-		e := t.lblocks[i>>logShift][i&(1<<logShift-1)]
-		n--
-		out[n] = e
-		i = e.prev
-	}
-	return out
-}
-
-// logTotal returns the number of entries in the event arena.
-func (t *Tracer) logTotal() int {
-	if t == nil || len(t.lblocks) == 0 {
-		return 0
-	}
-	return (len(t.lblocks)-1)<<logShift | t.lN
-}
-
-// logAt returns the arena entry at a global index.
-func (t *Tracer) logAt(i int) logEntry {
-	return t.lblocks[i>>logShift][i&(1<<logShift-1)]
-}
-
-// journeyByID returns the minted journey with the given ID (mint order
-// is arena order, so this is a direct block lookup).
-func (t *Tracer) journeyByID(id uint64) *Journey {
-	i := int(id - 1)
-	if bi := i >> arenaShift; bi < len(t.blocks) {
-		return &t.blocks[bi][i&(1<<arenaShift-1)]
-	}
-	return &t.arenaBlk[i&(1<<arenaShift-1)]
-}
-
-// renderEvent renders one arena entry in the canonical trace.Event form
-// the flight recorder exposes.
-func (t *Tracer) renderEvent(e logEntry) trace.Event {
-	switch {
-	case e.note >= 0:
-		return trace.Event{T: e.at, Name: "journey.note", Detail: fmt.Sprintf("j=%d %s", e.jid, t.noteStr(e.note))}
-	case e.note >= -int32(NumSegments):
-		return trace.Event{T: e.at, Name: "journey.seg", Detail: fmt.Sprintf("j=%d seg=%s", e.jid, Segment(-1-e.note))}
-	case e.note == noteMint:
-		return trace.Event{T: e.at, Name: "journey.mint", Detail: fmt.Sprintf("j=%d app=%s", e.jid, t.journeyByID(uint64(e.jid)).Name)}
-	case e.note == noteFinish:
-		j := t.journeyByID(uint64(e.jid))
-		return trace.Event{T: e.at, Name: "journey.finish", Detail: fmt.Sprintf("j=%d sojourn=%d", e.jid, int64(j.Sojourn()))}
-	default: // noteEvent: prev is the interned name, jid the interned detail
-		return trace.Event{T: e.at, Name: t.noteStr(e.prev), Detail: t.noteStr(int32(e.jid))}
-	}
+	j.ltail = i
+	t.flight.add(flightEntry{at: at, id: j.ID, note: note})
 }
 
 // intern maps a string into the tracer's intern table; nil-safe so
@@ -328,7 +328,27 @@ func (t *Tracer) intern(s string) int32 {
 	}
 	i := int32(len(t.strs))
 	t.strs = append(t.strs, s)
+	t.mix = append(t.mix, [NumSegments]int64{})
 	t.sidx[s] = i
+	return i
+}
+
+// The hot intern call sites: a run repeats the same few journey names
+// and seam-event names and details, so each site first tries the index
+// it interned last and skips the map lookup when the string matches.
+const (
+	hotMint = iota
+	hotEventName
+	hotEventDetail
+	numHotSites
+)
+
+func (t *Tracer) internHot(site int, s string) int32 {
+	if i := t.hot[site]; i >= 0 && t.strs[i] == s {
+		return i
+	}
+	i := t.intern(s)
+	t.hot[site] = i
 	return i
 }
 
@@ -340,18 +360,6 @@ func (t *Tracer) noteStr(i int32) string {
 	return t.strs[i]
 }
 
-// each calls fn for every minted journey in mint order.
-func (t *Tracer) each(fn func(j *Journey)) {
-	for _, blk := range t.blocks {
-		for i := range blk {
-			fn(&blk[i])
-		}
-	}
-	for i := 0; i < t.arenaN; i++ {
-		fn(&t.arenaBlk[i])
-	}
-}
-
 // Event records a seam event that is not bound to one journey (a
 // scheduler wakeup→run switch edge, a watchdog kill, a domain restart)
 // into the flight recorder's event stream.
@@ -359,23 +367,42 @@ func (t *Tracer) Event(at sim.Time, name, detail string) {
 	if t == nil {
 		return
 	}
-	t.addLog(logEntry{at: at, jid: uint32(t.intern(detail)), note: noteEvent, prev: t.intern(name)})
+	d, n := t.internHot(hotEventDetail, detail), t.internHot(hotEventName, name)
+	t.flight.add(flightEntry{at: at, id: uint64(d), arg: int64(n), note: flightEvent})
 }
 
-// finish folds a completed journey into the histograms and the SLO
-// monitor. Called by Journey.Finish.
+// finish runs everything a journey owes the tracer when it completes:
+// the flight-recorder entry, the conservation oracle, the fold into the
+// histograms, path mix and SLO monitor, and, without Retain, the
+// release of its slot and chain. Called by Journey.Finish.
 func (t *Tracer) finish(j *Journey) {
-	if t == nil {
-		return
-	}
 	soj := j.Sojourn()
-	t.addLog(logEntry{at: j.Done, jid: uint32(j.ID), note: noteFinish, prev: -1})
-	// The sojourn/segment histograms are NOT recorded here: folding is
-	// deferred to the first read (see fold), keeping the finish hot path
-	// to one arena store plus the SLO tallies below.
-	if t.cfg.SLOTarget <= 0 {
+	t.flight.add(flightEntry{at: j.Done, id: j.ID, arg: int64(soj), note: flightFinish})
+	t.audit(j, &t.found)
+	t.finished++
+	t.idSum += j.ID
+	t.sojourn.Record(int64(soj))
+	for s, d := range j.Segs {
+		if d > 0 {
+			t.seg[s].Record(int64(d))
+		}
+		t.mix[j.name][s] += int64(d)
+	}
+	if t.cfg.SLOTarget > 0 {
+		t.classify(j, soj)
+	}
+	if t.cfg.Retain {
 		return
 	}
+	if j.lhead >= 0 {
+		t.chain[j.ltail].next = t.freeChain
+		t.freeChain = j.lhead
+	}
+	t.free = append(t.free, j)
+}
+
+// classify tallies a finish against the SLO target and its window.
+func (t *Tracer) classify(j *Journey, soj sim.Duration) {
 	viol := soj > t.cfg.SLOTarget
 	if viol {
 		t.bad++
@@ -400,26 +427,122 @@ func (t *Tracer) finish(j *Journey) {
 	}
 }
 
-// fold records every finished-but-unfolded journey's sojourn and
-// segment decomposition into the registry-backed histograms (resolved
-// handles; see NewTracer). Folding runs lazily — Analyze and Reg call
-// it before any histogram read — so the per-request finish path pays
-// nothing for them. Histogram content is independent of record order,
-// and each journey folds exactly once, so the result is byte-identical
-// to eager recording at every read point.
-func (t *Tracer) fold() {
-	t.each(func(j *Journey) {
-		if !j.finished || j.folded {
+// audit is the conservation oracle for one finished journey, run by
+// Finish the moment it ends: its critical-path segments must sum to the
+// sojourn exactly, and the span tree re-derived from its chain must keep
+// its children inside the root's interval, its follows-from edges
+// pointing backwards, and its per-segment totals equal to the
+// accumulators. A missed transition or a double close cannot hide
+// behind the accumulator. The replay mirrors Tree without building
+// nodes, so the check allocates nothing unless a finding fires.
+func (t *Tracer) audit(j *Journey, v *verdicts) {
+	if j.ID == 0 || j.ID > t.minted {
+		v.add("journey %d (%s): ID outside mint order 1..%d", j.ID, j.Name, t.minted)
+	}
+	if j.Done < j.Arrive {
+		v.add("journey %d (%s): Done %d before Arrive %d", j.ID, j.Name, int64(j.Done), int64(j.Arrive))
+		return
+	}
+	var fromTree [NumSegments]sim.Duration
+	id, last, cur, since := 1, -1, SegQueue, j.Arrive
+	escapes := func(from, to sim.Time) {
+		if to > j.Done {
+			v.add("journey %d node %d: span [%d,%d] escapes root [%d,%d]",
+				j.ID, id, int64(from), int64(to), int64(j.Arrive), int64(j.Done))
+		}
+	}
+	// closeSeg closes the open segment as Tree does: a span of positive
+	// length becomes the next node, following the previous span.
+	closeSeg := func(at sim.Time) {
+		if at <= since {
 			return
 		}
-		j.folded = true
-		t.sojourn.Record(int64(j.Sojourn()))
-		for s := Segment(0); s < NumSegments; s++ {
-			if d := j.Segs[s]; d > 0 {
-				t.seg[s].Record(int64(d))
-			}
+		if last >= id {
+			v.add("journey %d node %d: follows-from %d points forward", j.ID, id, last)
 		}
-	})
+		escapes(since, at)
+		fromTree[cur] += at.Sub(since)
+		last, since = id, at
+		id++
+	}
+	for i := j.lhead; i >= 0; {
+		e := t.chain[i]
+		i = e.next
+		if at := max(e.at, since); e.note >= 0 { // an instant node
+			escapes(at, at)
+			id++
+		} else {
+			closeSeg(at)
+			cur = Segment(-1 - e.note)
+		}
+	}
+	closeSeg(j.Done)
+	var sum sim.Duration
+	for s, d := range j.Segs {
+		sum += d
+		if fromTree[s] != d {
+			v.add("journey %d segment %s: tree says %d ns, accumulator says %d ns",
+				j.ID, Segment(s), int64(fromTree[s]), int64(d))
+		}
+	}
+	if want := j.Done.Sub(j.Arrive); sum != want {
+		v.add("journey %d (%s): segments sum to %d ns, sojourn is %d ns (Δ %d)",
+			j.ID, j.Name, int64(sum), int64(want), int64(sum-want))
+	}
+}
+
+// maxVerdicts bounds the oracle findings a tracer lists verbatim; the
+// rest are counted.
+const maxVerdicts = 64
+
+// verdicts collects oracle findings: the first maxVerdicts verbatim,
+// the rest counted.
+type verdicts struct {
+	kept []string
+	n    uint64
+}
+
+func (v *verdicts) add(format string, args ...any) {
+	v.n++
+	if len(v.kept) < maxVerdicts {
+		v.kept = append(v.kept, fmt.Sprintf(format, args...))
+	}
+}
+
+// Verdicts returns the conservation oracle's findings on finished
+// journeys, checked by Finish, and the dense-ID audit: every minted
+// journey must be finished or in flight exactly once. Journeys still in
+// flight are the caller's to check (see Journeys). At most maxVerdicts
+// findings are listed; a last line counts the rest.
+func (t *Tracer) Verdicts() []string {
+	if t == nil {
+		return nil
+	}
+	all := verdicts{kept: slices.Clone(t.found.kept), n: t.found.n}
+	var open, sum uint64
+	for _, j := range t.Journeys() {
+		if !j.finished {
+			open++
+			sum += j.ID
+		}
+	}
+	if n := t.minted; t.finished+open != n || t.idSum+sum != triangle(n) {
+		all.add("tracer minted %d journeys but finished %d and holds %d in flight, not dense IDs 1..%d",
+			n, t.finished, open, n)
+	}
+	if rest := all.n - uint64(len(all.kept)); rest > 0 {
+		all.kept = append(all.kept, fmt.Sprintf("%d more journey violations not listed", rest))
+	}
+	return all.kept
+}
+
+// triangle returns 1+2+…+n modulo 2^64, the sum of dense IDs 1..n
+// (the ID sums it is compared with wrap the same way).
+func triangle(n uint64) uint64 {
+	if n%2 == 0 {
+		return n / 2 * (n + 1)
+	}
+	return (n + 1) / 2 * n
 }
 
 func (t *Tracer) rollWindow() {
@@ -477,22 +600,22 @@ func (t *Tracer) PathMix(prefix string) [NumSegments]float64 {
 	if t == nil {
 		return mix
 	}
-	var segs [NumSegments]float64
-	var tot float64
-	t.each(func(j *Journey) {
-		if !j.finished || !strings.HasPrefix(j.Name, prefix) {
-			return
+	var segs [NumSegments]int64
+	var tot int64
+	for i, m := range t.mix {
+		if !strings.HasPrefix(t.strs[i], prefix) {
+			continue
 		}
-		for s, d := range j.Segs {
-			segs[s] += float64(d)
-			tot += float64(d)
+		for s, d := range m {
+			segs[s] += d
+			tot += d
 		}
-	})
+	}
 	if tot == 0 {
 		return mix
 	}
 	for s := range segs {
-		mix[s] = segs[s] / tot
+		mix[s] = float64(segs[s]) / float64(tot)
 	}
 	return mix
 }
@@ -514,15 +637,27 @@ func (t *Tracer) Sampled() (seen, minted uint64) {
 	return t.seen, t.minted
 }
 
-// Journeys returns the minted journeys in mint order (assembled on
-// demand — the tracer keeps journeys in arena blocks, not a pointer
-// index).
+// Journeys returns the journeys the tracer holds, in mint order: every
+// minted journey with Config.Retain, otherwise only those still in
+// flight (finished ones live on in the summaries, verdicts and flight
+// recorder).
 func (t *Tracer) Journeys() []*Journey {
 	if t == nil || t.minted == 0 {
 		return nil
 	}
-	out := make([]*Journey, 0, t.minted)
-	t.each(func(j *Journey) { out = append(out, j) })
+	var out []*Journey
+	for bi, blk := range t.blocks {
+		if bi == len(t.blocks)-1 {
+			blk = blk[:t.slotN]
+		}
+		for i := range blk {
+			if j := &blk[i]; t.cfg.Retain || !j.finished {
+				out = append(out, j)
+			}
+		}
+	}
+	// Reused slots break block order; sort back into mint order.
+	slices.SortFunc(out, func(a, b *Journey) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -572,14 +707,8 @@ func (t *Tracer) Analyze() Analysis {
 	if t == nil {
 		return a
 	}
-	t.fold()
-	t.each(func(j *Journey) {
-		if j.finished {
-			a.Finished++
-		} else {
-			a.Unfinished++
-		}
-	})
+	a.Finished = t.finished
+	a.Unfinished = t.minted - t.finished
 	a.Sojourn = t.sojourn.Summarize()
 	for s := range t.seg {
 		a.Seg[s] = t.seg[s].Summarize()
