@@ -194,10 +194,11 @@ type Tracer struct {
 	freeChain int32
 	// The intern table backing journey, annotation and seam-event names:
 	// a small fixed vocabulary, referenced from entries by index. hot
-	// caches the index each hot call site interned last (see internHot).
+	// caches the indices each hot call site interned last (see
+	// internHot).
 	strs []string
 	sidx map[string]int32
-	hot  [numHotSites]int32
+	hot  [numHotSites][hotWays]int32
 
 	// Folded at Finish: the finished count and the sum of finished IDs
 	// (the dense-ID audit), and per interned name (mix parallels strs)
@@ -228,7 +229,10 @@ func NewTracer(cfg Config) *Tracer {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	t := &Tracer{cfg: cfg, reg: reg, sidx: make(map[string]int32), freeChain: -1, hot: [numHotSites]int32{-1, -1, -1}}
+	t := &Tracer{cfg: cfg, reg: reg, sidx: make(map[string]int32), freeChain: -1}
+	for site := range t.hot {
+		t.hot[site] = [hotWays]int32{-1, -1, -1, -1}
+	}
 	t.flight = &FlightLog{t: t, max: cfg.FlightCap}
 	// The critical-path histograms ARE the registry's: resolved once
 	// here, recorded by handle on the finish path (no per-sample name
@@ -334,8 +338,11 @@ func (t *Tracer) intern(s string) int32 {
 }
 
 // The hot intern call sites: a run repeats the same few journey names
-// and seam-event names and details, so each site first tries the index
-// it interned last and skips the map lookup when the string matches.
+// and seam-event names and details, so each site first tries the
+// hotWays indices it interned last and skips the map lookup when one of
+// their strings matches. One remembered index is not enough: the
+// sched.switch detail cycles through each app's name and "" (an idle
+// core), and missed on three calls in four.
 const (
 	hotMint = iota
 	hotEventName
@@ -343,12 +350,18 @@ const (
 	numHotSites
 )
 
+const hotWays = 4
+
 func (t *Tracer) internHot(site int, s string) int32 {
-	if i := t.hot[site]; i >= 0 && t.strs[i] == s {
-		return i
+	h := &t.hot[site]
+	for _, i := range h {
+		if i >= 0 && t.strs[i] == s {
+			return i
+		}
 	}
 	i := t.intern(s)
-	t.hot[site] = i
+	copy(h[1:], h[:hotWays-1])
+	h[0] = i
 	return i
 }
 

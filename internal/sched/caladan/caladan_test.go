@@ -241,3 +241,27 @@ func TestSaturatedEventHeapStaysShallow(t *testing.T) {
 		t.Fatalf("event heap peaked at %d events on %d cores, want at most %d", hw, cores, 4*cores)
 	}
 }
+
+// TestHeapPushesPerRequest pins how much of a Caladan run goes through the
+// engine's event heap. At colo-16c's cell (16 cores, memcached at load 0.8
+// beside linpack, seed 1, 2 ms warm-up plus 8 ms) each offered request
+// fires ~3.0 engine callbacks. Its arrival and its IOKernel forward are
+// single-flight timers beside the heap, so only ~1.4 of them are heap
+// pushes; with every one on the heap it was 3.0.
+func TestHeapPushesPerRequest(t *testing.T) {
+	const cores = 16
+	mc := workload.NewLApp("memcached", workload.Memcached(), 0.8*sched.IdealLCapacity(cores, workload.Memcached()))
+	cfg := baseCfg(mc, workload.NewBApp("linpack", 0.5, 0.05))
+	cfg.Cores, cfg.Warmup, cfg.Duration = cores, 2*sim.Millisecond, 8*sim.Millisecond
+	r, err := Simulator{Variant: Plain}.start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run(r.endAt)
+	offered := float64(mc.Offered)
+	fired, pushed := float64(r.eng.Fired())/offered, float64(r.eng.Pushed())/offered
+	if pushed > 1.5 || fired-pushed < 1.5 {
+		t.Fatalf("%d requests: %.3f firings and %.3f heap pushes each, want at most 1.5 pushes and at least 1.5 timer firings",
+			mc.Offered, fired, pushed)
+	}
+}

@@ -10,25 +10,26 @@ import (
 // scheduler and Caladan's IOKernel, whose saturation caps core scalability
 // (Figure 12). The server forwards one request per cost, in arrival order.
 //
-// Only the head request's forward is in the engine. Submit reserves each
-// request's engine key (sim.Engine.Reserve) when it arrives, and each
-// forward schedules the next request's under that key, so ties with
-// other events at the same instant break exactly as if every forward had
-// been scheduled on arrival, while the engine holds one event per control
-// plane however deep the backlog grows.
+// Only the head request's forward is pending, on one engine timer. Submit
+// reserves each request's engine key (sim.Engine.Reserve) when it
+// arrives, and each forward arms the timer for the next request under
+// that key, so ties with other events at the same instant break exactly
+// as if every forward had been scheduled on arrival, while the engine
+// holds one timer per control plane however deep the backlog grows, and
+// no forward goes through the event heap.
 type CtrlPlane struct {
 	eng     *sim.Engine
 	cost    sim.Duration
 	q       workload.FIFO // accepted, not yet forwarded; the head's forward is pending
 	deliver func(*workload.Request)
-	fire    func() // p.forward, bound once
+	timer   sim.Timer // fires p.forward
 }
 
 // NewCtrlPlane returns a control plane on eng that spends cost (> 0) on
 // each request and then calls deliver with it, back on its app's queue.
 func NewCtrlPlane(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) *CtrlPlane {
 	p := &CtrlPlane{eng: eng, cost: cost, deliver: deliver}
-	p.fire = p.forward
+	eng.Bind(&p.timer, p.forward)
 	return p
 }
 
@@ -43,11 +44,11 @@ func (p *CtrlPlane) Submit(req *workload.Request) {
 	}
 }
 
-// schedule puts the forward of req, the new head, in the engine. The
-// server turns to req now: it is idle as req is submitted, or the request
-// before req is just leaving.
+// schedule arms the forward of req, the new head. The server turns to
+// req now: it is idle as req is submitted, or the request before req is
+// just leaving.
 func (p *CtrlPlane) schedule(req *workload.Request) {
-	p.eng.AtSeq(p.eng.Now().Add(p.cost), req.CtrlSeq, p.fire)
+	p.timer.AtSeq(p.eng.Now().Add(p.cost), req.CtrlSeq)
 }
 
 func (p *CtrlPlane) forward() {

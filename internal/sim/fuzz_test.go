@@ -2,13 +2,16 @@ package sim
 
 import "testing"
 
-// FuzzEngineOrder drives the engine with At, Reserve, AtSeq, Cancel and
-// Step, and with At and AtSeq calls made inside firing callbacks, at times
-// that collide often. A reference model fires the pending event with the
-// least (at, seq) by linear scan; the engine must fire the same sequence,
-// and after every operation every handle, Pending and HighWaterPending
-// must agree with it. An AtSeq whose key does not order after the last
-// fired event must panic and schedule nothing.
+// FuzzEngineOrder drives the engine with At, Cancel and Step, with Reserve
+// and eight timers armed by At or under reserved seqs, and with At calls and
+// timer arms made inside firing callbacks (a timer re-arming itself among
+// them), at times that collide often. A reference model fires the pending
+// event or armed timer with the least (at, seq) by linear scan; the engine
+// must fire the same sequence, and after every operation every handle,
+// every timer's Armed, Pending, HighWaterPending, Fired and Pushed must
+// agree with it. A timer arm whose reserved key does not order after the
+// last fired event, or on a timer already armed, must panic and schedule
+// nothing.
 //
 // Handles may expire once their event is history (the engine reuses its
 // storage); an expired handle must read as the zero handle, never as
@@ -22,29 +25,47 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte("000000010010010000000000202C"))
 	// A Cancel of an event a pop just moved down the heap.
 	f.Add([]byte("001070010000722"))
-	// Reserved keys: a backlog reserved up front and scheduled one by one
+	// Reserved keys: a backlog reserved up front and armed one by one
 	// from callbacks (the control-plane pattern), beside At events at the
 	// same instants, and keys that order before the event firing.
 	f.Add([]byte{0x80, 0x80, 0x80, 0x81, 0, 0, 1, 0x80, 0, 0, 2, 0x80, 0x84,
 		3, 0x81, 1, 1, 0, 3, 3, 0x81, 0, 0, 0, 3, 3, 3})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0, 0, 2, 0x80, 0x81, 0x81, 0, 1,
 		0x80, 0x80, 0x82, 3, 3, 0x81, 2, 0, 0, 3, 3, 3, 3})
+	// Timers armed by At beside At events at the same instants, re-armed
+	// from their own callbacks and from events', and armed twice.
+	f.Add([]byte{0x91, 0, 1, 0x90, 0, 0, 1, 0x94, 0x93, 1, 0, 0x91, 0,
+		3, 0x93, 0, 0, 3, 3, 0x95, 2, 0, 3, 3, 3})
+	// Timers armed under reserved keys from callbacks, before and after
+	// the firing event's seq, beside timers armed by At.
+	f.Add([]byte{0x80, 0x80, 1, 0, 2, 0x81, 0xa1, 0x80, 0x83, 1, 0, 1, 0x84,
+		3, 0x97, 0, 1, 0x85, 3, 0x80, 3, 3, 3, 3})
+	// A timer armed under an older reserved key at the instant another
+	// timer is armed for: it must sift above it.
+	f.Add([]byte{0x80, 0x93, 0, 0, 0x81, 0, 0, 0, 3, 3})
+	// All eight timers armed at once by At, at colliding times, firing and
+	// re-arming one another from their callbacks.
+	f.Add([]byte{0x91, 1, 0, 0x93, 3, 1, 0xa5, 0x95, 0, 0, 0x97, 2, 2, 0xb9, 0x80,
+		0x99, 1, 0, 0x9b, 3, 0, 0x9d, 2, 1, 0xa2, 0x9f, 0, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		// Every operation rechecks every handle; keep inputs short enough
 		// for that to stay cheap.
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
-		// A kid is an event a callback schedules when it fires, d after
-		// the firing time: by At when key < 0, else by AtSeq with the
-		// reserved seq at index key (mod the pool's size then).
+		const nTimers = 8
+		// A kid is what a callback schedules when it fires, d after the
+		// firing time: an event by At when timer < 0, else an arm of
+		// timers[timer], by At when key < 0 and under the reserved seq
+		// at index key (mod the pool's size) otherwise.
 		type kid struct {
-			d   Duration
-			key int
+			d          Duration
+			timer, key int
 		}
 		type ref struct {
 			at        Time
 			seq       uint64
+			timer     int // the timer armed, or -1 for an event
 			kids      []kid
 			pending   bool
 			cancelled bool // Cancel called before the storage was reused
@@ -59,15 +80,18 @@ func FuzzEngineOrder(f *testing.F) {
 			return b
 		}
 		// A byte below 0x80 encodes the same kid (and, in the loop below,
-		// the same operation) it did before Reserve and AtSeq existed, so
-		// older seeds still reach the cases they were added for.
+		// the same operation) it did before Reserve and timers existed,
+		// so older seeds still reach the cases they were added for.
 		kidsOf := func() []kid {
 			var kids []kid
 			for n := next() % 3; n > 0; n-- {
 				b := next()
-				k := kid{d: Duration(b % 4), key: -1}
+				k := kid{d: Duration(b % 4), timer: -1, key: -1}
 				if b >= 0x80 {
-					k.key = int(b>>2) & 0x1f
+					k.timer = int(b>>2) & 7
+					if b&0x20 == 0 {
+						k.key = int(b>>6) & 1
+					}
 				}
 				kids = append(kids, k)
 			}
@@ -75,61 +99,99 @@ func FuzzEngineOrder(f *testing.F) {
 		}
 		e := NewEngine()
 		var (
-			hs            []Event
+			hs            []Event // per ref; zero for timer arms
 			refs          []*ref
 			fired         []int
 			seq           uint64
-			reserved      []uint64 // reserved and not yet scheduled
+			reserved      []uint64 // reserved and not yet used
 			floor         uint64   // one past the last fired seq
 			pending, high int
-			schedule      func(at Time, key int, kids []kid)
+			pushed        uint64
+			timers        [nTimers]Timer
+			armed         [nTimers]int // the ref each timer is armed for, or -1
+			schedule      func(at Time, timer, key int, kids []kid)
 		)
-		// schedule adds an event at `at` to the engine and the model: by At
-		// when key < 0, else by AtSeq with reserved[key % len]. An AtSeq
-		// key that does not order after the last fired event must panic
-		// and leave both untouched.
-		schedule = func(at Time, key int, kids []kid) {
-			id := len(refs)
-			r := &ref{at: at, kids: kids, pending: true}
-			fn := func() {
-				// The engine dequeues an event before running it.
-				fired = append(fired, id)
-				refs[id].pending = false
-				pending--
-				floor = refs[id].seq + 1
-				if h := hs[id]; h.Pending() || h.Cancelled() || h.At() != refs[id].at {
-					t.Fatalf("event %d inside its callback: pending=%v cancelled=%v at=%v",
-						id, h.Pending(), h.Cancelled(), h.At())
-				}
-				for _, k := range refs[id].kids {
-					schedule(e.Now().Add(k.d), k.key, nil)
-				}
+		// fire is the model's half of a firing: the engine takes an event
+		// off the heap, or disarms a timer, before running its callback.
+		fire := func(id int) {
+			r := refs[id]
+			fired = append(fired, id)
+			r.pending = false
+			pending--
+			floor = r.seq + 1
+			if e.Fired() != uint64(len(fired)) {
+				t.Fatalf("firing %d: Fired=%d, model %d", id, e.Fired(), len(fired))
 			}
+			for _, k := range r.kids {
+				schedule(e.Now().Add(k.d), k.timer, k.key, nil)
+			}
+		}
+		for k := range timers {
+			armed[k] = -1
+			e.Bind(&timers[k], func() {
+				id := armed[k]
+				armed[k] = -1
+				if id < 0 || timers[k].Armed() || e.Now() != refs[id].at {
+					t.Fatalf("timer %d fired at %v for ref %d, armed=%v", k, e.Now(), id, timers[k].Armed())
+				}
+				fire(id)
+			})
+		}
+		// mustPanic runs an arm the engine must refuse.
+		mustPanic := func(what string, arm func()) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", what)
+				}
+			}()
+			arm()
+		}
+		// schedule adds an event or timer arm at `at` to the engine and the
+		// model. An arm of an armed timer, or under a reserved key that
+		// does not order after the last fired event, must panic and leave
+		// both untouched.
+		schedule = func(at Time, timer, key int, kids []kid) {
+			id := len(refs)
+			r := &ref{at: at, timer: timer, kids: kids, pending: true}
 			var h Event
 			switch {
+			case timer < 0:
+				r.seq = seq
+				seq++
+				pushed++
+				h = e.At(at, func() {
+					if h := hs[id]; h.Pending() || h.Cancelled() || h.At() != refs[id].at {
+						t.Fatalf("event %d inside its callback: pending=%v cancelled=%v at=%v",
+							id, h.Pending(), h.Cancelled(), h.At())
+					}
+					fire(id)
+				})
+			case key >= 0 && len(reserved) == 0:
+				return
+			case armed[timer] >= 0:
+				tm := &timers[timer]
+				if key < 0 {
+					mustPanic("At on an armed timer", func() { tm.At(at) })
+				} else {
+					mustPanic("AtSeq on an armed timer", func() { tm.AtSeq(at, reserved[key%len(reserved)]) })
+				}
+				return
 			case key < 0:
 				r.seq = seq
 				seq++
-				h = e.At(at, fn)
-			case len(reserved) == 0:
-				return
+				timers[timer].At(at)
 			default:
 				i := key % len(reserved)
 				r.seq = reserved[i]
 				if at == e.Now() && r.seq < floor {
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Fatalf("AtSeq(%v, %d) did not panic after seq %d fired at %v",
-									at, r.seq, floor-1, e.Now())
-							}
-						}()
-						e.AtSeq(at, r.seq, fn)
-					}()
+					mustPanic("AtSeq before the last fired key", func() { timers[timer].AtSeq(at, r.seq) })
 					return
 				}
 				reserved = append(reserved[:i], reserved[i+1:]...)
-				h = e.AtSeq(at, r.seq, fn)
+				timers[timer].AtSeq(at, r.seq)
+			}
+			if timer >= 0 {
+				armed[timer] = id
 			}
 			refs = append(refs, r)
 			hs = append(hs, h)
@@ -137,8 +199,8 @@ func FuzzEngineOrder(f *testing.F) {
 				high = pending
 			}
 		}
-		// earliest is the model's next event: the pending one with the
-		// least (at, seq), or -1.
+		// earliest is the model's next firing: the pending event or armed
+		// timer with the least (at, seq), or -1.
 		earliest := func() int {
 			want := -1
 			for i, r := range refs {
@@ -150,12 +212,21 @@ func FuzzEngineOrder(f *testing.F) {
 			return want
 		}
 		check := func(step int) {
-			if e.Pending() != pending || e.HighWaterPending() != high {
-				t.Fatalf("op %d: Pending=%d HighWaterPending=%d, model %d and %d",
-					step, e.Pending(), e.HighWaterPending(), pending, high)
+			if e.Pending() != pending || e.HighWaterPending() != high ||
+				e.Fired() != uint64(len(fired)) || e.Pushed() != pushed {
+				t.Fatalf("op %d: Pending=%d HighWaterPending=%d Fired=%d Pushed=%d, model %d, %d, %d and %d",
+					step, e.Pending(), e.HighWaterPending(), e.Fired(), e.Pushed(), pending, high, len(fired), pushed)
+			}
+			for k := range timers {
+				if timers[k].Armed() != (armed[k] >= 0) {
+					t.Fatalf("op %d: timer %d armed=%v, model %v", step, k, timers[k].Armed(), armed[k] >= 0)
+				}
 			}
 			for i, h := range hs {
 				r := refs[i]
+				if r.timer >= 0 {
+					continue
+				}
 				at, p, c := h.At(), h.Pending(), h.Cancelled()
 				if !r.expired && (at != r.at || p != r.pending || c != r.cancelled) {
 					r.expired = !r.pending && at == 0 && !p && !c
@@ -172,7 +243,9 @@ func FuzzEngineOrder(f *testing.F) {
 		for step := 0; len(ops) > 0; step++ {
 			b := next()
 			if b >= 0x80 {
-				// Reserve, or AtSeq with a reserved seq.
+				// Reserve, or arm timer (b>>1)&7: under a reserved seq
+				// (its index in the next byte) when b&0x10 == 0, else by
+				// At.
 				if b&1 == 0 {
 					reserved = append(reserved, e.Reserve())
 					if reserved[len(reserved)-1] != seq {
@@ -180,9 +253,12 @@ func FuzzEngineOrder(f *testing.F) {
 					}
 					seq++
 				} else {
-					key := int(next())
+					key := -1
+					if b&0x10 == 0 {
+						key = int(next())
+					}
 					at := e.Now().Add(Duration(next() % 4))
-					schedule(at, key, kidsOf())
+					schedule(at, int(b>>1)&7, key, kidsOf())
 				}
 				check(step)
 				continue
@@ -190,14 +266,14 @@ func FuzzEngineOrder(f *testing.F) {
 			switch op := b % 4; op {
 			case 0, 1:
 				at := e.Now().Add(Duration(next() % 4))
-				schedule(at, -1, kidsOf())
+				schedule(at, -1, -1, kidsOf())
 			case 2:
 				if len(hs) == 0 {
 					break
 				}
 				i := int(next()) % len(hs)
-				e.Cancel(hs[i])
-				if r := refs[i]; !r.expired {
+				e.Cancel(hs[i]) // a timer arm's zero handle: a no-op
+				if r := refs[i]; r.timer < 0 && !r.expired {
 					if r.pending {
 						r.pending = false
 						pending--
@@ -214,7 +290,7 @@ func FuzzEngineOrder(f *testing.F) {
 					break
 				}
 				if len(fired) != n+1 || fired[n] != want {
-					t.Fatalf("op %d: fired %v, want event %d", step, fired[n:], want)
+					t.Fatalf("op %d: fired %v, want %d", step, fired[n:], want)
 				}
 				if e.Now() != refs[want].at {
 					t.Fatalf("op %d: clock %v, want %v", step, e.Now(), refs[want].at)
@@ -228,12 +304,12 @@ func FuzzEngineOrder(f *testing.F) {
 			n := len(fired)
 			e.Step()
 			if len(fired) != n+1 || fired[n] != want {
-				t.Fatalf("drain: fired %v, want event %d", fired[n:], want)
+				t.Fatalf("drain: fired %v, want %d", fired[n:], want)
 			}
 			check(-1)
 		}
 		if e.Step() {
-			t.Fatal("engine fired an event the model does not have")
+			t.Fatal("engine fired something the model does not have")
 		}
 	})
 }

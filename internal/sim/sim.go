@@ -3,10 +3,10 @@
 //
 // Every component of the VESSEL reproduction — the simulated CPU cores, the
 // simulated Linux kernel, the schedulers, and the workload generators — is
-// driven by a single Engine. Events are executed in strictly non-decreasing
-// time order; ties are broken by scheduling order (for an event scheduled
-// under a reserved key, by the order of its reservation), so a run is a
-// pure function of its inputs and seed.
+// driven by a single Engine. Events and timers are executed in strictly
+// non-decreasing time order; ties are broken by scheduling order (for a
+// timer armed under a reserved key, by the order of its reservation), so a
+// run is a pure function of its inputs and seed.
 package sim
 
 import (
@@ -40,6 +40,10 @@ func (t Time) String() string { return Duration(t).String() }
 // String formats a duration using the most natural unit.
 func (d Duration) String() string {
 	switch {
+	case d == math.MinInt64:
+		// -d overflows back to d; MaxInt64 prints the same at this
+		// precision.
+		return "-" + Duration(math.MaxInt64).String()
 	case d < 0:
 		return "-" + (-d).String()
 	case d < Microsecond:
@@ -115,33 +119,48 @@ type Engine struct {
 	queue   eventHeap
 	stopped bool
 	fired   uint64
-	// floor is the least seq AtSeq may use at time now: one past the
-	// seq of the event fired at now, or 0 once the clock has moved past
-	// every fired event.
+	pushed  uint64
+	// floor is the least seq a reserved key may use at time now: one
+	// past the seq of the event fired at now, or 0 once the clock has
+	// moved past every fired event.
 	floor uint64
 	// free holds fired/cancelled events awaiting reuse, so steady-state
 	// scheduling allocates nothing. Reuse bumps the event's gen, expiring
 	// any handles still pointing at it.
 	free []*event
-	// hwPending is the deepest the event queue has ever been, a depth
-	// gauge for tests that bound how much a model keeps scheduled.
+	// timers holds the events of the armed timers, a heap of its own;
+	// timerBuf backs it while few are armed, so arming allocates
+	// nothing.
+	timers   eventHeap
+	timerBuf [4]*event
+	// hwPending is the most events and armed timers ever pending at
+	// once, a depth gauge for tests that bound how much a model keeps
+	// scheduled.
 	hwPending int
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.timers = e.timerBuf[:0]
+	return e
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired returns the number of events executed so far (useful in tests and
-// for detecting runaway simulations).
+// Fired returns the number of events and timer firings executed so far
+// (useful in tests and for detecting runaway simulations).
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pushed returns the number of events pushed onto the event heap so far;
+// timer arms are not counted. Fired minus Pushed is the work timers kept
+// off the heap.
+func (e *Engine) Pushed() uint64 { return e.pushed }
+
+// Pending returns the number of events and armed timers currently
+// scheduled.
+func (e *Engine) Pending() int { return len(e.queue) + len(e.timers) }
 
 // At schedules fn to run at time t. Scheduling in the past (t < Now) panics:
 // it is always a logic error in a discrete-event model.
@@ -154,26 +173,13 @@ func (e *Engine) At(t Time, fn func()) Event {
 }
 
 // Reserve takes the next scheduling sequence number and schedules
-// nothing. An event later scheduled with it by AtSeq orders among equal
+// nothing. A timer later armed with it by Timer.AtSeq orders among equal
 // times exactly as if At had scheduled it at the moment Reserve was
-// called, so a model may defer pushing an event it has already decided
-// on without moving ties.
+// called, so a model may defer arming an event it has already decided on
+// without moving ties.
 func (e *Engine) Reserve() uint64 {
 	e.seq++
 	return e.seq - 1
-}
-
-// AtSeq schedules fn to run at time t under seq, a number Reserve
-// returned. The key (t, seq) must order after the event now firing (or
-// last fired): an earlier key would fire out of order, so AtSeq panics
-// on it, as on a seq Reserve never returned. Each reserved seq is meant
-// to be used once.
-func (e *Engine) AtSeq(t Time, seq uint64, fn func()) Event {
-	if t < e.now || t == e.now && seq < e.floor || seq >= e.seq {
-		panic(fmt.Sprintf("sim: key (%v, %d) is unreserved or does not order after now %v, seq floor %d",
-			t, seq, e.now, e.floor))
-	}
-	return e.push(t, seq, fn)
 }
 
 // push queues fn under the key (t, seq).
@@ -192,14 +198,19 @@ func (e *Engine) push(t Time, seq uint64, fn func()) Event {
 	ev.seq = seq
 	ev.fn = fn
 	e.queue.push(ev)
-	if len(e.queue) > e.hwPending {
-		e.hwPending = len(e.queue)
-	}
+	e.pushed++
+	e.noteDepth()
 	return Event{e: ev, gen: ev.gen}
 }
 
+func (e *Engine) noteDepth() {
+	if p := e.Pending(); p > e.hwPending {
+		e.hwPending = p
+	}
+}
+
 // HighWaterPending returns the maximum number of simultaneously scheduled
-// events observed over the engine's lifetime.
+// events and armed timers observed over the engine's lifetime.
 func (e *Engine) HighWaterPending() int { return e.hwPending }
 
 // After schedules fn to run d after the current time. A non-positive d means
@@ -230,13 +241,21 @@ func (e *Engine) Cancel(h Event) {
 	e.free = append(e.free, ev)
 }
 
-// Step executes the next pending event, advancing the clock to its time.
-// It reports whether an event was executed.
+// Step executes the next pending event or timer, whichever has the least
+// (at, seq) key, advancing the clock to its time. It reports whether one
+// was executed.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.queue) == 0 {
+	if e.stopped {
 		return false
 	}
-	ev := e.queue.pop()
+	q := &e.queue
+	if len(e.timers) > 0 && (len(e.queue) == 0 || e.timers[0].before(e.queue[0])) {
+		q = &e.timers
+	}
+	if len(*q) == 0 {
+		return false
+	}
+	ev := q.pop()
 	ev.index = -1
 	if ev.at < e.now {
 		panic("sim: event heap out of order")
@@ -246,6 +265,11 @@ func (e *Engine) Step() bool {
 	e.fired++
 	fn := ev.fn
 	fn()
+	if q == &e.timers {
+		// A timer's event stays bound to it, and the callback may
+		// already have armed it again.
+		return true
+	}
 	// Recycle only after the callback returns: the callback (and anything
 	// it calls) may still query handles to this event; once we are back,
 	// the event is history and its storage can serve the next At.
@@ -254,14 +278,13 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty, Stop is called, or the next
-// event would fire after `until`. Unless Stop ended the run, the clock is
-// then advanced to `until` (whether the queue ran dry or its next event
-// lies later); a stopped run leaves it at the last executed event.
+// Run executes events and timers until none is pending, Stop is called,
+// or the next would fire after `until`. Unless Stop ended the run, the
+// clock is then advanced to `until` (whether nothing was left or the next
+// firing lies later); a stopped run leaves it at the last one executed.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= until {
-		e.Step()
+	for !e.stopped && e.nextAt() <= until && e.Step() {
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
@@ -269,8 +292,22 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// RunAll executes events until the queue is empty or Stop is called.
-// It panics if more than maxEvents fire, to catch runaway simulations.
+// nextAt returns when the next event or timer fires, or MaxTime when none
+// is pending.
+func (e *Engine) nextAt() Time {
+	at := MaxTime
+	if len(e.queue) > 0 {
+		at = e.queue[0].at
+	}
+	if len(e.timers) > 0 && e.timers[0].at < at {
+		at = e.timers[0].at
+	}
+	return at
+}
+
+// RunAll executes events and timers until none is pending or Stop is
+// called. It panics if more than maxEvents fire, to catch runaway
+// simulations.
 func (e *Engine) RunAll(maxEvents uint64) {
 	e.stopped = false
 	start := e.fired
@@ -283,6 +320,82 @@ func (e *Engine) RunAll(maxEvents uint64) {
 
 // Stop halts Run/RunAll after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Timer is a single-flight event: a callback bound once, with at most one
+// firing pending, held beside the event heap instead of in it. An armed
+// timer orders among events exactly as an event At would have scheduled
+// at the same moment, under the same (at, seq) key, so moving a
+// single-flight event onto a timer leaves every firing order as it was
+// while the event heap does less work. The armed timers sit in a small
+// heap of their own, so a timer suits a single-flight event of which an
+// engine has a few (one per app or control plane), not one per request or
+// core.
+//
+// A Timer is embedded by value in the model that owns it and bound with
+// Engine.Bind; it must not be copied after that. It cannot be cancelled:
+// its owner re-arms it only from its own callback, or when it is idle.
+type Timer struct {
+	eng *Engine
+	ev  event // the key and callback; ev.index >= 0 while armed
+}
+
+// Bind binds t to e, with fn as its callback. Binding a timer twice
+// panics.
+func (e *Engine) Bind(t *Timer, fn func()) {
+	if t.eng != nil {
+		panic("sim: timer bound twice")
+	}
+	t.eng = e
+	t.ev = event{fn: fn, index: -1}
+}
+
+// Armed reports whether the bound timer t is waiting to fire. A timer is
+// disarmed when its callback starts, so the callback may arm it again.
+func (t *Timer) Armed() bool { return t.ev.index >= 0 }
+
+// At arms t to fire at time at, taking the next sequence number exactly
+// as Engine.At does. Arming an armed timer, or arming in the past,
+// panics and arms nothing.
+func (t *Timer) At(at Time) {
+	e := t.eng
+	if at < e.now {
+		panic(fmt.Sprintf("sim: arming timer at %v before now %v", at, e.now))
+	}
+	t.arm(at, e.seq)
+	e.seq++
+}
+
+// After arms t to fire d after the current time; a non-positive d means
+// now, after what is already scheduled at this instant.
+func (t *Timer) After(d Duration) {
+	if d < 0 {
+		d = 0
+	}
+	t.At(t.eng.now.Add(d))
+}
+
+// AtSeq arms t to fire at time at under seq, a number Engine.Reserve
+// returned. The key (at, seq) must order after the event now firing (or
+// last fired): an earlier key would fire out of order, so AtSeq panics on
+// it, as on a seq Reserve never returned or on an armed timer, and arms
+// nothing. Each reserved seq is meant to be used once.
+func (t *Timer) AtSeq(at Time, seq uint64) {
+	e := t.eng
+	if at < e.now || at == e.now && seq < e.floor || seq >= e.seq {
+		panic(fmt.Sprintf("sim: key (%v, %d) is unreserved or does not order after now %v, seq floor %d",
+			at, seq, e.now, e.floor))
+	}
+	t.arm(at, seq)
+}
+
+func (t *Timer) arm(at Time, seq uint64) {
+	if t.Armed() {
+		panic(fmt.Sprintf("sim: timer armed twice (pending at %v)", t.ev.at))
+	}
+	t.ev.at, t.ev.seq = at, seq
+	t.eng.timers.push(&t.ev)
+	t.eng.noteDepth()
+}
 
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -161,6 +162,14 @@ func TestEngineBoundCallbackNoAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("At+Cancel allocated %.2f times per event", allocs)
 	}
+	var tm Timer
+	e.Bind(&tm, fn)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		tm.At(e.Now() + 10)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("timer arm+Step allocated %.2f times per firing", allocs)
+	}
 }
 
 func TestEngineRunUntil(t *testing.T) {
@@ -214,34 +223,48 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.At(50, func() {})
 }
 
-// TestEngineAtSeq: a reserved key orders among equal times as if it had
-// been scheduled when reserved, and AtSeq panics for a key at or before
-// the event now firing, and for a seq Reserve never returned.
-func TestEngineAtSeq(t *testing.T) {
+// TestTimerAtSeq: a timer armed under a reserved key orders among equal
+// times as if it had been scheduled when reserved, and AtSeq panics, arming
+// nothing, for a key at or before the event now firing, for a seq Reserve
+// never returned, and on an armed timer.
+func TestTimerAtSeq(t *testing.T) {
 	e := NewEngine()
-	mustPanic := func(what string, f func()) {
+	mustPanic := func(what string, tm *Timer, f func()) {
 		t.Helper()
+		armed, pending := tm.Armed(), e.Pending()
 		defer func() {
 			if recover() == nil {
 				t.Fatalf("%s did not panic", what)
+			}
+			if tm.Armed() != armed || e.Pending() != pending {
+				t.Fatalf("%s changed what is scheduled", what)
 			}
 		}()
 		f()
 	}
 	var got []string
-	early := e.Reserve()
+	var probe, reserved, same, early Timer
+	for _, b := range []struct {
+		tm   *Timer
+		name string
+	}{{&probe, "probe"}, {&reserved, "reserved"}, {&same, "same-instant"}, {&early, "early"}} {
+		e.Bind(b.tm, func() { got = append(got, b.name) })
+	}
+	earlySeq := e.Reserve()
 	e.At(10, func() {
 		got = append(got, "at")
 		now := e.Now()
-		mustPanic("AtSeq before the firing event's seq", func() { e.AtSeq(now, early, func() {}) })
-		mustPanic("AtSeq with the firing event's key", func() { e.AtSeq(now, early+1, func() {}) })
-		mustPanic("AtSeq in the past", func() { e.AtSeq(now-1, e.Reserve(), func() {}) })
-		mustPanic("AtSeq with an unreserved seq", func() { e.AtSeq(now+1, early+100, func() {}) })
+		mustPanic("AtSeq before the firing event's seq", &probe, func() { probe.AtSeq(now, earlySeq) })
+		mustPanic("AtSeq with the firing event's key", &probe, func() { probe.AtSeq(now, earlySeq+1) })
+		mustPanic("AtSeq in the past", &probe, func() { probe.AtSeq(now-1, e.Reserve()) })
+		mustPanic("AtSeq with an unreserved seq", &probe, func() { probe.AtSeq(now+1, earlySeq+100) })
 		late := e.Reserve()
 		e.At(20, func() { got = append(got, "after-reserve") })
-		e.AtSeq(20, late, func() { got = append(got, "reserved") })
-		e.AtSeq(now, e.Reserve(), func() { got = append(got, "same-instant") })
-		e.AtSeq(20, early, func() { got = append(got, "early") })
+		reserved.AtSeq(20, late)
+		mustPanic("AtSeq on an armed timer", &reserved, func() { reserved.AtSeq(30, e.Reserve()) })
+		mustPanic("At on an armed timer", &reserved, func() { reserved.At(30) })
+		same.AtSeq(now, e.Reserve())
+		early.AtSeq(20, earlySeq)
 	})
 	e.RunAll(10)
 	want := "at same-instant early reserved after-reserve"
@@ -253,7 +276,83 @@ func TestEngineAtSeq(t *testing.T) {
 	seq := e.Reserve()
 	e.At(30, func() {})
 	e.Run(40)
-	e.AtSeq(40, seq, func() {})
+	probe.AtSeq(40, seq)
+	e.RunAll(1)
+	if got[len(got)-1] != "probe" || e.Now() != 40 {
+		t.Fatalf("reserved key at a fresh instant: fired %q at %v", got, e.Now())
+	}
+	// Of two timers armed for one instant, the one armed second under
+	// the older key fires first.
+	older := e.Reserve()
+	reserved.At(50)
+	early.AtSeq(50, older)
+	e.RunAll(2)
+	if s := strings.Join(got[len(got)-2:], " "); s != "early reserved" {
+		t.Fatalf("timers tied at 50ns fired %q, want %q", s, "early reserved")
+	}
+}
+
+// TestTimerOrdersLikeAt: a timer takes its seq exactly where At would, so
+// it fires among events at its instant in scheduling order; it re-arms
+// from its own callback; it fires with the heap empty; and Run, Pending,
+// HighWaterPending and Fired count it while Pushed does not.
+func TestTimerOrdersLikeAt(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	var tm Timer
+	n := 0
+	e.Bind(&tm, func() {
+		if tm.Armed() {
+			t.Fatal("timer reads armed inside its callback")
+		}
+		n++
+		got = append(got, fmt.Sprintf("timer@%v", e.Now()))
+		if n < 3 {
+			tm.After(5)
+		}
+	})
+	e.At(5, func() { got = append(got, "a") })
+	tm.At(5)
+	e.At(5, func() { got = append(got, "b") })
+	e.At(10, func() { got = append(got, "c") })
+	if e.Pending() != 4 || e.HighWaterPending() != 4 || e.Pushed() != 3 || !tm.Armed() {
+		t.Fatalf("Pending=%d HighWaterPending=%d Pushed=%d armed=%v, want 4, 4, 3, true",
+			e.Pending(), e.HighWaterPending(), e.Pushed(), tm.Armed())
+	}
+	e.Run(12)
+	if want := "a timer@5ns b c timer@10ns"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %q, want %q", strings.Join(got, " "), want)
+	}
+	if e.Pending() != 1 || e.Now() != 12 {
+		t.Fatalf("after Run(12): Pending=%d now=%v, want 1 at 12ns", e.Pending(), e.Now())
+	}
+	e.RunAll(10)
+	if n != 3 || e.Now() != 15 || e.Fired() != 6 || e.Pushed() != 3 || e.Pending() != 0 {
+		t.Fatalf("drained: %d firings, now=%v Fired=%d Pushed=%d Pending=%d", n, e.Now(), e.Fired(), e.Pushed(), e.Pending())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("binding a timer twice did not panic")
+		}
+	}()
+	e.Bind(&tm, func() {})
+}
+
+func TestTimerPastArmPanics(t *testing.T) {
+	e := NewEngine()
+	var tm Timer
+	e.Bind(&tm, func() {})
+	e.At(100, func() {})
+	e.RunAll(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming in the past did not panic")
+		}
+		if tm.Armed() || e.Pending() != 0 {
+			t.Fatal("a refused arm left the timer armed")
+		}
+	}()
+	tm.At(50)
 }
 
 func TestEngineStop(t *testing.T) {
@@ -296,6 +395,8 @@ func TestDurationString(t *testing.T) {
 		{2500000, "2.500ms"},
 		{3 * Second, "3.000s"},
 		{-500, "-500ns"},
+		{math.MinInt64, "-9223372036.855s"},
+		{math.MinInt64 + 1, "-9223372036.855s"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {

@@ -89,17 +89,26 @@ type vesselRun struct {
 }
 
 // reaction is one L-app's preemption chain: at most one look at its queue
-// is pending, and look is its callback, bound once.
+// is pending, on a timer that re-arms only from its own callback.
 type reaction struct {
 	app   *workload.App
-	armed bool
-	look  func() // r.react(rc), bound once
+	timer sim.Timer // fires r.react(rc)
 }
 
 // Run executes the configured workload under VESSEL's scheduler.
-func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
-	if err := cfg.Validate(); err != nil {
+func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
+	r, err := s.start(cfg)
+	if err != nil {
 		return sched.Result{}, err
+	}
+	r.eng.Run(r.endAt)
+	return r.collect()
+}
+
+// start builds the run for cfg and schedules its first events.
+func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	r := &vesselRun{
 		cfg:      cfg,
@@ -137,7 +146,7 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	}
 	for _, a := range r.lApps {
 		rc := &reaction{app: a}
-		rc.look = func() { r.react(rc) }
+		r.eng.Bind(&rc.timer, func() { r.react(rc) })
 		r.reacting[a] = rc
 	}
 	// One BE thread per core per B-app in the global queue.
@@ -166,7 +175,7 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 			}
 			cp.Submit(req)
 		}); err != nil {
-			return sched.Result{}, err
+			return nil, err
 		}
 	}
 	// Initial fill: give idle cores to BE threads.
@@ -190,9 +199,7 @@ func (Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		r.eng.At(0, scan)
 	}
 	r.eng.At(sim.Time(cfg.Warmup), func() { r.bw.ResetAvg(r.eng.Now()) })
-
-	r.eng.Run(r.endAt)
-	return r.collect()
+	return r, nil
 }
 
 // setAct transitions a core's accounting activity.
@@ -227,8 +234,7 @@ func (r *vesselRun) onArrival(app *workload.App) {
 			return
 		}
 	}
-	if rc := r.reacting[app]; !rc.armed {
-		rc.armed = true
+	if rc := r.reacting[app]; !rc.timer.Armed() {
 		r.armReaction(rc)
 	}
 }
@@ -237,7 +243,7 @@ func (r *vesselRun) onArrival(app *workload.App) {
 // scan interval plus the Uintr delivery it would take to act.
 func (r *vesselRun) armReaction(rc *reaction) {
 	cm := r.cfg.Costs
-	r.eng.After(cm.VesselSchedScan+cm.UintrDeliver, rc.look)
+	rc.timer.After(cm.VesselSchedScan + cm.UintrDeliver)
 }
 
 // react is the scheduler's look at app's queue: preempt a core for it once
@@ -248,7 +254,6 @@ func (r *vesselRun) react(rc *reaction) {
 	cm := r.cfg.Costs
 	now := r.eng.Now()
 	if len(app.Queue) == 0 || now >= r.endAt {
-		rc.armed = false
 		return
 	}
 	if app.QueueDelay(now) >= preemptDelayThreshold {

@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
@@ -356,21 +357,22 @@ func (a *App) GenerateArrivals(eng *sim.Engine, rng *sim.RNG, until sim.Time, on
 		baseGap:   sim.Duration(1e9 / a.RateK), // ns between arrivals at base rate
 		factor:    1,
 	}
-	g.fire = g.arrive
+	eng.Bind(&g.timer, g.arrive)
 	g.nextPhase(0)
 	g.schedule(sim.Time(g.arrivals.Exp(g.baseGap)))
 	return nil
 }
 
-// arrivalGen is one app's arrival process. Its callback is bound once and
-// reschedules itself, so an arrival allocates at most its Request, and
-// nothing once the app has completed requests to reuse.
+// arrivalGen is one app's arrival process. Its next arrival is a timer
+// that re-arms only from its own callback, so an arrival costs no heap
+// event and allocates at most its Request, nothing once the app has
+// completed requests to reuse.
 type arrivalGen struct {
 	app       *App
 	eng       *sim.Engine
 	until     sim.Time
 	onArrival func(*Request)
-	fire      func() // g.arrive, bound once
+	timer     sim.Timer // fires g.arrive
 
 	arrivals, services, bursts *sim.RNG
 	baseGap                    sim.Duration
@@ -401,7 +403,7 @@ func (g *arrivalGen) nextPhase(now sim.Time) {
 
 func (g *arrivalGen) schedule(at sim.Time) {
 	if at <= g.until {
-		g.eng.At(at, g.fire)
+		g.timer.At(at)
 	}
 }
 
@@ -411,16 +413,22 @@ func (g *arrivalGen) arrive() {
 	for a.Burst != nil && now >= g.phaseEnd {
 		g.nextPhase(g.phaseEnd)
 	}
-	r := a.newRequest(now, a.Dist.Sample(g.services))
-	a.Enqueue(r)
-	if g.onArrival != nil {
-		g.onArrival(r)
-	}
+	a.arrive(now, a.Dist.Sample(g.services), g.onArrival)
 	gap := sim.Duration(float64(g.arrivals.Exp(g.baseGap)) / g.factor)
 	if gap < 1 {
 		gap = 1
 	}
 	g.schedule(now.Add(gap))
+}
+
+// arrive queues a request that arrived at now needing svc of service,
+// then tells onArrival (if set) about it.
+func (a *App) arrive(now sim.Time, svc sim.Duration, onArrival func(*Request)) {
+	r := a.newRequest(now, svc)
+	a.Enqueue(r)
+	if onArrival != nil {
+		onArrival(r)
+	}
 }
 
 // Sample forwards to the app's service distribution (helper for
@@ -437,6 +445,11 @@ type TracePoint struct {
 // ReplayArrivals schedules an exact recorded arrival trace instead of a
 // stochastic process — for regression tests and for replaying captured
 // workloads. Points must be in non-decreasing time order.
+//
+// The trace is one timer stepping through the points. It reserves one
+// engine key per point now, in order, so each arrival ties with other
+// events at its instant exactly as if every point had been scheduled by
+// this call.
 func (a *App) ReplayArrivals(eng *sim.Engine, pts []TracePoint, onArrival func(*Request)) error {
 	if a.Kind != LatencyCritical {
 		return fmt.Errorf("workload: %s is not latency-critical", a.Name)
@@ -448,15 +461,34 @@ func (a *App) ReplayArrivals(eng *sim.Engine, pts []TracePoint, onArrival func(*
 		}
 		prev = p.At
 	}
-	for _, p := range pts {
-		p := p
-		eng.At(p.At, func() {
-			r := a.newRequest(p.At, p.Service)
-			a.Enqueue(r)
-			if onArrival != nil {
-				onArrival(r)
-			}
-		})
+	if len(pts) == 0 {
+		return nil
 	}
+	rp := &replay{app: a, pts: slices.Clone(pts), onArrival: onArrival, seq: eng.Reserve()}
+	for range pts[1:] {
+		eng.Reserve()
+	}
+	eng.Bind(&rp.timer, rp.arrive)
+	rp.timer.AtSeq(pts[0].At, rp.seq)
 	return nil
+}
+
+// replay is one recorded trace being replayed: its timer fires for
+// pts[next], under the key reserved for it, seq.
+type replay struct {
+	app       *App
+	pts       []TracePoint
+	onArrival func(*Request)
+	timer     sim.Timer // fires rp.arrive
+	next      int
+	seq       uint64
+}
+
+func (rp *replay) arrive() {
+	p := rp.pts[rp.next]
+	if rp.next++; rp.next < len(rp.pts) {
+		rp.seq++
+		rp.timer.AtSeq(rp.pts[rp.next].At, rp.seq)
+	}
+	rp.app.arrive(p.At, p.Service, rp.onArrival)
 }
