@@ -261,7 +261,6 @@ const (
 	FaultRunaway      = faultinject.Runaway
 	FaultDropUintr    = faultinject.DropUintr
 	FaultDelayUintr   = faultinject.DelayUintr
-	FaultWedgeQueue   = faultinject.WedgeQueue
 	FaultCoreStall    = faultinject.CoreStall
 	FaultDomainCrash  = faultinject.DomainCrash
 	FaultPolicyPanic  = faultinject.PolicyPanic
@@ -279,7 +278,7 @@ const (
 // "Self-healing and failsafe policies").
 type (
 	// Policy decides preemption per core per round; plug one into
-	// ChaosConfig.Policy or CoreScheduler.Policy.
+	// ChaosConfig.Policy.
 	Policy = ivessel.Policy
 	// PolicyView is what a Policy sees for one core each round.
 	PolicyView = ivessel.PolicyView
@@ -288,8 +287,7 @@ type (
 	// RoundRobinPolicy is the minimal always-rotate policy — the failsafe
 	// fallback and the chaos-run default.
 	RoundRobinPolicy = ivessel.RoundRobinPolicy
-	// FairSharePolicy preempts only when siblings are waiting — the
-	// core-scheduler default.
+	// FairSharePolicy preempts only when siblings are waiting.
 	FairSharePolicy = ivessel.FairSharePolicy
 	// DomainManager is the per-domain manager a SelfHealCluster hands to
 	// worker build functions (programs are assembled against a specific

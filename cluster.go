@@ -28,22 +28,7 @@ const MaxUProcsPerDomain = 13
 
 // NewCluster boots n scheduling domains with the given cores each.
 func NewCluster(domains, coresPerDomain int, costs *CostModel) (*Cluster, error) {
-	if domains <= 0 {
-		return nil, fmt.Errorf("vessel: cluster needs at least one domain")
-	}
-	c := &Cluster{
-		placement:    multidomain.Placement{},
-		perDomain:    make([]int, domains),
-		maxPerDomain: MaxUProcsPerDomain,
-	}
-	for i := 0; i < domains; i++ {
-		m, err := NewManager(coresPerDomain, costs)
-		if err != nil {
-			return nil, err
-		}
-		c.managers = append(c.managers, m)
-	}
-	return c, nil
+	return newCluster(domains, MaxUProcsPerDomain, func() (*Manager, error) { return NewManager(coresPerDomain, costs) })
 }
 
 // NewDenseCluster boots n scheduling domains with virtualized protection
@@ -52,6 +37,12 @@ func NewCluster(domains, coresPerDomain int, costs *CostModel) (*Cluster, error)
 // than the architectural 13. maxPerDomain ≤ 0 means no cluster-side cap —
 // the domain's own (enormous) virtual headroom governs.
 func NewDenseCluster(domains, coresPerDomain int, costs *CostModel, maxPerDomain int) (*Cluster, error) {
+	return newCluster(domains, maxPerDomain, func() (*Manager, error) { return NewManagerVirtual(coresPerDomain, costs) })
+}
+
+// newCluster boots one manager per domain with boot and caps each domain
+// at maxPerDomain launches (≤ 0: uncapped).
+func newCluster(domains, maxPerDomain int, boot func() (*Manager, error)) (*Cluster, error) {
 	if domains <= 0 {
 		return nil, fmt.Errorf("vessel: cluster needs at least one domain")
 	}
@@ -64,7 +55,7 @@ func NewDenseCluster(domains, coresPerDomain int, costs *CostModel, maxPerDomain
 		maxPerDomain: maxPerDomain,
 	}
 	for i := 0; i < domains; i++ {
-		m, err := NewManagerVirtual(coresPerDomain, costs)
+		m, err := boot()
 		if err != nil {
 			return nil, err
 		}

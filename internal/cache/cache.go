@@ -6,10 +6,9 @@
 // Under separate address spaces (the Caladan configuration) the kernel
 // backs each app's pages with arbitrary frames, so both working sets
 // spread over every cache set and evict each other across context
-// switches. Under VESSEL's shared address space, the SMAS allocator
-// applies page colouring (alloc.AllocPagesColored) to place the two
-// uProcesses in disjoint cache partitions, so each app's working set
-// survives the other's runs.
+// switches. Under VESSEL's shared address space, the SMAS layout
+// colours pages (pagesFor) to place the two uProcesses in disjoint
+// cache partitions, so each app's working set survives the other's runs.
 package cache
 
 import (

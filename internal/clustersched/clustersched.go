@@ -169,8 +169,7 @@ type Sched struct {
 	owner  []int // per core: owning domain, or -1
 	fenced []bool
 	// want is each domain's outstanding RequestCores balance.
-	want  []int
-	share []float64
+	want []int
 	// queueLen / violFrac are the upper layer's per-domain load signals,
 	// refreshed by the driver before each Schedule.
 	queueLen []int
@@ -210,7 +209,6 @@ func New(cfg Config, policy Policy) (*Sched, error) {
 		owner:         make([]int, cfg.Topo.Cores),
 		fenced:        make([]bool, cfg.Topo.Cores),
 		want:          make([]int, cfg.Domains),
-		share:         make([]float64, cfg.Domains),
 		queueLen:      make([]int, cfg.Domains),
 		violFrac:      make([]float64, cfg.Domains),
 		queues:        make([][]int, cfg.Domains),
@@ -221,9 +219,6 @@ func New(cfg Config, policy Policy) (*Sched, error) {
 	for i := range s.owner {
 		s.owner[i] = -1
 		s.pendingRevoke[i] = -1
-	}
-	for i := range s.share {
-		s.share[i] = 1
 	}
 	return s, nil
 }
@@ -312,13 +307,6 @@ func (s *Sched) SetSignals(domain, queueLen int, violFrac float64) {
 	s.violFrac[domain] = violFrac
 }
 
-// SetShare sets a domain's fair-share weight (default 1).
-func (s *Sched) SetShare(domain int, w float64) {
-	if w > 0 {
-		s.share[domain] = w
-	}
-}
-
 // FenceCore withdraws a core from future grants (the self-healing layer
 // calls this when a core is declared dead). An owned core stays on the
 // ledger — the owning domain's own fencing machinery handles the
@@ -349,9 +337,6 @@ func (s *Sched) SetPolicy(p Policy, at sim.Time, reason string) {
 	s.event(at, "csched.swap", fmt.Sprintf("from=%s to=%s reason=%s", from, p.Name(), reason))
 }
 
-// Policy returns the active policy.
-func (s *Sched) ActivePolicy() Policy { return s.policy }
-
 // PolicyName returns the active policy's name.
 func (s *Sched) PolicyName() string { return s.policy.Name() }
 
@@ -379,7 +364,6 @@ func (s *Sched) view(at sim.Time) View {
 			Want:          s.want[d],
 			QueueLen:      s.queueLen[d],
 			ViolationFrac: s.violFrac[d],
-			Share:         s.share[d],
 		}
 	}
 	return v

@@ -27,8 +27,6 @@ type DomainView struct {
 	// ViolationFrac is the domain's journey-layer SLO violation fraction
 	// (0 when no tracer feeds it).
 	ViolationFrac float64
-	// Share is the domain's fair-share weight.
-	Share float64
 }
 
 // View is the read-only snapshot a policy decides against.
@@ -94,9 +92,9 @@ func (Static) Decide(v View) Txn {
 	return txn
 }
 
-// FairShare drives every domain toward its weighted fair share of the
-// usable cores, bounded by demand: a domain's target is
-// min(demand, weighted share), where demand = granted + want, so an idle
+// FairShare drives every domain toward an equal share of the usable
+// cores, bounded by demand: a domain's target is
+// min(demand, usable/domains), where demand = granted + want, so an idle
 // domain never hoards cores it has no use for. Over-target domains are
 // revoked down (highest cores first), under-target domains granted up
 // (lowest free cores first) — revokes precede grants in the transaction
@@ -111,7 +109,6 @@ func (FairShare) Decide(v View) Txn {
 	n := len(v.Domains)
 	usable := len(v.FreeCores)
 	demand := make([]int, n)
-	var totalShare float64
 	for i, d := range v.Domains {
 		usable += d.Granted
 		demand[i] = d.Granted + d.Want
@@ -121,14 +118,16 @@ func (FairShare) Decide(v View) Txn {
 		if v.MaxPerDomain > 0 && demand[i] > v.MaxPerDomain {
 			demand[i] = v.MaxPerDomain
 		}
-		totalShare += d.Share
 	}
-	// Weighted, demand-bounded targets; leftovers go round-robin in
-	// domain order to domains still under demand.
+	// Equal, demand-bounded targets; leftovers go round-robin in
+	// domain order to domains still under demand. The share stays in
+	// floating point, as the committed goldens were made with it: it is
+	// not always usable/n (1/49*49 < 1).
+	equal := int(1 / float64(n) * float64(usable))
 	target := make([]int, n)
 	assigned := 0
-	for i, d := range v.Domains {
-		t := int(d.Share / totalShare * float64(usable))
+	for i := range v.Domains {
+		t := equal
 		if t < v.MinPerDomain {
 			t = v.MinPerDomain
 		}

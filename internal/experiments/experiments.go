@@ -150,12 +150,6 @@ func (o Options) mcApp(loadFrac float64) *workload.App {
 	return workload.NewLApp("memcached", workload.Memcached(), rate)
 }
 
-// siloApp builds a fresh Silo app at a fraction of ideal capacity.
-func (o Options) siloApp(loadFrac float64) *workload.App {
-	rate := loadFrac * sched.IdealLCapacity(o.cores(), workload.Silo())
-	return workload.NewLApp("silo", workload.Silo(), rate)
-}
-
 // ---- rendering helpers ------------------------------------------------------
 
 // table renders rows of columns with a header, padded.

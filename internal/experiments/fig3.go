@@ -24,9 +24,9 @@ type Fig3 struct {
 	VesselPreempt sim.Duration
 }
 
-// Figure3 derives the timeline from the cost model (each phase is charged
-// by the simulated kernel on every Caladan preemption; see
-// kernel.IoctlIPI/PreemptSwitch).
+// Figure3 derives the timeline from the cost model (the phases sum to
+// CostModel.CaladanReallocTotal, which the Caladan simulator charges on
+// every core reallocation).
 func Figure3() Fig3 {
 	cm := cpu.Default()
 	phases := []Fig3Phase{

@@ -64,7 +64,7 @@ func TestWrap(t *testing.T) {
 			},
 			fallback: clustersched.Static{},
 			view: clustersched.View{Cores: 2, MinPerDomain: 1, FreeCores: []int{0, 1},
-				Owned: [][]int{nil}, Domains: []clustersched.DomainView{{ID: 0, Share: 1, Want: 1}}},
+				Owned: [][]int{nil}, Domains: []clustersched.DomainView{{ID: 0, Want: 1}}},
 			decision: func(c int64) clustersched.Txn { return clustersched.Txn{CostCycles: c} },
 			cost:     func(t clustersched.Txn) int64 { return t.CostCycles },
 		})

@@ -47,6 +47,8 @@ func TestDecodePlanRejects(t *testing.T) {
 		name, in, wantErr string
 	}{
 		{"unknown kind", `{"faults":[{"kind":"meteor"}]}`, "unknown fault kind"},
+		{"removed wedgequeue kind", `{"faults":[{"kind":"wedgequeue","target":"rx"}]}`, `unknown fault kind "wedgequeue"`},
+		{"removed wedgequeue random kind", `{"random":1,"random_kinds":["wedgequeue"]}`, `unknown fault kind "wedgequeue"`},
 		{"unknown field", `{"faults":[{"kind":"wildwrite","frobnicate":1}]}`, "frobnicate"},
 		{"negative at", `{"faults":[{"kind":"corestall","at_ns":-1}]}`, "negative"},
 		{"negative delay", `{"faults":[{"kind":"uintrstorm","delay_ns":-5}]}`, "negative"},

@@ -3,8 +3,9 @@
 // domain to the failure modes the paper's isolation story (§4) must
 // survive — PKRU-violating wild writes, crashes at the call gate before
 // privilege is raised, crashes inside the trusted runtime, runaway threads
-// that stop calling park(), dropped or delayed scheduler Uintrs, and
-// wedged dataplane queues.
+// that stop calling park(), dropped or delayed scheduler Uintrs, stalled
+// cores, whole-domain crashes, policy panics, and protection-key leaks and
+// eviction storms.
 //
 // Identical (Plan, seed) inputs expand to an identical injection schedule,
 // and because the simulation itself is deterministic, to an identical
@@ -16,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"vessel/internal/dataplane"
 	"vessel/internal/mem"
 	"vessel/internal/mpk"
 	"vessel/internal/sim"
@@ -53,9 +53,6 @@ const (
 	// DelayUintr holds the next scheduler Uintr aimed at Core for Delay of
 	// virtual time, then re-sends it.
 	DelayUintr
-	// WedgeQueue wedges the named dataplane queue (polls come back empty)
-	// for Delay of virtual time.
-	WedgeQueue
 	// CoreStall wedges the core itself: it stops retiring instructions and
 	// its cycle counter freezes, with no fault recorded — the failure the
 	// phi-accrual detector must catch from the missing heartbeat alone.
@@ -108,8 +105,6 @@ func (k Kind) String() string {
 		return "dropuintr"
 	case DelayUintr:
 		return "delayuintr"
-	case WedgeQueue:
-		return "wedgequeue"
 	case CoreStall:
 		return "corestall"
 	case DomainCrash:
@@ -147,12 +142,12 @@ type Fault struct {
 	// running on some core.
 	At sim.Time
 	// Target names the uProcess (WildWrite, GateCrash, RuntimeCrash,
-	// Runaway) or the dataplane queue (WedgeQueue) under attack.
+	// Runaway) under attack.
 	Target string
 	// Core aims the Uintr kinds at a core's scheduler channel.
 	Core int
-	// Delay parameterises DelayUintr and WedgeQueue; zero picks a
-	// seed-derived default.
+	// Delay parameterises DelayUintr and UintrStorm, where zero picks a
+	// default, and the policy panics (see PolicyPanic).
 	Delay sim.Duration
 }
 
@@ -210,13 +205,6 @@ type timedResend struct {
 	core int
 }
 
-// timedUnwedge is a wedged queue awaiting release.
-type timedUnwedge struct {
-	at   sim.Time
-	name string
-	q    *dataplane.Queue
-}
-
 // Injector drives a Plan against a live uproc.Domain. It owns the park
 // filter and the scheduler sender's interposer; construct it with New
 // before the run starts and call Step once per scheduling quantum with the
@@ -230,10 +218,8 @@ type Injector struct {
 	// target to be running on some core.
 	pending []Fault
 
-	queues    map[string]*dataplane.Queue
 	runaway   map[string]bool
 	resend    []timedResend
-	unwedge   []timedUnwedge
 	drop      map[int]int
 	delay     map[int]sim.Duration
 	resending bool
@@ -257,7 +243,6 @@ func New(d *uproc.Domain, plan Plan) *Injector {
 		d:        d,
 		rng:      sim.NewRNG(plan.Seed),
 		schedule: plan.Expand(),
-		queues:   make(map[string]*dataplane.Queue),
 		runaway:  make(map[string]bool),
 		drop:     make(map[int]int),
 		delay:    make(map[int]sim.Duration),
@@ -267,9 +252,6 @@ func New(d *uproc.Domain, plan Plan) *Injector {
 	d.Sched.Interpose = inj.interpose
 	return inj
 }
-
-// RegisterQueue makes a dataplane queue addressable by WedgeQueue faults.
-func (inj *Injector) RegisterQueue(q *dataplane.Queue) { inj.queues[q.Name] = q }
 
 // PolicyTarget is the scheduler-policy attack surface PolicyPanic faults
 // drive. The failsafe policy wrapper (internal/selfheal) implements it:
@@ -350,8 +332,7 @@ func (inj *Injector) interpose(idx int, vector uint8) uintr.Tamper {
 }
 
 // Step fires every injection due at or before now, retries faults whose
-// target was not yet running, re-sends delayed Uintrs, and releases wedged
-// queues whose delay elapsed.
+// target was not yet running, and re-sends delayed Uintrs.
 func (inj *Injector) Step(now sim.Time) {
 	for inj.next < len(inj.schedule) && inj.schedule[inj.next].At <= now {
 		inj.pending = append(inj.pending, inj.schedule[inj.next])
@@ -377,17 +358,6 @@ func (inj *Injector) Step(now sim.Time) {
 		}
 	}
 	inj.resend = keptR
-
-	keptU := inj.unwedge[:0]
-	for _, w := range inj.unwedge {
-		if w.at <= now {
-			w.q.SetWedged(false)
-			inj.note("inject.unwedge", fmt.Sprintf("queue=%s", w.name))
-		} else {
-			keptU = append(keptU, w)
-		}
-	}
-	inj.unwedge = keptU
 }
 
 // fire attempts one injection; it reports whether the fault is consumed
@@ -410,20 +380,6 @@ func (inj *Injector) fire(f Fault, now sim.Time) bool {
 		}
 		inj.delay[f.Core] = dl
 		inj.note("inject.uintr.arm-delay", fmt.Sprintf("core=%d delay=%v", f.Core, dl))
-		return true
-	case WedgeQueue:
-		q, ok := inj.queues[f.Target]
-		if !ok {
-			inj.note("inject.skip", fmt.Sprintf("queue=%s not registered", f.Target))
-			return true
-		}
-		dl := f.Delay
-		if dl <= 0 {
-			dl = 10 * sim.Microsecond
-		}
-		q.SetWedged(true)
-		inj.unwedge = append(inj.unwedge, timedUnwedge{at: now.Add(dl), name: f.Target, q: q})
-		inj.note("inject.wedge", fmt.Sprintf("queue=%s delay=%v", f.Target, dl))
 		return true
 	case CoreStall:
 		if f.Core < 0 || f.Core >= inj.d.Machine.NumCores() {

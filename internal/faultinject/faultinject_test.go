@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vessel/internal/cpu"
-	"vessel/internal/dataplane"
 	"vessel/internal/mem"
 	"vessel/internal/sim"
 	"vessel/internal/smas"
@@ -212,38 +211,6 @@ func TestUintrDelayResends(t *testing.T) {
 	inj.Step(3 * 1000) // 3µs: past the delay
 	if core.PendingVectors == 0 {
 		t.Fatal("delayed Uintr never re-sent")
-	}
-}
-
-func TestWedgeQueueStallsAndRecovers(t *testing.T) {
-	d := newDomain(t, 1)
-	q, err := dataplane.NewQueue("rx", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := New(d, Plan{Seed: 1, Faults: []Fault{{Kind: WedgeQueue, Target: "rx", At: 0, Delay: 5 * sim.Microsecond}}})
-	inj.RegisterQueue(q)
-	q.Push(dataplane.Packet{Payload: 1})
-	q.Push(dataplane.Packet{Payload: 2})
-	inj.Step(0)
-	if !q.IsWedged() {
-		t.Fatal("queue not wedged")
-	}
-	if got := q.Poll(16); got != nil {
-		t.Fatalf("wedged queue returned %d packets", len(got))
-	}
-	if q.WedgedPolls != 1 {
-		t.Fatalf("wedged polls = %d", q.WedgedPolls)
-	}
-	if q.Depth() != 2 {
-		t.Fatal("wedge dropped queued packets")
-	}
-	inj.Step(6 * 1000) // past the wedge window
-	if q.IsWedged() {
-		t.Fatal("queue never unwedged")
-	}
-	if got := q.Poll(16); len(got) != 2 {
-		t.Fatalf("recovered queue returned %d packets, want 2", len(got))
 	}
 }
 

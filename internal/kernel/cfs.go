@@ -78,15 +78,6 @@ func NewRunqueue() *Runqueue {
 // Len returns the number of queued (not current) entities.
 func (rq *Runqueue) Len() int { return len(rq.queue) }
 
-// NrRunning counts queued plus current.
-func (rq *Runqueue) NrRunning() int {
-	n := len(rq.queue)
-	if rq.current != nil {
-		n++
-	}
-	return n
-}
-
 // Current returns the running entity, if any.
 func (rq *Runqueue) Current() *Entity { return rq.current }
 

@@ -75,8 +75,7 @@ type Kernel struct {
 	procs   map[PID]*KProcess
 	fs      *FS
 
-	// Accounting of time spent inside the kernel, by reason. The dense
-	// colocation experiment (Figure 2) reads these.
+	// Accounting of time spent inside the kernel, by reason.
 	KernelNs map[string]sim.Duration
 }
 
@@ -159,35 +158,6 @@ func (k *Kernel) SendSignal(p *KProcess, sig Signal) sim.Duration {
 	return d
 }
 
-// IoctlIPI models the Caladan scheduler's path for kicking a victim core:
-// an ioctl syscall on the sender side plus an inter-processor interrupt to
-// the victim, which then traps into the kernel (Figure 3, steps 1–2).
-func (k *Kernel) IoctlIPI() sim.Duration {
-	return k.charge("ioctl-ipi", k.Costs.CaladanIoctl+k.Costs.CaladanIPI)
-}
-
-// PreemptSwitch models the remainder of Caladan's kernel-mediated core
-// reallocation once the IPI lands: trap + SIGUSR to the runtime, userspace
-// state save, kernel data-structure and page-table switch, and restore to
-// the new task (Figure 3, steps 3–6).
-func (k *Kernel) PreemptSwitch() sim.Duration {
-	c := k.Costs
-	return k.charge("preempt-switch",
-		c.CaladanTrapSig+c.CaladanUserSave+c.CaladanKernSwap+c.CaladanRestore)
-}
-
-// ContextSwitch models a plain kernel context switch between threads of
-// (possibly) different processes, as CFS performs at tick boundaries.
-func (k *Kernel) ContextSwitch() sim.Duration {
-	return k.charge("context-switch", k.Costs.CFSSwitchCost)
-}
-
-// Wakeup models the enqueue-and-preempt path when a sleeping thread is made
-// runnable (futex/epoll wake in memcached's request loop).
-func (k *Kernel) Wakeup() sim.Duration {
-	return k.charge("wakeup", k.Costs.CFSWakeupCost)
-}
-
 // Syscall charges a generic syscall round trip plus the given service time.
 func (k *Kernel) Syscall(name string, service sim.Duration) sim.Duration {
 	return k.charge("sys:"+name, 2*k.Costs.UserKernelCross+service)
@@ -196,13 +166,4 @@ func (k *Kernel) Syscall(name string, service sim.Duration) sim.Duration {
 // Kill terminates a process.
 func (k *Kernel) Kill(p *KProcess, sig Signal) sim.Duration {
 	return k.SendSignal(p, sig)
-}
-
-// TotalKernelNs sums all charged kernel time.
-func (k *Kernel) TotalKernelNs() sim.Duration {
-	var total sim.Duration
-	for _, d := range k.KernelNs {
-		total += d
-	}
-	return total
 }

@@ -67,23 +67,20 @@ func TestKernelAccounting(t *testing.T) {
 	k, phys := newKernel()
 	p, _ := k.Fork(phys, 0, 0)
 	k.SendSignal(p, SIGUSR1) // no handler, no termination for USR1 default here
-	k.IoctlIPI()
-	k.PreemptSwitch()
-	k.ContextSwitch()
-	k.Wakeup()
 	k.Syscall("read", 100)
-	if k.TotalKernelNs() <= 0 {
-		t.Fatal("no kernel time charged")
-	}
 	cm := cpu.Default()
-	want := cm.CaladanIoctl + cm.CaladanIPI
-	if k.KernelNs["ioctl-ipi"] != want {
-		t.Fatalf("ioctl-ipi = %v, want %v", k.KernelNs["ioctl-ipi"], want)
+	want := map[string]sim.Duration{
+		"fork":           2*cm.UserKernelCross + 50*sim.Microsecond,
+		"signal:SIGUSR1": 2*cm.UserKernelCross + cm.SignalDeliver,
+		"sys:read":       2*cm.UserKernelCross + 100,
 	}
-	// Figure 3 total: ioctl+IPI+preempt switch = 5.3µs.
-	total := k.KernelNs["ioctl-ipi"] + k.KernelNs["preempt-switch"]
-	if total != 5300 {
-		t.Fatalf("Caladan reallocation total = %v, want 5.3µs", total)
+	if len(k.KernelNs) != len(want) {
+		t.Fatalf("ledger %v, want %v", k.KernelNs, want)
+	}
+	for reason, d := range want {
+		if k.KernelNs[reason] != d {
+			t.Fatalf("%s = %v, want %v", reason, k.KernelNs[reason], d)
+		}
 	}
 }
 

@@ -48,7 +48,6 @@ const (
 	PermNone Perm = 0
 	PermRW        = PermRead | PermWrite
 	PermRX        = PermRead | PermExec
-	PermRWX       = PermRead | PermWrite | PermExec
 	// PermXOnly is the executable-only permission the paper gives every
 	// text segment: neither readable nor writable (§4.1).
 	PermXOnly = PermExec
@@ -100,15 +99,6 @@ func (p *Physical) AllocFrame() *Frame {
 	f := &Frame{ID: len(p.frames)}
 	p.frames = append(p.frames, f)
 	return f
-}
-
-// AllocFrames allocates n contiguous zeroed frames.
-func (p *Physical) AllocFrames(n int) []*Frame {
-	out := make([]*Frame, n)
-	for i := range out {
-		out[i] = p.AllocFrame()
-	}
-	return out
 }
 
 // NumFrames returns the number of allocated frames.

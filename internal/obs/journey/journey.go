@@ -2,7 +2,7 @@
 // minted per workload request and propagated causally through every
 // crossing seam the codebase exposes as hooks — scheduler wakeup→run
 // edges, user-interrupt deferred-delivery windows, call-gate crossings,
-// and dataplane submit→completion pairs. Each journey is a deterministic
+// and control-plane packet steering. Each journey is a deterministic
 // span tree (parent/child plus follows-from links between consecutive
 // segments) whose critical-path segments partition the request's sojourn
 // *exactly*: queueing, running, uintr-deferred, gate, and dataplane time
@@ -53,8 +53,8 @@ const (
 	// SegGate is crossing overhead: context-switch cost, dispatcher
 	// handoff, call-gate style entry before the request runs.
 	SegGate
-	// SegData is time inside the data plane: IOKernel packet steering,
-	// device submit→completion windows.
+	// SegData is time inside the data plane: IOKernel or softirq packet
+	// steering before the request is queued.
 	SegData
 	NumSegments
 )

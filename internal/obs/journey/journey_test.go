@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"vessel/internal/dataplane"
 	"vessel/internal/obs"
 	"vessel/internal/sim"
 )
@@ -328,50 +327,6 @@ func TestCollapsed(t *testing.T) {
 	want := "req;queue 4000\nreq;run 6000\n"
 	if buf.String() != want {
 		t.Fatalf("collapsed:\n%q\nwant\n%q", buf.String(), want)
-	}
-}
-
-// TestTraceNVMe: dataplane submit→completion pairs become SegData
-// journeys, and cancelled commands stay unfinished.
-func TestTraceNVMe(t *testing.T) {
-	eng := sim.NewEngine()
-	d, err := dataplane.NewNVMe(eng, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer(Config{Retain: true})
-	TraceNVMe(tr, d, "disk")
-	if err := d.Submit(dataplane.Cmd{Op: dataplane.OpRead, LBA: 7, Tag: 1}); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunAll(1 << 20)
-	js := tr.Journeys()
-	if len(js) != 1 {
-		t.Fatalf("got %d journeys", len(js))
-	}
-	j := js[0]
-	if !j.Finished() {
-		t.Fatal("completion did not finish the journey")
-	}
-	if j.Name != "disk.read" {
-		t.Fatalf("name %q", j.Name)
-	}
-	if j.Segs[SegData] != j.Sum() || j.Sum() == 0 {
-		t.Fatalf("device journey not pure data time: %+v", j.Segs)
-	}
-	if j.Sum() != j.Done.Sub(j.Arrive) {
-		t.Fatal("conservation broke on device journey")
-	}
-
-	// A cancelled in-flight command never completes its journey.
-	if err := d.Submit(dataplane.Cmd{Op: dataplane.OpWrite, LBA: 9, Tag: 2}); err != nil {
-		t.Fatal(err)
-	}
-	d.CancelInflight()
-	eng.RunAll(1 << 20)
-	js = tr.Journeys()
-	if len(js) != 2 || js[1].Finished() {
-		t.Fatal("cancelled command should leave an unfinished journey")
 	}
 }
 

@@ -50,11 +50,6 @@ func (r *RNG) Exp(mean Duration) Duration {
 	return Duration(-math.Log(u) * float64(mean))
 }
 
-// Normal returns a normally distributed value.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	return r.src.NormFloat64()*stddev + mean
-}
-
 // LogNormal returns a log-normally distributed duration parameterised by the
 // underlying normal's mu and sigma (natural log space). Used for the Silo
 // TPC-C service-time model, which the paper characterises by a 20µs median

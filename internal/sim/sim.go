@@ -60,9 +60,6 @@ func (d Duration) String() string {
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Micros returns the duration as a floating-point number of microseconds.
-func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
 // event is the engine-internal representation of a scheduled callback.
 // Fired and cancelled events return to the engine's free list and are
 // reused by later At/After calls, so the per-event allocation disappears

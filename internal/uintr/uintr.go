@@ -105,9 +105,6 @@ func (r *Receiver) Detach() {
 	}
 }
 
-// Running reports whether the receiver is attached to a core.
-func (r *Receiver) Running() bool { return r.core != nil }
-
 // Suppress sets or clears the UPID suppress-notification bit.
 func (r *Receiver) Suppress(on bool) { r.upid.SN = on }
 

@@ -107,9 +107,6 @@ func (mg *Manager) SetClusterManaged(coresPerNode int) error {
 	return nil
 }
 
-// ClusterManaged reports whether the manager is in cluster-scheduled mode.
-func (mg *Manager) ClusterManaged() bool { return mg.exec != nil }
-
 // CoreOnline reports whether the domain may place work on the core: it is
 // granted (not offline) and not fenced.
 func (mg *Manager) CoreOnline(core int) bool {

@@ -2,10 +2,10 @@ package vessel
 
 // Scheduler policies: the pluggable decision point the failsafe wrapper
 // (internal/selfheal) guards. A policy sees one core's state per quantum
-// and decides whether to preempt; the chaos loop and the CoreScheduler both
-// route their preemption decisions through one, so a buggy policy — one
-// that panics, or that burns unbounded cycles deciding — can be swapped for
-// the round-robin failsafe at a single seam without stopping the run.
+// and decides whether to preempt; the chaos loop routes its preemption
+// decisions through one, so a buggy policy — one that panics, or that burns
+// unbounded cycles deciding — can be swapped for the round-robin failsafe
+// at a single seam without stopping the run.
 
 // PolicyView is the per-core state a policy decides on. It is a value
 // snapshot: policies cannot reach back into the domain, which is what makes
@@ -54,8 +54,7 @@ func (RoundRobinPolicy) Decide(v PolicyView) PolicyDecision {
 }
 
 // FairSharePolicy preempts a full-quantum thread only when siblings wait —
-// an uncontested thread keeps the core, saving the switch. This matches
-// the CoreScheduler's historical discipline.
+// an uncontested thread keeps the core, saving the switch.
 type FairSharePolicy struct{}
 
 // Name implements Policy.
