@@ -101,41 +101,13 @@ type BW struct {
 	// CapacityGBs is the machine's memory bandwidth in GB/s (bytes/ns).
 	CapacityGBs float64
 	demand      float64
-	// integral accumulates demand·time for average-consumption reporting.
-	integral   float64
-	lastChange sim.Time
 }
 
-// NewBW returns a tracker with the given capacity.
-func NewBW(capacityGBs float64) *BW {
-	return &BW{CapacityGBs: capacityGBs}
-}
+// Add registers demand (GB/s).
+func (b *BW) Add(gbs float64) { b.demand += gbs }
 
-// advance integrates demand up to now.
-func (b *BW) advance(now sim.Time) {
-	if now > b.lastChange {
-		b.integral += b.effective() * float64(now-b.lastChange)
-		b.lastChange = now
-	}
-}
-
-// effective returns delivered bandwidth: demand capped at capacity.
-func (b *BW) effective() float64 {
-	if b.CapacityGBs > 0 && b.demand > b.CapacityGBs {
-		return b.CapacityGBs
-	}
-	return b.demand
-}
-
-// Add registers demand (GB/s) starting at now.
-func (b *BW) Add(now sim.Time, gbs float64) {
-	b.advance(now)
-	b.demand += gbs
-}
-
-// Remove deregisters demand at now.
-func (b *BW) Remove(now sim.Time, gbs float64) {
-	b.advance(now)
+// Remove deregisters demand.
+func (b *BW) Remove(gbs float64) {
 	b.demand -= gbs
 	if b.demand < 1e-9 {
 		b.demand = 0
@@ -151,24 +123,6 @@ func (b *BW) Inflation() float64 {
 		return 1
 	}
 	return b.demand / b.CapacityGBs
-}
-
-// ResetAvg restarts average-consumption integration at the given time
-// (typically the end of warmup).
-func (b *BW) ResetAvg(at sim.Time) {
-	b.advance(at)
-	b.integral = 0
-	b.lastChange = at
-}
-
-// AvgGBs reports average delivered bandwidth over [from, now]. Call
-// ResetAvg(from) at the start of the measured interval first.
-func (b *BW) AvgGBs(from, now sim.Time) float64 {
-	b.advance(now)
-	if now <= from {
-		return 0
-	}
-	return b.integral / float64(now-from)
 }
 
 // stallPerOversubscription scales DRAM-queueing stalls: mean extra stall

@@ -7,7 +7,7 @@
 //   - a user-level core arbiter re-estimates each application's core need
 //     on a coarse interval (~50 ms) and moves cores through the kernel
 //     (~29 µs per move) — far too slow to track µs-scale bursts;
-//   - each application funnels requests through a dispatcher thread that
+//   - each application routes requests through a dispatcher thread that
 //     creates a user thread per request (~1 µs), capping per-app
 //     throughput around 1 Mops regardless of core count — the "sharp
 //     decline (40% on average)" the paper reports;
@@ -21,7 +21,6 @@ import (
 	"vessel/internal/obs/journey"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
-	"vessel/internal/stats"
 	"vessel/internal/workload"
 )
 
@@ -72,83 +71,44 @@ type core struct {
 }
 
 type run struct {
-	cfg   sched.Config
-	eng   *sim.Engine
-	rng   *sim.RNG
-	acct  sched.Accountant
-	bw    *sched.BW
+	sched.Base
 	cores []*core
 	ls    []*lState
-	bApps []*workload.App
-	endAt sim.Time
-
-	funnel map[*workload.App]sim.Duration
-	bWall  map[*workload.App]sim.Duration
-	lWork  map[*workload.App]sim.Duration
-
-	switches, reallocs uint64
 }
 
 // Run executes the workload under the Arachne model.
-func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return sched.Result{}, err
+func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
+	r := &run{}
+	if err = r.Init(cfg); err != nil {
+		return res, err
 	}
-	r := &run{
-		cfg:    cfg,
-		eng:    sim.NewEngine(),
-		rng:    sim.NewRNG(cfg.Seed),
-		bw:     sched.NewBW(cfg.Costs.MemBWTotal),
-		funnel: make(map[*workload.App]sim.Duration),
-		bWall:  make(map[*workload.App]sim.Duration),
-		lWork:  make(map[*workload.App]sim.Duration),
-	}
-	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
-	for i := 0; i < cfg.Cores; i++ {
+	for i := 0; i < r.Cfg.Cores; i++ {
 		c := &core{id: i, act: sched.ActIdle}
 		c.served = func() { r.served(c) }
 		r.cores = append(r.cores, c)
 	}
-	for _, a := range cfg.Apps {
-		if a.Kind == workload.LatencyCritical {
-			l := &lState{app: a, workers: 1}
-			l.dispatched = func() { r.dispatched(l) }
-			r.ls = append(r.ls, l)
-		} else {
-			r.bApps = append(r.bApps, a)
+	for _, a := range r.LApps {
+		l := &lState{app: a, workers: 1}
+		l.dispatched = func() { r.dispatched(l) }
+		r.ls = append(r.ls, l)
+		if err = r.Arrivals(a, 41, func(*workload.Request) { r.pumpDispatcher(l) }); err != nil {
+			return res, err
 		}
 	}
-	for _, l := range r.ls {
-		ls := l
-		if err := ls.app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(ls.app.Name))+41), r.endAt, func(req *workload.Request) {
-			req.J = cfg.Journey.Mint(ls.app.Name, req.Arrive)
-			r.pumpDispatcher(ls)
-		}); err != nil {
-			return sched.Result{}, err
-		}
-	}
-	r.eng.At(0, func() { r.rebalance() })
-	var arbiter func()
-	arbiter = func() {
-		r.rebalance()
-		if r.eng.Now() < r.endAt {
-			r.eng.After(r.cfg.Costs.ArachneInterval, arbiter)
-		}
-	}
-	r.eng.After(r.cfg.Costs.ArachneInterval, arbiter)
-	r.eng.At(sim.Time(cfg.Warmup), func() { r.bw.ResetAvg(r.eng.Now()) })
-	r.eng.Run(r.endAt)
-	return r.collect()
+	r.Eng.At(0, r.rebalance)
+	interval := r.Cfg.Costs.ArachneInterval
+	r.Every(sim.Time(interval), interval, r.rebalance)
+	r.Eng.Run(r.EndAt)
+	return r.collect(), nil
 }
 
 func (r *run) setAct(c *core, act sched.Activity) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	label := ""
 	if c.owner != nil {
 		label = c.owner.Name
 	}
-	r.acct.AccrueCore(c.id, c.act, c.lastT, now, label)
+	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
 	c.act = act
 	c.lastT = now
 }
@@ -156,15 +116,15 @@ func (r *run) setAct(c *core, act sched.Activity) {
 // pumpDispatcher runs the app's serial dispatcher: one request at a time,
 // 1 µs of user-thread creation each, then hand-off to the ready queue.
 func (r *run) pumpDispatcher(l *lState) {
-	if l.dispatchBusy || len(l.app.Queue) == 0 || r.eng.Now() >= r.endAt {
+	if l.dispatchBusy || len(l.app.Queue) == 0 || r.Eng.Now() >= r.EndAt {
 		return
 	}
 	l.dispatchBusy = true
 	req := l.app.Dequeue()
 	// The serial dispatcher's user-thread creation gates the request.
-	req.J.To(journey.SegGate, r.eng.Now())
+	req.J.To(journey.SegGate, r.Eng.Now())
 	l.dispatching = req
-	r.eng.After(dispatchCost, l.dispatched)
+	r.Eng.After(dispatchCost, l.dispatched)
 }
 
 // dispatched hands the dispatcher's request to the ready queue and starts
@@ -175,7 +135,7 @@ func (r *run) dispatched(l *lState) {
 	l.dispatchBusy = false
 	// Dispatched: the request now waits in the ready queue for a
 	// granted worker core.
-	req.J.To(journey.SegQueue, r.eng.Now())
+	req.J.To(journey.SegQueue, r.Eng.Now())
 	l.readyQ = append(l.readyQ, req)
 	r.feedWorkers(l)
 	r.pumpDispatcher(l)
@@ -197,15 +157,15 @@ func (r *run) feedWorkers(l *lState) {
 
 // serve runs one request on a granted worker core.
 func (r *run) serve(c *core, l *lState, req *workload.Request) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	req.Start = now
 	req.J.To(journey.SegRun, now)
 	c.busy = true
 	r.setAct(c, sched.ActApp)
-	dur := workerPickup + sim.Duration(float64(req.Service)*r.bw.Inflation())
+	dur := workerPickup + sim.Duration(float64(req.Service)*r.BW.Inflation())
 	l.busyNs += dur
 	c.req, c.reqFrom, c.reqL = req, now, l
-	r.eng.After(dur, c.served)
+	r.Eng.After(dur, c.served)
 }
 
 // served completes the core's request, then follows the core's current
@@ -213,13 +173,9 @@ func (r *run) serve(c *core, l *lState, req *workload.Request) {
 func (r *run) served(c *core) {
 	req, l := c.req, c.reqL
 	c.req, c.reqL = nil, nil
-	now := r.eng.Now()
-	req.Done = now
-	req.J.Finish(now)
-	l.app.Complete(req, sim.Time(r.cfg.Warmup))
-	r.lWork[l.app] += r.acct.Clip(c.reqFrom, now)
+	r.Served(req, c.reqFrom)
 	c.busy = false
-	if now >= r.endAt {
+	if r.Eng.Now() >= r.EndAt {
 		return
 	}
 	if c.l != l {
@@ -250,8 +206,8 @@ func (r *run) served(c *core) {
 // rebalance is the arbiter: size each L-app's worker pool to its observed
 // utilisation, give the rest to B-apps.
 func (r *run) rebalance() {
-	now := r.eng.Now()
-	if now >= r.endAt {
+	now := r.Eng.Now()
+	if now >= r.EndAt {
 		return
 	}
 	avail := len(r.cores)
@@ -287,7 +243,7 @@ func (r *run) rebalance() {
 			idx++
 			changed := c.owner != owner
 			if changed {
-				r.reallocs++
+				r.Reallocs++
 				if c.l == nil && c.owner != nil {
 					// leaving a B-app
 					r.stopB(c)
@@ -298,7 +254,7 @@ func (r *run) rebalance() {
 					// Charge the kernel move.
 					r.setAct(c, sched.ActKernel)
 					cc := c
-					r.eng.After(r.cfg.Costs.ArachneReallocCost, func() {
+					r.Eng.After(r.Cfg.Costs.ArachneReallocCost, func() {
 						if cc.l != nil {
 							r.setAct(cc, sched.ActRuntime)
 							if cc.l != nil {
@@ -321,10 +277,10 @@ func (r *run) rebalance() {
 	// Remaining cores to B-apps round-robin (first B gets them all when
 	// single).
 	rem := len(r.cores) - idx
-	if len(r.bApps) > 0 && rem > 0 {
-		per := rem / len(r.bApps)
-		extra := rem % len(r.bApps)
-		for i, b := range r.bApps {
+	if len(r.BApps) > 0 && rem > 0 {
+		per := rem / len(r.BApps)
+		extra := rem % len(r.BApps)
+		for i, b := range r.BApps {
 			n := per
 			if i < extra {
 				n++
@@ -349,8 +305,8 @@ func (r *run) startB(c *core) {
 	if c.owner == nil || c.l != nil {
 		return
 	}
-	c.bFrom = r.eng.Now()
-	r.bw.Add(r.eng.Now(), c.owner.AvgBW())
+	c.bFrom = r.Eng.Now()
+	r.BW.Add(c.owner.AvgBW())
 	r.setAct(c, sched.ActApp)
 }
 
@@ -359,17 +315,12 @@ func (r *run) stopB(c *core) {
 	if c.owner == nil || c.l != nil {
 		return
 	}
-	now := r.eng.Now()
-	useful := r.acct.Clip(c.bFrom, now)
-	if useful > 0 {
-		r.funnel[c.owner] += sim.Duration(float64(useful) / r.bw.Inflation())
-		r.bWall[c.owner] += useful
-	}
-	r.bw.Remove(now, c.owner.AvgBW())
+	r.AccrueB(c.owner, c.bFrom)
+	r.BW.Remove(c.owner.AvgBW())
 }
 
 // collect finalises accounting.
-func (r *run) collect() (sched.Result, error) {
+func (r *run) collect() sched.Result {
 	for _, c := range r.cores {
 		if c.owner != nil && c.l == nil {
 			r.stopB(c)
@@ -378,32 +329,9 @@ func (r *run) collect() (sched.Result, error) {
 		// (and reaches the obs timeline/profiler like every other accrual).
 		r.setAct(c, c.act)
 	}
-	if o := r.cfg.Obs; o != nil {
-		o.Reg().Add("arachne.switches", r.switches)
-		o.Reg().Add("arachne.reallocs", r.reallocs)
+	if o := r.Cfg.Obs; o != nil {
+		o.Reg().Add("arachne.switches", r.Switches)
+		o.Reg().Add("arachne.reallocs", r.Reallocs)
 	}
-	res := sched.Result{
-		Scheduler:     "Arachne",
-		Cores:         r.cfg.Cores,
-		Measured:      r.cfg.Duration,
-		Cycles:        r.acct.Breakdown,
-		Switches:      r.switches,
-		Reallocations: r.reallocs,
-	}
-	for _, a := range r.cfg.Apps {
-		ar := sched.AppResult{Name: a.Name, Kind: a.Kind, Offered: a.Offered, Completed: a.Completed}
-		if a.Kind == workload.LatencyCritical {
-			ar.Latency = a.Lat.Summarize()
-			ar.Tput = stats.Rate{Count: a.Lat.Count(), Elapsed: int64(r.cfg.Duration)}
-			ar.LBusyNs = r.lWork[a]
-		} else {
-			ar.BUsefulNs = r.funnel[a]
-			ar.BWallNs = r.bWall[a]
-			ar.Tput = stats.Rate{Count: uint64(ar.BUsefulNs), Elapsed: int64(r.cfg.Duration)}
-			ar.AvgBWGBs = a.AvgBW() * float64(r.bWall[a]) / float64(r.cfg.Duration)
-		}
-		res.Apps = append(res.Apps, ar)
-	}
-	sched.Normalize(&res, r.cfg)
-	return res, nil
+	return r.Result("Arachne")
 }

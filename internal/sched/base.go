@@ -1,0 +1,143 @@
+package sched
+
+import (
+	"vessel/internal/sim"
+	"vessel/internal/stats"
+	"vessel/internal/workload"
+)
+
+// Base is the run core the scheduler models embed by value: the validated
+// config, the engine and clock bounds, the accounting, and the per-app
+// tallies that become a Result. A model keeps only its policy state and
+// calls these helpers, so every model turns the same events into the same
+// bookkeeping.
+type Base struct {
+	Cfg   Config // validated: Costs is filled in
+	Eng   *sim.Engine
+	RNG   *sim.RNG
+	EndAt sim.Time // end of the measured interval
+	Acct  Accountant
+	BW    BW
+	// LApps and BApps split Cfg.Apps by kind, in config order.
+	LApps, BApps []*workload.App
+	// BWCap is the B-apps' bandwidth budget in GB/s (0 = unlimited).
+	BWCap float64
+
+	Switches, Preempts, Reallocs uint64
+	tallies                      []tally // parallel to Cfg.Apps
+}
+
+// tally is one app's core time over the measured interval.
+type tally struct {
+	lBusy   sim.Duration // L: core time on requests
+	bUseful sim.Duration // B: core time deflated by memory contention
+	bWall   sim.Duration // B: raw core time held
+}
+
+// Init validates cfg and sets up the run core. It schedules nothing.
+func (b *Base) Init(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	b.Cfg = cfg
+	b.Eng = sim.NewEngine()
+	b.RNG = sim.NewRNG(cfg.Seed)
+	b.EndAt = sim.Time(cfg.Warmup + cfg.Duration)
+	b.Acct = Accountant{From: sim.Time(cfg.Warmup), To: b.EndAt, Obs: cfg.Obs, Journey: cfg.Journey}
+	b.BW = BW{CapacityGBs: cfg.Costs.MemBWTotal}
+	if cfg.BWTargetFrac > 0 {
+		b.BWCap = cfg.BWTargetFrac * cfg.Costs.MemBWTotal
+	}
+	for _, a := range cfg.Apps {
+		if a.Kind == workload.LatencyCritical {
+			b.LApps = append(b.LApps, a)
+		} else {
+			b.BApps = append(b.BApps, a)
+		}
+	}
+	b.tallies = make([]tally, len(cfg.Apps))
+	return nil
+}
+
+// Arrivals starts app's arrival process on a fork of the run's RNG labelled
+// by salt and the app's name length, minting each request's journey before
+// fn sees it.
+func (b *Base) Arrivals(app *workload.App, salt uint64, fn func(*workload.Request)) error {
+	return app.GenerateArrivals(b.Eng, b.RNG.Fork(uint64(len(app.Name))+salt), b.EndAt, func(req *workload.Request) {
+		req.J = b.Cfg.Journey.Mint(app.Name, req.Arrive)
+		fn(req)
+	})
+}
+
+// Every runs fn at time at and then every period after it, up to EndAt.
+func (b *Base) Every(at sim.Time, period sim.Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		if b.Eng.Now() < b.EndAt {
+			b.Eng.After(period, tick)
+		}
+	}
+	b.Eng.At(at, tick)
+}
+
+// Served completes req now, after it ran on a core since from: its latency
+// is recorded and the core time is charged to its app. req is released.
+func (b *Base) Served(req *workload.Request, from sim.Time) {
+	now, app := b.Eng.Now(), req.App
+	req.Done = now
+	req.J.Finish(now)
+	app.Complete(req, sim.Time(b.Cfg.Warmup))
+	b.tally(app).lBusy += b.Acct.Clip(from, now)
+}
+
+// AccrueB charges B-app app the core it has held since since: wall time,
+// and useful time deflated by the current memory contention. It leaves
+// the app's bandwidth demand registered.
+func (b *Base) AccrueB(app *workload.App, since sim.Time) {
+	if useful := b.Acct.Clip(since, b.Eng.Now()); useful > 0 {
+		t := b.tally(app)
+		t.bUseful += sim.Duration(float64(useful) / b.BW.Inflation())
+		t.bWall += useful
+	}
+}
+
+// tally returns app's tally; app must be one of Cfg.Apps.
+func (b *Base) tally(app *workload.App) *tally {
+	i := 0
+	for b.Cfg.Apps[i] != app {
+		i++
+	}
+	return &b.tallies[i]
+}
+
+// Result builds the run's normalized result from the counters and tallies.
+func (b *Base) Result(name string) Result {
+	d := b.Cfg.Duration
+	res := Result{
+		Scheduler:     name,
+		Cores:         b.Cfg.Cores,
+		Measured:      d,
+		Cycles:        b.Acct.Breakdown,
+		Switches:      b.Switches,
+		Preemptions:   b.Preempts,
+		Reallocations: b.Reallocs,
+	}
+	for i, a := range b.Cfg.Apps {
+		t := b.tallies[i]
+		ar := AppResult{Name: a.Name, Kind: a.Kind, Offered: a.Offered, Completed: a.Completed}
+		if a.Kind == workload.LatencyCritical {
+			ar.Latency = a.Lat.Summarize()
+			ar.Tput = stats.Rate{Count: a.Lat.Count(), Elapsed: int64(d)}
+			ar.LBusyNs = t.lBusy
+		} else {
+			ar.BUsefulNs, ar.BWallNs = t.bUseful, t.bWall
+			ar.Tput = stats.Rate{Count: uint64(t.bUseful), Elapsed: int64(d)}
+			// Aggregate bandwidth: per-core demand × average cores held.
+			ar.AvgBWGBs = a.AvgBW() * float64(t.bWall) / float64(d)
+		}
+		res.Apps = append(res.Apps, ar)
+	}
+	Normalize(&res, b.Cfg)
+	return res
+}

@@ -21,7 +21,6 @@ import (
 	"vessel/internal/obs/journey"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
-	"vessel/internal/stats"
 	"vessel/internal/workload"
 )
 
@@ -102,68 +101,33 @@ type core struct {
 }
 
 type run struct {
-	cfg   sched.Config
+	sched.Base
 	v     Simulator
-	eng   *sim.Engine
-	rng   *sim.RNG
-	acct  sched.Accountant
-	bw    *sched.BW
 	cores []*core
-	lApps []*workload.App
-	bApps []*workload.App
-	endAt sim.Time
-
-	funnel map[*workload.App]sim.Duration
-	bWall  map[*workload.App]sim.Duration
-	lWork  map[*workload.App]sim.Duration // per-L-app service time delivered
-	bwCap  float64
 	// bwSampled is the IOKernel's view of bandwidth demand, refreshed
 	// only at its 10 µs decision ticks. Grant decisions between ticks
 	// act on this stale sample — the control-loop coarseness that makes
 	// Caladan's regulation overshoot (§6.3.4).
 	bwSampled float64
-
-	switches, preempts, reallocs uint64
 }
 
 // Run executes the workload under Caladan's policy.
-func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
+func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 	r, err := s.start(cfg)
 	if err != nil {
-		return sched.Result{}, err
+		return res, err
 	}
-	r.eng.Run(r.endAt)
-	return r.collect()
+	r.Eng.Run(r.EndAt)
+	return r.collect(), nil
 }
 
 // start builds the run for cfg and schedules its first events.
 func (s Simulator) start(cfg sched.Config) (*run, error) {
-	if err := cfg.Validate(); err != nil {
+	r := &run{v: s}
+	if err := r.Init(cfg); err != nil {
 		return nil, err
 	}
-	r := &run{
-		cfg:    cfg,
-		v:      s,
-		eng:    sim.NewEngine(),
-		rng:    sim.NewRNG(cfg.Seed),
-		bw:     sched.NewBW(cfg.Costs.MemBWTotal),
-		funnel: make(map[*workload.App]sim.Duration),
-		bWall:  make(map[*workload.App]sim.Duration),
-		lWork:  make(map[*workload.App]sim.Duration),
-	}
-	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
-	if cfg.BWTargetFrac > 0 {
-		r.bwCap = cfg.BWTargetFrac * cfg.Costs.MemBWTotal
-	}
-	for _, a := range cfg.Apps {
-		if a.Kind == workload.LatencyCritical {
-			r.lApps = append(r.lApps, a)
-		} else {
-			r.bApps = append(r.bApps, a)
-		}
-	}
-	for i := 0; i < cfg.Cores; i++ {
+	for i := 0; i < r.Cfg.Cores; i++ {
 		c := &core{id: i, mode: modeFree, act: sched.ActIdle}
 		c.finish = func() { r.finish(c) }
 		c.parkNow = func() {
@@ -176,48 +140,38 @@ func (s Simulator) start(cfg sched.Config) (*run, error) {
 	// application queue — the single-server control plane whose
 	// saturation caps Caladan at ~34 cores (Figure 12).
 	var cp *sched.CtrlPlane
-	if ctrl := cfg.Costs.CaladanCtrlFor(cfg.Cores); ctrl > 0 {
-		cp = sched.NewCtrlPlane(r.eng, ctrl, func(req *workload.Request) {
-			req.J.To(journey.SegQueue, r.eng.Now())
+	if ctrl := r.Cfg.Costs.CaladanCtrlFor(r.Cfg.Cores); ctrl > 0 {
+		cp = sched.NewCtrlPlane(r.Eng, ctrl, func(req *workload.Request) {
+			req.J.To(journey.SegQueue, r.Eng.Now())
 			r.onArrival(req.App)
 		})
 	}
-	for _, a := range r.lApps {
-		app := a
-		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+13), r.endAt, func(req *workload.Request) {
-			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
+	for _, a := range r.LApps {
+		if err := r.Arrivals(a, 13, func(req *workload.Request) {
 			if cp == nil {
-				r.onArrival(app)
+				r.onArrival(req.App)
 				return
 			}
 			// The packet is inside the IOKernel until the control-plane
 			// server forwards it: dataplane time on the journey.
-			req.J.To(journey.SegData, r.eng.Now())
+			req.J.To(journey.SegData, r.Eng.Now())
 			cp.Submit(req)
 		}); err != nil {
 			return nil, err
 		}
 	}
 	// IOKernel decision loop.
-	var tick func()
-	tick = func() {
-		r.iokernel()
-		if r.eng.Now() < r.endAt {
-			r.eng.After(r.cfg.Costs.CaladanReallocMs, tick)
-		}
-	}
-	r.eng.At(0, tick)
-	r.eng.At(sim.Time(cfg.Warmup), func() { r.bw.ResetAvg(r.eng.Now()) })
+	r.Every(0, r.Cfg.Costs.CaladanReallocMs, r.iokernel)
 	return r, nil
 }
 
 func (r *run) setAct(c *core, act sched.Activity) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	label := ""
 	if c.owner != nil {
 		label = c.owner.Name
 	}
-	r.acct.AccrueCore(c.id, c.act, c.lastT, now, label)
+	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
 	c.act = act
 	c.lastT = now
 }
@@ -228,7 +182,7 @@ func (r *run) setAct(c *core, act sched.Activity) {
 func (r *run) onArrival(app *workload.App) {
 	for _, c := range r.cores {
 		if c.mode == modePollL && c.owner == app {
-			r.eng.Cancel(c.pollEnd)
+			r.Eng.Cancel(c.pollEnd)
 			c.pollEnd = sim.Event{}
 			r.serveL(c, app)
 			return
@@ -244,7 +198,7 @@ func (r *run) serveL(c *core, app *workload.App) {
 		r.startPolling(c, app)
 		return
 	}
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	req.Start = now
 	if c.grantD > 0 {
 		// The kernel crossing that granted this core gated the request's
@@ -258,20 +212,16 @@ func (r *run) serveL(c *core, app *workload.App) {
 	c.req = req
 	c.reqFrom = now
 	r.setAct(c, sched.ActApp)
-	dur := sim.Duration(float64(req.Service)*r.bw.Inflation()) + r.bw.StallNoise(r.rng)
-	r.eng.After(dur, c.finish)
+	dur := sim.Duration(float64(req.Service)*r.BW.Inflation()) + r.BW.StallNoise(r.RNG)
+	r.Eng.After(dur, c.finish)
 }
 
 // finish completes the core's request and serves the app's next one.
 func (r *run) finish(c *core) {
 	req, app := c.req, c.req.App
 	c.req = nil
-	now := r.eng.Now()
-	req.Done = now
-	req.J.Finish(now)
-	app.Complete(req, sim.Time(r.cfg.Warmup))
-	r.lWork[app] += r.acct.Clip(c.reqFrom, now)
-	if now >= r.endAt {
+	r.Served(req, c.reqFrom)
+	if r.Eng.Now() >= r.EndAt {
 		return
 	}
 	r.serveL(c, app)
@@ -282,7 +232,7 @@ func (r *run) finish(c *core) {
 func (r *run) startPolling(c *core, app *workload.App) {
 	c.mode = modePollL
 	r.setAct(c, sched.ActRuntime)
-	c.pollEnd = r.eng.After(r.cfg.Costs.CaladanStealWin, c.parkNow)
+	c.pollEnd = r.Eng.After(r.Cfg.Costs.CaladanStealWin, c.parkNow)
 }
 
 // parkCore executes the voluntary yield: a kernel crossing, after which the
@@ -292,8 +242,8 @@ func (r *run) parkCore(c *core) {
 	c.mode = modeTransition
 	c.owner = nil
 	r.setAct(c, sched.ActKernel)
-	r.switches++
-	r.eng.After(r.cfg.Costs.CaladanParkPath, func() {
+	r.Switches++
+	r.Eng.After(r.Cfg.Costs.CaladanParkPath, func() {
 		c.mode = modeFree
 		r.setAct(c, sched.ActIdle)
 		r.grantFreeCore(c)
@@ -305,21 +255,21 @@ func (r *run) parkCore(c *core) {
 // limited to the 10 µs interval), so an L-app past its Delay Range
 // threshold gets it immediately; otherwise a B-app harvests it.
 func (r *run) grantFreeCore(c *core) {
-	if c.mode != modeFree || r.eng.Now() >= r.endAt {
+	if c.mode != modeFree || r.Eng.Now() >= r.EndAt {
 		return
 	}
 	thr := r.v.grantThreshold()
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	var best *workload.App
 	var bestDelay sim.Duration
-	for _, app := range r.lApps {
+	for _, app := range r.LApps {
 		if d := app.QueueDelay(now); d >= thr && d > bestDelay {
 			best = app
 			bestDelay = d
 		}
 	}
 	if best != nil {
-		r.transition(c, best, r.cfg.Costs.CaladanParkPath)
+		r.transition(c, best, r.Cfg.Costs.CaladanParkPath)
 		return
 	}
 	r.grantFreeCoreToB(c)
@@ -328,18 +278,18 @@ func (r *run) grantFreeCore(c *core) {
 // grantFreeCoreToB hands a free core to a best-effort app (respecting the
 // bandwidth budget).
 func (r *run) grantFreeCoreToB(c *core) {
-	if c.mode != modeFree || r.eng.Now() >= r.endAt {
+	if c.mode != modeFree || r.Eng.Now() >= r.EndAt {
 		return
 	}
-	for _, b := range r.bApps {
-		if r.bwCap > 0 && r.bwSampled+b.AvgBW() > r.bwCap {
+	for _, b := range r.BApps {
+		if r.BWCap > 0 && r.bwSampled+b.AvgBW() > r.BWCap {
 			continue
 		}
 		c.mode = modeRunB
 		c.owner = b
-		c.grantedAt = r.eng.Now()
-		c.bStart = r.eng.Now()
-		r.bw.Add(r.eng.Now(), b.AvgBW())
+		c.grantedAt = r.Eng.Now()
+		c.bStart = r.Eng.Now()
+		r.BW.Add(b.AvgBW())
 		r.setAct(c, sched.ActApp)
 		return
 	}
@@ -347,14 +297,8 @@ func (r *run) grantFreeCoreToB(c *core) {
 
 // stopB accrues and removes the B occupancy of a core.
 func (r *run) stopB(c *core) {
-	b := c.owner
-	now := r.eng.Now()
-	useful := r.acct.Clip(c.bStart, now)
-	if useful > 0 {
-		r.funnel[b] += sim.Duration(float64(useful) / r.bw.Inflation())
-		r.bWall[b] += useful
-	}
-	r.bw.Remove(now, b.AvgBW())
+	r.AccrueB(c.owner, c.bStart)
+	r.BW.Remove(c.owner.AvgBW())
 	c.owner = nil
 }
 
@@ -363,14 +307,14 @@ func (r *run) stopB(c *core) {
 // B-cores (preemption), then — for dense L-on-L colocation — cores of
 // L-apps holding more than their share.
 func (r *run) iokernel() {
-	now := r.eng.Now()
-	if now >= r.endAt {
+	now := r.Eng.Now()
+	if now >= r.EndAt {
 		return
 	}
 	// Refresh the bandwidth sample the inter-tick grant path uses.
-	r.bwSampled = r.bw.Demand()
+	r.bwSampled = r.BW.Demand()
 	thr := r.v.grantThreshold()
-	for _, app := range r.lApps {
+	for _, app := range r.LApps {
 		if app.QueueDelay(now) < thr {
 			continue
 		}
@@ -396,8 +340,8 @@ func (r *run) iokernel() {
 	}
 	// Bandwidth regulation at IOKernel granularity: revoke B cores while
 	// over budget.
-	if r.bwCap > 0 {
-		for r.bw.Demand() > r.bwCap {
+	if r.BWCap > 0 {
+		for r.BW.Demand() > r.BWCap {
 			victim := r.pickBVictim()
 			if victim == nil {
 				break
@@ -412,15 +356,15 @@ func (r *run) grantCore(app *workload.App) {
 	// Free core: wake + kernel switch into the app's kProcess.
 	for _, c := range r.cores {
 		if c.mode == modeFree {
-			r.transition(c, app, r.cfg.Costs.CaladanParkPath)
+			r.transition(c, app, r.Cfg.Costs.CaladanParkPath)
 			return
 		}
 	}
 	// Preempt a best-effort core: the full Figure 3 path.
 	if victim := r.pickBVictim(); victim != nil {
 		r.stopB(victim)
-		r.transition(victim, app, r.cfg.Costs.CaladanReallocTotal())
-		r.preempts++
+		r.transition(victim, app, r.Cfg.Costs.CaladanReallocTotal())
+		r.Preempts++
 		return
 	}
 	// Dense colocation: preempt another L-app's core. Choose the app
@@ -450,7 +394,7 @@ func (r *run) grantCore(app *workload.App) {
 	if victim == nil {
 		return
 	}
-	r.eng.Cancel(victim.pollEnd)
+	r.Eng.Cancel(victim.pollEnd)
 	victim.pollEnd = sim.Event{}
 	if victim.mode == modeServeL {
 		// The in-flight request finishes on the new owner's dime in
@@ -460,8 +404,8 @@ func (r *run) grantCore(app *workload.App) {
 		// only preempt polling cores to keep request execution simple.
 		return
 	}
-	r.transition(victim, app, r.cfg.Costs.CaladanReallocTotal())
-	r.preempts++
+	r.transition(victim, app, r.Cfg.Costs.CaladanReallocTotal())
+	r.Preempts++
 }
 
 // pickBVictim returns a B-owned core, preferring the longest holder.
@@ -482,9 +426,9 @@ func (r *run) preemptToFree(c *core) {
 	r.stopB(c)
 	c.mode = modeTransition
 	r.setAct(c, sched.ActKernel)
-	r.preempts++
-	r.switches++
-	r.eng.After(r.cfg.Costs.CaladanParkPath, func() {
+	r.Preempts++
+	r.Switches++
+	r.Eng.After(r.Cfg.Costs.CaladanParkPath, func() {
 		c.mode = modeFree
 		r.setAct(c, sched.ActIdle)
 	})
@@ -494,12 +438,12 @@ func (r *run) preemptToFree(c *core) {
 func (r *run) transition(c *core, app *workload.App, cost sim.Duration) {
 	c.mode = modeTransition
 	c.owner = app
-	c.grantedAt = r.eng.Now()
+	c.grantedAt = r.Eng.Now()
 	r.setAct(c, sched.ActKernel)
-	r.switches++
-	r.reallocs++
-	r.eng.After(cost, func() {
-		if r.eng.Now() >= r.endAt {
+	r.Switches++
+	r.Reallocs++
+	r.Eng.After(cost, func() {
+		if r.Eng.Now() >= r.EndAt {
 			return
 		}
 		c.grantD = cost
@@ -508,7 +452,7 @@ func (r *run) transition(c *core, app *workload.App, cost sim.Duration) {
 }
 
 // collect finalises accounting.
-func (r *run) collect() (sched.Result, error) {
+func (r *run) collect() sched.Result {
 	for _, c := range r.cores {
 		// Close the span through setAct (before stopB clears the owner) so
 		// it keeps its occupant label and reaches the obs layer.
@@ -517,34 +461,10 @@ func (r *run) collect() (sched.Result, error) {
 			r.stopB(c)
 		}
 	}
-	if o := r.cfg.Obs; o != nil {
-		o.Reg().Add("caladan.switches", r.switches)
-		o.Reg().Add("caladan.preempts", r.preempts)
-		o.Reg().Add("caladan.reallocs", r.reallocs)
+	if o := r.Cfg.Obs; o != nil {
+		o.Reg().Add("caladan.switches", r.Switches)
+		o.Reg().Add("caladan.preempts", r.Preempts)
+		o.Reg().Add("caladan.reallocs", r.Reallocs)
 	}
-	res := sched.Result{
-		Scheduler:     r.v.Name(),
-		Cores:         r.cfg.Cores,
-		Measured:      r.cfg.Duration,
-		Cycles:        r.acct.Breakdown,
-		Switches:      r.switches,
-		Preemptions:   r.preempts,
-		Reallocations: r.reallocs,
-	}
-	for _, a := range r.cfg.Apps {
-		ar := sched.AppResult{Name: a.Name, Kind: a.Kind, Offered: a.Offered, Completed: a.Completed}
-		if a.Kind == workload.LatencyCritical {
-			ar.Latency = a.Lat.Summarize()
-			ar.Tput = stats.Rate{Count: a.Lat.Count(), Elapsed: int64(r.cfg.Duration)}
-			ar.LBusyNs = r.lWork[a]
-		} else {
-			ar.BUsefulNs = r.funnel[a]
-			ar.BWallNs = r.bWall[a]
-			ar.Tput = stats.Rate{Count: uint64(ar.BUsefulNs), Elapsed: int64(r.cfg.Duration)}
-			ar.AvgBWGBs = a.AvgBW() * float64(r.bWall[a]) / float64(r.cfg.Duration)
-		}
-		res.Apps = append(res.Apps, ar)
-	}
-	sched.Normalize(&res, r.cfg)
-	return res, nil
+	return r.Result(r.v.Name())
 }

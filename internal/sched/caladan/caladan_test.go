@@ -233,11 +233,11 @@ func TestSaturatedEventHeapStaysShallow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run(r.endAt)
+	r.Eng.Run(r.EndAt)
 	if backlog := mc.Offered - mc.Completed; backlog < 10_000 {
 		t.Fatalf("only %d requests left unserved: the probe no longer saturates the control plane", backlog)
 	}
-	if hw := r.eng.HighWaterPending(); hw > 4*cores {
+	if hw := r.Eng.HighWaterPending(); hw > 4*cores {
 		t.Fatalf("event heap peaked at %d events on %d cores, want at most %d", hw, cores, 4*cores)
 	}
 }
@@ -257,9 +257,9 @@ func TestHeapPushesPerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run(r.endAt)
+	r.Eng.Run(r.EndAt)
 	offered := float64(mc.Offered)
-	fired, pushed := float64(r.eng.Fired())/offered, float64(r.eng.Pushed())/offered
+	fired, pushed := float64(r.Eng.Fired())/offered, float64(r.Eng.Pushed())/offered
 	if pushed > 1.5 || fired-pushed < 1.5 {
 		t.Fatalf("%d requests: %.3f firings and %.3f heap pushes each, want at most 1.5 pushes and at least 1.5 timer firings",
 			mc.Offered, fired, pushed)

@@ -22,7 +22,6 @@ import (
 	"vessel/internal/obs/journey"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
-	"vessel/internal/stats"
 	"vessel/internal/workload"
 )
 
@@ -85,30 +84,20 @@ type core struct {
 }
 
 type run struct {
-	cfg   sched.Config
-	eng   *sim.Engine
-	rng   *sim.RNG
-	acct  sched.Accountant
-	bw    *sched.BW
+	sched.Base
 	k     *kernel.Kernel
 	cores []*core
 	// workers[app] lists the app's threads across cores.
 	workers map[*workload.App][]*thread
-	endAt   sim.Time
 	homeRR  int
-
-	funnel map[*workload.App]sim.Duration
-	bWall  map[*workload.App]sim.Duration
-	lWork  map[*workload.App]sim.Duration
-
-	switches, preempts uint64
-	entID              int
+	entID   int
 }
 
 // Run executes the workload under the CFS model.
-func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return sched.Result{}, err
+func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
+	r := &run{workers: make(map[*workload.App][]*thread)}
+	if err = r.Init(cfg); err != nil {
+		return res, err
 	}
 	lNice, bNice := -19, 19
 	if s.LNice != 0 {
@@ -117,20 +106,8 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 	if s.BNice != 0 {
 		bNice = s.BNice
 	}
-	r := &run{
-		cfg:     cfg,
-		eng:     sim.NewEngine(),
-		rng:     sim.NewRNG(cfg.Seed),
-		bw:      sched.NewBW(cfg.Costs.MemBWTotal),
-		workers: make(map[*workload.App][]*thread),
-		funnel:  make(map[*workload.App]sim.Duration),
-		bWall:   make(map[*workload.App]sim.Duration),
-		lWork:   make(map[*workload.App]sim.Duration),
-	}
-	r.k = kernel.New(r.eng, cfg.Costs)
-	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
-	for i := 0; i < cfg.Cores; i++ {
+	r.k = kernel.New(r.Eng, r.Cfg.Costs)
+	for i := 0; i < r.Cfg.Cores; i++ {
 		c := &core{id: i, rq: kernel.NewRunqueue(), act: sched.ActIdle}
 		c.flush = func() { r.flushRx(c) }
 		c.sliceEnd = func() {
@@ -140,12 +117,12 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 		}
 		r.cores = append(r.cores, c)
 	}
-	for _, a := range cfg.Apps {
+	for _, a := range r.Cfg.Apps {
 		nice := bNice
 		if a.Kind == workload.LatencyCritical {
 			nice = lNice
 		}
-		for i := 0; i < cfg.Cores; i++ {
+		for i := 0; i < r.Cfg.Cores; i++ {
 			th := &thread{
 				ent:  kernel.NewEntity(r.entID, nice),
 				app:  a,
@@ -171,35 +148,27 @@ func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
 			}
 		}
 	}
-	for _, a := range cfg.Apps {
-		if a.Kind != workload.LatencyCritical {
-			continue
-		}
-		app := a
-		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+29), r.endAt, func(req *workload.Request) {
-			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
-			r.onArrival(app)
-		}); err != nil {
-			return sched.Result{}, err
+	for _, a := range r.LApps {
+		if err = r.Arrivals(a, 29, func(req *workload.Request) { r.onArrival(req.App) }); err != nil {
+			return res, err
 		}
 	}
-	r.eng.At(0, func() {
+	r.Eng.At(0, func() {
 		for _, c := range r.cores {
 			r.schedule(c)
 		}
 	})
-	r.eng.At(sim.Time(cfg.Warmup), func() { r.bw.ResetAvg(r.eng.Now()) })
-	r.eng.Run(r.endAt)
-	return r.collect()
+	r.Eng.Run(r.EndAt)
+	return r.collect(), nil
 }
 
 func (r *run) setAct(c *core, act sched.Activity) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	label := ""
 	if c.cur != nil {
 		label = c.cur.app.Name
 	}
-	r.acct.AccrueCore(c.id, c.act, c.lastT, now, label)
+	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
 	c.act = act
 	c.lastT = now
 }
@@ -220,19 +189,19 @@ func (r *run) onArrival(app *workload.App) {
 	}
 	// The packet sits in the receive ring until softirq processing runs:
 	// dataplane time on the journey.
-	req.J.To(journey.SegData, r.eng.Now())
+	req.J.To(journey.SegData, r.Eng.Now())
 	home.pendingRx = append(home.pendingRx, req)
 	if home.rxFlush.Pending() {
 		return // this core's softirq is already scheduled; batch behind it
 	}
 	var deferral sim.Duration
 	if home.cur != nil && home.cur.kind == workload.BestEffort {
-		deferral = r.rng.Exp(softirqMean)
+		deferral = r.RNG.Exp(softirqMean)
 		if deferral > 20*sim.Millisecond {
 			deferral = 20 * sim.Millisecond
 		}
 	}
-	home.rxFlush = r.eng.After(deferral+r.cfg.Costs.CFSWakeupCost, home.flush)
+	home.rxFlush = r.Eng.After(deferral+r.Cfg.Costs.CFSWakeupCost, home.flush)
 }
 
 // flushRx is the core's softirq bottom half: release every buffered
@@ -241,7 +210,7 @@ func (r *run) flushRx(c *core) {
 	c.rxFlush = sim.Event{}
 	apps := make([]*workload.App, 0, 2)
 	for _, req := range c.pendingRx {
-		req.J.To(journey.SegQueue, r.eng.Now())
+		req.J.To(journey.SegQueue, r.Eng.Now())
 		req.App.Requeue(req)
 		seen := false
 		for _, a := range apps {
@@ -263,7 +232,7 @@ func (r *run) flushRx(c *core) {
 // wake makes one sleeping worker of app runnable and applies wakeup
 // preemption against a best-effort current.
 func (r *run) wake(app *workload.App) {
-	if r.eng.Now() >= r.endAt {
+	if r.Eng.Now() >= r.EndAt {
 		return
 	}
 	var w *thread
@@ -291,8 +260,8 @@ func (r *run) wake(app *workload.App) {
 // preempt interrupts the current thread after the resched latency.
 func (r *run) preempt(c *core) {
 	cur := c.cur
-	r.preempts++
-	r.eng.After(reschedLatency, func() {
+	r.Preempts++
+	r.Eng.After(reschedLatency, func() {
 		if c.cur != cur || c.cur == nil {
 			return // already switched
 		}
@@ -308,21 +277,17 @@ func (r *run) stopCurrent(c *core, blocked bool) {
 	if cur == nil {
 		return
 	}
-	now := r.eng.Now()
-	r.eng.Cancel(c.ev)
+	now := r.Eng.Now()
+	r.Eng.Cancel(c.ev)
 	c.ev = sim.Event{}
 	ran := now.Sub(c.curSince)
 	c.rq.Account(ran)
 	if cur.kind == workload.BestEffort {
-		useful := r.acct.Clip(c.curSince, now)
-		if useful > 0 {
-			r.funnel[cur.app] += sim.Duration(float64(useful) / r.bw.Inflation())
-			r.bWall[cur.app] += useful
-		}
-		r.bw.Remove(now, cur.app.AvgBW())
+		r.AccrueB(cur.app, c.curSince)
+		r.BW.Remove(cur.app.AvgBW())
 	} else if cur.req != nil {
 		// Partial service: remember the remainder.
-		done := sim.Duration(float64(ran) / r.bw.Inflation())
+		done := sim.Duration(float64(ran) / r.BW.Inflation())
 		if done > cur.remaining {
 			done = cur.remaining
 		}
@@ -341,8 +306,8 @@ func (r *run) stopCurrent(c *core, blocked bool) {
 
 // schedule picks the next entity on a core and runs it.
 func (r *run) schedule(c *core) {
-	now := r.eng.Now()
-	if now >= r.endAt {
+	now := r.Eng.Now()
+	if now >= r.EndAt {
 		r.setAct(c, sched.ActIdle)
 		return
 	}
@@ -354,15 +319,15 @@ func (r *run) schedule(c *core) {
 	}
 	th := ent.UserData.(*thread)
 	// Kernel context switch cost.
-	r.switches++
+	r.Switches++
 	r.setAct(c, sched.ActKernel)
 	c.cur = th
-	r.eng.After(r.cfg.Costs.CFSSwitchCost, th.switched)
+	r.Eng.After(r.Cfg.Costs.CFSSwitchCost, th.switched)
 }
 
 // dispatch starts the picked thread's run.
 func (r *run) dispatch(c *core, th *thread) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	viaSwitch := c.viaSwitch
 	c.viaSwitch = false
 	if c.cur != th {
@@ -370,9 +335,9 @@ func (r *run) dispatch(c *core, th *thread) {
 	}
 	c.curSince = now
 	if th.kind == workload.BestEffort {
-		r.bw.Add(now, th.app.AvgBW())
+		r.BW.Add(th.app.AvgBW())
 		r.setAct(c, sched.ActApp)
-		c.ev = r.eng.After(c.rq.Timeslice(), c.sliceEnd)
+		c.ev = r.Eng.After(c.rq.Timeslice(), c.sliceEnd)
 		return
 	}
 	// L worker: continue an in-flight request or take the next one.
@@ -395,32 +360,28 @@ func (r *run) dispatch(c *core, th *thread) {
 		// The kernel context switch gated this request's (re)dispatch:
 		// attribute it retroactively (clamped if the request arrived or
 		// was queued mid-switch).
-		th.req.J.To(journey.SegGate, now.Add(-r.cfg.Costs.CFSSwitchCost))
+		th.req.J.To(journey.SegGate, now.Add(-r.Cfg.Costs.CFSSwitchCost))
 	}
 	th.req.J.To(journey.SegRun, now)
 	r.setAct(c, sched.ActApp)
-	dur := sim.Duration(float64(th.remaining)*r.bw.Inflation()) + r.bw.StallNoise(r.rng)
+	dur := sim.Duration(float64(th.remaining)*r.BW.Inflation()) + r.BW.StallNoise(r.RNG)
 	slice := c.rq.Timeslice()
 	if dur <= slice {
-		c.ev = r.eng.After(dur, th.complete)
+		c.ev = r.Eng.After(dur, th.complete)
 	} else {
-		c.ev = r.eng.After(slice, c.sliceEnd)
+		c.ev = r.Eng.After(slice, c.sliceEnd)
 	}
 }
 
 // completeRequest finishes th's request and continues with the app queue.
 func (r *run) completeRequest(c *core, th *thread) {
-	now := r.eng.Now()
-	req := th.req
-	req.Done = now
-	req.J.Finish(now)
-	th.app.Complete(req, sim.Time(r.cfg.Warmup))
-	r.lWork[th.app] += r.acct.Clip(c.curSince, now)
+	now := r.Eng.Now()
+	r.Served(th.req, c.curSince)
 	th.req = nil
 	th.remaining = 0
 	c.rq.Account(now.Sub(c.curSince))
 	c.curSince = now
-	if now >= r.endAt {
+	if now >= r.EndAt {
 		return
 	}
 	// Serve the queue run-to-completion while we still hold the core.
@@ -428,46 +389,18 @@ func (r *run) completeRequest(c *core, th *thread) {
 }
 
 // collect finalises accounting.
-func (r *run) collect() (sched.Result, error) {
-	now := r.eng.Now()
+func (r *run) collect() sched.Result {
 	for _, c := range r.cores {
 		if c.cur != nil && c.cur.kind == workload.BestEffort {
-			useful := r.acct.Clip(c.curSince, now)
-			if useful > 0 {
-				r.funnel[c.cur.app] += sim.Duration(float64(useful) / r.bw.Inflation())
-				r.bWall[c.cur.app] += useful
-			}
+			r.AccrueB(c.cur.app, c.curSince)
 		}
 		// Close the span through setAct so it keeps its occupant label
 		// (and reaches the obs timeline/profiler like every other accrual).
 		r.setAct(c, c.act)
 	}
-	if o := r.cfg.Obs; o != nil {
-		o.Reg().Add("cfs.switches", r.switches)
-		o.Reg().Add("cfs.preempts", r.preempts)
+	if o := r.Cfg.Obs; o != nil {
+		o.Reg().Add("cfs.switches", r.Switches)
+		o.Reg().Add("cfs.preempts", r.Preempts)
 	}
-	res := sched.Result{
-		Scheduler:   "Linux",
-		Cores:       r.cfg.Cores,
-		Measured:    r.cfg.Duration,
-		Cycles:      r.acct.Breakdown,
-		Switches:    r.switches,
-		Preemptions: r.preempts,
-	}
-	for _, a := range r.cfg.Apps {
-		ar := sched.AppResult{Name: a.Name, Kind: a.Kind, Offered: a.Offered, Completed: a.Completed}
-		if a.Kind == workload.LatencyCritical {
-			ar.Latency = a.Lat.Summarize()
-			ar.Tput = stats.Rate{Count: a.Lat.Count(), Elapsed: int64(r.cfg.Duration)}
-			ar.LBusyNs = r.lWork[a]
-		} else {
-			ar.BUsefulNs = r.funnel[a]
-			ar.BWallNs = r.bWall[a]
-			ar.Tput = stats.Rate{Count: uint64(ar.BUsefulNs), Elapsed: int64(r.cfg.Duration)}
-			ar.AvgBWGBs = a.AvgBW() * float64(r.bWall[a]) / float64(r.cfg.Duration)
-		}
-		res.Apps = append(res.Apps, ar)
-	}
-	sched.Normalize(&res, r.cfg)
-	return res, nil
+	return r.Result("Linux")
 }

@@ -155,34 +155,25 @@ func TestAccountantClipping(t *testing.T) {
 }
 
 func TestBWInflationAndAverage(t *testing.T) {
-	b := NewBW(40)
+	b := BW{CapacityGBs: 40}
 	if b.Inflation() != 1 {
 		t.Fatal("empty inflation")
 	}
-	b.Add(0, 30)
+	b.Add(30)
 	if b.Inflation() != 1 {
 		t.Fatal("under capacity should not inflate")
 	}
-	b.Add(0, 30) // 60 total over 40 capacity
+	b.Add(30) // 60 total over 40 capacity
 	if math.Abs(b.Inflation()-1.5) > 1e-9 {
 		t.Fatalf("inflation = %v", b.Inflation())
 	}
-	b.Remove(1000, 30)
+	b.Remove(30)
 	if b.Demand() != 30 {
 		t.Fatalf("demand = %v", b.Demand())
 	}
-	// Average: 40 (capped) for 1µs then 30 for 1µs = 35.
-	if avg := b.AvgGBs(0, 2000); math.Abs(avg-35) > 1e-6 {
-		t.Fatalf("avg = %v", avg)
-	}
-	b.ResetAvg(2000)
-	b.Remove(3000, 30)
-	if avg := b.AvgGBs(2000, 4000); math.Abs(avg-15) > 1e-6 {
-		t.Fatalf("avg after reset = %v", avg)
-	}
 	// Unlimited capacity never inflates.
-	free := NewBW(0)
-	free.Add(0, 1000)
+	free := BW{}
+	free.Add(1000)
 	if free.Inflation() != 1 {
 		t.Fatal("zero-capacity BW should not inflate")
 	}

@@ -60,13 +60,3 @@ func (r *RNG) LogNormal(mu, sigma float64) Duration {
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }
-
-// Pareto returns a bounded Pareto sample with the given minimum and shape
-// alpha, used for heavy-tailed noise injection.
-func (r *RNG) Pareto(xm float64, alpha float64) float64 {
-	u := r.src.Float64()
-	for u == 0 {
-		u = r.src.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}

@@ -111,12 +111,11 @@ func (h Event) Pending() bool {
 // Engine is not safe for concurrent use: the simulation is single-threaded
 // by design so that results are deterministic.
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   eventHeap
-	stopped bool
-	fired   uint64
-	pushed  uint64
+	now    Time
+	seq    uint64
+	queue  eventHeap
+	fired  uint64
+	pushed uint64
 	// floor is the least seq a reserved key may use at time now: one
 	// past the seq of the event fired at now, or 0 once the clock has
 	// moved past every fired event.
@@ -242,9 +241,6 @@ func (e *Engine) Cancel(h Event) {
 // (at, seq) key, advancing the clock to its time. It reports whether one
 // was executed.
 func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
 	q := &e.queue
 	if len(e.timers) > 0 && (len(e.queue) == 0 || e.timers[0].before(e.queue[0])) {
 		q = &e.timers
@@ -275,15 +271,13 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events and timers until none is pending, Stop is called,
-// or the next would fire after `until`. Unless Stop ended the run, the
-// clock is then advanced to `until` (whether nothing was left or the next
-// firing lies later); a stopped run leaves it at the last one executed.
+// Run executes events and timers until none is pending or the next would
+// fire after `until`, then advances the clock to `until` (whether nothing
+// was left or the next firing lies later).
 func (e *Engine) Run(until Time) {
-	e.stopped = false
-	for !e.stopped && e.nextAt() <= until && e.Step() {
+	for e.nextAt() <= until && e.Step() {
 	}
-	if e.now < until && !e.stopped {
+	if e.now < until {
 		e.now = until
 		e.floor = 0
 	}
@@ -302,21 +296,16 @@ func (e *Engine) nextAt() Time {
 	return at
 }
 
-// RunAll executes events and timers until none is pending or Stop is
-// called. It panics if more than maxEvents fire, to catch runaway
+// RunAll executes events and timers until none is pending. It panics if more than maxEvents fire, to catch runaway
 // simulations.
 func (e *Engine) RunAll(maxEvents uint64) {
-	e.stopped = false
 	start := e.fired
-	for !e.stopped && e.Step() {
+	for e.Step() {
 		if e.fired-start > maxEvents {
 			panic(fmt.Sprintf("sim: more than %d events fired; runaway simulation?", maxEvents))
 		}
 	}
 }
-
-// Stop halts Run/RunAll after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Timer is a single-flight event: a callback bound once, with at most one
 // firing pending, held beside the event heap instead of in it. An armed

@@ -355,23 +355,6 @@ func TestTimerPastArmPanics(t *testing.T) {
 	tm.At(50)
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunAll(100)
-	if count != 3 {
-		t.Fatalf("Stop did not halt run: count=%d", count)
-	}
-}
-
 func TestEngineRunAllRunawayGuard(t *testing.T) {
 	e := NewEngine()
 	var loop func()
@@ -493,7 +476,7 @@ func TestEventOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestBernoulliAndPareto(t *testing.T) {
+func TestBernoulli(t *testing.T) {
 	r := NewRNG(11)
 	hits := 0
 	for i := 0; i < 100000; i++ {
@@ -503,10 +486,5 @@ func TestBernoulliAndPareto(t *testing.T) {
 	}
 	if frac := float64(hits) / 100000; math.Abs(frac-0.25) > 0.01 {
 		t.Fatalf("Bernoulli(0.25) frequency = %.3f", frac)
-	}
-	for i := 0; i < 1000; i++ {
-		if v := r.Pareto(2.0, 1.5); v < 2.0 {
-			t.Fatalf("Pareto below minimum: %v", v)
-		}
 	}
 }

@@ -82,25 +82,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordN adds a value n times.
-func (h *Histogram) RecordN(v int64, n uint64) {
-	if n == 0 {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.counts[index(v)] += n
-	h.total += n
-	h.sum += float64(v) * float64(n)
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-}
-
 // Count returns the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.total }
 

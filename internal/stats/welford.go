@@ -66,7 +66,3 @@ func (r Rate) PerSecond() float64 {
 	}
 	return float64(r.Count) / (float64(r.Elapsed) / 1e9)
 }
-
-// MopsPerSec returns the rate in millions of operations per second, the
-// unit the paper plots.
-func (r Rate) MopsPerSec() float64 { return r.PerSecond() / 1e6 }

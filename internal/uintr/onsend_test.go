@@ -42,8 +42,8 @@ func TestOnSendDispositionGolden(t *testing.T) {
 
 	send(0) // attached: delivered
 	r.Detach()
-	send(0) // descheduled: deferred into the PIR
-	send(1) // second vector joins the same deferred window
+	send(0)          // descheduled: deferred into the PIR
+	send(1)          // second vector joins the same deferred window
 	r.Attach(e.core) // window closes: OnFlush fires with both vectors
 	r.Suppress(true)
 	send(0) // SN set: suppressed

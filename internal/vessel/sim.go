@@ -21,7 +21,6 @@ import (
 	"vessel/internal/obs/journey"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
-	"vessel/internal/stats"
 	"vessel/internal/workload"
 )
 
@@ -68,24 +67,10 @@ type coreState struct {
 }
 
 type vesselRun struct {
-	cfg  sched.Config
-	eng  *sim.Engine
-	rng  *sim.RNG
-	acct sched.Accountant
-	bw   *sched.BW
-
+	sched.Base
 	cores    []*coreState
-	lApps    []*workload.App
-	bApps    []*workload.App
 	reacting map[*workload.App]*reaction // single-flight preemption chains
 	beQ      []*workload.App             // global BE queue (entries = schedulable B threads)
-	bwCap    float64                     // B-app bandwidth budget in GB/s (0 = unlimited)
-	endAt    sim.Time
-	funnel   map[*workload.App]sim.Duration // per-B useful ns (contention-deflated)
-	bWall    map[*workload.App]sim.Duration // per-B wall ns on cores
-	lWork    map[*workload.App]sim.Duration // per-L-app core time on requests
-
-	switches, preempts, reallocs uint64
 }
 
 // reaction is one L-app's preemption chain: at most one look at its queue
@@ -96,46 +81,25 @@ type reaction struct {
 }
 
 // Run executes the configured workload under VESSEL's scheduler.
-func (s Simulator) Run(cfg sched.Config) (sched.Result, error) {
+func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 	r, err := s.start(cfg)
 	if err != nil {
-		return sched.Result{}, err
+		return res, err
 	}
-	r.eng.Run(r.endAt)
-	return r.collect()
+	r.Eng.Run(r.EndAt)
+	return r.collect(), nil
 }
 
 // start builds the run for cfg and schedules its first events.
 func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
-	if err := cfg.Validate(); err != nil {
+	r := &vesselRun{reacting: make(map[*workload.App]*reaction)}
+	if err := r.Init(cfg); err != nil {
 		return nil, err
 	}
-	r := &vesselRun{
-		cfg:      cfg,
-		eng:      sim.NewEngine(),
-		rng:      sim.NewRNG(cfg.Seed),
-		bw:       sched.NewBW(cfg.Costs.MemBWTotal),
-		funnel:   make(map[*workload.App]sim.Duration),
-		bWall:    make(map[*workload.App]sim.Duration),
-		lWork:    make(map[*workload.App]sim.Duration),
-		reacting: make(map[*workload.App]*reaction),
-	}
-	r.endAt = sim.Time(cfg.Warmup + cfg.Duration)
-	r.acct = sched.Accountant{From: sim.Time(cfg.Warmup), To: r.endAt, Obs: cfg.Obs, Journey: cfg.Journey}
-	if cfg.BWTargetFrac > 0 {
-		r.bwCap = cfg.BWTargetFrac * cfg.Costs.MemBWTotal
-	}
-	for _, a := range cfg.Apps {
-		if a.Kind == workload.LatencyCritical {
-			r.lApps = append(r.lApps, a)
-		} else {
-			r.bApps = append(r.bApps, a)
-		}
-	}
-	for i := 0; i < cfg.Cores; i++ {
+	for i := 0; i < r.Cfg.Cores; i++ {
 		c := &coreState{id: i, act: sched.ActIdle}
 		// Every L-app has a worker thread resident on every core.
-		c.fifo = append(c.fifo, r.lApps...)
+		c.fifo = append(c.fifo, r.LApps...)
 		c.resume = func() {
 			c.busy = false
 			r.serveNext(c)
@@ -144,33 +108,30 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 		c.finish = func() { r.finish(c) }
 		r.cores = append(r.cores, c)
 	}
-	for _, a := range r.lApps {
+	for _, a := range r.LApps {
 		rc := &reaction{app: a}
-		r.eng.Bind(&rc.timer, func() { r.react(rc) })
+		r.Eng.Bind(&rc.timer, func() { r.react(rc) })
 		r.reacting[a] = rc
 	}
 	// One BE thread per core per B-app in the global queue.
-	for i := 0; i < cfg.Cores; i++ {
-		for _, b := range r.bApps {
+	for i := 0; i < r.Cfg.Cores; i++ {
+		for _, b := range r.BApps {
 			r.beQ = append(r.beQ, b)
 		}
 	}
 	// Arrival processes. Every request's dispatch signal crosses the
 	// domain scheduler — a single FIFO control-plane server whose
-	// saturation caps core scalability (Figure 12).
+	// saturation caps core scalability (Figure 12). On the journey, the
+	// dispatch delay counts as queueing: the request is waiting for the
+	// scheduler to learn about it.
 	var cp *sched.CtrlPlane
-	if ctrl := cfg.Costs.VesselCtrlFor(cfg.Cores); ctrl > 0 {
-		cp = sched.NewCtrlPlane(r.eng, ctrl, func(req *workload.Request) { r.onArrival(req.App) })
+	if ctrl := r.Cfg.Costs.VesselCtrlFor(r.Cfg.Cores); ctrl > 0 {
+		cp = sched.NewCtrlPlane(r.Eng, ctrl, func(req *workload.Request) { r.onArrival(req.App) })
 	}
-	for _, a := range r.lApps {
-		app := a
-		if err := app.GenerateArrivals(r.eng, r.rng.Fork(uint64(len(app.Name))+7), r.endAt, func(req *workload.Request) {
-			// Mint the request's journey at arrival; the control-plane
-			// dispatch delay counts as queueing (the request is waiting
-			// for the scheduler to learn about it).
-			req.J = cfg.Journey.Mint(app.Name, req.Arrive)
+	for _, a := range r.LApps {
+		if err := r.Arrivals(a, 7, func(req *workload.Request) {
 			if cp == nil {
-				r.onArrival(app)
+				r.onArrival(req.App)
 				return
 			}
 			cp.Submit(req)
@@ -179,7 +140,7 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 		}
 	}
 	// Initial fill: give idle cores to BE threads.
-	r.eng.At(0, func() {
+	r.Eng.At(0, func() {
 		for _, c := range r.cores {
 			if !c.busy {
 				r.serveNext(c)
@@ -188,23 +149,15 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 	})
 	// Bandwidth regulation scan (µs-scale, §6.3.4). Runs only with a
 	// configured budget.
-	if r.bwCap > 0 {
-		var scan func()
-		scan = func() {
-			r.regulateBW()
-			if r.eng.Now() < r.endAt {
-				r.eng.After(1*sim.Microsecond, scan)
-			}
-		}
-		r.eng.At(0, scan)
+	if r.BWCap > 0 {
+		r.Every(0, 1*sim.Microsecond, r.regulateBW)
 	}
-	r.eng.At(sim.Time(cfg.Warmup), func() { r.bw.ResetAvg(r.eng.Now()) })
 	return r, nil
 }
 
 // setAct transitions a core's accounting activity.
 func (r *vesselRun) setAct(c *coreState, act sched.Activity) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	label := ""
 	switch {
 	case c.runningL != nil:
@@ -212,7 +165,7 @@ func (r *vesselRun) setAct(c *coreState, act sched.Activity) {
 	case c.runningB != nil:
 		label = c.runningB.Name
 	}
-	r.acct.AccrueCore(c.id, c.act, c.lastT, now, label)
+	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
 	c.act = act
 	c.lastT = now
 }
@@ -242,7 +195,7 @@ func (r *vesselRun) onArrival(app *workload.App) {
 // armReaction schedules the scheduler's next look at an app's queue: one
 // scan interval plus the Uintr delivery it would take to act.
 func (r *vesselRun) armReaction(rc *reaction) {
-	cm := r.cfg.Costs
+	cm := r.Cfg.Costs
 	rc.timer.After(cm.VesselSchedScan + cm.UintrDeliver)
 }
 
@@ -251,9 +204,9 @@ func (r *vesselRun) armReaction(rc *reaction) {
 // drains.
 func (r *vesselRun) react(rc *reaction) {
 	app := rc.app
-	cm := r.cfg.Costs
-	now := r.eng.Now()
-	if len(app.Queue) == 0 || now >= r.endAt {
+	cm := r.Cfg.Costs
+	now := r.Eng.Now()
+	if len(app.Queue) == 0 || now >= r.EndAt {
 		return
 	}
 	if app.QueueDelay(now) >= preemptDelayThreshold {
@@ -293,46 +246,41 @@ func (r *vesselRun) react(rc *reaction) {
 
 // wakeIdle dispatches an idle core to serve app.
 func (r *vesselRun) wakeIdle(c *coreState, app *workload.App) {
-	cm := r.cfg.Costs
+	cm := r.Cfg.Costs
 	c.busy = true
 	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.eng.After(cm.UmwaitWake+cm.VesselParkSwitch, c.resume)
+	r.Switches++
+	r.Eng.After(cm.UmwaitWake+cm.VesselParkSwitch, c.resume)
 }
 
 // preemptB stops the BE thread on c (Uintr handler → gate → switch) and
 // lets the core pick up L work.
 func (r *vesselRun) preemptB(c *coreState) {
-	cm := r.cfg.Costs
+	cm := r.Cfg.Costs
 	b := c.runningB
 	if b == nil {
 		return
 	}
 	c.preempted = true
-	r.preempts++
-	r.reallocs++
-	now := r.eng.Now()
+	r.Preempts++
+	r.Reallocs++
+	now := r.Eng.Now()
 	// The preemption arrived by user interrupt: the reaction timer included
 	// one UintrDeliver of flight, so the send→delivery window ends now.
-	if o := r.cfg.Obs; o != nil {
+	if o := r.Cfg.Obs; o != nil {
 		o.Span(c.id, now.Add(-cm.UintrDeliver), now, obs.CatUintr, b.Name)
 		o.Reg().Inc("vessel.uintr.preempt")
 	}
-	// Accrue the B run's useful time, deflated by memory contention.
-	useful := r.acct.Clip(c.bStart, now)
-	if useful > 0 {
-		r.funnel[b] += sim.Duration(float64(useful) / r.bw.Inflation())
-		r.bWall[b] += useful
-	}
-	r.bw.Remove(now, b.AvgBW())
+	r.AccrueB(b, c.bStart)
+	r.BW.Remove(b.AvgBW())
 	c.runningB = nil
 	c.preempted = false
 	// Preempted BE threads go back to the global BE queue (§4.5).
 	r.beQ = append(r.beQ, b)
 	c.busy = true
 	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.eng.After(cm.VesselPreemptSwitch, c.resume)
+	r.Switches++
+	r.Eng.After(cm.VesselPreemptSwitch, c.resume)
 }
 
 // serveNext is the core's dispatch loop: first L work from the per-core
@@ -341,8 +289,8 @@ func (r *vesselRun) serveNext(c *coreState) {
 	if c.busy {
 		return
 	}
-	now := r.eng.Now()
-	if now >= r.endAt {
+	now := r.Eng.Now()
+	if now >= r.EndAt {
 		r.setAct(c, sched.ActIdle)
 		return
 	}
@@ -376,8 +324,8 @@ func (r *vesselRun) serveNext(c *coreState) {
 				c.busy = true
 				c.nextReq = req
 				r.setAct(c, sched.ActSwitch)
-				r.switches++
-				r.eng.After(r.cfg.Costs.VesselParkSwitch, c.begin)
+				r.Switches++
+				r.Eng.After(r.Cfg.Costs.VesselParkSwitch, c.begin)
 				return
 			}
 		}
@@ -386,7 +334,7 @@ func (r *vesselRun) serveNext(c *coreState) {
 	// budget allows.
 	for i := 0; i < len(r.beQ); i++ {
 		b := r.beQ[i]
-		if r.bwCap > 0 && r.bw.Demand()+b.AvgBW() > r.bwCap {
+		if r.BWCap > 0 && r.BW.Demand()+b.AvgBW() > r.BWCap {
 			continue
 		}
 		r.beQ = append(r.beQ[:i], r.beQ[i+1:]...)
@@ -399,7 +347,7 @@ func (r *vesselRun) serveNext(c *coreState) {
 // startRequest runs one L request (or its preempted remainder)
 // run-to-completion.
 func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.Request) {
-	now := r.eng.Now()
+	now := r.Eng.Now()
 	if req.Start == 0 {
 		req.Start = now
 	}
@@ -410,23 +358,19 @@ func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.
 	c.busy = true
 	c.curReq = req
 	c.reqFrom = now
-	c.reqInflat = r.bw.Inflation()
+	c.reqInflat = r.BW.Inflation()
 	req.J.To(journey.SegRun, now)
 	r.setAct(c, sched.ActApp)
-	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.bw.StallNoise(r.rng)
-	c.reqEv = r.eng.After(dur, c.finish)
+	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.BW.StallNoise(r.RNG)
+	c.reqEv = r.Eng.After(dur, c.finish)
 }
 
 // finish completes the core's in-flight request and dispatches again.
 func (r *vesselRun) finish(c *coreState) {
-	req, app := c.curReq, c.curReq.App
-	now := r.eng.Now()
+	req := c.curReq
 	c.reqEv = sim.Event{}
 	c.curReq = nil
-	req.Done = now
-	req.J.Finish(now)
-	app.Complete(req, sim.Time(r.cfg.Warmup))
-	r.lWork[app] += r.acct.Clip(c.reqFrom, now)
+	r.Served(req, c.reqFrom)
 	c.busy = false
 	r.serveNext(c)
 }
@@ -440,8 +384,8 @@ func (r *vesselRun) preemptL(c *coreState) {
 	if req == nil || !c.reqEv.Pending() {
 		return
 	}
-	now := r.eng.Now()
-	r.eng.Cancel(c.reqEv)
+	now := r.Eng.Now()
+	r.Eng.Cancel(c.reqEv)
 	c.reqEv = sim.Event{}
 	c.curReq = nil
 	served := sim.Duration(float64(now.Sub(c.reqFrom)) / c.reqInflat)
@@ -452,11 +396,11 @@ func (r *vesselRun) preemptL(c *coreState) {
 	req.App.RequeueFront(req)
 	req.J.To(journey.SegQueue, now)
 	c.runningL = nil
-	r.preempts++
+	r.Preempts++
 	c.busy = true
 	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.eng.After(r.cfg.Costs.VesselPreemptSwitch, c.resume)
+	r.Switches++
+	r.Eng.After(r.Cfg.Costs.VesselPreemptSwitch, c.resume)
 }
 
 // startB puts a BE thread on the core; it runs until preempted.
@@ -464,9 +408,9 @@ func (r *vesselRun) startB(c *coreState, b *workload.App) {
 	c.busy = true
 	c.nextB = b
 	r.setAct(c, sched.ActSwitch)
-	r.switches++
-	r.reallocs++
-	r.eng.After(r.cfg.Costs.VesselParkSwitch, c.begin)
+	r.Switches++
+	r.Reallocs++
+	r.Eng.After(r.Cfg.Costs.VesselParkSwitch, c.begin)
 }
 
 // begin ends a switch by starting what it switched to: the dequeued
@@ -480,17 +424,16 @@ func (r *vesselRun) begin(c *coreState) {
 	}
 	b := c.nextB
 	c.nextB = nil
-	now := r.eng.Now()
 	c.runningB = b
-	c.bStart = now
-	r.bw.Add(now, b.AvgBW())
+	c.bStart = r.Eng.Now()
+	r.BW.Add(b.AvgBW())
 	r.setAct(c, sched.ActApp)
 }
 
 // regulateBW enforces the B-app bandwidth budget at scan granularity:
 // preempt BE cores while demand exceeds the budget.
 func (r *vesselRun) regulateBW() {
-	for r.bw.Demand() > r.bwCap {
+	for r.BW.Demand() > r.BWCap {
 		var victim *coreState
 		for _, c := range r.cores {
 			if c.runningB != nil && !c.preempted {
@@ -512,55 +455,20 @@ func (r *vesselRun) regulateBW() {
 }
 
 // collect finalises accounting and builds the result.
-func (r *vesselRun) collect() (sched.Result, error) {
-	now := r.eng.Now()
+func (r *vesselRun) collect() sched.Result {
 	for _, c := range r.cores {
 		// Close out any running B accrual.
 		if c.runningB != nil {
-			useful := r.acct.Clip(c.bStart, now)
-			if useful > 0 {
-				r.funnel[c.runningB] += sim.Duration(float64(useful) / r.bw.Inflation())
-				r.bWall[c.runningB] += useful
-			}
+			r.AccrueB(c.runningB, c.bStart)
 		}
 		// Close the span through setAct so it keeps its occupant label
 		// (and reaches the obs timeline/profiler like every other accrual).
 		r.setAct(c, c.act)
 	}
-	if o := r.cfg.Obs; o != nil {
-		o.Reg().Add("vessel.switches", r.switches)
-		o.Reg().Add("vessel.preempts", r.preempts)
-		o.Reg().Add("vessel.reallocs", r.reallocs)
+	if o := r.Cfg.Obs; o != nil {
+		o.Reg().Add("vessel.switches", r.Switches)
+		o.Reg().Add("vessel.preempts", r.Preempts)
+		o.Reg().Add("vessel.reallocs", r.Reallocs)
 	}
-	res := sched.Result{
-		Scheduler:     "VESSEL",
-		Cores:         r.cfg.Cores,
-		Measured:      r.cfg.Duration,
-		Cycles:        r.acct.Breakdown,
-		Switches:      r.switches,
-		Preemptions:   r.preempts,
-		Reallocations: r.reallocs,
-	}
-	for _, a := range r.cfg.Apps {
-		ar := sched.AppResult{
-			Name:      a.Name,
-			Kind:      a.Kind,
-			Offered:   a.Offered,
-			Completed: a.Completed,
-		}
-		if a.Kind == workload.LatencyCritical {
-			ar.Latency = a.Lat.Summarize()
-			ar.Tput = stats.Rate{Count: a.Lat.Count(), Elapsed: int64(r.cfg.Duration)}
-			ar.LBusyNs = r.lWork[a]
-		} else {
-			ar.BUsefulNs = r.funnel[a]
-			ar.BWallNs = r.bWall[a]
-			ar.Tput = stats.Rate{Count: uint64(ar.BUsefulNs), Elapsed: int64(r.cfg.Duration)}
-			// Aggregate bandwidth: per-core demand × average cores held.
-			ar.AvgBWGBs = a.AvgBW() * float64(r.bWall[a]) / float64(r.cfg.Duration)
-		}
-		res.Apps = append(res.Apps, ar)
-	}
-	sched.Normalize(&res, r.cfg)
-	return res, nil
+	return r.Result("VESSEL")
 }

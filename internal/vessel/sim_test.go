@@ -253,9 +253,9 @@ func TestHeapPushesPerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.eng.Run(r.endAt)
+	r.Eng.Run(r.EndAt)
 	offered := float64(mc.Offered)
-	fired, pushed := float64(r.eng.Fired())/offered, float64(r.eng.Pushed())/offered
+	fired, pushed := float64(r.Eng.Fired())/offered, float64(r.Eng.Pushed())/offered
 	if pushed > 1.5 || fired-pushed < 2 {
 		t.Fatalf("%d requests: %.3f firings and %.3f heap pushes each, want at most 1.5 pushes and at least 2 timer firings",
 			mc.Offered, fired, pushed)

@@ -164,11 +164,9 @@ type App struct {
 	spare []*Request
 
 	// Accounting.
-	Offered    uint64
-	Completed  uint64
-	Lat        *stats.Histogram
-	BUsefulNs  sim.Duration // B-app CPU time actually delivered
-	FirstStart sim.Time
+	Offered   uint64
+	Completed uint64
+	Lat       *stats.Histogram
 }
 
 // NewLApp builds a latency-critical app.
