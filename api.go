@@ -1,7 +1,6 @@
 package vessel
 
 import (
-	"fmt"
 	"strings"
 
 	"vessel/internal/clustersched"
@@ -107,7 +106,7 @@ func CaladanDRLow() Scheduler { return caladan.Simulator{Variant: caladan.DRLow}
 // CaladanDRHigh returns Caladan with Delay Range 1–4µs.
 func CaladanDRHigh() Scheduler { return caladan.Simulator{Variant: caladan.DRHigh} }
 
-// Linux returns the CFS baseline (L-apps nice −19, B-apps nice 20).
+// Linux returns the CFS baseline (L-apps nice −19, B-apps nice 19).
 func Linux() Scheduler { return cfs.Simulator{} }
 
 // Arachne returns the Arachne core-arbiter baseline.
@@ -118,25 +117,19 @@ func Schedulers() []Scheduler {
 	return []Scheduler{VESSEL(), Caladan(), CaladanDRLow(), CaladanDRHigh(), Linux(), Arachne()}
 }
 
-// NewScheduler resolves a scheduler by name (case-insensitive): "vessel",
-// "caladan", "caladan-dr-l", "caladan-dr-h", "linux", "arachne".
+// NewScheduler resolves a scheduler by name (case-insensitive) through
+// the run harness's registry: "vessel", "caladan", "caladan-dr-l",
+// "caladan-dr-h", "linux", "arachne", plus the aliases "dr-l", "dr-h"
+// and "cfs".
 func NewScheduler(name string) (Scheduler, error) {
-	switch strings.ToLower(name) {
-	case "vessel":
-		return VESSEL(), nil
-	case "caladan":
-		return Caladan(), nil
-	case "caladan-dr-l", "dr-l":
-		return CaladanDRLow(), nil
-	case "caladan-dr-h", "dr-h":
-		return CaladanDRHigh(), nil
-	case "linux", "cfs":
-		return Linux(), nil
-	case "arachne":
-		return Arachne(), nil
-	default:
-		return nil, fmt.Errorf("vessel: unknown scheduler %q", name)
+	name = strings.ToLower(name)
+	switch name {
+	case "dr-l", "dr-h":
+		name = "caladan-" + name
+	case "cfs":
+		name = "linux"
 	}
+	return harness.SchedulerByName(name)
 }
 
 // NewMemcached builds the memcached/USR L-app (1µs mean service,
@@ -277,15 +270,15 @@ const (
 // Scheduling-policy seam and self-healing types (see DESIGN.md
 // "Self-healing and failsafe policies").
 type (
-	// Policy decides preemption per core per round; plug one into
-	// ChaosConfig.Policy.
+	// Policy decides preemption per core per round; a SelfHealConfig's
+	// Primary builds one per domain.
 	Policy = ivessel.Policy
 	// PolicyView is what a Policy sees for one core each round.
 	PolicyView = ivessel.PolicyView
 	// PolicyDecision is a Policy's verdict, including its own decision cost.
 	PolicyDecision = ivessel.PolicyDecision
 	// RoundRobinPolicy is the minimal always-rotate policy — the failsafe
-	// fallback and the chaos-run default.
+	// fallback, and what RunChaos applies.
 	RoundRobinPolicy = ivessel.RoundRobinPolicy
 	// FairSharePolicy preempts only when siblings are waiting.
 	FairSharePolicy = ivessel.FairSharePolicy

@@ -146,14 +146,15 @@ type PolicySwap struct {
 	Reason string
 }
 
+// MinPerDomain is the floor below which a revoke is refused: every
+// domain keeps at least one core, so its runqueue can never strand with
+// nowhere to re-home.
+const MinPerDomain = 1
+
 // Config sizes a Sched.
 type Config struct {
 	Topo    Topology
 	Domains int
-	// MinPerDomain is the floor below which a revoke is refused (default
-	// 1): every domain keeps at least one core, so its runqueue can never
-	// strand with nowhere to re-home.
-	MinPerDomain int
 	// MaxPerDomain, when positive, caps any one domain's granted cores.
 	MaxPerDomain int
 	// Events, when non-nil, receives the grant/revoke/swap event stream.
@@ -197,9 +198,6 @@ func New(cfg Config, policy Policy) (*Sched, error) {
 	}
 	if cfg.Domains <= 0 {
 		return nil, fmt.Errorf("clustersched: need at least one domain")
-	}
-	if cfg.MinPerDomain <= 0 {
-		cfg.MinPerDomain = 1
 	}
 	if policy == nil {
 		policy = Static{}
@@ -345,7 +343,7 @@ func (s *Sched) view(at sim.Time) View {
 	v := View{
 		Now:          at,
 		Cores:        s.cfg.Topo.Cores,
-		MinPerDomain: s.cfg.MinPerDomain,
+		MinPerDomain: MinPerDomain,
 		MaxPerDomain: s.cfg.MaxPerDomain,
 		FreeCores:    s.FreeCores(),
 		Owned:        make([][]int, s.cfg.Domains),
@@ -392,8 +390,8 @@ func (s *Sched) Schedule(at sim.Time) TxnResult {
 // allocation is on the ledger and in the oracle's replay like any other
 // transaction.
 func (s *Sched) Bootstrap(min int, at sim.Time) (TxnResult, error) {
-	if min < s.cfg.MinPerDomain {
-		min = s.cfg.MinPerDomain
+	if min < MinPerDomain {
+		min = MinPerDomain
 	}
 	var txn Txn
 	free := s.FreeCores()
@@ -436,7 +434,7 @@ func (s *Sched) commit(txn Txn, at sim.Time, policy string) TxnResult {
 			st.Reason = "max-per-domain"
 		case m.Kind == Revoke && s.owner[m.Core] != m.Domain:
 			st.Reason = "not-owner"
-		case m.Kind == Revoke && s.GrantedCount(m.Domain) <= s.cfg.MinPerDomain:
+		case m.Kind == Revoke && s.GrantedCount(m.Domain) <= MinPerDomain:
 			st.Reason = "last-core"
 		default:
 			st.OK = true

@@ -196,54 +196,31 @@ func (FairShare) Decide(v View) Txn {
 // violation fraction, and steals cores for hot domains from cold ones —
 // the queue-pressure signal is the same one ghOSt's µs-scale policies
 // react to. Free cores are granted first; only then does it revoke from
-// the coldest domains, at most StealMax per decision so reallocation
-// stays incremental.
-type MicroLatency struct {
-	// HotQueuePerCore marks a domain hot when its backlog per granted
-	// core exceeds this (default 4).
-	HotQueuePerCore float64
-	// MaxViolationFrac marks a domain hot when its SLO violation
-	// fraction exceeds this while any backlog exists (default 0.1).
-	MaxViolationFrac float64
-	// ColdQueuePerCore marks a domain cold (stealable) when its backlog
-	// per granted core is below this and it has no outstanding want
-	// (default 1).
-	ColdQueuePerCore float64
-	// TargetQueuePerCore sizes how many cores a hot domain needs
-	// (default 2).
-	TargetQueuePerCore float64
-	// StealMax caps revokes per decision (default max(1, cores/16)).
-	StealMax int
-}
+// the coldest domains, at most max(1, cores/16) per decision so
+// reallocation stays incremental.
+type MicroLatency struct{}
+
+// MicroLatency's thresholds, in queued threads per granted core.
+const (
+	// hotQueuePerCore marks a domain hot when its backlog per granted
+	// core exceeds it.
+	hotQueuePerCore = 4
+	// maxViolationFrac marks a domain hot when its SLO violation
+	// fraction exceeds it while any backlog exists.
+	maxViolationFrac = 0.1
+	// coldQueuePerCore marks a domain cold (stealable) when its backlog
+	// per granted core is below it and it has no outstanding want.
+	coldQueuePerCore = 1
+	// targetQueuePerCore sizes how many cores a hot domain needs.
+	targetQueuePerCore = 2
+)
 
 // Name implements Policy.
 func (MicroLatency) Name() string { return "uslatency" }
 
-func (p MicroLatency) withDefaults(cores int) MicroLatency {
-	if p.HotQueuePerCore <= 0 {
-		p.HotQueuePerCore = 4
-	}
-	if p.MaxViolationFrac <= 0 {
-		p.MaxViolationFrac = 0.1
-	}
-	if p.ColdQueuePerCore <= 0 {
-		p.ColdQueuePerCore = 1
-	}
-	if p.TargetQueuePerCore <= 0 {
-		p.TargetQueuePerCore = 2
-	}
-	if p.StealMax <= 0 {
-		p.StealMax = cores / 16
-		if p.StealMax < 1 {
-			p.StealMax = 1
-		}
-	}
-	return p
-}
-
 // Decide implements Policy.
-func (p MicroLatency) Decide(v View) Txn {
-	p = p.withDefaults(v.Cores)
+func (MicroLatency) Decide(v View) Txn {
+	stealMax := max(1, v.Cores/16)
 	type hotDomain struct {
 		id       int
 		pressure float64
@@ -253,10 +230,10 @@ func (p MicroLatency) Decide(v View) Txn {
 	var cold []hotDomain
 	for i, d := range v.Domains {
 		pressure := float64(d.QueueLen) / float64(max(1, d.Granted))
-		isHot := pressure > p.HotQueuePerCore ||
-			(d.ViolationFrac > p.MaxViolationFrac && d.QueueLen > 0)
+		isHot := pressure > hotQueuePerCore ||
+			(d.ViolationFrac > maxViolationFrac && d.QueueLen > 0)
 		if isHot {
-			need := int(float64(d.QueueLen)/p.TargetQueuePerCore) - d.Granted
+			need := int(float64(d.QueueLen)/targetQueuePerCore) - d.Granted
 			if need < 1 {
 				need = 1
 			}
@@ -268,7 +245,7 @@ func (p MicroLatency) Decide(v View) Txn {
 			}
 			continue
 		}
-		if pressure < p.ColdQueuePerCore && d.Want == 0 && d.Granted > v.MinPerDomain {
+		if pressure < coldQueuePerCore && d.Want == 0 && d.Granted > v.MinPerDomain {
 			cold = append(cold, hotDomain{id: i, pressure: pressure})
 		}
 	}
@@ -296,7 +273,7 @@ func (p MicroLatency) Decide(v View) Txn {
 	var txn Txn
 	avail := append([]int(nil), v.FreeCores...)
 	// Steal from the coldest: one core per cold domain per pass (their
-	// highest core), up to StealMax, only while hot need remains unmet.
+	// highest core), up to stealMax, only while hot need remains unmet.
 	needTotal := 0
 	for _, h := range hot {
 		needTotal += h.need
@@ -307,10 +284,10 @@ func (p MicroLatency) Decide(v View) Txn {
 	}
 	stolen := 0
 	taken := make([]int, len(cold))
-	for stolen < p.StealMax && needTotal > len(avail) {
+	for stolen < stealMax && needTotal > len(avail) {
 		progress := false
 		for i, c := range cold {
-			if stolen >= p.StealMax || needTotal <= len(avail) {
+			if stolen >= stealMax || needTotal <= len(avail) {
 				break
 			}
 			if taken[i] >= spare[i] {

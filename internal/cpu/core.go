@@ -20,8 +20,6 @@ type Hooks struct {
 	// OnSendUIPI is invoked by the SENDUIPI instruction with the UITT
 	// index; the uintr package wires this to its routing tables.
 	OnSendUIPI func(c *Core, index Word)
-	// OnHalt fires when the core executes HLT.
-	OnHalt func(c *Core)
 	// OnFault is consulted before a memory fault halts the core. It
 	// plays the role of the kernel's SIGSEGV path: returning true means
 	// the fault was handled (e.g. redirected to a signal handler by

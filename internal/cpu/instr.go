@@ -402,13 +402,7 @@ func (i Clui) String() string            { return "clui" }
 // Halt stops the core.
 type Halt struct{}
 
-func (i Halt) Exec(c *Core) *mem.Fault {
-	c.Halted = true
-	if c.Hooks.OnHalt != nil {
-		c.Hooks.OnHalt(c)
-	}
-	return nil
-}
+func (i Halt) Exec(c *Core) *mem.Fault   { c.Halted = true; return nil }
 func (i Halt) Cycles(m *CostModel) int64 { return m.ALUCycles }
 func (i Halt) String() string            { return "hlt" }
 

@@ -28,10 +28,6 @@ type Options struct {
 	// Quick shrinks durations and sweep density for unit tests; the full
 	// runs are used by cmd/experiments and the benchmarks.
 	Quick bool
-	// Cores is the worker-core count for the colocation experiments
-	// (default 8 quick / 16 full — normalized metrics are
-	// core-count-invariant in shape).
-	Cores int
 	// Obs, when non-nil, threads the observability layer into every run
 	// the experiment performs (span timelines, cycle attribution, and the
 	// metrics registry accumulate across the experiment's runs).
@@ -99,10 +95,9 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
+// cores is the worker-core count for the colocation experiments
+// (normalized metrics are core-count-invariant in shape).
 func (o Options) cores() int {
-	if o.Cores > 0 {
-		return o.Cores
-	}
 	if o.Quick {
 		return 8
 	}

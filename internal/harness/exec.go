@@ -113,9 +113,6 @@ type RunResult struct {
 // observability spans), scheduler run through sched.Run, cache store.
 func (e *Executor) RunOne(spec RunSpec) (RunResult, error) {
 	rr := RunResult{Spec: spec, Hash: spec.Hash()}
-	if err := spec.ValidateClusterPolicy(); err != nil {
-		return rr, err
-	}
 	cacheable := e.Cache != nil && !spec.Obs
 	if cacheable && e.Cache.Get(rr.Hash, &rr.Result) {
 		rr.Cached = true

@@ -6,7 +6,7 @@
 //
 //   - RunSpec is a declarative, serializable description of one scheduler
 //     run — scheduler, apps, load, cores, seed, duration, cost-model
-//     overrides, fault plan, observability flag — with a canonical
+//     overrides, observability flag — with a canonical
 //     content hash (Hash);
 //   - Plan composes RunSpecs, typically from sweep axes (Axes), in the
 //     order their results must be folded;
@@ -31,9 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"vessel/internal/clustersched"
 	"vessel/internal/cpu"
-	"vessel/internal/faultinject"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
 	"vessel/internal/workload"
@@ -162,35 +160,11 @@ type RunSpec struct {
 	// so an ablation that tweaks one constant occupies its own cache
 	// cells.
 	Costs *cpu.CostModel `json:"costs,omitempty"`
-	// Faults optionally carries a deterministic fault-injection plan.
-	// sched-level runs ignore it (fault plans drive Manager chaos runs);
-	// chaos cells key their cached results on it.
-	Faults *faultinject.Plan `json:"faults,omitempty"`
 	// Obs asks the executor to attach its Observer to this run. Obs runs
 	// are never cached (a cached result records no spans) and are only
 	// byte-stable under Parallel == 1, because the spans of concurrent
 	// runs would interleave in one shared Observer.
 	Obs bool `json:"obs,omitempty"`
-	// ClusterPolicy optionally names the upper-level core-allocation
-	// policy for two-level cluster runs, validated against
-	// clustersched.Names(). Empty means single-level; omitempty keeps
-	// the hashes of every existing single-level spec unchanged.
-	ClusterPolicy string `json:"cluster_policy,omitempty"`
-}
-
-// ValidateClusterPolicy checks the optional cluster-policy axis against
-// the registered policies. Empty is always valid (single-level run).
-func (s RunSpec) ValidateClusterPolicy() error {
-	if s.ClusterPolicy == "" {
-		return nil
-	}
-	for _, n := range clustersched.Names() {
-		if n == s.ClusterPolicy {
-			return nil
-		}
-	}
-	return fmt.Errorf("harness: unknown cluster policy %q (have %v)",
-		s.ClusterPolicy, clustersched.Names())
 }
 
 // Config materializes the spec into a sched.Config. Apps are built fresh
@@ -222,7 +196,7 @@ const hashFormat = 1
 // Hash returns the spec's canonical content hash: SHA-256 over the format
 // version, the named scheduler's implementation epoch, and the spec's
 // canonical JSON. Two specs hash equal iff every axis — scheduler, seed,
-// cores, durations, apps, cost model, fault plan — is equal.
+// cores, durations, apps, cost model, observability flag — is equal.
 func (s RunSpec) Hash() string {
 	return HashKey("runspec", schedulerEpoch(s.Scheduler), s)
 }

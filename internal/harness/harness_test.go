@@ -1,13 +1,10 @@
 package harness
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
-	"vessel/internal/clustersched"
 	"vessel/internal/cpu"
-	"vessel/internal/faultinject"
 	"vessel/internal/sim"
 )
 
@@ -51,9 +48,7 @@ func TestHashChangesWithEveryAxis(t *testing.T) {
 			cm.WrPkruCycles++
 			s.Costs = cm
 		},
-		"faults":         func(s *RunSpec) { s.Faults = &faultinject.Plan{Seed: 1, Random: 2} },
-		"obs":            func(s *RunSpec) { s.Obs = true },
-		"cluster-policy": func(s *RunSpec) { s.ClusterPolicy = "fairshare" },
+		"obs": func(s *RunSpec) { s.Obs = true },
 	}
 	seen := map[string]string{h0: "base"}
 	for name, mutate := range mutations {
@@ -164,32 +159,5 @@ func TestSpecValidateAndConfig(t *testing.T) {
 	}
 	if err := s.Apps[0].Validate(1000); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestClusterPolicyAxis: the optional two-level axis validates against the
-// registered cluster policies, and an empty value serializes to nothing —
-// so every pre-existing single-level spec keeps its exact cache hash.
-func TestClusterPolicyAxis(t *testing.T) {
-	s := baseSpec()
-	if err := s.ValidateClusterPolicy(); err != nil {
-		t.Fatalf("empty policy rejected: %v", err)
-	}
-	if b, _ := json.Marshal(s); strings.Contains(string(b), "cluster_policy") {
-		t.Fatalf("empty cluster policy leaks into canonical JSON: %s", b)
-	}
-	for _, name := range clustersched.Names() {
-		s.ClusterPolicy = name
-		if err := s.ValidateClusterPolicy(); err != nil {
-			t.Errorf("registered policy %q rejected: %v", name, err)
-		}
-	}
-	s.ClusterPolicy = "roundrobin"
-	if err := s.ValidateClusterPolicy(); err == nil {
-		t.Fatal("unknown cluster policy accepted")
-	}
-	// The executor refuses the spec before touching scheduler or cache.
-	if _, err := Sequential().RunOne(s); err == nil {
-		t.Fatal("RunOne accepted a spec with an unknown cluster policy")
 	}
 }

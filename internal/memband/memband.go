@@ -86,11 +86,11 @@ type Regulator interface {
 // Vessel duty-cycles the core at window granularity with a closed loop on
 // measured consumption (§6.3.4: "assign an application fine-grained CPU
 // quota for accurately regulating its memory bandwidth consumption").
-type Vessel struct {
-	// Window is the control interval; the paper's scheduler reacts at
-	// sub-µs timescale. Default 1µs.
-	Window sim.Duration
-}
+type Vessel struct{}
+
+// vesselWindow is VESSEL's control interval; the paper's scheduler reacts
+// at sub-µs timescale.
+const vesselWindow = 1 * sim.Microsecond
 
 // Name returns "VESSEL".
 func (Vessel) Name() string { return "VESSEL" }
@@ -99,10 +99,6 @@ func (Vessel) Name() string { return "VESSEL" }
 func (v Vessel) Regulate(targetFrac float64, cfg Config) (Measurement, error) {
 	if err := cfg.Validate(); err != nil {
 		return Measurement{}, err
-	}
-	win := v.Window
-	if win <= 0 {
-		win = 1 * sim.Microsecond
 	}
 	natural := cfg.NaturalGBs()
 	target := targetFrac * natural
@@ -116,22 +112,22 @@ func (v Vessel) Regulate(targetFrac float64, cfg Config) (Measurement, error) {
 	var elapsed sim.Duration
 	running := true
 	for elapsed < cfg.Duration {
-		cum := consumedBytes / float64(elapsed+win)
+		cum := consumedBytes / float64(elapsed+vesselWindow)
 		wantRun := cum < target
 		if wantRun != running {
 			// Pay the userspace switch; the window shrinks.
 			running = wantRun
-			run := win - switchCost
+			run := vesselWindow - switchCost
 			if running {
 				consumedBytes += natural * float64(run)
 			}
-			elapsed += win
+			elapsed += vesselWindow
 			continue
 		}
 		if running {
-			consumedBytes += natural * float64(win)
+			consumedBytes += natural * float64(vesselWindow)
 		}
-		elapsed += win
+		elapsed += vesselWindow
 	}
 	actual := consumedBytes / float64(elapsed)
 	return Measurement{

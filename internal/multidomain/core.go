@@ -37,7 +37,6 @@ type Core struct {
 	Det    *Detector
 
 	cores    int
-	costs    *cpu.CostModel
 	virtual  bool
 	managers []*vessel.Manager
 	tracers  []*journey.Tracer
@@ -46,15 +45,15 @@ type Core struct {
 }
 
 // New builds the core for domains of cores each, with no managers yet:
-// every domain gets its first incarnation through NewManager. virtual
-// selects libmpk-style virtualized protection keys (DESIGN.md §14).
-func New(domains, cores int, costs *cpu.CostModel, virtual bool, events *trace.EventLog, det DetectorConfig) *Core {
+// every domain gets its first incarnation through NewManager, on the
+// default cost model. virtual selects libmpk-style virtualized protection
+// keys (DESIGN.md §14).
+func New(domains, cores int, virtual bool, events *trace.EventLog) *Core {
 	c := &Core{
 		Eng:      sim.NewEngine(),
 		Events:   events,
-		Det:      NewDetector(det),
+		Det:      NewDetector(DetectorConfig{}),
 		cores:    cores,
-		costs:    costs,
 		virtual:  virtual,
 		managers: make([]*vessel.Manager, domains),
 		tracers:  make([]*journey.Tracer, domains),
@@ -77,7 +76,7 @@ func (c *Core) NewManager(d int, setup func(*vessel.Manager) error) (*vessel.Man
 	if c.virtual {
 		newOn = vessel.NewVirtualManagerOn
 	}
-	mg, err := newOn(c.Eng, c.cores, c.costs)
+	mg, err := newOn(c.Eng, c.cores, nil)
 	if err != nil {
 		return nil, err
 	}

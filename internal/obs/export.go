@@ -37,6 +37,12 @@ func ReadText(r io.Reader) ([]Span, error) {
 	return spans, err
 }
 
+// MaxTimelineCores bounds the core ids a decoded timeline may name: four
+// times the 1,024 cores of the largest simulated cluster. Consumers size
+// per-core state by the largest id (the Gantt renderer allocates a row per
+// core), so an unchecked id from a file could ask for gigabytes.
+const MaxTimelineCores = 4096
+
 // ReadTextMeta decodes a timeline produced by WriteText and additionally
 // returns the overwritten-span count from the "# spans N overwritten M"
 // note, so consumers (cmd/traceconv -validate) can report a truncated
@@ -71,6 +77,9 @@ func ReadTextMeta(r io.Reader) ([]Span, uint64, error) {
 		core, err := strconv.Atoi(f[1])
 		if err != nil {
 			return nil, 0, fmt.Errorf("obs: line %d: bad core: %v", line, err)
+		}
+		if core < 0 || core >= MaxTimelineCores {
+			return nil, 0, fmt.Errorf("obs: line %d: core %d outside [0, %d)", line, core, MaxTimelineCores)
 		}
 		start, err := strconv.ParseInt(f[2], 10, 64)
 		if err != nil {

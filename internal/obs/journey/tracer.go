@@ -17,8 +17,7 @@ import (
 const DefaultFlightCap = 1 << 10
 
 // Config parameterises a Tracer. The zero value is usable: default
-// flight-recorder capacity, no SLO target, an owned metrics registry,
-// bounded storage.
+// flight-recorder capacity, no SLO target, bounded storage.
 type Config struct {
 	// FlightCap bounds the flight recorder (≤0 selects DefaultFlightCap).
 	FlightCap int
@@ -29,10 +28,6 @@ type Config struct {
 	// (goodput and violation fraction per window). Zero keeps only the
 	// whole-run signal.
 	SLOWindow sim.Duration
-	// Registry receives the tracer's health counters and histograms
-	// (journey.finished, journey.slo.*, journey.seg.*). Nil allocates a
-	// private registry, so journey tracing works with obs off.
-	Registry *obs.Registry
 	// SampleEvery records 1 in N requests (values ≤1 record all): Mint
 	// returns a live journey for every Nth request and nil — the
 	// universally safe no-op journey — for the rest. The skip is a
@@ -225,10 +220,9 @@ func NewTracer(cfg Config) *Tracer {
 	if cfg.FlightCap <= 0 {
 		cfg.FlightCap = DefaultFlightCap
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	// The tracer owns its registry (journey.finished, journey.slo.*,
+	// journey.seg.*), so journey tracing works with obs off.
+	reg := obs.NewRegistry()
 	t := &Tracer{cfg: cfg, reg: reg, sidx: make(map[string]int32), freeChain: -1}
 	for site := range t.hot {
 		t.hot[site] = [hotWays]int32{-1, -1, -1, -1}

@@ -234,6 +234,17 @@ func TestTextRoundTrip(t *testing.T) {
 	if _, err := ReadText(strings.NewReader(timelineHeader + "\nspan 0 5 1 app x\n")); err == nil {
 		t.Fatal("decoder accepted end<start")
 	}
+	// Core ids are bounded before any consumer sizes per-core state.
+	for _, core := range []int{-1, MaxTimelineCores, 10_000_000} {
+		in := fmt.Sprintf("%s\nspan %d 0 1 app x\n", timelineHeader, core)
+		if _, err := ReadText(strings.NewReader(in)); err == nil {
+			t.Errorf("decoder accepted core %d", core)
+		}
+	}
+	in := fmt.Sprintf("%s\nspan %d 0 1 app x\n", timelineHeader, MaxTimelineCores-1)
+	if spans, err := ReadText(strings.NewReader(in)); err != nil || spans[0].Core != MaxTimelineCores-1 {
+		t.Fatalf("decoder rejected the largest core: %v", err)
+	}
 }
 
 func TestChromeTraceValidates(t *testing.T) {

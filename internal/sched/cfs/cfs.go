@@ -26,12 +26,14 @@ import (
 )
 
 // Simulator implements sched.Scheduler with the CFS model.
-type Simulator struct {
-	// LNice and BNice override the paper's −19/+20 if non-nil tests
-	// need to.
-	LNice int
-	BNice int
-}
+type Simulator struct{}
+
+// lNice and bNice are the nice levels of latency-critical and best-effort
+// threads: the paper's −19 and the +19 ceiling of nice.
+const (
+	lNice = -19
+	bNice = 19
+)
 
 // Name returns "Linux".
 func (Simulator) Name() string { return "Linux" }
@@ -94,17 +96,10 @@ type run struct {
 }
 
 // Run executes the workload under the CFS model.
-func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
+func (Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 	r := &run{workers: make(map[*workload.App][]*thread)}
 	if err = r.Init(cfg); err != nil {
 		return res, err
-	}
-	lNice, bNice := -19, 19
-	if s.LNice != 0 {
-		lNice = s.LNice
-	}
-	if s.BNice != 0 {
-		bNice = s.BNice
 	}
 	r.k = kernel.New(r.Eng, r.Cfg.Costs)
 	for i := 0; i < r.Cfg.Cores; i++ {

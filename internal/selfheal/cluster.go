@@ -31,18 +31,12 @@ type Config struct {
 	// each domain's machine.
 	Domains        int
 	CoresPerDomain int
-	Costs          *cpu.CostModel
-	// Detector tunes the phi-accrual failure detector.
-	Detector multidomain.DetectorConfig
 	// DetectBudget is the declared ceiling on detection MTTR (silence →
 	// fence); RestartBudget is the additional ceiling on a full domain
 	// restart. Exceeding either is a reported violation. Defaults:
 	// 500µs each.
 	DetectBudget  sim.Duration
 	RestartBudget sim.Duration
-	// PolicyBudgetCycles is the failsafe's per-decision cycle ceiling
-	// (default 100k cycles; 0 keeps the default, -1 disables).
-	PolicyBudgetCycles int64
 	// Primary builds each domain's primary scheduler policy; nil uses
 	// round-robin (making the failsafe swap a no-op behaviourally, but
 	// still exercised).
@@ -53,9 +47,6 @@ type Config struct {
 	// WatchdogSoft/WatchdogHard arm each domain's cycle-budget watchdog
 	// when positive.
 	WatchdogSoft, WatchdogHard int64
-	// EventCap bounds the shared containment event log (a ring: oldest
-	// entries are overwritten). Default 1<<15 entries.
-	EventCap int
 	// VirtualKeys builds every domain (and every restart incarnation)
 	// with libmpk-style virtualized protection keys, lifting the 13-key
 	// density cap (DESIGN.md §14).
@@ -75,25 +66,23 @@ func (c Config) withDefaults() Config {
 	if c.CoresPerDomain <= 0 {
 		c.CoresPerDomain = 1
 	}
-	if c.Costs == nil {
-		c.Costs = cpu.Default()
-	}
 	if c.DetectBudget <= 0 {
 		c.DetectBudget = 500 * sim.Microsecond
 	}
 	if c.RestartBudget <= 0 {
 		c.RestartBudget = 500 * sim.Microsecond
 	}
-	if c.PolicyBudgetCycles == 0 {
-		c.PolicyBudgetCycles = 100_000
-	} else if c.PolicyBudgetCycles < 0 {
-		c.PolicyBudgetCycles = 0
-	}
-	if c.EventCap <= 0 {
-		c.EventCap = 1 << 15
-	}
 	return c
 }
+
+const (
+	// policyBudgetCycles is each domain failsafe's per-decision cycle
+	// ceiling.
+	policyBudgetCycles = 100_000
+	// eventCap bounds the shared containment event log (a ring: oldest
+	// entries are overwritten).
+	eventCap = 1 << 15
+)
 
 // workerSpec is the durable description of one supervised workload — what
 // survives a domain restart and lets the supervisor rebuild the worker in
@@ -159,7 +148,7 @@ func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:      cfg,
-		core:     multidomain.New(cfg.Domains, cfg.CoresPerDomain, cfg.Costs, cfg.VirtualKeys, trace.NewRingEventLog(cfg.EventCap), cfg.Detector),
+		core:     multidomain.New(cfg.Domains, cfg.CoresPerDomain, cfg.VirtualKeys, trace.NewEventLog(eventCap)),
 		mttr:     stats.NewHistogram(),
 		Counters: stats.NewCounters(),
 	}
@@ -173,7 +162,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.domains = append(c.domains, &domainState{
 			id:       i,
-			failsafe: NewFailsafe(primary, cfg.PolicyBudgetCycles),
+			failsafe: NewFailsafe(primary, policyBudgetCycles),
 		})
 	}
 	return c, nil
@@ -289,7 +278,7 @@ func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 	// clock moving when nothing executes and nothing is queued — the
 	// supervisor's own tick, without which a fully wedged cluster would
 	// freeze time and blind the detector.
-	roundNs := sim.Duration(float64(quantum) / c.cfg.Costs.ClockGHz)
+	roundNs := sim.Duration(float64(quantum) / cpu.Default().ClockGHz)
 	if roundNs <= 0 {
 		roundNs = sim.Microsecond
 	}

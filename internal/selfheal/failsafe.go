@@ -7,7 +7,7 @@ import (
 
 // Failsafe wraps a domain's scheduler policy so that no policy bug can
 // take the cluster down (package failsafe). It implements vessel.Policy
-// (plug it into ChaosConfig.Policy) and
+// (each domain of a Cluster decides through one) and
 // faultinject.PolicyTarget (attach it with Injector.AttachPolicy so
 // PolicyPanic faults have something to attack).
 type Failsafe = failsafe.Wrap[vessel.PolicyView, vessel.PolicyDecision]

@@ -2,9 +2,9 @@
 // events in virtual time (injections, contained faults, watchdog kills,
 // restarts, grants) that the uProcess runtime, the self-healing and
 // cluster drivers and the fault injector record, and that journey
-// flight-recorder dumps render to. An EventLog either keeps its prefix and
-// drops new events once full, or keeps the most recent events in a ring;
-// both count what they lose. Per-core span timelines live in internal/obs.
+// flight-recorder dumps render to. An EventLog keeps the most recent
+// events in a ring and counts what it overwrites. Per-core span timelines
+// live in internal/obs.
 package trace
 
 import (
@@ -33,28 +33,22 @@ func (e Event) String() string {
 	return fmt.Sprintf("%d %s %s", int64(e.T), e.Name, e.Detail)
 }
 
-// EventLog is a bounded event buffer with two full-log disciplines. The
-// default (NewEventLog) is append-only: when full it drops new events
-// (keeping the prefix intact, so the determinism fingerprint stays
-// comparable) and counts the drops. Ring mode (NewRingEventLog) instead
-// overwrites the oldest entry and counts overwrites — constant memory for
-// arbitrarily long chaos soaks, at the cost of losing the prefix. The log
-// is safe for concurrent use; note that concurrent recording makes the
-// *order* of entries depend on goroutine interleaving, so determinism
-// fingerprints should only be taken from single-threaded
-// (simulation-driven) logs.
+// EventLog is a bounded event ring: when full it overwrites the oldest
+// entry and counts overwrites — constant memory for arbitrarily long
+// chaos soaks, at the cost of losing the prefix. The log is safe for
+// concurrent use; note that concurrent recording makes the *order* of
+// entries depend on goroutine interleaving, so determinism fingerprints
+// should only be taken from single-threaded (simulation-driven) logs.
 type EventLog struct {
 	mu          sync.Mutex
 	max         int
-	ring        bool
-	start       int // ring mode: index of the logically first event
+	start       int // index of the logically first event
 	events      []Event
-	dropped     uint64
 	overwritten uint64
 }
 
-// NewEventLog returns a log keeping at most max events, dropping new ones
-// once full.
+// NewEventLog returns a log keeping the most recent max events (1<<16
+// when max ≤ 0), overwriting the oldest once full.
 func NewEventLog(max int) *EventLog {
 	if max <= 0 {
 		max = 1 << 16
@@ -62,25 +56,11 @@ func NewEventLog(max int) *EventLog {
 	return &EventLog{max: max}
 }
 
-// NewRingEventLog returns a log keeping the most recent max events,
-// overwriting the oldest once full — the bounded-memory discipline long
-// soak runs use.
-func NewRingEventLog(max int) *EventLog {
-	l := NewEventLog(max)
-	l.ring = true
-	return l
-}
-
-// Record appends one event. A full append-mode log drops it; a full ring
-// overwrites its oldest entry.
+// Record appends one event; a full log overwrites its oldest entry.
 func (l *EventLog) Record(t sim.Time, name, detail string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.events) >= l.max {
-		if !l.ring {
-			l.dropped++
-			return
-		}
 		l.events[l.start] = Event{T: t, Name: name, Detail: detail}
 		l.start = (l.start + 1) % len(l.events)
 		l.overwritten++
@@ -97,14 +77,7 @@ func (l *EventLog) at(i int) Event {
 	return l.events[(l.start+i)%len(l.events)]
 }
 
-// Dropped returns how many events were rejected because the log was full.
-func (l *EventLog) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Overwritten returns how many events a ring-mode log displaced.
+// Overwritten returns how many events the full log displaced.
 func (l *EventLog) Overwritten() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -8,13 +8,13 @@ import (
 )
 
 // TestEventLogConcurrentWriters hammers one log from many goroutines under
-// the race detector: every record must either land or be counted as a
-// drop, with the full-log prefix preserved.
+// the race detector: every record must either land or be counted as an
+// overwrite, and the full log stays at capacity.
 func TestEventLogConcurrentWriters(t *testing.T) {
 	const (
 		writers = 8
 		each    = 2000
-		max     = writers * each / 2 // force the full-log drop path
+		max     = writers * each / 2 // force the full-log overwrite path
 	)
 	l := NewEventLog(max)
 	var wg sync.WaitGroup
@@ -37,8 +37,8 @@ func TestEventLogConcurrentWriters(t *testing.T) {
 	if l.Len() != max {
 		t.Fatalf("len = %d, want full log %d", l.Len(), max)
 	}
-	if got := l.Len() + int(l.Dropped()); got != writers*each {
-		t.Fatalf("kept+dropped = %d, want %d", got, writers*each)
+	if got := l.Len() + int(l.Overwritten()); got != writers*each {
+		t.Fatalf("kept+overwritten = %d, want %d", got, writers*each)
 	}
 	if n := l.CountByName("evt"); n != max {
 		t.Fatalf("CountByName = %d, want %d", n, max)
@@ -48,21 +48,21 @@ func TestEventLogConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestEventLogFullKeepsPrefix checks the wraparound edge single-threaded:
-// a full log drops new events instead of evicting old ones, so the prefix
-// fingerprint stays stable.
-func TestEventLogFullKeepsPrefix(t *testing.T) {
+// TestEventLogFullKeepsNewest checks the wraparound edge single-threaded:
+// a full log evicts its oldest events, keeps the newest in order, and
+// hands out copies.
+func TestEventLogFullKeepsNewest(t *testing.T) {
 	l := NewEventLog(3)
 	for i := 0; i < 5; i++ {
 		l.Record(sim.Time(i), "e", "")
 	}
-	if l.Len() != 3 || l.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d", l.Len(), l.Dropped())
+	if l.Len() != 3 || l.Overwritten() != 2 {
+		t.Fatalf("len=%d overwritten=%d", l.Len(), l.Overwritten())
 	}
 	ev := l.Events()
 	for i, e := range ev {
-		if e.T != sim.Time(i) {
-			t.Fatalf("prefix disturbed: %v", ev)
+		if e.T != sim.Time(2+i) {
+			t.Fatalf("newest not kept in order: %v", ev)
 		}
 	}
 	// Mutating the returned slice must not corrupt the log.
@@ -73,7 +73,7 @@ func TestEventLogFullKeepsPrefix(t *testing.T) {
 	if got := l.Tail(10); len(got) != 3 {
 		t.Fatalf("tail = %d", len(got))
 	}
-	if got := l.Tail(2); len(got) != 2 || got[0].T != 1 {
+	if got := l.Tail(2); len(got) != 2 || got[0].T != 3 {
 		t.Fatalf("tail(2) = %+v", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // chaos soaks rely on: a full ring displaces its oldest entry, keeps the
 // most recent max in order, and counts the displacements.
 func TestRingEventLogOverwritesOldest(t *testing.T) {
-	l := NewRingEventLog(4)
+	l := NewEventLog(4)
 	for i := 0; i < 10; i++ {
 		l.Record(sim.Time(i), fmt.Sprintf("e%d", i), "")
 	}
@@ -21,9 +21,6 @@ func TestRingEventLogOverwritesOldest(t *testing.T) {
 	}
 	if l.Overwritten() != 6 {
 		t.Fatalf("overwritten = %d, want 6", l.Overwritten())
-	}
-	if l.Dropped() != 0 {
-		t.Fatalf("ring mode dropped %d", l.Dropped())
 	}
 	evs := l.Events()
 	for i, ev := range evs {
@@ -49,26 +46,10 @@ func TestRingEventLogOverwritesOldest(t *testing.T) {
 	}
 }
 
-// TestAppendModeUnchangedByRingSupport: the default log still keeps the
-// prefix and drops the excess — the determinism-fingerprint discipline.
-func TestAppendModeUnchangedByRingSupport(t *testing.T) {
-	l := NewEventLog(3)
-	for i := 0; i < 5; i++ {
-		l.Record(sim.Time(i), fmt.Sprintf("e%d", i), "")
-	}
-	if l.Len() != 3 || l.Dropped() != 2 || l.Overwritten() != 0 {
-		t.Fatalf("len=%d dropped=%d overwritten=%d", l.Len(), l.Dropped(), l.Overwritten())
-	}
-	evs := l.Events()
-	if evs[0].Name != "e0" || evs[2].Name != "e2" {
-		t.Fatalf("prefix not preserved: %+v", evs)
-	}
-}
-
-// TestRingEventLogUnderCapacity: a ring that never fills behaves exactly
-// like an append log.
+// TestRingEventLogUnderCapacity: a ring that never fills keeps every
+// event in recording order.
 func TestRingEventLogUnderCapacity(t *testing.T) {
-	l := NewRingEventLog(8)
+	l := NewEventLog(8)
 	for i := 0; i < 5; i++ {
 		l.Record(sim.Time(i), fmt.Sprintf("e%d", i), "x")
 	}

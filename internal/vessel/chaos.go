@@ -216,10 +216,6 @@ type ChaosConfig struct {
 	// Quantum is the preemption (and injection/restart polling) interval
 	// in instructions.
 	Quantum int
-	// Policy decides preemption per core per quantum; nil defaults to
-	// RoundRobinPolicy, the historical behaviour. Wrap it in a
-	// selfheal.Failsafe to survive policy panics and budget blowouts.
-	Policy Policy
 }
 
 // ChaosReport summarises a chaos run.
@@ -236,7 +232,8 @@ type ChaosReport struct {
 	ContainedFaults uint64
 }
 
-// RunChaos runs all cores round-robin in fixed quanta. After each round it
+// RunChaos runs all cores round-robin in fixed quanta, preempting any
+// thread that consumed its full quantum. After each round it
 // advances the discrete-event clock to the farthest core's cycle time
 // (firing restart backoffs), fires due injections, and polls supervised
 // uProcesses. Iteration order is fixed, so runs are deterministic.
@@ -247,10 +244,6 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	}
 	if cfg.Steps < cfg.Quantum {
 		cfg.Steps = cfg.Quantum
-	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = RoundRobinPolicy{}
 	}
 	fatal := make(map[int]bool)
 	markFatal := func(core int) {
@@ -290,17 +283,8 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 				markFatal(core)
 				continue
 			}
-			dec := pol.Decide(PolicyView{
-				Core:     core,
-				RanFull:  ran == cfg.Quantum,
-				QueueLen: len(mg.Domain.Runqueue(core)),
-				Idle:     ran == 0,
-			})
-			// The decision's modeled cost lands on the decided core — the
-			// scheduler's overhead is part of the tenant's timeline, which
-			// keeps a costed policy deterministic in virtual time.
-			c.Cycles += dec.CostCycles
-			if dec.Preempt {
+			// Preempt on a full quantum, as RoundRobinPolicy decides.
+			if ran == cfg.Quantum {
 				if err := mg.Domain.Preempt(core, uproc.SchedCommand{}); err != nil {
 					return rep, err
 				}

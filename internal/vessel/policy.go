@@ -2,10 +2,10 @@ package vessel
 
 // Scheduler policies: the pluggable decision point the failsafe wrapper
 // (internal/selfheal) guards. A policy sees one core's state per quantum
-// and decides whether to preempt; the chaos loop routes its preemption
-// decisions through one, so a buggy policy — one that panics, or that burns
-// unbounded cycles deciding — can be swapped for the round-robin failsafe
-// at a single seam without stopping the run.
+// and decides whether to preempt; the self-healing cluster routes its
+// preemption decisions through one, so a buggy policy — one that panics,
+// or that burns unbounded cycles deciding — can be swapped for the
+// round-robin failsafe at a single seam without stopping the run.
 
 // PolicyView is the per-core state a policy decides on. It is a value
 // snapshot: policies cannot reach back into the domain, which is what makes
@@ -40,9 +40,8 @@ type Policy interface {
 }
 
 // RoundRobinPolicy preempts any thread that consumed its full quantum —
-// the minimal, obviously-correct discipline. It is both the default chaos
-// policy (matching the historical RunChaos behaviour) and the failsafe a
-// broken policy is swapped for.
+// the minimal, obviously-correct discipline RunChaos applies, and the
+// failsafe a broken policy is swapped for.
 type RoundRobinPolicy struct{}
 
 // Name implements Policy.

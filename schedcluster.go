@@ -24,6 +24,9 @@ import (
 	ivessel "vessel/internal/vessel"
 )
 
+// scheduleEvery is the number of rounds between cluster policy decisions.
+const scheduleEvery = 4
+
 // SchedClusterConfig sizes a scheduled cluster.
 type SchedClusterConfig struct {
 	// Domains is the number of scheduling domains competing for cores.
@@ -37,25 +40,15 @@ type SchedClusterConfig struct {
 	// Policy names the initial cluster policy (clustersched.Names();
 	// empty selects "fairshare"). It always runs wrapped in the failsafe.
 	Policy string
-	// MinPerDomain / MaxPerDomain bound any domain's granted cores
-	// (defaults: 1 / uncapped).
-	MinPerDomain int
-	MaxPerDomain int
 	// PolicyBudgetCycles is the failsafe's per-decision cycle budget; 0
 	// disables the budget check (panic isolation stays on).
 	PolicyBudgetCycles int64
 	// Quantum is instructions per online core per round (default 2000).
 	Quantum int
-	// ScheduleEvery is rounds between policy decisions (default 4).
-	ScheduleEvery int
-	// Costs is the machine cost model (nil uses defaults).
-	Costs *CostModel
 	// SLOTarget, when positive, attaches a request-journey tracer to
 	// every domain with this per-request deadline; the tracers'
 	// violation fractions feed the policy's per-domain SLO signal.
 	SLOTarget Duration
-	// JourneySampleEvery records one journey in N (≤ 1 records all).
-	JourneySampleEvery int
 	// Obs, when non-nil, receives grant/upcall spans (CatGrant/CatUpcall)
 	// and failsafe markers.
 	Obs *Observer
@@ -102,7 +95,7 @@ type coreTransfer struct {
 
 // NewScheduledCluster boots the domains (virtual-keyed, cluster-managed:
 // all cores start released) on one shared engine, builds the ledger, and
-// bootstraps every domain's first MinPerDomain cores through the normal
+// bootstraps every domain's first core through the normal
 // commit/upcall path.
 func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 	if cfg.Domains <= 0 {
@@ -117,35 +110,27 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 2000
 	}
-	if cfg.ScheduleEvery <= 0 {
-		cfg.ScheduleEvery = 4
-	}
-	if cfg.MaxPerDomain <= 0 {
-		// The domains virtualize protection keys, and every online core
-		// pins its active uProcess's key to a hardware slot: granting a
-		// domain as many cores as app slots wedges the eviction path (all
-		// 13 resident keys pinned, so a new region cannot be tagged). Cap
-		// any one domain at the slot budget minus one slack slot by
-		// default; callers may raise it if their concurrency stays low.
-		cfg.MaxPerDomain = smas.MaxUProcs - 1
-	}
 	primary, err := clustersched.NewNamed(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
 	s := &ScheduledCluster{
 		cfg:        cfg,
-		core:       multidomain.New(cfg.Domains, cfg.Cores, cfg.Costs, true, trace.NewEventLog(1<<14), multidomain.DetectorConfig{}),
+		core:       multidomain.New(cfg.Domains, cfg.Cores, true, trace.NewEventLog(1<<14)),
 		placement:  multidomain.Placement{},
 		idleRounds: make([]int, cfg.Domains),
 		transfer:   make(map[int]coreTransfer),
 	}
 	s.failsafe = clustersched.NewFailsafe(primary, cfg.PolicyBudgetCycles)
 	s.sched, err = clustersched.New(clustersched.Config{
-		Topo:         clustersched.Topology{Cores: cfg.Cores, CoresPerNode: cfg.CoresPerNode},
-		Domains:      cfg.Domains,
-		MinPerDomain: cfg.MinPerDomain,
-		MaxPerDomain: cfg.MaxPerDomain,
+		Topo:    clustersched.Topology{Cores: cfg.Cores, CoresPerNode: cfg.CoresPerNode},
+		Domains: cfg.Domains,
+		// The domains virtualize protection keys, and every online core
+		// pins its active uProcess's key to a hardware slot: granting a
+		// domain as many cores as app slots wedges the eviction path (all
+		// 13 resident keys pinned, so a new region cannot be tagged). Cap
+		// any one domain at the slot budget minus one slack slot.
+		MaxPerDomain: smas.MaxUProcs - 1,
 		Events:       s.core.Events,
 	}, s.failsafe)
 	if err != nil {
@@ -158,11 +143,8 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.SLOTarget > 0 || cfg.JourneySampleEvery > 1 {
-			s.core.AttachJourney(d, journey.NewTracer(journey.Config{
-				SLOTarget:   cfg.SLOTarget,
-				SampleEvery: cfg.JourneySampleEvery,
-			}))
+		if cfg.SLOTarget > 0 {
+			s.core.AttachJourney(d, journey.NewTracer(journey.Config{SLOTarget: cfg.SLOTarget}))
 		}
 		s.managers = append(s.managers, &Manager{inner: mg})
 		s.clients = append(s.clients, &domainClient{c: s, domain: d})
@@ -281,7 +263,7 @@ func (s *ScheduledCluster) Destroy(name string) error {
 // deliver pending upcalls at the step boundary, step every online core
 // one quantum (waking idle cores so queued work dispatches), sync the
 // shared clock, refresh the per-domain demand signals, fire due fault
-// injections, and every ScheduleEvery rounds let the policy decide.
+// injections, and every scheduleEvery rounds let the policy decide.
 func (s *ScheduledCluster) Run(rounds int) error {
 	eng := s.core.Eng
 	for r := 0; r < rounds; r++ {
@@ -311,7 +293,7 @@ func (s *ScheduledCluster) Run(rounds int) error {
 			s.injector.Step(now)
 		}
 		s.rounds++
-		if s.rounds%s.cfg.ScheduleEvery == 0 {
+		if s.rounds%scheduleEvery == 0 {
 			s.sched.Schedule(now)
 			s.surfaceSwaps()
 		}
@@ -353,11 +335,7 @@ func (s *ScheduledCluster) autoRequest(d, backlog int, now sim.Time) {
 		return
 	}
 	s.idleRounds[d]++
-	min := s.cfg.MinPerDomain
-	if min <= 0 {
-		min = 1
-	}
-	if s.idleRounds[d] < s.cfg.ScheduleEvery || granted <= min {
+	if s.idleRounds[d] < scheduleEvery || granted <= clustersched.MinPerDomain {
 		return
 	}
 	g := s.sched.Granted(d)
