@@ -385,21 +385,18 @@ func (s *Sched) Schedule(at sim.Time) TxnResult {
 	return res
 }
 
-// Bootstrap grants every domain its first min cores (lowest free cores,
-// domain order) through the normal commit path, so the initial
-// allocation is on the ledger and in the oracle's replay like any other
-// transaction.
-func (s *Sched) Bootstrap(min int, at sim.Time) (TxnResult, error) {
-	if min < MinPerDomain {
-		min = MinPerDomain
-	}
+// Bootstrap grants every domain its first MinPerDomain cores (lowest
+// free cores, domain order) through the normal commit path, so the
+// initial allocation is on the ledger and in the oracle's replay like any
+// other transaction.
+func (s *Sched) Bootstrap(at sim.Time) (TxnResult, error) {
 	var txn Txn
 	free := s.FreeCores()
 	next := 0
 	for d := 0; d < s.cfg.Domains; d++ {
-		for i := 0; i < min; i++ {
+		for i := 0; i < MinPerDomain; i++ {
 			if next >= len(free) {
-				return TxnResult{}, fmt.Errorf("clustersched: bootstrap needs %d cores, only %d free", s.cfg.Domains*min, len(free))
+				return TxnResult{}, fmt.Errorf("clustersched: bootstrap needs %d cores, only %d free", s.cfg.Domains*MinPerDomain, len(free))
 			}
 			txn.Moves = append(txn.Moves, Move{Kind: Grant, Domain: d, Core: free[next]})
 			next++

@@ -138,7 +138,7 @@ func TestMaxPerDomainCap(t *testing.T) {
 func TestDeliverFIFOAndHoldback(t *testing.T) {
 	s := newSched(t, 4, 2, nil)
 	now := sim.Time(0)
-	if _, err := s.Bootstrap(1, now); err != nil {
+	if _, err := s.Bootstrap(now); err != nil {
 		t.Fatal(err)
 	}
 	// d0 owns c0, d1 owns c1. Move c0 from d0 to d1 in one transaction.
@@ -222,7 +222,7 @@ func TestYieldFlowsThroughUpcallQueue(t *testing.T) {
 
 func TestRequestFeedsStaticGrants(t *testing.T) {
 	s := newSched(t, 8, 2, Static{})
-	if _, err := s.Bootstrap(1, 0); err != nil {
+	if _, err := s.Bootstrap(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RequestCores(1, 3, 1); err != nil {
@@ -242,7 +242,7 @@ func TestRequestFeedsStaticGrants(t *testing.T) {
 
 func TestFairShareConvergesOnDemand(t *testing.T) {
 	s := newSched(t, 12, 3, FairShare{})
-	if _, err := s.Bootstrap(1, 0); err != nil {
+	if _, err := s.Bootstrap(0); err != nil {
 		t.Fatal(err)
 	}
 	// Domain 0 wants everything; domain 1 a little; domain 2 idle.
@@ -330,7 +330,7 @@ func TestHotSwapRecorded(t *testing.T) {
 func TestFailsafeInjectPanicViaSchedule(t *testing.T) {
 	fs := NewFailsafe(FairShare{}, 0)
 	s := newSched(t, 4, 2, fs)
-	if _, err := s.Bootstrap(1, 0); err != nil {
+	if _, err := s.Bootstrap(0); err != nil {
 		t.Fatal(err)
 	}
 	fs.InjectPanic()
@@ -378,7 +378,7 @@ func runScenario(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Bootstrap(1, 0); err != nil {
+	if _, err := s.Bootstrap(0); err != nil {
 		t.Fatal(err)
 	}
 	clients := make([]*fakeClient, 4)

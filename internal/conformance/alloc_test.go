@@ -12,24 +12,25 @@ import (
 // maxAllocsPerRequest bounds heap allocations per offered request over a
 // whole short run (set-up included) of every layer-2 model. Event
 // dispatch, the control planes and the app queues allocate next to
-// nothing, and a completed workload.Request is reused by a later arrival
-// of its app. Arachne and Linux fall behind in this run and hold most of
-// their requests live in backlogs, so nearly each arrival still allocates
-// its Request. Measured on the run below (16 cores, memcached at load 0.8
-// plus linpack, 2.5 ms, seed 1), the same under -race:
+// nothing, and requests live in the run's store, allocated a chunk of
+// workload.ChunkSize at a time, and reused once completed. Arachne and
+// Linux fall behind in this run and hold most of their requests in
+// backlogs, which used to cost one heap object per arrival. Measured on
+// the run below (16 cores, memcached at load 0.8 plus linpack, 2.5 ms,
+// seed 1), the same under -race:
 //
-//	                 closures per event   callbacks bound once   requests reused
-//	VESSEL                  4.60                 1.05                 0.048
-//	Caladan                 4.75                 1.02                 0.050
-//	Arachne                 2.24                 1.08                 1.004
-//	Linux                   2.02                 1.02                 1.016
-//	Caladan-DR-L            4.42                 1.01                 0.042
+//	                 closures per event   callbacks bound once   requests reused   request chunks
+//	VESSEL                  4.60                 1.05                 0.048             0.046
+//	Caladan                 4.75                 1.02                 0.050             0.020
+//	Arachne                 2.24                 1.08                 1.004             0.008
+//	Linux                   2.02                 1.02                 1.016             0.019
+//	Caladan-DR-L            4.42                 1.01                 0.042             0.012
 var maxAllocsPerRequest = map[string]float64{
 	"VESSEL":       0.1,
 	"Caladan":      0.1,
 	"Caladan-DR-L": 0.1,
-	"Arachne":      1.5,
-	"Linux":        1.5,
+	"Arachne":      0.1,
+	"Linux":        0.1,
 }
 
 func TestSchedulerAllocsPerRequest(t *testing.T) {
@@ -68,7 +69,9 @@ func TestSchedulerAllocsPerRequest(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no allocation ceiling", s.Name())
 		}
-		if per := allocs / float64(offered); per > ceiling {
+		per := allocs / float64(offered)
+		t.Logf("%s: %.3f allocations per offered request", s.Name(), per)
+		if per > ceiling {
 			t.Errorf("%s: %.3f allocations per offered request (%.0f for %d), ceiling %.1f",
 				s.Name(), per, allocs, offered, ceiling)
 		}

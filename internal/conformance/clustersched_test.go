@@ -57,7 +57,7 @@ func runClusterScenario(policy string) *clustersched.Report {
 		}
 	}
 	now := sim.Time(0)
-	if _, err := s.Bootstrap(1, now); err != nil {
+	if _, err := s.Bootstrap(now); err != nil {
 		panic(err)
 	}
 	deliver(now)

@@ -124,6 +124,10 @@ type Journey struct {
 	finished bool
 	// name is Name's index in the tracer's intern table.
 	name int32
+	// slot is the journey's index in the tracer's slot blocks, and gen
+	// counts the journeys the slot has held before this one: together
+	// they make its Handle.
+	slot, gen uint32
 	// The span tree is logged compactly on the hot path — one 16-byte
 	// entry per segment transition or annotation in the tracer's
 	// pointer-free chain store — and replayed on demand by Tree.
@@ -141,6 +145,21 @@ type chainEntry struct {
 	at   sim.Time
 	note int32
 	next int32
+}
+
+// Handle names a journey without pointing at it, so a request can carry
+// its journey in pointer-free memory: the journey's slot in the tracer
+// plus one in the low 32 bits, the slot's generation in the high 32. The
+// zero Handle is no journey; Tracer.Resolve turns it, and any handle whose
+// slot has since been reused, into the nil *Journey.
+type Handle uint64
+
+// Handle returns j's handle (0 for the nil journey).
+func (j *Journey) Handle() Handle {
+	if j == nil {
+		return 0
+	}
+	return Handle(j.gen)<<32 | Handle(j.slot+1)
 }
 
 // closeSeg closes the current segment at the given instant (clamped
@@ -165,6 +184,10 @@ func (j *Journey) To(seg Segment, at sim.Time) {
 	if j == nil || j.finished || seg == j.cur {
 		return
 	}
+	j.to(seg, at)
+}
+
+func (j *Journey) to(seg Segment, at sim.Time) {
 	j.closeSeg(at)
 	j.cur = seg
 	// The entry stores the clamped instant (j.since after closeSeg):
@@ -197,6 +220,10 @@ func (j *Journey) Finish(at sim.Time) {
 	if j == nil || j.finished {
 		return
 	}
+	j.finish(at)
+}
+
+func (j *Journey) finish(at sim.Time) {
 	if j.t.mutate != nil {
 		j.t.mutate(j, at)
 	}

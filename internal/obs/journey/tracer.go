@@ -271,13 +271,14 @@ func (t *Tracer) Mint(name string, at sim.Time) *Journey {
 	if n := len(t.free); n > 0 {
 		j = t.free[n-1]
 		t.free = t.free[:n-1]
-		*j = Journey{}
+		*j = Journey{slot: j.slot, gen: j.gen + 1}
 	} else {
 		if len(t.blocks) == 0 || t.slotN == 1<<slotShift {
 			t.blocks = append(t.blocks, make([]Journey, 1<<slotShift))
 			t.slotN = 0
 		}
 		j = &t.blocks[len(t.blocks)-1][t.slotN]
+		j.slot = uint32((len(t.blocks)-1)<<slotShift + t.slotN)
 		t.slotN++
 	}
 	j.ID = t.minted
@@ -293,6 +294,28 @@ func (t *Tracer) Mint(name string, at sim.Time) *Journey {
 
 // slotShift sizes the journey slot blocks.
 const slotShift = 9
+
+// Resolve returns the journey h names: nil for the zero handle, for a nil
+// tracer, and for a journey whose slot has since been reused. On an
+// untraced run every handle is zero, so resolving costs one compare.
+func (t *Tracer) Resolve(h Handle) *Journey {
+	if h == 0 {
+		return nil
+	}
+	return t.resolve(h)
+}
+
+func (t *Tracer) resolve(h Handle) *Journey {
+	if t == nil {
+		return nil
+	}
+	slot := uint32(h) - 1
+	j := &t.blocks[slot>>slotShift][slot&(1<<slotShift-1)]
+	if j.gen != uint32(h>>32) {
+		return nil
+	}
+	return j
+}
 
 // record appends one span-log entry to j's chain and the flight
 // recorder. Only reachable through a live journey, so t is never nil.

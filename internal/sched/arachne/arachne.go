@@ -43,8 +43,8 @@ type lState struct {
 	app *workload.App
 	// dispatchQ → dispatcher (serial, 1 µs each) → readyQ → workers.
 	dispatchBusy bool
-	readyQ       []*workload.Request
-	workers      int // granted worker cores (dispatcher core excluded)
+	readyQ       workload.FIFO // request handles
+	workers      int           // granted worker cores (dispatcher core excluded)
 	busyNs       sim.Duration
 	windowStart  sim.Time
 	// dispatching is the request the dispatcher is creating a thread
@@ -116,13 +116,13 @@ func (r *run) setAct(c *core, act sched.Activity) {
 // pumpDispatcher runs the app's serial dispatcher: one request at a time,
 // 1 µs of user-thread creation each, then hand-off to the ready queue.
 func (r *run) pumpDispatcher(l *lState) {
-	if l.dispatchBusy || len(l.app.Queue) == 0 || r.Eng.Now() >= r.EndAt {
+	if l.dispatchBusy || l.app.Len() == 0 || r.Eng.Now() >= r.EndAt {
 		return
 	}
 	l.dispatchBusy = true
 	req := l.app.Dequeue()
 	// The serial dispatcher's user-thread creation gates the request.
-	req.J.To(journey.SegGate, r.Eng.Now())
+	r.J(req).To(journey.SegGate, r.Eng.Now())
 	l.dispatching = req
 	r.Eng.After(dispatchCost, l.dispatched)
 }
@@ -135,8 +135,8 @@ func (r *run) dispatched(l *lState) {
 	l.dispatchBusy = false
 	// Dispatched: the request now waits in the ready queue for a
 	// granted worker core.
-	req.J.To(journey.SegQueue, r.Eng.Now())
-	l.readyQ = append(l.readyQ, req)
+	r.J(req).To(journey.SegQueue, r.Eng.Now())
+	l.readyQ.Push(req.Handle())
 	r.feedWorkers(l)
 	r.pumpDispatcher(l)
 }
@@ -144,13 +144,11 @@ func (r *run) dispatched(l *lState) {
 // feedWorkers hands ready requests to idle granted worker cores.
 func (r *run) feedWorkers(l *lState) {
 	for _, c := range r.cores {
-		if len(l.readyQ) == 0 {
+		if l.readyQ.Len() == 0 {
 			return
 		}
 		if c.l == l && !c.busy {
-			req := l.readyQ[0]
-			l.readyQ = l.readyQ[1:]
-			r.serve(c, l, req)
+			r.serve(c, l, r.Req(l.readyQ.Pop()))
 		}
 	}
 }
@@ -159,7 +157,7 @@ func (r *run) feedWorkers(l *lState) {
 func (r *run) serve(c *core, l *lState, req *workload.Request) {
 	now := r.Eng.Now()
 	req.Start = now
-	req.J.To(journey.SegRun, now)
+	r.J(req).To(journey.SegRun, now)
 	c.busy = true
 	r.setAct(c, sched.ActApp)
 	dur := workerPickup + sim.Duration(float64(req.Service)*r.BW.Inflation())
@@ -192,10 +190,8 @@ func (r *run) served(c *core) {
 		}
 		return
 	}
-	if len(l.readyQ) > 0 {
-		next := l.readyQ[0]
-		l.readyQ = l.readyQ[1:]
-		r.serve(c, l, next)
+	if l.readyQ.Len() > 0 {
+		r.serve(c, l, r.Req(l.readyQ.Pop()))
 		return
 	}
 	// Granted cores spin while idle — Arachne does not return them

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
 	"vessel/internal/stats"
 	"vessel/internal/workload"
@@ -25,6 +26,7 @@ type Base struct {
 
 	Switches, Preempts, Reallocs uint64
 	tallies                      []tally // parallel to Cfg.Apps
+	reqs                         *workload.Store
 }
 
 // tally is one app's core time over the measured interval.
@@ -41,6 +43,7 @@ func (b *Base) Init(cfg Config) error {
 	}
 	b.Cfg = cfg
 	b.Eng = sim.NewEngine()
+	b.attachApps()
 	b.RNG = sim.NewRNG(cfg.Seed)
 	b.EndAt = sim.Time(cfg.Warmup + cfg.Duration)
 	b.Acct = Accountant{From: sim.Time(cfg.Warmup), To: b.EndAt, Obs: cfg.Obs, Journey: cfg.Journey}
@@ -59,12 +62,32 @@ func (b *Base) Init(cfg Config) error {
 	return nil
 }
 
+// attachApps numbers Cfg.Apps and gives them one request store, so a
+// request names its app by index (AppOf) and a queue names its requests
+// by handle (Req).
+func (b *Base) attachApps() {
+	b.reqs = new(workload.Store)
+	for i, a := range b.Cfg.Apps {
+		a.Attach(b.reqs, uint32(i))
+	}
+}
+
+// AppOf returns req's app.
+func (b *Base) AppOf(req *workload.Request) *workload.App { return b.Cfg.Apps[req.AppIdx] }
+
+// Req returns the request with handle h.
+func (b *Base) Req(h uint32) *workload.Request { return b.reqs.Get(h) }
+
+// J returns req's journey: nil, at the cost of one compare (it inlines),
+// when journey tracing is off.
+func (b *Base) J(req *workload.Request) *journey.Journey { return b.Cfg.Journey.Resolve(req.J) }
+
 // Arrivals starts app's arrival process on a fork of the run's RNG labelled
 // by salt and the app's name length, minting each request's journey before
 // fn sees it.
 func (b *Base) Arrivals(app *workload.App, salt uint64, fn func(*workload.Request)) error {
 	return app.GenerateArrivals(b.Eng, b.RNG.Fork(uint64(len(app.Name))+salt), b.EndAt, func(req *workload.Request) {
-		req.J = b.Cfg.Journey.Mint(app.Name, req.Arrive)
+		req.J = b.Cfg.Journey.Mint(app.Name, req.Arrive).Handle()
 		fn(req)
 	})
 }
@@ -84,11 +107,11 @@ func (b *Base) Every(at sim.Time, period sim.Duration, fn func()) {
 // Served completes req now, after it ran on a core since from: its latency
 // is recorded and the core time is charged to its app. req is released.
 func (b *Base) Served(req *workload.Request, from sim.Time) {
-	now, app := b.Eng.Now(), req.App
+	now, i := b.Eng.Now(), req.AppIdx
 	req.Done = now
-	req.J.Finish(now)
-	app.Complete(req, sim.Time(b.Cfg.Warmup))
-	b.tally(app).lBusy += b.Acct.Clip(from, now)
+	b.J(req).Finish(now)
+	b.Cfg.Apps[i].Complete(req, sim.Time(b.Cfg.Warmup))
+	b.tallies[i].lBusy += b.Acct.Clip(from, now)
 }
 
 // AccrueB charges B-app app the core it has held since since: wall time,

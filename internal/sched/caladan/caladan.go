@@ -141,20 +141,20 @@ func (s Simulator) start(cfg sched.Config) (*run, error) {
 	// saturation caps Caladan at ~34 cores (Figure 12).
 	var cp *sched.CtrlPlane
 	if ctrl := r.Cfg.Costs.CaladanCtrlFor(r.Cfg.Cores); ctrl > 0 {
-		cp = sched.NewCtrlPlane(r.Eng, ctrl, func(req *workload.Request) {
-			req.J.To(journey.SegQueue, r.Eng.Now())
-			r.onArrival(req.App)
+		cp = sched.NewCtrlPlane(&r.Base, ctrl, func(req *workload.Request) {
+			r.J(req).To(journey.SegQueue, r.Eng.Now())
+			r.onArrival(r.AppOf(req))
 		})
 	}
 	for _, a := range r.LApps {
 		if err := r.Arrivals(a, 13, func(req *workload.Request) {
 			if cp == nil {
-				r.onArrival(req.App)
+				r.onArrival(a)
 				return
 			}
 			// The packet is inside the IOKernel until the control-plane
 			// server forwards it: dataplane time on the journey.
-			req.J.To(journey.SegData, r.Eng.Now())
+			r.J(req).To(journey.SegData, r.Eng.Now())
 			cp.Submit(req)
 		}); err != nil {
 			return nil, err
@@ -204,10 +204,10 @@ func (r *run) serveL(c *core, app *workload.App) {
 		// The kernel crossing that granted this core gated the request's
 		// dispatch: attribute it retroactively (the clamp keeps the
 		// identity exact if the request arrived mid-grant).
-		req.J.To(journey.SegGate, now.Add(-c.grantD))
+		r.J(req).To(journey.SegGate, now.Add(-c.grantD))
 		c.grantD = 0
 	}
-	req.J.To(journey.SegRun, now)
+	r.J(req).To(journey.SegRun, now)
 	c.mode = modeServeL
 	c.req = req
 	c.reqFrom = now
@@ -218,7 +218,7 @@ func (r *run) serveL(c *core, app *workload.App) {
 
 // finish completes the core's request and serves the app's next one.
 func (r *run) finish(c *core) {
-	req, app := c.req, c.req.App
+	req, app := c.req, r.AppOf(c.req)
 	c.req = nil
 	r.Served(req, c.reqFrom)
 	if r.Eng.Now() >= r.EndAt {

@@ -72,7 +72,7 @@ type core struct {
 	lastT    sim.Time
 	// pendingRx is the core's receive ring: requests whose softirq
 	// processing has not run yet; rxFlush is the pending softirq event.
-	pendingRx []*workload.Request
+	pendingRx []uint32 // request handles
 	rxFlush   sim.Event
 	// viaSwitch marks a dispatch reached through the kernel context
 	// switch, so the switched-in request's journey can attribute the
@@ -144,7 +144,7 @@ func (Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 		}
 	}
 	for _, a := range r.LApps {
-		if err = r.Arrivals(a, 29, func(req *workload.Request) { r.onArrival(req.App) }); err != nil {
+		if err = r.Arrivals(a, 29, func(*workload.Request) { r.onArrival(a) }); err != nil {
 			return res, err
 		}
 	}
@@ -184,8 +184,8 @@ func (r *run) onArrival(app *workload.App) {
 	}
 	// The packet sits in the receive ring until softirq processing runs:
 	// dataplane time on the journey.
-	req.J.To(journey.SegData, r.Eng.Now())
-	home.pendingRx = append(home.pendingRx, req)
+	r.J(req).To(journey.SegData, r.Eng.Now())
+	home.pendingRx = append(home.pendingRx, req.Handle())
 	if home.rxFlush.Pending() {
 		return // this core's softirq is already scheduled; batch behind it
 	}
@@ -204,18 +204,20 @@ func (r *run) onArrival(app *workload.App) {
 func (r *run) flushRx(c *core) {
 	c.rxFlush = sim.Event{}
 	apps := make([]*workload.App, 0, 2)
-	for _, req := range c.pendingRx {
-		req.J.To(journey.SegQueue, r.Eng.Now())
-		req.App.Requeue(req)
+	for _, h := range c.pendingRx {
+		req := r.Req(h)
+		app := r.AppOf(req)
+		r.J(req).To(journey.SegQueue, r.Eng.Now())
+		app.Requeue(req)
 		seen := false
 		for _, a := range apps {
-			if a == req.App {
+			if a == app {
 				seen = true
 				break
 			}
 		}
 		if !seen {
-			apps = append(apps, req.App)
+			apps = append(apps, app)
 		}
 	}
 	c.pendingRx = c.pendingRx[:0]
@@ -288,7 +290,7 @@ func (r *run) stopCurrent(c *core, blocked bool) {
 		}
 		cur.remaining -= done
 		// The preempted request waits on the runqueue with its thread.
-		cur.req.J.To(journey.SegQueue, now)
+		r.J(cur.req).To(journey.SegQueue, now)
 	}
 	if blocked {
 		c.rq.Retire()
@@ -355,9 +357,9 @@ func (r *run) dispatch(c *core, th *thread) {
 		// The kernel context switch gated this request's (re)dispatch:
 		// attribute it retroactively (clamped if the request arrived or
 		// was queued mid-switch).
-		th.req.J.To(journey.SegGate, now.Add(-r.Cfg.Costs.CFSSwitchCost))
+		r.J(th.req).To(journey.SegGate, now.Add(-r.Cfg.Costs.CFSSwitchCost))
 	}
-	th.req.J.To(journey.SegRun, now)
+	r.J(th.req).To(journey.SegRun, now)
 	r.setAct(c, sched.ActApp)
 	dur := sim.Duration(float64(th.remaining)*r.BW.Inflation()) + r.BW.StallNoise(r.RNG)
 	slice := c.rq.Timeslice()

@@ -18,28 +18,29 @@ import (
 // holds one timer per control plane however deep the backlog grows, and
 // no forward goes through the event heap.
 type CtrlPlane struct {
-	eng     *sim.Engine
+	b       *Base
 	cost    sim.Duration
 	q       workload.FIFO // accepted, not yet forwarded; the head's forward is pending
 	deliver func(*workload.Request)
 	timer   sim.Timer // fires p.forward
 }
 
-// NewCtrlPlane returns a control plane on eng that spends cost (> 0) on
-// each request and then calls deliver with it, back on its app's queue.
-func NewCtrlPlane(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) *CtrlPlane {
-	p := &CtrlPlane{eng: eng, cost: cost, deliver: deliver}
-	eng.Bind(&p.timer, p.forward)
+// NewCtrlPlane returns a control plane on b's engine that spends cost
+// (> 0) on each request of b's apps and then calls deliver with it, back
+// on its app's queue.
+func NewCtrlPlane(b *Base, cost sim.Duration, deliver func(*workload.Request)) *CtrlPlane {
+	p := &CtrlPlane{b: b, cost: cost, deliver: deliver}
+	b.Eng.Bind(&p.timer, p.forward)
 	return p
 }
 
 // Submit takes a just-arrived request back off its app's queue, where
-// Enqueue put it, and holds it until the server has forwarded it.
+// App.Arrive put it, and holds it until the server has forwarded it.
 func (p *CtrlPlane) Submit(req *workload.Request) {
-	req.App.StealNewest()
-	req.CtrlSeq = p.eng.Reserve()
-	p.q.Requeue(req)
-	if len(p.q.Queue) == 1 {
+	p.b.AppOf(req).StealNewest()
+	req.CtrlSeq = p.b.Eng.Reserve()
+	p.q.Push(req.Handle())
+	if p.q.Len() == 1 {
 		p.schedule(req)
 	}
 }
@@ -48,14 +49,14 @@ func (p *CtrlPlane) Submit(req *workload.Request) {
 // req now: it is idle as req is submitted, or the request before req is
 // just leaving.
 func (p *CtrlPlane) schedule(req *workload.Request) {
-	p.timer.AtSeq(p.eng.Now().Add(p.cost), req.CtrlSeq)
+	p.timer.AtSeq(p.b.Eng.Now().Add(p.cost), req.CtrlSeq)
 }
 
 func (p *CtrlPlane) forward() {
-	req := p.q.Dequeue()
-	if len(p.q.Queue) > 0 {
-		p.schedule(p.q.Queue[0])
+	req := p.b.Req(p.q.Pop())
+	if p.q.Len() > 0 {
+		p.schedule(p.b.Req(p.q.Head()))
 	}
-	req.App.Requeue(req)
+	p.b.AppOf(req).Requeue(req)
 	p.deliver(req)
 }

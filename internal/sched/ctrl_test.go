@@ -12,7 +12,7 @@ import (
 // single FIFO server, with one engine event scheduled per accepted request
 // at Submit.
 type refCtrlPlane struct {
-	eng     *sim.Engine
+	b       *Base
 	cost    sim.Duration
 	free    sim.Time // when the server finishes its accepted work
 	q       workload.FIFO
@@ -20,21 +20,29 @@ type refCtrlPlane struct {
 }
 
 func (p *refCtrlPlane) Submit(req *workload.Request) {
-	req.App.StealNewest()
-	start := max(p.eng.Now(), p.free)
+	p.b.AppOf(req).StealNewest()
+	start := max(p.b.Eng.Now(), p.free)
 	p.free = start.Add(p.cost)
-	p.q.Requeue(req)
-	p.eng.At(p.free, func() {
-		req := p.q.Dequeue()
-		req.App.Requeue(req)
+	p.q.Push(req.Handle())
+	p.b.Eng.At(p.free, func() {
+		req := p.b.Req(p.q.Pop())
+		p.b.AppOf(req).Requeue(req)
 		p.deliver(req)
 	})
 }
 
 type submitter interface{ Submit(*workload.Request) }
 
-// newCtrl builds a control plane on an engine.
-type newCtrl func(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) submitter
+// newCtrl builds a control plane for a run's apps.
+type newCtrl func(b *Base, cost sim.Duration, deliver func(*workload.Request)) submitter
+
+// testBase returns the run core a control plane needs outside a run: an
+// engine, and apps numbered in one request store.
+func testBase(apps ...*workload.App) *Base {
+	b := &Base{Eng: sim.NewEngine(), Cfg: Config{Apps: apps}}
+	b.attachApps()
+	return b
+}
 
 // ctrlTrace runs a seeded arrival stream through a control plane built by
 // mk and returns every delivery and every probe event, in firing order,
@@ -45,15 +53,16 @@ type newCtrl func(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Req
 func ctrlTrace(t *testing.T, seed uint64, mk newCtrl) []string {
 	t.Helper()
 	rng := sim.NewRNG(seed)
-	eng := sim.NewEngine()
 	cost := sim.Duration(1 + rng.IntN(8))
 	var log []string
 	apps := make([]*workload.App, 1+rng.IntN(3))
 	for i := range apps {
 		apps[i] = workload.NewLApp(fmt.Sprint("app", i), workload.Memcached(), 0)
 	}
-	cp := mk(eng, cost, func(req *workload.Request) {
-		app := req.App
+	b := testBase(apps...)
+	eng := b.Eng
+	cp := mk(b, cost, func(req *workload.Request) {
+		app := b.AppOf(req)
 		log = append(log, fmt.Sprintf("%v deliver %s service=%v", eng.Now(), app.Name, req.Service))
 		// The app serves the request at once, and it is released for
 		// reuse by a later arrival.
@@ -104,11 +113,11 @@ func ctrlTrace(t *testing.T, seed uint64, mk newCtrl) []string {
 // same instants, as scheduling one event per request.
 func TestCtrlPlaneMatchesPerRequestEvents(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
-		want := ctrlTrace(t, seed, func(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) submitter {
-			return &refCtrlPlane{eng: eng, cost: cost, deliver: deliver}
+		want := ctrlTrace(t, seed, func(b *Base, cost sim.Duration, deliver func(*workload.Request)) submitter {
+			return &refCtrlPlane{b: b, cost: cost, deliver: deliver}
 		})
-		got := ctrlTrace(t, seed, func(eng *sim.Engine, cost sim.Duration, deliver func(*workload.Request)) submitter {
-			return NewCtrlPlane(eng, cost, deliver)
+		got := ctrlTrace(t, seed, func(b *Base, cost sim.Duration, deliver func(*workload.Request)) submitter {
+			return NewCtrlPlane(b, cost, deliver)
 		})
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d events, reference %d", seed, len(got), len(want))
@@ -126,10 +135,11 @@ func TestCtrlPlaneMatchesPerRequestEvents(t *testing.T) {
 // forwarded one request per cost, in order.
 func TestCtrlPlaneHeapStaysShallow(t *testing.T) {
 	const n, cost = 10_000, 3
-	eng := sim.NewEngine()
 	app := workload.NewLApp("mc", workload.Memcached(), 0)
+	b := testBase(app)
+	eng := b.Eng
 	next := sim.Duration(0)
-	cp := NewCtrlPlane(eng, cost, func(req *workload.Request) {
+	cp := NewCtrlPlane(b, cost, func(req *workload.Request) {
 		if next++; req.Service != next || eng.Now() != sim.Time(next*cost) {
 			t.Fatalf("request %v forwarded at %v, want request %v at %v",
 				req.Service, eng.Now(), next, sim.Time(next*cost))
@@ -137,9 +147,7 @@ func TestCtrlPlaneHeapStaysShallow(t *testing.T) {
 		app.Complete(app.Dequeue(), 0)
 	})
 	for i := 1; i <= n; i++ {
-		req := &workload.Request{App: app, Service: sim.Duration(i)}
-		app.Enqueue(req)
-		cp.Submit(req)
+		cp.Submit(app.Arrive(0, sim.Duration(i)))
 	}
 	if p := eng.Pending(); p != 1 {
 		t.Fatalf("a %d-deep backlog holds %d engine events, want 1", n, p)

@@ -21,6 +21,9 @@ const subBuckets = 1 << subBucketBits
 // Histogram records int64 values (typically durations in nanoseconds) in
 // log-linear buckets. The zero value is not usable; call NewHistogram.
 type Histogram struct {
+	// counts runs up to the highest bucket recorded into: buckets past
+	// its end hold zero, so a histogram that never records allocates no
+	// counts.
 	counts []uint64
 	total  uint64
 	sum    float64
@@ -31,12 +34,12 @@ type Histogram struct {
 // NewHistogram returns an empty histogram able to record values in
 // [0, 2^62].
 func NewHistogram() *Histogram {
-	// 63 possible bucket magnitudes × subBuckets each.
-	return &Histogram{
-		counts: make([]uint64, 64*subBuckets),
-		min:    math.MaxInt64,
-		max:    math.MinInt64,
-	}
+	return &Histogram{min: math.MaxInt64, max: math.MinInt64}
+}
+
+// grow extends counts to cover bucket index n-1.
+func (h *Histogram) grow(n int) {
+	h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
 }
 
 // index maps a value to its bucket index.
@@ -71,7 +74,11 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[index(v)]++
+	i := index(v)
+	if i >= len(h.counts) {
+		h.grow(i + 1)
+	}
+	h.counts[i]++
 	h.total++
 	h.sum += float64(v)
 	if v < h.min {
@@ -148,6 +155,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
 	}
+	if n := len(other.counts); n > len(h.counts) {
+		h.grow(n)
+	}
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
@@ -163,9 +173,7 @@ func (h *Histogram) Merge(other *Histogram) {
 
 // Reset clears the histogram.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
+	h.counts = h.counts[:0]
 	h.total = 0
 	h.sum = 0
 	h.min = math.MaxInt64

@@ -126,12 +126,12 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 	// scheduler to learn about it.
 	var cp *sched.CtrlPlane
 	if ctrl := r.Cfg.Costs.VesselCtrlFor(r.Cfg.Cores); ctrl > 0 {
-		cp = sched.NewCtrlPlane(r.Eng, ctrl, func(req *workload.Request) { r.onArrival(req.App) })
+		cp = sched.NewCtrlPlane(&r.Base, ctrl, func(req *workload.Request) { r.onArrival(r.AppOf(req)) })
 	}
 	for _, a := range r.LApps {
 		if err := r.Arrivals(a, 7, func(req *workload.Request) {
 			if cp == nil {
-				r.onArrival(req.App)
+				r.onArrival(a)
 				return
 			}
 			cp.Submit(req)
@@ -206,7 +206,7 @@ func (r *vesselRun) react(rc *reaction) {
 	app := rc.app
 	cm := r.Cfg.Costs
 	now := r.Eng.Now()
-	if len(app.Queue) == 0 || now >= r.EndAt {
+	if app.Len() == 0 || now >= r.EndAt {
 		return
 	}
 	if app.QueueDelay(now) >= preemptDelayThreshold {
@@ -229,12 +229,12 @@ func (r *vesselRun) react(rc *reaction) {
 				}
 			}
 		}
-		if preempted && len(app.Queue) > 0 {
+		if preempted && app.Len() > 0 {
 			// The head request's dispatch was gated on the user
 			// interrupt that just landed: split the last UintrDeliver
 			// of its wait retroactively into a uintr segment (the
 			// clamp keeps conservation exact if it arrived mid-flight).
-			j := app.Queue[0].J
+			j := r.J(app.Head())
 			j.To(journey.SegUintr, now.Add(-cm.UintrDeliver))
 			j.To(journey.SegQueue, now)
 		}
@@ -308,7 +308,7 @@ func (r *vesselRun) serveNext(c *coreState) {
 	bestPrio := 0
 	found := false
 	for _, app := range c.fifo {
-		if len(app.Queue) > 0 && (!found || app.Priority > bestPrio) {
+		if app.Len() > 0 && (!found || app.Priority > bestPrio) {
 			bestPrio = app.Priority
 			found = true
 		}
@@ -317,10 +317,10 @@ func (r *vesselRun) serveNext(c *coreState) {
 		for i := 0; i < len(c.fifo); i++ {
 			app := c.fifo[0]
 			c.fifo = append(c.fifo[1:], app)
-			if len(app.Queue) > 0 && app.Priority == bestPrio {
+			if app.Len() > 0 && app.Priority == bestPrio {
 				req := app.Dequeue()
 				// Switching threads costs one park-path gate trip.
-				req.J.To(journey.SegGate, now)
+				r.J(req).To(journey.SegGate, now)
 				c.busy = true
 				c.nextReq = req
 				r.setAct(c, sched.ActSwitch)
@@ -359,7 +359,7 @@ func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.
 	c.curReq = req
 	c.reqFrom = now
 	c.reqInflat = r.BW.Inflation()
-	req.J.To(journey.SegRun, now)
+	r.J(req).To(journey.SegRun, now)
 	r.setAct(c, sched.ActApp)
 	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.BW.StallNoise(r.RNG)
 	c.reqEv = r.Eng.After(dur, c.finish)
@@ -393,8 +393,8 @@ func (r *vesselRun) preemptL(c *coreState) {
 		served = req.Remaining
 	}
 	req.Remaining -= served
-	req.App.RequeueFront(req)
-	req.J.To(journey.SegQueue, now)
+	r.AppOf(req).RequeueFront(req)
+	r.J(req).To(journey.SegQueue, now)
 	c.runningL = nil
 	r.Preempts++
 	c.busy = true
@@ -419,7 +419,7 @@ func (r *vesselRun) begin(c *coreState) {
 	c.busy = false
 	if req := c.nextReq; req != nil {
 		c.nextReq = nil
-		r.startRequest(c, req.App, req)
+		r.startRequest(c, r.AppOf(req), req)
 		return
 	}
 	b := c.nextB

@@ -30,8 +30,7 @@ func refGenerate(a *App, eng *sim.Engine, rng *sim.RNG, until sim.Time, onArriva
 		for a.Burst != nil && now >= g.phaseEnd {
 			g.nextPhase(g.phaseEnd)
 		}
-		r := a.newRequest(now, a.Dist.Sample(g.services))
-		a.Enqueue(r)
+		r := a.Arrive(now, a.Dist.Sample(g.services))
 		onArrival(r)
 		gap := sim.Duration(float64(g.arrivals.Exp(g.baseGap)) / g.factor)
 		if gap < 1 {
@@ -48,8 +47,7 @@ func refGenerate(a *App, eng *sim.Engine, rng *sim.RNG, until sim.Time, onArriva
 func refReplay(a *App, eng *sim.Engine, pts []TracePoint, onArrival func(*Request)) {
 	for _, p := range pts {
 		eng.At(p.At, func() {
-			r := a.newRequest(p.At, p.Service)
-			a.Enqueue(r)
+			r := a.Arrive(p.At, p.Service)
 			onArrival(r)
 		})
 	}
@@ -67,8 +65,15 @@ func arrivalTrace(t *testing.T, seed uint64, ref bool) []string {
 	eng := sim.NewEngine()
 	const until = 4000
 	var log []string
+	// The apps share one store and are numbered in it, as in a run.
+	var apps []*App
+	store := new(Store)
+	attach := func(app *App) {
+		app.Attach(store, uint32(len(apps)))
+		apps = append(apps, app)
+	}
 	onArrival := func(r *Request) {
-		app, now := r.App, eng.Now()
+		app, now := apps[r.AppIdx], eng.Now()
 		log = append(log, fmt.Sprintf("%v arrive %s service=%v", now, app.Name, r.Service))
 		for k := sim.Duration(1); k <= 2; k++ {
 			eng.At(now.Add(k), func() { log = append(log, fmt.Sprintf("%v probe %s+%d", eng.Now(), app.Name, k)) })
@@ -89,6 +94,7 @@ func arrivalTrace(t *testing.T, seed uint64, ref bool) []string {
 		if rng.IntN(2) == 0 {
 			app.Burst = &Burst{OnMean: sim.Duration(10 + rng.IntN(40)), OffMean: sim.Duration(10 + rng.IntN(40)), Factor: 1 + 4*rng.Float64()}
 		}
+		attach(app)
 		streams := rng.Fork(uint64(i))
 		if ref {
 			refGenerate(app, eng, streams, until, onArrival)
@@ -97,6 +103,7 @@ func arrivalTrace(t *testing.T, seed uint64, ref bool) []string {
 		}
 	}
 	replayed := NewLApp("replay", Memcached(), 0)
+	attach(replayed)
 	var pts []TracePoint
 	for at := sim.Time(0); at < until; at = at.Add(sim.Duration(rng.IntN(3)) * 4) {
 		pts = append(pts, TracePoint{At: at, Service: sim.Duration(len(pts) + 1)})

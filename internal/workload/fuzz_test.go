@@ -59,9 +59,9 @@ func FuzzAppArrivals(f *testing.F) {
 			return // rejected input: the documented outcome for bad params
 		}
 		eng.Run(until)
-		if app.Offered != uint64(len(app.Queue)) {
+		if app.Offered != uint64(app.Len()) {
 			t.Fatalf("offered %d != queued %d (nothing dequeues in this harness)",
-				app.Offered, len(app.Queue))
+				app.Offered, app.Len())
 		}
 	})
 }

@@ -113,9 +113,14 @@ func (b *Burst) multipliers() (float64, float64) {
 	return 2 * f / (1 + f), 2 / (1 + f)
 }
 
-// Request is one L-app request.
+// Request is one L-app request. It holds no pointer, so the requests of a
+// backlog and the queues of their handles cost the garbage collector
+// nothing to scan.
 type Request struct {
-	App     *App
+	// AppIdx is the request's app's index in the run's app table (see
+	// App.Attach).
+	AppIdx  uint32
+	h       uint32 // the request's handle in its Store
 	Arrive  sim.Time
 	Service sim.Duration
 	// Remaining tracks unserved work for schedulers that preempt
@@ -123,10 +128,9 @@ type Request struct {
 	Remaining sim.Duration
 	Start     sim.Time
 	Done      sim.Time
-	// J is the request's journey trace context (nil when journey
-	// tracing is off; every journey method is nil-safe, so schedulers
-	// propagate it without guarding).
-	J *journey.Journey
+	// J is the request's journey (0 when journey tracing is off); the
+	// run's journey.Tracer resolves it.
+	J journey.Handle
 	// CtrlSeq is the engine key a control plane reserved for forwarding
 	// the request (sched.CtrlPlane).
 	CtrlSeq uint64
@@ -134,6 +138,49 @@ type Request struct {
 
 // Sojourn returns the request's total latency.
 func (r *Request) Sojourn() sim.Duration { return r.Done.Sub(r.Arrive) }
+
+// Handle returns the request's handle in its Store.
+func (r *Request) Handle() uint32 { return r.h }
+
+// ChunkSize is the number of requests in each of a Store's chunks.
+const ChunkSize = 256
+
+// Store holds the requests of a run, shared by all its apps, in chunks of
+// ChunkSize that never move: a *Request stays valid until its request is
+// released. A released request's handle goes on a free list and is
+// handed out again before the store grows.
+type Store struct {
+	chunks []*[ChunkSize]Request
+	free   []uint32
+	n      uint32 // handles ever issued
+}
+
+// Get returns the request with handle h.
+func (s *Store) Get(h uint32) *Request { return &s.chunks[h/ChunkSize][h%ChunkSize] }
+
+// alloc returns a zeroed request with its handle set.
+func (s *Store) alloc() *Request {
+	var h uint32
+	if n := len(s.free); n > 0 {
+		h = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if h = s.n; h%ChunkSize == 0 {
+			s.chunks = append(s.chunks, new([ChunkSize]Request))
+		}
+		s.n++
+	}
+	r := s.Get(h)
+	r.h = h
+	return r
+}
+
+// release zeroes r and frees its handle.
+func (s *Store) release(r *Request) {
+	h := r.h
+	*r = Request{}
+	s.free = append(s.free, h)
+}
 
 // App is one application instance in an experiment.
 type App struct {
@@ -157,11 +204,12 @@ type App struct {
 	BWDemand float64
 	MemFrac  float64
 
-	// FIFO holds the pending requests the scheduler serves, as Queue.
-	FIFO
-
-	// spare holds completed requests for later arrivals to reuse.
-	spare []*Request
+	// q holds the handles of the pending requests the scheduler serves.
+	q FIFO
+	// store holds the app's requests (its own, made on first use, unless
+	// Attach shared a run's); idx is the app's index in the run.
+	store *Store
+	idx   uint32
 
 	// Accounting.
 	Offered   uint64
@@ -201,123 +249,132 @@ func Membench() *App { return NewBApp("membench", 12.0, 0.7) }
 // AvgBW returns the app's average bandwidth demand per running core.
 func (a *App) AvgBW() float64 { return a.BWDemand * a.MemFrac }
 
-// Enqueue appends an arrived request.
-func (a *App) Enqueue(r *Request) {
-	a.Offered++
-	a.Requeue(r)
+// Attach makes the app keep its requests in s, shared with the other apps
+// of its run, and stamp them with idx, its index in the run's app table.
+// Attach it before its first arrival.
+func (a *App) Attach(s *Store, idx uint32) {
+	a.store, a.idx = s, idx
 }
 
-// FIFO is a queue of requests. Queue is its content, Queue[0] the head.
-// Read it freely but change it only through the methods: they keep it a
-// window onto buf, vacate served slots, and restart at the front once it
-// drains, so a warmed-up queue is served without allocating.
-type FIFO struct {
-	Queue []*Request
-	buf   []*Request // Queue's backing array, whole (len == cap)
-}
-
-// Requeue appends r at the tail (for an App, without counting it as
-// offered: a stolen request returning). A window that has crept to the end
-// of its backing array slides back to the front when at least half the
-// array lies vacated before it, and otherwise moves to the front of a new
-// array twice the size. (Growing by append instead would size the new
-// array from the window, not the array, and a deep queue whose window
-// holds just over half of it would reallocate at ever smaller intervals.)
-func (q *FIFO) Requeue(r *Request) {
-	if n := len(q.Queue); n == cap(q.Queue) {
-		if off := len(q.buf) - n; off > 0 && off >= n {
-			copy(q.buf, q.Queue)
-			clear(q.buf[n:])
-		} else {
-			q.buf = make([]*Request, max(2*len(q.buf), 8))
-			copy(q.buf, q.Queue)
-		}
-		q.Queue = q.buf[:n]
+// requests returns the store the app's requests live in.
+func (a *App) requests() *Store {
+	if a.store == nil {
+		a.store = new(Store)
 	}
-	q.Queue = append(q.Queue, r)
+	return a.store
 }
 
-// vacated restarts an emptied queue at the front of its backing array.
-func (q *FIFO) vacated() {
-	if len(q.Queue) == 0 {
-		q.Queue = q.buf[:0]
+// Len returns the number of pending requests.
+func (a *App) Len() int { return a.q.Len() }
+
+// Head returns the oldest pending request, or nil.
+func (a *App) Head() *Request {
+	if a.q.Len() == 0 {
+		return nil
 	}
+	return a.store.Get(a.q.Head())
+}
+
+// Requeue appends r, a request of the app's run taken off a queue, at the
+// tail without counting it as offered: a stolen request returning.
+func (a *App) Requeue(r *Request) { a.q.Push(r.h) }
+
+// RequeueFront re-inserts a preempted in-flight request at the head of the
+// queue so it resumes before younger requests.
+func (a *App) RequeueFront(r *Request) { a.q.PushFront(r.h) }
+
+// Dequeue pops the oldest pending request, or nil.
+func (a *App) Dequeue() *Request {
+	if a.q.Len() == 0 {
+		return nil
+	}
+	return a.store.Get(a.q.Pop())
 }
 
 // StealNewest removes and returns the most recently enqueued request —
 // used by kernel-path models that hold a just-arrived request in a per-core
 // receive ring until softirq processing releases it.
-func (q *FIFO) StealNewest() *Request {
-	n := len(q.Queue)
-	if n == 0 {
+func (a *App) StealNewest() *Request {
+	if a.q.Len() == 0 {
 		return nil
 	}
-	r := q.Queue[n-1]
-	q.Queue[n-1] = nil
-	q.Queue = q.Queue[:n-1]
-	q.vacated()
-	return r
+	return a.store.Get(a.q.PopBack())
 }
 
-// RequeueFront re-inserts a preempted in-flight request at the head of the
-// queue so it resumes before younger requests: into the slot the last
-// Dequeue vacated when there is one, else by shifting the queue back.
-func (q *FIFO) RequeueFront(r *Request) {
-	if off := len(q.buf) - cap(q.Queue); off > 0 {
-		q.Queue = q.buf[off-1 : off+len(q.Queue)]
-		q.Queue[0] = r
-		return
-	}
-	q.Requeue(nil)
-	copy(q.Queue[1:], q.Queue)
-	q.Queue[0] = r
+// FIFO is a queue of request handles: a ring that doubles when full, so a
+// warmed-up queue is served without allocating. Head, Pop and PopBack
+// need a non-empty queue.
+type FIFO struct {
+	buf  []uint32 // the ring; its length is zero or a power of two
+	head int      // buf index of the head
+	n    int      // handles queued
 }
 
-// Dequeue pops the oldest pending request, or nil.
-func (q *FIFO) Dequeue() *Request {
-	if len(q.Queue) == 0 {
-		return nil
+// Len returns the number of queued handles.
+func (q *FIFO) Len() int { return q.n }
+
+// Head returns the oldest handle.
+func (q *FIFO) Head() uint32 { return q.buf[q.head] }
+
+// Push appends h at the tail.
+func (q *FIFO) Push(h uint32) {
+	if q.n == len(q.buf) {
+		q.grow()
 	}
-	r := q.Queue[0]
-	q.Queue[0] = nil
-	q.Queue = q.Queue[1:]
-	q.vacated()
-	return r
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = h
+	q.n++
+}
+
+// PushFront inserts h at the head.
+func (q *FIFO) PushFront(h uint32) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = h
+	q.n++
+}
+
+// Pop removes and returns the oldest handle.
+func (q *FIFO) Pop() uint32 {
+	h := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return h
+}
+
+// PopBack removes and returns the newest handle.
+func (q *FIFO) PopBack() uint32 {
+	q.n--
+	return q.buf[(q.head+q.n)&(len(q.buf)-1)]
+}
+
+// grow moves the queue, unwrapped, to the front of a ring twice the size.
+func (q *FIFO) grow() {
+	buf := make([]uint32, max(2*len(q.buf), 8))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // QueueDelay returns the age of the oldest pending request at time now —
 // the queueing-delay signal both Caladan and VESSEL schedulers use (§4.5).
 func (a *App) QueueDelay(now sim.Time) sim.Duration {
-	if len(a.Queue) == 0 {
-		return 0
+	if r := a.Head(); r != nil {
+		return now.Sub(r.Arrive)
 	}
-	return now.Sub(a.Queue[0].Arrive)
+	return 0
 }
 
 // Complete records a finished request (if after the measurement start)
-// and releases it: r is zeroed and kept for a later arrival to reuse, so
+// and releases it: r is zeroed and its slot kept for a later arrival, so
 // read anything else needed from it before calling Complete.
 func (a *App) Complete(r *Request, measureFrom sim.Time) {
 	a.Completed++
 	if r.Arrive >= measureFrom {
 		a.Lat.Record(int64(r.Sojourn()))
 	}
-	*r = Request{}
-	a.spare = append(a.spare, r)
-}
-
-// newRequest returns a request for a just-arrived unit of work, reusing a
-// released one when there is one.
-func (a *App) newRequest(now sim.Time, svc sim.Duration) *Request {
-	var r *Request
-	if n := len(a.spare); n > 0 {
-		r = a.spare[n-1]
-		a.spare = a.spare[:n-1]
-	} else {
-		r = new(Request)
-	}
-	*r = Request{App: a, Arrive: now, Service: svc, Remaining: svc}
-	return r
+	a.store.release(r)
 }
 
 // GenerateArrivals schedules the app's Poisson (optionally burst-modulated)
@@ -363,8 +420,8 @@ func (a *App) GenerateArrivals(eng *sim.Engine, rng *sim.RNG, until sim.Time, on
 
 // arrivalGen is one app's arrival process. Its next arrival is a timer
 // that re-arms only from its own callback, so an arrival costs no heap
-// event and allocates at most its Request, nothing once the app has
-// completed requests to reuse.
+// event and allocates nothing but, once per ChunkSize requests in flight,
+// a chunk of its store.
 type arrivalGen struct {
 	app       *App
 	eng       *sim.Engine
@@ -422,11 +479,21 @@ func (g *arrivalGen) arrive() {
 // arrive queues a request that arrived at now needing svc of service,
 // then tells onArrival (if set) about it.
 func (a *App) arrive(now sim.Time, svc sim.Duration, onArrival func(*Request)) {
-	r := a.newRequest(now, svc)
-	a.Enqueue(r)
+	r := a.Arrive(now, svc)
 	if onArrival != nil {
 		onArrival(r)
 	}
+}
+
+// Arrive queues and returns a request that arrived at now needing svc of
+// service, as the arrival processes do for each of theirs. It takes a
+// released slot of the app's store when there is one.
+func (a *App) Arrive(now sim.Time, svc sim.Duration) *Request {
+	r := a.requests().alloc()
+	r.AppIdx, r.Arrive, r.Service, r.Remaining = a.idx, now, svc, svc
+	a.Offered++
+	a.Requeue(r)
+	return r
 }
 
 // Sample forwards to the app's service distribution (helper for

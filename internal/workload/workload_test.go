@@ -153,10 +153,11 @@ func TestQueueOperations(t *testing.T) {
 	if app.QueueDelay(100) != 0 {
 		t.Fatal("empty queue delay")
 	}
-	r1 := &Request{App: app, Arrive: 10, Service: 100}
-	r2 := &Request{App: app, Arrive: 20, Service: 100}
-	app.Enqueue(r1)
-	app.Enqueue(r2)
+	r1 := app.Arrive(10, 100)
+	r2 := app.Arrive(20, 100)
+	if app.Offered != 2 || app.Len() != 2 || app.Head() != r1 {
+		t.Fatal("arrivals not queued in order")
+	}
 	if app.QueueDelay(110) != 100 {
 		t.Fatalf("queue delay = %v", app.QueueDelay(110))
 	}
@@ -233,7 +234,7 @@ func TestReplayArrivals(t *testing.T) {
 	if app.Offered != 3 {
 		t.Fatalf("offered = %d", app.Offered)
 	}
-	if app.Queue[0].Remaining != 1000 {
+	if app.Head().Remaining != 1000 {
 		t.Fatal("remaining not initialized")
 	}
 	// Unordered traces are rejected.
@@ -269,9 +270,8 @@ func TestArrivalDeterminism(t *testing.T) {
 }
 
 // TestQueueMatchesSliceModel drives the FIFO with every queue operation
-// the schedulers use, at depths that drain, creep and grow, and checks it
-// against a plain slice after each one. Slots outside the live window must
-// hold no request, so served requests do not stay reachable.
+// the schedulers use, at depths that drain, wrap and grow, and checks it
+// against a plain slice after each one.
 func TestQueueMatchesSliceModel(t *testing.T) {
 	app := NewLApp("mc", Memcached(), 1)
 	var model []*Request
@@ -282,9 +282,7 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 		grow := (i/2000)%2 == 0
 		switch op := rng.IntN(10); {
 		case op < 4 || (grow && op < 6):
-			r := &Request{App: app, Arrive: sim.Time(i)}
-			app.Enqueue(r)
-			model = append(model, r)
+			model = append(model, app.Arrive(sim.Time(i), 0))
 		case op < 8:
 			got := app.Dequeue()
 			var want *Request
@@ -296,6 +294,9 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 			}
 		case op == 8:
 			if r := app.StealNewest(); r != nil {
+				if r != model[len(model)-1] {
+					t.Fatalf("op %d: StealNewest is not the newest request", i)
+				}
 				model = model[:len(model)-1]
 				if rng.IntN(2) == 0 {
 					app.Requeue(r)
@@ -305,42 +306,40 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 				t.Fatalf("op %d: StealNewest = nil with %d queued", i, len(model))
 			}
 		default:
-			r := &Request{App: app, Arrive: sim.Time(i)}
+			r := app.Arrive(sim.Time(i), 0)
+			app.StealNewest()
 			app.RequeueFront(r)
 			model = append([]*Request{r}, model...)
 		}
-		if len(app.Queue) != len(model) {
-			t.Fatalf("op %d: len %d, want %d", i, len(app.Queue), len(model))
+		if app.Len() != len(model) {
+			t.Fatalf("op %d: len %d, want %d", i, app.Len(), len(model))
 		}
+		q := &app.q
 		for k := range model {
-			if app.Queue[k] != model[k] {
-				t.Fatalf("op %d: Queue[%d] differs from the model", i, k)
+			if h := q.buf[(q.head+k)&(len(q.buf)-1)]; app.requests().Get(h) != model[k] {
+				t.Fatalf("op %d: queue entry %d differs from the model", i, k)
 			}
 		}
-		off := len(app.buf) - cap(app.Queue)
-		for k, r := range app.buf {
-			if (k < off || k >= off+len(app.Queue)) && r != nil {
-				t.Fatalf("op %d: slot %d outside the window [%d,%d) still holds a request",
-					i, k, off, off+len(app.Queue))
-			}
+		if len(model) > 0 && app.Head() != model[0] {
+			t.Fatalf("op %d: Head differs from the model", i)
 		}
 	}
 }
 
 // TestQueueServesWithoutAllocating: once its array has grown to the
 // working depth, a queue that is filled, partly preempted back to the
-// front, and drained again allocates nothing. At the parent of this test
-// every drained request crept the window forward and RequeueFront copied
-// the queue into a new slice.
+// front, and drained again allocates nothing.
 func TestQueueServesWithoutAllocating(t *testing.T) {
 	app := NewLApp("mc", Memcached(), 1)
 	reqs := make([]*Request, 32)
 	for i := range reqs {
-		reqs[i] = &Request{App: app}
+		reqs[i] = app.Arrive(0, 0)
+	}
+	for app.Dequeue() != nil {
 	}
 	cycle := func() {
 		for _, r := range reqs {
-			app.Enqueue(r)
+			app.Requeue(r)
 		}
 		for i := 0; i < 8; i++ {
 			app.RequeueFront(app.Dequeue())
@@ -360,32 +359,32 @@ func TestQueueServesWithoutAllocating(t *testing.T) {
 // backlog at saturation reallocated every few hundred requests.
 func TestDeepQueueStopsGrowing(t *testing.T) {
 	var q FIFO
-	reqs := make([]*Request, 1000)
-	for i := range reqs {
-		reqs[i] = &Request{}
-		q.Requeue(reqs[i])
+	const n = 1000
+	for h := uint32(0); h < n; h++ {
+		q.Push(h)
 	}
 	k := 0
 	serve := func() {
-		for i := 0; i < 1000; i++ {
-			q.Requeue(q.Dequeue())
+		for i := 0; i < n; i++ {
+			q.Push(q.Pop())
 			k++
 		}
 	}
 	serve()
 	if allocs := testing.AllocsPerRun(20, serve); allocs != 0 {
-		t.Fatalf("serving a queue held %d deep allocated %.0f times per 1000 requests", len(q.Queue), allocs)
+		t.Fatalf("serving a queue held %d deep allocated %.0f times per 1000 requests", q.Len(), allocs)
 	}
-	for i, r := range q.Queue {
-		if r != reqs[(k+i)%len(reqs)] {
-			t.Fatalf("Queue[%d] is out of order after %d requests", i, k)
+	for i := 0; i < n; i++ {
+		if h := q.Pop(); h != uint32((k+i)%n) {
+			t.Fatalf("entry %d is handle %d after %d requests, want %d", i, h, k, (k+i)%n)
 		}
 	}
 }
 
 // TestArrivalsAllocateOnlyRequests: the arrival process's callback is
-// bound once, so each arrival allocates at most its Request, and nothing
-// once completed requests come back for reuse.
+// bound once, so arrivals allocate only their requests' store chunks, one
+// per ChunkSize requests, and nothing once completed requests come back
+// for reuse.
 func TestArrivalsAllocateOnlyRequests(t *testing.T) {
 	for _, burst := range []*Burst{nil, {OnMean: 50 * sim.Microsecond, OffMean: 50 * sim.Microsecond, Factor: 4}} {
 		for _, complete := range []bool{false, true} {
@@ -416,24 +415,25 @@ func TestArrivalsAllocateOnlyRequests(t *testing.T) {
 			if complete && perArrival != 0 {
 				t.Fatalf("burst=%v: %.3f allocations per arrival, want 0 with requests reused", burst != nil, perArrival)
 			}
-			if perArrival > 1.01 {
-				t.Fatalf("burst=%v: %.3f allocations per arrival, want 1 (the Request)", burst != nil, perArrival)
+			if perArrival > 1.5/ChunkSize {
+				t.Fatalf("burst=%v: %.4f allocations per arrival, want 1/%d (a store chunk)", burst != nil, perArrival, ChunkSize)
 			}
 		}
 	}
 }
 
 // TestCompleteReleasesRequest: Complete zeroes the request, so a stale
-// read of it fails loudly (App is nil), and the app's next arrival reuses
-// it with every field set afresh.
+// read of it finds nothing of the request it was, and the app's next
+// arrival reuses its slot with every field set afresh.
 func TestCompleteReleasesRequest(t *testing.T) {
 	eng := sim.NewEngine()
 	app := NewLApp("mc", Memcached(), 0)
+	app.Attach(new(Store), 3)
 	var got []*Request
 	err := app.ReplayArrivals(eng, []TracePoint{{At: 10, Service: 5}, {At: 20, Service: 7}}, func(r *Request) {
 		got = append(got, app.Dequeue())
 		if len(got) == 1 {
-			r.Start, r.Done, r.CtrlSeq = 12, 15, 3
+			r.Start, r.Done, r.CtrlSeq, r.J = 12, 15, 3, 9
 			app.Complete(r, 0)
 			if *r != (Request{}) {
 				t.Fatalf("released request still reads %+v", *r)
@@ -447,7 +447,7 @@ func TestCompleteReleasesRequest(t *testing.T) {
 	if len(got) != 2 || got[0] != got[1] {
 		t.Fatal("the second arrival did not reuse the completed request")
 	}
-	if want := (Request{App: app, Arrive: 20, Service: 7, Remaining: 7}); *got[1] != want {
+	if want := (Request{AppIdx: 3, h: got[1].h, Arrive: 20, Service: 7, Remaining: 7}); *got[1] != want {
 		t.Fatalf("reused request reads %+v, want %+v", *got[1], want)
 	}
 }

@@ -153,7 +153,7 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 		s.injector = faultinject.New(s.managers[0].inner.Domain, *cfg.Faults)
 		s.injector.AttachClusterPolicy(s.failsafe)
 	}
-	if _, err := s.sched.Bootstrap(0, s.core.Eng.Now()); err != nil {
+	if _, err := s.sched.Bootstrap(s.core.Eng.Now()); err != nil {
 		return nil, err
 	}
 	if err := s.deliverAll(); err != nil {
