@@ -242,26 +242,29 @@ func main() {
 
 	// The journey tripwire. Same-seed obs-only and obs+journey runs
 	// alternate in one process with GC pinned, and the minimum overhead
-	// across 3 repetitions of 8 pairs bounds the true mutator delta. 20%
+	// across 3 repetitions of 16 pairs bounds the true mutator delta. 20%
 	// catches accidental hot-path allocations at full fidelity, where
 	// every journey is checked and folded at Finish (DESIGN.md §15).
-	// FLAKE RISK: single repetitions on a 2-vCPU host spread widely, so a
-	// slow or noisy runner can trip the gate without a regression; rerun
-	// before reading a failure as one.
-	full, err := journeyRow("journey_overhead", 0, 3, 8, false)
+	// FLAKE RISK: repetitions on a 2-vCPU host spread widely, so a slow
+	// or noisy runner can trip the gate without a regression; rerun
+	// before reading a failure as one. Five runs of this command there
+	// gated at 18.1–40.6% (single repetitions 18.1–48.1%), and five of
+	// the code before the engine fired events in place, at 8 pairs, at
+	// 8.9–24.8% (8.9–38.9%); each side passed once in five.
+	full, err := journeyRow("journey_overhead", 0, 3, 16, false)
 	if err != nil {
 		fail(err)
 	}
 	// Production-style 1-in-16 sampling skips span-tree construction for
 	// 15 of 16 requests. Above the 5% plan target it only warns, so
 	// runner noise cannot fail the build.
-	sampled, err := journeyRow("journey_overhead_sampled", 16, 3, 8, false)
+	sampled, err := journeyRow("journey_overhead_sampled", 16, 3, 16, false)
 	if err != nil {
 		fail(err)
 	}
 	// The collector-off rows cannot see what the tracer's retained heap
 	// costs the collector; this row times the same pairs with it on.
-	withGC, err := journeyRow("journey_overhead_gc", 0, 3, 8, true)
+	withGC, err := journeyRow("journey_overhead_gc", 0, 3, 16, true)
 	if err != nil {
 		fail(err)
 	}

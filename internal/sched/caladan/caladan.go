@@ -104,6 +104,8 @@ type run struct {
 	sched.Base
 	v     Simulator
 	cores []*core
+	// polling holds the cores in modePollL, whatever app owns them.
+	polling sched.CoreSet
 	// bwSampled is the IOKernel's view of bandwidth demand, refreshed
 	// only at its 10 µs decision ticks. Grant decisions between ticks
 	// act on this stale sample — the control-loop coarseness that makes
@@ -127,6 +129,7 @@ func (s Simulator) start(cfg sched.Config) (*run, error) {
 	if err := r.Init(cfg); err != nil {
 		return nil, err
 	}
+	r.polling = sched.NewCoreSet(r.Cfg.Cores)
 	for i := 0; i < r.Cfg.Cores; i++ {
 		c := &core{id: i, mode: modeFree, act: sched.ActIdle}
 		c.finish = func() { r.finish(c) }
@@ -165,6 +168,16 @@ func (s Simulator) start(cfg sched.Config) (*run, error) {
 	return r, nil
 }
 
+// setMode moves c to mode m, keeping r.polling in step.
+func (r *run) setMode(c *core, m coreMode) {
+	if m == modePollL {
+		r.polling.Add(c.id)
+	} else if c.mode == modePollL {
+		r.polling.Remove(c.id)
+	}
+	c.mode = m
+}
+
 func (r *run) setAct(c *core, act sched.Activity) {
 	now := r.Eng.Now()
 	label := ""
@@ -180,14 +193,22 @@ func (r *run) setAct(c *core, act sched.Activity) {
 // immediately; otherwise the request waits for a completion or for the
 // IOKernel's next decision tick.
 func (r *run) onArrival(app *workload.App) {
-	for _, c := range r.cores {
-		if c.mode == modePollL && c.owner == app {
-			r.Eng.Cancel(c.pollEnd)
-			c.pollEnd = sim.Event{}
-			r.serveL(c, app)
-			return
+	if c := r.pollingCore(app); c != nil {
+		r.Eng.Cancel(c.pollEnd)
+		c.pollEnd = sim.Event{}
+		r.serveL(c, app)
+	}
+}
+
+// pollingCore returns app's lowest-numbered core in its steal window, or
+// nil if it has none.
+func (r *run) pollingCore(app *workload.App) *core {
+	for i := r.polling.Next(0); i >= 0; i = r.polling.Next(i + 1) {
+		if c := r.cores[i]; c.owner == app {
+			return c
 		}
 	}
+	return nil
 }
 
 // serveL runs requests run-to-completion on an L-owned core.
@@ -208,7 +229,7 @@ func (r *run) serveL(c *core, app *workload.App) {
 		c.grantD = 0
 	}
 	r.J(req).To(journey.SegRun, now)
-	c.mode = modeServeL
+	r.setMode(c, modeServeL)
 	c.req = req
 	c.reqFrom = now
 	r.setAct(c, sched.ActApp)
@@ -230,7 +251,7 @@ func (r *run) finish(c *core) {
 // startPolling begins the 2 µs steal window: the core spins inside its app
 // looking for work before giving the core back (§4.5).
 func (r *run) startPolling(c *core, app *workload.App) {
-	c.mode = modePollL
+	r.setMode(c, modePollL)
 	r.setAct(c, sched.ActRuntime)
 	c.pollEnd = r.Eng.After(r.Cfg.Costs.CaladanStealWin, c.parkNow)
 }
@@ -239,12 +260,12 @@ func (r *run) startPolling(c *core, app *workload.App) {
 // core belongs to the IOKernel and is immediately handed to a B-app if one
 // wants it.
 func (r *run) parkCore(c *core) {
-	c.mode = modeTransition
+	r.setMode(c, modeTransition)
 	c.owner = nil
 	r.setAct(c, sched.ActKernel)
 	r.Switches++
 	r.Eng.After(r.Cfg.Costs.CaladanParkPath, func() {
-		c.mode = modeFree
+		r.setMode(c, modeFree)
 		r.setAct(c, sched.ActIdle)
 		r.grantFreeCore(c)
 	})
@@ -285,7 +306,7 @@ func (r *run) grantFreeCoreToB(c *core) {
 		if r.BWCap > 0 && r.bwSampled+b.AvgBW() > r.BWCap {
 			continue
 		}
-		c.mode = modeRunB
+		r.setMode(c, modeRunB)
 		c.owner = b
 		c.grantedAt = r.Eng.Now()
 		c.bStart = r.Eng.Now()
@@ -320,14 +341,7 @@ func (r *run) iokernel() {
 		}
 		// Skip if the app already has a polling core about to pick the
 		// work up (it will, at the poll boundary).
-		polling := false
-		for _, c := range r.cores {
-			if c.owner == app && c.mode == modePollL {
-				polling = true
-				break
-			}
-		}
-		if polling {
+		if r.pollingCore(app) != nil {
 			continue
 		}
 		r.grantCore(app)
@@ -424,19 +438,19 @@ func (r *run) pickBVictim() *core {
 // preemptToFree revokes a B core without granting it (bandwidth policy).
 func (r *run) preemptToFree(c *core) {
 	r.stopB(c)
-	c.mode = modeTransition
+	r.setMode(c, modeTransition)
 	r.setAct(c, sched.ActKernel)
 	r.Preempts++
 	r.Switches++
 	r.Eng.After(r.Cfg.Costs.CaladanParkPath, func() {
-		c.mode = modeFree
+		r.setMode(c, modeFree)
 		r.setAct(c, sched.ActIdle)
 	})
 }
 
 // transition moves a core to an L-app with the given kernel cost.
 func (r *run) transition(c *core, app *workload.App, cost sim.Duration) {
-	c.mode = modeTransition
+	r.setMode(c, modeTransition)
 	c.owner = app
 	c.grantedAt = r.Eng.Now()
 	r.setAct(c, sched.ActKernel)

@@ -265,3 +265,77 @@ func TestHeapPushesPerRequest(t *testing.T) {
 			mc.Offered, fired, pushed)
 	}
 }
+
+// refPollingCore is the scan onArrival made before the polling set: app's
+// lowest-numbered core in modePollL, or nil.
+func refPollingCore(r *run, app *workload.App) *core {
+	for _, c := range r.cores {
+		if c.mode == modePollL && c.owner == app {
+			return c
+		}
+	}
+	return nil
+}
+
+// TestPollingSetMatchesScan steps runs one event at a time and checks
+// after every step that the polling set holds exactly the cores in
+// modePollL and that each L-app's pick is the scan's. The cells cover
+// fig12's saturation probe (bench's saturate-44c), a machine wide enough
+// for the set's second word (where a pick must land at least once), L-apps
+// of different priorities, a bandwidth cap and three L-apps.
+func TestPollingSetMatchesScan(t *testing.T) {
+	mc := func(name string, load float64, cores int) *workload.App {
+		return workload.NewLApp(name, workload.Memcached(), load*sched.IdealLCapacity(cores, workload.Memcached()))
+	}
+	cell := func(cores int, warm, dur sim.Duration, apps ...*workload.App) sched.Config {
+		cfg := baseCfg(apps...)
+		cfg.Cores, cfg.Warmup, cfg.Duration = cores, warm, dur
+		return cfg
+	}
+	hi := mc("memcached", 0.25, 4)
+	hi.Priority = 1
+	capped := cell(8, sim.Millisecond, 4*sim.Millisecond, mc("memcached", 0.5, 8), workload.Membench())
+	capped.BWTargetFrac = 0.3
+	for _, tc := range []struct {
+		name string
+		v    Variant
+		cfg  sched.Config
+		wide bool // a pick must reach core 64
+	}{
+		{"saturate-44c", DRLow, cell(44, 2*sim.Millisecond, 8*sim.Millisecond, mc("memcached", 0.9, 44), workload.Linpack()), false},
+		{"96-cores", Plain, cell(96, sim.Millisecond, 4*sim.Millisecond,
+			workload.NewLApp("silo", workload.Silo(), 0.8*sched.IdealLCapacity(96, workload.Silo()))), true},
+		{"priorities", DRHigh, cell(4, 2*sim.Millisecond, 10*sim.Millisecond, hi,
+			workload.NewLApp("silo", workload.Silo(), 0.5*sched.IdealLCapacity(4, workload.Silo()))), false},
+		{"bandwidth-cap", Plain, capped, false},
+		{"three-l-apps", DRLow, cell(8, sim.Millisecond, 4*sim.Millisecond,
+			mc("a", 0.2, 8), mc("b", 0.3, 8), mc("c", 0.4, 8), workload.Linpack()), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Simulator{Variant: tc.v}.start(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxPick := -1
+			for r.Eng.Step() {
+				for _, c := range r.cores {
+					if (r.polling.Next(c.id) == c.id) != (c.mode == modePollL) {
+						t.Fatalf("at %v: core %d in mode %d, polling set disagrees", r.Eng.Now(), c.id, c.mode)
+					}
+				}
+				for _, app := range r.LApps {
+					got, want := r.pollingCore(app), refPollingCore(r, app)
+					if got != want {
+						t.Fatalf("at %v: %s's polling pick is %v, scan %v", r.Eng.Now(), app.Name, got, want)
+					}
+					if got != nil {
+						maxPick = max(maxPick, got.id)
+					}
+				}
+			}
+			if tc.wide && maxPick < 64 {
+				t.Fatalf("no pick reached core 64 (highest %d): the second word went untested", maxPick)
+			}
+		})
+	}
+}

@@ -3,14 +3,18 @@ package sim
 import "testing"
 
 // FuzzEngineOrder drives the engine with At, Cancel and Step, with Reserve
-// and eight timers armed by At or under reserved seqs, and with At calls and
-// timer arms made inside firing callbacks (a timer re-arming itself among
-// them), at times that collide often. A reference model fires the pending
-// event or armed timer with the least (at, seq) by linear scan; the engine
-// must fire the same sequence, and after every operation every handle,
-// every timer's Armed, Pending, HighWaterPending, Fired and Pushed must
-// agree with it. A timer arm whose reserved key does not order after the
-// last fired event, or on a timer already armed, must panic and schedule
+// and eight timers armed by At or under reserved seqs, and with At calls,
+// timer arms and Cancels made inside firing callbacks (a timer re-arming
+// itself among them), at times that collide often. A callback fires while
+// its event still holds its heap's root, and its first push takes that
+// slot, so its Cancels aim at the heap's root and last slot, before and
+// after that push, as well as at its own handle and at any other. A
+// reference model fires the pending event or armed timer with the least
+// (at, seq) by linear scan; the engine must fire the same sequence, and
+// after every operation and every step of a callback every handle, every
+// timer's Armed, Pending, HighWaterPending, Fired and Pushed must agree
+// with it. A timer arm whose reserved key does not order after the last
+// fired event, or on a timer already armed, must panic and schedule
 // nothing.
 //
 // Handles may expire once their event is history (the engine reuses its
@@ -47,6 +51,34 @@ func FuzzEngineOrder(f *testing.F) {
 	// re-arming one another from their callbacks.
 	f.Add([]byte{0x91, 1, 0, 0x93, 3, 1, 0xa5, 0x95, 0, 0, 0x97, 2, 2, 0xb9, 0x80,
 		0x99, 1, 0, 0x9b, 3, 0, 0x9d, 2, 1, 0xa2, 0x9f, 0, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	// Callbacks that push nothing, one event, or several events into the
+	// heap they fire from (a count byte of 0xc0 or more means three or
+	// more kids), and a timer that arms three others.
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 0, 2, 0xc1, 0, 1, 2, 3, 0, 2, 0,
+		0x91, 1, 0xc0, 0xa4, 0xa9, 0xae, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
+	// Cancels of the event heap's root (0x40): before the first push
+	// (the callback's own held event, a no-op), after it (the event just
+	// pushed, now the root), and after a push whose sift moved another
+	// event up to the root.
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 0, 0xc1, 0x40, 0, 0x40, 3, 3,
+		0, 0, 2, 3, 0x40, 3, 3, 3, 3, 3})
+	// Cancels of the event heap's last slot (0x41): by a callback alone in
+	// the heap (its own held event), and before and after a first push
+	// over a heap several events deep.
+	f.Add([]byte{0, 0, 1, 0x41, 3, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0,
+		0, 0, 0xc1, 0x41, 0, 0x41, 1, 3, 3, 3, 3, 3, 3, 3, 3})
+	// Callbacks that cancel their own handle (0x42): alone, before a
+	// push, after one, and from a timer (a no-op).
+	f.Add([]byte{0, 0, 1, 0x42, 0, 1, 2, 0x42, 0, 0, 2, 2, 1, 0x42,
+		0x91, 0, 1, 0x42, 3, 3, 3, 3, 3, 3, 3})
+	// A callback that cancels other events by index (0x47: handle 1,
+	// 0x4b: handle 2) before and after pushing, then a Cancel from
+	// outside of the event it pushed.
+	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 0, 0xc0, 0x47, 1, 0x4b, 3, 2, 4, 3, 3, 3})
+	// A timer that arms a different timer before re-arming itself, and
+	// a timer that cancels the event heap's root before re-arming
+	// itself.
+	f.Add([]byte{0x91, 0, 2, 0xa5, 0xa2, 0, 2, 0, 0x95, 1, 2, 0x40, 0xaa, 3, 3, 3, 3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		// Every operation rechecks every handle; keep inputs short enough
 		// for that to stay cheap.
@@ -54,13 +86,16 @@ func FuzzEngineOrder(f *testing.F) {
 			ops = ops[:512]
 		}
 		const nTimers = 8
-		// A kid is what a callback schedules when it fires, d after the
-		// firing time: an event by At when timer < 0, else an arm of
-		// timers[timer], by At when key < 0 and under the reserved seq
-		// at index key (mod the pool's size) otherwise.
+		// A kid is what a callback does when it fires. With cancel < 0
+		// it schedules, d after the firing time: an event by At when
+		// timer < 0, else an arm of timers[timer], by At when key < 0 and
+		// under the reserved seq at index key (mod the pool's size)
+		// otherwise. With cancel >= 0 it cancels an event: the event
+		// heap's root (0) or last slot (1), its own handle (2), or
+		// handle cancel>>2 (mod their number) (3, 7, ...).
 		type kid struct {
-			d          Duration
-			timer, key int
+			d                  Duration
+			timer, key, cancel int
 		}
 		type ref struct {
 			at        Time
@@ -79,19 +114,30 @@ func FuzzEngineOrder(f *testing.F) {
 			ops = ops[1:]
 			return b
 		}
-		// A byte below 0x80 encodes the same kid (and, in the loop below,
-		// the same operation) it did before Reserve and timers existed,
-		// so older seeds still reach the cases they were added for.
+		// A byte below 0x40 encodes the same kid (and, in the loop below,
+		// a byte below 0x80 the same operation) it did before Reserve,
+		// timers and Cancels in callbacks existed, and a count byte below
+		// 0xc0 the same number of kids, so older seeds still reach the
+		// cases they were added for.
 		kidsOf := func() []kid {
 			var kids []kid
-			for n := next() % 3; n > 0; n-- {
+			n := next()
+			if n < 0xc0 {
+				n %= 3
+			} else {
+				n = 3 + n&3
+			}
+			for ; n > 0; n-- {
 				b := next()
-				k := kid{d: Duration(b % 4), timer: -1, key: -1}
-				if b >= 0x80 {
+				k := kid{d: Duration(b % 4), timer: -1, key: -1, cancel: -1}
+				switch {
+				case b >= 0x80:
 					k.timer = int(b>>2) & 7
 					if b&0x20 == 0 {
 						k.key = int(b>>6) & 1
 					}
+				case b >= 0x40:
+					k.cancel = int(b & 0x3f)
 				}
 				kids = append(kids, k)
 			}
@@ -110,9 +156,11 @@ func FuzzEngineOrder(f *testing.F) {
 			timers        [nTimers]Timer
 			armed         [nTimers]int // the ref each timer is armed for, or -1
 			schedule      func(at Time, timer, key int, kids []kid)
+			cancel        func(i int)
+			cancelKid     func(self, how int)
 		)
-		// fire is the model's half of a firing: the engine takes an event
-		// off the heap, or disarms a timer, before running its callback.
+		// fire is the model's half of a firing: the engine counts an
+		// event as gone, or disarms a timer, before running its callback.
 		fire := func(id int) {
 			r := refs[id]
 			fired = append(fired, id)
@@ -123,8 +171,56 @@ func FuzzEngineOrder(f *testing.F) {
 				t.Fatalf("firing %d: Fired=%d, model %d", id, e.Fired(), len(fired))
 			}
 			for _, k := range r.kids {
-				schedule(e.Now().Add(k.d), k.timer, k.key, nil)
+				if k.cancel >= 0 {
+					cancelKid(id, k.cancel)
+				} else {
+					schedule(e.Now().Add(k.d), k.timer, k.key, nil)
+				}
+				if e.Pending() != pending || e.HighWaterPending() != high {
+					t.Fatalf("inside firing %d: Pending=%d HighWaterPending=%d, model %d and %d",
+						id, e.Pending(), e.HighWaterPending(), pending, high)
+				}
 			}
+		}
+		// cancel cancels handle i in the engine and the model; a timer
+		// arm's zero handle makes it a no-op.
+		cancel = func(i int) {
+			e.Cancel(hs[i])
+			if r := refs[i]; r.timer < 0 && !r.expired {
+				if r.pending {
+					r.pending = false
+					pending--
+				}
+				r.cancelled = true
+			}
+		}
+		// cancelKid is a kid's Cancel from inside firing self. The heap's
+		// root and last slot are read from the engine and traced back to
+		// their handle; while self's event holds the root, the root is
+		// self.
+		cancelKid = func(self, how int) {
+			var ev *event
+			switch n := len(e.queue); {
+			case how&3 == 2:
+				cancel(self)
+				return
+			case how&3 == 3:
+				cancel((how >> 2) % len(hs))
+				return
+			case n == 0:
+				return
+			case how&3 == 0:
+				ev = e.queue[0]
+			default:
+				ev = e.queue[n-1]
+			}
+			for i, h := range hs {
+				if h.e == ev && h.gen == ev.gen {
+					cancel(i)
+					return
+				}
+			}
+			t.Fatalf("inside firing %d: heap holds an event with no handle", self)
 		}
 		for k := range timers {
 			armed[k] = -1
@@ -271,15 +367,7 @@ func FuzzEngineOrder(f *testing.F) {
 				if len(hs) == 0 {
 					break
 				}
-				i := int(next()) % len(hs)
-				e.Cancel(hs[i]) // a timer arm's zero handle: a no-op
-				if r := refs[i]; r.timer < 0 && !r.expired {
-					if r.pending {
-						r.pending = false
-						pending--
-					}
-					r.cancelled = true
-				}
+				cancel(int(next()) % len(hs))
 			case 3:
 				want := earliest()
 				n := len(fired)

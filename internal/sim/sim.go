@@ -129,6 +129,10 @@ type Engine struct {
 	// nothing.
 	timers   eventHeap
 	timerBuf [4]*event
+	// held is the heap whose root is the event now firing, from the
+	// firing until the callback's first push into that heap takes the
+	// root's slot; nil otherwise.
+	held *eventHeap
 	// hwPending is the most events and armed timers ever pending at
 	// once, a depth gauge for tests that bound how much a model keeps
 	// scheduled.
@@ -156,7 +160,13 @@ func (e *Engine) Pushed() uint64 { return e.pushed }
 
 // Pending returns the number of events and armed timers currently
 // scheduled.
-func (e *Engine) Pending() int { return len(e.queue) + len(e.timers) }
+func (e *Engine) Pending() int {
+	n := len(e.queue) + len(e.timers)
+	if e.held != nil {
+		n-- // the firing event, not yet replaced
+	}
+	return n
+}
 
 // At schedules fn to run at time t. Scheduling in the past (t < Now) panics:
 // it is always a logic error in a discrete-event model.
@@ -193,10 +203,21 @@ func (e *Engine) push(t Time, seq uint64, fn func()) Event {
 	ev.at = t
 	ev.seq = seq
 	ev.fn = fn
-	e.queue.push(ev)
+	e.enqueue(&e.queue, ev)
 	e.pushed++
-	e.noteDepth()
 	return Event{e: ev, gen: ev.gen}
+}
+
+// enqueue adds ev to q. The first push into the heap whose root is firing
+// takes the root's slot with one sift-down (see fire).
+func (e *Engine) enqueue(q *eventHeap, ev *event) {
+	if e.held == q {
+		e.held = nil
+		q.down(0, ev)
+	} else {
+		q.push(ev)
+	}
+	e.noteDepth()
 }
 
 func (e *Engine) noteDepth() {
@@ -239,35 +260,13 @@ func (e *Engine) Cancel(h Event) {
 
 // Step executes the next pending event or timer, whichever has the least
 // (at, seq) key, advancing the clock to its time. It reports whether one
-// was executed.
+// was executed. Step and Run must not be called from inside a callback.
 func (e *Engine) Step() bool {
-	q := &e.queue
-	if len(e.timers) > 0 && (len(e.queue) == 0 || e.timers[0].before(e.queue[0])) {
-		q = &e.timers
-	}
-	if len(*q) == 0 {
+	q := e.next()
+	if q == nil {
 		return false
 	}
-	ev := q.pop()
-	ev.index = -1
-	if ev.at < e.now {
-		panic("sim: event heap out of order")
-	}
-	e.now = ev.at
-	e.floor = ev.seq + 1
-	e.fired++
-	fn := ev.fn
-	fn()
-	if q == &e.timers {
-		// A timer's event stays bound to it, and the callback may
-		// already have armed it again.
-		return true
-	}
-	// Recycle only after the callback returns: the callback (and anything
-	// it calls) may still query handles to this event; once we are back,
-	// the event is history and its storage can serve the next At.
-	ev.fn = nil
-	e.free = append(e.free, ev)
+	e.fire(q)
 	return true
 }
 
@@ -275,7 +274,8 @@ func (e *Engine) Step() bool {
 // fire after `until`, then advances the clock to `until` (whether nothing
 // was left or the next firing lies later).
 func (e *Engine) Run(until Time) {
-	for e.nextAt() <= until && e.Step() {
+	for q := e.next(); q != nil && (*q)[0].at <= until; q = e.next() {
+		e.fire(q)
 	}
 	if e.now < until {
 		e.now = until
@@ -283,17 +283,54 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// nextAt returns when the next event or timer fires, or MaxTime when none
-// is pending.
-func (e *Engine) nextAt() Time {
-	at := MaxTime
+// next returns the heap whose root fires next, the one with the lesser
+// (at, seq) root, or nil when nothing is pending.
+func (e *Engine) next() *eventHeap {
+	if len(e.timers) > 0 && (len(e.queue) == 0 || e.timers[0].before(e.queue[0])) {
+		return &e.timers
+	}
 	if len(e.queue) > 0 {
-		at = e.queue[0].at
+		return &e.queue
 	}
-	if len(e.timers) > 0 && e.timers[0].at < at {
-		at = e.timers[0].at
+	return nil
+}
+
+// fire runs the callback of q's root in place. The root stays in q while
+// its callback runs but reads as fired (index -1), so Pending, Armed and
+// Cancel treat it as gone. The callback's first push into q takes its
+// slot, so a callback that schedules its own successor costs one sift
+// instead of a pop and a push; the root is popped afterwards only if the
+// callback pushed nothing into q. Every key pushed meanwhile orders after
+// the root's, which ordered before all of q, so the heap order holds, and
+// the total (at, seq) order fixes what fires next wherever an event sits.
+func (e *Engine) fire(q *eventHeap) {
+	if e.held != nil {
+		panic("sim: Step or Run called from inside a callback")
 	}
-	return at
+	ev := (*q)[0]
+	if ev.at < e.now {
+		panic("sim: event heap out of order")
+	}
+	ev.index = -1
+	e.now = ev.at
+	e.floor = ev.seq + 1
+	e.fired++
+	e.held = q
+	ev.fn()
+	if e.held == q {
+		e.held = nil
+		q.pop()
+	}
+	if q == &e.timers {
+		// A timer's event stays bound to it, and the callback may
+		// already have armed it again.
+		return
+	}
+	// Recycle only after the callback returns: the callback (and anything
+	// it calls) may still query handles to this event; once we are back,
+	// the event is history and its storage can serve the next At.
+	ev.fn = nil
+	e.free = append(e.free, ev)
 }
 
 // RunAll executes events and timers until none is pending. It panics if more than maxEvents fire, to catch runaway
@@ -379,8 +416,7 @@ func (t *Timer) arm(at Time, seq uint64) {
 		panic(fmt.Sprintf("sim: timer armed twice (pending at %v)", t.ev.at))
 	}
 	t.ev.at, t.ev.seq = at, seq
-	t.eng.timers.push(&t.ev)
-	t.eng.noteDepth()
+	t.eng.enqueue(&t.eng.timers, &t.ev)
 }
 
 // MaxTime is the largest representable virtual time.
@@ -406,17 +442,16 @@ func (h *eventHeap) push(ev *event) {
 	h.up(len(*h)-1, ev)
 }
 
-// pop removes and returns the earliest event.
-func (h *eventHeap) pop() *event {
+// pop removes the root.
+func (h *eventHeap) pop() {
 	q := *h
 	n := len(q) - 1
-	top, last := q[0], q[n]
+	last := q[n]
 	q[n] = nil
 	*h = q[:n]
 	if n > 0 {
 		h.down(0, last)
 	}
-	return top
 }
 
 // remove deletes the event at index i.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -368,6 +369,24 @@ func TestEngineRunAllRunawayGuard(t *testing.T) {
 	e.RunAll(1000)
 }
 
+// TestEngineStepInsideCallbackPanics: a callback's event still holds its
+// heap's root until the callback pushes into that heap, so a Step from
+// inside it would fire that event again; it must panic instead.
+func TestEngineStepInsideCallbackPanics(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.At(1, func() {
+		n++
+		e.Step()
+	})
+	defer func() {
+		if recover() == nil || n != 1 {
+			t.Fatalf("a Step inside a callback did not panic (callback ran %d times)", n)
+		}
+	}()
+	e.Step()
+}
+
 func TestDurationString(t *testing.T) {
 	cases := []struct {
 		d    Duration
@@ -404,6 +423,62 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if same > 10 {
 		t.Fatalf("forked streams suspiciously correlated: %d matches", same)
+	}
+}
+
+// TestRNGMatchesRandStream pins RNG's draws to a plain rand.Rand over the
+// same PCG. Float64, Exp and Uint64 read the PCG directly, so a formula
+// that drifted from rand.Rand's would change every canonical byte. For
+// several seeds, 10^5 Exp, LogNormal, IntN, Fork (its child drawn from
+// too), Float64, Bernoulli and Uint64 draws, interleaved at random, must
+// equal the reference's bit for bit.
+func TestRNGMatchesRandStream(t *testing.T) {
+	newRef := func(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)) }
+	refFloat := func(ref *rand.Rand) float64 {
+		u := ref.Float64()
+		for u == 0 {
+			u = ref.Float64()
+		}
+		return u
+	}
+	for _, seed := range []uint64{0, 1, 13, 42, 1<<63 + 7} {
+		r, ref := NewRNG(seed), newRef(seed)
+		pick := rand.New(rand.NewPCG(seed, 1))
+		for i := 0; i < 100_000; i++ {
+			var got, want uint64
+			op := pick.IntN(7)
+			switch op {
+			case 0:
+				mean := Duration(1 + pick.IntN(100_000))
+				got = uint64(r.Exp(mean))
+				want = uint64(Duration(-math.Log(refFloat(ref)) * float64(mean)))
+			case 1:
+				got = uint64(r.LogNormal(9.9, 0.85))
+				want = uint64(Duration(math.Exp(ref.NormFloat64()*0.85 + 9.9)))
+			case 2:
+				n := 1 + pick.IntN(1000)
+				got, want = uint64(r.IntN(n)), uint64(ref.IntN(n))
+			case 3:
+				id := pick.Uint64()
+				child, refChild := r.Fork(id), newRef(ref.Uint64()^(id*0xbf58476d1ce4e5b9))
+				got = uint64(child.Exp(1000)) ^ child.Uint64()
+				want = uint64(Duration(-math.Log(refFloat(refChild))*1000)) ^ refChild.Uint64()
+			case 4:
+				got, want = math.Float64bits(r.Float64()), math.Float64bits(ref.Float64())
+			case 5:
+				if r.Bernoulli(0.3) {
+					got = 1
+				}
+				if ref.Float64() < 0.3 {
+					want = 1
+				}
+			case 6:
+				got, want = r.Uint64(), ref.Uint64()
+			}
+			if got != want {
+				t.Fatalf("seed %d, draw %d (op %d): %#x, rand.Rand stream %#x", seed, i, op, got, want)
+			}
+		}
 	}
 }
 

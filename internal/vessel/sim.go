@@ -68,9 +68,14 @@ type coreState struct {
 
 type vesselRun struct {
 	sched.Base
-	cores    []*coreState
-	reacting map[*workload.App]*reaction // single-flight preemption chains
-	beQ      []*workload.App             // global BE queue (entries = schedulable B threads)
+	cores []*coreState
+	// idle holds the cores that are not busy and run nothing, the cores
+	// an arrival may wake.
+	idle sched.CoreSet
+	// reacting holds the L-apps' single-flight preemption chains, indexed
+	// like Cfg.Apps.
+	reacting []reaction
+	beQ      []*workload.App // global BE queue (entries = schedulable B threads)
 }
 
 // reaction is one L-app's preemption chain: at most one look at its queue
@@ -92,10 +97,11 @@ func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 
 // start builds the run for cfg and schedules its first events.
 func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
-	r := &vesselRun{reacting: make(map[*workload.App]*reaction)}
+	r := &vesselRun{}
 	if err := r.Init(cfg); err != nil {
 		return nil, err
 	}
+	r.idle = sched.NewCoreSet(r.Cfg.Cores)
 	for i := 0; i < r.Cfg.Cores; i++ {
 		c := &coreState{id: i, act: sched.ActIdle}
 		// Every L-app has a worker thread resident on every core.
@@ -107,11 +113,15 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 		c.begin = func() { r.begin(c) }
 		c.finish = func() { r.finish(c) }
 		r.cores = append(r.cores, c)
+		r.idle.Add(i)
 	}
-	for _, a := range r.LApps {
-		rc := &reaction{app: a}
-		r.Eng.Bind(&rc.timer, func() { r.react(rc) })
-		r.reacting[a] = rc
+	r.reacting = make([]reaction, len(r.Cfg.Apps))
+	for i, a := range r.Cfg.Apps {
+		if a.Kind == workload.LatencyCritical {
+			rc := &r.reacting[i]
+			rc.app = a
+			r.Eng.Bind(&rc.timer, func() { r.react(rc) })
+		}
 	}
 	// One BE thread per core per B-app in the global queue.
 	for i := 0; i < r.Cfg.Cores; i++ {
@@ -126,12 +136,12 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 	// scheduler to learn about it.
 	var cp *sched.CtrlPlane
 	if ctrl := r.Cfg.Costs.VesselCtrlFor(r.Cfg.Cores); ctrl > 0 {
-		cp = sched.NewCtrlPlane(&r.Base, ctrl, func(req *workload.Request) { r.onArrival(r.AppOf(req)) })
+		cp = sched.NewCtrlPlane(&r.Base, ctrl, r.onArrival)
 	}
 	for _, a := range r.LApps {
 		if err := r.Arrivals(a, 7, func(req *workload.Request) {
 			if cp == nil {
-				r.onArrival(a)
+				r.onArrival(req)
 				return
 			}
 			cp.Submit(req)
@@ -176,18 +186,16 @@ func (r *vesselRun) setAct(c *coreState, act sched.Activity) {
 // threshold can be tight.
 const preemptDelayThreshold = 1 * sim.Microsecond
 
-// onArrival reacts to a new request for app: wake an idle core, or start a
-// reaction chain that preempts BE cores once queueing delay exceeds the
-// threshold.
-func (r *vesselRun) onArrival(app *workload.App) {
+// onArrival reacts to a new request: wake the lowest-numbered idle core,
+// or start a reaction chain for its app that preempts BE cores once
+// queueing delay exceeds the threshold.
+func (r *vesselRun) onArrival(req *workload.Request) {
 	// Prefer an idle core (UMWAIT wake + dispatch).
-	for _, c := range r.cores {
-		if !c.busy && c.runningB == nil && c.runningL == nil {
-			r.wakeIdle(c, app)
-			return
-		}
+	if i := r.idle.Next(0); i >= 0 {
+		r.wakeIdle(r.cores[i])
+		return
 	}
-	if rc := r.reacting[app]; !rc.timer.Armed() {
+	if rc := &r.reacting[req.AppIdx]; !rc.timer.Armed() {
 		r.armReaction(rc)
 	}
 }
@@ -244,10 +252,11 @@ func (r *vesselRun) react(rc *reaction) {
 	r.armReaction(rc)
 }
 
-// wakeIdle dispatches an idle core to serve app.
-func (r *vesselRun) wakeIdle(c *coreState, app *workload.App) {
+// wakeIdle dispatches an idle core to serve the L-app queues.
+func (r *vesselRun) wakeIdle(c *coreState) {
 	cm := r.Cfg.Costs
 	c.busy = true
+	r.idle.Remove(c.id)
 	r.setAct(c, sched.ActSwitch)
 	r.Switches++
 	r.Eng.After(cm.UmwaitWake+cm.VesselParkSwitch, c.resume)
@@ -284,13 +293,18 @@ func (r *vesselRun) preemptB(c *coreState) {
 }
 
 // serveNext is the core's dispatch loop: first L work from the per-core
-// FIFO (rotating), then a BE thread from the global queue, else idle.
+// FIFO (rotating), then a BE thread from the global queue, else idle. It
+// takes the core out of r.idle; only its idle exits put it back.
 func (r *vesselRun) serveNext(c *coreState) {
 	if c.busy {
 		return
 	}
+	r.idle.Remove(c.id)
 	now := r.Eng.Now()
 	if now >= r.EndAt {
+		if c.runningL == nil && c.runningB == nil {
+			r.idle.Add(c.id)
+		}
 		r.setAct(c, sched.ActIdle)
 		return
 	}
@@ -341,6 +355,7 @@ func (r *vesselRun) serveNext(c *coreState) {
 		r.startB(c, b)
 		return
 	}
+	r.idle.Add(c.id)
 	r.setAct(c, sched.ActIdle)
 }
 
@@ -446,11 +461,10 @@ func (r *vesselRun) regulateBW() {
 		}
 		r.preemptB(victim)
 	}
-	// Under budget: idle cores may pick BE work back up.
-	for _, c := range r.cores {
-		if !c.busy && c.runningB == nil && c.runningL == nil && len(r.beQ) > 0 {
-			r.serveNext(c)
-		}
+	// Under budget: idle cores may pick BE work back up. serveNext moves
+	// only its own core in or out of r.idle.
+	for i := r.idle.Next(0); i >= 0 && len(r.beQ) > 0; i = r.idle.Next(i + 1) {
+		r.serveNext(r.cores[i])
 	}
 }
 

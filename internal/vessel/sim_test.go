@@ -261,3 +261,73 @@ func TestHeapPushesPerRequest(t *testing.T) {
 			mc.Offered, fired, pushed)
 	}
 }
+
+// refIdleCore is the scan onArrival made before the idle set: the
+// lowest-numbered core that is not busy and runs nothing, or -1.
+func refIdleCore(r *vesselRun) int {
+	for _, c := range r.cores {
+		if !c.busy && c.runningB == nil && c.runningL == nil {
+			return c.id
+		}
+	}
+	return -1
+}
+
+// TestIdleSetMatchesScan steps runs one event at a time and checks after
+// every step that the idle set holds exactly the cores the scan's
+// predicate accepts, so its pick is the scan's. The cells cover fig12's
+// saturation probe (bench's saturate-44c), a machine wide enough for the
+// set's second word (where the pick must land at least once), L-apps of
+// different priorities (mid-request preemption), a bandwidth cap (the
+// regulation scan's idle sweep) and three L-apps.
+func TestIdleSetMatchesScan(t *testing.T) {
+	mc := func(name string, load float64, cores int) *workload.App {
+		return workload.NewLApp(name, workload.Memcached(), load*sched.IdealLCapacity(cores, workload.Memcached()))
+	}
+	cell := func(cores int, warm, dur sim.Duration, apps ...*workload.App) sched.Config {
+		cfg := baseCfg(apps...)
+		cfg.Cores, cfg.Warmup, cfg.Duration = cores, warm, dur
+		return cfg
+	}
+	hi := mc("memcached", 0.25, 4)
+	hi.Priority = 1
+	capped := cell(8, sim.Millisecond, 4*sim.Millisecond, mc("memcached", 0.5, 8), workload.Membench())
+	capped.BWTargetFrac = 0.3
+	for _, tc := range []struct {
+		name string
+		cfg  sched.Config
+		wide bool // the pick must reach core 64
+	}{
+		{"saturate-44c", cell(44, 2*sim.Millisecond, 8*sim.Millisecond, mc("memcached", 0.9, 44), workload.Linpack()), false},
+		{"96-cores", cell(96, sim.Millisecond, 4*sim.Millisecond,
+			workload.NewLApp("silo", workload.Silo(), 0.8*sched.IdealLCapacity(96, workload.Silo()))), true},
+		{"priorities", cell(4, 2*sim.Millisecond, 10*sim.Millisecond, hi,
+			workload.NewLApp("silo", workload.Silo(), 0.5*sched.IdealLCapacity(4, workload.Silo()))), false},
+		{"bandwidth-cap", capped, false},
+		{"three-l-apps", cell(8, sim.Millisecond, 4*sim.Millisecond,
+			mc("a", 0.2, 8), mc("b", 0.3, 8), mc("c", 0.4, 8)), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Simulator{}.start(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxPick := -1
+			for r.Eng.Step() {
+				pick, want := r.idle.Next(0), refIdleCore(r)
+				if pick != want {
+					t.Fatalf("at %v: idle set picks core %d, scan %d", r.Eng.Now(), pick, want)
+				}
+				for _, c := range r.cores {
+					if idle := !c.busy && c.runningB == nil && c.runningL == nil; (r.idle.Next(c.id) == c.id) != idle {
+						t.Fatalf("at %v: core %d idle=%v, idle set disagrees", r.Eng.Now(), c.id, idle)
+					}
+				}
+				maxPick = max(maxPick, pick)
+			}
+			if tc.wide && maxPick < 64 {
+				t.Fatalf("the pick never reached core 64 (highest %d): the second word went untested", maxPick)
+			}
+		})
+	}
+}
