@@ -221,11 +221,7 @@ func New(cfg Config, policy Policy) (*Sched, error) {
 	return s, nil
 }
 
-func (s *Sched) event(at sim.Time, name, detail string) {
-	if s.cfg.Events != nil {
-		s.cfg.Events.Record(at, name, detail)
-	}
-}
+func (s *Sched) event(at sim.Time, name, detail string) { s.cfg.Events.Record(at, name, detail) }
 
 // Owner returns the domain owning a core, or -1.
 func (s *Sched) Owner(core int) int { return s.owner[core] }

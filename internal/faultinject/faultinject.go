@@ -297,9 +297,7 @@ func (inj *Injector) Pending() int { return len(inj.pending) + (len(inj.schedule
 // note counts and logs one injector action.
 func (inj *Injector) note(name, detail string) {
 	inj.Counters.Inc(name)
-	if inj.d.Events != nil {
-		inj.d.Events.Record(inj.d.Eng.Now(), name, detail)
-	}
+	inj.d.Events.Record(inj.d.Eng.Now(), name, detail)
 }
 
 // interpose is the Sender.Interpose hook: it applies any armed drop or

@@ -80,7 +80,7 @@ func (c *Core) NewManager(d int, setup func(*vessel.Manager) error) (*vessel.Man
 	if err != nil {
 		return nil, err
 	}
-	mg.UseEvents(c.Events)
+	mg.Domain.Events = c.Events
 	if setup != nil {
 		if err := setup(mg); err != nil {
 			return nil, err

@@ -382,14 +382,10 @@ func (o *Observer) WriteTimelines(w io.Writer, cores int, from, to sim.Time, wid
 			}
 			if r.lostEnd > from {
 				return fmt.Errorf("obs: core %d overwrote %d spans, the latest ending at %v, after the timeline start %v; give its ring more capacity",
-					c, r.overwritten, r.lostEnd, from)
+					c, r.spans.Overwritten(), r.lostEnd, from)
 			}
-			live := r.spans[:r.next]
-			if r.full {
-				live = r.spans
-			}
-			for _, s := range live { // bucket sums do not depend on order
-				if s.End > from && s.Start < to {
+			for i := range r.spans.Len() {
+				if s := r.spans.At(i); s.End > from && s.Start < to {
 					spans = append(spans, s)
 				}
 			}

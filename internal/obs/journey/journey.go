@@ -24,7 +24,7 @@
 //     tracer's summaries the moment it finishes, and its storage is then
 //     reused, so a tracer holds O(flight capacity + journeys in flight)
 //     however long the run (Config.Retain keeps finished journeys for
-//     the exports). The always-on flight recorder is a fixed ring of the
+//     the exports). The always-on flight recorder is a trace.Ring of the
 //     last N journey events for a black-box postmortem; scroll-outs are
 //     counted, and a Dump snapshot costs nothing until a
 //     kill/restart/failsafe actually fires.

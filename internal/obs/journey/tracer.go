@@ -72,48 +72,33 @@ const (
 	flightEvent  int32 = -18
 )
 
-// FlightLog is the always-on flight recorder: a fixed ring of the last
+// FlightLog is the always-on flight recorder: a trace.Ring of the last
 // FlightCap journey events in simulation order, rendered to trace.Events
-// only when a dump reads them. The ring is allocated on the first event,
-// so an idle tracer costs nothing. Events that scroll out are counted as
+// only when a dump reads them. The ring grows as events arrive, so an
+// idle tracer costs nothing. Events that scroll out are counted as
 // overwritten, never lost silently.
 type FlightLog struct {
-	t     *Tracer // resolves interned names
-	ring  []flightEntry
-	max   int
-	next  int    // ring slot the next event goes to
-	total uint64 // events ever recorded
-}
-
-func (l *FlightLog) add(e flightEntry) {
-	if l.ring == nil {
-		l.ring = make([]flightEntry, l.max)
-	}
-	l.ring[l.next] = e
-	if l.next++; l.next == l.max {
-		l.next = 0
-	}
-	l.total++
+	t    *Tracer // resolves interned names
+	ring trace.Ring[flightEntry]
 }
 
 // Overwritten returns how many events have scrolled out of the window.
 func (l *FlightLog) Overwritten() uint64 {
-	if l == nil || l.total <= uint64(l.max) {
+	if l == nil {
 		return 0
 	}
-	return l.total - uint64(l.max)
+	return l.ring.Overwritten()
 }
 
 // Events returns the retained events oldest-first, rendered in the
 // canonical trace.Event form.
 func (l *FlightLog) Events() []trace.Event {
-	if l == nil || l.total == 0 {
+	if l == nil || l.ring.Len() == 0 {
 		return nil
 	}
-	n := int(l.total - l.Overwritten())
-	out := make([]trace.Event, 0, n)
-	for i := l.next - n; i < l.next; i++ {
-		out = append(out, l.render(l.ring[(i+l.max)%l.max]))
+	out := make([]trace.Event, l.ring.Len())
+	for i := range out {
+		out[i] = l.render(l.ring.At(i))
 	}
 	return out
 }
@@ -227,7 +212,7 @@ func NewTracer(cfg Config) *Tracer {
 	for site := range t.hot {
 		t.hot[site] = [hotWays]int32{-1, -1, -1, -1}
 	}
-	t.flight = &FlightLog{t: t, max: cfg.FlightCap}
+	t.flight = &FlightLog{t: t, ring: trace.NewRing[flightEntry](cfg.FlightCap)}
 	// The critical-path histograms ARE the registry's: resolved once
 	// here, recorded by handle on the finish path (no per-sample name
 	// lookup), summarised by every registry snapshot.
@@ -288,7 +273,7 @@ func (t *Tracer) Mint(name string, at sim.Time) *Journey {
 	j.t = t
 	j.since = at
 	j.lhead, j.ltail = -1, -1
-	t.flight.add(flightEntry{at: at, id: j.ID, arg: int64(j.name), note: flightMint})
+	t.flight.ring.Add(flightEntry{at: at, id: j.ID, arg: int64(j.name), note: flightMint})
 	return j
 }
 
@@ -335,7 +320,7 @@ func (t *Tracer) record(j *Journey, at sim.Time, note int32) {
 		j.lhead = i
 	}
 	j.ltail = i
-	t.flight.add(flightEntry{at: at, id: j.ID, note: note})
+	t.flight.ring.Add(flightEntry{at: at, id: j.ID, note: note})
 }
 
 // intern maps a string into the tracer's intern table; nil-safe so
@@ -398,7 +383,7 @@ func (t *Tracer) Event(at sim.Time, name, detail string) {
 		return
 	}
 	d, n := t.internHot(hotEventDetail, detail), t.internHot(hotEventName, name)
-	t.flight.add(flightEntry{at: at, id: uint64(d), arg: int64(n), note: flightEvent})
+	t.flight.ring.Add(flightEntry{at: at, id: uint64(d), arg: int64(n), note: flightEvent})
 }
 
 // finish runs everything a journey owes the tracer when it completes:
@@ -407,7 +392,7 @@ func (t *Tracer) Event(at sim.Time, name, detail string) {
 // release of its slot and chain. Called by Journey.Finish.
 func (t *Tracer) finish(j *Journey) {
 	soj := j.Sojourn()
-	t.flight.add(flightEntry{at: j.Done, id: j.ID, arg: int64(soj), note: flightFinish})
+	t.flight.ring.Add(flightEntry{at: j.Done, id: j.ID, arg: int64(soj), note: flightFinish})
 	t.audit(j, &t.found)
 	t.finished++
 	t.idSum += j.ID

@@ -14,9 +14,9 @@
 //     and returns immediately; instrumentation sites call through without
 //     guarding. The vessel bench guard (internal/vessel/bench_test.go)
 //     keeps the disabled path under 2% of the uninstrumented baseline.
-//   - Bounded memory. Spans land in fixed-capacity per-core rings allocated
-//     once; when a ring is full the oldest span is overwritten and counted,
-//     never silently lost.
+//   - Bounded memory. Spans land in per-core trace.Rings that grow to a
+//     fixed capacity; a full ring overwrites its oldest span and counts
+//     it, so a truncated timeline is never mistaken for a complete one.
 package obs
 
 import (
@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"vessel/internal/sim"
+	"vessel/internal/trace"
 )
 
 // Category classifies a span (and a profiler bucket). The first five
@@ -132,53 +133,26 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 
-// ring is a fixed-capacity per-core span buffer: allocated once, oldest
-// span overwritten when full.
+// ring is one core's span store plus the state that outlives its
+// entries.
 type ring struct {
-	spans []Span
-	next  int
-	full  bool
-	// open is the Begin/End stack (small, preallocated).
-	open []Span
+	spans trace.Ring[Span]
 	// uintrPending marks an in-flight deferred Uintr delivery window.
-	uintrPending  bool
-	uintrSince    sim.Time
-	overwritten   uint64
-	openOverflows uint64
+	uintrPending bool
+	uintrSince   sim.Time
 	// lostEnd is the latest End of any overwritten span: the ring still
 	// holds every span of a window that starts at or after it.
 	lostEnd sim.Time
 }
 
 func (r *ring) add(s Span) {
-	if r.full {
-		r.overwritten++ // the slot about to be reused still holds a span
-		if end := r.spans[r.next].End; end > r.lostEnd {
-			r.lostEnd = end
-		}
-	}
-	r.spans[r.next] = s
-	r.next++
-	if r.next == len(r.spans) {
-		r.next = 0
-		r.full = true
+	if old, evicted := r.spans.Add(s); evicted && old.End > r.lostEnd {
+		r.lostEnd = old.End
 	}
 }
 
-// snapshot appends the ring's retained spans in recording order.
-func (r *ring) snapshot(out []Span) []Span {
-	if r.full {
-		out = append(out, r.spans[r.next:]...)
-		return append(out, r.spans[:r.next]...)
-	}
-	return append(out, r.spans[:r.next]...)
-}
-
-const (
-	// DefaultPerCore is the default per-core ring capacity.
-	DefaultPerCore = 1 << 13
-	maxOpenDepth   = 16
-)
+// DefaultPerCore is the default per-core ring capacity.
+const DefaultPerCore = 1 << 13
 
 // Observer is the recording hub: per-core span rings, the cycle-attribution
 // profiler, and the metrics registry. The zero observer (nil) is the
@@ -190,13 +164,15 @@ const (
 type Observer struct {
 	perCore int
 	rings   []*ring
-	prof    Profiler
-	reg     *Registry
+	// absorbed counts the spans absorbed observers had overwritten.
+	absorbed uint64
+	prof     Profiler
+	reg      *Registry
 }
 
 // New returns an enabled observer whose per-core rings hold perCore spans
-// each (perCore ≤ 0 selects DefaultPerCore). Rings are allocated lazily, on
-// the first span a core records, and never again after that.
+// each (perCore ≤ 0 selects DefaultPerCore). A core's ring is created on
+// the first span it records and grows to that capacity.
 func New(perCore int) *Observer {
 	if perCore <= 0 {
 		perCore = DefaultPerCore
@@ -234,10 +210,7 @@ func (o *Observer) coreRing(core int) *ring {
 		o.rings = append(o.rings, nil)
 	}
 	if o.rings[core] == nil {
-		o.rings[core] = &ring{
-			spans: make([]Span, o.perCore),
-			open:  make([]Span, 0, maxOpenDepth),
-		}
+		o.rings[core] = &ring{spans: trace.NewRing[Span](o.perCore)}
 	}
 	return o.rings[core]
 }
@@ -260,40 +233,6 @@ func (o *Observer) Span(core int, start, end sim.Time, cat Category, name string
 // Mark records an instant marker (a zero-length span).
 func (o *Observer) Mark(core int, at sim.Time, cat Category, name string) {
 	o.Span(core, at, at, cat, name)
-}
-
-// Begin opens an interval on the core's span stack; the matching End closes
-// it. Intervals nest LIFO per core; opening deeper than the fixed stack
-// depth drops the innermost spans (counted, never silent).
-func (o *Observer) Begin(core int, at sim.Time, cat Category, name string) {
-	if o == nil {
-		return
-	}
-	r := o.coreRing(core)
-	if len(r.open) == cap(r.open) {
-		r.openOverflows++
-		return
-	}
-	r.open = append(r.open, Span{Core: core, Start: at, Cat: cat, Name: name})
-}
-
-// End closes the innermost open interval on the core, recording it with the
-// given end time. An End with no matching Begin is a no-op.
-func (o *Observer) End(core int, at sim.Time) {
-	if o == nil {
-		return
-	}
-	r := o.coreRing(core)
-	if len(r.open) == 0 {
-		return
-	}
-	s := r.open[len(r.open)-1]
-	r.open = r.open[:len(r.open)-1]
-	s.End = at
-	if s.End < s.Start {
-		s.End = s.Start
-	}
-	r.add(s)
 }
 
 // Charge adds d to the profiler bucket (core, name, cat). The scheduling
@@ -348,8 +287,8 @@ func (o *Observer) UintrFlush(core int, at sim.Time) {
 // Absorb folds other's retained spans, overwrite counts, profile and
 // metrics into o. Spans are replayed core by core in other's recording
 // order, so when other overwrote nothing the result is byte-identical to
-// having recorded other's run on o directly. Open Begin intervals and
-// pending Uintr windows are not carried over.
+// having recorded other's run on o directly. Pending Uintr windows are
+// not carried over.
 func (o *Observer) Absorb(other *Observer) {
 	if o == nil || other == nil {
 		return
@@ -359,14 +298,14 @@ func (o *Observer) Absorb(other *Observer) {
 			continue
 		}
 		dst := o.coreRing(c)
-		for _, s := range r.snapshot(nil) {
-			dst.add(s)
+		for i := range r.spans.Len() {
+			dst.add(r.spans.At(i))
 		}
-		dst.overwritten += r.overwritten
 		if r.lostEnd > dst.lostEnd {
 			dst.lostEnd = r.lostEnd
 		}
 	}
+	o.absorbed += other.Overwritten()
 	for k, d := range other.prof.buckets {
 		o.prof.charge(k.Core, k.Name, k.Cat, d)
 	}
@@ -384,7 +323,7 @@ func (o *Observer) Spans() []Span {
 	var out []Span
 	for _, r := range o.rings {
 		if r != nil {
-			out = r.snapshot(out)
+			out = r.spans.Append(out, r.spans.Len())
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -413,10 +352,10 @@ func (o *Observer) Overwritten() uint64 {
 	if o == nil {
 		return 0
 	}
-	var n uint64
+	n := o.absorbed
 	for _, r := range o.rings {
 		if r != nil {
-			n += r.overwritten
+			n += r.spans.Overwritten()
 		}
 	}
 	return n
@@ -429,13 +368,8 @@ func (o *Observer) SpanCount() int {
 	}
 	n := 0
 	for _, r := range o.rings {
-		if r == nil {
-			continue
-		}
-		if r.full {
-			n += len(r.spans)
-		} else {
-			n += r.next
+		if r != nil {
+			n += r.spans.Len()
 		}
 	}
 	return n

@@ -16,8 +16,6 @@ func TestNilObserverIsSafe(t *testing.T) {
 	}
 	o.Span(0, 0, 10, CatApp, "x")
 	o.Mark(1, 5, CatGate, "g")
-	o.Begin(2, 0, CatRuntime, "r")
-	o.End(2, 3)
 	o.Charge(0, "x", CatApp, 10)
 	o.UintrDeferred(0, 1)
 	o.UintrFlush(0, 2)
@@ -97,29 +95,6 @@ func TestRingOverwriteCounted(t *testing.T) {
 	spans := o.Spans()
 	if spans[0].Start != 6 || spans[3].Start != 9 {
 		t.Fatalf("ring kept wrong spans: %+v", spans)
-	}
-}
-
-func TestBeginEndNesting(t *testing.T) {
-	o := New(16)
-	o.Begin(0, 10, CatGate, "outer")
-	o.Begin(0, 12, CatWrPkru, "inner")
-	o.End(0, 13)
-	o.End(0, 20)
-	spans := o.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	if spans[0] != (Span{Core: 0, Start: 10, End: 20, Cat: CatGate, Name: "outer"}) {
-		t.Fatalf("outer = %+v", spans[0])
-	}
-	if spans[1] != (Span{Core: 0, Start: 12, End: 13, Cat: CatWrPkru, Name: "inner"}) {
-		t.Fatalf("inner = %+v", spans[1])
-	}
-	// Unmatched End is a no-op.
-	o.End(0, 99)
-	if o.SpanCount() != 2 {
-		t.Fatal("unmatched End recorded a span")
 	}
 }
 
@@ -440,6 +415,15 @@ func TestAbsorbMatchesDirectRecording(t *testing.T) {
 	}
 	if folded.Overwritten() == 0 {
 		t.Fatal("test never wrapped the shared ring")
+	}
+	// What a child overwrote before it was absorbed still counts, through
+	// any depth of absorbing.
+	child, mid, top := New(1), New(64), New(64)
+	record(child, 3)
+	mid.Absorb(child)
+	top.Absorb(mid)
+	if n := child.Overwritten(); n == 0 || mid.Overwritten() != n || top.Overwritten() != n {
+		t.Fatalf("overwritten: child %d, absorbed once %d, twice %d", n, mid.Overwritten(), top.Overwritten())
 	}
 }
 

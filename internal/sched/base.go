@@ -27,6 +27,7 @@ type Base struct {
 	Switches, Preempts, Reallocs uint64
 	tallies                      []tally // parallel to Cfg.Apps
 	reqs                         *workload.Store
+	tick                         sim.Timer // Every's
 }
 
 // tally is one app's core time over the measured interval.
@@ -93,15 +94,15 @@ func (b *Base) Arrivals(app *workload.App, salt uint64, fn func(*workload.Reques
 }
 
 // Every runs fn at time at and then every period after it, up to EndAt.
+// It re-arms one bound timer, so a model calls it at most once.
 func (b *Base) Every(at sim.Time, period sim.Duration, fn func()) {
-	var tick func()
-	tick = func() {
+	b.Eng.Bind(&b.tick, func() {
 		fn()
 		if b.Eng.Now() < b.EndAt {
-			b.Eng.After(period, tick)
+			b.tick.After(period)
 		}
-	}
-	b.Eng.At(at, tick)
+	})
+	b.tick.At(at)
 }
 
 // Served completes req now, after it ran on a core since from: its latency

@@ -245,9 +245,10 @@ func TestSaturatedEventHeapStaysShallow(t *testing.T) {
 // TestHeapPushesPerRequest pins how much of a Caladan run goes through the
 // engine's event heap. At colo-16c's cell (16 cores, memcached at load 0.8
 // beside linpack, seed 1, 2 ms warm-up plus 8 ms) each offered request
-// fires ~3.0 engine callbacks. Its arrival and its IOKernel forward are
-// single-flight timers beside the heap, so only ~1.4 of them are heap
-// pushes; with every one on the heap it was 3.0.
+// fires ~3.0 engine callbacks. Its arrival, its IOKernel forward and the
+// IOKernel's periodic tick are single-flight timers beside the heap, so
+// only 1.363 of them are heap pushes (1.371 with the tick on the heap);
+// with every one on the heap it was 3.0.
 func TestHeapPushesPerRequest(t *testing.T) {
 	const cores = 16
 	mc := workload.NewLApp("memcached", workload.Memcached(), 0.8*sched.IdealLCapacity(cores, workload.Memcached()))
@@ -260,8 +261,8 @@ func TestHeapPushesPerRequest(t *testing.T) {
 	r.Eng.Run(r.EndAt)
 	offered := float64(mc.Offered)
 	fired, pushed := float64(r.Eng.Fired())/offered, float64(r.Eng.Pushed())/offered
-	if pushed > 1.5 || fired-pushed < 1.5 {
-		t.Fatalf("%d requests: %.3f firings and %.3f heap pushes each, want at most 1.5 pushes and at least 1.5 timer firings",
+	if pushed > 1.365 || fired-pushed < 1.5 {
+		t.Fatalf("%d requests: %.4f firings and %.4f heap pushes each, want at most 1.365 pushes and at least 1.5 timer firings",
 			mc.Offered, fired, pushed)
 	}
 }

@@ -1,14 +1,17 @@
-// Package trace holds EventLog, the bounded, deterministic stream of named
-// events in virtual time (injections, contained faults, watchdog kills,
-// restarts, grants) that the uProcess runtime, the self-healing and
-// cluster drivers and the fault injector record, and that journey
-// flight-recorder dumps render to. An EventLog keeps the most recent
-// events in a ring and counts what it overwrites. Per-core span timelines
-// live in internal/obs.
+// Package trace holds the event storage of the reproduction. Ring is the
+// one bounded store behind every event stream: it grows to its capacity,
+// then overwrites its oldest entry and counts it. EventLog, the
+// deterministic stream of named events in virtual time (injections,
+// contained faults, watchdog kills, restarts, grants) that the uProcess
+// runtime, the self-healing and cluster drivers and the fault injector
+// record, is a mutex in front of a Ring. The per-core span timelines of
+// internal/obs and the journey flight recorder, whose dumps render to
+// trace.Event, keep their entries in a Ring too.
 package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -39,12 +42,11 @@ func (e Event) String() string {
 // concurrent use; note that concurrent recording makes the *order* of
 // entries depend on goroutine interleaving, so determinism fingerprints
 // should only be taken from single-threaded (simulation-driven) logs.
+// The nil *EventLog is the disabled log: Record drops the event and the
+// readers see an empty log.
 type EventLog struct {
-	mu          sync.Mutex
-	max         int
-	start       int // index of the logically first event
-	events      []Event
-	overwritten uint64
+	mu   sync.Mutex
+	ring Ring[Event]
 }
 
 // NewEventLog returns a log keeping the most recent max events (1<<16
@@ -53,61 +55,46 @@ func NewEventLog(max int) *EventLog {
 	if max <= 0 {
 		max = 1 << 16
 	}
-	return &EventLog{max: max}
+	return &EventLog{ring: NewRing[Event](max)}
 }
 
 // Record appends one event; a full log overwrites its oldest entry.
 func (l *EventLog) Record(t sim.Time, name, detail string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.events) >= l.max {
-		l.events[l.start] = Event{T: t, Name: name, Detail: detail}
-		l.start = (l.start + 1) % len(l.events)
-		l.overwritten++
+	if l == nil {
 		return
 	}
-	l.events = append(l.events, Event{T: t, Name: name, Detail: detail})
-}
-
-// at returns the i-th event in logical (oldest-first) order. Callers hold mu.
-func (l *EventLog) at(i int) Event {
-	if l.start == 0 {
-		return l.events[i]
-	}
-	return l.events[(l.start+i)%len(l.events)]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ring.Add(Event{T: t, Name: name, Detail: detail})
 }
 
 // Overwritten returns how many events the full log displaced.
 func (l *EventLog) Overwritten() uint64 {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.overwritten
+	return l.ring.Overwritten()
 }
 
 // Events returns a copy of the recorded events in order.
-func (l *EventLog) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	for i := range out {
-		out[i] = l.at(i)
-	}
-	return out
-}
+func (l *EventLog) Events() []Event { return l.Tail(math.MaxInt) }
 
 // Len returns the number of recorded events.
 func (l *EventLog) Len() int {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return l.ring.Len()
 }
 
 // CountByName returns how many recorded events carry the given name.
 func (l *EventLog) CountByName(name string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := 0
-	for _, e := range l.events {
+	for _, e := range l.Events() {
 		if e.Name == name {
 			n++
 		}
@@ -118,11 +105,9 @@ func (l *EventLog) CountByName(name string) int {
 // String renders the log one event per line — the canonical fingerprint
 // the determinism tests compare across runs.
 func (l *EventLog) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var b strings.Builder
-	for i := range l.events {
-		b.WriteString(l.at(i).String())
+	for _, e := range l.Events() {
+		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -131,17 +116,11 @@ func (l *EventLog) String() string {
 // Tail returns a copy of the last n events (all of them when n exceeds the
 // length, none when n is negative).
 func (l *EventLog) Tail(n int) []Event {
+	if l == nil {
+		return []Event{}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n > len(l.events) {
-		n = len(l.events)
-	}
-	out := make([]Event, n)
-	for i := range out {
-		out[i] = l.at(len(l.events) - n + i)
-	}
-	return out
+	n = min(max(n, 0), l.ring.Len())
+	return l.ring.Append(make([]Event, 0, n), n)
 }

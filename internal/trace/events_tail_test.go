@@ -21,3 +21,16 @@ func TestTailClampsNegativeN(t *testing.T) {
 		t.Fatalf("Tail(99) = %d events", len(got))
 	}
 }
+
+// TestNilEventLogIsSafe: the nil log is the disabled log, so recorders
+// call through it without guarding.
+func TestNilEventLogIsSafe(t *testing.T) {
+	var l *EventLog
+	l.Record(1, "a", "")
+	if l.Len() != 0 || l.Overwritten() != 0 || l.CountByName("a") != 0 || l.String() != "" {
+		t.Fatal("nil log retained state")
+	}
+	if ev, tail := l.Events(), l.Tail(3); ev == nil || len(ev) != 0 || tail == nil || len(tail) != 0 {
+		t.Fatalf("nil log: Events %#v, Tail %#v; want empty, non-nil", ev, tail)
+	}
+}

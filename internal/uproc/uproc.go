@@ -212,11 +212,7 @@ type Domain struct {
 }
 
 // event records into the containment event log, when one is attached.
-func (d *Domain) event(name, detail string) {
-	if d.Events != nil {
-		d.Events.Record(d.Eng.Now(), name, detail)
-	}
-}
+func (d *Domain) event(name, detail string) { d.Events.Record(d.Eng.Now(), name, detail) }
 
 // NewDomain builds a domain managing all cores of the machine.
 func NewDomain(eng *sim.Engine, m *cpu.Machine) (*Domain, error) {

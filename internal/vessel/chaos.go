@@ -68,21 +68,18 @@ type supervised struct {
 	err      error
 }
 
-// event records into the manager's containment log, when attached.
+// event records into the domain's containment log, when attached.
 func (mg *Manager) event(name, detail string) {
-	if mg.events != nil {
-		mg.events.Record(mg.eng.Now(), name, detail)
-	}
+	mg.Domain.Events.Record(mg.eng.Now(), name, detail)
 }
 
-// Events returns the manager's containment event log, creating it (and
-// attaching it to the domain) on first use.
+// Events returns the domain's containment event log, creating it on first
+// use.
 func (mg *Manager) Events() *trace.EventLog {
-	if mg.events == nil {
-		mg.events = trace.NewEventLog(1 << 16)
-		mg.Domain.Events = mg.events
+	if mg.Domain.Events == nil {
+		mg.Domain.Events = trace.NewEventLog(1 << 16)
 	}
-	return mg.events
+	return mg.Domain.Events
 }
 
 // EnableWatchdog arms the domain's per-uProcess cycle-budget watchdog:

@@ -11,7 +11,6 @@ import (
 
 	"vessel/internal/cpu"
 	"vessel/internal/sim"
-	"vessel/internal/trace"
 	"vessel/internal/uproc"
 )
 
@@ -57,15 +56,6 @@ func NewManagerVirtual(cores int, costs *cpu.CostModel) (*Manager, error) {
 // reports it: free hardware keys in direct mode, effectively unbounded
 // under key virtualization.
 func (mg *Manager) KeysAvailable() int { return mg.Domain.S.KeysAvailable() }
-
-// UseEvents attaches an existing event log to the manager and its domain,
-// replacing any log created so far. A cluster supervisor shares one log
-// across a domain's incarnations so the containment stream — crash, fence,
-// restart, reconcile — reads as one ordered history.
-func (mg *Manager) UseEvents(l *trace.EventLog) {
-	mg.events = l
-	mg.Domain.Events = l
-}
 
 // PollSupervised reclaims dead supervised uProcesses and schedules their
 // relaunches — the supervision step RunChaos performs each round, exported

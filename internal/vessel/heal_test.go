@@ -19,7 +19,7 @@ func TestCancelPendingDropsScheduledRelaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg.UseEvents(trace.NewEventLog(256))
+	mg.Domain.Events = trace.NewEventLog(256)
 	_, err = mg.Supervise("crash", func() *smas.Program { return crasher(mg, "crash") }, 0,
 		RestartPolicy{Backoff: sim.Second, MaxBackoff: sim.Second})
 	if err != nil {
@@ -58,8 +58,8 @@ func TestCancelPendingDropsScheduledRelaunch(t *testing.T) {
 	if _, ok := mg.Lookup("crash"); ok {
 		t.Fatal("crasher resurrected after CancelPending")
 	}
-	if mg.events.CountByName("cancel.pending") != 1 {
-		t.Fatalf("cancel not logged:\n%s", mg.events.String())
+	if mg.Domain.Events.CountByName("cancel.pending") != 1 {
+		t.Fatalf("cancel not logged:\n%s", mg.Domain.Events.String())
 	}
 	// Idempotent: nothing left to cancel.
 	if n := mg.CancelPending(); n != 0 {
@@ -75,7 +75,7 @@ func TestFenceCoreRehomesAndRefusesPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg.UseEvents(trace.NewEventLog(256))
+	mg.Domain.Events = trace.NewEventLog(256)
 	for _, name := range []string{"a", "b"} {
 		if _, err := mg.Launch(name, spinner(name), 0); err != nil {
 			t.Fatal(err)

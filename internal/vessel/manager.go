@@ -9,7 +9,6 @@ import (
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
 	"vessel/internal/smas"
-	"vessel/internal/trace"
 	"vessel/internal/uproc"
 )
 
@@ -29,11 +28,10 @@ type Manager struct {
 	zombies []*uproc.UProc
 
 	// Chaos-harness state (chaos.go): supervised uProcesses with restart
-	// policies, the attached fault injector, and the containment event
-	// log shared with the domain.
+	// policies and the attached fault injector. The containment event log
+	// is the domain's (Domain.Events).
 	supervised []*supervised
 	injector   *faultinject.Injector
-	events     *trace.EventLog
 
 	// Cluster-scheduled mode (executor.go): the per-NUMA executor cache
 	// and the executors currently bound to granted cores. Nil until
