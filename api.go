@@ -292,8 +292,6 @@ type (
 	FailsafePolicy = selfheal.Failsafe
 	// FailureDetector is the phi-accrual failure detector in virtual time.
 	FailureDetector = multidomain.Detector
-	// FailureDetectorConfig tunes the detector's threshold and gap floor.
-	FailureDetectorConfig = multidomain.DetectorConfig
 	// SelfHealConfig parameterises a self-healing cluster.
 	SelfHealConfig = selfheal.Config
 	// SelfHealCluster supervises domains end to end: failure detection,
@@ -306,9 +304,7 @@ type (
 )
 
 // NewFailureDetector builds a phi-accrual failure detector.
-func NewFailureDetector(cfg FailureDetectorConfig) *FailureDetector {
-	return multidomain.NewDetector(cfg)
-}
+func NewFailureDetector() *FailureDetector { return multidomain.NewDetector() }
 
 // NewFailsafePolicy wraps primary (nil selects round-robin) with panic
 // recovery and the given per-decision cycle budget (0 disables).

@@ -245,7 +245,7 @@ func TestSelfHealFacade(t *testing.T) {
 		t.Fatalf("failsafe swap: %v %q", swapped, reason)
 	}
 	// And the detector.
-	det := NewFailureDetector(FailureDetectorConfig{})
+	det := NewFailureDetector()
 	det.Track("c0", 0)
 	det.Beat("c0", Time(10*Microsecond))
 	if det.Suspect("c0", Time(11*Microsecond)) {

@@ -433,3 +433,58 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		t.Fatal("the scan missed the config structs")
 	}
 }
+
+// TestNoExportedPackageVars parses every non-test Go file of the module and
+// fails on an exported package-level var other than an Err* sentinel. Such
+// a var is state every machine, run and test in the process shares: a
+// setting belongs on the value it configures, and a test that flips a
+// global cannot run in parallel with one that reads it.
+func TestNoExportedPackageVars(t *testing.T) {
+	fset := token.NewFileSet()
+	var found []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			name := d.Name()
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, n := range spec.(*ast.ValueSpec).Names {
+					if n.IsExported() && !strings.HasPrefix(n.Name, "Err") {
+						found = append(found, fset.Position(n.Pos()).String()+": "+n.Name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) > 0 {
+		t.Fatalf("exported package-level vars (move each onto the value it configures):\n%s", strings.Join(found, "\n"))
+	}
+}

@@ -24,6 +24,13 @@ func checkGolden(t *testing.T, path string, got []byte) {
 		}
 		return
 	}
+	matchGolden(t, path, got)
+}
+
+// matchGolden fails unless got equals the committed file at path; unlike
+// checkGolden it never writes the file.
+func matchGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%s missing (run with -update to create): %v", path, err)

@@ -93,17 +93,20 @@ func soakCluster(planSeed uint64) (*selfheal.Cluster, []*faultinject.Injector, e
 	return c, []*faultinject.Injector{inj0, inj1}, nil
 }
 
-// soakRun runs one seed's scenario and merges its injectors' counters.
-func soakRun(t *testing.T, seed uint64) (*selfheal.Report, *stats.Counters) {
+// soakRun runs one seed's scenario with every domain in mode and merges
+// its injectors' counters.
+func soakRun(t *testing.T, seed uint64, mode cpu.ExecMode) (*selfheal.Report, *stats.Counters) {
 	t.Helper()
 	c, injs, err := soakCluster(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ran := inExecMode(t, c, soakDomains, mode)
 	rep, err := c.Run(soakSteps, soakQuantum)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ran(rep.DomainRestarts)
 	fired := stats.NewCounters()
 	for _, inj := range injs {
 		fired.Merge(inj.Counters)
@@ -136,8 +139,8 @@ func TestSoakCanonicalGolden(t *testing.T) {
 	fired := stats.NewCounters()
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rep, ctr := soakRun(t, seed)
-			again, _ := soakRun(t, seed)
+			rep, ctr := soakRun(t, seed, cpu.Fused)
+			again, _ := soakRun(t, seed, cpu.Fused)
 			if !bytes.Equal(rep.Canonical(), again.Canonical()) {
 				t.Error("two identical runs produced different canonical reports")
 			}

@@ -9,13 +9,13 @@ import (
 )
 
 // vpkeyDiffFingerprint runs a seed-parameterized launch/park/destroy/reap
-// scenario on a fresh two-core manager and returns a canonical byte
-// fingerprint: the full event log plus per-core scheduler and cycle
+// scenario on a fresh two-core manager in mode and returns a canonical
+// byte fingerprint: the full event log plus per-core scheduler and cycle
 // counters. The scenario keeps at most 13 keys live, so a virtualized
 // manager must take the resident fast path on every crossing — zero
 // evictions, zero re-tags — and the fingerprint must match direct mode
 // byte for byte.
-func vpkeyDiffFingerprint(t *testing.T, virtual bool, seed uint64) string {
+func vpkeyDiffFingerprint(t *testing.T, mode cpu.ExecMode, virtual bool, seed uint64) string {
 	t.Helper()
 	var mg *vessel.Manager
 	var err error
@@ -27,6 +27,7 @@ func vpkeyDiffFingerprint(t *testing.T, virtual bool, seed uint64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mg.Machine().SetExecMode(mode)
 	n := 3 + int(seed%11) // 3..13 live keys: under the slot budget
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("d%d-%02d", seed, i)
@@ -54,6 +55,7 @@ func vpkeyDiffFingerprint(t *testing.T, virtual bool, seed uint64) string {
 	if _, err := mg.Reap(); err != nil {
 		t.Fatal(err)
 	}
+	checkExecMode(t, mg.Machine(), mode)
 
 	if virtual {
 		if ev := mg.Domain.S.VKeys.Evictions; ev != 0 {
@@ -74,30 +76,23 @@ func vpkeyDiffFingerprint(t *testing.T, virtual bool, seed uint64) string {
 // virtualization layer: while the live-key count fits the hardware,
 // virtual mode is behaviorally invisible — the event stream, the
 // scheduler counters, and the cycle counts are byte-identical to direct
-// mode — and that holds with the simulated-MMU fast path both enabled
-// and disabled.
+// mode. TestExecModesByteIdentical repeats both arms in the other
+// execution modes.
 func TestVPkeyDifferential(t *testing.T) {
-	// Not parallel: toggles the package-level fast-path switch.
-	seeds := []uint64{1, 2, 3, 4, 5}
+	t.Parallel()
+	for _, seed := range vpkeyDiffSeeds() {
+		direct := vpkeyDiffFingerprint(t, cpu.Fused, false, seed)
+		if virtual := vpkeyDiffFingerprint(t, cpu.Fused, true, seed); virtual != direct {
+			t.Fatalf("seed %d: virtual fingerprint diverged from direct\n--- direct ---\n%s\n--- virtual ---\n%s",
+				seed, direct, virtual)
+		}
+	}
+}
+
+// vpkeyDiffSeeds are the seeds the virtualization differential sweeps.
+func vpkeyDiffSeeds() []uint64 {
 	if testing.Short() {
-		seeds = seeds[:2]
+		return []uint64{1, 2}
 	}
-	defer func() { cpu.DisableFastPath = false }()
-	for _, seed := range seeds {
-		var got [4]string
-		i := 0
-		for _, disable := range []bool{false, true} {
-			cpu.DisableFastPath = disable
-			for _, virtual := range []bool{false, true} {
-				got[i] = vpkeyDiffFingerprint(t, virtual, seed)
-				i++
-			}
-		}
-		for j := 1; j < 4; j++ {
-			if got[j] != got[0] {
-				t.Fatalf("seed %d: fingerprint %d diverged from baseline\n--- baseline ---\n%s\n--- variant ---\n%s",
-					seed, j, got[0], got[j])
-			}
-		}
-	}
+	return []uint64{1, 2, 3, 4, 5}
 }

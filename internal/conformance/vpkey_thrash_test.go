@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vessel/internal/cpu"
 	"vessel/internal/faultinject"
 	"vessel/internal/selfheal"
 	"vessel/internal/sim"
@@ -29,14 +30,16 @@ func thrashClusterConfig() selfheal.Config {
 // uProcesses sharing one virtualized domain while PkeyThrash faults
 // strip every unpinned key back to the fence, plus a core stall to
 // drive detection and recovery under the storm — and runs it to
-// completion. The scenario is fully deterministic (fixed seed, fixed
-// injection times), so two calls must produce identical reports.
-func runThrashStorm(t *testing.T) (*selfheal.Cluster, *selfheal.Report) {
+// completion with the domain in mode. The scenario is fully deterministic
+// (fixed seed, fixed injection times), so two calls must produce
+// identical reports.
+func runThrashStorm(t *testing.T, mode cpu.ExecMode) (*selfheal.Cluster, *selfheal.Report) {
 	t.Helper()
 	c, err := selfheal.New(thrashClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ran := inExecMode(t, c, 1, mode)
 	for i := 0; i < 24; i++ {
 		name := fmt.Sprintf("storm%02d", i)
 		err := c.AddWorker(0, name, func(mg *vessel.Manager) *smas.Program {
@@ -63,11 +66,12 @@ func runThrashStorm(t *testing.T) (*selfheal.Cluster, *selfheal.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ran(rep.DomainRestarts)
 	return c, rep
 }
 
 func TestVPkeyEvictionStormSelfHeals(t *testing.T) {
-	c, rep := runThrashStorm(t)
+	c, rep := runThrashStorm(t, cpu.Fused)
 
 	// The storm actually happened: keys were stripped and refilled.
 	s := c.Manager(0).Domain.S
@@ -112,8 +116,8 @@ func TestVPkeyEvictionStormSelfHeals(t *testing.T) {
 // every counter — must be byte-identical across runs, so any change to
 // eviction ordering or recovery latency shows up as a diff, not a flake.
 func TestVPkeyEvictionStormDeterministic(t *testing.T) {
-	_, rep1 := runThrashStorm(t)
-	_, rep2 := runThrashStorm(t)
+	_, rep1 := runThrashStorm(t, cpu.Fused)
+	_, rep2 := runThrashStorm(t, cpu.Fused)
 	c1, c2 := rep1.Canonical(), rep2.Canonical()
 	if !bytes.Equal(c1, c2) {
 		t.Fatalf("storm scenario nondeterministic:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", c1, c2)
@@ -128,6 +132,6 @@ func TestVPkeyEvictionStormDeterministic(t *testing.T) {
 // way — which the double-run check cannot see — still shows up as a
 // diff. Run with -update to rebless after an intentional change.
 func TestVPkeyEvictionStormGolden(t *testing.T) {
-	_, rep := runThrashStorm(t)
+	_, rep := runThrashStorm(t, cpu.Fused)
 	checkGolden(t, filepath.Join("testdata", "vpkey_thrash_storm.golden"), rep.Canonical())
 }

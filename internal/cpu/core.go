@@ -8,12 +8,22 @@ import (
 	"vessel/internal/mpk"
 )
 
-// DisableFastPath routes every fetch and data access through the uncached
-// map-walk path, bypassing the per-core software TLB and decoded-fetch
-// cache. It exists for differential testing — the fast path must be
-// semantically invisible, and conformance runs assert byte-identical
-// results with it on and off. Toggle only while no simulation is running.
-var DisableFastPath bool
+// ExecMode selects how a machine's cores execute. The modes differ only in
+// host speed: each retires the same instructions with the same state,
+// faults, cycles and interrupt delivery points.
+type ExecMode uint8
+
+const (
+	// Fused runs straight-line code as superblocks (superblock.go) over
+	// the per-core software TLB and decoded-fetch cache. The default.
+	Fused ExecMode = iota
+	// PerInstr steps one instruction at a time through the TLB and
+	// decoded-fetch cache, fusing nothing.
+	PerInstr
+	// Slow routes every fetch and data access through the uncached
+	// page-table walk, fusing nothing.
+	Slow
+)
 
 // Hooks let higher layers observe and extend core execution.
 type Hooks struct {
@@ -74,12 +84,10 @@ type Core struct {
 	nextPC  mem.Addr
 	jumped  bool
 
-	// slow caches the DisableFastPath toggle for the duration of one
-	// Run (or one public Step): the global is sampled once per entry
-	// instead of on every fetch and data access — the toggle contract
-	// ("only while no simulation is running") makes per-quantum
-	// sampling exact.
-	slow bool
+	// mode is the machine's ExecMode, copied here by SetExecMode; ran is
+	// set by the first Run or Step, after which the mode is fixed.
+	mode ExecMode
+	ran  bool
 
 	// sb is the superblock store (see superblock.go), lazily allocated
 	// on the first fused Run and invalidated alongside the icache by
@@ -145,7 +153,7 @@ func (c *Core) setPC(a mem.Addr) {
 // through the per-core TLB, allocation-free unless it faults — and even
 // then the fault lands in the core's scratch.
 func (c *Core) read(addr mem.Addr, size int) (Word, *mem.Fault) {
-	if c.slow {
+	if c.mode == Slow {
 		return c.AS.Read(addr, size, c.PKRU)
 	}
 	v, ok := c.AS.ReadVia(&c.tlb, addr, size, c.PKRU, &c.faultv)
@@ -157,7 +165,7 @@ func (c *Core) read(addr mem.Addr, size int) (Word, *mem.Fault) {
 
 // write is read's store counterpart.
 func (c *Core) write(addr mem.Addr, size int, v Word) *mem.Fault {
-	if c.slow {
+	if c.mode == Slow {
 		return c.AS.Write(addr, size, v, c.PKRU)
 	}
 	if !c.AS.WriteVia(&c.tlb, addr, size, v, c.PKRU, &c.faultv) {
@@ -185,7 +193,7 @@ func (c *Core) syncCaches() {
 // fetchFast resolves PC to a decoded instruction through the per-core
 // icache, falling back to the machine's checked fetch on a miss.
 func (c *Core) fetchFast() (Instr, *mem.Fault) {
-	if c.slow {
+	if c.mode == Slow {
 		return c.machine.fetch(c.AS, c.PC, c.PKRU)
 	}
 	c.syncCaches()
@@ -274,14 +282,14 @@ func (c *Core) Inject(f *mem.Fault) bool {
 // dispatched has no address space yet and simply cannot run — stepping it
 // is a no-op, not a fault.
 func (c *Core) Step() bool {
-	c.slow = DisableFastPath
+	c.ran = true
 	return c.step()
 }
 
-// step is Step with the fast-path toggle already sampled — the
-// per-instruction boundary the superblock path defers to whenever fused
-// execution cannot express one (delivery, unfetchable slots, and every
-// block terminator's semantics are defined by this function).
+// step is Step without marking the core as run — the per-instruction
+// boundary the superblock path defers to whenever fused execution cannot
+// express one (delivery, unfetchable slots, and every block terminator's
+// semantics are defined by this function).
 func (c *Core) step() bool {
 	if c.Halted || c.Stalled || c.AS == nil {
 		return false
@@ -317,12 +325,11 @@ func (c *Core) step() bool {
 // per-instruction Steps would have, with identical cycle accounting.
 // The default path executes through fused superblocks (see
 // superblock.go), splitting a block when the remaining budget expires
-// mid-run; DisableSuperblocks or DisableFastPath selects the
-// per-instruction loop.
+// mid-run; the PerInstr and Slow modes take the per-instruction loop.
 func (c *Core) Run(maxSteps int) int {
-	c.slow = DisableFastPath
+	c.ran = true
 	n := 0
-	if c.slow || DisableSuperblocks {
+	if c.mode != Fused {
 		for n < maxSteps && c.step() {
 			n++
 		}
@@ -353,6 +360,8 @@ type Machine struct {
 	// is tagged with it, so newly installed code invalidates stale
 	// decodes machine-wide on the next fetch.
 	codeGen uint64
+	// mode is every core's ExecMode; see SetExecMode.
+	mode ExecMode
 }
 
 // NewMachine creates a machine with the given number of cores, all sharing
@@ -375,6 +384,24 @@ func NewMachine(cores int, costs *CostModel) *Machine {
 	}
 	return m
 }
+
+// SetExecMode makes every core of the machine execute in mode. The modes
+// are observably identical, so a machine takes its mode before it runs:
+// SetExecMode panics once any core has run.
+func (m *Machine) SetExecMode(mode ExecMode) {
+	for _, c := range m.cores {
+		if c.ran {
+			panic("cpu: SetExecMode after a core ran")
+		}
+	}
+	m.mode = mode
+	for _, c := range m.cores {
+		c.mode = mode
+	}
+}
+
+// ExecMode reports how the machine's cores execute.
+func (m *Machine) ExecMode() ExecMode { return m.mode }
 
 // Core returns core i.
 func (m *Machine) Core(i int) *Core { return m.cores[i] }

@@ -45,11 +45,12 @@ func TestLowestVectorWins(t *testing.T) {
 }
 
 // runCollatz executes a short program with loads, stores, calls, and a
-// WRPKRU protection switch, returning final registers and cycles — the
-// differential probe for fast-path invisibility.
-func runCollatz(t *testing.T) ([NumRegs]Word, int64) {
+// WRPKRU protection switch in mode, returning final registers and cycles —
+// the differential probe for fast-path invisibility.
+func runCollatz(t *testing.T, mode ExecMode) ([NumRegs]Word, int64) {
 	t.Helper()
 	m, c, as := buildEnv(t)
+	m.SetExecMode(mode)
 	a := NewAssembler()
 	a.Emit(MovImm{RAX, uint64(mpk.AllowAllValue)})
 	a.Emit(WrPkru{})
@@ -77,15 +78,12 @@ func runCollatz(t *testing.T) ([NumRegs]Word, int64) {
 }
 
 // TestFastPathInvisible runs the same program with the TLB/icache enabled
-// and disabled: registers and cycle counts must match exactly.
+// (PerInstr) and disabled (Slow): registers and cycle counts must match
+// exactly.
 func TestFastPathInvisible(t *testing.T) {
-	if DisableFastPath {
-		t.Fatal("fast path must be the default")
-	}
-	fastRegs, fastCycles := runCollatz(t)
-	DisableFastPath = true
-	defer func() { DisableFastPath = false }()
-	slowRegs, slowCycles := runCollatz(t)
+	t.Parallel()
+	fastRegs, fastCycles := runCollatz(t, PerInstr)
+	slowRegs, slowCycles := runCollatz(t, Slow)
 	if fastRegs != slowRegs {
 		t.Fatalf("registers diverged: fast %v, slow %v", fastRegs, slowRegs)
 	}
@@ -177,4 +175,19 @@ func TestTLBAcrossAddressSpaceSwitch(t *testing.T) {
 			t.Fatalf("round %d: write leaked into the other address space", i)
 		}
 	}
+}
+
+// TestSetExecModeAfterRunPanics checks that a machine takes its mode
+// before it runs: switching once any core has run panics.
+func TestSetExecModeAfterRunPanics(t *testing.T) {
+	t.Parallel()
+	m, c, _ := buildEnv(t)
+	m.SetExecMode(Slow)
+	c.Run(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetExecMode after a core ran did not panic")
+		}
+	}()
+	m.SetExecMode(Fused)
 }

@@ -2,15 +2,6 @@ package cpu
 
 import "vessel/internal/mem"
 
-// DisableSuperblocks routes Core.Run through the per-instruction Step
-// loop, bypassing superblock fusion while keeping the TLB/icache fast
-// path. Like DisableFastPath it exists for differential testing — fused
-// execution must be semantically invisible, and conformance runs assert
-// byte-identical canonical results with it on and off. Toggle only while
-// no simulation is running. DisableFastPath implies this: the slow path
-// never fuses.
-var DisableSuperblocks bool
-
 // Superblock execution fuses runs of straight-line decoded instructions
 // into single-dispatch units. The per-instruction Step loop pays, for
 // every instruction, the pending-interrupt predicate, the icache

@@ -10,16 +10,12 @@ import (
 // TestSuperblocksInvisible runs the differential probe program (loads,
 // stores, stack traffic, a WRPKRU, a loop) with superblock fusion enabled
 // and disabled: registers and cycle counts must match exactly. Fusion is
-// pure mechanism — DisableSuperblocks exists so this differential (and
-// the conformance sweep's) can prove it.
+// pure mechanism — the PerInstr mode exists so differentials like this one
+// can prove it.
 func TestSuperblocksInvisible(t *testing.T) {
-	if DisableSuperblocks {
-		t.Fatal("superblocks must be the default")
-	}
-	fastRegs, fastCycles := runCollatz(t)
-	DisableSuperblocks = true
-	defer func() { DisableSuperblocks = false }()
-	slowRegs, slowCycles := runCollatz(t)
+	t.Parallel()
+	fastRegs, fastCycles := runCollatz(t, Fused)
+	slowRegs, slowCycles := runCollatz(t, PerInstr)
 	if fastRegs != slowRegs {
 		t.Fatalf("registers diverged: fused %v, per-instruction %v", fastRegs, slowRegs)
 	}
@@ -29,10 +25,12 @@ func TestSuperblocksInvisible(t *testing.T) {
 }
 
 // sbLoopEnv installs the standard five-instruction straight-line loop
-// (store, load, add, push, pop, jmp) and warms the superblock store.
-func sbLoopEnv(t *testing.T) (*Machine, *Core, *mem.AddressSpace) {
+// (store, load, add, push, pop, jmp) on a machine in mode and warms the
+// superblock store.
+func sbLoopEnv(t *testing.T, mode ExecMode) (*Machine, *Core, *mem.AddressSpace) {
 	t.Helper()
 	m, c, as := buildEnv(t)
+	m.SetExecMode(mode)
 	a := NewAssembler()
 	a.Emit(MovImm{RCX, 0x10000})
 	a.Emit(MovImm{RBX, 27})
@@ -52,7 +50,7 @@ func sbLoopEnv(t *testing.T) (*Machine, *Core, *mem.AddressSpace) {
 	if c.Fault != nil {
 		t.Fatal(c.Fault)
 	}
-	if fills, hits, _ := c.SuperblockStats(); !DisableSuperblocks && (fills == 0 || hits == 0) {
+	if fills, hits, _ := c.SuperblockStats(); mode == Fused && (fills == 0 || hits == 0) {
 		t.Fatalf("warmup built no superblocks: fills=%d hits=%d", fills, hits)
 	}
 	return m, c, as
@@ -72,8 +70,8 @@ func TestSuperblockQuantumSplitEquivalence(t *testing.T) {
 		cycles int64
 		steps  int
 	}
-	runSliced := func(q int) state {
-		_, c, _ := sbLoopEnv(t) // identical warmup for every slicing
+	runSliced := func(mode ExecMode, q int) state {
+		_, c, _ := sbLoopEnv(t, mode) // identical warmup for every slicing
 		steps := 0
 		for steps < total {
 			n := q
@@ -88,16 +86,14 @@ func TestSuperblockQuantumSplitEquivalence(t *testing.T) {
 		}
 		return state{c.Regs, c.PC, c.Cycles, steps}
 	}
-	want := runSliced(total)
+	want := runSliced(Fused, total)
 	for _, q := range []int{1, 2, 3, 5, 6, 7, 11, 64} {
-		if got := runSliced(q); got != want {
+		if got := runSliced(Fused, q); got != want {
 			t.Fatalf("quantum %d diverged: %+v, want %+v", q, got, want)
 		}
 	}
 	// The per-instruction loop agrees with the fused one.
-	DisableSuperblocks = true
-	defer func() { DisableSuperblocks = false }()
-	if got := runSliced(total); got != want {
+	if got := runSliced(PerInstr, total); got != want {
 		t.Fatalf("per-instruction loop diverged: %+v, want %+v", got, want)
 	}
 }
@@ -106,7 +102,7 @@ func TestSuperblockQuantumSplitEquivalence(t *testing.T) {
 // checks the very next Run decodes the new code — the InstallCode
 // generation bump must clear warm superblocks, not just single decodes.
 func TestSuperblockInvalidatedByInstallCode(t *testing.T) {
-	m, c, as := sbLoopEnv(t)
+	m, c, as := sbLoopEnv(t, Fused)
 	install(t, m, as, 0x1000, []Instr{AddImm{RCX, 5}, Halt{}})
 	c.PC = 0x1000
 	c.Regs[RCX] = 0
@@ -120,7 +116,7 @@ func TestSuperblockInvalidatedByInstallCode(t *testing.T) {
 // warm superblock lives on: the next Run must fault on fetch — the
 // fill-time exec validation is only good while the generation tags hold.
 func TestSuperblockInvalidatedByProtect(t *testing.T) {
-	_, c, as := sbLoopEnv(t)
+	_, c, as := sbLoopEnv(t, Fused)
 	if err := as.Protect(0x1000, mem.PageSize, mem.PermRead); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +133,7 @@ func TestSuperblockInvalidatedByProtect(t *testing.T) {
 // retry.
 func TestSuperblockInvalidatedByMap(t *testing.T) {
 	var seen []mem.Fault
-	_, c, as := sbLoopEnv(t)
+	_, c, as := sbLoopEnv(t, Fused)
 	c.Hooks.OnFault = func(c *Core, f *mem.Fault) bool {
 		seen = append(seen, *f)
 		return false // fail-stop so the test can inspect the boundary
@@ -169,7 +165,7 @@ func TestSuperblockInvalidatedByMap(t *testing.T) {
 // invalidates the TLB (translation generation), not the block (exec
 // generation) — see TestPKeyRetagKeepsSuperblocks.
 func TestSuperblockInvalidatedBySetPKey(t *testing.T) {
-	_, c, as := sbLoopEnv(t)
+	_, c, as := sbLoopEnv(t, Fused)
 	if err := as.SetPKey(0x10000, mem.PageSize, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +188,9 @@ func TestSuperblockMidBlockFaultPrecise(t *testing.T) {
 		cycles int64
 		regs   [NumRegs]Word
 	}
-	probe := func() at {
+	probe := func(mode ExecMode) at {
 		m, c, as := buildEnv(t)
+		m.SetExecMode(mode)
 		// Straight line: two good stores, then a store into an unmapped
 		// page, then more straight-line code the bailout must not run.
 		install(t, m, as, 0x1000, []Instr{
@@ -214,10 +211,7 @@ func TestSuperblockMidBlockFaultPrecise(t *testing.T) {
 		c.Run(100)
 		return got
 	}
-	fused := probe()
-	DisableSuperblocks = true
-	defer func() { DisableSuperblocks = false }()
-	precise := probe()
+	fused, precise := probe(Fused), probe(PerInstr)
 	if fused != precise {
 		t.Fatalf("fault-time state diverged:\nfused:   %+v\nprecise: %+v", fused, precise)
 	}
@@ -235,8 +229,9 @@ func TestSuperblockMidBlockFaultPrecise(t *testing.T) {
 // deliverability is checked at block entry, and every instruction that
 // could change it terminates a block.
 func TestSuperblockUintrBoundary(t *testing.T) {
-	run := func() ([NumRegs]Word, int64, mem.Addr) {
+	run := func(mode ExecMode) ([NumRegs]Word, int64, mem.Addr) {
 		m, c, as := buildEnv(t)
+		m.SetExecMode(mode)
 		a := NewAssembler()
 		a.Label("main")
 		a.Emit(AddImm{RBX, 1})
@@ -261,10 +256,8 @@ func TestSuperblockUintrBoundary(t *testing.T) {
 		}
 		return c.Regs, c.Cycles, c.PC
 	}
-	fRegs, fCycles, fPC := run()
-	DisableSuperblocks = true
-	defer func() { DisableSuperblocks = false }()
-	sRegs, sCycles, sPC := run()
+	fRegs, fCycles, fPC := run(Fused)
+	sRegs, sCycles, sPC := run(PerInstr)
 	if fRegs != sRegs || fCycles != sCycles || fPC != sPC {
 		t.Fatalf("uintr delivery diverged: fused (%v, %d, %#x), per-instruction (%v, %d, %#x)",
 			fRegs, fCycles, uint64(fPC), sRegs, sCycles, uint64(sPC))
@@ -287,8 +280,8 @@ func TestPKeyRetagKeepsSuperblocks(t *testing.T) {
 		pc     mem.Addr
 		cycles int64
 	}
-	probe := func() (at, *Core, *mem.AddressSpace) {
-		_, c, as := sbLoopEnv(t)
+	probe := func(mode ExecMode) (at, *Core, *mem.AddressSpace) {
+		_, c, as := sbLoopEnv(t, mode)
 		c.PKRU = mpk.AllowAllValue.WithAccess(4, false, false)
 		var got at
 		c.Hooks.OnFault = func(c *Core, f *mem.Fault) bool {
@@ -315,10 +308,8 @@ func TestPKeyRetagKeepsSuperblocks(t *testing.T) {
 		}
 		return got, c, as
 	}
-	fused, c, as := probe()
-	DisableSuperblocks = true
-	precise, _, _ := probe()
-	DisableSuperblocks = false
+	fused, c, as := probe(Fused)
+	precise, _, _ := probe(PerInstr)
 	if fused != precise {
 		t.Fatalf("fault-time state diverged:\nfused:   %+v\nprecise: %+v", fused, precise)
 	}

@@ -74,8 +74,21 @@ func stepProgram(b *testing.B, m *cpu.Machine, as *mem.AddressSpace) {
 // path: superblock fusion over the software TLB + decoded-fetch cache.
 // The non-faulting run must not allocate: cmd/bench fails if allocs/op
 // is nonzero.
-func BenchCoreStep(b *testing.B) {
+func BenchCoreStep(b *testing.B) { benchCoreStep(b, cpu.Fused) }
+
+// BenchCoreStepNoSB is the same workload with superblock fusion disabled
+// but the TLB/icache fast path on — the per-instruction Step loop the
+// superblock gate is measured against.
+func BenchCoreStepNoSB(b *testing.B) { benchCoreStep(b, cpu.PerInstr) }
+
+// BenchCoreStepSlow is the same workload with the fast path disabled — the
+// pre-optimization per-access page-table walk (which also forgoes fusion).
+func BenchCoreStepSlow(b *testing.B) { benchCoreStep(b, cpu.Slow) }
+
+// benchCoreStep runs the Step workload on a machine in mode.
+func benchCoreStep(b *testing.B, mode cpu.ExecMode) {
 	m, c, as := env(b)
+	m.SetExecMode(mode)
 	stepProgram(b, m, as)
 	c.Run(64) // warm the superblock store, icache, and TLB
 	b.ReportAllocs()
@@ -84,23 +97,6 @@ func BenchCoreStep(b *testing.B) {
 	if c.Fault != nil {
 		b.Fatal(c.Fault)
 	}
-}
-
-// BenchCoreStepNoSB is the same workload with superblock fusion disabled
-// but the TLB/icache fast path on — the per-instruction Step loop the
-// superblock gate is measured against (PR 5's 16 ns/instr baseline).
-func BenchCoreStepNoSB(b *testing.B) {
-	cpu.DisableSuperblocks = true
-	defer func() { cpu.DisableSuperblocks = false }()
-	BenchCoreStep(b)
-}
-
-// BenchCoreStepSlow is the same workload with the fast path disabled — the
-// pre-optimization per-access page-table walk (which also forgoes fusion).
-func BenchCoreStepSlow(b *testing.B) {
-	cpu.DisableFastPath = true
-	defer func() { cpu.DisableFastPath = false }()
-	BenchCoreStep(b)
 }
 
 // BenchASCheckHit measures a warm-TLB translation: the per-access cost every

@@ -52,7 +52,7 @@ func New(domains, cores int, virtual bool, events *trace.EventLog) *Core {
 	c := &Core{
 		Eng:      sim.NewEngine(),
 		Events:   events,
-		Det:      NewDetector(DetectorConfig{}),
+		Det:      NewDetector(),
 		cores:    cores,
 		virtual:  virtual,
 		managers: make([]*vessel.Manager, domains),
@@ -69,8 +69,9 @@ func New(domains, cores int, virtual bool, events *trace.EventLog) *Core {
 }
 
 // NewManager builds a fresh incarnation of domain d on the shared engine
-// and event log and installs it as the domain's manager. setup (may be
-// nil) configures it before the domain's journey tracer attaches.
+// and event log and installs it as the domain's manager, in the execution
+// mode of the incarnation it replaces. setup (may be nil) configures it
+// before the domain's journey tracer attaches.
 func (c *Core) NewManager(d int, setup func(*vessel.Manager) error) (*vessel.Manager, error) {
 	newOn := vessel.NewManagerOn
 	if c.virtual {
@@ -79,6 +80,9 @@ func (c *Core) NewManager(d int, setup func(*vessel.Manager) error) (*vessel.Man
 	mg, err := newOn(c.Eng, c.cores, nil)
 	if err != nil {
 		return nil, err
+	}
+	if prev := c.managers[d]; prev != nil {
+		mg.Machine().SetExecMode(prev.Machine().ExecMode()) // a restart keeps its domain's mode
 	}
 	mg.Domain.Events = c.Events
 	if setup != nil {

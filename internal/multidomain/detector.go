@@ -8,27 +8,16 @@ import (
 	"vessel/internal/sim"
 )
 
-// DetectorConfig tunes the phi-accrual suspicion math.
-type DetectorConfig struct {
-	// PhiThreshold is the suspicion level at which an entity is flagged
-	// (default 8 — roughly "the silence is 10⁸× longer than the survival
-	// function predicts").
-	PhiThreshold float64
-	// MinGap floors the learned mean heartbeat gap, so an entity that
+const (
+	// phiThreshold is the suspicion level at which an entity is flagged:
+	// roughly "the silence is 10⁸× longer than the survival function
+	// predicts".
+	phiThreshold = 8
+	// minGap floors the learned mean heartbeat gap, so an entity that
 	// beats every instruction cannot talk the detector into microsecond
-	// paranoia (default 1µs).
-	MinGap sim.Duration
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.PhiThreshold <= 0 {
-		c.PhiThreshold = 8
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = sim.Microsecond
-	}
-	return c
-}
+	// paranoia.
+	minGap = float64(sim.Microsecond)
+)
 
 // entity is one monitored heartbeat stream.
 type entity struct {
@@ -50,14 +39,13 @@ type entity struct {
 // deterministic (insertion order for Suspects).
 type Detector struct {
 	mu       sync.Mutex
-	cfg      DetectorConfig
 	entities map[string]*entity
 	order    []string
 }
 
 // NewDetector builds an empty detector.
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), entities: make(map[string]*entity)}
+func NewDetector() *Detector {
+	return &Detector{entities: make(map[string]*entity)}
 }
 
 // Track registers (or re-registers, after a recovery) an entity, with its
@@ -68,7 +56,7 @@ func (d *Detector) Track(id string, now sim.Time) {
 	if _, ok := d.entities[id]; !ok {
 		d.order = append(d.order, id)
 	}
-	d.entities[id] = &entity{id: id, lastBeat: now, meanGap: float64(d.cfg.MinGap)}
+	d.entities[id] = &entity{id: id, lastBeat: now, meanGap: minGap}
 }
 
 // Forget stops monitoring an entity (a fenced core is no longer anyone's
@@ -98,14 +86,10 @@ func (d *Detector) Beat(id string, now sim.Time) {
 		return
 	}
 	gap := float64(now.Sub(e.lastBeat))
-	if gap < float64(d.cfg.MinGap) {
-		gap = float64(d.cfg.MinGap)
-	}
+	gap = max(gap, minGap)
 	e.beats++
 	e.meanGap += (gap - e.meanGap) / float64(e.beats)
-	if e.meanGap < float64(d.cfg.MinGap) {
-		e.meanGap = float64(d.cfg.MinGap)
-	}
+	e.meanGap = max(e.meanGap, minGap)
 	e.lastBeat = now
 }
 
@@ -134,7 +118,7 @@ func (d *Detector) Suspect(id string, now sim.Time) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e, ok := d.entities[id]
-	return ok && d.phiLocked(e, now) > d.cfg.PhiThreshold
+	return ok && d.phiLocked(e, now) > phiThreshold
 }
 
 // Suspects returns all entities over threshold, in registration order.
@@ -143,7 +127,7 @@ func (d *Detector) Suspects(now sim.Time) []string {
 	defer d.mu.Unlock()
 	var out []string
 	for _, id := range d.order {
-		if d.phiLocked(d.entities[id], now) > d.cfg.PhiThreshold {
+		if d.phiLocked(d.entities[id], now) > phiThreshold {
 			out = append(out, id)
 		}
 	}

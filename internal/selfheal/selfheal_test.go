@@ -27,7 +27,7 @@ func parkLoop(mg *vessel.Manager, name string) *smas.Program {
 // --- Detector ---
 
 func TestDetectorLearnsGapAndSuspects(t *testing.T) {
-	d := multidomain.NewDetector(multidomain.DetectorConfig{PhiThreshold: 8, MinGap: sim.Microsecond})
+	d := multidomain.NewDetector()
 	now := sim.Time(0)
 	d.Track("c0", now)
 	// Regular 2µs heartbeats: never suspect while beating.
@@ -66,17 +66,17 @@ func TestDetectorLearnsGapAndSuspects(t *testing.T) {
 }
 
 func TestDetectorMinGapFloorsParanoia(t *testing.T) {
-	d := multidomain.NewDetector(multidomain.DetectorConfig{PhiThreshold: 8, MinGap: sim.Microsecond})
+	d := multidomain.NewDetector()
 	now := sim.Time(0)
 	d.Track("c0", now)
-	// Beats every nanosecond must not shrink the mean below MinGap.
+	// Beats every nanosecond must not shrink the mean below the 1µs gap floor.
 	for i := 0; i < 1000; i++ {
 		now = now.Add(1)
 		d.Beat("c0", now)
 	}
-	// 10µs of silence is ~10 MinGaps: phi ≈ 10/ln10 ≈ 4.3 < 8.
+	// 10µs of silence is ~10 gap floors: phi ≈ 10/ln10 ≈ 4.3 < 8.
 	if d.Suspect("c0", now.Add(10*sim.Microsecond)) {
-		t.Fatalf("hair-trigger suspicion: MinGap floor not applied (phi=%.2f)",
+		t.Fatalf("hair-trigger suspicion: gap floor not applied (phi=%.2f)",
 			d.Phi("c0", now.Add(10*sim.Microsecond)))
 	}
 	if !d.Suspect("c0", now.Add(60*sim.Microsecond)) {
@@ -85,7 +85,7 @@ func TestDetectorMinGapFloorsParanoia(t *testing.T) {
 }
 
 func TestDetectorForgetAndRetrack(t *testing.T) {
-	d := multidomain.NewDetector(multidomain.DetectorConfig{})
+	d := multidomain.NewDetector()
 	d.Track("c0", 0)
 	d.Track("c1", 0)
 	if got := d.Suspects(sim.Time(sim.Second)); len(got) != 2 {
@@ -104,7 +104,7 @@ func TestDetectorForgetAndRetrack(t *testing.T) {
 
 // TestDetectorConcurrent exercises the detector lock under -race.
 func TestDetectorConcurrent(t *testing.T) {
-	d := multidomain.NewDetector(multidomain.DetectorConfig{})
+	d := multidomain.NewDetector()
 	for i := 0; i < 8; i++ {
 		d.Track(fmt.Sprintf("c%d", i), 0)
 	}

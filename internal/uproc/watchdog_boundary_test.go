@@ -24,13 +24,10 @@ func bulkWorkProgram(name string, n int64) *smas.Program {
 // wdRun drives one runaway under the watchdog with a fixed quantum and
 // returns the burn reported at the kill, the burns observed at every
 // preemption boundary before it, and the full event log.
-func wdRun(t *testing.T, prog func(string) *smas.Program, hard int64, disableFast bool) (killBurn int64, boundary []int64, log string) {
+func wdRun(t *testing.T, prog func(string) *smas.Program, hard int64, mode cpu.ExecMode) (killBurn int64, boundary []int64, log string) {
 	t.Helper()
-	old := cpu.DisableFastPath
-	cpu.DisableFastPath = disableFast
-	defer func() { cpu.DisableFastPath = old }()
-
 	d := newDomain(t, 1)
+	d.Machine.SetExecMode(mode)
 	d.Watchdog = &Watchdog{HardBudgetCycles: hard}
 	d.Events = trace.NewEventLog(4096)
 	u, err := d.CreateUProc("spin", prog("spin"))
@@ -75,7 +72,7 @@ func wdRun(t *testing.T, prog func(string) *smas.Program, hard int64, disableFas
 // one quantum's charge).
 func TestWatchdogKillsAtFirstBoundaryPastBudget(t *testing.T) {
 	const hard = 6000
-	killBurn, boundary, _ := wdRun(t, spinProgram, hard, false)
+	killBurn, boundary, _ := wdRun(t, spinProgram, hard, cpu.Fused)
 	if killBurn <= hard {
 		t.Fatalf("killed at burn %d, budget %d not yet blown", killBurn, hard)
 	}
@@ -104,7 +101,7 @@ func TestWatchdogBoundaryBulkCharge(t *testing.T) {
 	const hard = 6000
 	killBurn, boundary, _ := wdRun(t, func(name string) *smas.Program {
 		return bulkWorkProgram(name, 900)
-	}, hard, false)
+	}, hard, cpu.Fused)
 	if killBurn <= hard {
 		t.Fatalf("killed at burn %d under budget %d", killBurn, hard)
 	}
@@ -121,16 +118,14 @@ func TestWatchdogBoundaryBulkCharge(t *testing.T) {
 // byte-identical with the fast path on and off, for both per-instruction
 // and bulk-charge workloads.
 func TestWatchdogBoundaryFastPathInvisible(t *testing.T) {
-	if cpu.DisableFastPath {
-		t.Skip("fast path globally disabled")
-	}
+	t.Parallel()
 	progs := map[string]func(string) *smas.Program{
 		"spin": spinProgram,
 		"bulk": func(name string) *smas.Program { return bulkWorkProgram(name, 900) },
 	}
 	for name, prog := range progs {
-		fastBurn, fastB, fastLog := wdRun(t, prog, 6000, false)
-		slowBurn, slowB, slowLog := wdRun(t, prog, 6000, true)
+		fastBurn, fastB, fastLog := wdRun(t, prog, 6000, cpu.Fused)
+		slowBurn, slowB, slowLog := wdRun(t, prog, 6000, cpu.Slow)
 		if fastBurn != slowBurn {
 			t.Fatalf("%s: kill burn fast=%d slow=%d", name, fastBurn, slowBurn)
 		}
