@@ -51,12 +51,12 @@ type (
 	LatencySummary = sched.AppResult
 	// Observer is the deterministic observability layer (span timelines,
 	// cycle attribution, metrics registry); set Config.Obs to one built
-	// with NewObserver, or attach it to a Manager with AttachObs.
+	// with NewObserver, or attach it to a Manager with Manager.AttachObs.
 	Observer = obs.Observer
 	// JourneyTracer is the request-journey tracing layer (causal span
 	// trees, critical-path attribution, flight recorder, SLO monitor);
 	// set Config.Journey to one built with NewJourneyTracer, or attach
-	// it to a Manager with AttachJourney.
+	// it to a Manager with Manager.AttachJourney.
 	JourneyTracer = journey.Tracer
 	// JourneyConfig configures a tracer built with NewJourneyTracerWith:
 	// SLO target, 1-in-N request sampling, flight-recorder capacity, and
@@ -282,10 +282,6 @@ type (
 	RoundRobinPolicy = ivessel.RoundRobinPolicy
 	// FairSharePolicy preempts only when siblings are waiting.
 	FairSharePolicy = ivessel.FairSharePolicy
-	// DomainManager is the per-domain manager a SelfHealCluster hands to
-	// worker build functions (programs are assembled against a specific
-	// domain's call gates).
-	DomainManager = ivessel.Manager
 	// FailsafePolicy wraps a Policy with panic recovery and a per-decision
 	// cycle budget, swapping atomically to round-robin on the first
 	// violation.

@@ -3,6 +3,9 @@ package vessel
 import (
 	"fmt"
 	"testing"
+
+	"vessel/internal/obs"
+	"vessel/internal/uproc"
 )
 
 func TestNewScheduler(t *testing.T) {
@@ -110,7 +113,7 @@ func TestMachineAPIQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.Step(0, 2000)
-	ub, _ := mgr.inner.Lookup("b")
+	ub, _ := mgr.Lookup("b")
 	if ub.State != 0 { // UProcRunning
 		t.Fatal("b should survive a's destruction")
 	}
@@ -189,7 +192,7 @@ func TestPreemptAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.Step(0, 100)
-	if err := mgr.Preempt(0, nil); err != nil {
+	if err := mgr.Domain.Preempt(0, uproc.SchedCommand{}); err != nil {
 		t.Fatal(err)
 	}
 	mgr.Step(0, 500)
@@ -212,8 +215,12 @@ func TestSelfHealFacade(t *testing.T) {
 	}
 	for core := 0; core < 2; core++ {
 		name := fmt.Sprintf("w%d", core)
-		err := c.AddWorker(0, name, func(mg *DomainManager) *Program {
-			p, err := wrapManagerProgram(mg, name)
+		err := c.AddWorker(0, name, func(mg *Manager) *Program {
+			// The cluster rebuilds workers on restart, so the build
+			// function must be re-runnable.
+			p, err := mg.NewProgram(name).Forever(func(b *ProgramBuilder) {
+				b.Compute(500).Park()
+			}).Build()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,12 +263,47 @@ func TestSelfHealFacade(t *testing.T) {
 	}
 }
 
-// wrapManagerProgram builds a park-loop against a self-heal domain's
-// manager via the raw program surface (the cluster rebuilds workers on
-// restart, so the build function must be re-runnable).
-func wrapManagerProgram(mg *DomainManager, name string) (*Program, error) {
-	w := WrapManager(mg)
-	return w.NewProgram(name).Forever(func(b *ProgramBuilder) {
-		b.Compute(500).Park()
-	}).Build()
+// TestManagerAttachObsAndJourney drives the attach path the Observer and
+// JourneyTracer docs name: both layers attach to a public Manager, and a
+// park loop built with NewProgram lands gate spans in the observer and
+// layer-1 gate calls in the tracer's flight recorder.
+func TestManagerAttachObsAndJourney(t *testing.T) {
+	mgr, err := NewManager(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewObserver(0)
+	tr := NewJourneyTracer()
+	mgr.AttachObs(o)
+	mgr.AttachJourney(tr)
+	for _, name := range []string{"a", "b"} {
+		p, err := mgr.NewProgram(name).Forever(func(b *ProgramBuilder) {
+			b.Compute(100).Park()
+		}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Launch(name, p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Step(0, 5000)
+	if parks, _ := mgr.Stats(0); parks == 0 {
+		t.Fatal("park loop never parked")
+	}
+	gates := 0
+	for _, sp := range o.Spans() {
+		if sp.Cat == obs.CatGate {
+			gates++
+		}
+	}
+	if gates == 0 {
+		t.Fatalf("observer recorded no gate spans (%d spans)", len(o.Spans()))
+	}
+	if len(tr.Flight().Events()) == 0 {
+		t.Fatal("journey flight recorder is empty")
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"vessel/internal/multidomain"
-	ivessel "vessel/internal/vessel"
+	"vessel/internal/smas"
 )
 
 // Cluster manages multiple scheduling domains, following §4.1: one domain
@@ -24,7 +24,7 @@ type Cluster struct {
 }
 
 // MaxUProcsPerDomain mirrors the architectural key budget.
-const MaxUProcsPerDomain = 13
+const MaxUProcsPerDomain = smas.MaxUProcs
 
 // NewCluster boots n scheduling domains with the given cores each.
 func NewCluster(domains, coresPerDomain int, costs *CostModel) (*Cluster, error) {
@@ -125,7 +125,7 @@ func (c *Cluster) Launch(name string, build func(*Manager) (*Program, error), co
 			// fail the launch with no bookkeeping recorded anywhere.
 			return nil, err
 		}
-		u, err := c.placement.Launch(name, i, m.inner, prog, core)
+		u, err := c.placement.Launch(name, i, m, prog, core)
 		if err != nil {
 			// The domain refused — e.g. its keys were consumed by
 			// uProcesses launched directly on its manager, or the name
@@ -150,7 +150,7 @@ func (c *Cluster) Launch(name string, build func(*Manager) (*Program, error), co
 // because domainFree clamps on the SMAS's actual free keys, which an
 // unreaped zombie still holds.
 func (c *Cluster) Destroy(name string) error {
-	i, err := c.placement.Destroy(name, func(i int) *ivessel.Manager { return c.managers[i].inner })
+	i, err := c.placement.Destroy(name, c.Manager)
 	if i >= 0 {
 		c.perDomain[i]--
 	}

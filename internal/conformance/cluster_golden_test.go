@@ -179,7 +179,7 @@ func TestClusterCanonicalGolden(t *testing.T) {
 				t.Errorf("actuation max %dns over the %v budget", rep.Actuation.Max, actuationBudget)
 			}
 			line := fmt.Sprintf("%s policy=%s grants=%d revokes=%d delivered=%d actuation_p99_ns=%d actuation_max_ns=%d",
-				sc.name, s.PolicyName(), rep.Grants, rep.Revokes, rep.Delivered, rep.Actuation.P99, rep.Actuation.Max)
+				sc.name, s.Sched().PolicyName(), rep.Grants, rep.Revokes, rep.Delivered, rep.Actuation.P99, rep.Actuation.Max)
 			switch sc.name {
 			case "hotswap":
 				postSwapOps := 0
@@ -190,15 +190,15 @@ func TestClusterCanonicalGolden(t *testing.T) {
 						}
 					}
 				}
-				if s.PolicyName() != "failsafe(uslatency)" || len(rep.Swaps) != 1 || postSwapOps == 0 {
+				if s.Sched().PolicyName() != "failsafe(uslatency)" || len(rep.Swaps) != 1 || postSwapOps == 0 {
 					t.Errorf("hot swap: policy=%s swaps=%d post-swap ops=%d, want failsafe(uslatency), 1, >0",
-						s.PolicyName(), len(rep.Swaps), postSwapOps)
+						s.Sched().PolicyName(), len(rep.Swaps), postSwapOps)
 				}
 				line += fmt.Sprintf(" post_swap_ops=%d", postSwapOps)
 			case "panic":
-				if s.PolicyName() != "failsafe[static]" || len(rep.Swaps) == 0 {
+				if s.Sched().PolicyName() != "failsafe[static]" || len(rep.Swaps) == 0 {
 					t.Fatalf("policy panic: policy=%s swaps=%d, want failsafe[static] and a swap",
-						s.PolicyName(), len(rep.Swaps))
+						s.Sched().PolicyName(), len(rep.Swaps))
 				}
 				mttr := rep.Swaps[0].At.Sub(crashAt)
 				if mttr > failsafeMTTRBudget {

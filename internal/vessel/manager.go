@@ -12,11 +12,12 @@ import (
 	"vessel/internal/uproc"
 )
 
-// Manager is VESSEL's control plane (§5.1): the standalone auxiliary
-// program that creates SMAS, processes uProcess creation and destruction
-// commands, and owns the scheduling domain's resources. It is a thin,
-// user-facing layer over uproc.Domain — the mechanism model — and is what
-// the examples and the Table 1 microbenchmark drive.
+// Manager is VESSEL's control plane over one scheduling domain (§5.1):
+// the standalone auxiliary program that creates SMAS, processes uProcess
+// creation and destruction commands, and owns the domain's resources. It
+// is a thin layer over uproc.Domain — the mechanism model — exported from
+// the root package as vessel.Manager; the examples, the Table 1
+// microbenchmark and every multi-domain driver use it directly.
 type Manager struct {
 	Domain *uproc.Domain
 	eng    *sim.Engine

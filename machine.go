@@ -1,14 +1,9 @@
 package vessel
 
 import (
-	"fmt"
-
-	"vessel/internal/cpu"
-	"vessel/internal/mem"
 	"vessel/internal/smas"
 	"vessel/internal/uproc"
 	ivessel "vessel/internal/vessel"
-	"vessel/internal/vpkey"
 )
 
 // This file is the mechanism-level public API: boot a simulated machine
@@ -17,25 +12,23 @@ import (
 // architectural page-permission ∧ PKRU check; context switches really go
 // through the call gate.
 
-// Manager is VESSEL's control plane over a simulated machine (§5.1).
-type Manager struct {
-	inner *ivessel.Manager
-}
-
-// UProc is a launched uProcess.
-type UProc = uproc.UProc
-
-// Program is a loadable application image.
-type Program = smas.Program
+type (
+	// Manager is VESSEL's control plane over one scheduling domain
+	// (§5.1); its methods are documented on internal/vessel.Manager.
+	Manager = ivessel.Manager
+	// ProgramBuilder assembles small applications against a manager's
+	// call gates without exposing the instruction set.
+	ProgramBuilder = ivessel.ProgramBuilder
+	// UProc is a launched uProcess.
+	UProc = uproc.UProc
+	// Program is a loadable application image.
+	Program = smas.Program
+)
 
 // NewManager boots a scheduling domain with the given core count. A nil
 // cost model uses DefaultCosts.
 func NewManager(cores int, costs *CostModel) (*Manager, error) {
-	inner, err := ivessel.NewManager(cores, costs)
-	if err != nil {
-		return nil, err
-	}
-	return &Manager{inner: inner}, nil
+	return ivessel.NewManager(cores, costs)
 }
 
 // NewManagerVirtual boots a scheduling domain with libmpk-style
@@ -43,255 +36,5 @@ func NewManager(cores int, costs *CostModel) (*Manager, error) {
 // the 13 hardware app keys — virtual keys are multiplexed onto the slots
 // with LRU eviction and lazy re-tagging (DESIGN.md §14).
 func NewManagerVirtual(cores int, costs *CostModel) (*Manager, error) {
-	inner, err := ivessel.NewManagerVirtual(cores, costs)
-	if err != nil {
-		return nil, err
-	}
-	return &Manager{inner: inner}, nil
-}
-
-// WrapManager adapts a domain manager — as handed to SelfHealCluster
-// worker build functions — to the public Manager surface, so workers can
-// be assembled with NewProgram instead of the raw instruction set.
-func WrapManager(mg *DomainManager) *Manager { return &Manager{inner: mg} }
-
-// Launch loads a program as a uProcess and queues its main thread on core.
-func (m *Manager) Launch(name string, p *Program, core int) (*UProc, error) {
-	return m.inner.Launch(name, p, core)
-}
-
-// Destroy terminates a uProcess (applied lazily by the cores, §5.1).
-func (m *Manager) Destroy(name string) error { return m.inner.Destroy(name) }
-
-// Reap reclaims regions and protection keys of destroyed uProcesses whose
-// lazy termination has landed, returning how many were reclaimed.
-func (m *Manager) Reap() (int, error) { return m.inner.Reap() }
-
-// Occupancy returns how many uProcesses the domain currently hosts:
-// launched ones plus destroyed ones whose regions are not yet reclaimed.
-// This is the domain's real liveness signal — the cluster layer keys its
-// start/step fan-out on it rather than on its own launch bookkeeping,
-// which goes stale when uProcesses are launched directly on the manager.
-func (m *Manager) Occupancy() int { return m.inner.Occupancy() }
-
-// Backlog returns the domain's total runqueue length across online cores —
-// the demand signal the cluster scheduler's policies consume.
-func (m *Manager) Backlog() int { return m.inner.Backlog() }
-
-// DrainZombies drives the domain until every destroyed uProcess's lazy
-// termination has landed, stopping at event quiescence rather than after
-// a fixed instruction budget. It reports whether the zombies settled.
-func (m *Manager) DrainZombies(quantum int) (bool, error) { return m.inner.DrainZombies(quantum) }
-
-// SetClusterManaged places the domain under two-level cluster scheduling:
-// every core starts released (offline), and the cluster scheduler grants
-// and revokes cores through GrantCore/RevokeCore upcalls. coresPerNode
-// fixes the NUMA granularity of the executor cache.
-func (m *Manager) SetClusterManaged(coresPerNode int) error {
-	return m.inner.SetClusterManaged(coresPerNode)
-}
-
-// CoreOnline reports whether a core is currently placeable in this domain
-// (granted, and not fenced).
-func (m *Manager) CoreOnline(core int) bool { return m.inner.CoreOnline(core) }
-
-// GrantCore actuates a cluster-scheduler grant: the core comes online with
-// an executor bound from the per-NUMA cache.
-func (m *Manager) GrantCore(core int) error { return m.inner.GrantCore(core) }
-
-// RevokeCore actuates a cluster-scheduler revoke: the core's queued work
-// re-homes to the domain's remaining online cores, a running thread drains
-// at its next gate, and the executor returns to the cache. It returns how
-// many threads moved.
-func (m *Manager) RevokeCore(core int) (int, error) { return m.inner.RevokeCore(core) }
-
-// NumCores returns the domain's core count.
-func (m *Manager) NumCores() int { return m.inner.Machine().NumCores() }
-
-// Start dispatches the first thread on a core.
-func (m *Manager) Start(core int) error { return m.inner.Start(core) }
-
-// Step executes up to n instructions on a core, returning the count run.
-func (m *Manager) Step(core, n int) int { return m.inner.Step(core, n) }
-
-// Stats returns (voluntary parks, Uintr preemptions) for a core.
-func (m *Manager) Stats(core int) (parks, preemptions uint64) {
-	return m.inner.Domain.CoreStats(core)
-}
-
-// KeysAvailable returns the domain's remaining uProcess launch budget:
-// free protection keys in the SMAS — the architectural limit (§4.1) —
-// or effectively unbounded headroom when keys are virtualized. Unreaped
-// zombies still hold theirs.
-func (m *Manager) KeysAvailable() int { return m.inner.KeysAvailable() }
-
-// SMAS exposes the domain's shared memory address space — the surface the
-// conformance oracles (phantom-key and virtual-key lifecycle audits)
-// inspect.
-func (m *Manager) SMAS() *smas.SMAS { return m.inner.Domain.S }
-
-// VPkey returns the domain's virtual protection-key table, or nil when
-// keys are not virtualized.
-func (m *Manager) VPkey() *vpkey.Table { return m.inner.Domain.S.VKeys }
-
-// CyclesNs returns the virtual nanoseconds core has executed.
-func (m *Manager) CyclesNs(core int) float64 {
-	c := m.inner.Machine().Core(core)
-	return m.inner.Machine().NsFor(c.Cycles)
-}
-
-// Preempt asks the scheduler to preempt a core through the user-interrupt
-// path, optionally activating a specific thread first.
-func (m *Manager) Preempt(core int, activate *Thread) error {
-	return m.inner.Domain.Preempt(core, uproc.SchedCommand{Activate: activate})
-}
-
-// RunTimesliced drives a core for totalSteps instructions with a scheduler
-// preemption every quantumSteps, returning the number of preemptions. A
-// core stopped by an uncontained fault returns an error; a core that went
-// idle returns nil.
-func (m *Manager) RunTimesliced(core, totalSteps, quantumSteps int) (int, error) {
-	return m.inner.RunTimesliced(core, totalSteps, quantumSteps)
-}
-
-// Events returns the containment event log (created on first use) — the
-// deterministic record of injections, contained faults, watchdog kills,
-// restarts, and reclaims.
-func (m *Manager) Events() *EventLog { return m.inner.Events() }
-
-// EnableWatchdog arms the per-uProcess cycle-budget watchdog: a thread
-// burning more than hardCycles without a voluntary park gets its uProcess
-// killed; softCycles only counts overruns.
-func (m *Manager) EnableWatchdog(softCycles, hardCycles int64) {
-	m.inner.EnableWatchdog(softCycles, hardCycles)
-}
-
-// InjectFaults attaches a deterministic fault plan; it fires during
-// RunChaos.
-func (m *Manager) InjectFaults(plan FaultPlan) *Injector { return m.inner.InjectFaults(plan) }
-
-// Supervise launches a uProcess under a restart policy: on death its
-// region and protection key are reclaimed and build() is relaunched after
-// a capped exponential backoff in virtual time.
-func (m *Manager) Supervise(name string, build func() *Program, core int, policy RestartPolicy) (*UProc, error) {
-	return m.inner.Supervise(name, build, core, policy)
-}
-
-// RunChaos runs all cores under time slicing with fault injection, the
-// watchdog, and supervised restarts, and reports what happened.
-func (m *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) { return m.inner.RunChaos(cfg) }
-
-// FenceCore withdraws a core from placement: its queued threads are
-// re-homed round-robin across the remaining healthy cores, a thread wedged
-// on it is written off with its uProcess, and supervised workloads pinned
-// there are re-pinned to a survivor. Fencing is one-way and idempotent;
-// Launch, Wake, and the chaos scheduler all refuse a fenced core.
-func (m *Manager) FenceCore(core int) error { return m.inner.FenceCore(core) }
-
-// CoreFenced reports whether a core has been withdrawn from placement.
-func (m *Manager) CoreFenced(core int) bool { return m.inner.CoreFenced(core) }
-
-// FencedCores returns how many cores are currently fenced.
-func (m *Manager) FencedCores() int { return m.inner.FencedCores() }
-
-// CancelPending cancels every event this manager still has scheduled on
-// its engine — supervised relaunch backoffs and in-flight Uintr
-// deliveries — and reports how many were cancelled. Call it before tearing
-// the domain down, so stale events cannot fire into its successor.
-func (m *Manager) CancelPending() int { return m.inner.CancelPending() }
-
-// Thread is a uProcess thread.
-type Thread = uproc.Thread
-
-// ProgramBuilder assembles small applications against a manager's gates
-// without exposing the instruction set. State that must survive park() and
-// preemption is kept in gate-preserved registers.
-type ProgramBuilder struct {
-	mgr  *Manager
-	asm  *cpu.Assembler
-	name string
-	loop int
-	err  error
-}
-
-// NewProgram starts building a program for this manager's domain.
-func (m *Manager) NewProgram(name string) *ProgramBuilder {
-	return &ProgramBuilder{mgr: m, asm: cpu.NewAssembler(), name: name}
-}
-
-// Compute emits a block of application work costing the given cycles.
-func (b *ProgramBuilder) Compute(cycles int64) *ProgramBuilder {
-	if cycles <= 0 {
-		b.fail("Compute cycles must be positive")
-		return b
-	}
-	b.asm.Emit(cpu.Work{N: cycles})
-	return b
-}
-
-// Park emits a voluntary yield through the park call gate (§4.4).
-func (b *ProgramBuilder) Park() *ProgramBuilder {
-	b.asm.Emit(cpu.Call{Target: b.mgr.inner.Domain.GatePark.Entry})
-	return b
-}
-
-// Exit emits uProcess-thread termination through the exit gate.
-func (b *ProgramBuilder) Exit() *ProgramBuilder {
-	b.asm.Emit(cpu.Call{Target: b.mgr.inner.Domain.GateExit.Entry})
-	return b
-}
-
-// Repeat emits body n times around a counted loop. Repeat must not nest
-// (the loop counter lives in one preserved register).
-func (b *ProgramBuilder) Repeat(n uint64, body func(*ProgramBuilder)) *ProgramBuilder {
-	if n == 0 {
-		b.fail("Repeat count must be positive")
-		return b
-	}
-	if b.loop > 0 {
-		b.fail("Repeat must not nest")
-		return b
-	}
-	b.loop++
-	label := fmt.Sprintf("loop%d", b.asm.Len())
-	b.asm.Emit(cpu.MovImm{Dst: cpu.RSI, Imm: n})
-	b.asm.Label(label)
-	body(b)
-	b.asm.LoopTo(cpu.RSI, label)
-	b.loop--
-	return b
-}
-
-// Forever emits body in an infinite loop (the program never exits; it is
-// scheduled in and out via park/preemption).
-func (b *ProgramBuilder) Forever(body func(*ProgramBuilder)) *ProgramBuilder {
-	label := fmt.Sprintf("fwd%d", b.asm.Len())
-	b.asm.Label(label)
-	body(b)
-	b.asm.JmpTo(label)
-	return b
-}
-
-func (b *ProgramBuilder) fail(msg string) {
-	if b.err == nil {
-		b.err = fmt.Errorf("vessel: program %q: %s", b.name, msg)
-	}
-}
-
-// Build finalises the program image (PIE, one data page, two stack pages
-// per default; the loader re-inspects the code at load time).
-func (b *ProgramBuilder) Build() (*Program, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if b.asm.Len() == 0 {
-		return nil, fmt.Errorf("vessel: program %q is empty", b.name)
-	}
-	return &Program{
-		Name:      b.name,
-		Asm:       b.asm,
-		PIE:       true,
-		DataSize:  mem.PageSize,
-		StackSize: 4 * mem.PageSize,
-	}, nil
+	return ivessel.NewManagerVirtual(cores, costs)
 }

@@ -21,7 +21,6 @@ import (
 	"vessel/internal/sim"
 	"vessel/internal/smas"
 	"vessel/internal/trace"
-	ivessel "vessel/internal/vessel"
 )
 
 // scheduleEvery is the number of rounds between cluster policy decisions.
@@ -66,8 +65,6 @@ type ScheduledCluster struct {
 	core     *multidomain.Core
 	sched    *clustersched.Sched
 	failsafe *clustersched.Failsafe
-	// managers wraps the core's managers in the public surface.
-	managers []*Manager
 	clients  []clustersched.Client
 	injector *faultinject.Injector
 
@@ -137,20 +134,18 @@ func NewScheduledCluster(cfg SchedClusterConfig) (*ScheduledCluster, error) {
 		return nil, err
 	}
 	for d := 0; d < cfg.Domains; d++ {
-		mg, err := s.core.NewManager(d, func(mg *ivessel.Manager) error {
+		if _, err := s.core.NewManager(d, func(mg *Manager) error {
 			return mg.SetClusterManaged(cfg.CoresPerNode)
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
 		if cfg.SLOTarget > 0 {
 			s.core.AttachJourney(d, journey.NewTracer(journey.Config{SLOTarget: cfg.SLOTarget}))
 		}
-		s.managers = append(s.managers, &Manager{inner: mg})
 		s.clients = append(s.clients, &domainClient{c: s, domain: d})
 	}
 	if cfg.Faults != nil {
-		s.injector = faultinject.New(s.managers[0].inner.Domain, *cfg.Faults)
+		s.injector = faultinject.New(s.core.Manager(0).Domain, *cfg.Faults)
 		s.injector.AttachClusterPolicy(s.failsafe)
 	}
 	if _, err := s.sched.Bootstrap(s.core.Eng.Now()); err != nil {
@@ -174,7 +169,7 @@ type domainClient struct {
 
 func (dc *domainClient) CoreGranted(core int, at sim.Time) error {
 	s := dc.c
-	if err := s.managers[dc.domain].GrantCore(core); err != nil {
+	if err := s.core.Manager(dc.domain).GrantCore(core); err != nil {
 		return err
 	}
 	s.core.Det.Track(s.core.ID(dc.domain, core), at)
@@ -188,7 +183,7 @@ func (dc *domainClient) CoreGranted(core int, at sim.Time) error {
 
 func (dc *domainClient) CoreRevoked(core int, at sim.Time) (int, error) {
 	s := dc.c
-	moved, err := s.managers[dc.domain].RevokeCore(core)
+	moved, err := s.core.Manager(dc.domain).RevokeCore(core)
 	if err != nil {
 		return moved, err
 	}
@@ -202,8 +197,8 @@ func (dc *domainClient) CoreRevoked(core int, at sim.Time) (int, error) {
 // for ops that just landed.
 func (s *ScheduledCluster) deliverAll() error {
 	now := s.core.Eng.Now()
-	for d := range s.managers {
-		if _, err := s.sched.Deliver(d, now, s.clients[d]); err != nil {
+	for d, client := range s.clients {
+		if _, err := s.sched.Deliver(d, now, client); err != nil {
 			return err
 		}
 	}
@@ -229,16 +224,16 @@ func (s *ScheduledCluster) deliverAll() error {
 // with the shortest runqueue. The build function receives the domain's
 // manager, because programs are assembled against its call gates.
 func (s *ScheduledCluster) Launch(domain int, name string, build func(*Manager) (*Program, error)) (*UProc, error) {
-	if domain < 0 || domain >= len(s.managers) {
+	if domain < 0 || domain >= s.cfg.Domains {
 		return nil, fmt.Errorf("vessel: domain %d out of range", domain)
 	}
 	if err := s.placement.Claim(name); err != nil {
 		return nil, err
 	}
-	m := s.managers[domain]
+	m := s.core.Manager(domain)
 	core, best := -1, 0
-	for _, c := range m.inner.OnlineCores() {
-		if q := len(m.inner.Domain.Runqueue(c)); core < 0 || q < best {
+	for _, c := range m.OnlineCores() {
+		if q := len(m.Domain.Runqueue(c)); core < 0 || q < best {
 			core, best = c, q
 		}
 	}
@@ -249,7 +244,7 @@ func (s *ScheduledCluster) Launch(domain int, name string, build func(*Manager) 
 	if err != nil {
 		return nil, err
 	}
-	return s.placement.Launch(name, domain, m.inner, prog, core)
+	return s.placement.Launch(name, domain, m, prog, core)
 }
 
 // Destroy removes a uProcess, drains its lazy termination to quiescence,
@@ -280,8 +275,8 @@ func (s *ScheduledCluster) Run(rounds int) error {
 			eng.Run(eng.Now().Add(sim.Duration(s.cfg.Quantum) * sim.Nanosecond))
 		}
 		now := eng.Now()
-		for d, m := range s.managers {
-			backlog := m.Backlog()
+		for d := 0; d < s.cfg.Domains; d++ {
+			backlog := s.core.Manager(d).Backlog()
 			viol := 0.0
 			if tr := s.core.Tracer(d); tr != nil {
 				viol = tr.ViolationFrac()
@@ -308,7 +303,7 @@ func (s *ScheduledCluster) Run(rounds int) error {
 type ledger ScheduledCluster
 
 func (l *ledger) Live(int) bool          { return true }
-func (l *ledger) Admit(d, core int) bool { return l.managers[d].inner.CoreOnline(core) }
+func (l *ledger) Admit(d, core int) bool { return l.core.Manager(d).CoreOnline(core) }
 func (l *ledger) Idle(int, int) bool     { return true }
 
 func (l *ledger) AfterRun(d, core int, _ *cpu.Core, ran int) error {
@@ -339,10 +334,10 @@ func (s *ScheduledCluster) autoRequest(d, backlog int, now sim.Time) {
 		return
 	}
 	g := s.sched.Granted(d)
-	m := s.managers[d]
+	m := s.core.Manager(d)
 	for i := len(g) - 1; i >= 0; i-- {
 		core := g[i]
-		if m.inner.CoreOnline(core) && m.inner.Machine().Core(core).Halted {
+		if m.CoreOnline(core) && m.Machine().Core(core).Halted {
 			_ = s.sched.YieldCore(d, core, now)
 			s.idleRounds[d] = 0
 			break
@@ -359,12 +354,12 @@ func (s *ScheduledCluster) surfaceSwaps() {
 	for ; s.swapsSeen < len(swaps); s.swapsSeen++ {
 		sw := swaps[s.swapsSeen]
 		detail := fmt.Sprintf("%s->%s: %s", sw.From, sw.To, sw.Reason)
-		for d := range s.managers {
+		for d := 0; d < s.cfg.Domains; d++ {
 			if tr := s.core.Tracer(d); tr != nil {
 				tr.Event(sw.At, "cluster.policy.swap", detail)
 			}
 		}
-		for d := range s.managers {
+		for d := 0; d < s.cfg.Domains; d++ {
 			if tr := s.core.Tracer(d); tr != nil {
 				// One dump per swap is the record; every tracer carries the
 				// event itself.
@@ -394,11 +389,11 @@ func (s *ScheduledCluster) SwapPolicy(name, reason string) error {
 }
 
 // Domains returns the number of domains.
-func (s *ScheduledCluster) Domains() int { return len(s.managers) }
+func (s *ScheduledCluster) Domains() int { return s.cfg.Domains }
 
 // Manager returns domain d's manager (to build programs against its
 // gates, or inspect its executors).
-func (s *ScheduledCluster) Manager(d int) *Manager { return s.managers[d] }
+func (s *ScheduledCluster) Manager(d int) *Manager { return s.core.Manager(d) }
 
 // Tracer returns domain d's journey tracer (nil unless SLOTarget or
 // sampling was configured).
@@ -414,12 +409,6 @@ func (s *ScheduledCluster) Events() *EventLog { return s.core.Events }
 // Detector returns the phi-accrual failure detector tracking granted
 // cores (ids "d<domain>.c<core>").
 func (s *ScheduledCluster) Detector() *FailureDetector { return s.core.Det }
-
-// GrantedCount returns how many cores the ledger currently grants d.
-func (s *ScheduledCluster) GrantedCount(d int) int { return s.sched.GrantedCount(d) }
-
-// PolicyName returns the active policy's name (failsafe-wrapped).
-func (s *ScheduledCluster) PolicyName() string { return s.sched.PolicyName() }
 
 // Sched exposes the cluster scheduler's ledger — the surface the
 // conformance oracle replays.

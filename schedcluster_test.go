@@ -68,7 +68,7 @@ func TestScheduledClusterCoreAuction(t *testing.T) {
 	// the ledger's view matches each domain's online set.
 	ownedTotal := 0
 	for d := 0; d < s.Domains(); d++ {
-		g := s.GrantedCount(d)
+		g := s.Sched().GrantedCount(d)
 		if g < 1 {
 			t.Fatalf("domain %d fell below its 1-core floor (granted=%d)", d, g)
 		}
@@ -86,10 +86,10 @@ func TestScheduledClusterCoreAuction(t *testing.T) {
 	// strictly more cores than the light half.
 	heavy, light := 0, 0
 	for d := 0; d < 4; d++ {
-		heavy += s.GrantedCount(d)
+		heavy += s.Sched().GrantedCount(d)
 	}
 	for d := 4; d < 8; d++ {
-		light += s.GrantedCount(d)
+		light += s.Sched().GrantedCount(d)
 	}
 	if heavy <= light {
 		t.Fatalf("fair share did not follow demand: heavy=%d light=%d", heavy, light)
@@ -99,10 +99,10 @@ func TestScheduledClusterCoreAuction(t *testing.T) {
 	for d := 0; d < s.Domains(); d++ {
 		m := s.Manager(d)
 		var parks uint64
-		for _, core := range m.inner.OnlineCores() {
+		for _, core := range m.OnlineCores() {
 			p, _ := m.Stats(core)
 			parks += p
-			if m.inner.ExecutorOn(core) == nil {
+			if m.ExecutorOn(core) == nil {
 				t.Fatalf("domain %d core %d online without a bound executor", d, core)
 			}
 		}
@@ -140,14 +140,14 @@ func TestScheduledClusterHotSwap(t *testing.T) {
 	if err := s.Run(12); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PolicyName(); got != "failsafe(fairshare)" {
+	if got := s.Sched().PolicyName(); got != "failsafe(fairshare)" {
 		t.Fatalf("policy before swap = %q", got)
 	}
 	opsBefore := len(s.Sched().Ops())
 	if err := s.SwapPolicy("uslatency", "operator upgrade"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PolicyName(); got != "failsafe(uslatency)" {
+	if got := s.Sched().PolicyName(); got != "failsafe(uslatency)" {
 		t.Fatalf("policy after swap = %q", got)
 	}
 	for d := 0; d < 3; d++ {
@@ -174,7 +174,7 @@ func TestScheduledClusterHotSwap(t *testing.T) {
 	if err := s.SwapPolicy("nonsense", "x"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if got := s.PolicyName(); got != "failsafe(uslatency)" {
+	if got := s.Sched().PolicyName(); got != "failsafe(uslatency)" {
 		t.Fatalf("failed swap changed the policy to %q", got)
 	}
 }
@@ -204,7 +204,7 @@ func TestScheduledClusterPolicyPanicFailsafe(t *testing.T) {
 	if err := s.Run(40); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.PolicyName(); got != "failsafe[static]" {
+	if got := s.Sched().PolicyName(); got != "failsafe[static]" {
 		t.Fatalf("policy after panic = %q, want failsafe[static]", got)
 	}
 	swaps := s.Sched().Swaps()
@@ -277,7 +277,7 @@ func TestScheduledClusterZeroBudgetNeverSwapsOnBurn(t *testing.T) {
 		if s.Events().CountByName("inject.clusterpolicyburn") != 1 {
 			t.Fatalf("budget %d: burn not injected", tc.budget)
 		}
-		if got := s.PolicyName(); got != tc.want {
+		if got := s.Sched().PolicyName(); got != tc.want {
 			t.Fatalf("budget %d: policy after burn = %q, want %q", tc.budget, got, tc.want)
 		}
 	}

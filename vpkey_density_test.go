@@ -52,7 +52,7 @@ func TestDenseClusterHundredUProcessesOneDomain(t *testing.T) {
 		t.Fatalf("density without eviction pressure: evictions=%d refills=%d",
 			vt.Evictions, vt.Refills)
 	}
-	if vs := conformance.CheckVPkeyLifecycle("dense-cluster", m.SMAS()); len(vs) != 0 {
+	if vs := conformance.CheckVPkeyLifecycle("dense-cluster", m.Domain.S); len(vs) != 0 {
 		t.Fatalf("lifecycle oracles flagged:\n%v", vs)
 	}
 	// Churn: destroy a third, relaunch, oracles still hold.
@@ -69,7 +69,7 @@ func TestDenseClusterHundredUProcessesOneDomain(t *testing.T) {
 	for core := 0; core < 2; core++ {
 		c.Step(core, 20_000)
 	}
-	if vs := conformance.CheckVPkeyLifecycle("dense-cluster", m.SMAS()); len(vs) != 0 {
+	if vs := conformance.CheckVPkeyLifecycle("dense-cluster", m.Domain.S); len(vs) != 0 {
 		t.Fatalf("lifecycle oracles flagged after churn:\n%v", vs)
 	}
 }
