@@ -1,33 +1,27 @@
 // Package multidomain is the shared core of the multi-domain driver (the
 // paper's answer to the 13-key limit, §4.1): one engine, one event log,
 // one phi-accrual failure detector, the per-domain managers with their
-// journey wiring, the core-stepping loop, and the Launch/Destroy
-// placement path. Supervision (selfheal.Cluster) and the grant/revoke
-// ledger (vessel.ScheduledCluster) plug into the loop as a Part.
+// journey wiring, the multi-domain round (vessel.Manager.Round on every
+// live domain, then one clock sync), and the Launch/Destroy placement
+// path. Supervision (selfheal.Cluster) and the grant/revoke ledger
+// (vessel.ScheduledCluster) plug into the round as a Part.
 package multidomain
 
 import (
 	"fmt"
 
-	"vessel/internal/cpu"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
 	"vessel/internal/trace"
 	"vessel/internal/vessel"
 )
 
-// Part is the policy a driver plugs into the core-stepping loop.
+// Part is the policy a driver plugs into Round: the per-domain round part,
+// plus which domains are still driven.
 type Part interface {
+	vessel.RoundPart
 	// Live reports whether domain d is still driven: stepped and clocked.
 	Live(d int) bool
-	// Admit reports whether core of domain d steps this round.
-	Admit(d, core int) bool
-	// Idle is called for a halted core whose wake found nothing to run;
-	// it reports whether the core still runs its quantum.
-	Idle(d, core int) bool
-	// AfterRun is called once the core ran its quantum, retiring ran
-	// instructions.
-	AfterRun(d, core int, cc *cpu.Core, ran int) error
 }
 
 // Core holds the parts every multi-domain driver shares.
@@ -73,13 +67,14 @@ func New(domains, cores int, virtual bool, events *trace.EventLog) *Core {
 // mode of the incarnation it replaces. setup (may be nil) configures it
 // before the domain's journey tracer attaches.
 func (c *Core) NewManager(d int, setup func(*vessel.Manager) error) (*vessel.Manager, error) {
-	newOn := vessel.NewManagerOn
-	if c.virtual {
-		newOn = vessel.NewVirtualManagerOn
-	}
-	mg, err := newOn(c.Eng, c.cores, nil)
+	mg, err := vessel.NewManagerOn(c.Eng, c.cores, nil)
 	if err != nil {
 		return nil, err
+	}
+	if c.virtual {
+		if err := mg.Domain.S.EnableVirtualKeys(); err != nil {
+			return nil, err
+		}
 	}
 	if prev := c.managers[d]; prev != nil {
 		mg.Machine().SetExecMode(prev.Machine().ExecMode()) // a restart keeps its domain's mode
@@ -118,64 +113,25 @@ func (c *Core) Tracer(d int) *journey.Tracer { return c.tracers[d] }
 // ID names core of domain d for the detector.
 func (c *Core) ID(d, core int) string { return c.ids[d][core] }
 
-// Round steps every admitted core of every live domain one quantum,
-// waking a halted core first, then advances the engine to the farthest
-// core's executed time, firing due events on the way. It reports whether
-// any core retired an instruction and whether the clock moved; what an
-// idle round does to the clock is the part's call.
+// Round runs vessel.Manager.Round on every live domain, then advances the
+// engine to the farthest core's executed time, firing due events on the
+// way. It reports whether any core retired an instruction and whether the
+// clock moved; what an idle round does to the clock is the part's call.
 func (c *Core) Round(p Part, quantum int) (progressed, advanced bool, err error) {
+	var t sim.Time
 	for d, mg := range c.managers {
 		if !p.Live(d) {
 			continue
 		}
-		m := mg.Machine()
-		for core := 0; core < m.NumCores(); core++ {
-			if !p.Admit(d, core) {
-				continue
-			}
-			cc := m.Core(core)
-			if cc.Fault != nil || cc.Stalled {
-				continue // silent: the detector sees the missing beat
-			}
-			if cc.Halted {
-				ok, err := mg.Domain.Wake(core)
-				if err != nil {
-					return progressed, false, err
-				}
-				if !ok && !p.Idle(d, core) {
-					continue
-				}
-			}
-			ran := cc.Run(quantum)
-			if ran > 0 {
-				progressed = true
-			}
-			if err := p.AfterRun(d, core, cc, ran); err != nil {
-				return progressed, false, err
-			}
+		ran, err := mg.Round(d, p, quantum)
+		progressed = progressed || ran
+		if err != nil {
+			return progressed, false, err
 		}
+		t = max(t, mg.CoreTime())
 	}
-	return progressed, c.syncClock(p), nil
-}
-
-// syncClock advances the shared engine to the farthest core's executed
-// time across every live domain, reporting whether the clock moved.
-func (c *Core) syncClock(p Part) bool {
-	var maxNs float64
-	for d, mg := range c.managers {
-		if !p.Live(d) {
-			continue
-		}
-		m := mg.Machine()
-		for i := 0; i < m.NumCores(); i++ {
-			if ns := m.NsFor(m.Core(i).Cycles); ns > maxNs {
-				maxNs = ns
-			}
-		}
-	}
-	if t := sim.Time(maxNs); t > c.Eng.Now() {
+	if advanced = t > c.Eng.Now(); advanced {
 		c.Eng.Run(t)
-		return true
 	}
-	return false
+	return progressed, advanced, nil
 }

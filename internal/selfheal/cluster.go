@@ -260,8 +260,9 @@ func (c *Cluster) start() error {
 }
 
 // Run drives the cluster for steps instructions per core in quanta,
-// reacting to failures after every round. It is the cluster-level
-// equivalent of vessel.RunChaos, plus detection and recovery.
+// reacting to failures after every round. Each round is the one
+// vessel.Manager.Round that RunChaos also drives, run on every live domain
+// with the supervisor as its part, plus detection and recovery.
 func (c *Cluster) Run(steps, quantum int) (*Report, error) {
 	if quantum <= 0 {
 		return nil, fmt.Errorf("selfheal: quantum must be positive")

@@ -2,9 +2,9 @@ package vessel
 
 // This file is the containment/chaos side of the manager (the tentpole of
 // the robustness milestone): supervised uProcesses restarted with capped
-// exponential backoff in virtual time, and a chaos run loop that drives
-// every core under time slicing while a faultinject.Injector attacks the
-// domain. The invariants it upholds:
+// exponential backoff in virtual time, and RunChaos, which drives every
+// core under time slicing through the shared round (Manager.Round) while a
+// faultinject.Injector attacks the domain. The invariants it upholds:
 //
 //   - a crashing uProcess is killed, its region and protection key are
 //     reclaimed (only once no core still runs it), and it is restarted
@@ -17,7 +17,9 @@ package vessel
 
 import (
 	"fmt"
+	"slices"
 
+	"vessel/internal/cpu"
 	"vessel/internal/faultinject"
 	"vessel/internal/obs"
 	"vessel/internal/sim"
@@ -89,9 +91,6 @@ func (mg *Manager) EnableWatchdog(softCycles, hardCycles int64) {
 	mg.Domain.Watchdog = &uproc.Watchdog{SoftBudgetCycles: softCycles, HardBudgetCycles: hardCycles}
 }
 
-// Watchdog returns the armed watchdog, or nil.
-func (mg *Manager) Watchdog() *uproc.Watchdog { return mg.Domain.Watchdog }
-
 // InjectFaults attaches a fault plan; the injector fires during RunChaos.
 // It also ensures the event log exists, so injections are traced.
 func (mg *Manager) InjectFaults(plan faultinject.Plan) *faultinject.Injector {
@@ -137,10 +136,11 @@ func (mg *Manager) Supervised(name string) (int, bool) {
 	return 0, false
 }
 
-// pollSupervised reclaims dead supervised uProcesses and schedules their
-// relaunches. Reclaim happens strictly before relaunch, so a crash loop
-// recycles one pkey instead of exhausting the 13-key budget.
-func (mg *Manager) pollSupervised() error {
+// PollSupervised reclaims dead supervised uProcesses and schedules their
+// relaunches: the supervision step RunChaos and selfheal.Cluster take
+// after every round. Reclaim happens strictly before relaunch, so a crash
+// loop recycles one pkey instead of exhausting the 13-key budget.
+func (mg *Manager) PollSupervised() error {
 	now := mg.eng.Now()
 	for _, s := range mg.supervised {
 		if s.pending || s.gaveUp || s.u == nil {
@@ -235,60 +235,26 @@ type ChaosReport struct {
 // (firing restart backoffs), fires due injections, and polls supervised
 // uProcesses. Iteration order is fixed, so runs are deterministic.
 func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
-	var rep ChaosReport
 	if cfg.Quantum <= 0 {
-		return rep, fmt.Errorf("vessel: quantum must be positive")
+		return ChaosReport{}, fmt.Errorf("vessel: quantum must be positive")
 	}
 	if cfg.Steps < cfg.Quantum {
 		cfg.Steps = cfg.Quantum
 	}
-	fatal := make(map[int]bool)
-	markFatal := func(core int) {
-		if !fatal[core] {
-			fatal[core] = true
-			rep.FatalCores = append(rep.FatalCores, core)
-			mg.event("fatal.core", fmt.Sprintf("core=%d fault=%v", core, mg.m.Core(core).Fault))
-		}
-	}
+	p := &chaos{mg: mg, quantum: cfg.Quantum}
 	rounds := (cfg.Steps + cfg.Quantum - 1) / cfg.Quantum
 	for round := 0; round < rounds; round++ {
-		rep.Rounds++
-		progressed := false
-		for core := 0; core < mg.m.NumCores(); core++ {
-			if fatal[core] || mg.Domain.Fenced(core) {
-				continue
-			}
-			c := mg.m.Core(core)
-			if c.Halted {
-				if c.Fault != nil {
-					markFatal(core)
-					continue
-				}
-				ok, err := mg.Domain.Wake(core)
-				if err != nil {
-					return rep, err
-				}
-				if !ok {
-					continue // nothing runnable; stay idle this round
-				}
-			}
-			ran := c.Run(cfg.Quantum)
-			if ran > 0 {
-				progressed = true
-			}
-			if c.Halted && c.Fault != nil {
-				markFatal(core)
-				continue
-			}
-			// Preempt on a full quantum, as RoundRobinPolicy decides.
-			if ran == cfg.Quantum {
-				if err := mg.Domain.Preempt(core, uproc.SchedCommand{}); err != nil {
-					return rep, err
-				}
-				rep.Preemptions++
-			}
+		p.rep.Rounds++
+		progressed, err := mg.Round(0, p, cfg.Quantum)
+		if err == nil {
+			err = p.err
 		}
-		mg.syncClock()
+		if err != nil {
+			return p.rep, err
+		}
+		if t := mg.CoreTime(); t > mg.eng.Now() {
+			mg.eng.Run(t)
+		}
 		if !progressed && mg.eng.Pending() > 0 {
 			// Every core is idle but virtual-time work (a restart
 			// backoff, a deferred delivery) is queued: core cycles will
@@ -299,35 +265,74 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		if mg.injector != nil {
 			mg.injector.Step(mg.eng.Now())
 		}
-		if err := mg.pollSupervised(); err != nil {
-			return rep, err
+		if err := mg.PollSupervised(); err != nil {
+			return p.rep, err
 		}
 	}
 	for _, s := range mg.supervised {
-		rep.Restarts += s.restarts
+		p.rep.Restarts += s.restarts
 		if s.err != nil {
-			return rep, s.err
+			return p.rep, s.err
 		}
 	}
 	if wd := mg.Domain.Watchdog; wd != nil {
-		rep.WatchdogKills = wd.Kills
+		p.rep.WatchdogKills = wd.Kills
 	}
 	for _, u := range mg.Domain.UProcs() {
-		rep.ContainedFaults += uint64(u.FaultSignals)
+		p.rep.ContainedFaults += uint64(u.FaultSignals)
 	}
-	return rep, nil
+	return p.rep, nil
 }
 
-// syncClock advances the discrete-event clock to the farthest core's cycle
-// time, firing any virtual-time events (restart backoffs) that became due.
-func (mg *Manager) syncClock() {
-	var maxNs float64
-	for i := 0; i < mg.m.NumCores(); i++ {
-		if ns := mg.m.NsFor(mg.m.Core(i).Cycles); ns > maxNs {
-			maxNs = ns
-		}
+// chaos is RunChaos's round part. It never steps a fenced core or one an
+// uncontained fault fail-stopped, and it preempts a thread that ran its
+// full quantum, as RoundRobinPolicy decides.
+type chaos struct {
+	mg      *Manager
+	quantum int
+	rep     ChaosReport
+	err     error // a wake error from Admit; no core steps after it
+}
+
+func (p *chaos) Admit(_, core int) bool {
+	c := p.mg.m.Core(core)
+	switch {
+	case p.err != nil || p.mg.Domain.Fenced(core):
+		return false
+	case c.Fault != nil:
+		p.markFatal(core)
+		return false
+	case c.Stalled && c.Halted:
+		// The round skips a stalled core, but RunChaos wakes a halted
+		// one: the wake dispatches its next thread, which then retires
+		// nothing.
+		_, p.err = p.mg.Domain.Wake(core)
+		return false
 	}
-	if t := sim.Time(maxNs); t > mg.eng.Now() {
-		mg.eng.Run(t)
+	return true
+}
+
+func (*chaos) Idle(int, int) bool { return false }
+
+func (p *chaos) AfterRun(_, core int, c *cpu.Core, ran int) error {
+	if c.Fault != nil {
+		p.markFatal(core) // died during its quantum
+		return nil
+	}
+	if ran == p.quantum {
+		if err := p.mg.Domain.Preempt(core, uproc.SchedCommand{}); err != nil {
+			return err
+		}
+		p.rep.Preemptions++
+	}
+	return nil
+}
+
+// markFatal records a fail-stopped core the first time it is seen, so
+// FatalCores lists the cores in the order they died.
+func (p *chaos) markFatal(core int) {
+	if !slices.Contains(p.rep.FatalCores, core) {
+		p.rep.FatalCores = append(p.rep.FatalCores, core)
+		p.mg.event("fatal.core", fmt.Sprintf("core=%d fault=%v", core, p.mg.m.Core(core).Fault))
 	}
 }

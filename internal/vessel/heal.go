@@ -31,12 +31,12 @@ func NewManagerOn(eng *sim.Engine, cores int, costs *cpu.CostModel) (*Manager, e
 	return &Manager{Domain: d, eng: eng, m: m, named: make(map[string]*uproc.UProc)}, nil
 }
 
-// NewVirtualManagerOn is NewManagerOn with libmpk-style virtualized
-// protection keys enabled on the fresh SMAS before any region exists, so
-// the domain's uProcess density is no longer capped by the 13 hardware
-// app keys.
-func NewVirtualManagerOn(eng *sim.Engine, cores int, costs *cpu.CostModel) (*Manager, error) {
-	mg, err := NewManagerOn(eng, cores, costs)
+// NewManagerVirtual boots a scheduling domain on a fresh engine with
+// libmpk-style virtualized protection keys enabled on the fresh SMAS before
+// any region exists, so the domain's uProcess density is no longer capped
+// by the 13 hardware app keys (the virtual-mode counterpart of NewManager).
+func NewManagerVirtual(cores int, costs *cpu.CostModel) (*Manager, error) {
+	mg, err := NewManagerOn(sim.NewEngine(), cores, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -46,21 +46,10 @@ func NewVirtualManagerOn(eng *sim.Engine, cores int, costs *cpu.CostModel) (*Man
 	return mg, nil
 }
 
-// NewManagerVirtual boots a virtual-key scheduling domain on a fresh
-// engine (the virtual-mode counterpart of NewManager).
-func NewManagerVirtual(cores int, costs *cpu.CostModel) (*Manager, error) {
-	return NewVirtualManagerOn(sim.NewEngine(), cores, costs)
-}
-
 // KeysAvailable is the domain's placeable uProcess headroom as the SMAS
 // reports it: free hardware keys in direct mode, effectively unbounded
 // under key virtualization.
 func (mg *Manager) KeysAvailable() int { return mg.Domain.S.KeysAvailable() }
-
-// PollSupervised reclaims dead supervised uProcesses and schedules their
-// relaunches — the supervision step RunChaos performs each round, exported
-// for external run loops that drive the manager core by core.
-func (mg *Manager) PollSupervised() error { return mg.pollSupervised() }
 
 // CancelPending cancels every event this manager still has scheduled on
 // the shared engine — supervised relaunch backoffs and in-flight Uintr

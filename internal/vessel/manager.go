@@ -154,36 +154,83 @@ func (mg *Manager) DrainZombies(quantum int) (bool, error) {
 	// keeping cores busy forever; quiescence normally stops the loop
 	// long before.
 	const maxRounds = 1 << 10
-	for round := 0; round < maxRounds; round++ {
-		if mg.ZombiesSettled() {
-			return true, nil
+	for round := 0; round < maxRounds && !mg.ZombiesSettled(); round++ {
+		progressed, err := mg.Round(0, (*drain)(mg), quantum)
+		if err != nil {
+			return false, err
 		}
-		ran := 0
-		for core := 0; core < mg.m.NumCores(); core++ {
-			if mg.Domain.Fenced(core) || mg.Domain.Offline(core) {
-				continue
-			}
-			c := mg.m.Core(core)
-			if c.Fault != nil || c.Stalled {
-				continue
-			}
-			if c.Halted {
-				// A halted core still drains its command queue (where the
-				// kill lands) on wake.
-				if _, err := mg.Domain.Wake(core); err != nil {
-					return false, err
-				}
-			}
-			ran += c.Run(quantum)
-		}
-		if ran == 0 {
+		if !progressed {
 			if mg.eng.Pending() == 0 {
-				return mg.ZombiesSettled(), nil
+				break
 			}
 			mg.eng.Step()
 		}
 	}
 	return mg.ZombiesSettled(), nil
+}
+
+// drain is the Manager as DrainZombies' round part: it steps every
+// placeable core, and runs a woken core's quantum even when the wake found
+// nothing — a halted core still drains its command queue, where the kill
+// lands, on wake.
+type drain Manager
+
+func (p *drain) Admit(_, core int) bool                { return !p.Domain.Fenced(core) && !p.Domain.Offline(core) }
+func (*drain) Idle(int, int) bool                      { return true }
+func (*drain) AfterRun(int, int, *cpu.Core, int) error { return nil }
+
+// RoundPart is the policy a driver plugs into Round.
+type RoundPart interface {
+	// Admit reports whether core of domain d steps this round.
+	Admit(d, core int) bool
+	// Idle is called for a halted core whose wake found nothing to run;
+	// it reports whether the core still runs its quantum.
+	Idle(d, core int) bool
+	// AfterRun is called once the core ran its quantum, retiring ran
+	// instructions.
+	AfterRun(d, core int, cc *cpu.Core, ran int) error
+}
+
+// Round is the one core-stepping loop (RunChaos, DrainZombies, and
+// multidomain.Core for each live domain d, which p's hooks receive): it
+// steps every admitted core one quantum in core order, waking a halted
+// core first and skipping a faulted or stalled one, and reports whether
+// any core retired an instruction. Advancing the clock is the driver's.
+func (mg *Manager) Round(d int, p RoundPart, quantum int) (progressed bool, err error) {
+	for core := 0; core < mg.m.NumCores(); core++ {
+		if !p.Admit(d, core) {
+			continue
+		}
+		cc := mg.m.Core(core)
+		if cc.Fault != nil || cc.Stalled {
+			continue // silent: a detector sees the missing beat
+		}
+		if cc.Halted {
+			ok, err := mg.Domain.Wake(core)
+			if err != nil {
+				return progressed, err
+			}
+			if !ok && !p.Idle(d, core) {
+				continue
+			}
+		}
+		ran := cc.Run(quantum)
+		progressed = progressed || ran > 0
+		if err := p.AfterRun(d, core, cc, ran); err != nil {
+			return progressed, err
+		}
+	}
+	return progressed, nil
+}
+
+// CoreTime is the farthest core's executed time: the virtual time a
+// driver advances the engine to after a round.
+func (mg *Manager) CoreTime() sim.Time {
+	var maxNs float64
+	for i := 0; i < mg.m.NumCores(); i++ {
+		maxNs = max(maxNs, mg.CyclesNs(i))
+	}
+	return sim.Time(maxNs)
 }
 
 // Start begins execution on a core (first thread dispatch).

@@ -40,8 +40,8 @@ type Policy interface {
 }
 
 // RoundRobinPolicy preempts any thread that consumed its full quantum —
-// the minimal, obviously-correct discipline RunChaos applies, and the
-// failsafe a broken policy is swapped for.
+// the minimal, obviously-correct discipline RunChaos's round part applies
+// after every quantum, and the failsafe a broken policy is swapped for.
 type RoundRobinPolicy struct{}
 
 // Name implements Policy.
