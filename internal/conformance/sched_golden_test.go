@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"strings"
@@ -48,4 +49,27 @@ func TestSchedulerCanonicalGolden(t *testing.T) {
 		cell("membench-capped", spec.Config())
 	}
 	checkGolden(t, "testdata/sched_canonical.golden", []byte(b.String()))
+}
+
+// TestVesselRestartGolden pins the full canonical result bytes of every
+// system on quick scenarios 21 and 92. Among quick scenarios 1–200 these
+// are the only ones where VESSEL preempts a request (§4.4) after its work
+// is done but before its bandwidth stall noise ends: the served time
+// clamps its remainder to zero, and the request restarts with its whole
+// service time. No other test reaches that path. The golden is only ever
+// read, never rewritten: -update leaves it alone.
+func TestVesselRestartGolden(t *testing.T) {
+	var b bytes.Buffer
+	for _, seed := range []uint64{21, 92} {
+		sc := Generate(seed, true)
+		for _, s := range Systems() {
+			res, err := s.Run(sc.Spec(s.Name()).Config())
+			if err != nil {
+				t.Fatalf("%s seed=%d: %v", s.Name(), seed, err)
+			}
+			fmt.Fprintf(&b, "== %s seed=%d\n", s.Name(), seed)
+			b.Write(res.Canonical())
+		}
+	}
+	matchGolden(t, "testdata/vessel_restart.golden", b.Bytes())
 }

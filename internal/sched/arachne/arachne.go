@@ -43,8 +43,8 @@ type lState struct {
 	app *workload.App
 	// dispatchQ → dispatcher (serial, 1 µs each) → readyQ → workers.
 	dispatchBusy bool
-	readyQ       workload.FIFO // request handles
-	workers      int           // granted worker cores (dispatcher core excluded)
+	readyQ       workload.FIFO[uint32] // request handles
+	workers      int                   // granted worker cores (dispatcher core excluded)
 	busyNs       sim.Duration
 	windowStart  sim.Time
 	// dispatching is the request the dispatcher is creating a thread
@@ -156,7 +156,6 @@ func (r *run) feedWorkers(l *lState) {
 // serve runs one request on a granted worker core.
 func (r *run) serve(c *core, l *lState, req *workload.Request) {
 	now := r.Eng.Now()
-	req.Start = now
 	r.J(req).To(journey.SegRun, now)
 	c.busy = true
 	r.setAct(c, sched.ActApp)

@@ -27,7 +27,11 @@ type Base struct {
 	Switches, Preempts, Reallocs uint64
 	tallies                      []tally // parallel to Cfg.Apps
 	reqs                         *workload.Store
-	tick                         sim.Timer // Every's
+	// journeys holds each request's journey, indexed by its store
+	// handle. Arrivals fills it only when Cfg.Journey is set, so it stays
+	// empty on an untraced run.
+	journeys []journey.Handle
+	tick     sim.Timer // Every's
 }
 
 // tally is one app's core time over the measured interval.
@@ -81,16 +85,31 @@ func (b *Base) Req(h uint32) *workload.Request { return b.reqs.Get(h) }
 
 // J returns req's journey: nil, at the cost of one compare (it inlines),
 // when journey tracing is off.
-func (b *Base) J(req *workload.Request) *journey.Journey { return b.Cfg.Journey.Resolve(req.J) }
+func (b *Base) J(req *workload.Request) *journey.Journey {
+	if h := req.Handle(); int(h) < len(b.journeys) {
+		return b.Cfg.Journey.Resolve(b.journeys[h])
+	}
+	return nil
+}
 
 // Arrivals starts app's arrival process on a fork of the run's RNG labelled
-// by salt and the app's name length, minting each request's journey before
-// fn sees it.
+// by salt and the app's name length. On a traced run it mints each
+// request's journey before fn sees it; a request the tracer does not
+// sample gets the zero handle, so a recycled store slot never resolves to
+// its previous request's journey.
 func (b *Base) Arrivals(app *workload.App, salt uint64, fn func(*workload.Request)) error {
-	return app.GenerateArrivals(b.Eng, b.RNG.Fork(uint64(len(app.Name))+salt), b.EndAt, func(req *workload.Request) {
-		req.J = b.Cfg.Journey.Mint(app.Name, req.Arrive).Handle()
-		fn(req)
-	})
+	onArrival := fn
+	if t := b.Cfg.Journey; t != nil {
+		onArrival = func(req *workload.Request) {
+			h := int(req.Handle())
+			for h >= len(b.journeys) {
+				b.journeys = append(b.journeys, 0)
+			}
+			b.journeys[h] = t.Mint(app.Name, req.Arrive).Handle()
+			fn(req)
+		}
+	}
+	return app.GenerateArrivals(b.Eng, b.RNG.Fork(uint64(len(app.Name))+salt), b.EndAt, onArrival)
 }
 
 // Every runs fn at time at and then every period after it, up to EndAt.

@@ -220,7 +220,6 @@ func (r *run) serveL(c *core, app *workload.App) {
 		return
 	}
 	now := r.Eng.Now()
-	req.Start = now
 	if c.grantD > 0 {
 		// The kernel crossing that granted this core gated the request's
 		// dispatch: attribute it retroactively (the clamp keeps the

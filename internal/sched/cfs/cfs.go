@@ -349,7 +349,6 @@ func (r *run) dispatch(c *core, th *thread) {
 			r.schedule(c)
 			return
 		}
-		req.Start = now
 		th.req = req
 		th.remaining = req.Service
 	}

@@ -18,9 +18,13 @@ import (
 // holds one timer per control plane however deep the backlog grows, and
 // no forward goes through the event heap.
 type CtrlPlane struct {
-	b       *Base
-	cost    sim.Duration
-	q       workload.FIFO // accepted, not yet forwarded; the head's forward is pending
+	b    *Base
+	cost sim.Duration
+	// q holds the handles of the accepted requests not yet forwarded, and
+	// keys the engine key reserved for each, in the same order. The
+	// head's forward is pending.
+	q       workload.FIFO[uint32]
+	keys    workload.FIFO[uint64]
 	deliver func(*workload.Request)
 	timer   sim.Timer // fires p.forward
 }
@@ -38,24 +42,25 @@ func NewCtrlPlane(b *Base, cost sim.Duration, deliver func(*workload.Request)) *
 // App.Arrive put it, and holds it until the server has forwarded it.
 func (p *CtrlPlane) Submit(req *workload.Request) {
 	p.b.AppOf(req).StealNewest()
-	req.CtrlSeq = p.b.Eng.Reserve()
 	p.q.Push(req.Handle())
+	p.keys.Push(p.b.Eng.Reserve())
 	if p.q.Len() == 1 {
-		p.schedule(req)
+		p.schedule()
 	}
 }
 
-// schedule arms the forward of req, the new head. The server turns to
-// req now: it is idle as req is submitted, or the request before req is
-// just leaving.
-func (p *CtrlPlane) schedule(req *workload.Request) {
-	p.timer.AtSeq(p.b.Eng.Now().Add(p.cost), req.CtrlSeq)
+// schedule arms the forward of the head request. The server turns to it
+// now: it is idle as the request is submitted, or the request before it
+// is just leaving.
+func (p *CtrlPlane) schedule() {
+	p.timer.AtSeq(p.b.Eng.Now().Add(p.cost), p.keys.Head())
 }
 
 func (p *CtrlPlane) forward() {
 	req := p.b.Req(p.q.Pop())
+	p.keys.Pop()
 	if p.q.Len() > 0 {
-		p.schedule(p.b.Req(p.q.Head()))
+		p.schedule()
 	}
 	p.b.AppOf(req).Requeue(req)
 	p.deliver(req)

@@ -15,7 +15,7 @@ type refCtrlPlane struct {
 	b       *Base
 	cost    sim.Duration
 	free    sim.Time // when the server finishes its accepted work
-	q       workload.FIFO
+	q       workload.FIFO[uint32]
 	deliver func(*workload.Request)
 }
 
@@ -49,11 +49,16 @@ func testBase(apps ...*workload.App) *Base {
 // with its time. Arrivals and probes fall on a grid of the control-plane
 // cost, so they tie with forwards and with each other often; the load
 // swings between idle and several times the server's capacity, so the
-// backlog both builds and drains.
-func ctrlTrace(t *testing.T, seed uint64, mk newCtrl) []string {
+// backlog both builds and drains. A slow control plane instead receives
+// each app's requests half a cost apart on average, at any instant, so its
+// backlog builds for the whole run while the head is forwarded.
+func ctrlTrace(t *testing.T, seed uint64, slow bool, mk newCtrl) []string {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	cost := sim.Duration(1 + rng.IntN(8))
+	if slow {
+		cost += 8
+	}
 	var log []string
 	apps := make([]*workload.App, 1+rng.IntN(3))
 	for i := range apps {
@@ -76,8 +81,11 @@ func ctrlTrace(t *testing.T, seed uint64, mk newCtrl) []string {
 		var pts []workload.TracePoint
 		at := sim.Time(0)
 		for i := 0; i < 300; i++ {
-			// Bursts of same-instant arrivals, then gaps.
-			if rng.IntN(4) == 0 {
+			switch {
+			case slow:
+				at = at.Add(sim.Duration(rng.IntN(int(cost))))
+			case rng.IntN(4) == 0:
+				// Bursts of same-instant arrivals, then gaps.
 				at = at.Add(sim.Duration(rng.IntN(12)) * cost)
 			}
 			id++
@@ -107,24 +115,50 @@ func ctrlTrace(t *testing.T, seed uint64, mk newCtrl) []string {
 	return log
 }
 
+// depthProbe is a CtrlPlane that records its deepest backlog and checks
+// that its key ring stays in step with its handle queue.
+type depthProbe struct {
+	*CtrlPlane
+	t    *testing.T
+	peak int
+}
+
+func (d *depthProbe) Submit(req *workload.Request) {
+	d.CtrlPlane.Submit(req)
+	if d.keys.Len() != d.q.Len() {
+		d.t.Fatalf("%d reserved keys for %d queued requests", d.keys.Len(), d.q.Len())
+	}
+	d.peak = max(d.peak, d.q.Len())
+}
+
 // TestCtrlPlaneMatchesPerRequestEvents: keeping only the head's forward in
 // the engine, under keys reserved at Submit, delivers the same requests at
 // the same times, in the same order relative to every other event at the
-// same instants, as scheduling one event per request.
+// same instants, as scheduling one event per request. A slow control
+// plane's backlog reaches at least 64 requests while its head is
+// forwarded, so its key ring wraps and grows from 8 slots at least three
+// times.
 func TestCtrlPlaneMatchesPerRequestEvents(t *testing.T) {
-	for seed := uint64(1); seed <= 30; seed++ {
-		want := ctrlTrace(t, seed, func(b *Base, cost sim.Duration, deliver func(*workload.Request)) submitter {
-			return &refCtrlPlane{b: b, cost: cost, deliver: deliver}
-		})
-		got := ctrlTrace(t, seed, func(b *Base, cost sim.Duration, deliver func(*workload.Request)) submitter {
-			return NewCtrlPlane(b, cost, deliver)
-		})
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d events, reference %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: event %d is %q, reference %q", seed, i, got[i], want[i])
+	for _, slow := range []bool{false, true} {
+		for seed := uint64(1); seed <= 30; seed++ {
+			want := ctrlTrace(t, seed, slow, func(b *Base, cost sim.Duration, deliver func(*workload.Request)) submitter {
+				return &refCtrlPlane{b: b, cost: cost, deliver: deliver}
+			})
+			probe := &depthProbe{t: t}
+			got := ctrlTrace(t, seed, slow, func(b *Base, cost sim.Duration, deliver func(*workload.Request)) submitter {
+				probe.CtrlPlane = NewCtrlPlane(b, cost, deliver)
+				return probe
+			})
+			if len(got) != len(want) {
+				t.Fatalf("slow=%v seed %d: %d events, reference %d", slow, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("slow=%v seed %d: event %d is %q, reference %q", slow, seed, i, got[i], want[i])
+				}
+			}
+			if slow && probe.peak < 64 {
+				t.Fatalf("seed %d: a slow control plane's backlog peaked at %d requests, want at least 64", seed, probe.peak)
 			}
 		}
 	}

@@ -40,11 +40,14 @@ type coreState struct {
 	runningL *workload.App
 	runningB *workload.App
 	busy     bool // an event will fire for this core
-	// In-flight request state, for §4.4 priority preemption.
+	// In-flight request state, for §4.4 priority preemption: the
+	// request, its finish event, when it started, the bandwidth
+	// inflation it runs under, and the work it had left at the start.
 	curReq    *workload.Request
 	reqEv     sim.Event
 	reqFrom   sim.Time
 	reqInflat float64
+	reqLeft   sim.Duration
 	// next is what the pending switch starts: a request (nextReq), else
 	// a BE thread (nextB).
 	nextReq *workload.Request
@@ -76,6 +79,9 @@ type vesselRun struct {
 	// like Cfg.Apps.
 	reacting []reaction
 	beQ      []*workload.App // global BE queue (entries = schedulable B threads)
+	// left holds the unserved work of the requests preemptL put back on
+	// their queues, keyed by store handle, until they start again.
+	left map[uint32]sim.Duration
 }
 
 // reaction is one L-app's preemption chain: at most one look at its queue
@@ -97,7 +103,7 @@ func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 
 // start builds the run for cfg and schedules its first events.
 func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
-	r := &vesselRun{}
+	r := &vesselRun{left: make(map[uint32]sim.Duration)}
 	if err := r.Init(cfg); err != nil {
 		return nil, err
 	}
@@ -360,23 +366,26 @@ func (r *vesselRun) serveNext(c *coreState) {
 }
 
 // startRequest runs one L request (or its preempted remainder)
-// run-to-completion.
+// run-to-completion. A remainder of zero or less restarts the request
+// with its whole service time.
 func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.Request) {
 	now := r.Eng.Now()
-	if req.Start == 0 {
-		req.Start = now
-	}
-	if req.Remaining <= 0 {
-		req.Remaining = req.Service
+	work := req.Service
+	if left, ok := r.left[req.Handle()]; ok {
+		delete(r.left, req.Handle())
+		if left > 0 {
+			work = left
+		}
 	}
 	c.runningL = app
 	c.busy = true
 	c.curReq = req
 	c.reqFrom = now
 	c.reqInflat = r.BW.Inflation()
+	c.reqLeft = work
 	r.J(req).To(journey.SegRun, now)
 	r.setAct(c, sched.ActApp)
-	dur := sim.Duration(float64(req.Remaining)*c.reqInflat) + r.BW.StallNoise(r.RNG)
+	dur := sim.Duration(float64(work)*c.reqInflat) + r.BW.StallNoise(r.RNG)
 	c.reqEv = r.Eng.After(dur, c.finish)
 }
 
@@ -404,10 +413,7 @@ func (r *vesselRun) preemptL(c *coreState) {
 	c.reqEv = sim.Event{}
 	c.curReq = nil
 	served := sim.Duration(float64(now.Sub(c.reqFrom)) / c.reqInflat)
-	if served > req.Remaining {
-		served = req.Remaining
-	}
-	req.Remaining -= served
+	r.left[req.Handle()] = c.reqLeft - min(served, c.reqLeft)
 	r.AppOf(req).RequeueFront(req)
 	r.J(req).To(journey.SegQueue, now)
 	c.runningL = nil

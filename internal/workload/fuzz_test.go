@@ -48,8 +48,8 @@ func FuzzAppArrivals(f *testing.F) {
 		const until = sim.Time(100_000) // 100 µs window
 		err := app.GenerateArrivals(eng, rng, until, func(r *workload.Request) {
 			// Service 0 is possible: Exp samples truncate to whole ns.
-			if r.Service < 0 || r.Remaining != r.Service {
-				t.Fatalf("malformed request: service=%v remaining=%v", r.Service, r.Remaining)
+			if r.Service < 0 || r.Done != 0 {
+				t.Fatalf("malformed request: service=%v done=%v", r.Service, r.Done)
 			}
 			if r.Arrive < 0 || r.Arrive > until {
 				t.Fatalf("arrival at %v outside [0,%v]", r.Arrive, until)

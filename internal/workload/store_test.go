@@ -38,22 +38,32 @@ func fieldType(t *testing.T, typ reflect.Type, name string) reflect.Type {
 }
 
 // TestRequestsArePointerFree guards the request path against pointers: a
-// Request, a FIFO's element and a Store chunk's element hold none, so the
-// garbage collector never scans a backlog and no queue operation pays a
-// write barrier. Naming an app or a journey by pointer again fails here.
+// Request, the element of an app's queue and a Store chunk's element hold
+// none, so the garbage collector never scans a backlog and no queue
+// operation pays a write barrier. Naming an app or a journey by pointer
+// again fails here.
 func TestRequestsArePointerFree(t *testing.T) {
 	pointerFree(t, "Request", reflect.TypeOf(Request{}))
-	buf := fieldType(t, reflect.TypeOf(FIFO{}), "buf")
+	buf := fieldType(t, fieldType(t, reflect.TypeOf(App{}), "q"), "buf")
 	if buf.Kind() != reflect.Slice {
-		t.Fatalf("FIFO.buf is a %s, want a slice of handles", buf)
+		t.Fatalf("App.q.buf is a %s, want a slice of handles", buf)
 	}
-	pointerFree(t, "FIFO.buf[]", buf.Elem())
+	pointerFree(t, "App.q.buf[]", buf.Elem())
 	chunks := fieldType(t, reflect.TypeOf(Store{}), "chunks")
 	if chunks.Kind() != reflect.Slice || chunks.Elem().Kind() != reflect.Pointer || chunks.Elem().Elem().Kind() != reflect.Array {
 		t.Fatalf("Store.chunks is a %s, want a slice of pointers to arrays", chunks)
 	}
 	if elem := chunks.Elem().Elem().Elem(); elem != reflect.TypeOf(Request{}) {
 		t.Fatalf("a Store chunk holds %s, want Request", elem)
+	}
+}
+
+// TestRequestIs32Bytes pins the request's layout: its app, its handle,
+// and three times, two requests to a cache line. State only one scheduler
+// model reads belongs in that model, keyed by the request's handle.
+func TestRequestIs32Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size != 32 {
+		t.Fatalf("a Request is %d bytes, want 32", size)
 	}
 }
 
@@ -67,7 +77,7 @@ func TestStoreRecyclesAndNeverMoves(t *testing.T) {
 		t.Fatalf("fresh handles %d %d %d, want 0 1 2", a.Handle(), b.Handle(), c.Handle())
 	}
 	hb := b.Handle()
-	b.Arrive, b.Service, b.CtrlSeq = 5, 6, 7
+	b.Arrive, b.Service, b.Done = 5, 6, 7
 	s.release(b)
 	if *s.Get(hb) != (Request{}) {
 		t.Fatalf("released slot reads %+v, want zero", *s.Get(hb))

@@ -18,7 +18,6 @@ import (
 	"math"
 	"slices"
 
-	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
 	"vessel/internal/stats"
 )
@@ -113,9 +112,12 @@ func (b *Burst) multipliers() (float64, float64) {
 	return 2 * f / (1 + f), 2 / (1 + f)
 }
 
-// Request is one L-app request. It holds no pointer, so the requests of a
-// backlog and the queues of their handles cost the garbage collector
-// nothing to scan.
+// Request is one L-app request: 32 bytes, two to a cache line. It holds
+// only what every scheduler model reads; state only one model needs (a
+// journey, a control-plane engine key, a preempted request's remainder)
+// lives in that model, keyed by Handle. It holds no pointer, so the
+// requests of a backlog and the queues of their handles cost the garbage
+// collector nothing to scan.
 type Request struct {
 	// AppIdx is the request's app's index in the run's app table (see
 	// App.Attach).
@@ -123,17 +125,7 @@ type Request struct {
 	h       uint32 // the request's handle in its Store
 	Arrive  sim.Time
 	Service sim.Duration
-	// Remaining tracks unserved work for schedulers that preempt
-	// requests mid-service (§4.4 priority preemption, CFS timeslices).
-	Remaining sim.Duration
-	Start     sim.Time
-	Done      sim.Time
-	// J is the request's journey (0 when journey tracing is off); the
-	// run's journey.Tracer resolves it.
-	J journey.Handle
-	// CtrlSeq is the engine key a control plane reserved for forwarding
-	// the request (sched.CtrlPlane).
-	CtrlSeq uint64
+	Done    sim.Time
 }
 
 // Sojourn returns the request's total latency.
@@ -205,7 +197,7 @@ type App struct {
 	MemFrac  float64
 
 	// q holds the handles of the pending requests the scheduler serves.
-	q FIFO
+	q FIFO[uint32]
 	// store holds the app's requests (its own, made on first use, unless
 	// Attach shared a run's); idx is the app's index in the run.
 	store *Store
@@ -301,57 +293,58 @@ func (a *App) StealNewest() *Request {
 	return a.store.Get(a.q.PopBack())
 }
 
-// FIFO is a queue of request handles: a ring that doubles when full, so a
-// warmed-up queue is served without allocating. Head, Pop and PopBack
-// need a non-empty queue.
-type FIFO struct {
-	buf  []uint32 // the ring; its length is zero or a power of two
-	head int      // buf index of the head
-	n    int      // handles queued
+// FIFO is a queue: a ring that doubles when full, so a warmed-up queue
+// is served without allocating. Its elements are request handles
+// (uint32) or other plain values. Head, Pop and PopBack need a non-empty
+// queue.
+type FIFO[T any] struct {
+	buf  []T // the ring; its length is zero or a power of two
+	head int // buf index of the head
+	n    int // elements queued
 }
 
-// Len returns the number of queued handles.
-func (q *FIFO) Len() int { return q.n }
+// Len returns the number of queued elements.
+func (q *FIFO[T]) Len() int { return q.n }
 
-// Head returns the oldest handle.
-func (q *FIFO) Head() uint32 { return q.buf[q.head] }
+// Head returns the oldest element.
+func (q *FIFO[T]) Head() T { return q.buf[q.head] }
 
-// Push appends h at the tail.
-func (q *FIFO) Push(h uint32) {
+// Push appends v at the tail.
+func (q *FIFO[T]) Push(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = h
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
 }
 
-// PushFront inserts h at the head.
-func (q *FIFO) PushFront(h uint32) {
+// PushFront inserts v at the head.
+func (q *FIFO[T]) PushFront(v T) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
 	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = h
+	q.buf[q.head] = v
 	q.n++
 }
 
-// Pop removes and returns the oldest handle.
-func (q *FIFO) Pop() uint32 {
-	h := q.buf[q.head]
+// Pop removes and returns the oldest element.
+func (q *FIFO[T]) Pop() T {
+	v := q.buf[q.head]
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	return h
+	return v
 }
 
-// PopBack removes and returns the newest handle.
-func (q *FIFO) PopBack() uint32 {
+// PopBack removes and returns the newest element.
+func (q *FIFO[T]) PopBack() T {
 	q.n--
 	return q.buf[(q.head+q.n)&(len(q.buf)-1)]
 }
 
 // grow moves the queue, unwrapped, to the front of a ring twice the size.
-func (q *FIFO) grow() {
-	buf := make([]uint32, max(2*len(q.buf), 8))
+func (q *FIFO[T]) grow() {
+	buf := make([]T, max(2*len(q.buf), 8))
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
@@ -490,7 +483,7 @@ func (a *App) arrive(now sim.Time, svc sim.Duration, onArrival func(*Request)) {
 // released slot of the app's store when there is one.
 func (a *App) Arrive(now sim.Time, svc sim.Duration) *Request {
 	r := a.requests().alloc()
-	r.AppIdx, r.Arrive, r.Service, r.Remaining = a.idx, now, svc, svc
+	r.AppIdx, r.Arrive, r.Service = a.idx, now, svc
 	a.Offered++
 	a.Requeue(r)
 	return r

@@ -164,7 +164,6 @@ func TestQueueOperations(t *testing.T) {
 	if app.Dequeue() != r1 || app.Dequeue() != r2 {
 		t.Fatal("FIFO order broken")
 	}
-	r1.Start = 50
 	r1.Done = 150
 	// Complete releases the request; read it first.
 	if r1.Sojourn() != 140 {
@@ -234,8 +233,8 @@ func TestReplayArrivals(t *testing.T) {
 	if app.Offered != 3 {
 		t.Fatalf("offered = %d", app.Offered)
 	}
-	if app.Head().Remaining != 1000 {
-		t.Fatal("remaining not initialized")
+	if app.Head().Service != 1000 {
+		t.Fatal("service not set from the trace")
 	}
 	// Unordered traces are rejected.
 	if err := app.ReplayArrivals(eng, []TracePoint{{At: 50}, {At: 20}}, nil); err == nil {
@@ -358,7 +357,7 @@ func TestQueueServesWithoutAllocating(t *testing.T) {
 // quarter and filled again after that many pushes, so a control-plane
 // backlog at saturation reallocated every few hundred requests.
 func TestDeepQueueStopsGrowing(t *testing.T) {
-	var q FIFO
+	var q FIFO[uint32]
 	const n = 1000
 	for h := uint32(0); h < n; h++ {
 		q.Push(h)
@@ -433,7 +432,7 @@ func TestCompleteReleasesRequest(t *testing.T) {
 	err := app.ReplayArrivals(eng, []TracePoint{{At: 10, Service: 5}, {At: 20, Service: 7}}, func(r *Request) {
 		got = append(got, app.Dequeue())
 		if len(got) == 1 {
-			r.Start, r.Done, r.CtrlSeq, r.J = 12, 15, 3, 9
+			r.Done = 15
 			app.Complete(r, 0)
 			if *r != (Request{}) {
 				t.Fatalf("released request still reads %+v", *r)
@@ -447,7 +446,7 @@ func TestCompleteReleasesRequest(t *testing.T) {
 	if len(got) != 2 || got[0] != got[1] {
 		t.Fatal("the second arrival did not reuse the completed request")
 	}
-	if want := (Request{AppIdx: 3, h: got[1].h, Arrive: 20, Service: 7, Remaining: 7}); *got[1] != want {
+	if want := (Request{AppIdx: 3, h: got[1].h, Arrive: 20, Service: 7}); *got[1] != want {
 		t.Fatalf("reused request reads %+v, want %+v", *got[1], want)
 	}
 }
