@@ -36,7 +36,7 @@ type SelfHealExpect struct {
 //   - the expected recovery paths must actually have been exercised
 //     ("coverage"), and domains must end alive unless the expectation
 //     says otherwise ("liveness").
-func CheckSelfHeal(system string, cfg selfheal.Config, rep *selfheal.Report, want SelfHealExpect) []Violation {
+func CheckSelfHeal(system string, rep *selfheal.Report, want SelfHealExpect) []Violation {
 	var out []Violation
 	add := func(oracle, format string, args ...any) {
 		out = append(out, Violation{System: system, Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
@@ -46,10 +46,7 @@ func CheckSelfHeal(system string, cfg selfheal.Config, rep *selfheal.Report, wan
 		add("recovery-invariant", "%s", v)
 	}
 
-	budget := cfg.DetectBudget + cfg.RestartBudget
-	if budget <= 0 {
-		budget = sim.Millisecond // cluster defaults: 500µs + 500µs
-	}
+	budget := selfheal.DetectBudget + selfheal.RestartBudget
 	if rep.MTTR.Count > 0 && sim.Duration(rep.MTTR.Max) > budget {
 		add("mttr-budget", "max MTTR %dns exceeds budget %dns", rep.MTTR.Max, int64(budget))
 	}

@@ -26,13 +26,6 @@ func healReport() *selfheal.Report {
 	}
 }
 
-func healConfig() selfheal.Config {
-	return selfheal.Config{
-		DetectBudget:  500 * sim.Microsecond,
-		RestartBudget: 500 * sim.Microsecond,
-	}
-}
-
 func oracles(vs []Violation) []string {
 	var out []string
 	for _, v := range vs {
@@ -43,7 +36,7 @@ func oracles(vs []Violation) []string {
 
 func TestCheckSelfHealCleanRunPasses(t *testing.T) {
 	want := SelfHealExpect{MinFences: 1, MinRestarts: 1, MinPolicySwaps: 1, MinPkeysHealed: 2}
-	if vs := CheckSelfHeal("chaos", healConfig(), healReport(), want); len(vs) != 0 {
+	if vs := CheckSelfHeal("chaos", healReport(), want); len(vs) != 0 {
 		t.Fatalf("clean run flagged: %v", vs)
 	}
 }
@@ -51,7 +44,7 @@ func TestCheckSelfHealCleanRunPasses(t *testing.T) {
 func TestCheckSelfHealRelaysReportViolations(t *testing.T) {
 	rep := healReport()
 	rep.Violations = []string{"d0: leaked pkey 5", "d1: worker w0 lost"}
-	vs := CheckSelfHeal("chaos", healConfig(), rep, SelfHealExpect{})
+	vs := CheckSelfHeal("chaos", rep, SelfHealExpect{})
 	n := 0
 	for _, v := range vs {
 		if v.Oracle == "recovery-invariant" {
@@ -72,7 +65,7 @@ func TestCheckSelfHealRelaysReportViolations(t *testing.T) {
 func TestCheckSelfHealMTTRBudget(t *testing.T) {
 	rep := healReport()
 	rep.MTTR.Max = int64(2 * sim.Millisecond)
-	vs := CheckSelfHeal("chaos", healConfig(), rep, SelfHealExpect{})
+	vs := CheckSelfHeal("chaos", rep, SelfHealExpect{})
 	found := false
 	for _, v := range vs {
 		if v.Oracle == "mttr-budget" {
@@ -87,14 +80,14 @@ func TestCheckSelfHealMTTRBudget(t *testing.T) {
 func TestCheckSelfHealMTTRAccounting(t *testing.T) {
 	rep := healReport()
 	rep.MTTR.Count = 0 // recoveries claimed, no samples
-	vs := CheckSelfHeal("chaos", healConfig(), rep, SelfHealExpect{})
+	vs := CheckSelfHeal("chaos", rep, SelfHealExpect{})
 	if len(vs) != 1 || vs[0].Oracle != "mttr-accounting" {
 		t.Fatalf("missing samples not flagged: %v", vs)
 	}
 
 	rep = healReport()
 	rep.MTTR.Count = 9 // more samples than recoveries
-	vs = CheckSelfHeal("chaos", healConfig(), rep, SelfHealExpect{})
+	vs = CheckSelfHeal("chaos", rep, SelfHealExpect{})
 	if len(vs) != 1 || vs[0].Oracle != "mttr-accounting" {
 		t.Fatalf("excess samples not flagged: %v", vs)
 	}
@@ -105,7 +98,7 @@ func TestCheckSelfHealCoverageAndLiveness(t *testing.T) {
 	rep.PolicySwaps = 0
 	rep.DomainsDead = 1
 	want := SelfHealExpect{MinFences: 1, MinRestarts: 1, MinPolicySwaps: 1, MinPkeysHealed: 2}
-	got := oracles(CheckSelfHeal("chaos", healConfig(), rep, want))
+	got := oracles(CheckSelfHeal("chaos", rep, want))
 	if len(got) != 2 || got[0] != "coverage" || got[1] != "liveness" {
 		t.Fatalf("oracles = %v", got)
 	}
@@ -113,22 +106,22 @@ func TestCheckSelfHealCoverageAndLiveness(t *testing.T) {
 	// Dead domains tolerated when declared.
 	want.AllowDeadDomains = true
 	want.MinPolicySwaps = 0
-	if vs := CheckSelfHeal("chaos", healConfig(), rep, want); len(vs) != 0 {
+	if vs := CheckSelfHeal("chaos", rep, want); len(vs) != 0 {
 		t.Fatalf("declared expectations still flagged: %v", vs)
 	}
 }
 
 func TestCheckSelfHealDefaultBudget(t *testing.T) {
-	// A zero-valued config gets the cluster's default 1ms combined budget.
+	// The budget is the cluster's fixed 1ms: 500µs detect + 500µs restart.
 	rep := healReport()
 	rep.MTTR.Max = int64(900 * sim.Microsecond)
-	if vs := CheckSelfHeal("chaos", selfheal.Config{}, rep, SelfHealExpect{}); len(vs) != 0 {
-		t.Fatalf("900µs flagged under default budget: %v", vs)
+	if vs := CheckSelfHeal("chaos", rep, SelfHealExpect{}); len(vs) != 0 {
+		t.Fatalf("900µs flagged under the 1ms budget: %v", vs)
 	}
 	rep.MTTR.Max = int64(1100 * sim.Microsecond)
-	vs := CheckSelfHeal("chaos", selfheal.Config{}, rep, SelfHealExpect{})
+	vs := CheckSelfHeal("chaos", rep, SelfHealExpect{})
 	if len(vs) != 1 || vs[0].Oracle != "mttr-budget" {
-		t.Fatalf("1.1ms not flagged under default budget: %v", vs)
+		t.Fatalf("1.1ms not flagged under the 1ms budget: %v", vs)
 	}
 }
 
@@ -177,11 +170,11 @@ func TestSelfHealGivesUpPastMaxDomainRestarts(t *testing.T) {
 	if !bytes.Contains(rep.Canonical(), []byte(" dead=1 ")) {
 		t.Fatalf("canonical report hides the dead domain:\n%s", rep.Canonical())
 	}
-	got := oracles(CheckSelfHeal("giveup", selfheal.Config{}, rep, SelfHealExpect{}))
+	got := oracles(CheckSelfHeal("giveup", rep, SelfHealExpect{}))
 	if len(got) != 1 || got[0] != "liveness" {
 		t.Fatalf("oracles = %v, want [liveness]", got)
 	}
-	if vs := CheckSelfHeal("giveup", selfheal.Config{}, rep, SelfHealExpect{AllowDeadDomains: true}); len(vs) != 0 {
+	if vs := CheckSelfHeal("giveup", rep, SelfHealExpect{AllowDeadDomains: true}); len(vs) != 0 {
 		t.Fatalf("declared dead domain still flagged: %v", vs)
 	}
 }

@@ -145,7 +145,6 @@ func TestSoakCanonicalGolden(t *testing.T) {
 				t.Error("two identical runs produced different canonical reports")
 			}
 			vs := CheckSelfHeal(fmt.Sprintf("soak-seed-%d", seed),
-				selfheal.Config{}, // cluster defaults: 500µs detect + 500µs restart
 				rep, SelfHealExpect{MinFences: 1, MinRestarts: 1, MinPolicySwaps: 1, MinPkeysHealed: 1})
 			if len(vs) != 0 {
 				t.Errorf("self-heal oracles flagged:\n%v", vs)

@@ -263,9 +263,9 @@ func TestVPkeyLifecycleOracleFlagsBogusAttribution(t *testing.T) {
 }
 
 func TestVPkeyDensityBeyondHardwareKeys(t *testing.T) {
-	// The acceptance demo at package level runs ≥100 uProcesses through
-	// the cluster facade; this is the manager-level counterpart pinning
-	// the same property where the oracles live: far more live keys than
+	// The root package's density demo runs 110 uProcesses with
+	// destroy/relaunch churn on one virtual-key manager; this pins the
+	// same property where the oracles live: far more live keys than
 	// hardware slots, all isolation invariants intact.
 	for _, tc := range []struct {
 		name   string

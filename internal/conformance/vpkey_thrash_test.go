@@ -14,20 +14,8 @@ import (
 	"vessel/internal/vessel"
 )
 
-// thrashClusterConfig is the shared scenario for the eviction-storm
-// tests: one virtualized domain, two cores, default budgets.
-func thrashClusterConfig() selfheal.Config {
-	return selfheal.Config{
-		Domains:        1,
-		CoresPerDomain: 2,
-		DetectBudget:   500 * sim.Microsecond,
-		RestartBudget:  500 * sim.Microsecond,
-		VirtualKeys:    true,
-	}
-}
-
 // runThrashStorm builds the eviction-storm scenario — two dozen
-// uProcesses sharing one virtualized domain while PkeyThrash faults
+// uProcesses sharing one virtualized two-core domain while PkeyThrash faults
 // strip every unpinned key back to the fence, plus a core stall to
 // drive detection and recovery under the storm — and runs it to
 // completion with the domain in mode. The scenario is fully deterministic
@@ -35,7 +23,7 @@ func thrashClusterConfig() selfheal.Config {
 // identical reports.
 func runThrashStorm(t *testing.T, mode cpu.ExecMode) (*selfheal.Cluster, *selfheal.Report) {
 	t.Helper()
-	c, err := selfheal.New(thrashClusterConfig())
+	c, err := selfheal.New(selfheal.Config{Domains: 1, CoresPerDomain: 2, VirtualKeys: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +76,7 @@ func TestVPkeyEvictionStormSelfHeals(t *testing.T) {
 
 	// The self-healing oracles hold under thrashing: the stall was
 	// detected and fenced within budget, nothing was lost.
-	if vs := CheckSelfHeal("vpkey-thrash", thrashClusterConfig(), rep, SelfHealExpect{MinFences: 1}); len(vs) != 0 {
+	if vs := CheckSelfHeal("vpkey-thrash", rep, SelfHealExpect{MinFences: 1}); len(vs) != 0 {
 		t.Fatalf("self-heal oracles flagged:\n%v", vs)
 	}
 	if rep.MTTR.Count == 0 {

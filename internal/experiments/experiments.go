@@ -14,12 +14,9 @@ import (
 	"fmt"
 	"strings"
 
-	"vessel/internal/cpu"
 	"vessel/internal/harness"
 	"vessel/internal/obs"
-	"vessel/internal/sched"
 	"vessel/internal/sim"
-	"vessel/internal/workload"
 )
 
 // Options configures experiment scale.
@@ -52,8 +49,7 @@ func (o Options) exec() *harness.Executor {
 	return harness.Sequential()
 }
 
-// spec assembles a RunSpec with the experiment-wide defaults, mirroring
-// baseConfig on the declarative side.
+// spec assembles a RunSpec with the experiment-wide defaults.
 func (o Options) spec(scheduler string, apps ...harness.AppSpec) harness.RunSpec {
 	return harness.RunSpec{
 		Scheduler:  scheduler,
@@ -124,25 +120,6 @@ func (o Options) loadFractions() []float64 {
 		return []float64{0.2, 0.5, 0.8}
 	}
 	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-}
-
-// baseConfig assembles a sched.Config for the given apps.
-func (o Options) baseConfig(apps ...*workload.App) sched.Config {
-	return sched.Config{
-		Seed:     o.seed(),
-		Cores:    o.cores(),
-		Duration: o.duration(),
-		Warmup:   o.warmup(),
-		Apps:     apps,
-		Costs:    cpu.Default(),
-		Obs:      o.Obs,
-	}
-}
-
-// mcApp builds a fresh memcached app at a fraction of ideal capacity.
-func (o Options) mcApp(loadFrac float64) *workload.App {
-	rate := loadFrac * sched.IdealLCapacity(o.cores(), workload.Memcached())
-	return workload.NewLApp("memcached", workload.Memcached(), rate)
 }
 
 // ---- rendering helpers ------------------------------------------------------

@@ -9,7 +9,6 @@ import (
 	"vessel/internal/sched/caladan"
 	"vessel/internal/sim"
 	"vessel/internal/vessel"
-	"vessel/internal/workload"
 )
 
 // Fig7 reproduces the execution-timeline comparison at the bottom of
@@ -49,13 +48,11 @@ func Figure7(o Options) (Fig7, error) {
 	outs := make([]fig7Out, len(systems))
 	err := o.exec().Map(len(systems), func(i int) error {
 		s := systems[i]
-		const cores = 4
-		mc := workload.NewLApp("memcached", workload.Memcached(),
-			0.5*sched.IdealLCapacity(cores, workload.Memcached()))
-		cfg := o.baseConfig(mc, workload.Linpack())
-		cfg.Cores = cores
-		cfg.Duration = 5 * sim.Millisecond
-		cfg.Warmup = 1 * sim.Millisecond
+		spec := o.spec(s.Name(), mcSpec(0.5), linpackSpec())
+		spec.Cores = 4
+		spec.DurationNs = int64(5 * sim.Millisecond)
+		spec.WarmupNs = int64(1 * sim.Millisecond)
+		cfg := spec.Config()
 		cfg.Obs = obs.New(fig7PerCore)
 		if _, err := sched.Run(s, cfg); err != nil {
 			return err

@@ -6,7 +6,6 @@ import (
 	"vessel/internal/conformance"
 	"vessel/internal/harness"
 	"vessel/internal/sched"
-	"vessel/internal/workload"
 )
 
 // TestSchedulerInvariants checks conservation laws that must hold for
@@ -22,36 +21,24 @@ import (
 func TestSchedulerInvariants(t *testing.T) {
 	type scenario struct {
 		name string
-		mk   func() sched.Config
+		spec harness.RunSpec
 	}
 	o := Options{Seed: 9, Quick: true}
+	dense := o.spec("",
+		harness.AppSpec{Name: "a", Kind: "L", Dist: "memcached", LoadFrac: 0.2},
+		harness.AppSpec{Name: "b", Kind: "L", Dist: "memcached", LoadFrac: 0.2},
+		harness.AppSpec{Name: "c", Kind: "L", Dist: "memcached", LoadFrac: 0.2},
+	)
+	dense.Cores = 1
+	bwRegulated := o.spec("", mcSpec(0.4), membenchSpec())
+	bwRegulated.BWTargetFrac = 0.5
 	scenarios := []scenario{
-		{"colo-mid", func() sched.Config {
-			return o.baseConfig(o.mcApp(0.5), workload.Linpack())
-		}},
-		{"colo-overload", func() sched.Config {
-			return o.baseConfig(o.mcApp(1.1), workload.Linpack())
-		}},
-		{"lapp-alone", func() sched.Config {
-			return o.baseConfig(o.mcApp(0.3))
-		}},
-		{"bapp-alone", func() sched.Config {
-			return o.baseConfig(workload.Membench())
-		}},
-		{"dense", func() sched.Config {
-			cfg := o.baseConfig(
-				workload.NewLApp("a", workload.Memcached(), 0.2e6),
-				workload.NewLApp("b", workload.Memcached(), 0.2e6),
-				workload.NewLApp("c", workload.Memcached(), 0.2e6),
-			)
-			cfg.Cores = 1
-			return cfg
-		}},
-		{"bw-regulated", func() sched.Config {
-			cfg := o.baseConfig(o.mcApp(0.4), workload.Membench())
-			cfg.BWTargetFrac = 0.5
-			return cfg
-		}},
+		{"colo-mid", o.spec("", mcSpec(0.5), linpackSpec())},
+		{"colo-overload", o.spec("", mcSpec(1.1), linpackSpec())},
+		{"lapp-alone", o.spec("", mcSpec(0.3))},
+		{"bapp-alone", o.spec("", membenchSpec())},
+		{"dense", dense},
+		{"bw-regulated", bwRegulated},
 	}
 	for _, name := range fig9Systems() {
 		s, err := harness.SchedulerByName(name)
@@ -59,7 +46,7 @@ func TestSchedulerInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sc := range scenarios {
-			cfg := sc.mk()
+			cfg := sc.spec.Config()
 			// Keep Arachne/Linux within their operating envelopes the
 			// way the paper does, except the invariants must hold
 			// regardless — so run them anyway.

@@ -7,7 +7,6 @@ import (
 	"vessel/internal/sched/caladan"
 	"vessel/internal/stats"
 	"vessel/internal/vessel"
-	"vessel/internal/workload"
 )
 
 // TestConclusionsAreSeedRobust re-runs the headline comparison across
@@ -27,8 +26,7 @@ func TestConclusionsAreSeedRobust(t *testing.T) {
 	for _, seed := range seeds {
 		run := func(s sched.Scheduler) sched.Result {
 			o := Options{Seed: seed, Quick: true}
-			cfg := o.baseConfig(o.mcApp(0.5), workload.Linpack())
-			res, err := s.Run(cfg)
+			res, err := s.Run(o.spec(s.Name(), mcSpec(0.5), linpackSpec()).Config())
 			if err != nil {
 				t.Fatal(err)
 			}

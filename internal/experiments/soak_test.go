@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"vessel/internal/harness"
-	"vessel/internal/sched"
 	"vessel/internal/sim"
-	"vessel/internal/workload"
 )
 
 // TestSoakLongDeterministicRuns exercises every scheduler for a long
@@ -17,19 +15,12 @@ func TestSoakLongDeterministicRuns(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	o := Options{Seed: 21, Quick: true}
-	build := func() sched.Config {
-		mc := workload.NewLApp("memcached", workload.Memcached(), 0.4*8e6)
-		mc.Burst = &workload.Burst{
-			OnMean:  500 * sim.Microsecond,
-			OffMean: 500 * sim.Microsecond,
-			Factor:  2,
-		}
-		cfg := o.baseConfig(mc, workload.Linpack())
-		cfg.Cores = 8
-		cfg.Duration = 100 * sim.Millisecond
-		cfg.Warmup = 10 * sim.Millisecond
-		return cfg
-	}
+	mc := mcSpec(0.4)
+	mc.Burst = &harness.BurstSpec{OnUs: 500, OffUs: 500, Factor: 2}
+	spec := o.spec("", mc, linpackSpec())
+	spec.Cores = 8
+	spec.DurationNs = int64(100 * sim.Millisecond)
+	spec.WarmupNs = int64(10 * sim.Millisecond)
 	for _, name := range fig9Systems() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -37,14 +28,14 @@ func TestSoakLongDeterministicRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg1 := build()
+			cfg1 := spec.Config()
 			res1, err := s.Run(cfg1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkInvariants(t, "soak/"+name, cfg1, res1)
 			// Determinism across an identical rebuild.
-			cfg2 := build()
+			cfg2 := spec.Config()
 			res2, err := s.Run(cfg2)
 			if err != nil {
 				t.Fatal(err)

@@ -358,39 +358,6 @@ func TestCFSVruntimeMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCPUQuota(t *testing.T) {
-	q := NewCPUQuota(100*sim.Millisecond, 10*sim.Millisecond)
-	if q.Fraction() != 0.1 {
-		t.Fatalf("fraction = %v", q.Fraction())
-	}
-	now := sim.Time(0)
-	run, _ := q.Grant(now, 50*sim.Millisecond)
-	if run != 10*sim.Millisecond {
-		t.Fatalf("grant = %v, want 10ms", run)
-	}
-	q.Charge(now, run)
-	run2, refill := q.Grant(now.Add(sim.Duration(run)), 1*sim.Millisecond)
-	if run2 != 0 {
-		t.Fatalf("over-quota grant = %v", run2)
-	}
-	if refill != sim.Time(100*sim.Millisecond) {
-		t.Fatalf("refill at %v", refill)
-	}
-	// After the period refills, budget is back.
-	run3, _ := q.Grant(sim.Time(150*sim.Millisecond), 5*sim.Millisecond)
-	if run3 != 5*sim.Millisecond {
-		t.Fatalf("post-refill grant = %v", run3)
-	}
-	q.Throttled(3 * sim.Millisecond)
-	if q.ThrottledNs != 3*sim.Millisecond {
-		t.Fatal("throttle accounting")
-	}
-	free := NewCPUQuota(0, 0)
-	if free.Fraction() != 1 {
-		t.Fatal("zero period should mean unlimited fraction")
-	}
-}
-
 func TestSignalStrings(t *testing.T) {
 	for _, s := range []Signal{SIGUSR1, SIGSEGV, SIGKILL, SIGTERM, Signal(77)} {
 		if s.String() == "" {

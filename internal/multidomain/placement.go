@@ -8,9 +8,9 @@ import (
 	"vessel/internal/vessel"
 )
 
-// Placement records which domain hosts each uProcess a multi-domain
-// driver launched: the one Launch/Destroy path every driver shares. Which
-// domain and core a launch tries is the driver's policy.
+// Placement records which domain hosts each uProcess ScheduledCluster
+// launched: its launch/destroy path. Which domain and core a launch tries
+// is the driver's policy.
 type Placement map[string]int
 
 // Claim fails if name already lives somewhere in the cluster.
@@ -36,21 +36,20 @@ func (p Placement) Launch(name string, d int, mg *vessel.Manager, prog *smas.Pro
 // returns. Termination is lazy (§5.1), so the domain is drained to event
 // quiescence and then reaped. The name leaves the placement as soon as
 // the kill is issued: a drain or reap error must not leave it stuck there
-// (the manager no longer knows it, so a retry could never succeed). It
-// returns the hosting domain, or -1 if name was never removed.
-func (p Placement) Destroy(name string, manager func(d int) *vessel.Manager) (int, error) {
+// (the manager no longer knows it, so a retry could never succeed).
+func (p Placement) Destroy(name string, manager func(d int) *vessel.Manager) error {
 	d, ok := p[name]
 	if !ok {
-		return -1, fmt.Errorf("vessel: no uProcess %q in the cluster", name)
+		return fmt.Errorf("vessel: no uProcess %q in the cluster", name)
 	}
 	mg := manager(d)
 	if err := mg.Destroy(name); err != nil {
-		return -1, err
+		return err
 	}
 	delete(p, name)
 	if _, err := mg.DrainZombies(0); err != nil {
-		return d, err
+		return err
 	}
 	_, err := mg.Reap()
-	return d, err
+	return err
 }

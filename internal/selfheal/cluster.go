@@ -31,12 +31,6 @@ type Config struct {
 	// each domain's machine.
 	Domains        int
 	CoresPerDomain int
-	// DetectBudget is the declared ceiling on detection MTTR (silence →
-	// fence); RestartBudget is the additional ceiling on a full domain
-	// restart. Exceeding either is a reported violation. Defaults:
-	// 500µs each.
-	DetectBudget  sim.Duration
-	RestartBudget sim.Duration
 	// Primary builds each domain's primary scheduler policy; nil uses
 	// round-robin (making the failsafe swap a no-op behaviourally, but
 	// still exercised).
@@ -66,16 +60,15 @@ func (c Config) withDefaults() Config {
 	if c.CoresPerDomain <= 0 {
 		c.CoresPerDomain = 1
 	}
-	if c.DetectBudget <= 0 {
-		c.DetectBudget = 500 * sim.Microsecond
-	}
-	if c.RestartBudget <= 0 {
-		c.RestartBudget = 500 * sim.Microsecond
-	}
 	return c
 }
 
 const (
+	// DetectBudget is the declared ceiling on detection MTTR (silence →
+	// fence); RestartBudget is the additional ceiling on a full domain
+	// restart. Exceeding either is a reported violation.
+	DetectBudget  = 500 * sim.Microsecond
+	RestartBudget = 500 * sim.Microsecond
 	// policyBudgetCycles is each domain failsafe's per-decision cycle
 	// ceiling.
 	policyBudgetCycles = 100_000
@@ -208,12 +201,14 @@ func (c *Cluster) tracer() *journey.Tracer { return c.core.Tracer(0) }
 // AddWorker supervises a workload on a domain: build constructs its
 // program against whichever manager incarnation is current, so the worker
 // survives both uProcess restarts (vessel.Supervise) and whole-domain
-// restarts (this package).
+// restarts (this package). A worker the domain refuses is not supervised.
 func (c *Cluster) AddWorker(domain int, name string, build func(mg *vessel.Manager) *smas.Program, core int, policy vessel.RestartPolicy) error {
+	if _, err := c.core.Manager(domain).Supervise(name, func() *smas.Program { return build(c.core.Manager(domain)) }, core, policy); err != nil {
+		return err
+	}
 	d := c.domains[domain]
 	d.workers = append(d.workers, workerSpec{name: name, build: build, core: core, policy: policy})
-	_, err := c.core.Manager(domain).Supervise(name, func() *smas.Program { return build(c.core.Manager(domain)) }, core, policy)
-	return err
+	return nil
 }
 
 // InjectFaults attaches a chaos plan to a domain and wires the domain's
@@ -406,8 +401,8 @@ func (c *Cluster) react(now sim.Time) error {
 				c.obs.Span(c.globalCore(d, core), last, now, obs.CatFence, cause)
 				c.obs.Reg().Observe("selfheal.mttr_ns", int64(mttr))
 			}
-			if mttr > c.cfg.DetectBudget {
-				c.violate(now, "domain %d core %d: detection MTTR %v exceeds budget %v", d.id, core, mttr, c.cfg.DetectBudget)
+			if mttr > DetectBudget {
+				c.violate(now, "domain %d core %d: detection MTTR %v exceeds budget %v", d.id, core, mttr, DetectBudget)
 			}
 		}
 		if mg.FencedCores() == m.NumCores() {
@@ -536,7 +531,7 @@ func (c *Cluster) restartDomain(d *domainState, now sim.Time) error {
 		c.obs.Reg().Observe("selfheal.mttr_ns", int64(mttr))
 		c.obs.Reg().Inc("selfheal.domain.restarts")
 	}
-	if budget := c.cfg.DetectBudget + c.cfg.RestartBudget; mttr > budget {
+	if budget := DetectBudget + RestartBudget; mttr > budget {
 		c.violate(now, "domain %d restart MTTR %v exceeds budget %v", d.id, mttr, budget)
 	}
 	return nil

@@ -126,12 +126,7 @@ func TestDetectorConcurrent(t *testing.T) {
 
 func newCluster(t *testing.T, domains, cores int) *Cluster {
 	t.Helper()
-	c, err := New(Config{
-		Domains:        domains,
-		CoresPerDomain: cores,
-		DetectBudget:   500 * sim.Microsecond,
-		RestartBudget:  500 * sim.Microsecond,
-	})
+	c, err := New(Config{Domains: domains, CoresPerDomain: cores})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,5 +472,60 @@ func TestClusterChaosFlightRecorderEndToEnd(t *testing.T) {
 	rep2, _ := run()
 	if !bytes.Equal(canon, rep2.Canonical()) {
 		t.Fatalf("identical chaos runs rendered different reports:\n--- a ---\n%s\n--- b ---\n%s", canon, rep2.Canonical())
+	}
+}
+
+// addWorker supervises one park-loop worker on a domain's core.
+func addWorker(c *Cluster, domain int, name string, core int) error {
+	return c.AddWorker(domain, name, func(mg *vessel.Manager) *smas.Program {
+		return parkLoop(mg, name)
+	}, core, vessel.RestartPolicy{})
+}
+
+// TestClusterBeyondThirteenUProcesses is §4.1's density argument on
+// hardware keys: one domain holds at most 13 uProcesses (16 keys minus
+// key 0, the runtime key and the message-pipe key), so "multiple
+// scheduling domains can be used when the number of uProcesses exceeds
+// this limit". Domain 0 refuses a 14th worker, domain 1 takes it, and
+// every worker in both domains runs.
+func TestClusterBeyondThirteenUProcesses(t *testing.T) {
+	c := newCluster(t, 2, 1)
+	for i := 0; i < smas.MaxUProcs; i++ {
+		if err := addWorker(c, 0, fmt.Sprintf("w%02d", i), 0); err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	extra := fmt.Sprintf("w%02d", smas.MaxUProcs)
+	if err := addWorker(c, 0, extra, 0); err == nil {
+		t.Fatalf("domain 0 accepted uProcess %d of a %d-key budget", smas.MaxUProcs+1, smas.MaxUProcs)
+	}
+	if err := addWorker(c, 1, extra, 0); err != nil {
+		t.Fatalf("domain 1 refused the overflow worker: %v", err)
+	}
+	rep, err := c.Run(40_000, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 0 || rep.Fences != 0 {
+		t.Fatalf("fences=%d violations=%v", rep.Fences, rep.Violations)
+	}
+	// A worker has parked once it was switched back in after its first
+	// dispatch: a park loop gives up the core only at its park gate.
+	parked := func(d int, name string) {
+		t.Helper()
+		u, ok := c.Manager(d).Lookup(name)
+		if !ok {
+			t.Fatalf("domain %d lost worker %s", d, name)
+		}
+		if sw := u.Threads()[0].Switches; sw < 2 {
+			t.Fatalf("domain %d worker %s never parked (switches=%d)", d, name, sw)
+		}
+	}
+	for i := 0; i < smas.MaxUProcs; i++ {
+		parked(0, fmt.Sprintf("w%02d", i))
+	}
+	parked(1, extra)
+	if _, ok := c.Manager(0).Lookup(extra); ok {
+		t.Fatalf("refused worker %s lives in domain 0", extra)
 	}
 }

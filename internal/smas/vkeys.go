@@ -17,12 +17,6 @@ import (
 // them until refill. Direct mode — the paper's fixed 13-key budget — is
 // untouched: every virtual-mode branch below is behind s.Virtual().
 
-// VirtualHeadroom is the nominal per-domain capacity reported once keys
-// are virtualized. The real bound is address-space and memory, not the
-// 4-bit hardware key field, so the cluster's placement logic just needs a
-// number far above any realistic density test.
-const VirtualHeadroom = 1 << 20
-
 // EnableVirtualKeys switches the SMAS to virtualized protection keys. It
 // must be called before any region is allocated: retrofitting live
 // direct-mode regions would mean inventing virtual keys for pages the
@@ -44,16 +38,6 @@ func (s *SMAS) EnableVirtualKeys() error {
 
 // Virtual reports whether protection keys are virtualized.
 func (s *SMAS) Virtual() bool { return s.VKeys != nil }
-
-// KeysAvailable is the domain's remaining uProcess capacity as the
-// placement layer should see it: free hardware keys in direct mode,
-// effectively unbounded in virtual mode.
-func (s *SMAS) KeysAvailable() int {
-	if s.Virtual() {
-		return VirtualHeadroom - len(s.vregions)
-	}
-	return s.Keys.Available()
-}
 
 // KeyOwned reports whether hardware key k is legitimately held by a live
 // region — the self-healing reconciler frees in-use app keys this returns

@@ -225,13 +225,6 @@ func (mg *Manager) ExecCacheStats() (allocs, recycles int) {
 	return mg.exec.allocs, mg.exec.recycles
 }
 
-// Occupancy is the number of uProcesses the manager is responsible for:
-// live named uProcesses plus zombies still awaiting reclamation. The
-// cluster layer keys per-domain stepping off this rather than its own
-// launch bookkeeping, so uProcesses launched directly on the manager
-// still get scheduled.
-func (mg *Manager) Occupancy() int { return len(mg.named) + len(mg.zombies) }
-
 // Backlog is the domain's total runqueue depth (threads waiting for a
 // core, not counting the ones running) — the queue-buildup signal the
 // µs-latency cluster policy consumes.

@@ -37,8 +37,8 @@ func TestClusterManagedLifecycle(t *testing.T) {
 	if mg.Step(0, 500) == 0 {
 		t.Fatal("granted core made no progress")
 	}
-	if mg.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d, want 1", mg.Occupancy())
+	if _, ok := mg.Lookup("a"); !ok {
+		t.Fatal("launched uProcess not registered")
 	}
 }
 

@@ -46,11 +46,6 @@ func NewManagerVirtual(cores int, costs *cpu.CostModel) (*Manager, error) {
 	return mg, nil
 }
 
-// KeysAvailable is the domain's placeable uProcess headroom as the SMAS
-// reports it: free hardware keys in direct mode, effectively unbounded
-// under key virtualization.
-func (mg *Manager) KeysAvailable() int { return mg.Domain.S.KeysAvailable() }
-
 // CancelPending cancels every event this manager still has scheduled on
 // the shared engine — supervised relaunch backoffs and in-flight Uintr
 // deliveries — and reports how many were cancelled. A domain being torn

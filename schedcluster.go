@@ -250,8 +250,7 @@ func (s *ScheduledCluster) Launch(domain int, name string, build func(*Manager) 
 // Destroy removes a uProcess, drains its lazy termination to quiescence,
 // and reclaims its region and key.
 func (s *ScheduledCluster) Destroy(name string) error {
-	_, err := s.placement.Destroy(name, s.core.Manager)
-	return err
+	return s.placement.Destroy(name, s.core.Manager)
 }
 
 // Run drives the cluster for the given number of rounds. Each round:

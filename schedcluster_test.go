@@ -9,6 +9,12 @@ import (
 	"vessel/internal/obs"
 )
 
+func buildParkLoop(m *Manager) (*Program, error) {
+	return m.NewProgram("loop").Forever(func(b *ProgramBuilder) {
+		b.Compute(500).Park()
+	}).Build()
+}
+
 // launchWave places n park-loop uProcesses into domain d, named with the
 // given prefix, on the domain's least-loaded online cores.
 func launchWave(t *testing.T, s *ScheduledCluster, d, n int, prefix string) {
@@ -400,5 +406,40 @@ func TestScheduledClusterUpcallSpans(t *testing.T) {
 	}
 	if transfers == 0 {
 		t.Fatal("no CatGrant transfer spans recorded")
+	}
+}
+
+// TestScheduledClusterDestroyDrainsLongGatedProgram pins the drain behind
+// Destroy: with the victim mid-way through thousands of instructions
+// between gates, Destroy must still land the lazy kill (the busy core is
+// kicked with a UIPI) and reap the region before it returns.
+func TestScheduledClusterDestroyDrainsLongGatedProgram(t *testing.T) {
+	s, err := NewScheduledCluster(SchedClusterConfig{Domains: 1, Cores: 1, Quantum: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	longGated := func(m *Manager) (*Program, error) {
+		return m.NewProgram("long").Forever(func(b *ProgramBuilder) {
+			b.Repeat(5000, func(b *ProgramBuilder) { b.Compute(1) })
+			b.Park()
+		}).Build()
+	}
+	if _, err := s.Launch(0, "long", longGated); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Destroy("long"); err != nil {
+		t.Fatal(err)
+	}
+	// The kill landed and the region was reclaimed.
+	m := s.Manager(0)
+	if got := m.Domain.S.LiveRegionCount(); got != 0 {
+		t.Fatalf("live regions = %d after destroy, want 0 (zombie not reaped)", got)
+	}
+	// The name is free again.
+	if _, err := s.Launch(0, "long", longGated); err != nil {
+		t.Fatal(err)
 	}
 }

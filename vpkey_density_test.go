@@ -12,27 +12,30 @@ import (
 // hosts well over a hundred uProcesses — an order of magnitude past the
 // architectural 13-key budget — with every isolation oracle holding.
 func TestDenseClusterHundredUProcessesOneDomain(t *testing.T) {
-	c, err := NewDenseCluster(1, 2, nil, 0)
+	m, err := NewManagerVirtual(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 110
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("dense-%03d", i)
-		if _, err := c.Launch(name, buildParkLoop, i%2); err != nil {
-			t.Fatalf("launch %s: %v", name, err)
-		}
-		if d, ok := c.DomainOf(name); !ok || d != 0 {
-			t.Fatalf("%s placed in domain %d, want the single domain 0", name, d)
-		}
-	}
-	for core := 0; core < 2; core++ {
-		if err := c.Start(core); err != nil {
+	launch := func(name string, core int) {
+		t.Helper()
+		prog, err := buildParkLoop(m)
+		if err != nil {
 			t.Fatal(err)
 		}
-		c.Step(core, 120_000)
+		if _, err := m.Launch(name, prog, core); err != nil {
+			t.Fatalf("launch %s: %v", name, err)
+		}
 	}
-	m := c.Manager(0)
+	const n = 110
+	for i := 0; i < n; i++ {
+		launch(fmt.Sprintf("dense-%03d", i), i%2)
+	}
+	for core := 0; core < 2; core++ {
+		if err := m.Start(core); err != nil {
+			t.Fatal(err)
+		}
+		m.Step(core, 120_000)
+	}
 	// Every uProcess made progress: parks only happen after a full
 	// gate crossing through the uProcess's own (virtual) key.
 	for core := 0; core < 2; core++ {
@@ -43,7 +46,7 @@ func TestDenseClusterHundredUProcessesOneDomain(t *testing.T) {
 	}
 	vt := m.VPkey()
 	if vt == nil {
-		t.Fatal("dense cluster did not virtualize keys")
+		t.Fatal("dense domain did not virtualize keys")
 	}
 	if vt.Live() != n {
 		t.Fatalf("live virtual keys = %d, want %d", vt.Live(), n)
@@ -55,19 +58,27 @@ func TestDenseClusterHundredUProcessesOneDomain(t *testing.T) {
 	if vs := conformance.CheckVPkeyLifecycle("dense-cluster", m.Domain.S); len(vs) != 0 {
 		t.Fatalf("lifecycle oracles flagged:\n%v", vs)
 	}
-	// Churn: destroy a third, relaunch, oracles still hold.
+	// Churn: destroy a third (each kill drained and its region reaped),
+	// relaunch, oracles still hold.
 	for i := 0; i < n; i += 3 {
-		if err := c.Destroy(fmt.Sprintf("dense-%03d", i)); err != nil {
+		if err := m.Destroy(fmt.Sprintf("dense-%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.DrainZombies(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Reap(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := c.Launch(fmt.Sprintf("refill-%02d", i), buildParkLoop, i%2); err != nil {
-			t.Fatalf("relaunch %d: %v", i, err)
-		}
+		launch(fmt.Sprintf("refill-%02d", i), i%2)
 	}
 	for core := 0; core < 2; core++ {
-		c.Step(core, 20_000)
+		m.Step(core, 20_000)
+	}
+	if want := n - (n+2)/3 + 10; vt.Live() != want {
+		t.Fatalf("live virtual keys after churn = %d, want %d", vt.Live(), want)
 	}
 	if vs := conformance.CheckVPkeyLifecycle("dense-cluster", m.Domain.S); len(vs) != 0 {
 		t.Fatalf("lifecycle oracles flagged after churn:\n%v", vs)
