@@ -54,16 +54,17 @@ type (
 	// with NewObserver, or attach it to a Manager with Manager.AttachObs.
 	Observer = obs.Observer
 	// JourneyTracer is the request-journey tracing layer (causal span
-	// trees, critical-path attribution, flight recorder, SLO monitor);
+	// trees, critical-path attribution, flight recorder, SLO tallies);
 	// set Config.Journey to one built with NewJourneyTracer, or attach
 	// it to a Manager with Manager.AttachJourney.
 	JourneyTracer = journey.Tracer
-	// JourneyConfig configures a tracer built with NewJourneyTracerWith:
-	// SLO target, 1-in-N request sampling, flight-recorder capacity, and
-	// Retain, which keeps every finished journey for the per-journey
-	// exports (WriteText, WriteChromeTrace, WriteCollapsed). Without
-	// Retain the tracer checks and folds each journey when it finishes
-	// and reuses its storage, so its memory does not grow with the run.
+	// JourneyConfig configures a tracer built with NewJourneyTracerWith.
+	// Its four fields are the SLO target, 1-in-N request sampling, the
+	// flight-recorder capacity, and Retain, which keeps every finished
+	// journey for the per-journey exports (WriteText, WriteChromeTrace,
+	// WriteCollapsed). Without Retain the tracer checks and folds each
+	// journey when it finishes and reuses its storage, so its memory does
+	// not grow with the run.
 	JourneyConfig = journey.Config
 )
 
@@ -202,15 +203,7 @@ type (
 // (≤ 0 selects DefaultParallel) backed by a content-addressed cache at
 // cacheDir (empty disables caching).
 func NewExecutor(parallel int, cacheDir string) (*Executor, error) {
-	e := &Executor{Parallel: parallel}
-	if cacheDir != "" {
-		c, err := harness.OpenCache(cacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.Cache = c
-	}
-	return e, nil
+	return harness.NewExecutor(parallel, cacheDir)
 }
 
 // DefaultParallel is the default worker-pool width: the host's usable

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"vessel/internal/experiments"
+	"vessel/internal/harness"
 	"vessel/internal/harness/cliflags"
 	"vessel/internal/obs"
 )
@@ -37,7 +38,7 @@ func main() {
 	obsOut := flag.String("obs", "", "write the observability bench report (profile + metrics) to this JSON file")
 	flag.Parse()
 
-	exec, err := cliflags.Exec(*parallel, *cacheDir)
+	exec, err := harness.NewExecutor(*parallel, *cacheDir)
 	if err != nil {
 		os.Exit(cliflags.UsageErr("experiments", err))
 	}

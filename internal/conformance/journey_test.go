@@ -160,14 +160,13 @@ func TestJourneyRetainedMatchesBounded(t *testing.T) {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			type view struct {
-				analysis, mix, slo, windows, reg, dumps, verdicts string
+				analysis, slo, reg, dumps, verdicts string
 			}
 			run := func(retain bool) view {
 				cfg, tr := journeyConfig(5, journey.Config{
 					Retain:    retain,
 					FlightCap: 64,
 					SLOTarget: 20 * sim.Microsecond,
-					SLOWindow: sim.Millisecond,
 				})
 				res, err := s.Run(cfg)
 				if err != nil {
@@ -181,9 +180,7 @@ func TestJourneyRetainedMatchesBounded(t *testing.T) {
 				}
 				return view{
 					analysis: tr.Analyze().String(),
-					mix:      fmt.Sprint(tr.PathMix("")),
 					slo:      fmt.Sprint(good, bad),
-					windows:  fmt.Sprint(tr.Windows()),
 					reg:      tr.Reg().Snapshot().String(),
 					dumps:    dumps.String(),
 					verdicts: fmt.Sprint(CheckJourney(s.Name(), tr, res)),

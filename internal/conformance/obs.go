@@ -13,9 +13,8 @@ import (
 // accrued must be charged to exactly one (core, occupant, category) bucket,
 // so the profiler's per-activity-category totals equal the result's cycle
 // breakdown *exactly* — not within tolerance. Both sides flow through
-// sched.Accountant.AccrueCore with the same window clipping, so any
-// difference means an accrual bypassed the accountant (or was charged
-// twice).
+// sched.Base.SetAct with the same window clipping, so any difference
+// means an accrual bypassed SetAct (or was charged twice).
 //
 // The observer must be fresh for the run: sharing one observer across runs
 // accumulates charges and trips this oracle by design.

@@ -6,6 +6,7 @@ import (
 
 	"vessel/internal/obs"
 	"vessel/internal/sched"
+	"vessel/internal/sim"
 )
 
 // obsConfig builds a small mixed L+B run with a fresh observer attached.
@@ -60,6 +61,41 @@ func TestObsConservationAllSchedulers(t *testing.T) {
 			}
 			if !named {
 				t.Error("no app cycles attributed to \"mc\" on any core")
+			}
+		})
+	}
+}
+
+// TestActivitySpansTileEveryCore: the activity spans of every core are
+// contiguous from time 0 to the end of the run, with no gap and no
+// overlap, so each nanosecond of each core is charged to exactly one
+// activity. The rings are sized so no span scrolls out.
+func TestActivitySpansTileEveryCore(t *testing.T) {
+	for _, s := range Systems() {
+		s := s
+		t.Run(s.Name(), func(t *testing.T) {
+			cfg := baseScenario(7).Config()
+			cfg.Obs = obs.New(1 << 20)
+			if _, err := s.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if n := cfg.Obs.Overwritten(); n != 0 {
+				t.Fatalf("%d spans scrolled out; size the rings up", n)
+			}
+			end := make([]sim.Time, cfg.Cores) // each core's tiled prefix
+			for _, sp := range cfg.Obs.Spans() {
+				if !sp.Cat.Activity() {
+					continue
+				}
+				if sp.Start != end[sp.Core] || sp.End <= sp.Start {
+					t.Fatalf("core %d: span %v does not extend the tiling of [0, %v)", sp.Core, sp, end[sp.Core])
+				}
+				end[sp.Core] = sp.End
+			}
+			for core, e := range end {
+				if want := sim.Time(cfg.Warmup + cfg.Duration); e != want {
+					t.Errorf("core %d: activity spans tile [0, %v), want [0, %v)", core, e, want)
+				}
 			}
 		})
 	}

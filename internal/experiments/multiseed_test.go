@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"vessel/internal/sched"
 	"vessel/internal/sched/caladan"
-	"vessel/internal/stats"
 	"vessel/internal/vessel"
 )
 
@@ -22,7 +22,7 @@ func TestConclusionsAreSeedRobust(t *testing.T) {
 		t.Skip("multi-seed robustness skipped in -short mode")
 	}
 	seeds := []uint64{11, 23, 57, 101, 997}
-	var vNorm, cNorm stats.MeanVar
+	var vNorm, cNorm []float64
 	for _, seed := range seeds {
 		run := func(s sched.Scheduler) sched.Result {
 			o := Options{Seed: seed, Quick: true}
@@ -42,14 +42,27 @@ func TestConclusionsAreSeedRobust(t *testing.T) {
 			t.Errorf("seed %d: VESSEL p999 %d ≥ Caladan %d",
 				seed, v.LAppP999(), c.LAppP999())
 		}
-		vNorm.Add(v.TotalNormTput())
-		cNorm.Add(c.TotalNormTput())
+		vNorm = append(vNorm, v.TotalNormTput())
+		cNorm = append(cNorm, c.TotalNormTput())
 	}
 	// Convergence: the coefficient of variation across seeds stays tiny.
-	if cv := vNorm.StdDev() / vNorm.Mean(); cv > 0.02 {
+	if cv := coeffOfVariation(vNorm); cv > 0.02 {
 		t.Errorf("VESSEL norm CV across seeds = %.4f, poorly converged", cv)
 	}
-	if cv := cNorm.StdDev() / cNorm.Mean(); cv > 0.05 {
+	if cv := coeffOfVariation(cNorm); cv > 0.05 {
 		t.Errorf("Caladan norm CV across seeds = %.4f, poorly converged", cv)
 	}
+}
+
+// coeffOfVariation returns the sample standard deviation of xs over its
+// mean.
+func coeffOfVariation(xs []float64) float64 {
+	var mean, ss float64
+	for _, x := range xs {
+		mean += x / float64(len(xs))
+	}
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	return math.Sqrt(ss/float64(len(xs)-1)) / mean
 }

@@ -1,8 +1,8 @@
 // Package cliflags unifies the command-line surface shared by the
 // repository's drivers (experiments, conformancebench, chaosbench,
-// vesselsim): one spelling for -seed/-quick/-parallel/-cache/-out, one
-// set of exit codes, and one constructor turning the parallel/cache
-// flags into a harness.Executor. Keeping the flag definitions here means
+// vesselsim): one spelling for -seed/-quick/-parallel/-cache/-out and
+// one set of exit codes (harness.NewExecutor turns the parallel/cache
+// flags into an executor). Keeping the flag definitions here means
 // every tool documents the same contract — in particular that -parallel
 // changes wall-clock time only, never output bytes.
 package cliflags
@@ -53,19 +53,6 @@ func CacheDir() *string {
 // Out registers the shared -out flag (empty means stdout).
 func Out() *string {
 	return flag.String("out", "", "write the report to this file instead of stdout")
-}
-
-// Exec builds the harness executor the parallel/cache flags describe.
-func Exec(parallel int, cacheDir string) (*harness.Executor, error) {
-	e := &harness.Executor{Parallel: parallel}
-	if cacheDir != "" {
-		c, err := harness.OpenCache(cacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("open cache: %w", err)
-		}
-		e.Cache = c
-	}
-	return e, nil
 }
 
 // Fail prints "tool: err" to stderr and exits with ExitFailure.

@@ -40,6 +40,21 @@ type Executor struct {
 // Sequential returns an executor that runs one spec at a time, uncached.
 func Sequential() *Executor { return &Executor{Parallel: 1} }
 
+// NewExecutor builds an executor with the given worker-pool width
+// (≤ 0 selects DefaultParallel) backed by a content-addressed cache at
+// cacheDir (empty disables caching).
+func NewExecutor(parallel int, cacheDir string) (*Executor, error) {
+	e := &Executor{Parallel: parallel}
+	if cacheDir != "" {
+		c, err := OpenCache(cacheDir)
+		if err != nil {
+			return nil, err
+		}
+		e.Cache = c
+	}
+	return e, nil
+}
+
 // parallel resolves the effective worker count. A shared Observer pins it
 // to 1: spans from concurrent runs would interleave nondeterministically
 // in the single span ring.

@@ -47,7 +47,7 @@ func TestFlightRingMatchesModel(t *testing.T) {
 				if len(open) > 0 {
 					j = open[rng.IntN(len(open))]
 				}
-				switch op := rng.IntN(5); {
+				switch op := rng.IntN(4); {
 				case op == 0 || j == nil:
 					name := fmt.Sprintf("app%d", rng.IntN(3))
 					j = tr.Mint(name, at)
@@ -59,10 +59,6 @@ func TestFlightRingMatchesModel(t *testing.T) {
 						model = append(model, trace.Event{T: at, Name: "journey.seg", Detail: fmt.Sprintf("j=%d seg=%s", j.ID, seg)})
 					}
 				case op == 2:
-					note := fmt.Sprintf("note%d", rng.IntN(3))
-					j.Annotate(note, at)
-					model = append(model, trace.Event{T: at, Name: "journey.note", Detail: fmt.Sprintf("j=%d %s", j.ID, note)})
-				case op == 3:
 					j.Finish(at)
 					for i := range open {
 						if open[i] == j {
@@ -100,8 +96,8 @@ func TestBoundedStorage(t *testing.T) {
 		at := us(int64(i))
 		j := tr.Mint("req", at)
 		j.To(SegRun, at+1)
-		for k := 0; k < i%3; k++ { // chains of 2 to 4 entries
-			j.Annotate("note", at+1)
+		for _, seg := range []Segment{SegUintr, SegData}[:i%3] { // chains of 2 to 4 entries
+			j.To(seg, at+1)
 		}
 		j.To(SegGate, at+2)
 		slot := &open[i%len(open)]
@@ -131,15 +127,14 @@ func TestBoundedStorage(t *testing.T) {
 }
 
 // TestFinishAllocatesNothing: once storage is warm, a journey's whole
-// life — mint, transitions, an annotation, and the Finish that checks
+// life — mint, transitions, and the Finish that checks
 // and folds it — allocates nothing on a bounded tracer.
 func TestFinishAllocatesNothing(t *testing.T) {
-	tr := NewTracer(Config{SLOTarget: 2 * sim.Microsecond, SLOWindow: 100 * sim.Microsecond})
+	tr := NewTracer(Config{SLOTarget: 2 * sim.Microsecond})
 	at := sim.Time(0)
 	life := func() {
 		j := tr.Mint("req", at)
 		j.To(SegGate, at+10)
-		j.Annotate("gate.invoke", at+10)
 		j.To(SegRun, at+20)
 		j.Finish(at + 30)
 		at += 40

@@ -87,10 +87,10 @@ func ParseSegment(s string) (Segment, error) {
 }
 
 // Node is one node of a journey's span tree. Node 0 is the root (the
-// whole request, Parent == -1); every closed segment interval and every
-// instant annotation is a child of the root. Follows links a child to
-// the previous closed segment span — the follows-from edge of the
-// causal chain — or is -1 for the first.
+// whole request, Parent == -1); every closed segment interval is a child
+// of the root. Follows links a child to the previous closed segment
+// span — the follows-from edge of the causal chain — or is -1 for the
+// first.
 type Node struct {
 	ID      int
 	Parent  int
@@ -122,25 +122,23 @@ type Journey struct {
 	cur      Segment
 	since    sim.Time
 	finished bool
-	// name is Name's index in the tracer's intern table.
-	name int32
 	// slot is the journey's index in the tracer's slot blocks, and gen
 	// counts the journeys the slot has held before this one: together
 	// they make its Handle.
 	slot, gen uint32
 	// The span tree is logged compactly on the hot path — one 16-byte
-	// entry per segment transition or annotation in the tracer's
-	// pointer-free chain store — and replayed on demand by Tree.
+	// entry per segment transition in the tracer's pointer-free chain
+	// store — and replayed on demand by Tree.
 	// lhead/ltail index this journey's oldest and newest entries (-1 when
 	// none); entries link forward, so replay runs oldest-first and a
 	// finished chain goes back to the free list in one splice.
 	lhead, ltail int32
 }
 
-// chainEntry is one span-log entry of one journey. note ≥ 0 is an
-// instant annotation (an intern-table index); -NumSegments ≤ note < 0 is
-// a transition into Segment(-1-note). next links to the journey's next
-// entry (-1 ends the chain; on the free list it links free entries).
+// chainEntry is one span-log entry of one journey: a transition into
+// Segment(-1-note), so -NumSegments ≤ note < 0. next links to the
+// journey's next entry (-1 ends the chain; on the free list it links free
+// entries).
 type chainEntry struct {
 	at   sim.Time
 	note int32
@@ -197,25 +195,12 @@ func (j *Journey) to(seg Segment, at sim.Time) {
 	j.t.record(j, j.since, -1-int32(seg))
 }
 
-// Annotate records an instant marker (a seam crossing: a SENDUIPI
-// outcome, a gate invoke, a device submit) as a zero-length child node
-// and a flight-recorder event. It does not change the segment.
-func (j *Journey) Annotate(name string, at sim.Time) {
-	if j == nil || j.finished {
-		return
-	}
-	if at < j.since {
-		at = j.since
-	}
-	j.t.record(j, at, j.t.intern(name))
-}
-
 // Finish completes the journey: the current segment closes at the given
 // instant and the root span gets its end time. The tracer then checks
 // the journey against the conservation oracle, folds its decomposition
-// into the critical-path histograms, path mix, SLO monitor and flight
+// into the critical-path histograms, path mix, SLO tallies and flight
 // recorder, and (without Config.Retain) recycles its storage. Further
-// To/Annotate/Finish calls are no-ops until the slot is reused.
+// To/Finish calls are no-ops until the slot is reused.
 func (j *Journey) Finish(at sim.Time) {
 	if j == nil || j.finished {
 		return
@@ -234,8 +219,8 @@ func (j *Journey) finish(at sim.Time) {
 }
 
 // Tree materializes the journey's span tree from the compact log: node
-// 0 is the root request span, every closed segment interval and every
-// annotation is a child of the root, and Follows links consecutive
+// 0 is the root request span, every closed segment interval is a child
+// of the root, and Follows links consecutive
 // segment spans (the follows-from causal chain). Node IDs are creation
 // order; the result is a pure deterministic function of the log, so two
 // calls return identical trees.
@@ -261,19 +246,8 @@ func (j *Journey) Tree() []Node {
 	}
 	for i := j.lhead; i >= 0; {
 		e := &j.t.chain[i]
-		if e.note >= 0 {
-			at := e.at
-			if at < since {
-				at = since
-			}
-			nodes = append(nodes, Node{
-				ID: len(nodes), Parent: 0, Follows: -1,
-				Seg: cur, Start: at, End: at, Name: j.t.noteStr(e.note),
-			})
-		} else {
-			closeSeg(e.at)
-			cur = Segment(-1 - e.note)
-		}
+		closeSeg(e.at)
+		cur = Segment(-1 - e.note)
 		i = e.next
 	}
 	if j.finished {

@@ -81,13 +81,12 @@ func TestTreeLinks(t *testing.T) {
 	tr := New()
 	j := tr.Mint("req", us(0))
 	j.To(SegRun, us(5))
-	j.Annotate("gate.invoke", us(6))
 	j.To(SegData, us(8))
 	j.Finish(us(9))
 
 	nodes := j.Tree()
-	if len(nodes) != 5 { // root + queue + note + run + data
-		t.Fatalf("got %d nodes, want 5", len(nodes))
+	if len(nodes) != 4 { // root + queue + run + data
+		t.Fatalf("got %d nodes, want 4", len(nodes))
 	}
 	root := nodes[0]
 	if root.Parent != -1 || root.Start != us(0) || root.End != us(9) {
@@ -98,14 +97,10 @@ func TestTreeLinks(t *testing.T) {
 			t.Fatalf("node %d parent %d, want 0", n.ID, n.Parent)
 		}
 	}
-	// queue span, then the instant note (Follows -1), then run follows
-	// queue, data follows run.
-	queue, note, run, data := nodes[1], nodes[2], nodes[3], nodes[4]
+	// queue span first, then run follows queue, data follows run.
+	queue, run, data := nodes[1], nodes[2], nodes[3]
 	if queue.Seg != SegQueue || queue.Follows != -1 {
 		t.Fatalf("bad queue node: %+v", queue)
-	}
-	if note.Name != "gate.invoke" || note.Start != note.End || note.Follows != -1 {
-		t.Fatalf("bad note node: %+v", note)
 	}
 	if run.Seg != SegRun || run.Follows != queue.ID {
 		t.Fatalf("run follows %d, want %d", run.Follows, queue.ID)
@@ -126,7 +121,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer minted a journey")
 	}
 	j.To(SegRun, us(1))
-	j.Annotate("n", us(1))
 	j.Finish(us(2))
 	if j.Finished() || j.Sojourn() != 0 || j.Sum() != 0 || j.Cur() != SegQueue {
 		t.Fatal("nil journey has state")
@@ -134,7 +128,7 @@ func TestNilSafety(t *testing.T) {
 	tr.Event(us(0), "e", "d")
 	tr.Dump(us(0), "r")
 	if tr.Reg() != nil || tr.Flight() != nil || tr.Journeys() != nil ||
-		tr.Minted() != 0 || tr.Goodput() != 0 || tr.ViolationFrac() != 0 {
+		tr.Minted() != 0 || tr.ViolationFrac() != 0 {
 		t.Fatal("nil tracer has state")
 	}
 	if g, b := tr.SLOCounts(); g != 0 || b != 0 {
@@ -143,7 +137,7 @@ func TestNilSafety(t *testing.T) {
 	if a := tr.Analyze(); a.Finished != 0 {
 		t.Fatal("nil tracer analyzed something")
 	}
-	if tr.Records() != nil || tr.Dumps() != nil || tr.Windows() != nil {
+	if tr.Records() != nil || tr.Dumps() != nil {
 		t.Fatal("nil tracer exported something")
 	}
 }
@@ -182,32 +176,25 @@ func TestFlightRecorderDump(t *testing.T) {
 	}
 }
 
-// TestSLOWindows: finishes classify against the target and roll into
-// fixed virtual-time windows.
+// TestSLOWindows: finishes classify against the target over the whole
+// run.
 func TestSLOWindows(t *testing.T) {
-	tr := NewTracer(Config{SLOTarget: 2 * sim.Microsecond, SLOWindow: 10 * sim.Microsecond})
+	tr := NewTracer(Config{SLOTarget: 2 * sim.Microsecond})
 	finish := func(arrive, done sim.Time) {
 		j := tr.Mint("req", arrive)
 		j.Finish(done)
 	}
-	finish(us(1), us(2))   // 1µs: good, window 0
-	finish(us(3), us(8))   // 5µs: bad, window 0
-	finish(us(11), us(12)) // good, window 1
+	finish(us(1), us(2))   // 1µs: good
+	finish(us(3), us(8))   // 5µs: bad
+	finish(us(11), us(13)) // 2µs, at the target: good
 	if g, b := tr.SLOCounts(); g != 2 || b != 1 {
 		t.Fatalf("SLO counts good=%d bad=%d", g, b)
 	}
 	if f := tr.ViolationFrac(); f < 0.33 || f > 0.34 {
 		t.Fatalf("violation frac %f", f)
 	}
-	ws := tr.Windows()
-	if len(ws) != 2 {
-		t.Fatalf("got %d windows, want 2 (closed + open): %+v", len(ws), ws)
-	}
-	if ws[0].Index != 0 || ws[0].Good != 1 || ws[0].Bad != 1 {
-		t.Fatalf("window 0: %+v", ws[0])
-	}
-	if ws[1].Index != 1 || ws[1].Good != 1 || ws[1].Bad != 0 {
-		t.Fatalf("window 1: %+v", ws[1])
+	if g, b := tr.Reg().Counter("journey.slo.good"), tr.Reg().Counter("journey.slo.violation"); g != 2 || b != 1 {
+		t.Fatalf("registry counts good=%d bad=%d", g, b)
 	}
 }
 

@@ -15,7 +15,6 @@ func TestSamplingMintsOneInN(t *testing.T) {
 		} else {
 			// Unsampled: nil is the no-op journey, safe to drive.
 			j.To(SegRun, us(int64(i)))
-			j.Annotate("ignored", us(int64(i)))
 			j.Finish(us(int64(i)))
 		}
 	}

@@ -24,10 +24,6 @@ type Config struct {
 	// SLOTarget classifies finished journeys: sojourn above the target
 	// is an SLO violation. Zero disables SLO accounting.
 	SLOTarget sim.Duration
-	// SLOWindow rolls health signals into fixed windows of virtual time
-	// (goodput and violation fraction per window). Zero keeps only the
-	// whole-run signal.
-	SLOWindow sim.Duration
 	// SampleEvery records 1 in N requests (values ≤1 record all): Mint
 	// returns a live journey for every Nth request and nil — the
 	// universally safe no-op journey — for the rest. The skip is a
@@ -45,13 +41,6 @@ type Config struct {
 	Retain bool
 }
 
-// WindowStat is one closed SLO window's health signal.
-type WindowStat struct {
-	Index int64  // window number (Done / SLOWindow)
-	Good  uint64 // finishes within the SLO target
-	Bad   uint64 // finishes above the SLO target
-}
-
 // flightEntry is one self-describing flight-recorder event: it renders
 // without the journey it names, which may be long recycled.
 type flightEntry struct {
@@ -61,8 +50,8 @@ type flightEntry struct {
 	// arg is the interned app name for flightMint, the sojourn for
 	// flightFinish, and the interned event name for flightEvent.
 	arg int64
-	// note is a chainEntry note (transition or annotation) or one of the
-	// flight* kinds below.
+	// note is a chainEntry note (a transition) or one of the flight*
+	// kinds below.
 	note int32
 }
 
@@ -105,18 +94,16 @@ func (l *FlightLog) Events() []trace.Event {
 
 // render renders one ring entry in the canonical trace.Event form.
 func (l *FlightLog) render(e flightEntry) trace.Event {
-	t := l.t
+	strs := l.t.strs
 	switch {
-	case e.note >= 0:
-		return trace.Event{T: e.at, Name: "journey.note", Detail: fmt.Sprintf("j=%d %s", e.id, t.noteStr(e.note))}
 	case e.note >= -int32(NumSegments):
 		return trace.Event{T: e.at, Name: "journey.seg", Detail: fmt.Sprintf("j=%d seg=%s", e.id, Segment(-1-e.note))}
 	case e.note == flightMint:
-		return trace.Event{T: e.at, Name: "journey.mint", Detail: fmt.Sprintf("j=%d app=%s", e.id, t.noteStr(int32(e.arg)))}
+		return trace.Event{T: e.at, Name: "journey.mint", Detail: fmt.Sprintf("j=%d app=%s", e.id, strs[e.arg])}
 	case e.note == flightFinish:
 		return trace.Event{T: e.at, Name: "journey.finish", Detail: fmt.Sprintf("j=%d sojourn=%d", e.id, e.arg)}
 	default: // flightEvent
-		return trace.Event{T: e.at, Name: t.noteStr(int32(e.arg)), Detail: t.noteStr(int32(e.id))}
+		return trace.Event{T: e.at, Name: strs[e.arg], Detail: strs[e.id]}
 	}
 }
 
@@ -145,7 +132,7 @@ func (d Dump) Text() string {
 
 // Tracer is the per-run journey hub: it mints journeys in deterministic
 // order, checks each against the conservation oracle when it finishes,
-// owns the critical-path histograms and the SLO monitor, and runs the
+// owns the critical-path histograms and the SLO tallies, and runs the
 // always-on bounded flight recorder. The nil *Tracer is the disabled
 // state — every method returns immediately, and journeys minted from it
 // are nil (themselves no-ops).
@@ -172,32 +159,28 @@ type Tracer struct {
 	// in flight.
 	chain     []chainEntry
 	freeChain int32
-	// The intern table backing journey, annotation and seam-event names:
+	// The intern table backing journey and seam-event names:
 	// a small fixed vocabulary, referenced from entries by index. hot
 	// caches the indices each hot call site interned last (see
-	// internHot).
+	// intern).
 	strs []string
 	sidx map[string]int32
 	hot  [numHotSites][hotWays]int32
 
 	// Folded at Finish: the finished count and the sum of finished IDs
-	// (the dense-ID audit), and per interned name (mix parallels strs)
-	// the summed segment time PathMix reads.
+	// (the dense-ID audit), and the summed segment time Analyze turns
+	// into the path mix.
 	finished uint64
 	idSum    uint64
-	mix      [][NumSegments]int64
+	mix      [NumSegments]int64
 	// found holds the oracle's findings on finished journeys.
 	found verdicts
 	// mutate, when set, edits each journey at the start of Finish. Only
 	// tests set it, to prove the oracle catches a broken journey.
 	mutate func(j *Journey, at sim.Time)
 
-	good, bad       uint64
-	curWindow       int64
-	winGood, winBad uint64
-	windowOpen      bool
-	windows         []WindowStat
-	dumps           []Dump
+	good, bad uint64
+	dumps     []Dump
 }
 
 // NewTracer returns an enabled tracer.
@@ -268,12 +251,11 @@ func (t *Tracer) Mint(name string, at sim.Time) *Journey {
 	}
 	j.ID = t.minted
 	j.Name = name
-	j.name = t.internHot(hotMint, name)
 	j.Arrive = at
 	j.t = t
 	j.since = at
 	j.lhead, j.ltail = -1, -1
-	t.flight.ring.Add(flightEntry{at: at, id: j.ID, arg: int64(j.name), note: flightMint})
+	t.flight.ring.Add(flightEntry{at: at, id: j.ID, arg: int64(t.intern(hotMint, name)), note: flightMint})
 	return j
 }
 
@@ -323,26 +305,10 @@ func (t *Tracer) record(j *Journey, at sim.Time, note int32) {
 	t.flight.ring.Add(flightEntry{at: at, id: j.ID, note: note})
 }
 
-// intern maps a string into the tracer's intern table; nil-safe so
-// journey methods can call through unconditionally.
-func (t *Tracer) intern(s string) int32 {
-	if t == nil {
-		return -1
-	}
-	if i, ok := t.sidx[s]; ok {
-		return i
-	}
-	i := int32(len(t.strs))
-	t.strs = append(t.strs, s)
-	t.mix = append(t.mix, [NumSegments]int64{})
-	t.sidx[s] = i
-	return i
-}
-
-// The hot intern call sites: a run repeats the same few journey names
-// and seam-event names and details, so each site first tries the
-// hotWays indices it interned last and skips the map lookup when one of
-// their strings matches. One remembered index is not enough: the
+// The intern call sites: a run repeats the same few journey names and
+// seam-event names and details, so each site first tries the hotWays
+// indices it interned last and skips the map lookup when one of their
+// strings matches. One remembered index is not enough: the
 // sched.switch detail cycles through each app's name and "" (an idle
 // core), and missed on three calls in four.
 const (
@@ -354,25 +320,23 @@ const (
 
 const hotWays = 4
 
-func (t *Tracer) internHot(site int, s string) int32 {
+// intern maps s into the tracer's intern table from the given call site.
+func (t *Tracer) intern(site int, s string) int32 {
 	h := &t.hot[site]
 	for _, i := range h {
 		if i >= 0 && t.strs[i] == s {
 			return i
 		}
 	}
-	i := t.intern(s)
+	i, ok := t.sidx[s]
+	if !ok {
+		i = int32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.sidx[s] = i
+	}
 	copy(h[1:], h[:hotWays-1])
 	h[0] = i
 	return i
-}
-
-// noteStr resolves an interned annotation name.
-func (t *Tracer) noteStr(i int32) string {
-	if t == nil || i < 0 || int(i) >= len(t.strs) {
-		return ""
-	}
-	return t.strs[i]
 }
 
 // Event records a seam event that is not bound to one journey (a
@@ -382,13 +346,13 @@ func (t *Tracer) Event(at sim.Time, name, detail string) {
 	if t == nil {
 		return
 	}
-	d, n := t.internHot(hotEventDetail, detail), t.internHot(hotEventName, name)
+	d, n := t.intern(hotEventDetail, detail), t.intern(hotEventName, name)
 	t.flight.ring.Add(flightEntry{at: at, id: uint64(d), arg: int64(n), note: flightEvent})
 }
 
 // finish runs everything a journey owes the tracer when it completes:
 // the flight-recorder entry, the conservation oracle, the fold into the
-// histograms, path mix and SLO monitor, and, without Retain, the
+// histograms, path mix and SLO tallies, and, without Retain, the
 // release of its slot and chain. Called by Journey.Finish.
 func (t *Tracer) finish(j *Journey) {
 	soj := j.Sojourn()
@@ -401,10 +365,10 @@ func (t *Tracer) finish(j *Journey) {
 		if d > 0 {
 			t.seg[s].Record(int64(d))
 		}
-		t.mix[j.name][s] += int64(d)
+		t.mix[s] += int64(d)
 	}
 	if t.cfg.SLOTarget > 0 {
-		t.classify(j, soj)
+		t.classify(soj)
 	}
 	if t.cfg.Retain {
 		return
@@ -416,29 +380,14 @@ func (t *Tracer) finish(j *Journey) {
 	t.free = append(t.free, j)
 }
 
-// classify tallies a finish against the SLO target and its window.
-func (t *Tracer) classify(j *Journey, soj sim.Duration) {
-	viol := soj > t.cfg.SLOTarget
-	if viol {
+// classify tallies a finish against the SLO target.
+func (t *Tracer) classify(soj sim.Duration) {
+	if soj > t.cfg.SLOTarget {
 		t.bad++
 		t.reg.Inc("journey.slo.violation")
 	} else {
 		t.good++
 		t.reg.Inc("journey.slo.good")
-	}
-	if t.cfg.SLOWindow <= 0 {
-		return
-	}
-	idx := int64(j.Done) / int64(t.cfg.SLOWindow)
-	if t.windowOpen && idx != t.curWindow {
-		t.rollWindow()
-	}
-	t.windowOpen = true
-	t.curWindow = idx
-	if viol {
-		t.winBad++
-	} else {
-		t.winGood++
 	}
 }
 
@@ -460,12 +409,6 @@ func (t *Tracer) audit(j *Journey, v *verdicts) {
 	}
 	var fromTree [NumSegments]sim.Duration
 	id, last, cur, since := 1, -1, SegQueue, j.Arrive
-	escapes := func(from, to sim.Time) {
-		if to > j.Done {
-			v.add("journey %d node %d: span [%d,%d] escapes root [%d,%d]",
-				j.ID, id, int64(from), int64(to), int64(j.Arrive), int64(j.Done))
-		}
-	}
 	// closeSeg closes the open segment as Tree does: a span of positive
 	// length becomes the next node, following the previous span.
 	closeSeg := func(at sim.Time) {
@@ -475,7 +418,10 @@ func (t *Tracer) audit(j *Journey, v *verdicts) {
 		if last >= id {
 			v.add("journey %d node %d: follows-from %d points forward", j.ID, id, last)
 		}
-		escapes(since, at)
+		if at > j.Done {
+			v.add("journey %d node %d: span [%d,%d] escapes root [%d,%d]",
+				j.ID, id, int64(since), int64(at), int64(j.Arrive), int64(j.Done))
+		}
 		fromTree[cur] += at.Sub(since)
 		last, since = id, at
 		id++
@@ -483,13 +429,8 @@ func (t *Tracer) audit(j *Journey, v *verdicts) {
 	for i := j.lhead; i >= 0; {
 		e := t.chain[i]
 		i = e.next
-		if at := max(e.at, since); e.note >= 0 { // an instant node
-			escapes(at, at)
-			id++
-		} else {
-			closeSeg(at)
-			cur = Segment(-1 - e.note)
-		}
+		closeSeg(max(e.at, since))
+		cur = Segment(-1 - e.note)
 	}
 	closeSeg(j.Done)
 	var sum sim.Duration
@@ -560,35 +501,6 @@ func triangle(n uint64) uint64 {
 	return (n + 1) / 2 * n
 }
 
-func (t *Tracer) rollWindow() {
-	t.windows = append(t.windows, WindowStat{Index: t.curWindow, Good: t.winGood, Bad: t.winBad})
-	t.reg.Observe("journey.slo.window.good", int64(t.winGood))
-	t.reg.Observe("journey.slo.window.violation", int64(t.winBad))
-	t.winGood, t.winBad = 0, 0
-}
-
-// Windows returns the closed SLO windows (plus the currently open one,
-// if any, as the final entry).
-func (t *Tracer) Windows() []WindowStat {
-	if t == nil {
-		return nil
-	}
-	out := append([]WindowStat(nil), t.windows...)
-	if t.windowOpen {
-		out = append(out, WindowStat{Index: t.curWindow, Good: t.winGood, Bad: t.winBad})
-	}
-	return out
-}
-
-// Goodput returns the number of finished journeys within the SLO
-// target.
-func (t *Tracer) Goodput() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.good
-}
-
 // SLOCounts returns the (good, violating) finish tallies.
 func (t *Tracer) SLOCounts() (good, bad uint64) {
 	if t == nil {
@@ -598,41 +510,13 @@ func (t *Tracer) SLOCounts() (good, bad uint64) {
 }
 
 // ViolationFrac returns the fraction of SLO-classified finishes that
-// violated the target (0 when the SLO monitor is off or nothing has
+// violated the target (0 when SLOTarget is unset or nothing has
 // finished) — the health signal selfheal consumes alongside phi-accrual.
 func (t *Tracer) ViolationFrac() float64 {
 	if t == nil || t.good+t.bad == 0 {
 		return 0
 	}
 	return float64(t.bad) / float64(t.good+t.bad)
-}
-
-// PathMix returns the fraction of total attributed time per segment
-// over finished journeys whose name starts with prefix (an empty prefix
-// selects all) — the per-domain critical-path mix gauge.
-func (t *Tracer) PathMix(prefix string) [NumSegments]float64 {
-	var mix [NumSegments]float64
-	if t == nil {
-		return mix
-	}
-	var segs [NumSegments]int64
-	var tot int64
-	for i, m := range t.mix {
-		if !strings.HasPrefix(t.strs[i], prefix) {
-			continue
-		}
-		for s, d := range m {
-			segs[s] += d
-			tot += d
-		}
-	}
-	if tot == 0 {
-		return mix
-	}
-	for s := range segs {
-		mix[s] = float64(segs[s]) / float64(tot)
-	}
-	return mix
 }
 
 // Minted returns how many journeys have been minted.
@@ -728,7 +612,15 @@ func (t *Tracer) Analyze() Analysis {
 	for s := range t.seg {
 		a.Seg[s] = t.seg[s].Summarize()
 	}
-	a.Mix = t.PathMix("")
+	var tot int64
+	for _, d := range t.mix {
+		tot += d
+	}
+	if tot > 0 {
+		for s, d := range t.mix {
+			a.Mix[s] = float64(d) / float64(tot)
+		}
+	}
 	return a
 }
 

@@ -2,8 +2,8 @@ package sched
 
 import (
 	"vessel/internal/obs"
-	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
+	"vessel/internal/workload"
 )
 
 // Activity classifies what a core is doing, for the cycle breakdown: the
@@ -18,76 +18,59 @@ const (
 	ActSwitch  = obs.CatSwitch
 )
 
-// Accountant accrues per-activity core time clipped to the measurement
-// window [From, To]. When Obs is set, every accrued span is also recorded
-// as an observability span (unclipped, for the timeline) and charged to the
-// cycle-attribution profiler (clipped, so the profile's activity buckets
-// exactly partition the measured interval — the conservation oracle in
-// internal/conformance depends on every breakdown accrual passing through
-// AccrueCore).
-type Accountant struct {
-	From, To  sim.Time
-	Breakdown CycleBreakdown
-	Obs       *obs.Observer
-	// Journey, when set, receives every switch accrual as a flight-
-	// recorder event — the scheduler wakeup→run edges of the causal
-	// chain, visible in black-box postmortems.
-	Journey *journey.Tracer
+// coreSpan is a core's open accounting span: the activity it has been in
+// since since.
+type coreSpan struct {
+	act   Activity
+	since sim.Time
 }
 
-// AccrueCore is Accrue plus timeline recording for the given core.
-func (a *Accountant) AccrueCore(core int, act Activity, t0, t1 sim.Time, label string) {
-	a.Accrue(act, t0, t1)
-	if t1 <= t0 {
-		return
+// SetAct moves core into act now and closes its open span, labelled with
+// occupant, the app the core held (nil: none). The span is charged to the
+// cycle breakdown clipped to the measured interval. When observed, it is
+// also recorded as an obs span (unclipped, for the timeline) and charged
+// to the cycle-attribution profiler (clipped, so the profile's activity
+// buckets exactly partition the measured interval: the conservation oracle
+// in internal/conformance depends on every breakdown charge passing
+// through here). A switch span is also a sched.switch flight-recorder
+// event, the scheduler wakeup→run edge of the journey causal chain.
+func (b *Base) SetAct(core int, act Activity, occupant *workload.App) {
+	now, s := b.Eng.Now(), &b.cores[core]
+	if t0 := s.since; now > t0 {
+		label := ""
+		if occupant != nil {
+			label = occupant.Name
+		}
+		d := b.clip(t0, now)
+		switch s.act {
+		case ActIdle:
+			b.cycles.IdleNs += d
+		case ActApp:
+			b.cycles.AppNs += d
+		case ActRuntime:
+			b.cycles.RuntimeNs += d
+		case ActKernel:
+			b.cycles.KernelNs += d
+		case ActSwitch:
+			b.cycles.SwitchNs += d
+		}
+		if o := b.Cfg.Obs; o != nil {
+			o.Span(core, t0, now, s.act, label)
+			o.Charge(core, label, s.act, d)
+		}
+		if t := b.Cfg.Journey; t != nil && s.act == ActSwitch {
+			t.Event(t0, "sched.switch", label)
+		}
 	}
-	if a.Obs != nil {
-		a.Obs.Span(core, t0, t1, act, label)
-		a.Obs.Charge(core, label, act, a.Clip(t0, t1))
-	}
-	if a.Journey != nil && act == ActSwitch {
-		a.Journey.Event(t0, "sched.switch", label)
-	}
+	s.act, s.since = act, now
 }
 
-// Accrue charges the span [t0, t1) to the given activity, clipped to the
-// measurement window.
-func (a *Accountant) Accrue(act Activity, t0, t1 sim.Time) {
-	if t1 <= t0 {
-		return
-	}
-	if t0 < a.From {
-		t0 = a.From
-	}
-	if t1 > a.To {
-		t1 = a.To
-	}
-	if t1 <= t0 {
-		return
-	}
-	d := t1.Sub(t0)
-	switch act {
-	case ActIdle:
-		a.Breakdown.IdleNs += d
-	case ActApp:
-		a.Breakdown.AppNs += d
-	case ActRuntime:
-		a.Breakdown.RuntimeNs += d
-	case ActKernel:
-		a.Breakdown.KernelNs += d
-	case ActSwitch:
-		a.Breakdown.SwitchNs += d
-	}
-}
+// Act returns the activity core is in.
+func (b *Base) Act(core int) Activity { return b.cores[core].act }
 
-// Clip returns the portion of [t0, t1) inside the measurement window.
-func (a *Accountant) Clip(t0, t1 sim.Time) sim.Duration {
-	if t0 < a.From {
-		t0 = a.From
-	}
-	if t1 > a.To {
-		t1 = a.To
-	}
+// clip returns the portion of [t0, t1) inside the measured interval.
+func (b *Base) clip(t0, t1 sim.Time) sim.Duration {
+	t0, t1 = max(t0, sim.Time(b.Cfg.Warmup)), min(t1, b.EndAt)
 	if t1 <= t0 {
 		return 0
 	}

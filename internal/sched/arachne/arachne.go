@@ -59,8 +59,6 @@ type core struct {
 	owner *workload.App // nil = unassigned
 	l     *lState       // when owned by an L-app as a worker
 	busy  bool
-	act   sched.Activity
-	lastT sim.Time
 	bFrom sim.Time
 	// req is the request being served since reqFrom for reqL; served,
 	// bound once, completes it. busy keeps at most one pending.
@@ -83,7 +81,7 @@ func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 		return res, err
 	}
 	for i := 0; i < r.Cfg.Cores; i++ {
-		c := &core{id: i, act: sched.ActIdle}
+		c := &core{id: i}
 		c.served = func() { r.served(c) }
 		r.cores = append(r.cores, c)
 	}
@@ -102,16 +100,7 @@ func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 	return r.collect(), nil
 }
 
-func (r *run) setAct(c *core, act sched.Activity) {
-	now := r.Eng.Now()
-	label := ""
-	if c.owner != nil {
-		label = c.owner.Name
-	}
-	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
-	c.act = act
-	c.lastT = now
-}
+func (r *run) setAct(c *core, act sched.Activity) { r.SetAct(c.id, act, c.owner) }
 
 // pumpDispatcher runs the app's serial dispatcher: one request at a time,
 // 1 µs of user-thread creation each, then hand-off to the ready queue.
@@ -322,7 +311,7 @@ func (r *run) collect() sched.Result {
 		}
 		// Close the span through setAct so it keeps its occupant label
 		// (and reaches the obs timeline/profiler like every other accrual).
-		r.setAct(c, c.act)
+		r.setAct(c, r.Act(c.id))
 	}
 	if o := r.Cfg.Obs; o != nil {
 		o.Reg().Add("arachne.switches", r.Switches)

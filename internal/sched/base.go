@@ -17,7 +17,6 @@ type Base struct {
 	Eng   *sim.Engine
 	RNG   *sim.RNG
 	EndAt sim.Time // end of the measured interval
-	Acct  Accountant
 	BW    BW
 	// LApps and BApps split Cfg.Apps by kind, in config order.
 	LApps, BApps []*workload.App
@@ -32,6 +31,10 @@ type Base struct {
 	// empty on an untraced run.
 	journeys []journey.Handle
 	tick     sim.Timer // Every's
+	// cores holds each core's open span (SetAct); every core starts idle
+	// at time 0. cycles sums the closed spans over the measured interval.
+	cores  []coreSpan
+	cycles CycleBreakdown
 }
 
 // tally is one app's core time over the measured interval.
@@ -51,7 +54,7 @@ func (b *Base) Init(cfg Config) error {
 	b.attachApps()
 	b.RNG = sim.NewRNG(cfg.Seed)
 	b.EndAt = sim.Time(cfg.Warmup + cfg.Duration)
-	b.Acct = Accountant{From: sim.Time(cfg.Warmup), To: b.EndAt, Obs: cfg.Obs, Journey: cfg.Journey}
+	b.cores = make([]coreSpan, cfg.Cores)
 	b.BW = BW{CapacityGBs: cfg.Costs.MemBWTotal}
 	if cfg.BWTargetFrac > 0 {
 		b.BWCap = cfg.BWTargetFrac * cfg.Costs.MemBWTotal
@@ -131,14 +134,14 @@ func (b *Base) Served(req *workload.Request, from sim.Time) {
 	req.Done = now
 	b.J(req).Finish(now)
 	b.Cfg.Apps[i].Complete(req, sim.Time(b.Cfg.Warmup))
-	b.tallies[i].lBusy += b.Acct.Clip(from, now)
+	b.tallies[i].lBusy += b.clip(from, now)
 }
 
 // AccrueB charges B-app app the core it has held since since: wall time,
 // and useful time deflated by the current memory contention. It leaves
 // the app's bandwidth demand registered.
 func (b *Base) AccrueB(app *workload.App, since sim.Time) {
-	if useful := b.Acct.Clip(since, b.Eng.Now()); useful > 0 {
+	if useful := b.clip(since, b.Eng.Now()); useful > 0 {
 		t := b.tally(app)
 		t.bUseful += sim.Duration(float64(useful) / b.BW.Inflation())
 		t.bWall += useful
@@ -161,7 +164,7 @@ func (b *Base) Result(name string) Result {
 		Scheduler:     name,
 		Cores:         b.Cfg.Cores,
 		Measured:      d,
-		Cycles:        b.Acct.Breakdown,
+		Cycles:        b.cycles,
 		Switches:      b.Switches,
 		Preemptions:   b.Preempts,
 		Reallocations: b.Reallocs,

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
+	"vessel/internal/obs"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sim"
 	"vessel/internal/workload"
@@ -46,5 +48,55 @@ func TestJourneyOnRecycledSlot(t *testing.T) {
 	b.Eng.Run(b.EndAt)
 	if n < 20 {
 		t.Fatalf("%d arrivals, want at least 20", n)
+	}
+}
+
+// TestSetActClipping drives one core through spans before, straddling
+// and after the measured interval [100, 200] ns, plus an empty one. The
+// breakdown counts only the time inside the interval; the obs timeline
+// keeps every non-empty span whole, and the switch span is one
+// sched.switch flight event.
+func TestSetActClipping(t *testing.T) {
+	app := workload.NewLApp("mc", workload.Memcached(), 1)
+	var b Base
+	err := b.Init(Config{
+		Cores:    1,
+		Warmup:   100,
+		Duration: 100,
+		Apps:     []*workload.App{app},
+		Obs:      obs.New(0),
+		Journey:  journey.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		at       sim.Time
+		act      Activity
+		occupant *workload.App
+	}{
+		{0, ActApp, nil},       // closes the empty idle span [0, 0)
+		{50, ActApp, app},      // [0, 50) app: before the interval
+		{150, ActKernel, app},  // [50, 150) app: straddles its start
+		{150, ActSwitch, nil},  // [150, 150) kernel: empty
+		{300, ActIdle, nil},    // [150, 300) switch: straddles its end
+		{400, ActRuntime, nil}, // [300, 400) idle: after the interval
+	} {
+		b.Eng.At(step.at, func() { b.SetAct(0, step.act, step.occupant) })
+	}
+	b.Eng.Run(400)
+	if got, want := b.cycles, (CycleBreakdown{AppNs: 50, SwitchNs: 50}); got != want {
+		t.Errorf("breakdown = %+v, want %+v", got, want)
+	}
+	if b.Act(0) != ActRuntime {
+		t.Errorf("Act(0) = %v, want runtime", b.Act(0))
+	}
+	got := fmt.Sprint(b.Cfg.Obs.Spans())
+	if want := "[{0 0ns 50ns app mc} {0 50ns 150ns app mc} {0 150ns 300ns switch } {0 300ns 400ns idle }]"; got != want {
+		t.Errorf("obs spans = %s, want %s", got, want)
+	}
+	ev := b.Cfg.Journey.Flight().Events()
+	if len(ev) != 1 || ev[0].T != 150 || ev[0].Name != "sched.switch" {
+		t.Errorf("flight events = %v, want one sched.switch at 150", ev)
 	}
 }

@@ -78,8 +78,6 @@ type core struct {
 	id    int
 	mode  coreMode
 	owner *workload.App // L or B app owning the core
-	act   sched.Activity
-	lastT sim.Time
 	// grantedAt lets the victim-selection prefer the longest holder.
 	grantedAt sim.Time
 	pollEnd   sim.Event
@@ -131,7 +129,7 @@ func (s Simulator) start(cfg sched.Config) (*run, error) {
 	}
 	r.polling = sched.NewCoreSet(r.Cfg.Cores)
 	for i := 0; i < r.Cfg.Cores; i++ {
-		c := &core{id: i, mode: modeFree, act: sched.ActIdle}
+		c := &core{id: i, mode: modeFree}
 		c.finish = func() { r.finish(c) }
 		c.parkNow = func() {
 			c.pollEnd = sim.Event{}
@@ -178,16 +176,7 @@ func (r *run) setMode(c *core, m coreMode) {
 	c.mode = m
 }
 
-func (r *run) setAct(c *core, act sched.Activity) {
-	now := r.Eng.Now()
-	label := ""
-	if c.owner != nil {
-		label = c.owner.Name
-	}
-	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
-	c.act = act
-	c.lastT = now
-}
+func (r *run) setAct(c *core, act sched.Activity) { r.SetAct(c.id, act, c.owner) }
 
 // onArrival: a polling core of the same app picks the request up
 // immediately; otherwise the request waits for a completion or for the
@@ -469,7 +458,7 @@ func (r *run) collect() sched.Result {
 	for _, c := range r.cores {
 		// Close the span through setAct (before stopB clears the owner) so
 		// it keeps its occupant label and reaches the obs layer.
-		r.setAct(c, c.act)
+		r.setAct(c, r.Act(c.id))
 		if c.mode == modeRunB {
 			r.stopB(c)
 		}

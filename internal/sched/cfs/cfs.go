@@ -68,8 +68,6 @@ type core struct {
 	cur      *thread
 	curSince sim.Time
 	ev       sim.Event
-	act      sched.Activity
-	lastT    sim.Time
 	// pendingRx is the core's receive ring: requests whose softirq
 	// processing has not run yet; rxFlush is the pending softirq event.
 	pendingRx []uint32 // request handles
@@ -103,7 +101,7 @@ func (Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 	}
 	r.k = kernel.New(r.Eng, r.Cfg.Costs)
 	for i := 0; i < r.Cfg.Cores; i++ {
-		c := &core{id: i, rq: kernel.NewRunqueue(), act: sched.ActIdle}
+		c := &core{id: i, rq: kernel.NewRunqueue()}
 		c.flush = func() { r.flushRx(c) }
 		c.sliceEnd = func() {
 			c.ev = sim.Event{}
@@ -158,14 +156,11 @@ func (Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 }
 
 func (r *run) setAct(c *core, act sched.Activity) {
-	now := r.Eng.Now()
-	label := ""
+	var occupant *workload.App
 	if c.cur != nil {
-		label = c.cur.app.Name
+		occupant = c.cur.app
 	}
-	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
-	c.act = act
-	c.lastT = now
+	r.SetAct(c.id, act, occupant)
 }
 
 // onArrival models the receive path: RSS steers the packet to a
@@ -392,7 +387,7 @@ func (r *run) collect() sched.Result {
 		}
 		// Close the span through setAct so it keeps its occupant label
 		// (and reaches the obs timeline/profiler like every other accrual).
-		r.setAct(c, c.act)
+		r.setAct(c, r.Act(c.id))
 	}
 	if o := r.Cfg.Obs; o != nil {
 		o.Reg().Add("cfs.switches", r.Switches)

@@ -126,34 +126,6 @@ func TestCycleBreakdown(t *testing.T) {
 	}
 }
 
-func TestAccountantClipping(t *testing.T) {
-	a := Accountant{From: 100, To: 200}
-	a.Accrue(ActApp, 0, 50) // entirely before window
-	if a.Breakdown.AppNs != 0 {
-		t.Fatal("pre-window time accrued")
-	}
-	a.Accrue(ActApp, 50, 150) // straddles start
-	if a.Breakdown.AppNs != 50 {
-		t.Fatalf("app = %v", a.Breakdown.AppNs)
-	}
-	a.Accrue(ActKernel, 150, 300) // straddles end
-	if a.Breakdown.KernelNs != 50 {
-		t.Fatalf("kernel = %v", a.Breakdown.KernelNs)
-	}
-	a.Accrue(ActIdle, 250, 400) // entirely after
-	if a.Breakdown.IdleNs != 0 {
-		t.Fatal("post-window time accrued")
-	}
-	a.Accrue(ActSwitch, 120, 120)  // empty span
-	a.Accrue(ActRuntime, 130, 120) // inverted span
-	if a.Breakdown.SwitchNs != 0 || a.Breakdown.RuntimeNs != 0 {
-		t.Fatal("degenerate spans accrued")
-	}
-	if a.Clip(90, 110) != 10 {
-		t.Fatalf("clip = %v", a.Clip(90, 110))
-	}
-}
-
 func TestBWInflationAndAverage(t *testing.T) {
 	b := BW{CapacityGBs: 40}
 	if b.Inflation() != 1 {

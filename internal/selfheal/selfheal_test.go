@@ -409,7 +409,6 @@ func TestClusterChaosFlightRecorderEndToEnd(t *testing.T) {
 		}
 		tr := journey.NewTracer(journey.Config{
 			SLOTarget: 30 * sim.Microsecond,
-			SLOWindow: 50 * sim.Microsecond,
 		})
 		c.AttachJourney(tr)
 		addParkWorkers(t, c, 0, 2, 1)

@@ -30,10 +30,3 @@ func BenchmarkHistogramMerge(b *testing.B) {
 		a.Merge(c)
 	}
 }
-
-func BenchmarkMeanVarAdd(b *testing.B) {
-	var w MeanVar
-	for i := 0; i < b.N; i++ {
-		w.Add(float64(i))
-	}
-}

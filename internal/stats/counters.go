@@ -100,3 +100,18 @@ func (c *Counters) String() string {
 	}
 	return b.String()
 }
+
+// Rate tracks a count over a window of virtual time and reports it as an
+// operations-per-second rate.
+type Rate struct {
+	Count   uint64
+	Elapsed int64 // nanoseconds
+}
+
+// PerSecond returns the rate in operations/second.
+func (r Rate) PerSecond() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Count) / (float64(r.Elapsed) / 1e9)
+}

@@ -151,45 +151,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestMeanVar(t *testing.T) {
-	var w MeanVar
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if math.Abs(w.Mean()-5) > 1e-9 {
-		t.Fatalf("mean = %v", w.Mean())
-	}
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-9 {
-		t.Fatalf("variance = %v", w.Variance())
-	}
-}
-
-func TestMeanVarMerge(t *testing.T) {
-	r := rand.New(rand.NewPCG(3, 4))
-	var all, a, b MeanVar
-	for i := 0; i < 10000; i++ {
-		x := r.NormFloat64()*3 + 10
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %v != %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-6 {
-		t.Fatalf("merged variance %v != %v", a.Variance(), all.Variance())
-	}
-	var empty MeanVar
-	empty.Merge(a)
-	if empty.N() != a.N() {
-		t.Fatal("merge into empty failed")
-	}
-}
-
 func TestRate(t *testing.T) {
 	r := Rate{Count: 16_000_000, Elapsed: 1e9}
 	if got := r.PerSecond(); math.Abs(got-16e6) > 1e-3 {

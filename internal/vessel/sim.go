@@ -61,8 +61,6 @@ type coreState struct {
 	begin  func() // a switch ended: start next
 	finish func() // curReq completed
 
-	act   sched.Activity
-	lastT sim.Time
 	// bStart marks when the current B run began (for useful-time
 	// accrual); bPending guards against double preemption.
 	bStart    sim.Time
@@ -109,7 +107,7 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 	}
 	r.idle = sched.NewCoreSet(r.Cfg.Cores)
 	for i := 0; i < r.Cfg.Cores; i++ {
-		c := &coreState{id: i, act: sched.ActIdle}
+		c := &coreState{id: i}
 		// Every L-app has a worker thread resident on every core.
 		c.fifo = append(c.fifo, r.LApps...)
 		c.resume = func() {
@@ -171,19 +169,14 @@ func (Simulator) start(cfg sched.Config) (*vesselRun, error) {
 	return r, nil
 }
 
-// setAct transitions a core's accounting activity.
+// setAct moves a core into act; the span it closes belongs to the app
+// the core runs, L before B.
 func (r *vesselRun) setAct(c *coreState, act sched.Activity) {
-	now := r.Eng.Now()
-	label := ""
-	switch {
-	case c.runningL != nil:
-		label = c.runningL.Name
-	case c.runningB != nil:
-		label = c.runningB.Name
+	occupant := c.runningL
+	if occupant == nil {
+		occupant = c.runningB
 	}
-	r.Acct.AccrueCore(c.id, c.act, c.lastT, now, label)
-	c.act = act
-	c.lastT = now
+	r.SetAct(c.id, act, occupant)
 }
 
 // preemptDelayThreshold is the queueing delay after which the scheduler
@@ -483,7 +476,7 @@ func (r *vesselRun) collect() sched.Result {
 		}
 		// Close the span through setAct so it keeps its occupant label
 		// (and reaches the obs timeline/profiler like every other accrual).
-		r.setAct(c, c.act)
+		r.setAct(c, r.Act(c.id))
 	}
 	if o := r.Cfg.Obs; o != nil {
 		o.Reg().Add("vessel.switches", r.Switches)
