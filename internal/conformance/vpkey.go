@@ -110,7 +110,7 @@ func CheckVPkeyLifecycle(system string, s *smas.SMAS) []Violation {
 		var sum uint64
 		for i, r := range t.RetagLog {
 			sum += uint64(r.Pages)
-			if r.Reason != "evict" && r.Reason != "refill" {
+			if why := r.Reason.String(); why != "evict" && why != "refill" {
 				add("retag-attribution", "record %d has reason %q", i, r.Reason)
 			}
 			if r.VKey <= 0 || r.VKey > t.MaxIssued() {

@@ -174,7 +174,7 @@ func TestVPkeyLifecycleOracleCleanVirtualRun(t *testing.T) {
 				maxRegion = max(maxRegion, e.Pages)
 			}
 			for _, r := range vt.RetagLog {
-				maxRetag = max(maxRetag, r.Pages)
+				maxRetag = max(maxRetag, int(r.Pages))
 				logged += uint64(r.Pages)
 			}
 			if vt.RetagDropped == 0 && logged != vt.RetaggedPages {
@@ -249,7 +249,7 @@ func TestVPkeyLifecycleOracleFlagsBogusAttribution(t *testing.T) {
 	vt := mg.Domain.S.VKeys
 	// Forge a record naming a never-issued virtual key: the attribution
 	// audit must notice both the impossible key and the unbalanced sum.
-	vt.RetagLog = append(vt.RetagLog, vpkey.Retag{VKey: 9999, Slot: 3, Pages: 7, Reason: "evict", Core: 0})
+	vt.RetagLog = append(vt.RetagLog, vpkey.Retag{VKey: 9999, Slot: 3, Pages: 7, Reason: vpkey.Evict, Core: 0})
 	vs := CheckVPkeyLifecycle("virtual", mg.Domain.S)
 	found := false
 	for _, v := range vs {

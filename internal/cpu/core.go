@@ -106,18 +106,17 @@ type Core struct {
 	faultv mem.Fault
 
 	// The decoded-fetch cache: a direct-mapped map from PC to the decoded
-	// instruction, tagged with the address space, its exec generation, and
-	// the machine's code generation. A hit skips both the page-table walk
-	// and the code-store lookup in fetch. Exec permission was verified at
-	// fill time and cannot have changed while the generation tags match.
-	// The exec generation ignores SetPKey: PKRU is never consulted for
-	// fetches, so a protection-key re-tag (a virtual-key eviction or
-	// refill) cannot change a fetch verdict and leaves the cache warm. The
-	// TLB, which does cache keys, still flushes on the translation
-	// generation.
+	// instruction, tagged with the address space, its generation, and the
+	// machine's code generation. A hit skips both the page-table walk and
+	// the code-store lookup in fetch. Exec permission was verified at fill
+	// time and cannot have changed while the generation tags match. A
+	// protection-key re-tag (a virtual-key eviction or refill) bumps no
+	// generation, and PKRU is never consulted for fetches, so a re-tag
+	// cannot change a fetch verdict and leaves the cache warm — as it
+	// leaves the TLB, which reads keys through its cached PTE pointers.
 	icache    [icacheSize]icacheEntry
 	icAS      *mem.AddressSpace
-	icExecGen uint64
+	icGen     uint64
 	icCodeGen uint64
 }
 
@@ -175,18 +174,18 @@ func (c *Core) write(addr mem.Addr, size int, v Word) *mem.Fault {
 }
 
 // syncCaches invalidates the decoded-fetch cache and the superblock
-// store together when their shared (AS, AS exec generation, InstallCode
+// store together when their shared (AS, AS generation, InstallCode
 // generation) tags go stale — one generation triple-check covers both,
 // so mapping changes and code installs invalidate fused blocks exactly
 // when they invalidate single decodes, and key re-tags invalidate
 // neither.
 func (c *Core) syncCaches() {
-	if c.icAS != c.AS || c.icExecGen != c.AS.ExecGeneration() || c.icCodeGen != c.machine.codeGen {
+	if c.icAS != c.AS || c.icGen != c.AS.Generation() || c.icCodeGen != c.machine.codeGen {
 		c.icache = [icacheSize]icacheEntry{}
 		if c.sb != nil {
 			c.sb.clear()
 		}
-		c.icAS, c.icExecGen, c.icCodeGen = c.AS, c.AS.ExecGeneration(), c.machine.codeGen
+		c.icAS, c.icGen, c.icCodeGen = c.AS, c.AS.Generation(), c.machine.codeGen
 	}
 }
 

@@ -149,7 +149,8 @@ type fzFault struct {
 }
 
 // fzRun runs the fuzzed program on a fresh machine in mode. Each schedule
-// entry (two bytes) runs one quantum and may post a vector after it. A
+// entry (two bytes) runs one quantum and may post a vector and re-tag a
+// data page after it. A
 // split run retires every quantum one Run(1) at a time; it reports the
 // retired-step count at which each delivery landed, which a quantum-sized
 // Run cannot see from outside.
@@ -225,8 +226,19 @@ func fzRun(t *testing.T, mode ExecMode, hdr byte, ops, sched []byte, split bool)
 			done += ran
 		}
 		out.Ran = append(out.Ran, ran)
-		if v := sched[i+1]; v&0x80 != 0 {
+		v := sched[i+1]
+		if v&0x80 != 0 {
 			c.PostUserInterrupt(v & 63)
+		}
+		if v&0x40 != 0 {
+			// Re-tag a data page, as a virtual-key eviction or refill
+			// does between quanta, under warm TLBs and superblocks:
+			// keys 0 and 1 are denied by some fzPKRU values, keys 2 and
+			// 3 granted by all.
+			page := [...]mem.Addr{fzData0, fzData1}[v&1]
+			if err := as.SetPKey(page, mem.PageSize, mpk.PKey(v>>1&3)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	out.Regs, out.PC, out.PKRU, out.Cycles = c.Regs, c.PC, c.PKRU, c.Cycles
@@ -243,8 +255,9 @@ func fzRun(t *testing.T, mode ExecMode, hdr byte, ops, sched []byte, split bool)
 }
 
 // FuzzExecModes runs one generated program on three machines, one per
-// execution mode, with quanta of generated sizes and user interrupts
-// posted between them, and requires identical outcomes: registers, PC,
+// execution mode, with quanta of generated sizes and user interrupts and
+// data-page key re-tags between them, and requires identical outcomes:
+// registers, PC,
 // PKRU, cycles, halt and fault state, pending vectors, the memory the
 // program writes, every contained fault, and every delivery's cycle count
 // and landing step. Each mode also runs the schedule one step at a time,
@@ -253,8 +266,9 @@ func fzRun(t *testing.T, mode ExecMode, hdr byte, ops, sched []byte, split bool)
 // The input is a header byte (bits 0-5: how many slots before the second
 // text page the program starts; bit 6: no interrupt handler; bit 7:
 // faults fail-stop instead of being skipped), an op count, three bytes
-// per op, then two bytes per quantum (size, and a vector to post after
-// it when the high bit is set).
+// per op, then two bytes per quantum: its size, and an action byte whose
+// bit 7 posts the vector in bits 0-5 after the quantum and whose bit 6
+// re-tags data page 0 or 1 (bit 0) to key 0-3 (bits 1-2).
 func FuzzExecModes(f *testing.F) {
 	// Straight-line ALU ops and Work, crossing into the second text page.
 	f.Add(fzSeed(3, []byte{0, 0, 7, 1, 1, 2, 2, 2, 0, 3, 3, 0xfe, 4, 4, 5, 5, 0, 9},
@@ -283,6 +297,13 @@ func FuzzExecModes(f *testing.F) {
 	// Odd quanta splitting fused blocks, with vectors and a long run.
 	f.Add(fzSeed(0x3f, []byte{2, 1, 3, 1, 4, 4, 2, 3, 6, 3, 0x08, 7, 4, 0x10, 5, 5, 9, 12, 12, 0, 0, 14, 0, 0, 14, 1, 1},
 		1, 0, 2, 0x80, 4, 0, 6, 0x8a, 10, 0, 0x81, 0x82, 3, 0))
+	// Re-tags between quanta of a load/store loop over both data pages,
+	// under PKRU values that deny key 1 and then key 0: page 0 moves to
+	// denied key 1, back to key 0, to granted key 2; page 1 to key 3,
+	// then to denied key 0. A TLB that kept a page's old key would let
+	// an access through that should fault, or fault one that should not.
+	f.Add(fzSeed(0x10, []byte{11, 0, 1, 7, 0, 0x08, 6, 1, 0x08, 9, 2, 0x11, 8, 3, 0x09, 5, 0, 3, 11, 0, 3, 7, 4, 0x18, 9, 5, 0x19},
+		12, 0, 12, 0x42, 12, 0x40, 40, 0x44, 9, 0x47, 12, 0xc1, 30, 0x40, 25, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

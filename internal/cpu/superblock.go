@@ -20,7 +20,7 @@ import "vessel/internal/mem"
 // cycle-accounting update from the prefix table.
 //
 // Coherence rides the existing generation counters for free: superblock
-// entries live behind the same (AS, AS exec generation, InstallCode
+// entries live behind the same (AS, AS generation, InstallCode
 // generation) tags as the decoded-fetch cache and are cleared together
 // by syncCaches, so Map/Unmap/Protect/ShareRange and InstallCode
 // invalidate fused blocks exactly when they invalidate single decodes.
@@ -28,10 +28,10 @@ import "vessel/internal/mem"
 // and cannot have changed while the tags match. PKRU is never consulted
 // for fetches (mpk.PKRU.Check passes AccessExec unconditionally), so
 // blocks stay warm across WRPKRU — which is a terminator anyway — and
-// across SetPKey, which bumps only the translation generation: a block
-// caches decoded code, never a data page's key. Its loads and stores
-// still go through the TLB, which does flush on a re-tag, so a µop
-// touching a re-tagged page sees the new key and faults precisely.
+// across SetPKey, which bumps no generation: a block caches decoded code,
+// never a data page's key. Its loads and stores still go through the TLB,
+// which reads the key through its cached PTE pointer, so a µop touching a
+// re-tagged page sees the new key and faults precisely.
 //
 // Delivered behavior is byte-identical to the per-instruction loop by
 // construction:

@@ -162,8 +162,8 @@ func TestSuperblockInvalidatedByMap(t *testing.T) {
 // TestSuperblockInvalidatedBySetPKey retags the data page under a warm
 // superblock with a key the PKRU denies: the store µop must bail out with
 // a precise PKU fault even though the block and TLB were hot. The re-tag
-// invalidates the TLB (translation generation), not the block (exec
-// generation) — see TestPKeyRetagKeepsSuperblocks.
+// invalidates neither: the TLB reads the new key through its cached PTE
+// — see TestPKeyRetagKeepsSuperblocks.
 func TestSuperblockInvalidatedBySetPKey(t *testing.T) {
 	_, c, as := sbLoopEnv(t, Fused)
 	if err := as.SetPKey(0x10000, mem.PageSize, 3); err != nil {
@@ -269,11 +269,11 @@ func TestSuperblockUintrBoundary(t *testing.T) {
 
 // TestPKeyRetagKeepsSuperblocks re-tags the data page a warm superblock
 // loads from, between Runs, as virtual-key eviction and refill do. A
-// re-tag bumps only the translation generation, so the block must stay
-// warm (no refill) while its loads and stores still see the new key
-// through the TLB: denying the key faults at exactly the PC and cycle
-// count of the per-instruction loop. Dropping exec from the text page
-// bumps the exec generation and must still invalidate the block.
+// re-tag bumps no generation, so the block must stay warm (no refill)
+// while its loads and stores still see the new key through the TLB:
+// denying the key faults at exactly the PC and cycle count of the
+// per-instruction loop. Dropping exec from the text page bumps the
+// generation and must still invalidate the block.
 func TestPKeyRetagKeepsSuperblocks(t *testing.T) {
 	type at struct {
 		f      mem.Fault

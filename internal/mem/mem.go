@@ -161,20 +161,17 @@ type AddressSpace struct {
 	// n counts mapped pages.
 	n    int
 	phys *Physical
-	// gen counts translation-affecting mutations (Map, Unmap, Protect,
-	// SetPKey, ShareRange). Software TLBs tag their entries with the
-	// generation they were filled under, so any stale translation
-	// self-invalidates on the next access — the simulated analogue of the
-	// TLB shootdown the kernel performs on real hardware. Data writes
-	// through frames never bump it, and neither does WRPKRU: PKRU is
-	// checked after translation, exactly as MPK leaves the hardware TLB
+	// gen counts the mutations that can change or drop a cached
+	// translation: Map, Unmap, Protect, ShareRange. Software TLBs and
+	// decoded-fetch caches tag their entries with the generation they were
+	// filled under, so any stale entry self-invalidates on the next access
+	// — the simulated analogue of the TLB shootdown the kernel performs on
+	// real hardware. SetPKey does not bump it: a TLB reaches a page's key
+	// through the PTE it cached, and no fetch consults the key. Data
+	// writes through frames never bump it, and neither does WRPKRU: PKRU
+	// is checked after translation, exactly as MPK leaves the hardware TLB
 	// valid across protection switches.
 	gen uint64
-	// execGen counts the subset of those mutations that can change an
-	// instruction fetch's result: all but SetPKey, since PKRU never
-	// mediates a fetch (mpk.PKRU.Check passes AccessExec). Decoded-fetch
-	// caches tag on it, so virtual-key re-tags leave them warm.
-	execGen uint64
 }
 
 // leafBits is log2 of leafSize, the PTEs per page-table leaf: 64 PTEs of
@@ -206,7 +203,9 @@ type leafRef struct {
 	l   *leaf
 }
 
-// leaf is one page-table leaf. A PTE with a nil Frame is absent.
+// leaf is one page-table leaf. A PTE with a nil Frame is absent. A leaf
+// is allocated once and never moves, so a TLB may hold a pointer to one of
+// its PTEs until the next generation bump.
 type leaf [leafSize]PTE
 
 // NewAddressSpace returns an empty address space over the given physical
@@ -311,19 +310,13 @@ func (as *AddressSpace) Map(vaddr Addr, frame *Frame, perm Perm, key mpk.PKey) e
 	}
 	*e = PTE{Frame: frame, Perm: perm, PKey: key}
 	as.gen++
-	as.execGen++
 	return nil
 }
 
 // Generation returns the address space's translation generation. It changes
-// on every mutation that can invalidate a cached translation; see TLB.
+// on every mutation that can invalidate a cached translation or fetch
+// verdict — Map, Unmap, Protect, ShareRange — but not on SetPKey; see TLB.
 func (as *AddressSpace) Generation() uint64 { return as.gen }
-
-// ExecGeneration returns the address space's exec generation. It changes
-// on every mutation that can change an instruction fetch's outcome — Map,
-// Unmap, Protect, ShareRange — but not on SetPKey, since protection keys
-// never mediate fetches.
-func (as *AddressSpace) ExecGeneration() uint64 { return as.execGen }
 
 // MapRange allocates fresh frames and maps length bytes starting at vaddr.
 func (as *AddressSpace) MapRange(vaddr Addr, length uint64, perm Perm, key mpk.PKey) error {
@@ -348,7 +341,6 @@ func (as *AddressSpace) ShareRange(src *AddressSpace, vaddr Addr, length uint64)
 	// Bumped up front: a mid-range failure leaves earlier pages remapped,
 	// and those must still invalidate cached translations.
 	as.gen++
-	as.execGen++
 	n := pagesIn(length)
 	for i := 0; i < n; {
 		a := vaddr + Addr(i*PageSize)
@@ -394,7 +386,6 @@ func (as *AddressSpace) Unmap(vaddr Addr, length uint64) {
 		}
 	}
 	as.gen++
-	as.execGen++
 }
 
 // dropLeaf removes leaf index idx from the directory and the cache.
@@ -413,16 +404,15 @@ func (as *AddressSpace) dropLeaf(idx uint64) {
 // [vaddr, vaddr+length), mirroring mprotect().
 func (as *AddressSpace) Protect(vaddr Addr, length uint64, perm Perm) error {
 	as.gen++ // up front: a mid-range failure still mutated earlier pages
-	as.execGen++
 	return as.update("Protect", vaddr, length, func(e *PTE) { e.Perm = perm })
 }
 
 // SetPKey tags the pages covering [vaddr, vaddr+length) with a protection
-// key, mirroring pkey_mprotect()'s key assignment. It bumps the translation
-// generation (TLBs cache the key) but not the exec generation: no fetch
-// consults the key, so decoded code stays valid across a re-tag.
+// key, mirroring pkey_mprotect()'s key assignment. It leaves the generation
+// alone: the key is rewritten in place in each leaf, where a TLB entry's
+// PTE pointer reads it on the next access, and no fetch consults it — so a
+// re-tag keeps every core's TLB, decoded-fetch cache and superblocks warm.
 func (as *AddressSpace) SetPKey(vaddr Addr, length uint64, key mpk.PKey) error {
-	as.gen++ // up front: a mid-range failure still mutated earlier pages
 	return as.update("SetPKey", vaddr, length, func(e *PTE) { e.PKey = key })
 }
 

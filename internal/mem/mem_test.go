@@ -297,11 +297,12 @@ func TestIsolationProperty(t *testing.T) {
 	}
 }
 
-// TestExecGenerationSkipsSetPKey checks the generation split: every
-// mapping mutation bumps both generations, while SetPKey bumps only the
-// translation generation — a key never mediates a fetch, so decoded-code
-// caches tagged on the exec generation survive a re-tag.
-func TestExecGenerationSkipsSetPKey(t *testing.T) {
+// TestGenerationSkipsSetPKey checks which mutations bump the generation:
+// every mapping change does, since it can change a page's frame or
+// permissions or drop its PTE, while SetPKey does not — a TLB reads the
+// key through the PTE it cached, and no fetch consults the key, so a
+// re-tag leaves every cache tagged on the generation warm.
+func TestGenerationSkipsSetPKey(t *testing.T) {
 	phys := NewPhysical()
 	as := NewAddressSpace(phys)
 	src := NewAddressSpace(phys)
@@ -311,7 +312,7 @@ func TestExecGenerationSkipsSetPKey(t *testing.T) {
 	mutators := []struct {
 		name string
 		do   func() error
-		exec bool
+		bump bool
 	}{
 		{"Map", func() error { return as.Map(0x1000, phys.AllocFrame(), PermRX, 0) }, true},
 		{"MapRange", func() error { return as.MapRange(0x2000, PageSize, PermRW, 0) }, true},
@@ -321,15 +322,12 @@ func TestExecGenerationSkipsSetPKey(t *testing.T) {
 		{"Unmap", func() error { as.Unmap(0x2000, PageSize); return nil }, true},
 	}
 	for _, m := range mutators {
-		gen, execGen := as.Generation(), as.ExecGeneration()
+		gen := as.Generation()
 		if err := m.do(); err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		if as.Generation() == gen {
-			t.Errorf("%s did not bump the translation generation", m.name)
-		}
-		if bumped := as.ExecGeneration() != execGen; bumped != m.exec {
-			t.Errorf("%s bumped the exec generation = %v, want %v", m.name, bumped, m.exec)
+		if bumped := as.Generation() != gen; bumped != m.bump {
+			t.Errorf("%s bumped the generation = %v, want %v", m.name, bumped, m.bump)
 		}
 	}
 }

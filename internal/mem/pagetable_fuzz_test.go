@@ -8,10 +8,10 @@ import (
 )
 
 // ptModel is the reference a fuzzed address space is checked against: a
-// plain page map plus the two generation counters.
+// plain page map plus the generation counter.
 type ptModel struct {
-	pages        map[uint64]PTE
-	gen, execGen uint64
+	pages map[uint64]PTE
+	gen   uint64
 }
 
 // fuzzBases are the regions FuzzPageTable maps into: low memory, a run
@@ -21,8 +21,8 @@ var fuzzBases = [...]Addr{0, 0x3c000, 0x1000_0000, 0x7f00_0000_0000, 0xffff_ffff
 
 // FuzzPageTable runs random Map, MapRange, Unmap, Protect, SetPKey and
 // ShareRange sequences over two address spaces against map models. After
-// every operation it checks the error, both generations (bumped up front,
-// so on error paths too), NumPages, the directory holding exactly the
+// every operation it checks the error, the generation (bumped up front,
+// so on error paths too, and never by SetPKey), NumPages, the directory holding exactly the
 // non-empty leaves, the leaf cache holding only directory entries, and
 // Lookup, Mapped, Check and CheckVia through a long-lived TLB at every
 // mapped page and around the operation's range. Ops are decoded four
@@ -78,7 +78,6 @@ func FuzzPageTable(f *testing.F) {
 				} else {
 					m.pages[vaddr.PageOf()] = PTE{Frame: fr, Perm: perm, PKey: key}
 					m.gen++
-					m.execGen++
 				}
 			case 1: // MapRange
 				err = as.MapRange(vaddr, length, perm, key)
@@ -94,27 +93,22 @@ func FuzzPageTable(f *testing.F) {
 					m.pages[(vaddr + Addr(j*PageSize)).PageOf()] = PTE{Frame: pte.Frame, Perm: perm, PKey: key}
 				}
 				m.gen += uint64(n)
-				m.execGen += uint64(n)
 			case 2: // Unmap
 				as.Unmap(vaddr, length)
 				for j := 0; j < n; j++ {
 					delete(m.pages, (vaddr + Addr(j*PageSize)).PageOf())
 				}
 				m.gen++
-				m.execGen++
 			case 3: // Protect
 				err = as.Protect(vaddr, length, perm)
 				want = m.walk("Protect", vaddr, n, func(p *PTE) { p.Perm = perm })
 				m.gen++
-				m.execGen++
 			case 4: // SetPKey
 				err = as.SetPKey(vaddr, length, key)
 				want = m.walk("SetPKey", vaddr, n, func(p *PTE) { p.PKey = key })
-				m.gen++
 			default: // ShareRange from the other address space
 				err = as.ShareRange(other, vaddr, length)
 				m.gen++
-				m.execGen++
 				for j := 0; j < n; j++ {
 					a := vaddr + Addr(j*PageSize)
 					pte, ok := om.pages[a.PageOf()]
@@ -160,13 +154,13 @@ func (m *ptModel) walk(op string, vaddr Addr, n int, fn func(*PTE)) error {
 	return nil
 }
 
-// checkAgainstModel compares as with m: generations, page count,
+// checkAgainstModel compares as with m: generation, page count,
 // directory shape, the leaf cache, and every lookup path at each probe
 // address.
 func checkAgainstModel(t *testing.T, as *AddressSpace, m *ptModel, tlb *TLB, probes []Addr, pkru mpk.PKRU) {
 	t.Helper()
-	if as.Generation() != m.gen || as.ExecGeneration() != m.execGen {
-		t.Fatalf("generations %d/%d, want %d/%d", as.Generation(), as.ExecGeneration(), m.gen, m.execGen)
+	if as.Generation() != m.gen {
+		t.Fatalf("generation %d, want %d", as.Generation(), m.gen)
 	}
 	if as.NumPages() != len(m.pages) {
 		t.Fatalf("NumPages %d, model %d", as.NumPages(), len(m.pages))

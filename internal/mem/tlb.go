@@ -12,29 +12,33 @@ import (
 const TLBSize = 64
 
 // tlbEntry caches one translation. tag is the page number + 1 so the zero
-// value is never a hit.
+// value is never a hit. frame is pte.Frame, copied to save the data path a
+// load; the permission bits and key are read through pte on every access.
 type tlbEntry struct {
 	tag   uint64
 	frame *Frame
-	perm  Perm
-	pkey  mpk.PKey
+	pte   *PTE
 }
 
 // TLB is a small direct-mapped software translation cache from page number
-// to (frame, permission bits, protection key) — the per-core structure that
-// lets the simulator amortise page-table walks the way hardware does.
+// to the page's PTE — the per-core structure that lets the simulator
+// amortise page-table walks the way hardware does.
 //
 // Coherence is by generation: the TLB remembers which AddressSpace it was
-// filled from and at which Generation. Any translation-affecting mutation
-// (Map, Unmap, Protect, SetPKey, ShareRange) bumps the generation, so the
-// next access through the TLB flushes it wholesale — the simulated analogue
-// of a TLB shootdown. Rebinding to a different AddressSpace (an address-
-// space switch) likewise flushes.
+// filled from and at which Generation. Any mutation that can change a
+// page's frame or permissions, or drop its PTE (Map, Unmap, Protect,
+// ShareRange), bumps the generation, so the next access through the TLB
+// flushes it wholesale — the simulated analogue of a TLB shootdown.
+// Rebinding to a different AddressSpace (an address-space switch) likewise
+// flushes. SetPKey needs no flush: it rewrites the key inside the PTE an
+// entry points at, and leaves never move while mapped, so a virtual-key
+// re-tag keeps every core's TLB warm and the next access sees the new key.
 //
-// The TLB is semantically invisible: only the translation and the page's
-// static bits are cached. PKRU is still consulted on every access, after
-// translation — mirroring real MPK, where WRPKRU does not flush the
-// hardware TLB and protection switches leave cached translations valid.
+// The TLB is semantically invisible: only the translation is cached, and
+// the page's bits are read from the live PTE. PKRU is still consulted on
+// every access, after translation — mirroring real MPK, where WRPKRU does
+// not flush the hardware TLB and protection switches leave cached
+// translations valid.
 //
 // A TLB is owned by exactly one simulated core and, like the rest of the
 // simulation, is not safe for concurrent use.
@@ -43,8 +47,8 @@ type TLB struct {
 	gen  uint64
 	ents [TLBSize]tlbEntry
 	// filled has bit i set when ents[i] was filled since the last flush,
-	// so a flush clears only those: between two re-tags a core fills a
-	// handful of the 64 entries.
+	// so a flush clears only those: between two mapping changes a core
+	// fills a handful of the 64 entries.
 	filled uint64
 
 	// Hits, Misses, and Flushes count lookups for benchmarks and tests.
@@ -89,16 +93,16 @@ func (as *AddressSpace) CheckVia(t *TLB, vaddr Addr, kind mpk.AccessKind, pkru m
 			*f = Fault{Addr: vaddr, Kind: FaultNotMapped, Op: kind}
 			return nil
 		}
-		e.tag, e.frame, e.perm, e.pkey = page+1, pte.Frame, pte.Perm, pte.PKey
+		e.tag, e.frame, e.pte = page+1, pte.Frame, pte
 		t.filled |= 1 << (page & (TLBSize - 1))
 	} else {
 		t.Hits++
 	}
-	if !e.perm.Allows(kind) {
+	if !e.pte.Perm.Allows(kind) {
 		*f = Fault{Addr: vaddr, Kind: FaultPerm, Op: kind}
 		return nil
 	}
-	if !pkru.Check(e.pkey, kind) {
+	if !pkru.Check(e.pte.PKey, kind) {
 		*f = Fault{Addr: vaddr, Kind: FaultPKU, Op: kind}
 		return nil
 	}
@@ -144,7 +148,7 @@ func (t *TLB) fill(as *AddressSpace, page uint64, vaddr Addr, kind mpk.AccessKin
 		return false
 	}
 	e := &t.ents[page&(TLBSize-1)]
-	e.tag, e.frame, e.perm, e.pkey = page+1, pte.Frame, pte.Perm, pte.PKey
+	e.tag, e.frame, e.pte = page+1, pte.Frame, pte
 	t.filled |= 1 << (page & (TLBSize - 1))
 	return true
 }
@@ -173,11 +177,11 @@ func (as *AddressSpace) ReadVia8(t *TLB, vaddr Addr, pkru mpk.PKRU, f *Fault) (u
 	} else {
 		t.Hits++
 	}
-	if e.perm&PermRead == 0 {
+	if e.pte.Perm&PermRead == 0 {
 		*f = Fault{Addr: vaddr, Kind: FaultPerm, Op: mpk.AccessRead}
 		return 0, false
 	}
-	if !pkru.Check(e.pkey, mpk.AccessRead) {
+	if !pkru.Check(e.pte.PKey, mpk.AccessRead) {
 		*f = Fault{Addr: vaddr, Kind: FaultPKU, Op: mpk.AccessRead}
 		return 0, false
 	}
@@ -205,11 +209,11 @@ func (as *AddressSpace) WriteVia8(t *TLB, vaddr Addr, value uint64, pkru mpk.PKR
 	} else {
 		t.Hits++
 	}
-	if e.perm&PermWrite == 0 {
+	if e.pte.Perm&PermWrite == 0 {
 		*f = Fault{Addr: vaddr, Kind: FaultPerm, Op: mpk.AccessWrite}
 		return false
 	}
-	if !pkru.Check(e.pkey, mpk.AccessWrite) {
+	if !pkru.Check(e.pte.PKey, mpk.AccessWrite) {
 		*f = Fault{Addr: vaddr, Kind: FaultPKU, Op: mpk.AccessWrite}
 		return false
 	}

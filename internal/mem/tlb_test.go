@@ -312,3 +312,53 @@ func TestViaMatchesCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestRetagLeavesTLBWarm re-tags one page under a warm TLB, as a
+// virtual-key eviction or refill does: the TLB must not flush, the other
+// pages must still hit, and the re-tagged page must hit too yet obey its
+// new key — faulting under a PKRU that denies it and passing under one
+// that grants it — because the entry reads the key through its PTE.
+func TestRetagLeavesTLBWarm(t *testing.T) {
+	as := fixture3Pages(t) // pages 0x1000, 0x2000, 0x3000 on keys 1, 2, 3
+	tlb := &TLB{}
+	all := mpk.AllowAllValue
+	var f Fault
+	pages := []Addr{0x1000, 0x2000, 0x3000}
+	for _, a := range pages {
+		if _, ok := as.ReadVia(tlb, a, 8, all, &f); !ok {
+			t.Fatalf("warming read at %#x: %v", uint64(a), &f)
+		}
+	}
+	flushes, misses := tlb.Flushes, tlb.Misses
+
+	if err := as.SetPKey(0x2000, PageSize, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Addr{0x1000, 0x3000} {
+		if _, ok := as.ReadVia(tlb, a, 8, all, &f); !ok {
+			t.Fatalf("read at %#x after the re-tag: %v", uint64(a), &f)
+		}
+	}
+	deny5 := all.WithAccess(5, false, false)
+	if _, ok := as.ReadVia(tlb, 0x2008, 8, deny5, &f); ok || f.Kind != FaultPKU || f.Addr != 0x2008 {
+		t.Fatalf("read of the re-tagged page under deny-5: ok=%v fault=%v", ok, &f)
+	}
+	if ok := as.WriteVia8(tlb, 0x2008, 1, deny5, &f); ok || f.Kind != FaultPKU {
+		t.Fatalf("write of the re-tagged page under deny-5: ok=%v fault=%v", ok, &f)
+	}
+	// Only key 5 granted: the page's old key 2 is denied, so a stale
+	// cached key would fault here.
+	only5 := mpk.AllowNoneValue.WithAccess(5, true, true)
+	if ok := as.WriteVia8(tlb, 0x2008, 7, only5, &f); !ok {
+		t.Fatalf("write of the re-tagged page under only-5: %v", &f)
+	}
+	if v, ok := as.ReadVia8(tlb, 0x2008, only5, &f); !ok || v != 7 {
+		t.Fatalf("read of the re-tagged page under only-5: %d, %v", v, &f)
+	}
+	if tlb.Flushes != flushes {
+		t.Fatalf("SetPKey flushed the TLB: %d flushes, was %d", tlb.Flushes, flushes)
+	}
+	if tlb.Misses != misses {
+		t.Fatalf("accesses after SetPKey missed %d times", tlb.Misses-misses)
+	}
+}

@@ -18,6 +18,7 @@ package arachne
 import (
 	"math"
 
+	"vessel/internal/fifo"
 	"vessel/internal/obs/journey"
 	"vessel/internal/sched"
 	"vessel/internal/sim"
@@ -43,8 +44,8 @@ type lState struct {
 	app *workload.App
 	// dispatchQ → dispatcher (serial, 1 µs each) → readyQ → workers.
 	dispatchBusy bool
-	readyQ       workload.FIFO[uint32] // request handles
-	workers      int                   // granted worker cores (dispatcher core excluded)
+	readyQ       fifo.Queue[uint32] // request handles
+	workers      int                // granted worker cores (dispatcher core excluded)
 	busyNs       sim.Duration
 	windowStart  sim.Time
 	// dispatching is the request the dispatcher is creating a thread

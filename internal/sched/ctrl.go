@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"vessel/internal/fifo"
 	"vessel/internal/sim"
 	"vessel/internal/workload"
 )
@@ -23,8 +24,8 @@ type CtrlPlane struct {
 	// q holds the handles of the accepted requests not yet forwarded, and
 	// keys the engine key reserved for each, in the same order. The
 	// head's forward is pending.
-	q       workload.FIFO[uint32]
-	keys    workload.FIFO[uint64]
+	q       fifo.Queue[uint32]
+	keys    fifo.Queue[uint64]
 	deliver func(*workload.Request)
 	timer   sim.Timer // fires p.forward
 }

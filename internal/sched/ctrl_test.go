@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vessel/internal/fifo"
 	"vessel/internal/sim"
 	"vessel/internal/workload"
 )
@@ -15,7 +16,7 @@ type refCtrlPlane struct {
 	b       *Base
 	cost    sim.Duration
 	free    sim.Time // when the server finishes its accepted work
-	q       workload.FIFO[uint32]
+	q       fifo.Queue[uint32]
 	deliver func(*workload.Request)
 }
 

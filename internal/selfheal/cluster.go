@@ -349,7 +349,7 @@ func (s *supervisor) AfterRun(d, core int, cc *cpu.Core, ran int) error {
 	dec := dom.failsafe.Decide(vessel.PolicyView{
 		Core:     core,
 		RanFull:  ran == s.quantum,
-		QueueLen: len(mg.Domain.Runqueue(core)),
+		QueueLen: mg.Domain.QueueLen(core),
 		Idle:     ran == 0,
 	})
 	cc.Cycles += dec.CostCycles

@@ -18,8 +18,8 @@ func TestMigrateBetweenCoreFIFOs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// t2 sits queued on core 0 while the main thread runs.
-	if len(d.Runqueue(0)) != 1 {
-		t.Fatalf("core 0 queue = %d", len(d.Runqueue(0)))
+	if d.QueueLen(0) != 1 {
+		t.Fatalf("core 0 queue = %d", d.QueueLen(0))
 	}
 	// A running thread cannot be migrated.
 	if err := d.Migrate(d.Current(0), 0, 1); err == nil {
@@ -29,7 +29,7 @@ func TestMigrateBetweenCoreFIFOs(t *testing.T) {
 	if err := d.Migrate(t2, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Runqueue(0)) != 0 || len(d.Runqueue(1)) != 1 {
+	if d.QueueLen(0) != 0 || d.QueueLen(1) != 1 {
 		t.Fatal("queues after migration")
 	}
 	if err := d.StartCore(1); err != nil {

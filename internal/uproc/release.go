@@ -34,16 +34,16 @@ func (d *Domain) rehome(cs *coreState, targets []int) int {
 		return 0
 	}
 	moved := 0
-	for _, t := range cs.runq {
+	for cs.runq.Len() > 0 {
+		t := cs.runq.Pop()
 		if t.U.State == UProcTerminated || t.State == ThreadDead {
 			t.State = ThreadDead
 			continue
 		}
 		dst := targets[moved%len(targets)]
-		d.cores[dst].runq = append(d.cores[dst].runq, t)
+		d.cores[dst].runq.Push(t)
 		moved++
 	}
-	cs.runq = nil
 	return moved
 }
 

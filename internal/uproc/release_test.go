@@ -58,10 +58,10 @@ func TestReleaseRehomesQueuedThreads(t *testing.T) {
 	if moved != 3 {
 		t.Fatalf("moved %d, want 3", moved)
 	}
-	if got := len(d.Runqueue(0)) + len(d.Runqueue(1)); got != 3 {
+	if got := d.QueueLen(0) + d.QueueLen(1); got != 3 {
 		t.Fatalf("survivor queues hold %d threads, want 3", got)
 	}
-	if len(d.Runqueue(2)) != 0 {
+	if d.QueueLen(2) != 0 {
 		t.Fatal("released core still holds threads")
 	}
 }
@@ -106,12 +106,12 @@ func TestReleaseRunningCoreDrainsAtGate(t *testing.T) {
 	if core.Fault != nil {
 		t.Fatalf("fault during drain: %v", core.Fault)
 	}
-	if d.Current(1) != nil || len(d.Runqueue(1)) != 0 {
+	if d.Current(1) != nil || d.QueueLen(1) != 0 {
 		t.Fatal("released core still owns work after drain")
 	}
 	// The thread survived the move: it sits runnable on the target core.
-	if len(d.Runqueue(0)) != 1 {
-		t.Fatalf("target core holds %d threads, want 1", len(d.Runqueue(0)))
+	if d.QueueLen(0) != 1 {
+		t.Fatalf("target core holds %d threads, want 1", d.QueueLen(0))
 	}
 	if th := d.Runqueue(0)[0]; th.State != ThreadRunnable {
 		t.Fatalf("migrated thread state %v", th.State)
@@ -210,7 +210,7 @@ func TestReleasePreemptKicksDrain(t *testing.T) {
 	if !core.Halted || core.Fault != nil {
 		t.Fatalf("spin thread not drained: halted=%v fault=%v", core.Halted, core.Fault)
 	}
-	if len(d.Runqueue(0)) != 1 {
-		t.Fatalf("spin thread not re-homed: %d on target", len(d.Runqueue(0)))
+	if d.QueueLen(0) != 1 {
+		t.Fatalf("spin thread not re-homed: %d on target", d.QueueLen(0))
 	}
 }

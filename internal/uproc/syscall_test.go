@@ -213,7 +213,7 @@ func TestSyscallGateErrors(t *testing.T) {
 	if len(d.UProcs()) != 2 {
 		t.Fatalf("uprocs = %d", len(d.UProcs()))
 	}
-	if d.Runqueue(0) == nil && len(d.Runqueue(0)) != 0 {
+	if d.QueueLen(0) != 0 || len(d.Runqueue(0)) != 0 {
 		t.Fatal("runqueue accessor")
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"vessel/internal/callgate"
 	"vessel/internal/cpu"
+	"vessel/internal/fifo"
 	"vessel/internal/kernel"
 	"vessel/internal/mem"
 	"vessel/internal/mpk"
@@ -113,7 +114,7 @@ type SchedCommand struct {
 // coreState is the runtime's per-core bookkeeping, conceptually in the
 // runtime region.
 type coreState struct {
-	runq    []*Thread
+	runq    fifo.Queue[*Thread]
 	cmds    []SchedCommand
 	current *Thread
 	// receiver is the Uintr endpoint the scheduler signals (§4.3).
@@ -361,11 +362,23 @@ func (d *Domain) NewThread(u *UProc, entry mem.Addr) (*Thread, error) {
 
 // AttachThread queues t on core's FIFO runqueue.
 func (d *Domain) AttachThread(core int, t *Thread) {
-	d.cores[core].runq = append(d.cores[core].runq, t)
+	d.cores[core].runq.Push(t)
 }
 
-// Runqueue returns the threads queued on a core (not including current).
-func (d *Domain) Runqueue(core int) []*Thread { return d.cores[core].runq }
+// QueueLen returns the number of threads queued on a core (not including
+// current).
+func (d *Domain) QueueLen(core int) int { return d.cores[core].runq.Len() }
+
+// Runqueue returns a copy of the threads queued on a core (not including
+// current), oldest first.
+func (d *Domain) Runqueue(core int) []*Thread {
+	q := &d.cores[core].runq
+	out := make([]*Thread, q.Len())
+	for i := range out {
+		out[i] = q.At(i)
+	}
+	return out
+}
 
 // Migrate moves a queued thread from one core's FIFO to another's — the
 // §4.5 load-balancing primitive ("the scheduler reassigns these threads to
@@ -378,15 +391,21 @@ func (d *Domain) Migrate(t *Thread, from, to int) error {
 	if d.cores[from].current == t {
 		return fmt.Errorf("uproc: thread %d is running on core %d; preempt it first", t.ID, from)
 	}
-	rq := d.cores[from].runq
-	for i, q := range rq {
-		if q == t {
-			d.cores[from].runq = append(rq[:i], rq[i+1:]...)
-			d.cores[to].runq = append(d.cores[to].runq, t)
-			return nil
+	// Rotate the source queue once, leaving t out and everything else in
+	// order.
+	rq, found := &d.cores[from].runq, false
+	for n := rq.Len(); n > 0; n-- {
+		if q := rq.Pop(); q != t || found {
+			rq.Push(q)
+		} else {
+			found = true
 		}
 	}
-	return fmt.Errorf("uproc: thread %d not queued on core %d", t.ID, from)
+	if !found {
+		return fmt.Errorf("uproc: thread %d not queued on core %d", t.ID, from)
+	}
+	d.cores[to].runq.Push(t)
+	return nil
 }
 
 // Current returns the thread running on a core.
@@ -458,6 +477,12 @@ func (d *Domain) Wake(coreID int) (bool, error) {
 		// would resume execution over corrupted runtime state.
 		return false, nil
 	}
+	if c.Stalled {
+		// A wedged core retires nothing and its cycle counter is frozen:
+		// dispatching onto it would strand the thread as its current and
+		// charge a UMWAIT exit it never makes. Work stays queued.
+		return false, nil
+	}
 	if d.fenced[coreID] {
 		// A fenced core has been withdrawn from placement by the
 		// self-healing layer; its work was drained elsewhere.
@@ -489,9 +514,8 @@ func (d *Domain) Wake(coreID int) (bool, error) {
 // popRunnable pops the next live thread from the core FIFO, reaping
 // threads of terminated uProcesses.
 func (d *Domain) popRunnable(cs *coreState) *Thread {
-	for len(cs.runq) > 0 {
-		t := cs.runq[0]
-		cs.runq = cs.runq[1:]
+	for cs.runq.Len() > 0 {
+		t := cs.runq.Pop()
 		if t.U.State == UProcTerminated || t.State == ThreadDead {
 			t.State = ThreadDead
 			continue
@@ -587,7 +611,7 @@ func (d *Domain) drainCommands(cs *coreState) {
 			d.terminate(cmd.Kill)
 		}
 		if cmd.Activate != nil {
-			cs.runq = append(cs.runq, cmd.Activate)
+			cs.runq.Push(cmd.Activate)
 		}
 	}
 	cs.cmds = cs.cmds[:0]
@@ -640,7 +664,7 @@ func (d *Domain) requeueCurrent(c *cpu.Core, cs *coreState) {
 		return
 	}
 	t.State = ThreadRunnable
-	cs.runq = append(cs.runq, t)
+	cs.runq.Push(t)
 }
 
 // schedImpl is the FnSchedule runtime function, reached from the Uintr

@@ -345,6 +345,74 @@ func TestExitGateAndWake(t *testing.T) {
 	}
 }
 
+// TestWakeRefusesStalledCore: a stalled core retires nothing and its
+// cycle counter is frozen, so Wake must leave it halted with its work
+// queued — no dispatch, no UMWAIT exit charge — as it does for a
+// fail-stopped core.
+func TestWakeRefusesStalledCore(t *testing.T) {
+	d := newDomain(t, 1)
+	u, err := d.CreateUProc("late", parkLoopProgram(d, "late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.StartCore(0); err != nil { // nothing queued: starts idle
+		t.Fatal(err)
+	}
+	core := d.Machine.Core(0)
+	core.Stalled = true
+	d.AttachThread(0, u.Threads()[0])
+	if ok, err := d.Wake(0); err != nil || ok {
+		t.Fatalf("Wake of a stalled core = %v, %v; want false, nil", ok, err)
+	}
+	if err := d.Preempt(0, SchedCommand{}); err != nil {
+		t.Fatal(err)
+	}
+	if d.Current(0) != nil || !core.Halted || core.Cycles != 0 || d.QueueLen(0) != 1 {
+		t.Fatalf("stalled core: current=%v halted=%v cycles=%d queued=%d; want nil, true, 0, 1",
+			d.Current(0), core.Halted, core.Cycles, d.QueueLen(0))
+	}
+	core.Stalled = false
+	if ok, err := d.Wake(0); err != nil || !ok {
+		t.Fatalf("Wake after the stall cleared = %v, %v", ok, err)
+	}
+}
+
+// TestParkCycleAllocatesNothing: two park loops alternating on one core,
+// with a scheduler preemption between quanta, allocate nothing once the
+// core's run queue and command queue have reached their working size.
+func TestParkCycleAllocatesNothing(t *testing.T) {
+	d := newDomain(t, 1)
+	for _, name := range []string{"A", "B"} {
+		u, err := d.CreateUProc(name, parkLoopProgram(d, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.AttachThread(0, u.Threads()[0])
+	}
+	if err := d.StartCore(0); err != nil {
+		t.Fatal(err)
+	}
+	core := d.Machine.Core(0)
+	cycle := func() {
+		core.Run(200)
+		if err := d.Preempt(0, SchedCommand{}); err != nil {
+			t.Fatal(err)
+		}
+		core.Run(200)
+	}
+	cycle() // warm
+	parks, preempts := d.CoreStats(0)
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("a warm park/preempt cycle allocated %.1f times", allocs)
+	}
+	if core.Fault != nil {
+		t.Fatal(core.Fault)
+	}
+	if p, q := d.CoreStats(0); p-parks < 50*2 || q-preempts < 50 {
+		t.Fatalf("cycles parked %d and preempted %d times, want ≥ 100 and ≥ 50", p-parks, q-preempts)
+	}
+}
+
 func TestPreemptWakesIdleCore(t *testing.T) {
 	// A core idling in UMWAIT wakes when the scheduler activates a
 	// thread on it — the "notify the scheduler and enter an idle mode

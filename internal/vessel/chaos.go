@@ -246,9 +246,6 @@ func (mg *Manager) RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	for round := 0; round < rounds; round++ {
 		p.rep.Rounds++
 		progressed, err := mg.Round(0, p, cfg.Quantum)
-		if err == nil {
-			err = p.err
-		}
 		if err != nil {
 			return p.rep, err
 		}
@@ -291,22 +288,15 @@ type chaos struct {
 	mg      *Manager
 	quantum int
 	rep     ChaosReport
-	err     error // a wake error from Admit; no core steps after it
 }
 
 func (p *chaos) Admit(_, core int) bool {
 	c := p.mg.m.Core(core)
 	switch {
-	case p.err != nil || p.mg.Domain.Fenced(core):
+	case p.mg.Domain.Fenced(core):
 		return false
 	case c.Fault != nil:
 		p.markFatal(core)
-		return false
-	case c.Stalled && c.Halted:
-		// The round skips a stalled core, but RunChaos wakes a halted
-		// one: the wake dispatches its next thread, which then retires
-		// nothing.
-		_, p.err = p.mg.Domain.Wake(core)
 		return false
 	}
 	return true

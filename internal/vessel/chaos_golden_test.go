@@ -114,7 +114,7 @@ func runChaosCase(t *testing.T, c chaosCase) []byte {
 			current = th.U.Name
 		}
 		fmt.Fprintf(&b, "core %d: cycles=%d halted=%v stalled=%v current=%s queued=%d\n",
-			core, cc.Cycles, cc.Halted, cc.Stalled, current, len(mg.Domain.Runqueue(core)))
+			core, cc.Cycles, cc.Halted, cc.Stalled, current, mg.Domain.QueueLen(core))
 	}
 	fmt.Fprintf(&b, "survivor gaps: %s\n", h.Summarize())
 	if inj := mg.Injector(); inj != nil {

@@ -231,7 +231,7 @@ func (mg *Manager) ExecCacheStats() (allocs, recycles int) {
 func (mg *Manager) Backlog() int {
 	total := 0
 	for i := 0; i < mg.m.NumCores(); i++ {
-		total += len(mg.Domain.Runqueue(i))
+		total += mg.Domain.QueueLen(i)
 	}
 	return total
 }

@@ -90,10 +90,10 @@ func TestFenceCoreRehomesAndRefusesPlacement(t *testing.T) {
 	if mg.FencedCores() != 1 {
 		t.Fatalf("fenced cores = %d", mg.FencedCores())
 	}
-	if got := len(mg.Domain.Runqueue(0)); got != 0 {
+	if got := mg.Domain.QueueLen(0); got != 0 {
 		t.Fatalf("fenced core still queues %d threads", got)
 	}
-	if got := len(mg.Domain.Runqueue(1)); got != 2 {
+	if got := mg.Domain.QueueLen(1); got != 2 {
 		t.Fatalf("survivor got %d threads, want 2", got)
 	}
 	if _, err := mg.Launch("c", spinner("c"), 0); err == nil ||

@@ -16,13 +16,13 @@
 //     fetches, so an evicted uProcess's code stays executable — only its
 //     data loses (and regains) accessibility. This also bounds re-tag work
 //     to the data region.
-//   - Re-tagging goes through mem.AddressSpace.SetPKey, which bumps the
-//     translation generation — per-core software TLBs self-invalidate, so
-//     the fast path stays coherent for free. It leaves the exec generation
-//     alone: fetches never consult the key, so decoded-fetch caches and
-//     fused superblocks stay warm across evictions and refills, and a
-//     virtual-key switch costs the re-tag it models, not a code-cache
-//     flush on every core.
+//   - Re-tagging goes through mem.AddressSpace.SetPKey, which rewrites the
+//     key in place in the page table and bumps no generation: per-core
+//     software TLBs read the key through the PTE they cached, so the next
+//     access on any core sees the new key, and fetches never consult it.
+//     TLBs, decoded-fetch caches and fused superblocks all stay warm
+//     across evictions and refills, and a virtual-key switch costs the
+//     re-tag it models, not a flush on every core of the domain.
 //   - A virtual key pinned by a core (its current uProcess) is never
 //     evicted: recycling a hardware slot under a live PKRU would let the
 //     running compartment reach the new tenant's pages — the stale-key
@@ -37,6 +37,7 @@ package vpkey
 
 import (
 	"fmt"
+	"math"
 
 	"vessel/internal/mem"
 	"vessel/internal/mpk"
@@ -54,18 +55,38 @@ type Range struct {
 // Retag is one attributed re-tagging action: which virtual key's pages
 // moved, to which hardware slot (or the fence key), how many pages, on
 // whose behalf. The lifecycle oracle audits that every SetPKey the table
-// performed is accounted for here.
+// performed is accounted for here. Fields are sized so a record is 16
+// bytes: the log runs to its cap in every long run.
 type Retag struct {
-	VKey VKey
-	// Slot is the hardware key the pages now carry: the fence key for an
-	// eviction, the granted slot for a refill.
-	Slot  mpk.PKey
-	Pages int
-	// Reason is "evict" or "refill".
-	Reason string
+	VKey  VKey
+	Pages int32
 	// Core is the core whose activation drove the re-tag, or -1 when the
 	// table acted on the manager's behalf (region allocation, thrash).
-	Core int
+	Core int16
+	// Slot is the hardware key the pages now carry: the fence key for an
+	// eviction, the granted slot for a refill.
+	Slot   mpk.PKey
+	Reason Reason
+}
+
+// Reason says why a re-tag happened.
+type Reason uint8
+
+// Evict re-tags a victim's pages to the fence key; Refill re-tags them to
+// the slot the key was granted back. The zero Reason is neither.
+const (
+	Evict Reason = iota + 1
+	Refill
+)
+
+func (r Reason) String() string {
+	switch r {
+	case Evict:
+		return "evict"
+	case Refill:
+		return "refill"
+	}
+	return fmt.Sprintf("Reason(%d)", uint8(r))
 }
 
 // retagLogCap bounds the attribution log; overflow is counted, never
@@ -284,7 +305,7 @@ func (t *Table) Touch(vk VKey, core int) (mpk.PKey, int, error) {
 	if e == nil {
 		return 0, 0, fmt.Errorf("vpkey: Touch of unknown key %d", vk)
 	}
-	if core < 0 {
+	if core < 0 || core > math.MaxInt16 { // Retag.Core is an int16
 		return 0, 0, fmt.Errorf("vpkey: Touch of key %d on invalid core %d", vk, core)
 	}
 	if core >= len(t.pins) {
@@ -311,7 +332,7 @@ func (t *Table) Touch(vk VKey, core int) (mpk.PKey, int, error) {
 			return 0, 0, err
 		}
 		t.setSlot(slot, e)
-		retagged = t.retag(e, slot, "refill", core)
+		retagged = t.retag(e, slot, Refill, core)
 		t.Refills++
 		if t.OnRefill != nil {
 			t.OnRefill(core, vk, slot, retagged)
@@ -369,7 +390,7 @@ func (t *Table) acquireSlot(core int) (mpk.PKey, error) {
 	if victim == nil {
 		return 0, fmt.Errorf("vpkey: all %d resident keys are pinned; no slot can be evicted", t.Resident())
 	}
-	pages := t.retag(victim, t.fence, "evict", core)
+	pages := t.retag(victim, t.fence, Evict, core)
 	slot := t.clearSlot(victim)
 	t.Evictions++
 	t.gen++ // every warm (vk → slot) binding is now suspect
@@ -396,10 +417,9 @@ func (t *Table) victim() *entry {
 }
 
 // retag moves every page of e's ranges to key, records the attribution,
-// and returns the page count. SetPKey bumps the address-space translation
-// generation, which is what keeps TLBs coherent; decoded-fetch caches and
-// superblocks key on the exec generation, which a re-tag leaves alone.
-func (t *Table) retag(e *entry, key mpk.PKey, reason string, core int) int {
+// and returns the page count. SetPKey rewrites the keys in place, where
+// every core's TLB reads them; no cache needs a flush.
+func (t *Table) retag(e *entry, key mpk.PKey, reason Reason, core int) int {
 	pages := 0
 	for _, r := range e.ranges {
 		if err := t.as.SetPKey(r.Base, r.Size, key); err != nil {
@@ -411,7 +431,7 @@ func (t *Table) retag(e *entry, key mpk.PKey, reason string, core int) int {
 	}
 	t.RetaggedPages += uint64(pages)
 	if len(t.RetagLog) < retagLogCap {
-		t.RetagLog = append(t.RetagLog, Retag{VKey: e.vk, Slot: key, Pages: pages, Reason: reason, Core: core})
+		t.RetagLog = append(t.RetagLog, Retag{VKey: e.vk, Pages: int32(pages), Core: int16(core), Slot: key, Reason: reason})
 	} else {
 		t.RetagDropped++
 	}
@@ -427,7 +447,7 @@ func (t *Table) Thrash() (evicted, pages int) {
 		if v == nil {
 			return evicted, pages
 		}
-		pages += t.retag(v, t.fence, "evict", -1)
+		pages += t.retag(v, t.fence, Evict, -1)
 		slot := t.clearSlot(v)
 		// The freed slot goes back to the allocator: a thrash leaves free
 		// hardware slots behind, exactly like a burst of pkey_free calls.

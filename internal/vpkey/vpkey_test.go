@@ -1,7 +1,9 @@
 package vpkey
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"vessel/internal/mem"
 	"vessel/internal/mpk"
@@ -255,7 +257,7 @@ func TestRetagAttributionBalances(t *testing.T) {
 	}
 	var sum uint64
 	for _, r := range tab.RetagLog {
-		if r.Reason != "evict" && r.Reason != "refill" {
+		if r.Reason != Evict && r.Reason != Refill {
 			t.Fatalf("bad reason %q", r.Reason)
 		}
 		sum += uint64(r.Pages)
@@ -334,5 +336,31 @@ func TestEvictingTouchAllocatesNothing(t *testing.T) {
 	}
 	if tab.Evictions == evictions {
 		t.Fatal("the measured Touches evicted nothing")
+	}
+}
+
+// TestRetagIs16Bytes pins the attribution record's layout: every long run
+// fills the log to retagLogCap records.
+func TestRetagIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Retag{}); size != 16 {
+		t.Fatalf("a Retag is %d bytes, want 16", size)
+	}
+	for r, want := range map[Reason]string{Evict: "evict", Refill: "refill", 0: "Reason(0)"} {
+		if r.String() != want {
+			t.Errorf("Reason(%d).String() = %q, want %q", uint8(r), r.String(), want)
+		}
+	}
+}
+
+// TestTouchRefusesCoreBeyondRecord: Touch refuses a core index Retag.Core
+// cannot hold, rather than logging a truncated one.
+func TestTouchRefusesCoreBeyondRecord(t *testing.T) {
+	tab, as, _ := newTable(t)
+	vk, _ := mapRegion(t, tab, as, 0x1000_0000)
+	if _, _, err := tab.Touch(vk, math.MaxInt16+1); err == nil {
+		t.Fatal("Touch on a core past int16 succeeded")
+	}
+	if tab.Pinned(math.MaxInt16+1) != 0 || len(tab.RetagLog) != 0 {
+		t.Fatal("a refused Touch pinned a key or logged a re-tag")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 
+	"vessel/internal/fifo"
 	"vessel/internal/sim"
 	"vessel/internal/stats"
 )
@@ -197,7 +198,7 @@ type App struct {
 	MemFrac  float64
 
 	// q holds the handles of the pending requests the scheduler serves.
-	q FIFO[uint32]
+	q fifo.Queue[uint32]
 	// store holds the app's requests (its own, made on first use, unless
 	// Attach shared a run's); idx is the app's index in the run.
 	store *Store
@@ -291,63 +292,6 @@ func (a *App) StealNewest() *Request {
 		return nil
 	}
 	return a.store.Get(a.q.PopBack())
-}
-
-// FIFO is a queue: a ring that doubles when full, so a warmed-up queue
-// is served without allocating. Its elements are request handles
-// (uint32) or other plain values. Head, Pop and PopBack need a non-empty
-// queue.
-type FIFO[T any] struct {
-	buf  []T // the ring; its length is zero or a power of two
-	head int // buf index of the head
-	n    int // elements queued
-}
-
-// Len returns the number of queued elements.
-func (q *FIFO[T]) Len() int { return q.n }
-
-// Head returns the oldest element.
-func (q *FIFO[T]) Head() T { return q.buf[q.head] }
-
-// Push appends v at the tail.
-func (q *FIFO[T]) Push(v T) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
-	q.n++
-}
-
-// PushFront inserts v at the head.
-func (q *FIFO[T]) PushFront(v T) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = v
-	q.n++
-}
-
-// Pop removes and returns the oldest element.
-func (q *FIFO[T]) Pop() T {
-	v := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return v
-}
-
-// PopBack removes and returns the newest element.
-func (q *FIFO[T]) PopBack() T {
-	q.n--
-	return q.buf[(q.head+q.n)&(len(q.buf)-1)]
-}
-
-// grow moves the queue, unwrapped, to the front of a ring twice the size.
-func (q *FIFO[T]) grow() {
-	buf := make([]T, max(2*len(q.buf), 8))
-	k := copy(buf, q.buf[q.head:])
-	copy(buf[k:], q.buf[:q.head])
-	q.buf, q.head = buf, 0
 }
 
 // QueueDelay returns the age of the oldest pending request at time now —

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vessel/internal/fifo"
 	"vessel/internal/sim"
 )
 
@@ -315,7 +316,7 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 		}
 		q := &app.q
 		for k := range model {
-			if h := q.buf[(q.head+k)&(len(q.buf)-1)]; app.requests().Get(h) != model[k] {
+			if h := q.At(k); app.requests().Get(h) != model[k] {
 				t.Fatalf("op %d: queue entry %d differs from the model", i, k)
 			}
 		}
@@ -357,7 +358,7 @@ func TestQueueServesWithoutAllocating(t *testing.T) {
 // quarter and filled again after that many pushes, so a control-plane
 // backlog at saturation reallocated every few hundred requests.
 func TestDeepQueueStopsGrowing(t *testing.T) {
-	var q FIFO[uint32]
+	var q fifo.Queue[uint32]
 	const n = 1000
 	for h := uint32(0); h < n; h++ {
 		q.Push(h)

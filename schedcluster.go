@@ -233,7 +233,7 @@ func (s *ScheduledCluster) Launch(domain int, name string, build func(*Manager) 
 	m := s.core.Manager(domain)
 	core, best := -1, 0
 	for _, c := range m.OnlineCores() {
-		if q := len(m.Domain.Runqueue(c)); core < 0 || q < best {
+		if q := m.Domain.QueueLen(c); core < 0 || q < best {
 			core, best = c, q
 		}
 	}
