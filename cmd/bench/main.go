@@ -12,6 +12,9 @@
 //     a warm-TLB check ≥1× the page-table Check, and ReadBytes of a page
 //     ≥5× the per-byte reference. Whole-machine instructions per
 //     wall-second has a soft floor of 1e6.
+//   - Exponential draws: sim.RNG.Exp is ≥1.3× the reference formula's
+//     one math.Log per draw, over the same uniforms (fastest of 5
+//     alternated runs each), and allocates nothing.
 //   - Journey tracing overhead against obs-only runs: ≤20% at full
 //     fidelity, and a warning above 5% at 1-in-16 sampling, both with
 //     the collector off in the timed runs; the same full-fidelity pairs
@@ -185,6 +188,28 @@ func mmuRows() []row {
 	return append(rows, judge(r, minIPS(1e6, hostbench.MachineCores)))
 }
 
+// rngRow pairs sim.RNG.Exp with its reference formula, one math.Log per
+// draw. Both bodies spend much of a draw in the PCG step they share, so
+// host noise moves the ratio: they alternate reps times and each keeps
+// its fastest run, since noise only adds time.
+func rngRow(reps int) row {
+	r := row{Name: "rng_exp", Layer: "sim", Unit: "draw", Baseline: &baseline{Name: "rng_exp_log"}}
+	var allocs int64
+	for i := 0; i < reps; i++ {
+		fast, base := testing.Benchmark(hostbench.BenchRNGExp), testing.Benchmark(hostbench.BenchRNGExpLog)
+		ns, baseNs := float64(fast.T.Nanoseconds())/float64(fast.N), float64(base.T.Nanoseconds())/float64(base.N)
+		if i == 0 || ns < r.NsPerOp {
+			r.NsPerOp = ns
+		}
+		if i == 0 || baseNs < r.Baseline.NsPerOp {
+			r.Baseline.NsPerOp = baseNs
+		}
+		allocs = max(allocs, fast.AllocsPerOp())
+	}
+	r.AllocsPerOp = &allocs
+	return judge(r, speedup(1.3, true))
+}
+
 // journeyRow runs reps repetitions of iters paired journey iterations and
 // keeps the repetition with the least overhead, the figure main gates.
 func journeyRow(name string, sampleEvery, reps, iters int, gc bool) (row, error) {
@@ -238,7 +263,7 @@ func main() {
 	out := flag.String("o", "BENCH_host.json", "output JSON path")
 	flag.Parse()
 
-	rows := mmuRows()
+	rows := append(mmuRows(), rngRow(5))
 
 	// The journey tripwire. Same-seed obs-only and obs+journey runs
 	// alternate in one process with GC pinned, and the minimum overhead

@@ -21,6 +21,8 @@ func TestGateEdges(t *testing.T) {
 		{"1x at 0.99", pair(1, 0.99, 0), speedup(1, false), true, false},
 		{"5x at 5.0", pair(1, 5.0, 0), speedup(5, true), false, false},
 		{"5x at 4.99", pair(1, 4.99, 0), speedup(5, true), true, false},
+		{"1.3x at 1.3", pair(1, 1.3, 0), speedup(1.3, true), false, false},
+		{"1.3x at 1.29", pair(1, 1.29, 0), speedup(1.3, true), true, false},
 		{"zero-alloc row at 1 alloc/op", pair(1, 10, 1), speedup(5, true), true, false},
 		{"journey at 20.0%", pair(120, 100, 0), overhead(20, false), false, false},
 		{"journey at 20.01%", pair(120.01, 100, 0), overhead(20, false), true, false},

@@ -4,9 +4,10 @@
 // The MMU bodies take a *testing.B; cmd/bench runs them through
 // testing.Benchmark. Their Slow variants measure the same operation with
 // the fast path off (per-byte walks, direct page-table Check), so a
-// single process yields a machine-independent speedup ratio. The journey
-// body runs a fixed number of paired iterations, which testing.Benchmark
-// cannot do, so it is a plain function.
+// single process yields a machine-independent speedup ratio. The RNG
+// bodies pair sim.RNG.Exp with its reference formula the same way. The
+// journey body runs a fixed number of paired iterations, which
+// testing.Benchmark cannot do, so it is a plain function.
 package hostbench
 
 import (

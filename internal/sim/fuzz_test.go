@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"math/bits"
+	"testing"
+)
 
 // FuzzEngineOrder drives the engine with At, Cancel and Step, with Reserve
 // and eight timers armed by At or under reserved seqs, and with At calls,
@@ -400,4 +404,47 @@ func FuzzEngineOrder(f *testing.F) {
 			t.Fatal("engine fired something the model does not have")
 		}
 	})
+}
+
+// FuzzExpExact checks Exp's fast evaluation against its defining formula
+// for the uniform Float64 makes from word: whenever expFast claims a
+// value, it must be Duration(-math.Log(u) * float64(mean)), and above
+// expFastMaxMean it must claim none. Random int64 means would nearly all
+// lie above the cap, so the fuzzed meanArg carries a bit width up to 41
+// in its low 6 bits and mean − 1, cut to that width, above them
+// (expMeanArg encodes one). The seeds sit on integer boundaries of
+// y = −ln(u)·mean, at the smallest u, next to 1, and around the cap.
+func FuzzExpExact(f *testing.F) {
+	f.Add(uint64(1)<<11, expMeanArg(1))
+	f.Add(^uint64(0), expMeanArg(1000))
+	f.Add(uint64(0x9e3779b97f4a7c15), expMeanArg(78))
+	f.Add(uint64(0x9e3779b97f4a7c15), expMeanArg(1<<40))
+	f.Add(uint64(0x9e3779b97f4a7c15), expMeanArg(1<<40+1))
+	for _, b := range []struct{ k, mean float64 }{{1, 1}, {3, 2}, {500, 1000}, {2, 3125}, {70000, 1e5}} {
+		f.Add(uint64(math.Exp(-b.k/b.mean)*(1<<53))<<11, expMeanArg(Duration(b.mean)))
+	}
+	f.Fuzz(func(t *testing.T, word uint64, meanArg int64) {
+		u := float64(word>>11) / (1 << 53)
+		if u == 0 {
+			return
+		}
+		width := uint64(meanArg) & 63 % 42
+		mean := Duration(1 + uint64(meanArg)>>6&(1<<width-1))
+		d, ok := expFast(u, mean)
+		if !ok {
+			return
+		}
+		if mean > expFastMaxMean {
+			t.Fatalf("mean %d above the cap took the fast path", mean)
+		}
+		if want := expRef(u, mean); d != want {
+			t.Fatalf("u %b, mean %d: fast path %d, reference %d", u, mean, d, want)
+		}
+	})
+}
+
+// expMeanArg encodes mean, at most 2⁴¹, as FuzzExpExact's meanArg.
+func expMeanArg(mean Duration) int64 {
+	v := uint64(mean - 1)
+	return int64(v<<6 | uint64(bits.Len64(v)))
 }

@@ -406,7 +406,10 @@ func (g *arrivalGen) arrive() {
 		g.nextPhase(g.phaseEnd)
 	}
 	a.arrive(now, a.Dist.Sample(g.services), g.onArrival)
-	gap := sim.Duration(float64(g.arrivals.Exp(g.baseGap)) / g.factor)
+	gap := g.arrivals.Exp(g.baseGap)
+	if g.factor != 1 { // x/1 == x, so only bursts pay the division
+		gap = sim.Duration(float64(gap) / g.factor)
+	}
 	if gap < 1 {
 		gap = 1
 	}

@@ -451,3 +451,78 @@ func TestCompleteReleasesRequest(t *testing.T) {
 		t.Fatalf("reused request reads %+v, want %+v", *got[1], want)
 	}
 }
+
+// TestOfferedLoadTruncationBias pins the offered-load bias of the Poisson
+// arrival process. The base gap is 1e9/rate truncated to whole
+// nanoseconds, G = ⌊1e9/rate⌋, and each Exp draw truncates once more, so a
+// gap is max(1, ⌊G·X⌋) for X ~ Exp(1). Its mean is 1/(e^{1/G} − 1) +
+// 1 − e^{−1/G}, which is G − 0.5 up to 13/(12G); the configured mean gap
+// 1e9/rate is (frac + 0.5) higher. Over 10^6 arrivals each at rates
+// whose 1e9/rate has fractional part 0, 0.3 and 0.9, the realized mean gap
+// must sit within five standard errors plus 13/(12G) of G − 0.5, and
+// the configured gap must lie outside that bound: the bias never
+// vanishes at these rates. The exact gap totals pin the bias bit for bit:
+// a change to how Exp or the generator rounds a gap moves them.
+func TestOfferedLoadTruncationBias(t *testing.T) {
+	const n = 1_000_000
+	for _, c := range []struct {
+		gap   float64 // configured mean gap, 1e9/rate ns
+		frac  float64
+		total sim.Duration // sum of the n−1 gaps after the first arrival
+	}{
+		{16, 0, 15575884},
+		{16.9, 0.9, 15575884}, // the same G and seed as 16: the fraction is dropped
+		{40.3, 0.3, 39551392},
+		{78.9, 0.9, 77561411},
+	} {
+		rate := 1e9 / c.gap
+		exact := 1e9 / rate
+		g := math.Floor(exact)
+		if math.Abs(exact-g-c.frac) > 1e-9 {
+			t.Fatalf("rate %v: 1e9/rate = %v, want fractional part %v", rate, exact, c.frac)
+		}
+		eng := sim.NewEngine()
+		app := NewLApp("mc", Memcached(), rate)
+		var first, prev sim.Time
+		var count int
+		var sum, sumSq float64
+		// Run 1% past n configured gaps, which the shorter realized gaps
+		// fill with about 4% more arrivals; count the first n.
+		until := sim.Time(1.01 * n * c.gap)
+		if err := app.GenerateArrivals(eng, sim.NewRNG(13), until, func(r *Request) {
+			at := r.Arrive
+			app.Complete(app.Dequeue(), 0)
+			if count == n {
+				return
+			}
+			if count++; count == 1 {
+				first = at
+			} else {
+				d := float64(at - prev)
+				sum, sumSq = sum+d, sumSq+d*d
+			}
+			prev = at
+		}); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(until)
+		if count < n {
+			t.Fatalf("rate %v: %d arrivals, want %d", rate, count, n)
+		}
+		k := float64(count - 1)
+		mean := sum / k
+		se := math.Sqrt((sumSq/k - mean*mean) / k)
+		bound := 5*se + 13/(12*g)
+		t.Logf("1e9/rate %v: mean gap %.4f ns over %d gaps, G − 0.5 = %v, bound ±%.4f, total %d",
+			exact, mean, count-1, g-0.5, bound, prev.Sub(first))
+		if math.Abs(mean-(g-0.5)) > bound {
+			t.Errorf("1e9/rate %v: mean gap %.4f ns, want ⌊1e9/rate⌋ − 0.5 = %v within %.4f", exact, mean, g-0.5, bound)
+		}
+		if exact-mean < c.frac+0.5-bound || exact-mean <= bound {
+			t.Errorf("1e9/rate %v: mean gap %.4f ns leaves no visible bias below the configured gap", exact, mean)
+		}
+		if got := prev.Sub(first); got != c.total {
+			t.Errorf("1e9/rate %v: gaps total %d ns, want %d bit for bit", exact, got, c.total)
+		}
+	}
+}
