@@ -176,6 +176,7 @@ func BenchmarkASCheckHit(b *testing.B)      { hostbench.BenchASCheckHit(b) }
 func BenchmarkASCheckHitSlow(b *testing.B)  { hostbench.BenchASCheckHitSlow(b) }
 func BenchmarkReadBytes4K(b *testing.B)     { hostbench.BenchReadBytes4K(b) }
 func BenchmarkReadBytes4KSlow(b *testing.B) { hostbench.BenchReadBytes4KSlow(b) }
+func BenchmarkCoreMigrate(b *testing.B)     { hostbench.BenchCoreMigrate(b) }
 
 // BenchmarkJourneyOverheadPaired reports the journey-on overhead of b.N
 // paired obs-only / obs+journey colocation runs (DESIGN.md §15).

@@ -15,7 +15,8 @@ type ExecMode uint8
 
 const (
 	// Fused runs straight-line code as superblocks (superblock.go) over
-	// the per-core software TLB and decoded-fetch cache. The default.
+	// the per-core software TLB and the per-AS decoded-fetch cache. The
+	// default.
 	Fused ExecMode = iota
 	// PerInstr steps one instruction at a time through the TLB and
 	// decoded-fetch cache, fusing nothing.
@@ -89,10 +90,15 @@ type Core struct {
 	mode ExecMode
 	ran  bool
 
-	// sb is the superblock store (see superblock.go), lazily allocated
-	// on the first fused Run and invalidated alongside the icache by
-	// syncCaches.
-	sb *sbCache
+	// code is the decoded code of the core's address space, shared with
+	// every other core of the machine that runs in it; syncCaches
+	// re-resolves it when the core's AS changes.
+	code *codeCache
+	// sbFills, sbHits, and sbBailouts count this core's superblock
+	// assembly, warm dispatch, and mid-block exits to the precise path.
+	// Host-side observability for tests and benches, never part of
+	// simulated results.
+	sbFills, sbHits, sbBailouts uint64
 
 	// tlb is the core's software translation cache; see mem.TLB for the
 	// generation-based coherence scheme that keeps it invisible.
@@ -104,33 +110,19 @@ type Core struct {
 	// execution of this core, which none do — a contained fault is acted
 	// on synchronously and an uncontained one halts the core.
 	faultv mem.Fault
-
-	// The decoded-fetch cache: a direct-mapped map from PC to the decoded
-	// instruction, tagged with the address space, its generation, and the
-	// machine's code generation. A hit skips both the page-table walk and
-	// the code-store lookup in fetch. Exec permission was verified at fill
-	// time and cannot have changed while the generation tags match. A
-	// protection-key re-tag (a virtual-key eviction or refill) bumps no
-	// generation, and PKRU is never consulted for fetches, so a re-tag
-	// cannot change a fetch verdict and leaves the cache warm — as it
-	// leaves the TLB, which reads keys through its cached PTE pointers.
-	icache    [icacheSize]icacheEntry
-	icAS      *mem.AddressSpace
-	icGen     uint64
-	icCodeGen uint64
 }
 
 // icacheSize is the number of direct-mapped decoded-fetch entries, indexed
 // by codeIndex. Power of two.
 const icacheSize = 256
 
-// codeIndex is the direct-mapped slot of pc in the icache and the
-// superblock store (before masking to the store's size): the instruction
-// slot XORed with a multiplicative mix of the page number. Every
-// uProcess's text starts page-aligned, so indexing by the slot alone would
-// put identical programs in different uProcesses on the same entries and
-// make every switch between them miss. Within a page the mix is a
-// constant, so straight-line code still fills consecutive entries.
+// codeIndex is the direct-mapped slot of pc in the decoded-fetch cache
+// and the superblock store (before masking to their sizes): the
+// instruction slot XORed with a multiplicative mix of the page number.
+// Every uProcess's text starts page-aligned, so indexing by the slot
+// alone would put identical programs in different uProcesses on the same
+// entries and make every switch between them miss. Within a page the mix
+// is a constant, so straight-line code still fills consecutive entries.
 func codeIndex(pc mem.Addr) uint64 {
 	return uint64(pc)/InstrSize ^ pc.PageOf()*0x9E3779B1
 }
@@ -140,6 +132,30 @@ func codeIndex(pc mem.Addr) uint64 {
 type icacheEntry struct {
 	tag   mem.Addr
 	instr Instr
+}
+
+// codeCache is the decoded code of one address space on one machine,
+// shared by every core of the machine that runs in that AS — under SMAS,
+// every core of a domain. It holds the decoded-fetch cache, a
+// direct-mapped map from PC to the decoded instruction whose hit skips
+// both the page-table walk and the code-store lookup in fetch, and the
+// superblock store (superblock.go), allocated on the first fused block so
+// PerInstr and Slow machines never pay for it.
+//
+// An entry is a function of (AS, AS generation, the machine's code
+// generation, PC) only, so sharing it across cores is sound: exec
+// permission was verified at fill time and cannot have changed while the
+// generation tags match, fetches never consult PKRU, and the cores of a
+// machine share its cost model. A protection-key re-tag (a virtual-key
+// eviction or refill) bumps no generation and cannot change a fetch
+// verdict, so it leaves the cache warm — as it leaves the TLBs, which
+// read keys through their cached PTE pointers.
+type codeCache struct {
+	as      *mem.AddressSpace
+	gen     uint64 // as.Generation() the entries were decoded under
+	codeGen uint64 // the machine's codeGen the entries were decoded under
+	fetch   [icacheSize]icacheEntry
+	sb      sbStore
 }
 
 // setPC redirects control flow for the current instruction.
@@ -173,30 +189,50 @@ func (c *Core) write(addr mem.Addr, size int, v Word) *mem.Fault {
 	return nil
 }
 
-// syncCaches invalidates the decoded-fetch cache and the superblock
-// store together when their shared (AS, AS generation, InstallCode
-// generation) tags go stale — one generation triple-check covers both,
-// so mapping changes and code installs invalidate fused blocks exactly
-// when they invalidate single decodes, and key re-tags invalidate
+// codeFresh reports whether c.code is the code cache of the core's AS
+// with current (AS generation, InstallCode generation) tags — the check
+// every fetch and block dispatch makes, small enough to inline.
+func (c *Core) codeFresh() bool {
+	cc := c.code
+	return cc != nil && cc.as == c.AS && cc.gen == c.AS.Generation() && cc.codeGen == c.machine.codeGen
+}
+
+// syncCaches makes c.code fresh: when the core's AS changed it looks the
+// AS's code cache up on the machine, creating it on first use, and it
+// clears the decoded-fetch cache and the superblock store together when
+// their tags went stale — one check covers both, so mapping changes and
+// code installs invalidate fused blocks exactly when they invalidate
+// single decodes, for every core at once, and key re-tags invalidate
 // neither.
 func (c *Core) syncCaches() {
-	if c.icAS != c.AS || c.icGen != c.AS.Generation() || c.icCodeGen != c.machine.codeGen {
-		c.icache = [icacheSize]icacheEntry{}
-		if c.sb != nil {
-			c.sb.clear()
+	cc, m := c.code, c.machine
+	if cc == nil || cc.as != c.AS {
+		if cc = m.codes[c.AS]; cc == nil {
+			cc = &codeCache{as: c.AS, gen: c.AS.Generation(), codeGen: m.codeGen}
+			m.codes[c.AS] = cc
 		}
-		c.icAS, c.icGen, c.icCodeGen = c.AS, c.AS.Generation(), c.machine.codeGen
+		c.code = cc
+	}
+	if cc.gen != c.AS.Generation() || cc.codeGen != m.codeGen {
+		cc.fetch = [icacheSize]icacheEntry{}
+		if cc.sb != nil {
+			cc.sb.clear()
+		}
+		cc.gen, cc.codeGen = c.AS.Generation(), m.codeGen
 	}
 }
 
-// fetchFast resolves PC to a decoded instruction through the per-core
-// icache, falling back to the machine's checked fetch on a miss.
+// fetchFast resolves PC to a decoded instruction through the AS's shared
+// decoded-fetch cache, falling back to the machine's checked fetch on a
+// miss.
 func (c *Core) fetchFast() (Instr, *mem.Fault) {
 	if c.mode == Slow {
 		return c.machine.fetch(c.AS, c.PC, c.PKRU)
 	}
-	c.syncCaches()
-	e := &c.icache[codeIndex(c.PC)&(icacheSize-1)]
+	if !c.codeFresh() {
+		c.syncCaches()
+	}
+	e := &c.code.fetch[codeIndex(c.PC)&(icacheSize-1)]
 	if e.tag == c.PC+1 {
 		return e.instr, nil
 	}
@@ -355,10 +391,14 @@ type Machine struct {
 	// that physical location, nil where none is. Frame IDs are dense, and
 	// each frame's slice grows only as far as its installed code.
 	code [][]Instr
-	// codeGen counts InstallCode calls; every core's decoded-fetch cache
-	// is tagged with it, so newly installed code invalidates stale
-	// decodes machine-wide on the next fetch.
+	// codeGen counts InstallCode calls; every code cache is tagged with
+	// it, so newly installed code invalidates stale decodes machine-wide
+	// on the next fetch.
 	codeGen uint64
+	// codes holds the code cache of each address space the machine's
+	// cores have run in (see codeCache). Cores look it up only when their
+	// AS changes, so the map stays off the per-instruction path.
+	codes map[*mem.AddressSpace]*codeCache
 	// mode is every core's ExecMode; see SetExecMode.
 	mode ExecMode
 }
@@ -372,6 +412,7 @@ func NewMachine(cores int, costs *CostModel) *Machine {
 	m := &Machine{
 		Phys:  mem.NewPhysical(),
 		Costs: costs,
+		codes: make(map[*mem.AddressSpace]*codeCache),
 	}
 	for i := 0; i < cores; i++ {
 		m.cores = append(m.cores, &Core{

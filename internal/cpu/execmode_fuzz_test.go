@@ -13,7 +13,8 @@ import (
 // The fuzzed machine's memory: two exec-only text pages (the handler at
 // the start of the first, the program running across the boundary into
 // the second), an RW data page under key 0, an RW data page under key 1,
-// a read-only page, an unmapped page, and a stack.
+// a read-only page, an unmapped page, and a stack; a two-core run maps a
+// second core's stack too.
 const (
 	fzText    = mem.Addr(0x1000)
 	fzData0   = mem.Addr(0x10000)
@@ -21,6 +22,7 @@ const (
 	fzRO      = mem.Addr(0x12000)
 	fzUnmap   = mem.Addr(0x13000)
 	fzStack   = mem.Addr(0x20000)
+	fzStack1  = mem.Addr(0x30000)
 	fzMaxOps  = 48
 	fzMaxRuns = 32
 )
@@ -123,39 +125,48 @@ func fzProgram(ops []byte, base mem.Addr) []Instr {
 	return append(prog, Jmp{Target: at[0]})
 }
 
-// fzOutcome is everything a mode may not change: the final core state,
-// the memory the program can write, the steps each quantum retired, every
-// contained fault with the PC and cycle count it was raised at, and the
-// cycle count and stack pointer at every user-interrupt delivery.
+// fzOutcome is everything a mode may not change: the final state of each
+// core, the memory the program can write, the steps each quantum retired,
+// every contained fault with the core, PC and cycle count it was raised
+// at, and the core, cycle count and stack pointer at every user-interrupt
+// delivery.
 type fzOutcome struct {
-	Regs       [NumRegs]Word
-	PC         mem.Addr
-	PKRU       mpk.PKRU
-	Cycles     int64
-	Halted     bool
-	UIF        bool
-	Pending    uint64
-	Fault      *mem.Fault
+	Cores      []fzCore
 	Ran        []int
 	Faults     []fzFault
-	Deliveries [][2]int64
+	Deliveries [][3]int64
 	Mem        []byte
+}
+
+type fzCore struct {
+	Regs    [NumRegs]Word
+	PC      mem.Addr
+	PKRU    mpk.PKRU
+	Cycles  int64
+	Halted  bool
+	UIF     bool
+	Pending uint64
+	Fault   *mem.Fault
 }
 
 type fzFault struct {
 	F      mem.Fault
+	Core   int
 	PC     mem.Addr
 	Cycles int64
 }
 
-// fzRun runs the fuzzed program on a fresh machine in mode. Each schedule
-// entry (two bytes) runs one quantum and may post a vector and re-tag a
-// data page after it. A
-// split run retires every quantum one Run(1) at a time; it reports the
-// retired-step count at which each delivery landed, which a quantum-sized
-// Run cannot see from outside.
-func fzRun(t *testing.T, mode ExecMode, hdr byte, ops, sched []byte, split bool) (fzOutcome, []int) {
-	m := NewMachine(1, Default())
+// fzRun runs the fuzzed program on a fresh machine in mode, on cores
+// cores (1 or 2) of it that share one address space. Each schedule entry
+// (two bytes) runs one quantum, on the cores in turn, and may post a
+// vector to the core that ran and re-tag a data page after it. In a
+// two-core run the entry may also change the text under both cores'
+// shared decoded code (see FuzzExecModes). A split run retires every
+// quantum one Run(1) at a time; it reports the retired-step count at
+// which each delivery landed, which a quantum-sized Run cannot see from
+// outside.
+func fzRun(t *testing.T, mode ExecMode, cores int, hdr byte, ops, sched []byte, split bool) (fzOutcome, []int) {
+	m := NewMachine(cores, Default())
 	m.SetExecMode(mode)
 	as := mem.NewAddressSpace(m.Phys)
 	for _, r := range []struct {
@@ -171,12 +182,17 @@ func fzRun(t *testing.T, mode ExecMode, hdr byte, ops, sched []byte, split bool)
 			t.Fatal(err)
 		}
 	}
+	if cores == 2 {
+		if err := as.MapRange(fzStack1, mem.PageSize, mem.PermRW, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var out fzOutcome
 	var landed []int
 	done := 0
 	handler := []Instr{
 		Hook{Name: "delivered", Fn: func(c *Core) *mem.Fault {
-			out.Deliveries = append(out.Deliveries, [2]int64{c.Cycles, int64(c.Regs[RSP])})
+			out.Deliveries = append(out.Deliveries, [3]int64{int64(c.ID), c.Cycles, int64(c.Regs[RSP])})
 			landed = append(landed, done)
 			return nil
 		}},
@@ -192,24 +208,28 @@ func fzRun(t *testing.T, mode ExecMode, hdr byte, ops, sched []byte, split bool)
 	if err := m.InstallCode(as, base, fzProgram(ops, base)); err != nil {
 		t.Fatal(err)
 	}
-	c := m.Core(0)
-	c.AS, c.PC, c.PKRU = as, base, mpk.AllowAllValue
-	c.Regs[RSP] = Word(fzStack + mem.PageSize)
-	if hdr&0x40 == 0 {
-		c.HandlerAddr = fzText
-	}
-	c.Hooks.OnFault = func(c *Core, f *mem.Fault) bool {
-		out.Faults = append(out.Faults, fzFault{*f, c.PC, c.Cycles})
+	onFault := func(c *Core, f *mem.Fault) bool {
+		out.Faults = append(out.Faults, fzFault{*f, c.ID, c.PC, c.Cycles})
 		if hdr&0x80 != 0 {
 			return false // fail-stop
 		}
 		c.PC += InstrSize // contained: skip the faulting instruction
 		return true
 	}
+	for i, stack := range []mem.Addr{fzStack, fzStack1}[:cores] {
+		c := m.Core(i)
+		c.AS, c.PC, c.PKRU = as, base, mpk.AllowAllValue
+		c.Regs[RSP] = Word(stack + mem.PageSize)
+		if hdr&0x40 == 0 {
+			c.HandlerAddr = fzText
+		}
+		c.Hooks.OnFault = onFault
+	}
 	if len(sched) < 2 {
 		sched = []byte{199, 0}
 	}
 	for i := 0; i+1 < len(sched) && i < 2*fzMaxRuns; i += 2 {
+		c := m.Core(i / 2 % cores)
 		q := 1 + int(sched[i]%23)
 		if sched[i]&0x80 != 0 {
 			q = 64 + int(sched[i]&0x7f)
@@ -240,35 +260,69 @@ func fzRun(t *testing.T, mode ExecMode, hdr byte, ops, sched []byte, split bool)
 				t.Fatal(err)
 			}
 		}
+		if cores == 2 && v&0x80 == 0 {
+			fzChangeText(t, m, as, base, ops, v>>3&7)
+		}
 	}
-	out.Regs, out.PC, out.PKRU, out.Cycles = c.Regs, c.PC, c.PKRU, c.Cycles
-	out.Halted, out.UIF, out.Pending = c.Halted, c.UIF, c.PendingVectors
-	if c.Fault != nil {
-		f := *c.Fault
-		out.Fault = &f
+	for i := 0; i < cores; i++ {
+		c := m.Core(i)
+		k := fzCore{c.Regs, c.PC, c.PKRU, c.Cycles, c.Halted, c.UIF, c.PendingVectors, nil}
+		if c.Fault != nil {
+			f := *c.Fault
+			k.Fault = &f
+		}
+		out.Cores = append(out.Cores, k)
 	}
-	for _, a := range []mem.Addr{fzData0, fzData1, fzStack} {
+	for _, a := range []mem.Addr{fzData0, fzData1, fzStack, fzStack1}[:2+cores] {
 		pte, _ := as.Lookup(a)
 		out.Mem = append(out.Mem, pte.Frame.Data[:]...)
 	}
 	return out, landed
 }
 
+// fzChangeText changes the text both cores of a two-core run execute, as
+// action selects: 1 re-installs the program with its ops rotated by one,
+// so the same addresses hold different code; 2 drops exec permission
+// from the second text page and 3 restores it. Anything else changes
+// nothing. Each change bumps a generation the cores' shared decoded code
+// is tagged with, so a core that ran a stale block or decode would
+// diverge from Slow, which caches nothing.
+func fzChangeText(t *testing.T, m *Machine, as *mem.AddressSpace, base mem.Addr, ops []byte, action byte) {
+	var err error
+	switch action {
+	case 1:
+		rot := append(append([]byte{}, ops[min(3, len(ops)):]...), ops[:min(3, len(ops))]...)
+		err = m.InstallCode(as, base, fzProgram(rot, base))
+	case 2:
+		err = as.Protect(fzText+mem.PageSize, mem.PageSize, mem.PermRead)
+	case 3:
+		err = as.Protect(fzText+mem.PageSize, mem.PageSize, mem.PermXOnly)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzExecModes runs one generated program on three machines, one per
 // execution mode, with quanta of generated sizes and user interrupts and
 // data-page key re-tags between them, and requires identical outcomes:
-// registers, PC,
-// PKRU, cycles, halt and fault state, pending vectors, the memory the
-// program writes, every contained fault, and every delivery's cycle count
-// and landing step. Each mode also runs the schedule one step at a time,
-// which must change nothing but reveals the step each delivery lands on.
+// registers, PC, PKRU, cycles, halt and fault state, pending vectors, the
+// memory the program writes, every contained fault, and every delivery's
+// cycle count and landing step. Each mode also runs the schedule one step
+// at a time, which must change nothing but reveals the step each delivery
+// lands on. Then the same schedule runs on two cores of one machine that
+// share the address space, one quantum each in turn, under Fused and
+// under Slow: the second core runs blocks and decodes the first one
+// filled, and text changes between quanta must reach both.
 //
 // The input is a header byte (bits 0-5: how many slots before the second
 // text page the program starts; bit 6: no interrupt handler; bit 7:
 // faults fail-stop instead of being skipped), an op count, three bytes
 // per op, then two bytes per quantum: its size, and an action byte whose
 // bit 7 posts the vector in bits 0-5 after the quantum and whose bit 6
-// re-tags data page 0 or 1 (bit 0) to key 0-3 (bits 1-2).
+// re-tags data page 0 or 1 (bit 0) to key 0-3 (bits 1-2). In the
+// two-core run, an action byte with bit 7 clear also changes the text as
+// its bits 3-5 select (fzChangeText); the one-core runs ignore them.
 func FuzzExecModes(f *testing.F) {
 	// Straight-line ALU ops and Work, crossing into the second text page.
 	f.Add(fzSeed(3, []byte{0, 0, 7, 1, 1, 2, 2, 2, 0, 3, 3, 0xfe, 4, 4, 5, 5, 0, 9},
@@ -304,6 +358,12 @@ func FuzzExecModes(f *testing.F) {
 	// an access through that should fault, or fault one that should not.
 	f.Add(fzSeed(0x10, []byte{11, 0, 1, 7, 0, 0x08, 6, 1, 0x08, 9, 2, 0x11, 8, 3, 0x09, 5, 0, 3, 11, 0, 3, 7, 4, 0x18, 9, 5, 0x19},
 		12, 0, 12, 0x42, 12, 0x40, 40, 0x44, 9, 0x47, 12, 0xc1, 30, 0x40, 25, 0))
+	// Two cores: the second runs blocks the first filled, the program is
+	// re-installed rotated between their quanta (twice), and the second
+	// text page loses exec permission and gets it back, so each core's
+	// next quantum must see the change, not a shared stale block.
+	f.Add(fzSeed(4, []byte{3, 0, 5, 7, 1, 0x08, 6, 2, 0x08, 2, 3, 1, 5, 0, 9, 13, 0, 1, 4, 4, 3, 0, 5, 0x11},
+		9, 0, 9, 0, 7, 0x08, 7, 0, 9, 0, 9, 0x08, 9, 0, 12, 0x10, 12, 0, 5, 0x18, 20, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -317,7 +377,7 @@ func FuzzExecModes(f *testing.F) {
 		var wantLanded []int
 		for i, mode := range modes {
 			for _, split := range []bool{false, true} {
-				got, landed := fzRun(t, mode, hdr, ops, sched, split)
+				got, landed := fzRun(t, mode, 1, hdr, ops, sched, split)
 				if i == 0 && !split {
 					want = got
 				} else if err := fzDiff(want, got); err != "" {
@@ -332,6 +392,11 @@ func FuzzExecModes(f *testing.F) {
 					t.Fatalf("mode %d: deliveries landed at steps %v, Fused at %v", mode, landed, wantLanded)
 				}
 			}
+		}
+		fused, _ := fzRun(t, Fused, 2, hdr, ops, sched, false)
+		slow, _ := fzRun(t, Slow, 2, hdr, ops, sched, false)
+		if err := fzDiff(slow, fused); err != "" {
+			t.Fatalf("two cores: Fused differs from Slow: %s", err)
 		}
 	})
 }

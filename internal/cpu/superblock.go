@@ -1,11 +1,15 @@
 package cpu
 
-import "vessel/internal/mem"
+import (
+	"math/bits"
+
+	"vessel/internal/mem"
+)
 
 // Superblock execution fuses runs of straight-line decoded instructions
 // into single-dispatch units. The per-instruction Step loop pays, for
-// every instruction, the pending-interrupt predicate, the icache
-// generation triple-check and tag compare, nextPC/jumped bookkeeping,
+// every instruction, the pending-interrupt predicate, the code cache's
+// generation check and tag compare, nextPC/jumped bookkeeping,
 // and a virtual Cycles() call. A superblock pays all of that once per
 // run: at fetch time the decoder greedily assembles consecutive
 // instructions into a cached entry (terminated by control flow, by any
@@ -20,18 +24,23 @@ import "vessel/internal/mem"
 // cycle-accounting update from the prefix table.
 //
 // Coherence rides the existing generation counters for free: superblock
-// entries live behind the same (AS, AS generation, InstallCode
-// generation) tags as the decoded-fetch cache and are cleared together
-// by syncCaches, so Map/Unmap/Protect/ShareRange and InstallCode
-// invalidate fused blocks exactly when they invalidate single decodes.
-// Exec permission for every page a block spans was verified at fill time
-// and cannot have changed while the tags match. PKRU is never consulted
-// for fetches (mpk.PKRU.Check passes AccessExec unconditionally), so
-// blocks stay warm across WRPKRU — which is a terminator anyway — and
-// across SetPKey, which bumps no generation: a block caches decoded code,
-// never a data page's key. Its loads and stores still go through the TLB,
-// which reads the key through its cached PTE pointer, so a µop touching a
-// re-tagged page sees the new key and faults precisely.
+// entries live in the code cache of their address space (core.go), one
+// per (machine, AS) and shared by every core that runs in it, behind the
+// same (AS generation, InstallCode generation) tags as the decoded-fetch
+// cache, and syncCaches clears both together, so Map/Unmap/Protect/
+// ShareRange and InstallCode invalidate fused blocks exactly when they
+// invalidate single decodes, for every core at once. A block is a
+// function of the AS, the generations and its start PC only: exec
+// permission for every page it spans was verified at fill time and
+// cannot have changed while the tags match, and its prefix sums come
+// from the cost model all of the machine's cores share. PKRU is never
+// consulted for fetches (mpk.PKRU.Check passes AccessExec
+// unconditionally), so blocks stay warm across WRPKRU — which is a
+// terminator anyway — and across SetPKey, which bumps no generation: a
+// block caches decoded code, never a data page's key. Its loads and
+// stores still go through the executing core's TLB, which reads the key
+// through its cached PTE pointer, so a µop touching a re-tagged page sees
+// the new key and faults precisely.
 //
 // Delivered behavior is byte-identical to the per-instruction loop by
 // construction:
@@ -52,9 +61,10 @@ import "vessel/internal/mem"
 //     cycles, so Run(n) retires exactly the same instructions at the
 //     same accounting as n per-instruction Steps.
 const (
-	// sbCacheSize is the number of direct-mapped superblock entries,
-	// indexed by codeIndex of the starting PC. Power of two.
-	sbCacheSize = 64
+	// sbEntriesPerCore and sbMaxEntries size an address space's store
+	// of direct-mapped superblock entries (see sbStoreSize).
+	sbEntriesPerCore = 64
+	sbMaxEntries     = 512
 	// sbMaxLen caps fused-run length — long enough to swallow hot inner
 	// loops whole, short enough to bound entry size and quantum-split
 	// waste.
@@ -153,23 +163,27 @@ type sbEntry struct {
 	prefix [sbMaxLen + 1]int64
 }
 
-// sbCache is a core's superblock store, allocated lazily on the first
-// fused Run so never-executing cores (parked members of large machines)
-// stay cheap.
-type sbCache struct {
-	ents [sbCacheSize]sbEntry
-	// Fills, Hits, and Bailouts count block assembly, warm dispatch,
-	// and mid-block exits to the precise path. Host-side observability
-	// for tests and benches, never part of simulated results.
-	Fills, Hits, Bailouts uint64
+// sbStore is an address space's superblock store, indexed by codeIndex
+// of a block's starting PC and allocated on the first fused block run in
+// the space.
+type sbStore []sbEntry
+
+// sbStoreSize is the number of entries in the store of a machine with
+// cores cores: 64 per core that may share it, rounded up to a power of
+// two, at most 512. At about 800 B an entry, a domain's 512 cost about
+// 400 KB — enough that its uProcesses' blocks stay resident while they
+// move across its cores — while a one-core machine keeps the 64 entries
+// (52 KB) that are all one core can use between switches.
+func sbStoreSize(cores int) int {
+	return min(sbMaxEntries, sbEntriesPerCore<<bits.Len(uint(max(cores, 1)-1)))
 }
 
 // clear invalidates every entry by tag, leaving the decoded payloads in
-// place — an address-space switch costs a tag sweep, not a memclr of
-// the whole store.
-func (s *sbCache) clear() {
-	for i := range s.ents {
-		s.ents[i].tag = 0
+// place — a generation bump costs a tag sweep, not a memclr of the whole
+// store.
+func (s sbStore) clear() {
+	for i := range s {
+		s[i].tag = 0
 	}
 }
 
@@ -242,11 +256,14 @@ func (c *Core) stepBlock(budget int) (int, bool) {
 		}
 		return 0, false
 	}
-	c.syncCaches()
-	if c.sb == nil {
-		c.sb = new(sbCache)
+	if !c.codeFresh() {
+		c.syncCaches()
 	}
-	e := &c.sb.ents[codeIndex(c.PC)&(sbCacheSize-1)]
+	cc := c.code
+	if cc.sb == nil {
+		cc.sb = make(sbStore, sbStoreSize(len(c.machine.cores)))
+	}
+	e := &cc.sb[codeIndex(c.PC)&uint64(len(cc.sb)-1)]
 	if e.tag != c.PC+1 {
 		if !c.fillSuperblock(e) {
 			// First fetch faults: the precise path raises it with
@@ -256,9 +273,9 @@ func (c *Core) stepBlock(budget int) (int, bool) {
 			}
 			return 0, false
 		}
-		c.sb.Fills++
+		c.sbFills++
 	} else {
-		c.sb.Hits++
+		c.sbHits++
 	}
 	n := int(e.n)
 	straight := n
@@ -343,7 +360,7 @@ func (c *Core) stepBlock(budget int) (int, bool) {
 			// illusion before anyone looks. PC lands on the faulting
 			// instruction; cycles are charged through it, exactly as
 			// Step charges before Exec.
-			c.sb.Bailouts++
+			c.sbBailouts++
 			c.PC = pc + mem.Addr(i)*InstrSize
 			c.Cycles += e.prefix[i+1]
 			c.raise(&c.faultv)
@@ -364,7 +381,7 @@ func (c *Core) stepBlock(budget int) (int, bool) {
 	c.jumped = false
 	c.Cycles += e.prefix[n] - e.prefix[n-1]
 	if fault := term.Exec(c); fault != nil {
-		c.sb.Bailouts++
+		c.sbBailouts++
 		c.raise(fault)
 		if c.Halted {
 			return straight, false
@@ -378,11 +395,9 @@ func (c *Core) stepBlock(budget int) (int, bool) {
 	return straight + 1, true
 }
 
-// SuperblockStats reports (fills, hits, bailouts) of the core's
-// superblock cache — zeros when the core never ran fused.
+// SuperblockStats reports how many superblocks this core filled, hit and
+// bailed out of — zeros when the core never ran fused. The store is
+// shared, so a core can hit blocks another core filled.
 func (c *Core) SuperblockStats() (fills, hits, bailouts uint64) {
-	if c.sb == nil {
-		return 0, 0, 0
-	}
-	return c.sb.Fills, c.sb.Hits, c.sb.Bailouts
+	return c.sbFills, c.sbHits, c.sbBailouts
 }

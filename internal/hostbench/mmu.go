@@ -78,8 +78,8 @@ func stepProgram(b *testing.B, m *cpu.Machine, as *mem.AddressSpace) {
 func BenchCoreStep(b *testing.B) { benchCoreStep(b, cpu.Fused) }
 
 // BenchCoreStepNoSB is the same workload with superblock fusion disabled
-// but the TLB/icache fast path on — the per-instruction Step loop the
-// superblock gate is measured against.
+// but the TLB/decoded-fetch cache fast path on — the per-instruction Step
+// loop the superblock gate is measured against.
 func BenchCoreStepNoSB(b *testing.B) { benchCoreStep(b, cpu.PerInstr) }
 
 // BenchCoreStepSlow is the same workload with the fast path disabled — the
@@ -91,7 +91,7 @@ func benchCoreStep(b *testing.B, mode cpu.ExecMode) {
 	m, c, as := env(b)
 	m.SetExecMode(mode)
 	stepProgram(b, m, as)
-	c.Run(64) // warm the superblock store, icache, and TLB
+	c.Run(64) // warm the superblock store, decoded-fetch cache, and TLB
 	b.ReportAllocs()
 	b.ResetTimer()
 	c.Run(b.N)
@@ -195,7 +195,7 @@ func BenchMachineIPS(b *testing.B) {
 		c.PKRU = mpk.AllowAllValue
 		c.PC = textBase
 		c.Regs[cpu.RSP] = cpu.Word(stackBase) + cpu.Word((i+1)*mem.PageSize)
-		c.Run(64) // warm each core's superblock store, icache, and TLB
+		c.Run(64) // warm the AS's superblock store and decoded-fetch cache, and each core's TLB
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -208,4 +208,98 @@ func BenchMachineIPS(b *testing.B) {
 			b.Fatalf("core %d: %v", i, f)
 		}
 	}
+}
+
+// The BenchCoreMigrate layout: migratePrograms page-aligned text pages,
+// one per program copy, and a stack page for each.
+const (
+	migrateText     = mem.Addr(0x100000)
+	migrateStack    = mem.Addr(0x200000)
+	migratePrograms = 64
+	migrateQuantum  = 40 // four trips around the ten-instruction loop
+)
+
+// BenchCoreMigrate measures ns per simulated instruction while programs
+// move across a machine's cores, as a domain's uProcesses do: MachineCores
+// cores share one address space holding migratePrograms page-aligned
+// copies of a short compute-then-call loop, each with its own stack.
+// Every quantum a core switches to the next program in rotation, and each
+// lap over the programs moves every program one core further on. It also
+// reports superblock fills per 1,000 blocks run ("fills/kblock"): the
+// programs' blocks outnumber what one core's share of a store would keep.
+func BenchCoreMigrate(b *testing.B) {
+	m := cpu.NewMachine(MachineCores, cpu.Default())
+	as := mem.NewAddressSpace(m.Phys)
+	a := cpu.NewAssembler()
+	a.Label("loop")
+	a.Emit(cpu.AddImm{Dst: cpu.RBX, Imm: 1})
+	a.Emit(cpu.MulImm{Dst: cpu.RBX, Imm: 3})
+	a.Emit(cpu.Work{N: 20})
+	a.Emit(cpu.AddImm{Dst: cpu.RDX, Imm: 7})
+	a.CallTo("fn")
+	a.JmpTo("loop")
+	a.Label("fn")
+	a.Emit(cpu.AddImm{Dst: cpu.RSI, Imm: 1})
+	a.Emit(cpu.Push{Src: cpu.RSI})
+	a.Emit(cpu.Pop{Dst: cpu.RDI})
+	a.Emit(cpu.Ret{})
+	type context struct {
+		regs [cpu.NumRegs]cpu.Word
+		pc   mem.Addr
+	}
+	progs := make([]context, migratePrograms)
+	for p := range progs {
+		text := migrateText + mem.Addr(p)*mem.PageSize
+		stack := migrateStack + mem.Addr(p)*mem.PageSize
+		if err := as.MapRange(text, mem.PageSize, mem.PermXOnly, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := as.MapRange(stack, mem.PageSize, mem.PermRW, 0); err != nil {
+			b.Fatal(err)
+		}
+		prog, err := a.Assemble(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.InstallCode(as, text, prog); err != nil {
+			b.Fatal(err)
+		}
+		progs[p].pc = text
+		progs[p].regs[cpu.RSP] = cpu.Word(stack + mem.PageSize)
+	}
+	for i := 0; i < MachineCores; i++ {
+		m.Core(i).AS, m.Core(i).PKRU = as, mpk.AllowAllValue
+	}
+	step := 0
+	quantum := func() int {
+		p := &progs[step%migratePrograms]
+		c := m.Core((step + step/migratePrograms) % MachineCores)
+		step++
+		c.Regs, c.PC = p.regs, p.pc
+		ran := c.Run(migrateQuantum)
+		if c.Fault != nil {
+			b.Fatalf("core %d: %v", c.ID, c.Fault)
+		}
+		p.regs, p.pc = c.Regs, c.PC
+		return ran
+	}
+	blockStats := func() (fills, blocks uint64) {
+		for i := 0; i < MachineCores; i++ {
+			f, h, _ := m.Core(i).SuperblockStats()
+			fills, blocks = fills+f, blocks+f+h
+		}
+		return fills, blocks
+	}
+	for step < MachineCores*migratePrograms { // every program on every core
+		quantum()
+	}
+	fills, blocks := blockStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		done += quantum()
+	}
+	b.StopTimer()
+	f, n := blockStats()
+	b.ReportMetric(1000*float64(f-fills)/float64(n-blocks), "fills/kblock")
 }
