@@ -91,27 +91,29 @@ func TestSchedulerAllocsPerRequest(t *testing.T) {
 }
 
 // maxBytesPerRequest bounds the heap bytes each model allocates per
-// offered request over the same run (set-up included). Arachne and Linux
-// hold most of their requests in backlog to the end of the run, so each
-// of those requests keeps its 32-byte slot in the run's store, plus its
-// handle in a queue ring that doubles as it grows. Measured (the same
-// under -race, within 0.2 bytes):
+// offered request over the same run (set-up included). Linux holds most
+// of its requests in backlog to the end of the run, so each of those
+// requests keeps its 32-byte slot in the run's store, plus its handle in
+// a queue ring that doubles as it grows. Arachne's dispatcher falls as
+// far behind, but the requests it cannot reach before the run ends are
+// counted, not built (dead-arrival elision). Measured (the same under
+// -race, within 0.2 bytes):
 //
 //	                 bytes per offered request   ceiling
 //	VESSEL                     1.1                  2
-//	Caladan                    2.6                  4
-//	Arachne                   38.1                 48
+//	Caladan                    2.2                  4
+//	Arachne                    3.6                  5
 //	Linux                     44.9                 56
-//	Caladan-DR-L               2.4                  4
+//	Caladan-DR-L               2.0                  4
 //
-// The ceilings leave 25% on the backlogged models and about 1.5 bytes a
+// The ceilings leave 25% on the backlogged model and about 1.5 bytes a
 // request on the rest. With a 64-byte request Arachne measured 67.7 and
-// Linux 77.1.
+// Linux 77.1; with every arrival built, Arachne measured 38.1.
 var maxBytesPerRequest = map[string]float64{
 	"VESSEL":       2,
 	"Caladan":      4,
 	"Caladan-DR-L": 4,
-	"Arachne":      48,
+	"Arachne":      5,
 	"Linux":        56,
 }
 

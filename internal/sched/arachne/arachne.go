@@ -49,9 +49,10 @@ type lState struct {
 	busyNs       sim.Duration
 	windowStart  sim.Time
 	// dispatching is the request the dispatcher is creating a thread
-	// for; dispatched, bound once, hands it on. dispatchBusy keeps at
-	// most one pending.
+	// for until dispatchEnd; dispatched, bound once, hands it on.
+	// dispatchBusy keeps at most one pending.
 	dispatching *workload.Request
+	dispatchEnd sim.Time
 	dispatched  func()
 }
 
@@ -90,7 +91,7 @@ func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 		l := &lState{app: a, workers: 1}
 		l.dispatched = func() { r.dispatched(l) }
 		r.ls = append(r.ls, l)
-		if err = r.Arrivals(a, 41, func(*workload.Request) { r.pumpDispatcher(l) }); err != nil {
+		if err = r.Arrivals(a, 41, func(*workload.Request) { r.arrived(l) }); err != nil {
 			return res, err
 		}
 	}
@@ -103,6 +104,20 @@ func (s Simulator) Run(cfg sched.Config) (res sched.Result, err error) {
 
 func (r *run) setAct(c *core, act sched.Activity) { r.SetAct(c.id, act, c.owner) }
 
+// arrived hands the app's newest request to its dispatcher. The
+// dispatcher takes its queue in order, one request per dispatchCost after
+// dispatchEnd, and refuses to start one at or after EndAt; a request it
+// would reach only then is abandoned, and with it every later arrival of
+// the app.
+func (r *run) arrived(l *lState) {
+	if l.dispatchBusy && r.Elides() &&
+		l.dispatchEnd.Add(sim.Duration(l.app.Len()-1)*dispatchCost) >= r.EndAt {
+		l.app.Abandon(l.app.StealNewest())
+		return
+	}
+	r.pumpDispatcher(l)
+}
+
 // pumpDispatcher runs the app's serial dispatcher: one request at a time,
 // 1 µs of user-thread creation each, then hand-off to the ready queue.
 func (r *run) pumpDispatcher(l *lState) {
@@ -114,6 +129,7 @@ func (r *run) pumpDispatcher(l *lState) {
 	// The serial dispatcher's user-thread creation gates the request.
 	r.J(req).To(journey.SegGate, r.Eng.Now())
 	l.dispatching = req
+	l.dispatchEnd = r.Eng.Now().Add(dispatchCost)
 	r.Eng.After(dispatchCost, l.dispatched)
 }
 

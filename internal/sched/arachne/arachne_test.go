@@ -104,3 +104,24 @@ func TestValidation(t *testing.T) {
 		t.Fatal("empty config accepted")
 	}
 }
+
+// TestEventsPerOfferedRequest pins how much engine work an Arachne run
+// spends per offered request at colo-16c's cell (16 cores, memcached at
+// load 0.8 beside linpack, seed 1, 2 ms warm-up plus 8 ms). The
+// dispatcher creates one thread per µs, about 1 Mops, so most requests
+// arrive after it can no longer reach them before the run ends. The first
+// such arrival is abandoned and the rest are only counted: 0.233 engine
+// callbacks fire per offered request. Building and queuing every arrival
+// fired 1.156.
+func TestEventsPerOfferedRequest(t *testing.T) {
+	const cores = 16
+	mc := workload.NewLApp("memcached", workload.Memcached(), 0.8*sched.IdealLCapacity(cores, workload.Memcached()))
+	cfg := baseCfg(mc, workload.Linpack())
+	cfg.Cores, cfg.Warmup, cfg.Duration = cores, 2*sim.Millisecond, 8*sim.Millisecond
+	res := runA(t, cfg)
+	per := float64(res.Events()) / float64(mc.Offered)
+	if per > 0.25 {
+		t.Fatalf("%d requests offered, %d completed: %.4f engine callbacks each, want at most 0.25",
+			mc.Offered, mc.Completed, per)
+	}
+}

@@ -115,6 +115,11 @@ func (b *Base) Arrivals(app *workload.App, salt uint64, fn func(*workload.Reques
 	return app.GenerateArrivals(b.Eng, b.RNG.Fork(uint64(len(app.Name))+salt), b.EndAt, onArrival)
 }
 
+// Elides reports whether the run releases unserved each arrival its
+// server can never reach before EndAt (workload.App.Abandon). A traced
+// run keeps every arrival, because each one mints a journey.
+func (b *Base) Elides() bool { return b.Cfg.Journey == nil }
+
 // Every runs fn at time at and then every period after it, up to EndAt.
 // It re-arms one bound timer, so a model calls it at most once.
 func (b *Base) Every(at sim.Time, period sim.Duration, fn func()) {
@@ -168,6 +173,7 @@ func (b *Base) Result(name string) Result {
 		Switches:      b.Switches,
 		Preemptions:   b.Preempts,
 		Reallocations: b.Reallocs,
+		events:        b.Eng.Fired(),
 	}
 	for i, a := range b.Cfg.Apps {
 		t := b.tallies[i]

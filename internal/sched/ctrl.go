@@ -18,6 +18,12 @@ import (
 // as if every forward had been scheduled on arrival, while the engine
 // holds one timer per control plane however deep the backlog grows, and
 // no forward goes through the event heap.
+//
+// The server's next free slot only moves later, so once a request's
+// forward would fall after EndAt, no later one can come before it: the
+// plane closes, and that request and every later one of any of its apps
+// is released unserved (workload.App.Abandon), on a run that elides them
+// (Base.Elides).
 type CtrlPlane struct {
 	b    *Base
 	cost sim.Duration
@@ -28,6 +34,8 @@ type CtrlPlane struct {
 	keys    fifo.Queue[uint64]
 	deliver func(*workload.Request)
 	timer   sim.Timer // fires p.forward
+	headAt  sim.Time  // when the head's forward fires
+	closed  bool
 }
 
 // NewCtrlPlane returns a control plane on b's engine that spends cost
@@ -40,9 +48,17 @@ func NewCtrlPlane(b *Base, cost sim.Duration, deliver func(*workload.Request)) *
 }
 
 // Submit takes a just-arrived request back off its app's queue, where
-// App.Arrive put it, and holds it until the server has forwarded it.
+// App.Arrive put it, and holds it until the server has forwarded it, or
+// abandons it if the server cannot forward it by EndAt. A forward at
+// EndAt itself still fires.
 func (p *CtrlPlane) Submit(req *workload.Request) {
-	p.b.AppOf(req).StealNewest()
+	app := p.b.AppOf(req)
+	app.StealNewest()
+	if p.closed || p.b.Elides() && p.nextAt() > p.b.EndAt {
+		p.closed = true
+		app.Abandon(req)
+		return
+	}
 	p.q.Push(req.Handle())
 	p.keys.Push(p.b.Eng.Reserve())
 	if p.q.Len() == 1 {
@@ -54,7 +70,16 @@ func (p *CtrlPlane) Submit(req *workload.Request) {
 // now: it is idle as the request is submitted, or the request before it
 // is just leaving.
 func (p *CtrlPlane) schedule() {
-	p.timer.AtSeq(p.b.Eng.Now().Add(p.cost), p.keys.Head())
+	p.headAt = p.b.Eng.Now().Add(p.cost)
+	p.timer.AtSeq(p.headAt, p.keys.Head())
+}
+
+// nextAt returns when the server would forward a request submitted now.
+func (p *CtrlPlane) nextAt() sim.Time {
+	if n := p.q.Len(); n > 0 {
+		return p.headAt.Add(sim.Duration(n) * p.cost)
+	}
+	return p.b.Eng.Now().Add(p.cost)
 }
 
 func (p *CtrlPlane) forward() {

@@ -144,7 +144,13 @@ type Result struct {
 	Switches      uint64
 	Preemptions   uint64
 	Reallocations uint64
+	events        uint64 // see Events
 }
+
+// Events returns the number of engine callbacks the run fired: the
+// simulator's work, not the simulated system's. It is no part of the
+// canonical bytes, and a result served from a cache reads 0.
+func (r Result) Events() uint64 { return r.events }
 
 // TotalNormTput returns Σ normalized throughput — Figure 1a/9's headline
 // metric (1.0 = ideal).

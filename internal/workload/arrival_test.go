@@ -136,3 +136,60 @@ func TestArrivalTimerMatchesHeapEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestAbandonCountsLikeGenerating: after an app abandons an arrival, its
+// process builds no request and fires no event, yet ends where generating
+// every arrival would have: the same Offered, the arrival and burst
+// streams drawn to the same point, and the burst phase the same. It
+// abandons the first, a middle and the last arrival, with and without
+// bursts.
+func TestAbandonCountsLikeGenerating(t *testing.T) {
+	const until = sim.Time(2 * sim.Millisecond)
+	for _, burst := range []*Burst{nil, {OnMean: 50 * sim.Microsecond, OffMean: 30 * sim.Microsecond, Factor: 4}} {
+		// run generates arrivals up to until and abandons the k-th, or
+		// none for k = 0. It returns the app and its arrival callbacks.
+		run := func(k uint64) (*App, uint64) {
+			eng := sim.NewEngine()
+			app := NewLApp("mc", Memcached(), 4e6)
+			app.Burst = burst
+			var seen uint64
+			if err := app.GenerateArrivals(eng, sim.NewRNG(5), until, func(*Request) {
+				r := app.Dequeue()
+				if seen++; seen == k {
+					app.Abandon(r)
+					return
+				}
+				app.Complete(r, 0)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run(until)
+			if eng.Fired() != seen {
+				t.Fatalf("k=%d: %d engine events for %d arrivals", k, eng.Fired(), seen)
+			}
+			return app, seen
+		}
+		_, n := run(0)
+		if n < 1000 {
+			t.Fatalf("only %d arrivals", n)
+		}
+		for _, k := range []uint64{1, n / 2, n} {
+			got, seen := run(k)
+			want, _ := run(0)
+			if seen != k {
+				t.Fatalf("burst=%v k=%d: %d arrivals built, want %d", burst != nil, k, seen, k)
+			}
+			g, w := got.gen, want.gen
+			if got.Offered != want.Offered {
+				t.Fatalf("burst=%v k=%d: offered %d, generating every arrival offered %d", burst != nil, k, got.Offered, want.Offered)
+			}
+			if g.phaseEnd != w.phaseEnd || g.inOn != w.inOn || g.factor != w.factor {
+				t.Fatalf("burst=%v k=%d: phase (%v, on=%v, ×%v), want (%v, on=%v, ×%v)",
+					burst != nil, k, g.phaseEnd, g.inOn, g.factor, w.phaseEnd, w.inOn, w.factor)
+			}
+			if g.arrivals.Uint64() != w.arrivals.Uint64() || g.bursts.Uint64() != w.bursts.Uint64() {
+				t.Fatalf("burst=%v k=%d: the arrival or burst stream was drawn a different number of times", burst != nil, k)
+			}
+		}
+	}
+}

@@ -147,3 +147,41 @@ func TestDeepBacklogAllocatesChunks(t *testing.T) {
 		t.Fatalf("a %d-deep backlog allocated %d bytes, want at most %d", n, got, limit)
 	}
 }
+
+// TestStoreReleaseAllocatesNothing: releasing requests threads their slots
+// onto the free list in place, so a run whose releases outnumber its
+// arrivals (a backlog draining, arrivals abandoned unserved) grows no
+// free list. The slots come back last released, first issued, zeroed,
+// and the store grows only once the list is empty.
+func TestStoreReleaseAllocatesNothing(t *testing.T) {
+	const runs, n = 4, 8 * ChunkSize
+	// AllocsPerRun makes one unmeasured call first: each call releases
+	// every request of a store of its own.
+	stores := make([]*Store, runs+1)
+	for i := range stores {
+		stores[i] = new(Store)
+		for j := 0; j < n; j++ {
+			stores[i].alloc()
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		s := stores[next]
+		next++
+		for h := uint32(0); h < n; h++ {
+			s.release(s.Get(h))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("releasing %d requests allocated %.0f times, want 0", n, allocs)
+	}
+	s := stores[0]
+	for h := uint32(n); h > 0; h-- {
+		if r := s.alloc(); *r != (Request{h: h - 1}) {
+			t.Fatalf("alloc after releasing every request got %+v, want the zeroed slot %d", *r, h-1)
+		}
+	}
+	if r := s.alloc(); r.Handle() != n || len(s.chunks) != n/ChunkSize+1 {
+		t.Fatalf("alloc with no free slot got handle %d in %d chunks, want %d in %d", r.Handle(), len(s.chunks), n, n/ChunkSize+1)
+	}
+}

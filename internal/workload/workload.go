@@ -140,11 +140,12 @@ const ChunkSize = 256
 
 // Store holds the requests of a run, shared by all its apps, in chunks of
 // ChunkSize that never move: a *Request stays valid until its request is
-// released. A released request's handle goes on a free list and is
-// handed out again before the store grows.
+// released. A released request's slot goes on a free list, last released
+// first, and is handed out again before the store grows. The list runs
+// through the free slots themselves, so releasing allocates nothing.
 type Store struct {
 	chunks []*[ChunkSize]Request
-	free   []uint32
+	free   uint32 // 1 + the handle of the free list's head; 0: empty
 	n      uint32 // handles ever issued
 }
 
@@ -154,9 +155,9 @@ func (s *Store) Get(h uint32) *Request { return &s.chunks[h/ChunkSize][h%ChunkSi
 // alloc returns a zeroed request with its handle set.
 func (s *Store) alloc() *Request {
 	var h uint32
-	if n := len(s.free); n > 0 {
-		h = s.free[n-1]
-		s.free = s.free[:n-1]
+	if s.free != 0 {
+		h = s.free - 1
+		s.free = s.Get(h).AppIdx
 	} else {
 		if h = s.n; h%ChunkSize == 0 {
 			s.chunks = append(s.chunks, new([ChunkSize]Request))
@@ -164,15 +165,16 @@ func (s *Store) alloc() *Request {
 		s.n++
 	}
 	r := s.Get(h)
-	r.h = h
+	*r = Request{h: h}
 	return r
 }
 
-// release zeroes r and frees its handle.
+// release clears r and frees its slot. Every field of r reads zero but
+// AppIdx, which links the free list: 1 + the next free handle, or 0.
 func (s *Store) release(r *Request) {
 	h := r.h
-	*r = Request{}
-	s.free = append(s.free, h)
+	*r = Request{AppIdx: s.free}
+	s.free = h + 1
 }
 
 // App is one application instance in an experiment.
@@ -203,6 +205,8 @@ type App struct {
 	// Attach shared a run's); idx is the app's index in the run.
 	store *Store
 	idx   uint32
+	// gen is the app's arrival process, once GenerateArrivals starts it.
+	gen *arrivalGen
 
 	// Accounting.
 	Offered   uint64
@@ -304,7 +308,7 @@ func (a *App) QueueDelay(now sim.Time) sim.Duration {
 }
 
 // Complete records a finished request (if after the measurement start)
-// and releases it: r is zeroed and its slot kept for a later arrival, so
+// and releases it: r is cleared and its slot kept for a later arrival, so
 // read anything else needed from it before calling Complete.
 func (a *App) Complete(r *Request, measureFrom sim.Time) {
 	a.Completed++
@@ -312,6 +316,20 @@ func (a *App) Complete(r *Request, measureFrom sim.Time) {
 		a.Lat.Record(int64(r.Sojourn()))
 	}
 	a.store.release(r)
+}
+
+// Abandon releases r, the request just handed to the app's arrival
+// callback and already taken off its queue, without serving it: its
+// server can reach neither it nor any later arrival of the app before the
+// run ends. Call it from the arrival callback. The app's arrival process
+// then builds no more requests: it draws the gaps left up to its horizon,
+// bursts included, and only counts them as offered. A replayed trace
+// keeps firing; its server drops each later arrival the same way.
+func (a *App) Abandon(r *Request) {
+	a.store.release(r)
+	if a.gen != nil {
+		a.gen.abandoned = true
+	}
 }
 
 // GenerateArrivals schedules the app's Poisson (optionally burst-modulated)
@@ -349,6 +367,7 @@ func (a *App) GenerateArrivals(eng *sim.Engine, rng *sim.RNG, until sim.Time, on
 		baseGap:   sim.Duration(1e9 / a.RateK), // ns between arrivals at base rate
 		factor:    1,
 	}
+	a.gen = g
 	eng.Bind(&g.timer, g.arrive)
 	g.nextPhase(0)
 	g.schedule(sim.Time(g.arrivals.Exp(g.baseGap)))
@@ -358,7 +377,8 @@ func (a *App) GenerateArrivals(eng *sim.Engine, rng *sim.RNG, until sim.Time, on
 // arrivalGen is one app's arrival process. Its next arrival is a timer
 // that re-arms only from its own callback, so an arrival costs no heap
 // event and allocates nothing but, once per ChunkSize requests in flight,
-// a chunk of its store.
+// a chunk of its store. Once abandoned (App.Abandon) it counts the rest
+// of its arrivals in one loop instead.
 type arrivalGen struct {
 	app       *App
 	eng       *sim.Engine
@@ -373,6 +393,8 @@ type arrivalGen struct {
 	factor   float64
 	phaseEnd sim.Time
 	inOn     bool
+
+	abandoned bool
 }
 
 func (g *arrivalGen) nextPhase(now sim.Time) {
@@ -402,18 +424,35 @@ func (g *arrivalGen) schedule(at sim.Time) {
 func (g *arrivalGen) arrive() {
 	a := g.app
 	now := g.eng.Now()
-	for a.Burst != nil && now >= g.phaseEnd {
+	g.enterPhase(now)
+	a.arrive(now, a.Dist.Sample(g.services), g.onArrival)
+	at := now.Add(g.gap())
+	if !g.abandoned {
+		g.schedule(at)
+		return
+	}
+	// The arrivals left draw the same gaps and phases, with no request,
+	// no service draw and no event.
+	for ; at <= g.until; at = at.Add(g.gap()) {
+		g.enterPhase(at)
+		a.Offered++
+	}
+}
+
+// enterPhase moves the burst modulation on to the phase that holds now.
+func (g *arrivalGen) enterPhase(now sim.Time) {
+	for g.app.Burst != nil && now >= g.phaseEnd {
 		g.nextPhase(g.phaseEnd)
 	}
-	a.arrive(now, a.Dist.Sample(g.services), g.onArrival)
+}
+
+// gap draws the time to the next arrival at the current phase's rate.
+func (g *arrivalGen) gap() sim.Duration {
 	gap := g.arrivals.Exp(g.baseGap)
 	if g.factor != 1 { // x/1 == x, so only bursts pay the division
 		gap = sim.Duration(float64(gap) / g.factor)
 	}
-	if gap < 1 {
-		gap = 1
-	}
-	g.schedule(now.Add(gap))
+	return max(gap, 1)
 }
 
 // arrive queues a request that arrived at now needing svc of service,
