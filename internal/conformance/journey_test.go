@@ -153,14 +153,14 @@ func TestJourneyDeterministicExport(t *testing.T) {
 
 // TestJourneyRetainedMatchesBounded is the retention differential: a
 // tracer that keeps every finished journey and one that recycles them
-// must report the same summaries, SLO signal, registry, dumps and oracle
-// verdicts for the same seeded run, on every scheduler.
+// must report the same summaries, SLO signal, dumps and oracle verdicts
+// for the same seeded run, on every scheduler.
 func TestJourneyRetainedMatchesBounded(t *testing.T) {
 	for _, s := range Systems() {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			type view struct {
-				analysis, slo, reg, dumps, verdicts string
+				analysis, slo, dumps, verdicts string
 			}
 			run := func(retain bool) view {
 				cfg, tr := journeyConfig(5, journey.Config{
@@ -181,7 +181,6 @@ func TestJourneyRetainedMatchesBounded(t *testing.T) {
 				return view{
 					analysis: tr.Analyze().String(),
 					slo:      fmt.Sprint(good, bad),
-					reg:      tr.Reg().Snapshot().String(),
 					dumps:    dumps.String(),
 					verdicts: fmt.Sprint(CheckJourney(s.Name(), tr, res)),
 				}

@@ -58,7 +58,6 @@ func (o Options) spec(scheduler string, apps ...harness.AppSpec) harness.RunSpec
 		DurationNs: int64(o.duration()),
 		WarmupNs:   int64(o.warmup()),
 		Apps:       apps,
-		Obs:        o.Obs != nil,
 	}
 }
 

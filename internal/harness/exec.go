@@ -31,9 +31,10 @@ type Executor struct {
 	// including post-run hooks — so oracle-bearing sweeps (conformance)
 	// run uncached.
 	Cache *Cache
-	// Observer, when non-nil, attaches to specs with Obs set. A shared
-	// Observer accumulates spans across runs, so it forces sequential
-	// execution (see parallel) to keep span order deterministic.
+	// Observer, when non-nil, attaches to every run the executor makes.
+	// It accumulates spans across runs, so it forces sequential execution
+	// (see parallel) to keep span order deterministic, and it bypasses the
+	// cache: a cached result records no spans.
 	Observer *obs.Observer
 }
 
@@ -124,11 +125,11 @@ type RunResult struct {
 	Cached bool
 }
 
-// RunOne executes a single spec: cache lookup (unless the spec records
-// observability spans), scheduler run through sched.Run, cache store.
+// RunOne executes a single spec: cache lookup (unless the executor has
+// an Observer), scheduler run through sched.Run, cache store.
 func (e *Executor) RunOne(spec RunSpec) (RunResult, error) {
 	rr := RunResult{Spec: spec, Hash: spec.Hash()}
-	cacheable := e.Cache != nil && !spec.Obs
+	cacheable := e.Cache != nil && e.Observer == nil
 	if cacheable && e.Cache.Get(rr.Hash, &rr.Result) {
 		rr.Cached = true
 		return rr, nil
@@ -138,9 +139,7 @@ func (e *Executor) RunOne(spec RunSpec) (RunResult, error) {
 		return rr, err
 	}
 	cfg := spec.Config()
-	if spec.Obs {
-		cfg.Obs = e.Observer
-	}
+	cfg.Obs = e.Observer
 	rr.Result, err = sched.Run(s, cfg)
 	if err != nil {
 		return rr, err

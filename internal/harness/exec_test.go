@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vessel/internal/obs"
 	"vessel/internal/sim"
 )
 
@@ -143,30 +144,31 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestRunOneObsSkipsCache: observability runs must never be served from
-// (or stored in) the cache — a cached result records no spans.
+// TestRunOneObsSkipsCache: an executor with an Observer attaches it to
+// every run and never serves or stores one in its cache — a cached result
+// records no spans.
 func TestRunOneObsSkipsCache(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := quickPlan().Specs[0]
-	e := &Executor{Parallel: 1, Cache: cache}
-	if _, err := e.RunOne(spec); err != nil {
+	if _, err := (&Executor{Parallel: 1, Cache: cache}).RunOne(spec); err != nil {
 		t.Fatal(err)
 	}
-	obsSpec := spec
-	obsSpec.Obs = true
-	rr, err := e.RunOne(obsSpec)
+	o := obs.New(0)
+	rr, err := (&Executor{Parallel: 1, Cache: cache, Observer: o}).RunOne(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rr.Cached {
-		t.Fatal("obs run served from cache")
+		t.Fatal("observed run served from cache")
 	}
-	_, _, puts := cache.Stats()
-	if puts != 1 {
-		t.Fatalf("obs run stored in cache (puts=%d)", puts)
+	if _, _, puts := cache.Stats(); puts != 1 {
+		t.Fatalf("observed run stored in cache (puts=%d)", puts)
+	}
+	if o.SpanCount() == 0 {
+		t.Fatal("observer not attached to the run")
 	}
 }
 

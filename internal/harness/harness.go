@@ -6,8 +6,7 @@
 //
 //   - RunSpec is a declarative, serializable description of one scheduler
 //     run — scheduler, apps, load, cores, seed, duration, cost-model
-//     overrides, observability flag — with a canonical
-//     content hash (Hash);
+//     overrides — with a canonical content hash (Hash);
 //   - Plan composes RunSpecs, typically from sweep axes (Axes), in the
 //     order their results must be folded;
 //   - Executor runs independent specs concurrently on a bounded worker
@@ -160,11 +159,6 @@ type RunSpec struct {
 	// so an ablation that tweaks one constant occupies its own cache
 	// cells.
 	Costs *cpu.CostModel `json:"costs,omitempty"`
-	// Obs asks the executor to attach its Observer to this run. Obs runs
-	// are never cached (a cached result records no spans) and are only
-	// byte-stable under Parallel == 1, because the spans of concurrent
-	// runs would interleave in one shared Observer.
-	Obs bool `json:"obs,omitempty"`
 }
 
 // Config materializes the spec into a sched.Config. Apps are built fresh
@@ -196,7 +190,7 @@ const hashFormat = 1
 // Hash returns the spec's canonical content hash: SHA-256 over the format
 // version, the named scheduler's implementation epoch, and the spec's
 // canonical JSON. Two specs hash equal iff every axis — scheduler, seed,
-// cores, durations, apps, cost model, observability flag — is equal.
+// cores, durations, apps, cost model — is equal.
 func (s RunSpec) Hash() string {
 	return HashKey("runspec", schedulerEpoch(s.Scheduler), s)
 }

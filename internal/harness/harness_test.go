@@ -48,7 +48,6 @@ func TestHashChangesWithEveryAxis(t *testing.T) {
 			cm.WrPkruCycles++
 			s.Costs = cm
 		},
-		"obs": func(s *RunSpec) { s.Obs = true },
 	}
 	seen := map[string]string{h0: "base"}
 	for name, mutate := range mutations {

@@ -127,7 +127,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	tr.Event(us(0), "e", "d")
 	tr.Dump(us(0), "r")
-	if tr.Reg() != nil || tr.Flight() != nil || tr.Journeys() != nil ||
+	if tr.Flight() != nil || tr.Journeys() != nil ||
 		tr.Minted() != 0 || tr.ViolationFrac() != 0 {
 		t.Fatal("nil tracer has state")
 	}
@@ -171,9 +171,6 @@ func TestFlightRecorderDump(t *testing.T) {
 	if len(tr.Dumps()) != 1 {
 		t.Fatal("dump not retained")
 	}
-	if got := tr.Reg().Counter("journey.flight.dump"); got != 1 {
-		t.Fatalf("dump counter = %d", got)
-	}
 }
 
 // TestSLOWindows: finishes classify against the target over the whole
@@ -192,9 +189,6 @@ func TestSLOWindows(t *testing.T) {
 	}
 	if f := tr.ViolationFrac(); f < 0.33 || f > 0.34 {
 		t.Fatalf("violation frac %f", f)
-	}
-	if g, b := tr.Reg().Counter("journey.slo.good"), tr.Reg().Counter("journey.slo.violation"); g != 2 || b != 1 {
-		t.Fatalf("registry counts good=%d bad=%d", g, b)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"vessel/internal/obs"
 	"vessel/internal/sim"
 	"vessel/internal/stats"
 	"vessel/internal/trace"
@@ -138,7 +137,6 @@ func (d Dump) Text() string {
 // are nil (themselves no-ops).
 type Tracer struct {
 	cfg    Config
-	reg    *obs.Registry
 	minted uint64
 	// seen counts every Mint call, sampled or not — the denominator of
 	// the sampling decision (and of Sampled).
@@ -188,21 +186,14 @@ func NewTracer(cfg Config) *Tracer {
 	if cfg.FlightCap <= 0 {
 		cfg.FlightCap = DefaultFlightCap
 	}
-	// The tracer owns its registry (journey.finished, journey.slo.*,
-	// journey.seg.*), so journey tracing works with obs off.
-	reg := obs.NewRegistry()
-	t := &Tracer{cfg: cfg, reg: reg, sidx: make(map[string]int32), freeChain: -1}
+	t := &Tracer{cfg: cfg, sidx: make(map[string]int32), freeChain: -1, sojourn: stats.NewHistogram()}
 	for site := range t.hot {
 		t.hot[site] = [hotWays]int32{-1, -1, -1, -1}
 	}
 	t.flight = &FlightLog{t: t, ring: trace.NewRing[flightEntry](cfg.FlightCap)}
-	// The critical-path histograms ARE the registry's: resolved once
-	// here, recorded by handle on the finish path (no per-sample name
-	// lookup), summarised by every registry snapshot.
 	for s := range t.seg {
-		t.seg[s] = reg.Hist("journey.seg." + Segment(s).String())
+		t.seg[s] = stats.NewHistogram()
 	}
-	t.sojourn = reg.Hist("journey.sojourn")
 	return t
 }
 
@@ -211,14 +202,6 @@ func New() *Tracer { return NewTracer(Config{}) }
 
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// Reg returns the tracer's metrics registry (nil when disabled).
-func (t *Tracer) Reg() *obs.Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
-}
 
 // Mint opens a new journey for a request arriving at the given instant.
 // The journey starts in SegQueue. Journey IDs are mint order — the
@@ -368,7 +351,11 @@ func (t *Tracer) finish(j *Journey) {
 		t.mix[s] += int64(d)
 	}
 	if t.cfg.SLOTarget > 0 {
-		t.classify(soj)
+		if soj > t.cfg.SLOTarget {
+			t.bad++
+		} else {
+			t.good++
+		}
 	}
 	if t.cfg.Retain {
 		return
@@ -378,17 +365,6 @@ func (t *Tracer) finish(j *Journey) {
 		t.freeChain = j.lhead
 	}
 	t.free = append(t.free, j)
-}
-
-// classify tallies a finish against the SLO target.
-func (t *Tracer) classify(soj sim.Duration) {
-	if soj > t.cfg.SLOTarget {
-		t.bad++
-		t.reg.Inc("journey.slo.violation")
-	} else {
-		t.good++
-		t.reg.Inc("journey.slo.good")
-	}
 }
 
 // audit is the conservation oracle for one finished journey, run by
@@ -576,7 +552,6 @@ func (t *Tracer) Dump(at sim.Time, reason string) Dump {
 	}
 	d := Dump{At: at, Reason: reason, Overwritten: t.flight.Overwritten(), Events: t.flight.Events()}
 	t.dumps = append(t.dumps, d)
-	t.reg.Inc("journey.flight.dump")
 	return d
 }
 

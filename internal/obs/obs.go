@@ -137,9 +137,6 @@ func (s Span) Duration() sim.Duration { return s.End.Sub(s.Start) }
 // entries.
 type ring struct {
 	spans trace.Ring[Span]
-	// uintrPending marks an in-flight deferred Uintr delivery window.
-	uintrPending bool
-	uintrSince   sim.Time
 	// lostEnd is the latest End of any overwritten span: the ring still
 	// holds every span of a window that starts at or after it.
 	lostEnd sim.Time
@@ -251,44 +248,10 @@ func (o *Observer) Charge(core int, name string, cat Category, d sim.Duration) {
 	o.prof.charge(core, name, cat, d)
 }
 
-// UintrDeferred opens the deferred-delivery window of a user interrupt
-// whose receiver (conventionally tracked by its core id) was descheduled or
-// suppressed at SENDUIPI time. Subsequent deferred posts to the same
-// receiver fold into the one open window, mirroring the UPID's PIR bitmap.
-func (o *Observer) UintrDeferred(core int, at sim.Time) {
-	if o == nil {
-		return
-	}
-	r := o.coreRing(core)
-	if !r.uintrPending {
-		r.uintrPending = true
-		r.uintrSince = at
-	}
-}
-
-// UintrFlush closes a pending deferred-delivery window: the receiver
-// reattached and its posted vectors reached the handler. Without a pending
-// window it is a no-op.
-func (o *Observer) UintrFlush(core int, at sim.Time) {
-	if o == nil {
-		return
-	}
-	r := o.coreRing(core)
-	if !r.uintrPending {
-		return
-	}
-	r.uintrPending = false
-	if at < r.uintrSince {
-		at = r.uintrSince
-	}
-	r.add(Span{Core: core, Start: r.uintrSince, End: at, Cat: CatUintr, Name: "uintr.deferred"})
-}
-
 // Absorb folds other's retained spans, overwrite counts, profile and
 // metrics into o. Spans are replayed core by core in other's recording
 // order, so when other overwrote nothing the result is byte-identical to
-// having recorded other's run on o directly. Pending Uintr windows are
-// not carried over.
+// having recorded other's run on o directly.
 func (o *Observer) Absorb(other *Observer) {
 	if o == nil || other == nil {
 		return

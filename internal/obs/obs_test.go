@@ -17,8 +17,6 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.Span(0, 0, 10, CatApp, "x")
 	o.Mark(1, 5, CatGate, "g")
 	o.Charge(0, "x", CatApp, 10)
-	o.UintrDeferred(0, 1)
-	o.UintrFlush(0, 2)
 	if o.Spans() != nil || o.SpanCount() != 0 || o.Overwritten() != 0 {
 		t.Fatal("nil observer retained state")
 	}
@@ -95,22 +93,6 @@ func TestRingOverwriteCounted(t *testing.T) {
 	spans := o.Spans()
 	if spans[0].Start != 6 || spans[3].Start != 9 {
 		t.Fatalf("ring kept wrong spans: %+v", spans)
-	}
-}
-
-func TestUintrDeferredWindowFolds(t *testing.T) {
-	o := New(16)
-	o.UintrDeferred(3, 100)
-	o.UintrDeferred(3, 150) // folds into the open window
-	o.UintrFlush(3, 200)
-	o.UintrFlush(3, 250) // no window: no-op
-	spans := o.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	want := Span{Core: 3, Start: 100, End: 200, Cat: CatUintr, Name: "uintr.deferred"}
-	if spans[0] != want {
-		t.Fatalf("window = %+v, want %+v", spans[0], want)
 	}
 }
 

@@ -119,6 +119,9 @@ type coreState struct {
 	current *Thread
 	// receiver is the Uintr endpoint the scheduler signals (§4.3).
 	receiver *uintr.Receiver
+	// window is the receiver's deferred-delivery window, tracked while
+	// the domain is observed.
+	window uintrWindow
 	// Preemptions counts Uintr-driven switches on this core.
 	Preemptions uint64
 	// Parks counts voluntary switches.
@@ -196,6 +199,9 @@ type Domain struct {
 	// dispositions with deferred-delivery windows, kills) feed the
 	// flight recorder and deferred-window journeys.
 	Journey *journey.Tracer
+	// observed is set once the seam hooks that feed Obs and Journey are
+	// installed (see observe.go).
+	observed bool
 
 	cores      []*coreState
 	uprocs     []*UProc
