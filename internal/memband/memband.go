@@ -217,49 +217,3 @@ func (g CgroupCFS) Regulate(targetFrac float64, cfg Config) (Measurement, error)
 		ActualGBs:  actual,
 	}, nil
 }
-
-// ---- cgroup cpu.max (quota) ------------------------------------------------
-
-// CgroupQuota models cpu.max period/quota capping: accurate on long
-// averages but enforced at 100 ms periods — the thread bursts at full rate
-// then freezes, so short-window consumption swings between 0 and 100%.
-// Included for completeness; the paper's Figure 13b comparator is the
-// shares-based configuration.
-type CgroupQuota struct {
-	Period sim.Duration
-}
-
-// Name returns "cgroup-quota".
-func (CgroupQuota) Name() string { return "cgroup-quota" }
-
-// Regulate returns the long-run average (≈ target) plus the burst ratio in
-// the measurement's ActualGBs when observed over a window shorter than the
-// period — modelled here as the long-run value, with WindowPeakGBs exposed
-// via PeakWithin.
-func (q CgroupQuota) Regulate(targetFrac float64, cfg Config) (Measurement, error) {
-	if err := cfg.Validate(); err != nil {
-		return Measurement{}, err
-	}
-	natural := cfg.NaturalGBs()
-	return Measurement{
-		Regulator:  q.Name(),
-		TargetFrac: targetFrac,
-		TargetGBs:  targetFrac * natural,
-		ActualGBs:  targetFrac * natural,
-	}, nil
-}
-
-// PeakWithin returns the worst-case consumption observed over a window w:
-// within one period the group runs flat-out for quota time, so any window
-// shorter than the quota burst sees full natural bandwidth.
-func (q CgroupQuota) PeakWithin(targetFrac float64, cfg Config, w sim.Duration) float64 {
-	period := q.Period
-	if period <= 0 {
-		period = 100 * sim.Millisecond
-	}
-	burst := sim.Duration(targetFrac * float64(period))
-	if w <= burst {
-		return cfg.NaturalGBs()
-	}
-	return cfg.NaturalGBs() * float64(burst) / float64(w)
-}

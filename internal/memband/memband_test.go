@@ -99,27 +99,6 @@ func TestCgroupCFSIsWorkConserving(t *testing.T) {
 	}
 }
 
-func TestCgroupQuotaAccurateOnAverageBurstyUpClose(t *testing.T) {
-	q := CgroupQuota{}
-	m, err := q.Regulate(0.2, cfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ErrorFrac() > 1e-9 {
-		t.Fatal("quota should be exact on long averages")
-	}
-	// A 1 ms observation window inside the burst sees full bandwidth.
-	peak := q.PeakWithin(0.2, cfg(), 1*sim.Millisecond)
-	if math.Abs(peak-cfg().NaturalGBs()) > 1e-9 {
-		t.Fatalf("peak within burst = %v", peak)
-	}
-	// A full-period window sees the average.
-	avg := q.PeakWithin(0.2, cfg(), 100*sim.Millisecond)
-	if math.Abs(avg-0.2*cfg().NaturalGBs()) > 1e-9 {
-		t.Fatalf("full-period window = %v", avg)
-	}
-}
-
 func TestAccuracyOrdering(t *testing.T) {
 	// The headline: VESSEL strictly more accurate than MBA and CFS at a
 	// 30% target.
@@ -134,7 +113,7 @@ func TestAccuracyOrdering(t *testing.T) {
 }
 
 func TestRegulatorNames(t *testing.T) {
-	for _, r := range []Regulator{Vessel{}, MBA{}, CgroupCFS{}, CgroupQuota{}} {
+	for _, r := range []Regulator{Vessel{}, MBA{}, CgroupCFS{}} {
 		if r.Name() == "" {
 			t.Fatal("empty name")
 		}
