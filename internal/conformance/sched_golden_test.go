@@ -52,12 +52,12 @@ func TestSchedulerCanonicalGolden(t *testing.T) {
 }
 
 // TestVesselRestartGolden pins the full canonical result bytes of every
-// system on quick scenarios 21 and 92. Among quick scenarios 1–200 these
-// are the only ones where VESSEL preempts a request (§4.4) after its work
-// is done but before its bandwidth stall noise ends: the served time
-// clamps its remainder to zero, and the request restarts with its whole
-// service time. No other test reaches that path. The golden is only ever
-// read, never rewritten: -update leaves it alone.
+// system on quick scenarios 21 and 92. Among quick scenarios 1–200 at
+// full load these are the only ones where VESSEL preempts a request
+// (§4.4) after its work is done but before its bandwidth stall noise
+// ends; the request completes at the preemption. No other golden reaches
+// that path. The golden is only ever read, never rewritten: -update
+// leaves it alone.
 func TestVesselRestartGolden(t *testing.T) {
 	var b bytes.Buffer
 	for _, seed := range []uint64{21, 92} {

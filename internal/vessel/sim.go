@@ -359,16 +359,13 @@ func (r *vesselRun) serveNext(c *coreState) {
 }
 
 // startRequest runs one L request (or its preempted remainder)
-// run-to-completion. A remainder of zero or less restarts the request
-// with its whole service time.
+// run-to-completion.
 func (r *vesselRun) startRequest(c *coreState, app *workload.App, req *workload.Request) {
 	now := r.Eng.Now()
 	work := req.Service
 	if left, ok := r.left[req.Handle()]; ok {
 		delete(r.left, req.Handle())
-		if left > 0 {
-			work = left
-		}
+		work = left
 	}
 	c.runningL = app
 	c.busy = true
@@ -395,7 +392,9 @@ func (r *vesselRun) finish(c *coreState) {
 // preemptL interrupts a core serving a lower-priority L request (§4.4:
 // "preemption happens when a high-priority task is blocked by a
 // low-priority one"): the in-flight request's remainder goes back to the
-// head of its queue and the core re-dispatches through the gate.
+// head of its queue and the core re-dispatches through the gate. A
+// request whose work is done, with only its bandwidth stall left to run,
+// completes at the preemption instead.
 func (r *vesselRun) preemptL(c *coreState) {
 	req := c.curReq
 	if req == nil || !c.reqEv.Pending() {
@@ -405,10 +404,13 @@ func (r *vesselRun) preemptL(c *coreState) {
 	r.Eng.Cancel(c.reqEv)
 	c.reqEv = sim.Event{}
 	c.curReq = nil
-	served := sim.Duration(float64(now.Sub(c.reqFrom)) / c.reqInflat)
-	r.left[req.Handle()] = c.reqLeft - min(served, c.reqLeft)
-	r.AppOf(req).RequeueFront(req)
-	r.J(req).To(journey.SegQueue, now)
+	if served := sim.Duration(float64(now.Sub(c.reqFrom)) / c.reqInflat); served < c.reqLeft {
+		r.left[req.Handle()] = c.reqLeft - served
+		r.AppOf(req).RequeueFront(req)
+		r.J(req).To(journey.SegQueue, now)
+	} else {
+		r.Served(req, c.reqFrom)
+	}
 	c.runningL = nil
 	r.Preempts++
 	c.busy = true

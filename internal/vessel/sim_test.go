@@ -331,3 +331,37 @@ func TestIdleSetMatchesScan(t *testing.T) {
 		})
 	}
 }
+
+// TestPreemptAfterWorkDoneCompletes: a §4.4 preemption that lands after
+// a request's work is done, while only its bandwidth stall is left to
+// run, completes the request at the preemption. It must not go back on
+// its queue to run its whole service time again.
+func TestPreemptAfterWorkDoneCompletes(t *testing.T) {
+	mc := workload.NewLApp("memcached", workload.Memcached(), 0.3*sched.IdealLCapacity(8, workload.Memcached()))
+	cfg := baseCfg(mc, workload.Membench())
+	cfg.Cores, cfg.Warmup, cfg.Duration = 8, 0, 2*sim.Millisecond
+	r, err := Simulator{}.start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r.Eng.Step() {
+		now := r.Eng.Now()
+		for _, c := range r.cores {
+			req := c.curReq
+			if req == nil || !c.reqEv.Pending() {
+				continue
+			}
+			workEnd := c.reqFrom.Add(sim.Duration(float64(c.reqLeft)*c.reqInflat) + 1)
+			if now <= workEnd || now >= c.reqEv.At() {
+				continue
+			}
+			completed, h := mc.Completed, req.Handle()
+			r.preemptL(c)
+			if _, ok := r.left[h]; ok || mc.Completed != completed+1 {
+				t.Fatalf("request preempted in its stall at %v went back on its queue instead of completing", now)
+			}
+			return
+		}
+	}
+	t.Fatal("no request was caught in its bandwidth stall")
+}
