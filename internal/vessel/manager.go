@@ -49,12 +49,12 @@ func NewManager(cores int, costs *cpu.CostModel) (*Manager, error) {
 
 // AttachObs installs the observability layer across the manager's domain
 // (WRPKRU, gates, UINTR, pkeys, kills) and enables the manager's own
-// restart spans. Nil is a no-op.
+// restart spans. Attaching again replaces the observer; nil is a no-op.
 func (mg *Manager) AttachObs(o *obs.Observer) { mg.Domain.AttachObs(o) }
 
 // AttachJourney installs request-journey tracing across the manager's
 // domain seams (gates, UINTR dispositions and deferred windows, kill
-// dumps). Nil is a no-op.
+// dumps). Attaching again replaces the tracer; nil is a no-op.
 func (mg *Manager) AttachJourney(t *journey.Tracer) { mg.Domain.AttachJourney(t) }
 
 // Launch creates a uProcess from a program (fork of the hosting kProcess,
